@@ -1,14 +1,16 @@
-"""The query engine: one simulated execution end to end.
+"""The query engine: one execution end to end, on any kernel.
 
-:class:`QueryEngine` builds a fresh :class:`World`, spawns the wrapper
-processes, wires DQO → DQS → DQP around the chosen planning policy, runs
-the simulation to completion and collects an :class:`ExecutionResult`.
+:class:`QueryRun` is the one query lifecycle: it starts the wrapper
+processes, wires DQO → DQS → DQP around the chosen planning policy,
+checks completion and collects an :class:`ExecutionResult`.
+:class:`QueryEngine` is its one-shot front-end: a fresh simulated
+:class:`World`, one run, the simulation driven to completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Any, Callable, Generator, Iterable, Mapping, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.common.errors import ConfigurationError, SimulationError
@@ -20,11 +22,13 @@ from repro.core.events import EndOfQEP
 from repro.core.runtime import QueryRuntime, World
 from repro.core.statistics import RuntimeStatistics
 from repro.core.strategies.lwb import lower_bound
+from repro.exec import Kernel, Process, SimEvent
 from repro.observability import (
     DecisionRecord,
     MetricsRegistry,
     SamplePoint,
     Span,
+    build_live_snapshot,
     span_summary,
 )
 from repro.plan.qep import QEP
@@ -149,71 +153,249 @@ class ExecutionResult:
         return "\n".join(lines)
 
 
-def collect_execution_result(world: World, runtime: QueryRuntime,
-                             scheduler: DynamicQueryScheduler,
-                             processor: DynamicQueryProcessor,
-                             optimizer: DynamicQEPOptimizer,
-                             wrappers, end: EndOfQEP,
-                             trace: bool = False) -> ExecutionResult:
-    """Assemble the :class:`ExecutionResult` of one finished execution.
+def spawn_main(kernel: Kernel, generator: Generator[SimEvent, Any, Any],
+               name: str) -> Process:
+    """Start a front-end's driving process on ``kernel``.
 
-    Shared by every engine front-end (virtual-time :class:`QueryEngine`,
-    multi-query launcher, the asyncio-backed live engine): wrappers only
-    need ``name`` / ``tuples_sent`` / ``production_time`` /
-    ``blocked_time`` attributes.
+    Born defused: whoever started it reads its failure itself (see
+    :func:`main_value`) instead of the kernel's unhandled-failure
+    backstop wrapping it first.
     """
-    return ExecutionResult(
-        strategy=scheduler.policy.name,
-        response_time=end.time,
-        result_tuples=runtime.result_tuples,
-        time_to_first_tuple=runtime.first_result_at,
-        planning_phases=scheduler.planning_phases,
-        context_switches=processor.context_switches,
-        batches_processed=processor.batches_processed,
-        stall_time=processor.stall_time,
-        degradations=len(runtime.degraded_chains),
-        memory_splits=runtime.memory_splits,
-        timeouts=optimizer.timeouts,
-        rate_change_events=optimizer.rate_changes,
-        cpu_busy_time=world.cpu.busy_time,
-        cpu_utilization=(world.cpu.busy_time / end.time
-                         if end.time > 0 else 0.0),
-        disk_busy_time=sum(d.busy_time for d in world.disks),
-        disk_ios=int(sum(d.ios.value for d in world.disks)),
-        disk_seeks=int(sum(d.seeks.value for d in world.disks)),
-        cache_hit_ratio=world.cache.hit_ratio(),
-        memory_peak_bytes=world.memory.peak_bytes,
-        tuples_spilled=int(world.buffer.tuples_spilled.value),
-        tuples_reloaded=int(world.buffer.tuples_reloaded.value),
-        wrapper_stats={w.name: (w.tuples_sent, w.production_time,
-                                w.blocked_time)
-                       for w in wrappers},
-        fragment_stats={
-            fragment.name: FragmentStat(
-                name=fragment.name,
-                kind=fragment.kind.value,
-                chain=fragment.chain.name,
-                started_at=fragment.started_at,
-                finished_at=fragment.finished_at,
-                tuples_in=fragment.tuples_in,
-                tuples_out=fragment.tuples_out,
-                batches=fragment.batches,
-                cpu_seconds=fragment.cpu_seconds)
-            for fragment in runtime.fragments.values()},
-        reopt_opportunities=list(optimizer.reopt_opportunities),
-        reopt_swaps=list(optimizer.reopt_swaps),
-        statistics=runtime.statistics,
-        tracer=world.tracer if trace else None,
-        stall_breakdown=world.telemetry.stalls.by_cause(),
-        decisions=list(world.telemetry.audit),
-        samples=list(world.telemetry.samples),
-        metrics=(world.telemetry.registry
-                 if world.telemetry.enabled else None),
-        spans=(list(world.telemetry.spans.spans)
-               if world.telemetry.spans is not None else None),
-        span_summary=(span_summary(world.telemetry.spans.spans)
-                      if world.telemetry.spans is not None else None),
-    )
+    main = kernel.process(generator, name=name)
+    main.defused = True
+    return main
+
+
+def main_value(main: Process) -> Any:
+    """What a finished main process returned; its failure re-raised."""
+    if not main.triggered:
+        raise SimulationError(f"process {main.name!r} has not finished")
+    if main.failure is not None:
+        raise main.failure
+    return main.value
+
+
+def seeded_wrappers(world: World, catalog: Catalog,
+                    delay_models: Mapping[str, DelayModel],
+                    stream_prefix: str = "") -> Callable[[str], Wrapper]:
+    """Per-relation factory of simulated wrappers on ``world``.
+
+    Each wrapper draws from the world's RNG stream
+    ``<stream_prefix>wrapper:<relation>`` — seeded output depends on that
+    label, so one-shot front-ends pass no prefix and the multi-query
+    launcher passes ``"<query name>:"``.
+    """
+    def make(relation: str) -> Wrapper:
+        model = delay_models[relation]
+        reset = getattr(model, "reset", None)
+        if reset is not None:
+            reset()  # one-shot models re-arm between repetitions
+        return Wrapper(world.sim, catalog.relation(relation), model,
+                       world.cm,
+                       world.rng(f"{stream_prefix}wrapper:{relation}"),
+                       world.params)
+    return make
+
+
+def start_wrappers(relations: Iterable[str],
+                   make_wrapper: Callable[[str], Any],
+                   started: list[Any]) -> None:
+    """Build and start one wrapper per source relation, in plan order.
+
+    Each lands in ``started`` as soon as it runs, so a source that fails
+    to open leaves the ones before it reachable for a detach.
+    """
+    for relation in relations:
+        wrapper = make_wrapper(relation)
+        wrapper.start()
+        started.append(wrapper)
+
+
+class QueryRun:
+    """One query's lifetime on a (possibly shared) kernel.
+
+    The single owner of "wrappers + :class:`QueryRuntime` + DQS/DQP/DQO +
+    completion checks"; every front-end (one-shot, multi-query, live,
+    service backends) builds a :class:`World` its own way and hands the
+    rest to a run.  ``make_wrapper`` maps a source relation to an
+    unstarted wrapper on that world: :func:`seeded_wrappers` on the
+    simulator, :func:`repro.exec.live.live_wrappers` on live sources.
+
+    Two shapes, no event hop between them and the optimizer:
+    :meth:`start` spawns the optimizer as its own process (the caller
+    runs the kernel or joins the process), :meth:`drive` is the same
+    lifecycle inline, for a caller that already *is* a kernel process.
+    """
+
+    def __init__(self, world: World, qep: QEP, policy: PlanningPolicy,
+                 make_wrapper: Callable[[str], Any], name: str = "engine"):
+        self.world = world
+        self.qep = qep
+        self.policy = policy
+        self.make_wrapper = make_wrapper
+        self.name = name
+        self.wrappers: list[Any] = []
+        #: True once the engine stack below exists (start()/drive() ran).
+        self.attached = False
+        self.runtime: QueryRuntime
+        self.scheduler: DynamicQueryScheduler
+        self.processor: DynamicQueryProcessor
+        self.optimizer: DynamicQEPOptimizer
+        #: the optimizer process (:meth:`start` only).
+        self.main: Optional[Process] = None
+        #: kernel time the run attached; response time counts from here.
+        self.started_at = 0.0
+        self._end: Any = None
+
+    @property
+    def batches_processed(self) -> int:
+        """DQP batches so far (0 before the run attached)."""
+        return self.processor.batches_processed if self.attached else 0
+
+    def _attach(self) -> DynamicQEPOptimizer:
+        """Sources first, then the engine stack (creation order is part
+        of the seeded surface)."""
+        if self.attached or self.wrappers:
+            raise SimulationError(f"query run {self.name!r} started twice")
+        self.started_at = self.world.sim.now
+        start_wrappers(self.qep.source_relations(), self.make_wrapper,
+                       self.wrappers)
+        self.runtime = QueryRuntime(self.world, self.qep)
+        self.scheduler = DynamicQueryScheduler(self.runtime, self.policy)
+        self.processor = DynamicQueryProcessor(self.runtime)
+        self.optimizer = DynamicQEPOptimizer(self.runtime, self.scheduler,
+                                             self.processor)
+        self.attached = True
+        return self.optimizer
+
+    def start(self) -> Process:
+        """Attach and spawn the optimizer as its own process.
+
+        A failure of the returned process surfaces through
+        :meth:`result` (or through whoever joins it) rather than
+        crashing a shared kernel.
+        """
+        self.main = spawn_main(self.world.sim, self._attach().run(),
+                               self.name)
+        return self.main
+
+    def drive(self) -> Generator[SimEvent, Any, EndOfQEP]:
+        """Attach and run the optimizer inline (``yield from`` me);
+        returns the checked :class:`EndOfQEP`."""
+        self._end = yield from self._attach().run()
+        return self.check_complete()
+
+    def sample(self, on_sample: Optional[Callable[[SamplePoint], None]]
+               = None) -> None:
+        """Sample this run's occupancy for as long as :attr:`main` lives.
+
+        Only for a world that owns its machine: the sampler is one per
+        telemetry plane and observes one query's memory and queues.
+        """
+        telemetry = self.world.telemetry
+        if telemetry.sampling and self.main is not None:
+            telemetry.start_sampler(self.world.memory, self.world.cm,
+                                    on_sample=on_sample)
+            # Stop with the engine (success or failure), or the periodic
+            # timeouts would keep the kernel alive.
+            self.main.add_callback(lambda _event: telemetry.stop_sampler())
+
+    def join(self) -> Generator[SimEvent, Any, ExecutionResult]:
+        """:meth:`start`, wait for the run to end, return its result;
+        the sources are detached either way."""
+        try:
+            yield self.start()  # an engine failure re-raises here
+            return self.result()
+        finally:
+            self.detach()
+
+    def snapshot(self) -> Any:
+        """A live snapshot of this run (see :func:`build_live_snapshot`)."""
+        return build_live_snapshot(self.world, self.runtime, self.processor,
+                                   self.policy.name)
+
+    def detach(self) -> None:
+        """Stop sources that outlive the kernel's view of them (live
+        feeder tasks); idempotent, meant for failure paths too."""
+        for wrapper in self.wrappers:
+            stop = getattr(wrapper, "stop", None)
+            if stop is not None:
+                stop()
+
+    def check_complete(self) -> EndOfQEP:
+        """Raise unless the run finished cleanly; returns its end event."""
+        end = main_value(self.main) if self.main is not None else self._end
+        if end is None:
+            raise SimulationError(f"query run {self.name!r} has not finished")
+        if not isinstance(end, EndOfQEP):
+            raise SimulationError(
+                f"query run {self.name!r} ended without EndOfQEP: {end!r}")
+        if not self.runtime.all_done:
+            raise SimulationError(
+                f"query run {self.name!r}: kernel idle but query incomplete")
+        return end
+
+    def result(self, trace: bool = False) -> ExecutionResult:
+        """Validate completion and collect the :class:`ExecutionResult`."""
+        end = self.check_complete()
+        world, runtime = self.world, self.runtime
+        scheduler, processor = self.scheduler, self.processor
+        optimizer = self.optimizer
+        return ExecutionResult(
+            strategy=scheduler.policy.name,
+            response_time=end.time - self.started_at,
+            result_tuples=runtime.result_tuples,
+            time_to_first_tuple=(runtime.first_result_at - self.started_at
+                                 if runtime.first_result_at is not None
+                                 else None),
+            planning_phases=scheduler.planning_phases,
+            context_switches=processor.context_switches,
+            batches_processed=processor.batches_processed,
+            stall_time=processor.stall_time,
+            degradations=len(runtime.degraded_chains),
+            memory_splits=runtime.memory_splits,
+            timeouts=optimizer.timeouts,
+            rate_change_events=optimizer.rate_changes,
+            cpu_busy_time=world.cpu.busy_time,
+            cpu_utilization=(world.cpu.busy_time / end.time
+                             if end.time > 0 else 0.0),
+            disk_busy_time=sum(d.busy_time for d in world.disks),
+            disk_ios=int(sum(d.ios.value for d in world.disks)),
+            disk_seeks=int(sum(d.seeks.value for d in world.disks)),
+            cache_hit_ratio=world.cache.hit_ratio(),
+            memory_peak_bytes=world.memory.peak_bytes,
+            tuples_spilled=int(world.buffer.tuples_spilled.value),
+            tuples_reloaded=int(world.buffer.tuples_reloaded.value),
+            # Simulated and live wrappers share this read-only surface.
+            wrapper_stats={w.name: (w.tuples_sent, w.production_time,
+                                    w.blocked_time)
+                           for w in self.wrappers},
+            fragment_stats={
+                fragment.name: FragmentStat(
+                    name=fragment.name,
+                    kind=fragment.kind.value,
+                    chain=fragment.chain.name,
+                    started_at=fragment.started_at,
+                    finished_at=fragment.finished_at,
+                    tuples_in=fragment.tuples_in,
+                    tuples_out=fragment.tuples_out,
+                    batches=fragment.batches,
+                    cpu_seconds=fragment.cpu_seconds)
+                for fragment in runtime.fragments.values()},
+            reopt_opportunities=list(optimizer.reopt_opportunities),
+            reopt_swaps=list(optimizer.reopt_swaps),
+            statistics=runtime.statistics,
+            tracer=world.tracer if trace else None,
+            stall_breakdown=world.telemetry.stalls.by_cause(),
+            decisions=list(world.telemetry.audit),
+            samples=list(world.telemetry.samples),
+            metrics=(world.telemetry.registry
+                     if world.telemetry.enabled else None),
+            spans=(list(world.telemetry.spans.spans)
+                   if world.telemetry.spans is not None else None),
+            span_summary=(span_summary(world.telemetry.spans.spans)
+                          if world.telemetry.spans is not None else None),
+        )
 
 
 class QueryEngine:
@@ -239,46 +421,13 @@ class QueryEngine:
     def run(self) -> ExecutionResult:
         """Execute once and collect the result."""
         world = World(self.params, seed=self.seed, trace=self.trace)
-        wrappers: list[Wrapper] = []
-        for source in self.qep.source_relations():
-            model = self.delay_models[source]
-            reset = getattr(model, "reset", None)
-            if reset is not None:
-                reset()  # one-shot models re-arm between repetitions
-            wrapper = Wrapper(world.sim, self.catalog.relation(source), model,
-                              world.cm, world.rng(f"wrapper:{source}"),
-                              self.params)
-            wrapper.start()
-            wrappers.append(wrapper)
-
-        runtime = QueryRuntime(world, self.qep)
-        scheduler = DynamicQueryScheduler(runtime, self.policy)
-        processor = DynamicQueryProcessor(runtime)
-        optimizer = DynamicQEPOptimizer(runtime, scheduler, processor)
-        main = world.sim.process(optimizer.run(), name="engine")
-        # The engine handles its own failure below; keep the kernel's
-        # unhandled-failure backstop from wrapping it first.
-        main.defused = True
-
-        if world.telemetry.sampling:
-            world.telemetry.start_sampler(world.memory, world.cm)
-            # Stop the periodic sampler when the engine ends (success or
-            # failure), or its timeouts would keep the simulation alive.
-            main.add_callback(lambda _event: world.telemetry.stop_sampler())
-
+        query = QueryRun(world, self.qep, self.policy,
+                         seeded_wrappers(world, self.catalog,
+                                         self.delay_models))
+        query.start()
+        query.sample()
         world.sim.run()
-
-        if main.failure is not None:
-            raise main.failure
-        if not isinstance(main.value, EndOfQEP):
-            raise SimulationError(
-                f"engine ended without EndOfQEP: {main.value!r}")
-        if not runtime.all_done:
-            raise SimulationError("simulation drained but query incomplete")
-
-        return collect_execution_result(world, runtime, scheduler, processor,
-                                        optimizer, wrappers, main.value,
-                                        trace=self.trace)
+        return query.result(trace=self.trace)
 
     def lower_bound(self) -> float:
         """The analytic LWB for this engine's query and delay models."""

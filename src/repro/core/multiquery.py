@@ -29,24 +29,27 @@ from dataclasses import dataclass, field
 from typing import Any, Generator, Mapping, Optional
 
 from repro.catalog.catalog import Catalog
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
-from repro.core.dqo import DynamicQEPOptimizer
-from repro.core.dqp import DynamicQueryProcessor
-from repro.core.dqs import DynamicQueryScheduler, PlanningPolicy
-from repro.core.events import EndOfQEP
-from repro.core.runtime import QueryRuntime, World
-from repro.exec import Process, SimEvent
-from repro.observability import (
-    SPAN_ADMISSION_WAIT,
-    STALL_ADMISSION_WAIT,
-    DecisionRecord,
+from repro.core.dqs import PlanningPolicy
+from repro.core.engine import (
+    QueryRun,
+    main_value,
+    seeded_wrappers,
+    spawn_main,
 )
+from repro.core.runtime import World
+from repro.exec import SimEvent
+from repro.observability import DecisionRecord
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
-from repro.resources import ADMISSION_POLICIES, AdmissionController, MemoryBroker
+from repro.resources import (
+    ADMISSION_POLICIES,
+    AdmissionController,
+    MemoryBroker,
+    admitted,
+)
 from repro.wrappers.delays import DelayModel
-from repro.wrappers.source import Wrapper
 
 
 @dataclass
@@ -277,21 +280,13 @@ class MultiQueryEngine:
                 policy=self.admission)
         else:
             self._controller = None
-        launchers: list[tuple[QuerySubmission, Process]] = []
-        for submission in self._submissions:
-            process = machine.sim.process(
-                self._launch(submission, machine),
-                name=f"query:{submission.name}")
-            process.defused = True
-            launchers.append((submission, process))
+        launchers = [spawn_main(machine.sim, self._launch(submission, machine),
+                                f"query:{submission.name}")
+                     for submission in self._submissions]
 
         machine.sim.run()
 
-        outcomes = []
-        for submission, process in launchers:
-            if process.failure is not None:
-                raise process.failure
-            outcomes.append(process.value)
+        outcomes = [main_value(launcher) for launcher in launchers]
         makespan = max(o.completion_time for o in outcomes)
         return MultiQueryResult(
             outcomes=outcomes,
@@ -308,77 +303,35 @@ class MultiQueryEngine:
         if submission.start_time > 0:
             yield machine.sim.timeout(submission.start_time)
         submitted = machine.sim.now
-        initial, min_bytes, max_bytes = submission.resolved_budgets(self.params)
-        admission_wait = 0.0
-        wait_span = None
-        spans = machine.telemetry.spans
-        if self._controller is not None:
-            ticket = self._controller.request(
-                submission.name, min_bytes, max_bytes,
-                priority=submission.priority, tenant=submission.tenant)
-            if not ticket.granted:
-                assert ticket.event is not None
-                yield ticket.event
-            lease = ticket.lease
-            assert lease is not None
-            admission_wait = ticket.waited
-            if admission_wait > 0:
-                machine.telemetry.stalls.record(
-                    STALL_ADMISSION_WAIT, submitted, machine.sim.now)
-                if spans is not None:
-                    wait_span = spans.add(
-                        SPAN_ADMISSION_WAIT, submission.name, submitted,
-                        machine.sim.now, min_bytes=min_bytes)
-        else:
-            lease = machine.broker.lease(submission.name, initial,
-                                         min_bytes=min_bytes,
-                                         max_bytes=max_bytes,
-                                         tenant=submission.tenant)
-        granted_bytes = lease.total_bytes
-        world = World(self.params, share_machine=machine, lease=lease,
-                      query_name=submission.name)
-        try:
-            for source in submission.qep.source_relations():
-                model = submission.delay_models[source]
-                reset = getattr(model, "reset", None)
-                if reset is not None:
-                    reset()
-                wrapper = Wrapper(
-                    world.sim, submission.catalog.relation(source), model,
-                    world.cm,
-                    world.rng(f"{submission.name}:wrapper:{source}"),
-                    self.params)
-                wrapper.start()
 
-            runtime = QueryRuntime(world, submission.qep)
-            if wait_span is not None and runtime.query_span is not None:
-                # The query ran late *because of* this admission wait.
-                spans.set_cause(runtime.query_span, wait_span)
-            scheduler = DynamicQueryScheduler(runtime, submission.policy)
-            processor = DynamicQueryProcessor(runtime)
-            optimizer = DynamicQEPOptimizer(runtime, scheduler, processor)
-            event = yield from optimizer.run()
-            if not isinstance(event, EndOfQEP):
-                raise SimulationError(
-                    f"query {submission.name!r} ended without EndOfQEP")
+        def run(world: World, waited: float
+                ) -> Generator[SimEvent, Any, QueryOutcome]:
+            lease = world.memory
+            granted_bytes = lease.total_bytes
+            query = QueryRun(world, submission.qep, submission.policy,
+                             seeded_wrappers(world, submission.catalog,
+                                             submission.delay_models,
+                                             f"{submission.name}:"),
+                             name=submission.name)
+            end = yield from query.drive()
             return QueryOutcome(
                 name=submission.name,
                 strategy=submission.policy.name,
                 start_time=submitted,
-                completion_time=event.time,
-                result_tuples=runtime.result_tuples,
-                degradations=len(runtime.degraded_chains),
-                memory_splits=runtime.memory_splits,
-                stall_time=processor.stall_time,
-                planning_phases=scheduler.planning_phases,
-                admission_wait=admission_wait,
+                completion_time=end.time,
+                result_tuples=query.runtime.result_tuples,
+                degradations=len(query.runtime.degraded_chains),
+                memory_splits=query.runtime.memory_splits,
+                stall_time=query.processor.stall_time,
+                planning_phases=query.scheduler.planning_phases,
+                admission_wait=waited,
                 memory_granted_bytes=granted_bytes,
                 memory_peak_bytes=lease.peak_bytes,
-                budget_grows=optimizer.budget_grows,
+                budget_grows=query.optimizer.budget_grows,
                 tenant=submission.tenant,
             )
-        finally:
-            # Query over (or failed): the lease goes back to the pool,
-            # which admits queued queries and offers grow events to the
-            # survivors.
-            machine.broker.release(lease)
+
+        return (yield from admitted(
+            machine, self._controller, submission.name,
+            submission.resolved_budgets(self.params), run,
+            priority=submission.priority, tenant=submission.tenant))

@@ -78,6 +78,10 @@ class World:
                  query_name: Optional[str] = None,
                  attach_memory_metrics: bool = True):
         self.params = params
+        #: span of the admission wait this query view sat through (set by
+        #: :func:`repro.resources.admitted`); the query's span tree names
+        #: it as the cause of running late.
+        self.admission_span: Optional[int] = None
         if share_machine is None:
             self.streams = RandomStreams(seed)
             if kernel is None:
@@ -197,7 +201,7 @@ class QueryRuntime:
         if spans is not None:
             self.query_span = spans.begin(
                 SPAN_QUERY, getattr(world.memory, "name", "query"),
-                chains=len(qep.chains))
+                caused_by=world.admission_span, chains=len(qep.chains))
         for chain in qep.chains:
             self._create_pc_fragment(chain)
 

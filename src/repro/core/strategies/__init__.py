@@ -14,7 +14,7 @@ memory admission — and differ only in their *planning policy*:
   no strategy can beat.
 """
 
-from repro.core.strategies.base import PlanningPolicy
+from repro.core.dqs import PlanningPolicy
 from repro.core.strategies.seq import SequentialPolicy
 from repro.core.strategies.ma import MaterializeAllPolicy
 from repro.core.strategies.dse import DsePolicy

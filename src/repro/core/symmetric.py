@@ -21,9 +21,10 @@ crossing selectivity).  Every (left, right) pair is counted exactly once
 — when its *later* element arrives — so totals converge to the exact
 join cardinalities, independent of interleaving.
 
-The engine half of this module mirrors :class:`~repro.core.engine.QueryEngine`
-but runs one simple data-driven loop (round-robin over sources with
-data): with symmetric operators there are no dependency constraints for
+The engine half of this module shares the one-shot front-end's wrapper
+spawn and main-process steps (:mod:`repro.core.engine`) but runs one
+simple data-driven loop instead of DQO → DQS → DQP (round-robin over
+sources with data): with symmetric operators there are no dependency constraints for
 a scheduler to reason about, which is precisely why the paper's
 contribution targets the scheduling level instead.
 """
@@ -40,12 +41,17 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.config import SimulationParameters
+from repro.core.engine import (
+    main_value,
+    seeded_wrappers,
+    spawn_main,
+    start_wrappers,
+)
 from repro.core.runtime import World
 from repro.mediator.buffer import HashTable
 from repro.query.tree import JoinTree
 from repro.exec import SimEvent
 from repro.wrappers.delays import DelayModel
-from repro.wrappers.source import Wrapper
 
 LEFT = "left"
 RIGHT = "right"
@@ -251,23 +257,14 @@ class SymmetricHashJoinEngine:
         world = World(self.params, seed=self.seed, trace=self.trace)
         plan = SymmetricPlan(self.catalog, self.tree)
         self._allocate_tables(world, plan)
-        for name in self.tree.relations():
-            model = self.delay_models[name]
-            reset = getattr(model, "reset", None)
-            if reset is not None:
-                reset()
-            Wrapper(world.sim, self.catalog.relation(name), model, world.cm,
-                    world.rng(f"wrapper:{name}"), self.params).start()
-
+        start_wrappers(self.tree.relations(),
+                       seeded_wrappers(world, self.catalog,
+                                       self.delay_models), [])
         driver = _Driver(world, plan, self.params,
                          allow_spill=self.allow_spill)
-        main = world.sim.process(driver.run(), name="dphj")
-        main.defused = True
+        main = spawn_main(world.sim, driver.run(), "dphj")
         world.sim.run()
-        if main.failure is not None:
-            raise main.failure
-
-        response_time = main.value
+        response_time = main_value(main)
         return SymmetricResult(
             strategy=self.name if not self.allow_spill else "DPHJ-X",
             response_time=response_time,

@@ -17,7 +17,8 @@ strategies were designed for — the simulator only ever emulated it.
   in message-sized batches, sleeping a jittered per-tuple wait between
   batches (the live analogue of the paper's uniform-[0, 2w] delay model).
 * :class:`LiveQueryEngine` — builds a :class:`World` on an
-  :class:`AsyncioKernel`, runs one strategy against live sources and
+  :class:`AsyncioKernel`, runs one
+  :class:`~repro.core.engine.QueryRun` over :func:`live_wrappers` and
   returns the same :class:`ExecutionResult` as the simulated engine.
 """
 
@@ -51,7 +52,7 @@ from repro.observability.flight import (
     FlightRecorder,
     StallWatchdog,
 )
-from repro.observability.live import MetricsPublisher, build_live_snapshot
+from repro.observability.live import MetricsPublisher
 from repro.observability.server import ObservabilityServer
 
 #: a live batch source: an async iterator of tuple counts, or an async
@@ -193,104 +194,14 @@ class LiveWrapper:
                 f"eof={self.finished_at is not None})")
 
 
-class QueryRun:
-    """One query's lifetime, attached to a (possibly shared) kernel.
-
-    The piece of :class:`LiveQueryEngine` that is *per query* rather than
-    *per kernel*: live wrappers, the DQO → DQS → DQP stack, the driving
-    process, and result collection.  :class:`LiveQueryEngine` builds a
-    fresh kernel for exactly one run; :mod:`repro.service` keeps one
-    kernel alive indefinitely and attaches/detaches an unbounded stream
-    of runs, many in flight at once, each on its own query-view
-    :class:`~repro.core.runtime.World` sharing the machine.
-
-    ``sources`` maps every source relation of the plan to a *factory*
-    returning a fresh :data:`BatchSource`.
-    """
-
-    def __init__(self, kernel: AsyncioKernel, world: Any, qep: Any,
-                 policy: Any,
-                 sources: Mapping[str, Callable[[], BatchSource]],
-                 name: str = "engine"):
-        self.kernel = kernel
-        self.world = world
-        self.qep = qep
-        self.policy = policy
-        self.sources = sources
-        self.name = name
-        self.wrappers: list[LiveWrapper] = []
-        self.runtime: Any = None
-        self.scheduler: Any = None
-        self.processor: Any = None
-        self.optimizer: Any = None
-        self.main: Any = None
-
-    @property
-    def strategy(self) -> str:
-        return getattr(self.policy, "name", type(self.policy).__name__)
-
-    def start(self) -> Any:
-        """Attach: start the sources and the driving engine process.
-
-        Returns the main :class:`~repro.exec.core.Process`; it is born
-        defused, so a failure surfaces through :meth:`result` (or through
-        whoever joins it) rather than crashing the shared kernel.
-        """
-        from repro.core.dqo import DynamicQEPOptimizer
-        from repro.core.dqp import DynamicQueryProcessor
-        from repro.core.dqs import DynamicQueryScheduler
-        from repro.core.runtime import QueryRuntime
-
-        if self.main is not None:
-            raise SimulationError(f"query run {self.name!r} started twice")
-        for relation in self.qep.source_relations():
-            wrapper = LiveWrapper(self.kernel, relation, self.world.cm,
-                                  self.sources[relation]())
-            wrapper.start()
-            self.wrappers.append(wrapper)
-        self.runtime = QueryRuntime(self.world, self.qep)
-        self.scheduler = DynamicQueryScheduler(self.runtime, self.policy)
-        self.processor = DynamicQueryProcessor(self.runtime)
-        self.optimizer = DynamicQEPOptimizer(self.runtime, self.scheduler,
-                                             self.processor)
-        self.main = self.kernel.process(self.optimizer.run(), name=self.name)
-        self.main.defused = True
-        return self.main
-
-    def snapshot(self) -> Any:
-        """A live snapshot of this run (see :func:`build_live_snapshot`)."""
-        return build_live_snapshot(self.world, self.runtime, self.processor,
-                                   self.strategy)
-
-    def detach(self) -> None:
-        """Stop the source feeder tasks (idempotent; failure paths too)."""
-        for wrapper in self.wrappers:
-            wrapper.stop()
-
-    def check_complete(self) -> None:
-        """Raise unless the run finished cleanly (same checks as before)."""
-        from repro.core.events import EndOfQEP
-
-        if self.main is None or not self.main.triggered:
-            raise SimulationError(
-                f"query run {self.name!r} has not finished")
-        if self.main.failure is not None:
-            raise self.main.failure
-        if not isinstance(self.main.value, EndOfQEP):
-            raise SimulationError(
-                f"live engine ended without EndOfQEP: {self.main.value!r}")
-        if not self.runtime.all_done:
-            raise SimulationError("kernel idle but query incomplete")
-
-    def result(self, trace: bool = False) -> Any:
-        """Validate completion and collect the :class:`ExecutionResult`."""
-        from repro.core.engine import collect_execution_result
-
-        self.check_complete()
-        return collect_execution_result(self.world, self.runtime,
-                                        self.scheduler, self.processor,
-                                        self.optimizer, self.wrappers,
-                                        self.main.value, trace=trace)
+def live_wrappers(world: Any,
+                  sources: Mapping[str, Callable[[], BatchSource]]
+                  ) -> Callable[[str], LiveWrapper]:
+    """Per-relation :class:`LiveWrapper` factory for a
+    :class:`~repro.core.engine.QueryRun` on ``world``; each relation's
+    stream is built fresh from its ``sources`` factory."""
+    return lambda relation: LiveWrapper(world.sim, relation, world.cm,
+                                        sources[relation]())
 
 
 class LiveQueryEngine:
@@ -388,6 +299,7 @@ class LiveQueryEngine:
 
     async def run(self) -> Any:
         """Execute once on the asyncio backend; returns ExecutionResult."""
+        from repro.core.engine import QueryRun
         from repro.core.runtime import World
 
         kernel = AsyncioKernel()
@@ -410,73 +322,71 @@ class LiveQueryEngine:
             if self.on_serve is not None:
                 self.on_serve(self.server)
 
-        query = QueryRun(kernel, world, self.qep, self.policy, self.sources,
-                         name="engine")
-        main = query.start()
-
-        def _snapshot() -> Any:
-            return query.snapshot()
-
-        def _on_sample(sample: Any) -> None:
-            snapshot = _snapshot()
-            if recorder is not None:
-                recorder.record(ENTRY_SAMPLE, sample.time,
-                                memory_used=sample.memory_used_bytes)
-                recorder.latest_snapshot = snapshot
-            if publisher is not None:
-                publisher.publish(snapshot)
-
-        # Note: an empty FlightRecorder is falsy (it has __len__), so the
-        # identity checks here are load-bearing.
-        on_sample = (_on_sample if recorder is not None
-                     or publisher is not None else None)
-        if world.telemetry.sampling:
-            world.telemetry.start_sampler(world.memory, world.cm,
-                                          on_sample=on_sample)
-            main.add_callback(lambda _event: world.telemetry.stop_sampler())
-        if publisher is not None:
-            publisher.publish(_snapshot())  # valid scrape before first tick
-
+        query = QueryRun(world, self.qep, self.policy,
+                         live_wrappers(world, self.sources))
         watchdog = None
-        run_task = asyncio.ensure_future(kernel.run(until_event=main))
-        if recorder is not None and (self.stall_after is not None
-                                     or self.deadline is not None):
-            loop = asyncio.get_running_loop()
-
-            def _abort(reason: str, path: Path) -> None:
-                loop.call_soon_threadsafe(run_task.cancel)
-
-            recorder.record(ENTRY_PHASE, kernel.now, name="run-start")
-            watchdog = StallWatchdog(recorder, self.flight_dump,
-                                     stall_after=self.stall_after,
-                                     deadline=self.deadline, on_fire=_abort)
-            watchdog.start()
-
         try:
-            try:
-                await run_task
-            except asyncio.CancelledError:
-                if watchdog is not None and watchdog.fired_reason is not None:
-                    raise SimulationError(
-                        f"live run aborted by watchdog "
-                        f"({watchdog.fired_reason}); flight recorder "
-                        f"dumped to {self.flight_dump}") from None
-                raise
+            main = query.start()
 
-            query.check_complete()
-            if recorder is not None:
-                recorder.record(ENTRY_PHASE, kernel.now, name="run-end")
-        except BaseException as exc:
-            if recorder is not None and watchdog is not None \
-                    and watchdog.fired_reason is not None:
-                pass  # the watchdog already dumped with its own reason
-            elif recorder is not None and self.flight_dump is not None \
-                    and not isinstance(exc, asyncio.CancelledError):
-                recorder.latest_snapshot = _snapshot()
-                recorder.dump(self.flight_dump, reason="crash",
-                              error=repr(exc))
-            raise
+            def _on_sample(sample: Any) -> None:
+                snapshot = query.snapshot()
+                if recorder is not None:
+                    recorder.record(ENTRY_SAMPLE, sample.time,
+                                    memory_used=sample.memory_used_bytes)
+                    recorder.latest_snapshot = snapshot
+                if publisher is not None:
+                    publisher.publish(snapshot)
+
+            # Note: an empty FlightRecorder is falsy (it has __len__), so
+            # the identity checks here are load-bearing.
+            query.sample(_on_sample if recorder is not None
+                         or publisher is not None else None)
+            if publisher is not None:
+                publisher.publish(query.snapshot())  # scrape before 1st tick
+
+            run_task = asyncio.ensure_future(kernel.run(until_event=main))
+            if recorder is not None and (self.stall_after is not None
+                                         or self.deadline is not None):
+                loop = asyncio.get_running_loop()
+
+                def _abort(reason: str, path: Path) -> None:
+                    loop.call_soon_threadsafe(run_task.cancel)
+
+                recorder.record(ENTRY_PHASE, kernel.now, name="run-start")
+                watchdog = StallWatchdog(recorder, self.flight_dump,
+                                         stall_after=self.stall_after,
+                                         deadline=self.deadline,
+                                         on_fire=_abort)
+                watchdog.start()
+
+            try:
+                try:
+                    await run_task
+                except asyncio.CancelledError:
+                    if watchdog is not None \
+                            and watchdog.fired_reason is not None:
+                        raise SimulationError(
+                            f"live run aborted by watchdog "
+                            f"({watchdog.fired_reason}); flight recorder "
+                            f"dumped to {self.flight_dump}") from None
+                    raise
+
+                query.check_complete()
+                if recorder is not None:
+                    recorder.record(ENTRY_PHASE, kernel.now, name="run-end")
+            except BaseException as exc:
+                if recorder is not None and watchdog is not None \
+                        and watchdog.fired_reason is not None:
+                    pass  # the watchdog already dumped with its own reason
+                elif recorder is not None and self.flight_dump is not None \
+                        and not isinstance(exc, asyncio.CancelledError):
+                    recorder.latest_snapshot = query.snapshot()
+                    recorder.dump(self.flight_dump, reason="crash",
+                                  error=repr(exc))
+                raise
         finally:
+            # Also reached when the run never attached (a source that
+            # cannot be opened): siblings started before it are stopped.
             if watchdog is not None:
                 watchdog.stop()
             if self.span_dump is not None \
@@ -484,8 +394,12 @@ class LiveQueryEngine:
                 # Written on success *and* failure, like the flight dump.
                 world.telemetry.spans.write_json(self.span_dump)
             query.detach()
+            if self.broker is not None:
+                # The caller's pool outlives this run: return its bytes.
+                self.broker.release(world.memory)
             if publisher is not None:
-                publisher.publish(_snapshot())  # final state for /stream
+                if query.attached:
+                    publisher.publish(query.snapshot())  # final /stream state
                 publisher.close()
             if self.server is not None:
                 self.server.stop()

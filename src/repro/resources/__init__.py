@@ -23,6 +23,7 @@ from repro.resources.admission import (
     ADMISSION_POLICIES,
     AdmissionController,
     AdmissionTicket,
+    admitted,
 )
 from repro.resources.broker import MemoryBroker, MemoryLease
 from repro.resources.tenants import (
@@ -42,4 +43,5 @@ __all__ = [
     "TenantAccount",
     "TenantRegistry",
     "TenantSpec",
+    "admitted",
 ]

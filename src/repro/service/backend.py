@@ -8,11 +8,10 @@ bounded aggregation, SLOs, archive, drain) stays in ``QueryService``;
 *where the query actually executes* is behind the
 :class:`ExecutionBackend` protocol:
 
-* :class:`InProcessBackend` — today's behavior, verbatim: the admitted
-  submission becomes a :class:`~repro.exec.live.QueryRun` on the
-  service's own kernel, admission waits ride the coordinator's
-  :class:`~repro.resources.admission.AdmissionController`, telemetry is
-  recorded in place.  ``repro serve`` with ``--workers 1`` (the
+* :class:`InProcessBackend` — the submission passes the coordinator's
+  :func:`~repro.resources.admission.admitted` bracket and becomes a
+  :class:`~repro.core.engine.QueryRun` on the service's own kernel,
+  telemetry is recorded in place.  ``repro serve`` with ``--workers 1`` (the
   default) routes here and is bit-identical to the pre-split service.
 * :class:`~repro.service.workers.WorkerPoolBackend` — the sharded
   plane: N worker processes, each with its own long-lived kernel and a
@@ -40,11 +39,15 @@ from typing import (
     Protocol,
 )
 
+from repro.core.engine import QueryRun
+from repro.core.strategies import make_policy
 from repro.exec.core import SimEvent
-from repro.exec.live import QueryRun
-from repro.observability import SPAN_ADMISSION_WAIT, STALL_ADMISSION_WAIT
+from repro.exec.live import live_wrappers
+from repro.resources import admitted
 
 if TYPE_CHECKING:
+    from repro.core.engine import ExecutionResult
+    from repro.core.runtime import World
     from repro.experiments.workloads import Figure5Workload
     from repro.service.service import QueryService, SubmissionRecord
 
@@ -105,12 +108,12 @@ class ExecutionBackend(Protocol):
 
 
 class InProcessBackend:
-    """The single-kernel execution plane (pre-split behavior, verbatim).
+    """The single-kernel execution plane.
 
-    Everything the PR7 service did inline lives in :meth:`launch` now:
-    coordinator-side admission (ticket wait + stall/span attribution),
-    lease acquisition, the query-view ``World``/:class:`QueryRun` on the
-    shared kernel, and lease release on the way out.
+    :meth:`launch` is the one query lifecycle on the shared kernel:
+    :func:`~repro.resources.admission.admitted` (coordinator-side
+    admission, lease, query-view ``World``, release) around one
+    :class:`QueryRun` over live wrappers.
     """
 
     name = BACKEND_IN_PROCESS
@@ -124,66 +127,34 @@ class InProcessBackend:
     def launch(self, service: "QueryService", record: "SubmissionRecord",
                workload: "Figure5Workload", initial: int, min_bytes: int,
                max_bytes: int) -> Generator[SimEvent, Any, Any]:
-        from repro.core.runtime import World
-        from repro.core.strategies import make_policy
-        from repro.service.service import STATE_RUNNING
+        from repro.service.service import STATE_RUNNING, submission_sources
 
-        machine = service.machine
-        kernel = service.kernel
         request = record.request
-        submitted = kernel.now
-        priority = service.tenants.priority_for(request.tenant,
-                                                request.priority)
-        wait_span = None
-        spans = machine.telemetry.spans
-        if service.controller is not None:
-            ticket = service.controller.request(
-                record.id, min_bytes, max_bytes, priority=priority,
-                tenant=request.tenant)
-            if not ticket.granted:
-                assert ticket.event is not None
-                yield ticket.event
-            lease = ticket.lease
-            assert lease is not None
-            record.admission_wait = ticket.waited
-            if record.admission_wait > 0:
-                machine.telemetry.stalls.record(
-                    STALL_ADMISSION_WAIT, submitted, kernel.now)
-                if spans is not None:
-                    wait_span = spans.add(
-                        SPAN_ADMISSION_WAIT, record.id, submitted,
-                        kernel.now, min_bytes=min_bytes)
-        else:
-            lease = machine.broker.lease(record.id, initial,
-                                         min_bytes=min_bytes,
-                                         max_bytes=max_bytes,
-                                         tenant=request.tenant)
-        record.state = STATE_RUNNING
-        record.started_at = kernel.now
-        # Query-view world: shares the machine, skips per-query gauges
-        # (the registry must not grow with the submission stream).
-        world = World(service.params, share_machine=machine, lease=lease,
-                      query_name=record.id, attach_memory_metrics=False)
-        query = QueryRun(kernel, world, workload.qep,
-                         make_policy(request.strategy),
-                         service.sources_for(workload, request,
-                                             service.sequence),
-                         name=record.id)
-        record.run = query
-        service.register_run(record.id, query)
-        try:
-            main = query.start()
-            if wait_span is not None and spans is not None \
-                    and query.runtime.query_span is not None:
-                spans.set_cause(query.runtime.query_span, wait_span)
-            yield main  # joins; an engine failure re-raises here
-            result = query.result()
+
+        def run(world: "World", waited: float
+                ) -> Generator[SimEvent, Any, "ExecutionResult"]:
+            record.admission_wait = waited
+            record.state = STATE_RUNNING
+            record.started_at = service.kernel.wall_now
+            query = record.run = QueryRun(
+                world, workload.qep, make_policy(request.strategy),
+                live_wrappers(world, submission_sources(
+                    service.seed, service.params, workload, request,
+                    record.sequence)),
+                name=record.id)
+            result = yield from query.join()
             result.submission_id = record.id
             result.tenant = request.tenant
             return result
-        finally:
-            query.detach()
-            machine.broker.release(lease)
+
+        # Query-view worlds skip per-query gauges: the registry must not
+        # grow with the submission stream.
+        return (yield from admitted(
+            service.machine, service.controller, record.id,
+            (initial, min_bytes, max_bytes), run,
+            priority=service.tenants.priority_for(request.tenant,
+                                                  request.priority),
+            tenant=request.tenant, attach_memory_metrics=False))
 
     def admission_limit_bytes(self,
                               service: "QueryService") -> Optional[int]:

@@ -5,7 +5,7 @@ Where :class:`repro.core.multiquery.MultiQueryEngine` runs a *batch* of
 submissions to completion on a fresh simulator, the service keeps one
 :class:`~repro.exec.aio.AsyncioKernel` and one machine-level
 :class:`~repro.core.runtime.World` alive indefinitely and attaches a
-stream of :class:`~repro.exec.live.QueryRun` instances to them — many in
+stream of :class:`~repro.core.engine.QueryRun` instances to them — many in
 flight at once, each on its own query-view world, all sharing the
 machine's CPU/link/buffer, its governed
 :class:`~repro.resources.broker.MemoryBroker`, its
@@ -56,10 +56,11 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
+from repro.core.engine import QueryRun, spawn_main
 from repro.core.strategies import make_policy
 from repro.exec.aio import AsyncioKernel
 from repro.exec.core import Process, SimEvent
-from repro.exec.live import BatchSource, QueryRun, jittered_batches
+from repro.exec.live import BatchSource, jittered_batches
 from repro.experiments.workloads import Figure5Workload, figure5_workload
 from repro.observability import (
     DecisionAuditLog,
@@ -261,13 +262,17 @@ class SubmissionRecord:
     # internal bookkeeping, not serialized:
     account: Optional[TenantAccount] = None
     declared_max_bytes: int = 0
+    #: the live in-process run, while it is in flight: the only
+    #: reference the service keeps, dropped when the submission finishes
+    #: so remembered records do not pin whole engine object graphs.
     run: Optional[QueryRun] = None
     #: submission sequence number (seeds the source streams; fixed at
     #: submit time so results do not depend on dispatch order).
     sequence: int = 0
-    #: remote-execution telemetry (worker pool only; in-process reads
-    #: these off the live ``run`` instead).
+    #: read off the finished run (in-process) or the worker's result.
     memory_peak_bytes: Optional[int] = None
+    #: the worker's span summary (worker pool only; in-process spans
+    #: are summarized off the machine recorder when archived).
     span_summary: Optional[Dict[str, Any]] = None
 
     @property
@@ -453,7 +458,6 @@ class QueryService:
         self.records: Dict[str, SubmissionRecord] = {}
         self._recent: List[str] = []
         self._history = max(1, history)
-        self._runs: Dict[str, QueryRun] = {}
         self._workloads: Dict[float, Figure5Workload] = {}
         self._sequence = 0
         self._batches_done = 0
@@ -618,22 +622,6 @@ class QueryService:
             self._workloads[scale] = workload
         return workload
 
-    @property
-    def sequence(self) -> int:
-        """The current submission sequence number (source seeding)."""
-        return self._sequence
-
-    def sources_for(self, workload: Figure5Workload,
-                    request: SubmissionRequest,
-                    sequence: int) -> Dict[str, Callable[[], BatchSource]]:
-        """Backend hook: the submission's seeded source factories."""
-        return submission_sources(self.seed, self.params, workload,
-                                  request, sequence)
-
-    def register_run(self, submission_id: str, run: QueryRun) -> None:
-        """Backend hook: track an in-process run for live aggregation."""
-        self._runs[submission_id] = run
-
     def submit(self, request: SubmissionRequest) -> SubmissionRecord:
         """Accept one submission (loop thread only).
 
@@ -678,11 +666,11 @@ class QueryService:
             declared_max_bytes=max_bytes, sequence=self._sequence)
         self.records[record.id] = record
         self.submitted += 1
-        process = self.kernel.process(
+        process = spawn_main(
+            self.kernel,
             self.backend.launch(self, record, workload, initial,
                                 min_bytes, max_bytes),
-            name=f"query:{record.id}")
-        process.defused = True
+            f"query:{record.id}")
         process.add_callback(
             lambda _event: self._finish(record, process))
         return record
@@ -705,11 +693,15 @@ class QueryService:
 
     def _finish(self, record: SubmissionRecord, process: Process) -> None:
         """Completion callback (kernel thread): close out one submission."""
-        now = self.kernel.now
+        # wall_now on both ends (see submit): the dispatch clock lags a
+        # busy loop, and a latency measured across two clocks goes
+        # negative under load.
+        now = self.kernel.wall_now
         record.finished_at = now
-        run = self._runs.pop(record.id, None)
-        if run is not None and run.processor is not None:
-            self._batches_done += run.processor.batches_processed
+        run = record.run
+        if run is not None:
+            self._batches_done += run.batches_processed
+            record.memory_peak_bytes = run.world.memory.peak_bytes
         ok = process.failure is None
         if ok:
             record.state = STATE_DONE
@@ -739,6 +731,7 @@ class QueryService:
         if self.archive is not None:
             self.archive.append(self._outcome_record(record, ok, latency))
             self._archive_span_summary(record)
+        record.run = None
         if record.account is not None:
             self.tenants.finish(record.account, record.declared_max_bytes,
                                 ok=ok, waited_s=record.admission_wait,
@@ -753,11 +746,6 @@ class QueryService:
     def _outcome_record(self, record: SubmissionRecord, ok: bool,
                         latency: float) -> Dict[str, Any]:
         """The per-submission archive record (kind ``outcome``)."""
-        peak: Optional[int] = record.memory_peak_bytes
-        run = record.run
-        if peak is None and run is not None:
-            lease = getattr(run.world, "memory", None)
-            peak = getattr(lease, "peak_bytes", None)
         out: Dict[str, Any] = {
             "kind": RECORD_OUTCOME,
             # Epoch time, not the service clock: history spans restarts.
@@ -771,7 +759,7 @@ class QueryService:
             "ok": ok,
             "latency_s": latency,
             "wait_s": record.admission_wait,
-            "memory_peak_bytes": peak,
+            "memory_peak_bytes": record.memory_peak_bytes,
             "worker": record.worker_id,
         }
         if record.error is not None:
@@ -784,42 +772,33 @@ class QueryService:
 
     def _archive_span_summary(self, record: SubmissionRecord) -> None:
         """Archive the submission's span subtree as one summary record."""
-        if record.span_summary is not None and record.run is None:
-            # Remote execution: the worker already summarized its span
-            # subtree; archive the folded summary as-is.
-            assert self.archive is not None
-            self.archive.append({
-                "kind": RECORD_SPAN, "t": time.time(),
-                "at": record.finished_at, "id": record.id,
-                "tenant": record.request.tenant,
-                "worker": record.worker_id,
-                "summary": record.span_summary,
-            })
-            return
+        # Remote execution: the worker already summarized its spans.
+        summary = record.span_summary
         spans = self.machine.telemetry.spans
         run = record.run
-        if spans is None or run is None:
-            return
-        root = run.runtime.query_span
-        if root is None:
-            return
-        from repro.observability.explain import span_summary
+        if spans is not None and run is not None and run.attached \
+                and run.runtime.query_span is not None:
+            from repro.observability.explain import span_summary
 
-        # Spans are appended parent-before-child, so one forward pass
-        # collects the whole subtree of the query span.
-        ids = {root}
-        selected = []
-        for span in spans.spans:
-            if span.span_id == root or span.parent_id in ids:
-                ids.add(span.span_id)
-                selected.append(span)
+            # Spans are appended parent-before-child, so one forward pass
+            # collects the whole subtree of the query span.
+            root = run.runtime.query_span
+            ids = {root}
+            selected = []
+            for span in spans.spans:
+                if span.span_id == root or span.parent_id in ids:
+                    ids.add(span.span_id)
+                    selected.append(span)
+            summary = span_summary(selected)
+        if summary is None:
+            return
+        entry = {"kind": RECORD_SPAN, "t": time.time(),
+                 "at": record.finished_at, "id": record.id,
+                 "tenant": record.request.tenant, "summary": summary}
+        if record.worker_id is not None:
+            entry["worker"] = record.worker_id
         assert self.archive is not None
-        self.archive.append({
-            "kind": RECORD_SPAN, "t": time.time(),
-            "at": record.finished_at, "id": record.id,
-            "tenant": record.request.tenant,
-            "summary": span_summary(selected),
-        })
+        self.archive.append(entry)
 
     def _remember(self, record: SubmissionRecord) -> None:
         """Keep the newest N finished submissions queryable, prune the rest."""
@@ -840,12 +819,12 @@ class QueryService:
         for cause, seconds in self.backend.stall_totals().items():
             stalls[cause] = stalls.get(cause, 0.0) + seconds
         stalls = dict(sorted(stalls.items()))
-        batches = self._batches_done + sum(
-            run.processor.batches_processed for run in self._runs.values()
-            if run.processor is not None)
         active_records = sorted(
             (record for record in self.records.values()
              if not record.finished), key=lambda r: r.id)
+        batches = self._batches_done + sum(
+            record.run.batches_processed for record in active_records
+            if record.run is not None)
         recent = [self.records[rid] for rid in reversed(self._recent)
                   if rid in self.records]
         return {

@@ -72,16 +72,20 @@ from typing import (
 )
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.core.engine import ExecutionResult
+from repro.core.engine import ExecutionResult, QueryRun, spawn_main
+from repro.core.strategies import make_policy
 from repro.exec.core import SimEvent
+from repro.exec.live import live_wrappers
 from repro.parallel.results import (
     RESULT_SCHEMA_VERSION,
     result_from_payload,
     result_to_payload,
 )
+from repro.resources import admitted
 from repro.service.backend import BACKEND_WORKER_POOL
 
 if TYPE_CHECKING:
+    from repro.core.runtime import World
     from repro.experiments.workloads import Figure5Workload
     from repro.resources import MemoryLease
     from repro.service.service import QueryService, SubmissionRecord
@@ -605,9 +609,11 @@ class WorkerPoolBackend:
 class WorkerHost:
     """One worker process: a long-lived kernel executing piped jobs.
 
-    Mirrors the in-process backend's launch path on a private machine
-    world: own governed broker (pool = the coordinator's carve-out),
-    own admission queue, query-view worlds per job.  The host's pipe
+    The same query lifecycle as the in-process backend
+    (:func:`~repro.resources.admission.admitted` around one
+    :class:`~repro.core.engine.QueryRun`) on a private machine world:
+    own governed broker (pool = the coordinator's carve-out), own
+    admission queue, query-view worlds per job.  The host's pipe
     reader thread marshals messages onto its asyncio loop; job
     completion sends the schema-6 result payload back.
     """
@@ -696,9 +702,8 @@ class WorkerHost:
         if op != "job":
             return
         self._active += 1
-        process = self.kernel.process(self._execute(message),
-                                      name=f"job:{message['id']}")
-        process.defused = True
+        process = spawn_main(self.kernel, self._execute(message),
+                             f"job:{message['id']}")
 
         def _finish(_event: Any, m: Dict[str, Any] = message,
                     p: Any = process) -> None:
@@ -717,10 +722,6 @@ class WorkerHost:
 
     def _execute(self, message: Dict[str, Any]
                  ) -> Generator[SimEvent, Any, Any]:
-        from repro.core.runtime import World
-        from repro.core.strategies import make_policy
-        from repro.exec.live import QueryRun
-        from repro.observability import STALL_ADMISSION_WAIT
         from repro.service.service import (
             SubmissionRequest,
             submission_sources,
@@ -729,46 +730,28 @@ class WorkerHost:
         request = SubmissionRequest.from_json(message["request"])
         workload = self._workload(request.scale)
         name: str = message["id"]
-        submitted = self.kernel.now
-        if self.controller is not None:
-            ticket = self.controller.request(
-                name, message["min_bytes"], message["max_bytes"],
-                priority=float(message.get("priority") or 0.0),
-                tenant=request.tenant)
-            if not ticket.granted:
-                assert ticket.event is not None
-                yield ticket.event
-            lease = ticket.lease
-            assert lease is not None
-            self._waits[name] = ticket.waited
-            if ticket.waited > 0:
-                self.machine.telemetry.stalls.record(
-                    STALL_ADMISSION_WAIT, submitted, self.kernel.now)
-        else:
-            lease = self.machine.broker.lease(
-                name, message["initial"],
-                min_bytes=message["min_bytes"],
-                max_bytes=message["max_bytes"], tenant=request.tenant)
-        world = World(self.params, share_machine=self.machine,
-                      lease=lease, query_name=name,
-                      attach_memory_metrics=False)
-        query = QueryRun(self.kernel, world, workload.qep,
-                         make_policy(request.strategy),
-                         submission_sources(self.seed, self.params,
-                                            workload, request,
-                                            message["sequence"]),
-                         name=name)
-        try:
-            main = query.start()
-            yield main
-            result = query.result()
+
+        def run(world: "World", waited: float
+                ) -> Generator[SimEvent, Any, ExecutionResult]:
+            self._waits[name] = waited
+            query = QueryRun(
+                world, workload.qep, make_policy(request.strategy),
+                live_wrappers(world, submission_sources(
+                    self.seed, self.params, workload, request,
+                    message["sequence"])),
+                name=name)
+            result = yield from query.join()
             result.submission_id = name
             result.tenant = request.tenant
             result.worker_id = self.worker_id
             return result
-        finally:
-            query.detach()
-            self.machine.broker.release(lease)
+
+        return (yield from admitted(
+            self.machine, self.controller, name,
+            (message["initial"], message["min_bytes"],
+             message["max_bytes"]), run,
+            priority=float(message.get("priority") or 0.0),
+            tenant=request.tenant, attach_memory_metrics=False))
 
     def _done(self, message: Dict[str, Any], process: Any) -> None:
         self._active -= 1

@@ -187,3 +187,60 @@ def test_generated_workload_end_to_end():
                              delays(), params=params, seed=4)
         counts.add(engine.run().result_tuples)
     assert len(counts) == 1
+
+
+# -- the one query lifecycle (QueryRun) --------------------------------------
+
+def test_source_failure_surfaces_from_the_one_shot_engine(
+        tiny_fig5, breaking_delays, give_up_params):
+    from repro import SimulationError
+
+    engine = QueryEngine(tiny_fig5.catalog, tiny_fig5.qep,
+                         make_policy("DSE"),
+                         breaking_delays(tiny_fig5, give_up_params),
+                         params=give_up_params, seed=1)
+    with pytest.raises(SimulationError, match="wrapper:A") as raised:
+        engine.run()
+    assert isinstance(raised.value.__cause__, RuntimeError)
+
+
+def make_run(workload, strategy="SEQ"):
+    from repro.core.engine import QueryRun, seeded_wrappers
+    from repro.core.runtime import World
+
+    params = SimulationParameters()
+    world = World(params, seed=1)
+    delays = {name: UniformDelay(params.w_min)
+              for name in workload.relation_names}
+    return QueryRun(world, workload.qep, make_policy(strategy),
+                    seeded_wrappers(world, workload.catalog, delays))
+
+
+@pytest.mark.parametrize("shape", ["start", "drive"])
+def test_query_run_cannot_attach_twice(tiny_fig5, shape):
+    from repro import SimulationError
+
+    run = make_run(tiny_fig5)
+    if shape == "start":
+        run.start()
+    else:
+        run.world.sim.process(run.drive(), name="launcher")
+    run.world.sim.run()
+    assert run.result().result_tuples == 1000
+    with pytest.raises(SimulationError, match="started twice"):
+        run.start()
+    with pytest.raises(SimulationError, match="started twice"):
+        next(run.drive())
+
+
+def test_query_run_result_before_completion_is_an_error(tiny_fig5):
+    from repro import SimulationError
+
+    run = make_run(tiny_fig5)
+    with pytest.raises(SimulationError, match="has not finished"):
+        run.result()
+    run.start()
+    with pytest.raises(SimulationError, match="has not finished"):
+        run.result()
+    run.world.sim.run()
+    assert run.result().response_time > 0

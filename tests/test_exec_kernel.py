@@ -306,3 +306,59 @@ def test_live_engine_matches_simulated_result_tuples(figure_workload=None):
     # when telemetry is on; default params keep it off -> empty dict).
     assert sum(live.stall_breakdown.values()) == pytest.approx(
         live.stall_time if live.stall_breakdown else 0.0)
+
+
+@pytest.mark.parametrize("breaks", ["mid-stream", "at-open"])
+def test_live_engine_source_failure_leaks_nothing(breaks, breaking_source,
+                                                  pending_feeders):
+    """One lifecycle, live front-end: however a source dies, the caller's
+    pool gets its lease back and no feeder task is left running.
+
+    A stream that raises mid-way simply ends (the wrapper ships EOF; a
+    retry/fail policy is the fault-injection item's business); a source
+    that cannot even be opened fails the run after its siblings were
+    already started, so they must be cancelled.
+    """
+    import numpy as np
+
+    from repro.common.errors import SimulationError
+    from repro.config import SimulationParameters
+    from repro.core.strategies import make_policy
+    from repro.exec.live import LiveQueryEngine, jittered_batches
+    from repro.experiments import figure5_workload
+    from repro.resources import MemoryBroker
+
+    workload = figure5_workload(scale=0.01)
+    params = SimulationParameters()
+
+    def factory(rel):
+        return lambda: jittered_batches(
+            workload.catalog.relation(rel).cardinality,
+            params.tuples_per_message, 2e-5,
+            np.random.default_rng([5, len(rel)]))
+
+    def cannot_open():
+        raise RuntimeError("source cannot be opened")
+
+    sources = {rel: factory(rel) for rel in workload.relation_names}
+    victim = workload.qep.source_relations()[-1]  # siblings start first
+    sources[victim] = (breaking_source(sources[victim])
+                       if breaks == "mid-stream" else cannot_open)
+    broker = MemoryBroker(64 << 20)
+    engine = LiveQueryEngine(workload.catalog, workload.qep,
+                             make_policy("DSE"), sources, params=params,
+                             seed=5, broker=broker, memory_bytes=8 << 20)
+
+    async def scenario():
+        try:
+            await engine.run()
+            failed = False
+        except (RuntimeError, SimulationError):
+            failed = True
+        await asyncio.sleep(0)  # let cancelled feeders unwind
+        return failed, pending_feeders()
+
+    failed, feeders = asyncio.run(scenario())
+    assert failed == (breaks == "at-open")
+    assert broker.leased_bytes == 0 and not broker.leases
+    assert feeders == []

@@ -1,5 +1,8 @@
 """Tests for multi-query execution on a shared mediator."""
 
+import zlib
+
+import numpy as np
 import pytest
 
 from repro import (
@@ -28,14 +31,75 @@ def params():
     return SimulationParameters()
 
 
+class OwnStreamDelay(UniformDelay):
+    """Uniform waits drawn from the model's own per-relation stream.
+
+    The one-shot engine labels a wrapper's RNG stream ``wrapper:<rel>``,
+    the multi-query launcher ``<query>:wrapper:<rel>``; drawing from a
+    private stream gives both front-ends the same delays.
+    """
+
+    def __init__(self, mean, relation):
+        super().__init__(mean)
+        self.relation = relation
+        self.reset()
+
+    def reset(self):
+        self.stream = np.random.default_rng(
+            zlib.crc32(self.relation.encode()))
+
+    def waiting_times(self, count, rng):
+        return super().waiting_times(count, self.stream)
+
+
 def test_single_query_matches_single_engine(tiny_fig5, params):
+    """One lifecycle: the same seeded query through the one-shot
+    front-end and through an ungoverned single submission is the same
+    execution, to the bit."""
     from repro import QueryEngine
-    multi = MultiQueryEngine(params=params, seed=1)
-    multi.submit(submission(tiny_fig5, params))
-    result = multi.run()
-    assert len(result.outcomes) == 1
-    assert result.outcomes[0].result_tuples == 1000
-    assert result.makespan == result.outcomes[0].response_time
+
+    def delays():
+        return {name: OwnStreamDelay(
+                    params.w_min * (10 if name == "A" else 1), name)
+                for name in tiny_fig5.relation_names}
+
+    for strategy in ("SEQ", "MA", "DSE"):
+        single = QueryEngine(tiny_fig5.catalog, tiny_fig5.qep,
+                             make_policy(strategy), delays(), params=params,
+                             seed=1).run()
+        multi = MultiQueryEngine(params=params, seed=1)
+        multi.submit(QuerySubmission(
+            name="Q1", catalog=tiny_fig5.catalog, qep=tiny_fig5.qep,
+            policy=make_policy(strategy), delay_models=delays()))
+        result = multi.run()
+        assert len(result.outcomes) == 1
+        outcome = result.outcomes[0]
+        assert outcome.result_tuples == single.result_tuples == 1000
+        assert outcome.planning_phases == single.planning_phases
+        assert outcome.degradations == single.degradations
+        # Equal batches: every batch charges CPU and moves the clock, so
+        # bit-equal completion and stall times leave no room for a
+        # different batch sequence.
+        assert outcome.completion_time == single.response_time
+        assert outcome.stall_time == single.stall_time
+        assert result.makespan == outcome.response_time
+
+
+def test_source_failure_returns_the_lease(tiny_fig5, breaking_delays,
+                                          give_up_params):
+    """One lifecycle: a source dying mid-stream fails the run, and the
+    admitted bracket still gives the query's lease back to the pool."""
+    from repro import SimulationError
+
+    engine = MultiQueryEngine(params=give_up_params, seed=1,
+                              global_memory_bytes=64 << 20)
+    engine.submit(QuerySubmission(
+        name="Q1", catalog=tiny_fig5.catalog, qep=tiny_fig5.qep,
+        policy=make_policy("DSE"), memory_bytes=8 << 20,
+        delay_models=breaking_delays(tiny_fig5, give_up_params)))
+    with pytest.raises(SimulationError, match="wrapper:A"):
+        engine.run()
+    assert engine._controller.broker.leased_bytes == 0
 
 
 def test_no_submissions_rejected(params):

@@ -256,3 +256,92 @@ class TestAdmission:
         broker.release(first)
         assert registry.gauge("admission.queue_depth").value == 0
         assert registry.counter("admission.admitted").value == 1
+
+
+# -- the admitted bracket ----------------------------------------------------
+
+def _governed_machine(pool):
+    from repro.config import SimulationParameters
+    from repro.core.runtime import World
+
+    params = SimulationParameters(telemetry_enabled=True,
+                                  telemetry_spans=True)
+    machine = World(params, seed=1)
+    machine.broker = MemoryBroker(pool, sim=machine.sim,
+                                  telemetry=machine.telemetry)
+    controller = AdmissionController(machine.broker, machine.sim,
+                                     telemetry=machine.telemetry)
+    return machine, controller
+
+
+class TestAdmittedBracket:
+    """`admitted` on the Simulator: one lease bracket for every driver."""
+
+    def test_queued_job_gets_span_cause_and_one_stall(self, tiny_fig5):
+        from repro.core.engine import QueryRun, seeded_wrappers
+        from repro.core.strategies import make_policy
+        from repro.observability import (
+            SPAN_ADMISSION_WAIT,
+            STALL_ADMISSION_WAIT,
+        )
+        from repro.resources import admitted
+        from repro.wrappers import ConstantDelay
+
+        machine, controller = _governed_machine(pool=400 << 10)
+        sim, spans = machine.sim, machine.telemetry.spans
+        seen = {}
+
+        def holder(world, waited):
+            seen["holder"] = (world, waited)
+            yield sim.timeout(1.0)
+
+        def query(world, waited):
+            run = QueryRun(world, tiny_fig5.qep, make_policy("SEQ"),
+                           seeded_wrappers(
+                               world, tiny_fig5.catalog,
+                               {name: ConstantDelay(1e-5)
+                                for name in tiny_fig5.relation_names}),
+                           name="late")
+            yield from run.drive()
+            seen["late"] = (world, waited, run)
+
+        budgets = (300 << 10, 300 << 10, 300 << 10)
+        for name, body in (("holder", holder), ("late", query)):
+            sim.process(admitted(machine, controller, name, budgets, body),
+                        name=f"query:{name}")
+        sim.run()
+
+        holder_world, holder_waited = seen["holder"]
+        assert holder_waited == 0.0 and holder_world.admission_span is None
+        world, waited, run = seen["late"]
+        assert waited == 1.0
+        waits = spans.by_kind(SPAN_ADMISSION_WAIT)
+        assert [(s.name, s.start, s.end) for s in waits] \
+            == [("late", 0.0, 1.0)]
+        assert world.admission_span == waits[0].span_id
+        assert spans.spans[run.runtime.query_span].caused_by \
+            == waits[0].span_id
+        # Attributed once: the machine's admission-wait stall total is
+        # exactly the one queueing interval.
+        assert machine.telemetry.stalls.by_cause()[STALL_ADMISSION_WAIT] \
+            == 1.0
+        assert world.memory.released and not machine.broker.leases
+
+    def test_lease_returns_when_the_body_fails(self):
+        from repro.resources import admitted
+
+        machine, controller = _governed_machine(pool=1000)
+
+        def body(world, waited):
+            assert machine.broker.leased_bytes == 600
+            yield machine.sim.timeout(0.5)
+            raise RuntimeError("source broke")
+
+        for governed in (controller, None):
+            main = machine.sim.process(
+                admitted(machine, governed, "q", (600, 600, 600), body),
+                name="query:q")
+            main.defused = True
+            machine.sim.run()
+            assert isinstance(main.failure, RuntimeError)
+            assert machine.broker.leased_bytes == 0

@@ -343,6 +343,93 @@ def test_bad_admission_policy_is_rejected():
 
 
 # --------------------------------------------------------------------------
+# The one query lifecycle under the in-process backend
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("how", ["mid-stream", "at-open"])
+def test_in_process_source_failure_leaks_nothing(how, break_service_source,
+                                                 pending_feeders):
+    """However a source dies, the submission reaches a terminal state,
+    its lease is back in the pool, no feeder task is left running and
+    the record no longer pins its run."""
+    break_service_source(how)
+
+    async def scenario():
+        service = QueryService(seed=5, global_memory_bytes=4 << 20)
+        await service.start()
+        try:
+            record = service.submit(SubmissionRequest(**FAST))
+            await asyncio.wait_for(record.done.wait(), timeout=30.0)
+            await asyncio.sleep(0)  # let cancelled feeders unwind
+            return record, service.machine.broker.leased_bytes, \
+                pending_feeders(), service.snapshot()
+        finally:
+            await service.stop()
+
+    record, leased, feeders, snapshot = asyncio.run(scenario())
+    assert record.state == ("done" if how == "mid-stream" else "failed")
+    if how == "at-open":
+        assert "cannot be opened" in record.error
+    assert leased == 0 and snapshot["pool"]["active_leases"] == 0
+    assert feeders == []
+    assert record.run is None
+    assert snapshot["active"] == 0
+
+
+def test_latency_never_undercuts_the_response_time_on_a_busy_kernel():
+    """`submitted_at` and `finished_at` come from one clock.
+
+    A closed loop of clients over a fast modelled machine keeps the
+    event heap non-empty, so the dispatch clock falls ever further
+    behind the wall clock; stamping one end from each made nearly every
+    latency negative here.
+    """
+    async def scenario():
+        service = QueryService(
+            seed=3, global_memory_bytes=8 << 20,
+            params=SimulationParameters(telemetry_enabled=True,
+                                        cpu_mips=10_000.0))
+        await service.start()
+        finished, first_wave = [], []
+        stopping = False
+
+        async def client(index):
+            count = 0
+            while not stopping:
+                record = service.submit(SubmissionRequest(
+                    seed=index * 1000 + count, scale=0.0005, wait_us=0.0,
+                    memory_bytes=1 << 20))
+                if count == 0:
+                    first_wave.append(record)
+                await record.done.wait()
+                finished.append(record)
+                count += 1
+
+        try:
+            clients = [asyncio.ensure_future(client(index))
+                       for index in range(16)]
+            await asyncio.sleep(0.5)
+            stopping = True
+            await asyncio.wait_for(asyncio.gather(*clients), timeout=60.0)
+        finally:
+            await service.stop()
+        return finished, first_wave
+
+    finished, first_wave = asyncio.run(scenario())
+    assert len(finished) > 16
+    for record in finished:
+        assert record.state == "done", record.error
+        assert record.latency(0.0) >= 0.0
+        assert record.submitted_at <= record.started_at <= record.finished_at
+    # The first wave wakes an idle kernel, which re-reads the wall clock
+    # before dispatching: it attaches with no lag, so its engine-measured
+    # response time bounds its latency from below exactly; later ones
+    # only up to the lag at attach.
+    for record in first_wave:
+        assert record.latency(0.0) >= record.outcome["response_time"] - 1e-9
+
+
+# --------------------------------------------------------------------------
 # Durable archive + SLO plane wired into a live session
 # --------------------------------------------------------------------------
 

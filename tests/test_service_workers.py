@@ -391,3 +391,110 @@ def test_fail_fast_still_reconnects_once_a_frame_arrived():
     # so the drops afterwards get the full reconnect budget: the good
     # connection plus two retries before giving up.
     assert stream.calls["count"] == 3
+
+
+# --------------------------------------------------------------------------
+# The one query lifecycle inside a worker process
+# --------------------------------------------------------------------------
+
+class MemoryPipe:
+    """The worker's end of the coordinator pipe, in memory: ``recv``
+    hands out the queued messages, then reports the coordinator gone
+    (which makes the host finish in-flight work and exit).  One loop
+    turn after each result is sent, ``probe()`` is sampled into
+    ``probed`` — what is still running once the job's own clean-up had
+    its turn."""
+
+    def __init__(self, messages, probe):
+        import queue
+
+        self._inbox = queue.Queue()
+        for message in messages:
+            self._inbox.put(message)
+        self._inbox.put(None)
+        self.sent = []
+        self.probe = probe
+        self.probed = []
+
+    def recv(self):
+        message = self._inbox.get()
+        if message is None:
+            raise EOFError
+        return message
+
+    def send(self, message):
+        self.sent.append(message)
+        if message["op"] == "result":
+            asyncio.get_running_loop().call_soon(
+                lambda: self.probed.append(self.probe()))
+
+    def close(self):
+        pass
+
+
+def _job(index, memory_bytes, **request):
+    body = dict(FAST, seed=index, memory_bytes=memory_bytes, **request)
+    return {"op": "job", "id": f"s-{index:06d}",
+            "request": SubmissionRequest(**body).to_dict(),
+            "sequence": index, "priority": 0.0, "initial": memory_bytes,
+            "min_bytes": memory_bytes, "max_bytes": memory_bytes,
+            "stolen": False}
+
+
+def _run_host(jobs, pool_bytes, probe=list):
+    from repro.config import SimulationParameters
+    from repro.service.workers import WorkerHost
+
+    pipe = MemoryPipe(jobs, probe)
+    host = WorkerHost(0, pipe, {
+        "params": SimulationParameters(telemetry_enabled=True,
+                                       telemetry_spans=True),
+        "seed": 11, "memory_bytes": pool_bytes, "admission": "priority"})
+    host.run()
+    results = {message["id"]: message for message in pipe.sent
+               if message["op"] == "result"}
+    return host, results, pipe.probed
+
+
+def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
+    """A job queued behind a worker's carve is attributed exactly like
+    one queued in the coordinator: stall, span, cause link — and the
+    span summary shipped over the pipe counts the wait span."""
+    from repro.observability import SPAN_ADMISSION_WAIT, SPAN_QUERY
+
+    # 1.5 MiB each into a 2 MiB carve: the second job must queue.
+    host, results, _ = _run_host([_job(1, 3 << 19), _job(2, 3 << 19)],
+                                 pool_bytes=2 << 20)
+    first, second = results["s-000001"], results["s-000002"]
+    assert first["ok"] and second["ok"]
+    assert first["wait_s"] == 0.0 and second["wait_s"] > 0.0
+
+    spans = host.machine.telemetry.spans
+    waits = spans.by_kind(SPAN_ADMISSION_WAIT)
+    assert [span.name for span in waits] == ["s-000002"]
+    assert waits[0].duration == pytest.approx(second["wait_s"])
+    causes = {span.name: span.caused_by
+              for span in spans.by_kind(SPAN_QUERY)}
+    assert causes == {"s-000001": None, "s-000002": waits[0].span_id}
+    assert second["stalls"]["admission-wait"] \
+        == pytest.approx(second["wait_s"])
+    assert second["payload"]["span_summary"]["spans"] == len(spans)
+    assert host.machine.broker.leased_bytes == 0
+
+
+@pytest.mark.parametrize("how", ["mid-stream", "at-open"])
+def test_worker_source_failure_leaks_nothing(how, break_service_source,
+                                             pending_feeders):
+    """However a source dies, the worker answers the job, returns its
+    lease to the carve and leaves no feeder task behind."""
+    break_service_source(how)
+    host, results, feeders = _run_host([_job(1, 1 << 20)],
+                                       pool_bytes=2 << 20,
+                                       probe=pending_feeders)
+    answer = results["s-000001"]
+    assert answer["ok"] == (how == "mid-stream")
+    if how == "at-open":
+        assert "cannot be opened" in answer["error"]
+    assert host.machine.broker.leased_bytes == 0
+    assert not host.machine.broker.leases
+    assert feeders == [[]]
