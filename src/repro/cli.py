@@ -48,6 +48,7 @@ import argparse
 import sys
 from typing import Any, Optional, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.engine import QueryEngine
 from repro.core.strategies import lower_bound, make_policy
@@ -555,6 +556,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ConfigurationError as exc:
+        # Unreadable input file, unreachable endpoint, bad option value:
+        # one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.
         return 0
@@ -730,7 +736,6 @@ def _summarize_snapshot(snapshot: dict) -> None:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.common.errors import ConfigurationError
     from repro.observability import (
         load_metrics_json,
         telemetry_snapshot,
@@ -740,11 +745,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
 
     if args.from_path:
-        try:
-            snapshot = load_metrics_json(args.from_path)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        snapshot = load_metrics_json(args.from_path)
         _summarize_snapshot(snapshot)
         wrote = [writer(snapshot, path)
                  for path, writer in ((args.json, write_metrics_json),
@@ -790,28 +791,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 def _summarize_trace_file(path: str) -> int:
     """Summarize an existing Chrome trace or flight-recorder dump."""
-    import json
     from collections import Counter
-    from pathlib import Path
 
-    from repro.common.errors import ConfigurationError
     from repro.observability import load_flight_dump
+    from repro.observability.export import load_json_document
 
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        print(f"error: trace file not found: {path}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: unreadable trace file {path}: {exc}", file=sys.stderr)
-        return 2
-
+    data = load_json_document(path, "trace file")
     if isinstance(data, dict) and "entries" in data and "reason" in data:
-        try:
-            dump = load_flight_dump(path)  # validates version/layout
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        dump = load_flight_dump(path)  # validates version/layout
         kinds = Counter(entry.kind for entry in dump["entries"])
         print(f"flight-recorder dump: reason={dump['reason']} "
               f"recorded={dump['recorded']} dropped={dump['dropped']}")
@@ -822,12 +809,11 @@ def _summarize_trace_file(path: str) -> int:
             print(f"  window: t={first.time:.3f}s .. t={last.time:.3f}s")
         return 0
 
-    events = (data.get("traceEvents")
-              if isinstance(data, dict) else data)
-    if not isinstance(events, list):
-        print(f"error: {path} is neither a Chrome trace nor a "
-              f"flight-recorder dump", file=sys.stderr)
-        return 2
+    events = data.get("traceEvents") if isinstance(data, dict) else data
+    if not isinstance(events, list) \
+            or not all(isinstance(event, dict) for event in events):
+        raise ConfigurationError(
+            f"{path} is neither a Chrome trace nor a flight-recorder dump")
     categories = Counter(event.get("cat", "?") for event in events
                          if event.get("ph") != "M")
     print(f"chrome trace: {len(events)} events")
@@ -880,7 +866,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from repro.common.errors import ConfigurationError, SimulationError
+    from repro.common.errors import SimulationError
     from repro.exec.live import LiveQueryEngine, jittered_batches
 
     workload = figure5_workload(scale=args.scale)
@@ -969,7 +955,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError
     from repro.observability.top import (
         render_top,
         replay_snapshot,
@@ -977,35 +962,30 @@ def _cmd_top(args: argparse.Namespace) -> int:
         stream_snapshots,
     )
 
-    try:
-        if args.replay:
-            snapshot = replay_snapshot(args.replay)
-            if snapshot is None:
-                print("error: the dump holds no live snapshot (the run "
-                      "had no sampler tick before it ended)",
-                      file=sys.stderr)
-                return 2
-            print("\n".join(render_top(snapshot)))
-            return 0
-        if args.once:
-            # Alert frames can interleave with snapshots; --once wants
-            # the first renderable snapshot, not an alert.
-            snapshot = next(
-                (frame for frame in stream_snapshots(args.connect)
-                 if frame.get("kind") != "alert"), None)
-            print("\n".join(render_top(snapshot)))
-            return 0
-        return run_top(args.connect, interval=args.interval)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.replay:
+        snapshot = replay_snapshot(args.replay)
+        if snapshot is None:
+            print("error: the dump holds no live snapshot (the run "
+                  "had no sampler tick before it ended)",
+                  file=sys.stderr)
+            return 2
+        print("\n".join(render_top(snapshot)))
+        return 0
+    if args.once:
+        # Alert frames can interleave with snapshots; --once wants
+        # the first renderable snapshot, not an alert.
+        snapshot = next(
+            (frame for frame in stream_snapshots(args.connect)
+             if frame.get("kind") != "alert"), None)
+        print("\n".join(render_top(snapshot)))
+        return 0
+    return run_top(args.connect, interval=args.interval)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.common.errors import ConfigurationError
     from repro.resources import TenantSpec
     from repro.service import QueryService, ServiceServer
     from repro.service.slo import parse_slo_specs
@@ -1081,39 +1061,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_one(host: str, port: int, payload: "dict[str, Any]",
-                timeout: float = 10.0) -> "tuple[int, dict[str, Any]]":
-    import http.client
-    import json as json_mod
-
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
-    try:
-        conn.request("POST", "/submit", json_mod.dumps(payload),
-                     {"Content-Type": "application/json"})
-        response = conn.getresponse()
-        body = response.read().decode("utf-8", errors="replace")
-        try:
-            data = json_mod.loads(body)
-        except json_mod.JSONDecodeError:
-            data = {"error": body.strip() or f"HTTP {response.status}"}
-        return response.status, data
-    finally:
-        conn.close()
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
-    import http.client
-    import json as json_mod
     import time as time_mod
 
-    from repro.common.errors import ConfigurationError
-    from repro.observability.top import _parse_endpoint
+    from repro.observability.top import open_connection, request_json
 
-    try:
-        host, port = _parse_endpoint(args.connect)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    conn = open_connection(args.connect)
     slow = _parse_slow(args.slow) if args.slow else {}
     base = {"tenant": args.tenant, "strategy": args.strategy,
             "scale": args.scale, "wait_us": args.wait_us,
@@ -1128,8 +1081,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     ids = []
     try:
         for index in range(args.count):
-            status, data = _submit_one(
-                host, port, dict(base, seed=args.seed + index))
+            status, data = request_json(
+                conn, "POST", "/submit", dict(base, seed=args.seed + index))
             if status != 202:
                 print(f"error: HTTP {status}: "
                       f"{data.get('error', 'submission refused')}",
@@ -1143,28 +1096,17 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         failed = 0
         for submission_id in ids:
             while True:
-                conn = http.client.HTTPConnection(host, port, timeout=10.0)
-                try:
-                    conn.request("GET", f"/submissions/{submission_id}")
-                    response = conn.getresponse()
-                    body = response.read()
-                finally:
-                    conn.close()
-                if response.status != 200:
-                    print(f"error: {submission_id}: HTTP {response.status} "
-                          f"(finished submissions age out of the daemon)",
-                          file=sys.stderr)
-                    failed += 1
-                    break
-                record = json_mod.loads(body)
-                if record["state"] in ("done", "failed"):
+                status, record = request_json(
+                    conn, "GET", f"/submissions/{submission_id}")
+                if status != 200 or record["state"] in ("done", "failed"):
                     break
                 time_mod.sleep(0.2)
-            else:
-                continue
-            if response.status != 200:
-                continue
-            if record["state"] == "failed":
+            if status != 200:
+                print(f"error: {submission_id}: HTTP {status} "
+                      f"(finished submissions age out of the daemon)",
+                      file=sys.stderr)
+                failed += 1
+            elif record["state"] == "failed":
                 failed += 1
                 print(f"{submission_id} failed: {record.get('error')}")
             else:
@@ -1175,15 +1117,16 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                       f"(admission wait {record['admission_wait']:.3f}s)")
         return 1 if failed else 0
     except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach {host}:{port}: {exc} "
+        print(f"error: cannot reach {conn.host}:{conn.port}: {exc} "
               f"(is `repro serve` running?)", file=sys.stderr)
         return 2
+    finally:
+        conn.close()
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    from repro.common.errors import ConfigurationError
     from repro.observability.top import (
         stream_snapshots_reconnect,
         worker_transitions,
@@ -1217,9 +1160,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
             frames += 1
             if args.frames and frames >= args.frames:
                 return 0
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         pass
     return 0
@@ -1228,7 +1168,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_history(args: argparse.Namespace) -> int:
     import json as json_mod
 
-    from repro.common.errors import ConfigurationError
     from repro.service.history import (
         diff_windows,
         load_alerts,
@@ -1239,49 +1178,45 @@ def _cmd_history(args: argparse.Namespace) -> int:
     )
     from repro.service.slo import parse_slo_specs
 
-    try:
-        if args.diff is not None:
-            diff = diff_windows(args.archive_dir, args.diff[0],
-                                args.diff[1], tenant=args.tenant)
-            if args.json:
-                print(json_mod.dumps(diff, indent=2, sort_keys=True))
-            else:
-                _print_history_diff(diff)
-            return 0
-
-        since = resolve_time(args.since)
-        until = resolve_time(args.until)
-        records, reader = load_outcomes(args.archive_dir, since=since,
-                                        until=until, tenant=args.tenant)
-        if reader.skipped_lines or reader.skipped_segments:
-            print(f"warning: skipped {reader.skipped_lines} corrupt "
-                  f"line(s) and {reader.skipped_segments} unreadable "
-                  f"segment(s)", file=sys.stderr)
-        summary = summarize_outcomes(records)
-        report: "dict[str, Any]" = {
-            "archive": args.archive_dir,
-            "segments_read": reader.segments_read,
-            "skipped_lines": reader.skipped_lines,
-            "skipped_segments": reader.skipped_segments,
-            "summary": summary,
-        }
-        if args.slo_report:
-            if not args.slos:
-                print("error: --slo-report needs at least one --slo "
-                      "objective", file=sys.stderr)
-                return 2
-            report["slo"] = slo_report(records, parse_slo_specs(args.slos))
-        if args.alerts:
-            report["alerts"] = load_alerts(args.archive_dir, since=since,
-                                           until=until)
+    if args.diff is not None:
+        diff = diff_windows(args.archive_dir, args.diff[0],
+                            args.diff[1], tenant=args.tenant)
         if args.json:
-            print(json_mod.dumps(report, indent=2, sort_keys=True))
+            print(json_mod.dumps(diff, indent=2, sort_keys=True))
         else:
-            _print_history_text(report)
+            _print_history_diff(diff)
         return 0
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+    since = resolve_time(args.since)
+    until = resolve_time(args.until)
+    records, reader = load_outcomes(args.archive_dir, since=since,
+                                    until=until, tenant=args.tenant)
+    if reader.skipped_lines or reader.skipped_segments:
+        print(f"warning: skipped {reader.skipped_lines} corrupt "
+              f"line(s) and {reader.skipped_segments} unreadable "
+              f"segment(s)", file=sys.stderr)
+    summary = summarize_outcomes(records)
+    report: "dict[str, Any]" = {
+        "archive": args.archive_dir,
+        "segments_read": reader.segments_read,
+        "skipped_lines": reader.skipped_lines,
+        "skipped_segments": reader.skipped_segments,
+        "summary": summary,
+    }
+    if args.slo_report:
+        if not args.slos:
+            print("error: --slo-report needs at least one --slo "
+                  "objective", file=sys.stderr)
+            return 2
+        report["slo"] = slo_report(records, parse_slo_specs(args.slos))
+    if args.alerts:
+        report["alerts"] = load_alerts(args.archive_dir, since=since,
+                                       until=until)
+    if args.json:
+        print(json_mod.dumps(report, indent=2, sort_keys=True))
+    else:
+        _print_history_text(report)
+    return 0
 
 
 def _print_history_text(report: "dict[str, Any]") -> None:
@@ -1362,7 +1297,6 @@ def _parse_size(text: str, flag: str) -> Optional[int]:
 
 
 def _cmd_multiquery(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError
 
     workload = figure5_workload(scale=args.scale)
     pools = ([_parse_size(text, "--global-memory")
@@ -1402,7 +1336,6 @@ def _cmd_multiquery(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError
     from repro.parallel.bench import run_bench_suite, write_bench_json
     from repro.parallel.trend import (
         compare_reports,
@@ -1414,12 +1347,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise SystemExit(f"jobs must be >= 1 (or 0 = auto), got {args.jobs}")
     baseline = None
     if args.compare:
-        try:  # fail fast, before spending minutes on the suite
-            baseline = load_bench_report(args.compare)
-            budget = parse_percent(args.max_regression)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        # Fail fast, before spending minutes on the suite.
+        baseline = load_bench_report(args.compare)
+        budget = parse_percent(args.max_regression)
     report = run_bench_suite(
         jobs=args.jobs, scale=args.scale,
         retrieval_times=list(args.retrieval_times),
@@ -1490,7 +1420,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.common.errors import ConfigurationError
     from repro.observability import (
         explain_spans,
         format_bench_diff,
@@ -1503,24 +1432,15 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if args.bench_diff:
         from repro.parallel.trend import load_bench_report
         base_path, current_path = args.bench_diff
-        try:
-            base = load_bench_report(base_path)
-            current = load_bench_report(current_path)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        base = load_bench_report(base_path)
+        current = load_bench_report(current_path)
         print(format_bench_diff(base, current,
                                 base_label=base_path,
                                 current_label=current_path))
         return 0
 
     if args.from_path:
-        try:
-            spans = load_spans(args.from_path)
-            explanation = explain_spans(spans)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        explanation = explain_spans(load_spans(args.from_path))
         print(format_explanation(explanation, top_segments=args.segments))
         return 0
 

@@ -45,10 +45,8 @@ from repro.config import SimulationParameters
 from repro.exec.aio import AsyncioKernel
 from repro.exec.core import SimEvent
 from repro.observability.flight import (
-    ENTRY_DECISION,
     ENTRY_PHASE,
     ENTRY_SAMPLE,
-    ENTRY_STALL,
     FlightRecorder,
     StallWatchdog,
 )
@@ -285,18 +283,6 @@ class LiveQueryEngine:
         self.publisher: Optional[MetricsPublisher] = None
         self.recorder: Optional[FlightRecorder] = None
 
-    def _attach_flight(self, world: Any) -> FlightRecorder:
-        """Arm the flight recorder and hook it into the telemetry feeds."""
-        recorder = FlightRecorder(capacity=self.flight_capacity)
-        world.telemetry.flight = recorder
-        world.telemetry.audit.on_record = lambda record: recorder.record(
-            ENTRY_DECISION, record.time, name=record.kind,
-            subject=record.subject)
-        world.telemetry.stalls.on_record = lambda interval: recorder.record(
-            ENTRY_STALL, interval.ended, cause=interval.cause,
-            duration=interval.duration)
-        return recorder
-
     async def run(self) -> Any:
         """Execute once on the asyncio backend; returns ExecutionResult."""
         from repro.core.engine import QueryRun
@@ -308,7 +294,8 @@ class LiveQueryEngine:
                       broker=self.broker)
         recorder = None
         if self.flight_dump is not None:
-            recorder = self.recorder = self._attach_flight(world)
+            recorder = self.recorder = FlightRecorder(
+                capacity=self.flight_capacity).attach(world.telemetry)
         if self.span_dump is not None and world.telemetry.spans is None:
             # Arm the recorder before the DQP is built so its compiled
             # hook table includes the span callables.

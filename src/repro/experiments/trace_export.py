@@ -9,19 +9,22 @@ splits, plan revisions) when the run was traced.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any
 
 from repro.core.engine import ExecutionResult
+from repro.observability.export import (
+    trace_instant_event,
+    trace_span_event,
+    trace_thread_name,
+    write_trace_document,
+)
 
 #: trace categories exported as instant events, when a tracer is present.
 DECISION_CATEGORIES = (
     "degrade", "mf-stop", "cf-create", "memory-split", "reopt-swap",
     "rate-change", "timeout", "chain-complete",
 )
-
-_SECONDS_TO_US = 1e6
 
 
 def chrome_trace_events(result: ExecutionResult) -> list[dict[str, Any]]:
@@ -37,32 +40,18 @@ def chrome_trace_events(result: ExecutionResult) -> list[dict[str, Any]]:
         # map (e.g. CF-only views of a run); allocate its lane on demand
         # instead of raising KeyError.
         tid = tids.setdefault(stat.chain, len(tids) + 1)
-        events.append({
-            "name": stat.name,
-            "cat": stat.kind,
-            "ph": "X",
-            "ts": stat.started_at * _SECONDS_TO_US,
-            "dur": max(1.0, (stat.finished_at - stat.started_at)
-                       * _SECONDS_TO_US),
-            "pid": 1,
-            "tid": tid,
-            "args": {
+        events.append(trace_span_event(
+            stat.name, stat.kind, stat.started_at,
+            stat.finished_at - stat.started_at, tid, {
                 "tuples_in": stat.tuples_in,
                 "tuples_out": stat.tuples_out,
                 "batches": stat.batches,
                 "cpu_seconds": stat.cpu_seconds,
-            },
-        })
+            }))
 
     # After the span loop, so lanes allocated on demand get names too.
-    for chain, tid in tids.items():
-        events.append({
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 1,
-            "tid": tid,
-            "args": {"name": chain},
-        })
+    events.extend(trace_thread_name(tid, chain)
+                  for chain, tid in tids.items())
 
     if result.tracer is not None:
         # The audit log carries the numbers behind each decision (critical
@@ -77,29 +66,16 @@ def chrome_trace_events(result: ExecutionResult) -> list[dict[str, Any]]:
                 args = dict(trace_event.payload)
                 args.update(audit_args.get(
                     (category, trace_event.message, trace_event.time), {}))
-                events.append({
-                    "name": f"{category}: {trace_event.message}",
-                    "cat": "decision",
-                    "ph": "i",
-                    "s": "g",
-                    "ts": trace_event.time * _SECONDS_TO_US,
-                    "pid": 1,
-                    "tid": 0,
-                    "args": args,
-                })
+                events.append(trace_instant_event(
+                    f"{category}: {trace_event.message}", "decision",
+                    trace_event.time, 0, args, scope="g"))
     return events
 
 
 def write_chrome_trace(path: "str | Path",
                        result: ExecutionResult) -> Path:
     """Write ``result`` as a Chrome-tracing JSON file; returns the path."""
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "traceEvents": chrome_trace_events(result),
-        "displayTimeUnit": "ms",
-        "otherData": {"strategy": result.strategy,
-                      "response_time_s": result.response_time},
-    }
-    target.write_text(json.dumps(payload, default=str))
-    return target.resolve()
+    return write_trace_document(
+        path, chrome_trace_events(result),
+        {"strategy": result.strategy,
+         "response_time_s": result.response_time}).resolve()

@@ -15,7 +15,6 @@ from repro.mediator.comm import CommunicationManager
 from repro.mediator.buffer import (
     BufferManager,
     HashTable,
-    MemoryManager,
     TempReader,
     TempRelation,
     TempWriter,
@@ -26,7 +25,6 @@ __all__ = [
     "CommunicationManager",
     "DeliveryRateEstimator",
     "HashTable",
-    "MemoryManager",
     "Message",
     "SourceQueue",
     "TempReader",

@@ -1,11 +1,10 @@
 """Buffer and memory management.
 
-* :class:`MemoryManager` accounts the query's memory budget (hash tables
-  live here; M-schedulability checks ask it what fits).  It is the
-  per-query *lease* layer of the hierarchical broker — see
-  :mod:`repro.resources.broker`, whose :class:`~repro.resources.broker.MemoryLease`
-  it aliases: standalone construction (``MemoryManager(bytes)``) keeps
-  the old static-budget semantics exactly, while a lease drawn from a
+* The query's memory budget (hash tables live here; M-schedulability
+  checks ask it what fits) is a :class:`~repro.resources.broker.MemoryLease`,
+  the per-query layer of the hierarchical broker in
+  :mod:`repro.resources.broker`: standalone construction
+  (``MemoryLease(bytes)``) is a static budget, while a lease drawn from a
   governed :class:`~repro.resources.broker.MemoryBroker` can pull and be
   offered extra bytes at runtime.
 * :class:`BufferManager` owns temp relations on the local disk.  Writers
@@ -32,10 +31,6 @@ from repro.sim.resources import CPU, Disk
 from repro.sim.stats import Counter
 from repro.sim.tracing import Tracer
 
-#: the per-query memory budget is the lease layer of the resource
-#: broker; the historical name is kept for every existing touchpoint.
-MemoryManager = MemoryLease
-
 
 class HashTable:
     """A hash table filling one join's build side (memory accounting only).
@@ -46,7 +41,7 @@ class HashTable:
     overflow the DQO must handle.
     """
 
-    def __init__(self, join_name: str, memory: MemoryManager,
+    def __init__(self, join_name: str, memory: MemoryLease,
                  tuple_size: int, page_size: int, estimated_tuples: float):
         self.join_name = join_name
         self.memory = memory
@@ -108,7 +103,7 @@ class TempRelation:
         self.sealed = False
         self.destroyed = False
         #: the budget an in-memory temp's pages are charged against.
-        self.memory_manager: Optional["MemoryManager"] = None
+        self.memory_manager: Optional[MemoryLease] = None
 
     @property
     def memory_owner(self) -> str:
@@ -151,7 +146,7 @@ class BufferManager:
         return self.disks[0]
 
     def create_temp(self, name: str, *,
-                    memory: Optional[MemoryManager] = None,
+                    memory: Optional[MemoryLease] = None,
                     estimated_tuples: float = 0.0,
                     prefer_memory: bool = False) -> "TempWriter":
         """Create a temp relation and return its writer.
@@ -210,7 +205,7 @@ class TempWriter:
     """Write-behind writer for one temp relation (disk or memory)."""
 
     def __init__(self, manager: BufferManager, temp: TempRelation,
-                 memory: Optional[MemoryManager] = None):
+                 memory: Optional[MemoryLease] = None):
         self.manager = manager
         self.temp = temp
         self._pending_tuples = 0

@@ -22,7 +22,6 @@ paths pay a single attribute check.
 
 from __future__ import annotations
 
-import json
 import threading
 import time as _time
 from collections import deque
@@ -31,6 +30,14 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
+from repro.observability.export import (
+    load_json_document,
+    trace_instant_event,
+    trace_span_event,
+    trace_thread_name,
+    write_json_document,
+    write_trace_document,
+)
 
 #: bumped on incompatible dump layout changes.
 DUMP_VERSION = 1
@@ -41,8 +48,6 @@ ENTRY_DECISION = "decision"
 ENTRY_STALL = "stall"
 ENTRY_SAMPLE = "sample"
 ENTRY_PHASE = "phase"
-
-_SECONDS_TO_US = 1e6
 
 
 @dataclass(frozen=True)
@@ -94,6 +99,20 @@ class FlightRecorder:
             if kind == ENTRY_BATCH:
                 self.last_progress_wall = _time.monotonic()
 
+    def record_decision(self, record: Any) -> None:
+        """Audit-log observer: one entry per scheduler decision."""
+        self.record(ENTRY_DECISION, record.time, name=record.kind,
+                    subject=record.subject)
+
+    def attach(self, telemetry: Any) -> "FlightRecorder":
+        """Hook into a world's telemetry feeds (audit log and stalls)."""
+        telemetry.flight = self
+        telemetry.audit.on_record = self.record_decision
+        telemetry.stalls.on_record = lambda interval: self.record(
+            ENTRY_STALL, interval.ended, cause=interval.cause,
+            duration=interval.duration)
+        return self
+
     def touch(self) -> None:
         """Mark forward progress without recording an entry."""
         self.last_progress_wall = _time.monotonic()
@@ -119,10 +138,8 @@ class FlightRecorder:
         Returns the JSON path; the timeline lands next to it with a
         ``.trace.json`` suffix.  Loadable via :func:`load_flight_dump`.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entries = self.entries()
-        dump = {
+        path = write_json_document({
             "version": DUMP_VERSION,
             "reason": reason,
             "error": error,
@@ -131,14 +148,9 @@ class FlightRecorder:
             "dropped": max(0, self._recorded - len(entries)),
             "entries": [entry.to_dict() for entry in entries],
             "snapshot": self.latest_snapshot,
-        }
-        path.write_text(json.dumps(dump, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
-        trace_path = path.with_suffix(".trace.json")
-        trace_path.write_text(
-            json.dumps({"traceEvents": flight_trace_events(entries),
-                        "displayTimeUnit": "ms"}) + "\n",
-            encoding="utf-8")
+        }, path)
+        write_trace_document(path.with_suffix(".trace.json"),
+                             flight_trace_events(entries))
         return path
 
     def __repr__(self) -> str:
@@ -155,28 +167,18 @@ def flight_trace_events(entries: List[FlightEntry]) -> List[Dict[str, Any]]:
     """
     lanes = {ENTRY_BATCH: 1, ENTRY_STALL: 2, ENTRY_DECISION: 3,
              ENTRY_SAMPLE: 4, ENTRY_PHASE: 5}
-    events: List[Dict[str, Any]] = [
-        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-         "args": {"name": kind}}
-        for kind, tid in lanes.items()]
+    events = [trace_thread_name(tid, kind) for kind, tid in lanes.items()]
     for entry in entries:
         tid = lanes.setdefault(entry.kind, len(lanes) + 1)
         if entry.kind == ENTRY_STALL and "duration" in entry.payload:
             duration = float(entry.payload["duration"])
-            events.append({
-                "name": str(entry.payload.get("cause", "stall")),
-                "cat": entry.kind, "ph": "X",
-                "ts": (entry.time - duration) * _SECONDS_TO_US,
-                "dur": max(1.0, duration * _SECONDS_TO_US),
-                "pid": 1, "tid": tid, "args": dict(entry.payload),
-            })
+            events.append(trace_span_event(
+                str(entry.payload.get("cause", "stall")), entry.kind,
+                entry.time - duration, duration, tid, dict(entry.payload)))
         else:
-            events.append({
-                "name": str(entry.payload.get("name", entry.kind)),
-                "cat": entry.kind, "ph": "i", "s": "t",
-                "ts": entry.time * _SECONDS_TO_US,
-                "pid": 1, "tid": tid, "args": dict(entry.payload),
-            })
+            events.append(trace_instant_event(
+                str(entry.payload.get("name", entry.kind)), entry.kind,
+                entry.time, tid, dict(entry.payload)))
     return events
 
 
@@ -187,19 +189,8 @@ def load_flight_dump(path: Union[str, Path]) -> Dict[str, Any]:
     :class:`FlightEntry` objects.  Raises :class:`ConfigurationError`
     on a missing, truncated or alien file.
     """
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"flight-recorder dump not found: {path}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(
-            f"unreadable flight-recorder dump {path}: {exc}")
-    if not isinstance(data, dict) or "entries" not in data \
-            or data.get("version") != DUMP_VERSION:
-        raise ConfigurationError(
-            f"{path} is not a flight-recorder dump (version "
-            f"{DUMP_VERSION} expected)")
+    data: Dict[str, Any] = load_json_document(
+        path, "flight-recorder dump", keys=("entries",), version=DUMP_VERSION)
     data["entries"] = [FlightEntry.from_dict(entry)
                        for entry in data["entries"]]
     return data

@@ -21,6 +21,8 @@ import threading
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.observability.export import PrometheusText, prom_float, prom_labels
+
 #: live snapshot layout version (part of the SSE/JSON payload).
 LIVE_SNAPSHOT_VERSION = 1
 
@@ -157,31 +159,14 @@ class MetricsPublisher:
         #: frames dropped across all subscriptions (slow-client metric).
         self.dropped_total = 0
 
-    def publish(self, snapshot: Dict[str, Any]) -> int:
-        """Install a fresh snapshot; returns its sequence number."""
-        with self._cond:
-            self._seq += 1
-            snapshot = dict(snapshot, seq=self._seq)
-            self._snapshot = snapshot
-            for subscription in self._subscriptions:
-                if len(subscription._frames) >= subscription.capacity:
-                    subscription._frames.popleft()
-                    subscription.dropped += 1
-                    self.dropped_total += 1
-                subscription._frames.append((snapshot, self._seq))
-            self._cond.notify_all()
-            return self._seq
-
-    def publish_event(self, frame: Dict[str, Any]) -> int:
-        """Fan an out-of-band frame (e.g. an SLO alert) to subscribers.
-
-        Unlike :meth:`publish` the frame does **not** replace the
-        latest snapshot — ``/metrics`` scrapes and late subscribers
-        must keep seeing a ``kind: service`` frame, not an alert.
-        """
+    def _fan_out(self, frame: Dict[str, Any], install: bool) -> int:
+        """Stamp ``frame`` with the next sequence number and queue it on
+        every subscription (drop-oldest when one is full)."""
         with self._cond:
             self._seq += 1
             frame = dict(frame, seq=self._seq)
+            if install:
+                self._snapshot = frame
             for subscription in self._subscriptions:
                 if len(subscription._frames) >= subscription.capacity:
                     subscription._frames.popleft()
@@ -190,6 +175,19 @@ class MetricsPublisher:
                 subscription._frames.append((frame, self._seq))
             self._cond.notify_all()
             return self._seq
+
+    def publish(self, snapshot: Dict[str, Any]) -> int:
+        """Install a fresh snapshot; returns its sequence number."""
+        return self._fan_out(snapshot, install=True)
+
+    def publish_event(self, frame: Dict[str, Any]) -> int:
+        """Fan an out-of-band frame (e.g. an SLO alert) to subscribers.
+
+        Unlike :meth:`publish` the frame does **not** replace the
+        latest snapshot — ``/metrics`` scrapes and late subscribers
+        must keep seeing a ``kind: service`` frame, not an alert.
+        """
+        return self._fan_out(frame, install=False)
 
     def subscribe(self, capacity: int = DEFAULT_SUBSCRIPTION_CAPACITY
                   ) -> SnapshotSubscription:
@@ -235,10 +233,6 @@ class MetricsPublisher:
             return None, self._seq
 
 
-def _esc(label: str) -> str:
-    return label.replace("\\", r"\\").replace('"', r'\"')
-
-
 def live_prometheus_text(snapshot: Optional[Dict[str, Any]], *,
                          stream_dropped: Optional[int] = None) -> str:
     """Render one live snapshot in the Prometheus text format.
@@ -248,15 +242,8 @@ def live_prometheus_text(snapshot: Optional[Dict[str, Any]], *,
     still valid exposition text.  ``stream_dropped`` (when not None) adds
     the publisher-wide slow-SSE-client drop counter to the exposition.
     """
-    lines: List[str] = []
-
-    def emit(name: str, kind: str, help_text: str,
-             samples: List[Tuple[str, Any]]) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        for suffix, value in samples:
-            lines.append(f"{name}{suffix} {float(value)!r}")
-
+    text = PrometheusText(number=prom_float)
+    emit = text.emit
     emit("repro_live_up", "gauge",
          "1 while the live engine is publishing snapshots.",
          [("", 1.0 if snapshot is not None else 0.0)])
@@ -265,7 +252,7 @@ def live_prometheus_text(snapshot: Optional[Dict[str, Any]], *,
              "SSE frames dropped because stream clients lagged.",
              [("", stream_dropped)])
     if snapshot is None:
-        return "\n".join(lines) + "\n"
+        return text.render()
 
     emit("repro_live_snapshot_seq", "counter",
          "Sequence number of this snapshot.", [("", snapshot["seq"])])
@@ -287,7 +274,7 @@ def live_prometheus_text(snapshot: Optional[Dict[str, Any]], *,
          [("", snapshot["stall_time"])])
     emit("repro_live_stall_seconds_total", "counter",
          "Engine idle time by attributed cause.",
-         [(f'{{cause="{_esc(cause)}"}}', seconds)
+         [(prom_labels(cause=cause), seconds)
           for cause, seconds in sorted(snapshot["stalls"].items())])
     memory = snapshot["memory"]
     emit("repro_live_memory_used_bytes", "gauge",
@@ -306,20 +293,20 @@ def live_prometheus_text(snapshot: Optional[Dict[str, Any]], *,
              "Output tuples per active second, per fragment.")):
         suffix = "_total" if kind == "counter" else "_tuples_per_second"
         emit(f"repro_live_fragment_{field}{suffix}", kind, help_text,
-             [(f'{{fragment="{_esc(f["name"])}",kind="{_esc(f["kind"])}"}}',
-               f[field]) for f in fragments])
+             [(prom_labels(fragment=f["name"], kind=f["kind"]), f[field])
+              for f in fragments])
 
     sources = sorted(snapshot["queues"].items())
     emit("repro_live_queue_depth_tuples", "gauge",
          "Tuples buffered per source queue.",
-         [(f'{{source="{_esc(source)}"}}', queue["tuples"])
+         [(prom_labels(source=source), queue["tuples"])
           for source, queue in sources])
     emit("repro_live_queue_depth_messages", "gauge",
          "Messages buffered per source queue.",
-         [(f'{{source="{_esc(source)}"}}', queue["messages"])
+         [(prom_labels(source=source), queue["messages"])
           for source, queue in sources])
     emit("repro_live_source_rate_tuples_per_second", "gauge",
          "Estimated delivery rate per source.",
-         [(f'{{source="{_esc(source)}"}}', queue["rate"])
+         [(prom_labels(source=source), queue["rate"])
           for source, queue in sources])
-    return "\n".join(lines) + "\n"
+    return text.render()

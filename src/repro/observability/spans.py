@@ -28,12 +28,19 @@ critical-path analyzer over these spans lives in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.common.errors import ConfigurationError
+from repro.observability.export import (
+    load_json_document,
+    trace_flow_events,
+    trace_instant_event,
+    trace_span_event,
+    trace_thread_name,
+    write_json_document,
+    write_trace_document,
+)
 
 #: bumped on incompatible span-export layout changes.
 SPANS_VERSION = 1
@@ -49,8 +56,6 @@ SPAN_ADMISSION_WAIT = "admission-wait"  #: queued at the admission controller
 SPAN_LEASE_GROW = "lease-grow"          #: broker grew the query's lease
 SPAN_BUDGET_REPLAN = "budget-replan"    #: replanning forced by a BudgetGrow
 SPAN_RATE_REPLAN = "rate-replan"        #: replanning forced by a RateChange
-
-_SECONDS_TO_US = 1e6
 
 
 @dataclass
@@ -168,11 +173,7 @@ class SpanRecorder:
     # -- export ------------------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """The JSON-ready export (loadable via :func:`load_spans`)."""
-        return {
-            "version": SPANS_VERSION,
-            "clock": "kernel-seconds",
-            "spans": [span.to_dict() for span in self.spans],
-        }
+        return spans_payload(self.spans)
 
     def write_json(self, path: Union[str, Path]) -> Path:
         """Write the JSON export plus a ``.trace.json`` chrome sibling."""
@@ -182,6 +183,15 @@ class SpanRecorder:
         return f"SpanRecorder({len(self.spans)} spans)"
 
 
+def spans_payload(spans: List[Span]) -> Dict[str, Any]:
+    """The versioned export document (inverse: :func:`spans_from_payload`)."""
+    return {
+        "version": SPANS_VERSION,
+        "clock": "kernel-seconds",
+        "spans": [span.to_dict() for span in spans],
+    }
+
+
 def write_spans_json(spans: List[Span],
                      path: Union[str, Path]) -> Path:
     """Write a span list as the JSON export plus its chrome sibling.
@@ -189,36 +199,16 @@ def write_spans_json(spans: List[Span],
     Works on a live recorder's spans or a list rebuilt from a payload
     (``repro run --spans-out`` exports the result's shipped span list).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": SPANS_VERSION,
-        "clock": "kernel-seconds",
-        "spans": [span.to_dict() for span in spans],
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    trace_path = path.with_suffix(".trace.json")
-    trace_path.write_text(
-        json.dumps({"traceEvents": span_trace_events(spans),
-                    "displayTimeUnit": "ms"}) + "\n",
-        encoding="utf-8")
+    path = write_json_document(spans_payload(spans), path)
+    write_trace_document(path.with_suffix(".trace.json"),
+                         span_trace_events(spans))
     return path
 
 
 def load_spans(path: Union[str, Path]) -> List[Span]:
     """Load a span export written by :meth:`SpanRecorder.write_json`."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"span export not found: {path}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"unreadable span export {path}: {exc}")
-    if not isinstance(data, dict) or "spans" not in data \
-            or data.get("version") != SPANS_VERSION:
-        raise ConfigurationError(
-            f"{path} is not a span export (version {SPANS_VERSION} expected)")
+    data = load_json_document(path, "span export", keys=("spans",),
+                              version=SPANS_VERSION)
     return [Span.from_dict(span) for span in data["spans"]]
 
 
@@ -257,32 +247,16 @@ def span_trace_events(spans: List[Span]) -> List[Dict[str, Any]]:
         if span.caused_by is not None:
             args["caused_by"] = span.caused_by
         if end > start:
-            events.append({
-                "name": span.name, "cat": span.kind, "ph": "X",
-                "ts": start * _SECONDS_TO_US,
-                "dur": max(1.0, (end - start) * _SECONDS_TO_US),
-                "pid": 1, "tid": tid, "args": args,
-            })
+            events.append(trace_span_event(span.name, span.kind, start,
+                                           end - start, tid, args))
         else:
-            events.append({
-                "name": span.name, "cat": span.kind, "ph": "i", "s": "t",
-                "ts": start * _SECONDS_TO_US, "pid": 1, "tid": tid,
-                "args": args,
-            })
+            events.append(trace_instant_event(span.name, span.kind, start,
+                                              tid, args))
         if span.caused_by is not None and 0 <= span.caused_by < len(spans):
             cause = spans[span.caused_by]
-            flow_id = span.span_id
-            events.append({
-                "name": "caused-by", "cat": "causality", "ph": "s",
-                "id": flow_id, "ts": cause.start * _SECONDS_TO_US,
-                "pid": 1, "tid": lanes.get(cause.kind, 1),
-            })
-            events.append({
-                "name": "caused-by", "cat": "causality", "ph": "f",
-                "bp": "e", "id": flow_id, "ts": start * _SECONDS_TO_US,
-                "pid": 1, "tid": tid,
-            })
-    metadata = [{"name": "thread_name", "ph": "M", "pid": 1, "tid": tid,
-                 "args": {"name": kind}}
+            events.extend(trace_flow_events(
+                span.span_id, cause.start, lanes.get(cause.kind, 1),
+                start, tid))
+    metadata = [trace_thread_name(tid, kind)
                 for tid, kind in sorted(seen_lanes.items())]
     return metadata + events

@@ -245,6 +245,36 @@ def _parse_endpoint(endpoint: str) -> Tuple[str, int]:
     return (host or "127.0.0.1", int(port))
 
 
+def open_connection(endpoint: str,
+                    timeout: float = 10.0) -> http.client.HTTPConnection:
+    """A keep-alive connection to a serving run or daemon (lazy: nothing
+    is sent, and nothing can fail to connect, before the first request)."""
+    host, port = _parse_endpoint(endpoint)
+    return http.client.HTTPConnection(host, port, timeout=timeout)
+
+
+def request_json(conn: http.client.HTTPConnection, method: str, path: str,
+                 payload: Optional[Dict[str, Any]] = None
+                 ) -> Tuple[int, Dict[str, Any]]:
+    """One JSON request/response on ``conn``: ``(status, body)``.
+
+    A body that is not a JSON object (the plain-text 404) comes back as
+    ``{"error": text}`` so callers print one shape.
+    """
+    body = json.dumps(payload) if payload is not None else None
+    conn.request(method, path, body,
+                 {"Content-Type": "application/json"} if body else {})
+    response = conn.getresponse()
+    text = response.read().decode("utf-8", errors="replace")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        data = None
+    if not isinstance(data, dict):
+        data = {"error": text.strip() or f"HTTP {response.status}"}
+    return response.status, data
+
+
 class StreamStatus:
     """Out-of-band status of one :func:`stream_snapshots` pass.
 
@@ -271,8 +301,7 @@ def stream_snapshots(endpoint: str, timeout: float = 10.0,
     listening at ``endpoint``.  SLO alert frames arrive interleaved with
     snapshots (``kind: alert``); callers filter on ``kind``.
     """
-    host, port = _parse_endpoint(endpoint)
-    conn = http.client.HTTPConnection(host, port, timeout=timeout)
+    conn = open_connection(endpoint, timeout)
     try:
         conn.request("GET", "/stream", headers={"Accept": "text/event-stream"})
         response = conn.getresponse()

@@ -31,7 +31,6 @@ sorted and indented so the committed ``BENCH_PR3.json`` diffs cleanly.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import tempfile
@@ -40,6 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.config import SimulationParameters
+from repro.observability.export import write_json_document
 from repro.parallel.engine import SweepRunner, default_jobs
 
 #: bump when the emitted JSON layout changes shape.
@@ -277,6 +277,4 @@ def run_bench_suite(*, jobs: int = 0, scale: float = 0.2,
 def write_bench_json(report: dict[str, Any],
                      path: "str | os.PathLike[str]") -> Path:
     """Write the report deterministically (sorted keys, indent 2)."""
-    out = Path(path)
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return out
+    return write_json_document(report, path)

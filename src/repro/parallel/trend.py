@@ -20,13 +20,13 @@ to catch order-of-magnitude slips.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
+from repro.observability.export import load_json_document
 from repro.parallel.bench import SUITE
 
 #: the derived metrics the gate watches; True = higher is better.
@@ -75,17 +75,8 @@ def parse_percent(text: str) -> float:
 
 def load_bench_report(path: Union[str, Path]) -> Dict[str, Any]:
     """Load one committed bench report, with friendly failure modes."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigurationError(f"bench report not found: {path}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigurationError(f"unreadable bench report {path}: {exc}")
-    if not isinstance(data, dict) or data.get("suite") != SUITE \
-            or "derived" not in data:
-        raise ConfigurationError(
-            f"{path} is not a {SUITE} report (missing suite/derived keys)")
+    data: Dict[str, Any] = load_json_document(
+        path, "bench report", keys=("derived",), suite=SUITE)
     return data
 
 

@@ -5,9 +5,8 @@ Memory in the mediator is governed hierarchically:
 * :class:`MemoryBroker` — one global pool per mediator machine, leased
   out per query;
 * :class:`MemoryLease` — one query's budget.  The lease is the leaf
-  accounting layer (byte-accurate per-owner reservations, exactly the
-  semantics the old per-query ``MemoryManager`` had — it *is* the
-  ``MemoryManager`` re-exported from :mod:`repro.mediator.buffer`);
+  accounting layer (byte-accurate per-owner reservations; standalone,
+  ``MemoryLease(bytes)`` is a static private budget);
 * per-owner reservations — hash tables and in-memory temps reserve
   against the lease.
 

@@ -59,13 +59,12 @@ GrowCallback = Callable[[int, int], None]
 class MemoryLease:
     """Byte-accurate accounting of one query's memory budget.
 
-    Drop-in replacement for the old ``MemoryManager`` (which is now an
-    alias of this class): ``total_bytes`` / ``used_bytes`` /
-    ``peak_bytes`` / ``available_bytes`` and the reserve/grow/release
-    protocol are unchanged.  ``min_bytes`` / ``max_bytes`` bound what
-    the broker may reclaim from, or offer to, this lease; both default
-    to ``total_bytes``, which makes the lease exactly as static as the
-    old manager.
+    Keeps the protocol of the ``MemoryManager`` it replaced:
+    ``total_bytes`` / ``used_bytes`` / ``peak_bytes`` /
+    ``available_bytes`` and reserve/grow/release.  ``min_bytes`` /
+    ``max_bytes`` bound what the broker may reclaim from, or offer to,
+    this lease; both default to ``total_bytes``, which makes the lease
+    exactly as static as the old manager.
     """
 
     def __init__(self, total_bytes: int, *,
@@ -100,7 +99,7 @@ class MemoryLease:
         self._peak_gauge: Optional["Gauge"] = None
         self._avail_gauge: Optional["Gauge"] = None
 
-    # -- leaf accounting (old MemoryManager semantics) ----------------------
+    # -- leaf accounting (a static budget when standalone) ------------------
     @property
     def available_bytes(self) -> int:
         return self.total_bytes - self.used_bytes

@@ -1,8 +1,8 @@
 """The service's HTTP surface (JSON in, SSE progress out).
 
-The same dependency-free :mod:`http.server` machinery as the per-run
-:class:`~repro.observability.server.ObservabilityServer`, extended from
-a read-only scrape target into the daemon's front door:
+The daemon's front door is a route table on the one HTTP/SSE server
+(:mod:`repro.observability.server`, which also frames ``/stream``,
+validates request bodies and sends every response in one segment):
 
 * ``POST /submit``       — JSON submission body, answers ``202`` with the
   submission id; ``400`` malformed, ``429`` tenant over quota, ``503``
@@ -27,100 +27,62 @@ come from the :class:`~repro.observability.live.MetricsPublisher`.
 
 from __future__ import annotations
 
-import json
-import threading
+import concurrent.futures
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import ConfigurationError
-from repro.observability.server import stream_publisher
+from repro.observability.server import ObservabilityServer, Request, Response
 from repro.resources import QuotaExceeded
 from repro.service.service import QueryService, ServiceDraining, SubmissionRequest
 from repro.service.stats import service_prometheus_text
-
-#: largest accepted request body (a submission is a small JSON object).
-_MAX_BODY_BYTES = 64 * 1024
 
 #: how long a handler thread waits for the service loop.
 _LOOP_TIMEOUT_S = 10.0
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler; ``self.server`` is the :class:`_Server` below."""
+class ServiceServer(ObservabilityServer):
+    """The HTTP server fronting one :class:`QueryService`."""
 
-    server: "_Server"
-    protocol_version = "HTTP/1.1"
+    def __init__(self, service: QueryService,
+                 host: str = "127.0.0.1", port: int = 0):
+        self.service = service
+        super().__init__(service.publisher, host, port, routes={
+            ("POST", "/submit"): self._submit,
+            ("POST", "/drain"): self._drain,
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/slo"): self._slo,
+            ("GET", "/submissions"): self._submissions,
+            ("GET", "/submissions/*"): self._submission,
+        })
 
-    # -- plumbing ----------------------------------------------------------
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # the daemon's stdout belongs to the operator
+    def on_loop(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` on the service loop and return its result."""
+        future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
 
-    def _send(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        def _call() -> None:
+            try:
+                future.set_result(fn())
+            except BaseException as exc:
+                future.set_exception(exc)
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        self._send(status, "application/json",
-                   (json.dumps(payload, sort_keys=True) + "\n").encode())
+        assert self.service._loop is not None, "service not started"
+        self.service._loop.call_soon_threadsafe(_call)
+        return future.result(timeout=_LOOP_TIMEOUT_S)
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > _MAX_BODY_BYTES:
-            raise ConfigurationError(
-                f"request body too large ({length} bytes)")
-        raw = self.rfile.read(length) if length else b"{}"
-        try:
-            return json.loads(raw.decode("utf-8") or "{}")
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"bad JSON body: {exc}") from exc
+    def _metrics(self, request: Request) -> Response:
+        snapshot, _seq = self.publisher.latest()
+        return 200, service_prometheus_text(snapshot)
 
-    # -- endpoints ---------------------------------------------------------
-    def do_GET(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/metrics":
-            self._metrics()
-        elif path == "/healthz":
-            self._healthz()
-        elif path == "/slo":
-            self._slo()
-        elif path == "/stream":
-            self._stream()
-        elif path == "/submissions":
-            self._submissions()
-        elif path.startswith("/submissions/"):
-            self._submission(path[len("/submissions/"):])
-        else:
-            self._send(404, "text/plain; charset=utf-8",
-                       b"unknown endpoint; try /healthz, /metrics, /slo,"
-                       b" /stream, /submissions\n")
-
-    def do_POST(self) -> None:
-        path = self.path.split("?", 1)[0]
-        if path == "/submit":
-            self._submit()
-        elif path == "/drain":
-            self._drain()
-        else:
-            self._send(404, "text/plain; charset=utf-8",
-                       b"unknown endpoint; try /submit, /drain\n")
-
-    def _metrics(self) -> None:
-        snapshot, _seq = self.server.service.publisher.latest()
-        body = service_prometheus_text(snapshot).encode("utf-8")
-        self._send(200, "text/plain; version=0.0.4; charset=utf-8", body)
-
-    def _healthz(self) -> None:
-        service = self.server.service
-        snapshot, seq = service.publisher.latest()
+    def _healthz(self, request: Request) -> Response:
+        service = self.service
+        snapshot, seq = self.publisher.latest()
         # archive.health() stats the segment files — fine here on the
         # HTTP thread, never on the kernel loop.
         archive = (service.archive.health()
                    if service.archive is not None else None)
-        self._send_json(200, {
+        return 200, {
             "status": "draining" if service.draining else "ok",
             "serving": not service.draining,
             "draining": service.draining,
@@ -137,151 +99,59 @@ class _Handler(BaseHTTPRequestHandler):
             # the snapshot: a dead worker must show up within the
             # health probe's latency, not the publish interval's).
             "workers": service.backend.describe(),
-        })
+        }
 
-    def _slo(self) -> None:
+    def _slo(self, request: Request) -> Response:
         """Current status of every declared objective (may be empty)."""
-        service = self.server.service
-        if service.slo is None:
-            self._send_json(200, {"objectives": [], "alerts": 0})
-            return
+        service = self.service
         tracker = service.slo
-
-        def _status() -> Any:
-            return tracker.status(service.kernel.wall_now)
-
+        if tracker is None:
+            return 200, {"objectives": [], "alerts": 0}
         # Status reads the tracker's event rings, which mutate on the
         # service loop — cross over for a tear-free view.
-        objectives = self.server.on_loop(_status)
-        self._send_json(200, {"objectives": objectives,
-                              "alerts": service.alerts_total})
+        objectives = self.on_loop(
+            lambda: tracker.status(service.kernel.wall_now))
+        return 200, {"objectives": objectives,
+                     "alerts": service.alerts_total}
 
-    def _stream(self) -> None:
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream")
-        self.send_header("Cache-Control", "no-cache")
-        self.end_headers()
-        try:
-            stream_publisher(self.wfile, self.server.service.publisher,
-                             self.server.stopping)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-stream
-        finally:
-            self.close_connection = True
-
-    def _submissions(self) -> None:
-        snapshot, _seq = self.server.service.publisher.latest()
+    def _submissions(self, request: Request) -> Response:
+        snapshot, _seq = self.publisher.latest()
         if snapshot is None:
-            self._send_json(200, {"queries": [], "recent": []})
-            return
-        self._send_json(200, {"queries": snapshot["queries"],
-                              "recent": snapshot["recent"]})
+            return 200, {"queries": [], "recent": []}
+        return 200, {"queries": snapshot["queries"],
+                     "recent": snapshot["recent"]}
 
-    def _submission(self, submission_id: str) -> None:
-        service = self.server.service
+    def _submission(self, request: Request) -> Response:
+        service = self.service
+        submission_id = request.tail
 
         def _lookup() -> Optional[Dict[str, Any]]:
             record = service.record_for(submission_id)
             return (record.to_dict(service.kernel.wall_now)
                     if record is not None else None)
 
-        found = self.server.on_loop(_lookup)
+        found = self.on_loop(_lookup)
         if found is None:
-            self._send_json(404, {"error": f"no submission {submission_id!r}"
-                                           " (finished ones age out)"})
-        else:
-            self._send_json(200, found)
+            return 404, {"error": f"no submission {submission_id!r}"
+                                  " (finished ones age out)"}
+        return 200, found
 
-    def _submit(self) -> None:
-        service = self.server.service
+    def _submit(self, request: Request) -> Response:
         try:
-            request = SubmissionRequest.from_json(self._read_json())
-            record = service.submit_threadsafe(request,
-                                               timeout=_LOOP_TIMEOUT_S)
+            record = self.service.submit_threadsafe(
+                SubmissionRequest.from_json(request.read_json()),
+                timeout=_LOOP_TIMEOUT_S)
         except ConfigurationError as exc:
-            self._send_json(400, {"error": str(exc)})
+            return 400, {"error": str(exc)}
         except QuotaExceeded as exc:
-            self._send_json(429, {"error": str(exc),
-                                  "tenant": exc.tenant})
+            return 429, {"error": str(exc), "tenant": exc.tenant}
         except ServiceDraining as exc:
-            self._send_json(503, {"error": str(exc)})
-        else:
-            self._send_json(202, {"id": record.id,
-                                  "tenant": record.request.tenant,
-                                  "state": record.state,
-                                  "submitted_at": record.submitted_at})
+            return 503, {"error": str(exc)}
+        return 202, {"id": record.id,
+                     "tenant": record.request.tenant,
+                     "state": record.state,
+                     "submitted_at": record.submitted_at}
 
-    def _drain(self) -> None:
-        self.server.service.drain_threadsafe()
-        self._send_json(202, {"status": "draining"})
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address: Tuple[str, int], service: QueryService):
-        super().__init__(address, _Handler)
-        self.service = service
-        self.stopping = threading.Event()
-
-    def on_loop(self, fn: Any) -> Any:
-        """Run ``fn`` on the service loop and return its result."""
-        import concurrent.futures
-
-        future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
-
-        def _call() -> None:
-            try:
-                future.set_result(fn())
-            except BaseException as exc:
-                future.set_exception(exc)
-
-        assert self.service._loop is not None, "service not started"
-        self.service._loop.call_soon_threadsafe(_call)
-        return future.result(timeout=_LOOP_TIMEOUT_S)
-
-
-class ServiceServer:
-    """Owns the HTTP server thread fronting one :class:`QueryService`."""
-
-    def __init__(self, service: QueryService,
-                 host: str = "127.0.0.1", port: int = 0):
-        self.service = service
-        self._server = _Server((host, port), service)
-        self._thread: Optional[threading.Thread] = None
-
-    @property
-    def host(self) -> str:
-        return self._server.server_address[0]
-
-    @property
-    def port(self) -> int:
-        """The bound port (resolved even when constructed with port 0)."""
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="service-http", daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop serving and join the server thread (idempotent)."""
-        if self._thread is None:
-            return
-        self._server.stopping.set()
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join()
-        self._thread = None
-
-    def __repr__(self) -> str:
-        state = "serving" if self._thread is not None else "stopped"
-        return f"ServiceServer({self.url}, {state})"
+    def _drain(self, request: Request) -> Response:
+        self.service.drain_threadsafe()
+        return 202, {"status": "draining"}

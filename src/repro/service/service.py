@@ -75,7 +75,7 @@ from repro.observability.archive import (
     TelemetryArchive,
 )
 from repro.observability.audit import DecisionRecord
-from repro.observability.flight import ENTRY_DECISION, ENTRY_STALL, FlightRecorder
+from repro.observability.flight import FlightRecorder
 from repro.resources import (
     ADMISSION_POLICIES,
     AdmissionController,
@@ -398,7 +398,9 @@ class QueryService:
         self._audit_observers: List[Callable[[DecisionRecord], None]] = []
         self.recorder: Optional[FlightRecorder] = None
         if self.flight_dump is not None:
-            self.recorder = self._attach_flight(flight_capacity)
+            self.recorder = FlightRecorder(
+                capacity=flight_capacity).attach(self.machine.telemetry)
+            self._audit_observers.append(self.recorder.record_decision)
         if self.span_dump is not None \
                 and self.machine.telemetry.spans is None:
             from repro.observability.spans import SpanRecorder
@@ -477,19 +479,6 @@ class QueryService:
         self._publish_task: Optional["asyncio.Task[None]"] = None
 
     # -- lifecycle -----------------------------------------------------------
-    def _attach_flight(self, capacity: int) -> FlightRecorder:
-        recorder = FlightRecorder(capacity=capacity)
-        telemetry = self.machine.telemetry
-        telemetry.flight = recorder
-        self._audit_observers.append(
-            lambda record: recorder.record(
-                ENTRY_DECISION, record.time, name=record.kind,
-                subject=record.subject))
-        telemetry.stalls.on_record = lambda interval: recorder.record(
-            ENTRY_STALL, interval.ended, cause=interval.cause,
-            duration=interval.duration)
-        return recorder
-
     def _dispatch_audit(self, record: DecisionRecord) -> None:
         for observer in self._audit_observers:
             observer(record)

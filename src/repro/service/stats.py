@@ -17,6 +17,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from repro.observability.export import PrometheusText, prom_float, prom_labels
+
 #: default completion-latency ring size.
 DEFAULT_WINDOW = 4096
 
@@ -97,26 +99,15 @@ class LatencyWindow:
         return summary
 
 
-def _esc(label: str) -> str:
-    return label.replace("\\", r"\\").replace('"', r'\"')
-
-
 def service_prometheus_text(snapshot: Optional[Dict[str, Any]]) -> str:
     """Render one service snapshot as Prometheus exposition text."""
-    lines: List[str] = []
-
-    def emit(name: str, kind: str, help_text: str,
-             samples: List[Tuple[str, Any]]) -> None:
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        for suffix, value in samples:
-            lines.append(f"{name}{suffix} {float(value)!r}")
-
+    text = PrometheusText(number=prom_float)
+    emit = text.emit
     emit("repro_service_up", "gauge",
          "1 while the service is publishing snapshots.",
          [("", 1.0 if snapshot is not None else 0.0)])
     if snapshot is None:
-        return "\n".join(lines) + "\n"
+        return text.render()
 
     emit("repro_service_uptime_seconds", "gauge",
          "Seconds since the service kernel started.",
@@ -144,7 +135,7 @@ def service_prometheus_text(snapshot: Optional[Dict[str, Any]]) -> str:
     latency = snapshot["latency"]
     emit("repro_service_latency_seconds", "gauge",
          "Completion latency over the sliding window, by quantile.",
-         [(f'{{quantile="{q}"}}', latency[key])
+         [(prom_labels(quantile=q), latency[key])
           for q, key in (("0.5", "p50_s"), ("0.95", "p95_s"),
                          ("0.99", "p99_s"))])
     emit("repro_service_throughput_qps", "gauge",
@@ -163,49 +154,49 @@ def service_prometheus_text(snapshot: Optional[Dict[str, Any]]) -> str:
 
     emit("repro_service_stall_seconds_total", "counter",
          "Machine idle time by attributed cause.",
-         [(f'{{cause="{_esc(cause)}"}}', seconds)
+         [(prom_labels(cause=cause), seconds)
           for cause, seconds in sorted(snapshot["stalls"].items())])
 
     workers = snapshot.get("workers")
     if workers:
         emit("repro_service_worker_up", "gauge",
              "1 while the worker process is alive and ready.",
-             [(f'{{worker="{row["id"]}"}}',
+             [(prom_labels(worker=row["id"]),
                1.0 if row["state"] == "up" else 0.0) for row in workers])
         emit("repro_service_worker_active", "gauge",
              "Submissions in flight on each worker.",
-             [(f'{{worker="{row["id"]}"}}', row["active"])
+             [(prom_labels(worker=row["id"]), row["active"])
               for row in workers])
         emit("repro_service_worker_queued", "gauge",
              "Submissions queued coordinator-side for each worker.",
-             [(f'{{worker="{row["id"]}"}}', row["queued"])
+             [(prom_labels(worker=row["id"]), row["queued"])
               for row in workers])
         emit("repro_service_worker_completed_total", "counter",
              "Submissions each worker finished successfully.",
-             [(f'{{worker="{row["id"]}"}}', row["completed"])
+             [(prom_labels(worker=row["id"]), row["completed"])
               for row in workers])
         emit("repro_service_worker_steals_total", "counter",
              "Jobs each worker stole from a backlogged peer.",
-             [(f'{{worker="{row["id"]}"}}', row["steals"])
+             [(prom_labels(worker=row["id"]), row["steals"])
               for row in workers])
         emit("repro_service_worker_restarts_total", "counter",
              "Times each worker slot was respawned after a death.",
-             [(f'{{worker="{row["id"]}"}}', row["restarts"])
+             [(prom_labels(worker=row["id"]), row["restarts"])
               for row in workers])
 
     slo = snapshot.get("slo")
     if slo:
         emit("repro_service_slo_compliance", "gauge",
              "Fraction of events meeting each objective since start.",
-             [(f'{{objective="{_esc(o["objective"])}"}}', o["compliance"])
+             [(prom_labels(objective=o["objective"]), o["compliance"])
               for o in slo])
         emit("repro_service_slo_alerting", "gauge",
              "1 while any burn-rate window of the objective is firing.",
-             [(f'{{objective="{_esc(o["objective"])}"}}',
+             [(prom_labels(objective=o["objective"]),
                1.0 if o["alerting"] else 0.0) for o in slo])
         emit("repro_service_slo_burn_rate", "gauge",
              "Error-budget burn rate per objective and window.",
-             [(f'{{objective="{_esc(o["objective"])}",window="{label}"}}',
+             [(prom_labels(objective=o["objective"], window=label),
                window["burn_rate"])
               for o in slo for label, window in sorted(o["windows"].items())])
     archive = snapshot.get("archive")
@@ -233,6 +224,6 @@ def service_prometheus_text(snapshot: Optional[Dict[str, Any]]) -> str:
              "Per-tenant mean admission wait (seconds).")):
         suffix = "_total" if kind == "counter" else ""
         emit(f"repro_service_tenant_{field}{suffix}", kind, help_text,
-             [(f'{{tenant="{_esc(t["name"])}"}}', t[field])
+             [(prom_labels(tenant=t["name"]), t[field])
               for t in tenants])
-    return "\n".join(lines) + "\n"
+    return text.render()

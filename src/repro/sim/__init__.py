@@ -8,15 +8,18 @@ the style of SimPy: processes yield events and the kernel resumes them when
 those events trigger.
 """
 
-from repro.sim.engine import (
+from repro.exec.core import (
+    PRIORITY_LOW,
+    PRIORITY_NORMAL,
+    PRIORITY_URGENT,
     AllOf,
     AnyOf,
     Interrupt,
     Process,
     SimEvent,
-    Simulator,
     Timeout,
 )
+from repro.sim.engine import Simulator
 from repro.sim.resources import CPU, Disk, NetworkLink, Resource, Store
 from repro.sim.cache import LRUPageCache
 from repro.sim.stats import Counter, TimeWeightedStat, WelfordStat
@@ -31,6 +34,9 @@ __all__ = [
     "Interrupt",
     "LRUPageCache",
     "NetworkLink",
+    "PRIORITY_LOW",
+    "PRIORITY_NORMAL",
+    "PRIORITY_URGENT",
     "Process",
     "Resource",
     "SimEvent",

@@ -5,8 +5,7 @@
 of events.  The event machinery itself (:class:`SimEvent`,
 :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`, :class:`Process`,
 :class:`Interrupt`) is backend-neutral and lives in
-:mod:`repro.exec.core`; it is re-exported here unchanged so existing
-imports keep working.
+:mod:`repro.exec.core`.
 
 Determinism: events scheduled at the same virtual time are processed in
 (priority, insertion-order) order, so a simulation with seeded RNGs is
@@ -30,31 +29,7 @@ import heapq
 from typing import Optional
 
 from repro.common.errors import SimulationError
-from repro.exec.core import (
-    PRIORITY_LOW,
-    PRIORITY_NORMAL,
-    PRIORITY_URGENT,
-    AllOf,
-    AnyOf,
-    Interrupt,
-    KernelBase,
-    Process,
-    SimEvent,
-    Timeout,
-)
-
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "PRIORITY_LOW",
-    "PRIORITY_NORMAL",
-    "PRIORITY_URGENT",
-    "Process",
-    "SimEvent",
-    "Simulator",
-    "Timeout",
-]
+from repro.exec.core import KernelBase, SimEvent
 
 
 class Simulator(KernelBase):

@@ -264,6 +264,64 @@ def test_write_sse_event_names_alert_frames():
 
 
 # --------------------------------------------------------------------------
+# One segment per response (no header/body split for delayed ACK to stall)
+# --------------------------------------------------------------------------
+
+class _RecordingConnection:
+    """Stands in for the accepted socket: serves canned request bytes and
+    records every write that would reach the wire, one entry per send."""
+
+    def __init__(self, request: bytes):
+        self._request = request
+        self.sends = []
+
+    def makefile(self, mode, buffering=-1):
+        import io
+
+        if "r" in mode:
+            return io.BytesIO(self._request)
+        connection = self
+
+        class Wire(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                connection.sendall(data)
+                return len(data)
+
+        return Wire() if buffering == 0 else io.BufferedWriter(Wire())
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+
+
+@pytest.mark.parametrize("path, status", [
+    ("/healthz", b"200"), ("/metrics", b"200"), ("/submissions/s-1", b"200"),
+    ("/nope", b"404")])
+def test_a_response_leaves_in_one_send(path, status):
+    from types import SimpleNamespace
+
+    from repro.observability.server import Request
+
+    server = SimpleNamespace(
+        publisher=MetricsPublisher(), stopping=threading.Event(),
+        routes={("GET", "/healthz"): lambda request: (200, {"status": "ok"}),
+                ("GET", "/metrics"): lambda request: (200, "repro_up 1.0\n"),
+                ("GET", "/submissions/*"):
+                    lambda request: (200, {"id": request.tail})})
+    connection = _RecordingConnection(
+        f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
+    Request(connection, ("127.0.0.1", 0), server)
+    assert len(connection.sends) == 1, connection.sends
+    head, _, body = connection.sends[0].partition(b"\r\n\r\n")
+    assert head.split()[1] == status
+    assert f"Content-Length: {len(body)}".encode() in head
+    if path.startswith("/submissions/"):
+        assert json.loads(body) == {"id": "s-1"}
+
+
+# --------------------------------------------------------------------------
 # Auto-reconnect (satellite: watch/top survive a dropped stream)
 # --------------------------------------------------------------------------
 

@@ -5,7 +5,8 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.config import SimulationParameters
 from repro.core.runtime import World
-from repro.mediator.buffer import HashTable, MemoryManager
+from repro.mediator.buffer import HashTable
+from repro.resources import MemoryLease
 
 
 def make_world(**overrides):
@@ -14,11 +15,11 @@ def make_world(**overrides):
 
 
 # --------------------------------------------------------------------------
-# MemoryManager
+# MemoryLease
 # --------------------------------------------------------------------------
 
 def test_reserve_release_cycle():
-    memory = MemoryManager(1000)
+    memory = MemoryLease(1000)
     memory.reserve("a", 600)
     assert memory.available_bytes == 400
     assert memory.held_by("a") == 600
@@ -27,27 +28,27 @@ def test_reserve_release_cycle():
 
 
 def test_would_fit():
-    memory = MemoryManager(1000)
+    memory = MemoryLease(1000)
     memory.reserve("a", 600)
     assert memory.would_fit(400)
     assert not memory.would_fit(401)
 
 
 def test_over_reservation_rejected():
-    memory = MemoryManager(100)
+    memory = MemoryLease(100)
     with pytest.raises(SimulationError):
         memory.reserve("a", 200)
 
 
 def test_duplicate_owner_rejected():
-    memory = MemoryManager(1000)
+    memory = MemoryLease(1000)
     memory.reserve("a", 10)
     with pytest.raises(SimulationError):
         memory.reserve("a", 10)
 
 
 def test_grow_success_and_failure():
-    memory = MemoryManager(100)
+    memory = MemoryLease(100)
     memory.reserve("a", 50)
     assert memory.try_grow("a", 50)
     assert not memory.try_grow("a", 1)
@@ -56,11 +57,11 @@ def test_grow_success_and_failure():
 
 def test_release_unknown_owner():
     with pytest.raises(SimulationError):
-        MemoryManager(100).release("ghost")
+        MemoryLease(100).release("ghost")
 
 
 def test_peak_tracking():
-    memory = MemoryManager(1000)
+    memory = MemoryLease(1000)
     memory.reserve("a", 700)
     memory.release("a")
     memory.reserve("b", 300)
@@ -72,7 +73,7 @@ def test_peak_tracking():
 # --------------------------------------------------------------------------
 
 def test_hash_table_reserves_estimate():
-    memory = MemoryManager(10_000)
+    memory = MemoryLease(10_000)
     table = HashTable("J1", memory, tuple_size=40, page_size=100,
                       estimated_tuples=100)
     assert memory.held_by("hash:J1") == 4000
@@ -83,7 +84,7 @@ def test_hash_table_reserves_estimate():
 
 
 def test_hash_table_grows_beyond_estimate():
-    memory = MemoryManager(10_000)
+    memory = MemoryLease(10_000)
     table = HashTable("J1", memory, tuple_size=40, page_size=100,
                       estimated_tuples=10)
     assert table.insert(50)  # 2000 bytes > 400 reserved; grows in pages
@@ -91,7 +92,7 @@ def test_hash_table_grows_beyond_estimate():
 
 
 def test_hash_table_overflow_returns_false():
-    memory = MemoryManager(1000)
+    memory = MemoryLease(1000)
     table = HashTable("J1", memory, tuple_size=40, page_size=100,
                       estimated_tuples=10)
     assert not table.insert(100)  # needs 4000 bytes, only 1000 exist
@@ -99,7 +100,7 @@ def test_hash_table_overflow_returns_false():
 
 
 def test_hash_table_insert_after_seal_rejected():
-    memory = MemoryManager(1000)
+    memory = MemoryLease(1000)
     table = HashTable("J1", memory, tuple_size=40, page_size=100,
                       estimated_tuples=5)
     table.seal()

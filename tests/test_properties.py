@@ -12,7 +12,7 @@ from repro.plan import ancestor_closure, build_qep, validate_qep
 from repro.plan.operators import MatOp, OutputOp
 from repro.query import JoinTree, Query, QueryGenerator
 from repro.sim import LRUPageCache, Simulator, WelfordStat
-from repro.mediator.buffer import MemoryManager
+from repro.resources import MemoryLease
 from repro.mediator.queues import Message, SourceQueue
 
 
@@ -117,7 +117,7 @@ def test_welford_matches_numpy(values):
                           st.integers(0, 10), st.integers(0, 500)),
                 max_size=100))
 def test_memory_conservation(operations):
-    memory = MemoryManager(10_000)
+    memory = MemoryLease(10_000)
     held = {}
     for op, owner_id, amount in operations:
         owner = f"o{owner_id}"

@@ -8,7 +8,7 @@ from repro.resources import AdmissionController, MemoryBroker, MemoryLease
 from repro.sim import Simulator
 
 
-# -- the leaf layer: legacy MemoryManager semantics -------------------------
+# -- the leaf layer: static-budget semantics --------------------------------
 
 class TestLeaseLeafAccounting:
     def test_reserve_release_peak(self):
@@ -71,7 +71,7 @@ class TestBroker:
         assert not broker.governed
         assert broker.spare_bytes() is None
         # min == max == budget: headroom is zero, arithmetic identical
-        # to the old private MemoryManager.
+        # to a standalone private lease.
         assert not lease.would_fit(1001)
 
     def test_governed_pool_bounds_leases(self):

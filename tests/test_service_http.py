@@ -47,6 +47,19 @@ def _request(port, method, path, body=None):
         conn.close()
 
 
+def _raw_request(port, head):
+    """Send raw request bytes; the status and JSON body of the answer."""
+    import socket
+
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head)
+        answer = b""
+        while chunk := sock.recv(65536):    # the server closes after a 400
+            answer += chunk
+    headers, _, body = answer.partition(b"\r\n\r\n")
+    return int(headers.split()[1]), body.decode("utf-8")
+
+
 @pytest.fixture(scope="module")
 def http_session(tmp_path_factory):
     """One served service session; every HTTP interaction collected."""
@@ -76,6 +89,14 @@ def http_session(tmp_path_factory):
                                         {"bogus": 1})
             out["quota"] = _request(port, "POST", "/submit",
                                     dict(FAST, tenant="capped"))
+            # Headers only: the server must answer from the length alone
+            # (an oversized body is refused unread).
+            for name, length in (("bad_length", "abc"),
+                                 ("negative_length", "-1"),
+                                 ("oversized_body", str(64 * 1024 + 1))):
+                out[name] = _raw_request(
+                    port, f"POST /submit HTTP/1.1\r\nHost: test\r\n"
+                          f"Content-Length: {length}\r\n\r\n".encode())
             out["not_found"] = _request(port, "GET", "/submissions/s-999999")
             out["unknown"] = _request(port, "GET", "/nope")
             submission_id = out["submit"][1]["id"]
@@ -154,6 +175,11 @@ def test_malformed_bodies_get_400(http_session):
     assert http_session["bad_json"][0] == 400
     assert http_session["bad_field"][0] == 400
     assert "unknown submission field" in http_session["bad_field"][1]["error"]
+    for name in ("bad_length", "negative_length", "oversized_body"):
+        status, body = http_session[name]
+        assert status == 400, (name, status, body)
+        assert body.count("\n") == 1 and body.endswith("\n")
+        assert "Content-Length" in json.loads(body)["error"]
 
 
 def test_quota_exhaustion_gets_429_with_the_tenant(http_session):

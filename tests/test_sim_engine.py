@@ -3,8 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Interrupt, Simulator
-from repro.sim.engine import PRIORITY_URGENT
+from repro.sim import PRIORITY_URGENT, Interrupt, Simulator
 
 
 def test_clock_starts_at_zero(sim):
