@@ -9,10 +9,35 @@ trigger kernel events at any moment.
 
 Semantics compared to the simulator:
 
-* ``now`` is seconds since ``run`` first started (wall clock).  While a
-  batch of already-due events drains, ``now`` is frozen at the latest
-  due deadline, so zero-delay event chains share one logical timestamp
-  and their relative order is exactly the simulator's.
+* ``now`` is the *dispatch clock*: seconds since ``run`` first started,
+  read off the modelled schedule rather than off the host's wake-ups.
+  Three rules move it:
+
+  1. *deadline on timer expiry* — when a timed pause ends, ``now``
+     becomes the deadline of the event that was due, not the wall
+     reading.  A wake that is 0.7 ms late therefore shortens the next
+     pause by 0.7 ms: lateness is bounded by one timer overshoot
+     instead of summed along a chain of pauses.  While a batch of
+     already-due events drains, ``now`` stays frozen at the latest due
+     deadline, so zero-delay event chains share one logical timestamp
+     and their relative order is exactly the simulator's.
+  2. *wall on foreign arrival and on idle wake* — an event scheduled
+     from outside the kernel while it sleeps (a :class:`LiveWrapper`
+     feeder, a pipe reader's ``call_soon_threadsafe``,
+     ``QueryService.submit``) is stamped at the wall time of its
+     arrival, and a kernel that idled on an empty heap resumes at the
+     wall.  Modelled work armed by that arrival then takes its full
+     modelled time from the arrival on.
+  3. *exactly* ``until`` *at the bound* — ``run(until=t)`` whose heap
+     outlives ``t`` returns at wall ``t`` with ``now == t``, as
+     :meth:`repro.sim.engine.Simulator.run` documents.
+
+  ``now`` is thus never ahead of the wall and at most one overshoot
+  behind it while the kernel keeps up; it is the clock for everything
+  *modelled* (``ExecutionResult.response_time``, span times, stall
+  accounting).  Consumers that stamp something *external* — a
+  submission's ``submitted_at`` / ``started_at`` / ``finished_at``,
+  and so the service's ``latency_s`` — must read :attr:`wall_now`.
 * ``run`` is a coroutine.  With neither ``until`` nor ``until_event``
   it returns when the event heap drains (the simulator's semantic);
   with ``until_event`` it keeps waiting for externally triggered events
@@ -48,12 +73,13 @@ class AsyncioKernel(KernelBase):
         self._now = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._origin: Optional[float] = None
-        self._wakeup: Optional[asyncio.Event] = None
+        #: the future ``run`` is parked on while it sleeps, else None.
+        self._parked: Optional[asyncio.Future[None]] = None
         self._stop_requested = False
 
     @property
     def now(self) -> float:  # type: ignore[override]
-        """Seconds since ``run`` first started (0.0 before that)."""
+        """The dispatch clock (module docstring); 0.0 before ``run``."""
         return self._now
 
     @property
@@ -66,11 +92,12 @@ class AsyncioKernel(KernelBase):
         """Real elapsed seconds since ``run`` first started.
 
         ``now`` is the *dispatch* clock: it only advances when events
-        fire, so between events (an idle kernel waiting on live
-        sources) it reports the time of the last dispatch.  Callers
-        timestamping external arrivals — the service stamping a
-        submission that came in over HTTP — need the real clock, or an
-        idle gap before the arrival is billed to its latency.
+        fire, and then to their deadline, so between events (an idle
+        kernel waiting on live sources) it reports the time of the last
+        dispatch.  Callers timestamping external arrivals — the service
+        stamping a submission that came in over HTTP — need the real
+        clock, or an idle gap before the arrival is billed to its
+        latency.
         """
         if self._loop is not None and self._origin is not None:
             return max(self._now, self._wall())
@@ -86,8 +113,7 @@ class AsyncioKernel(KernelBase):
         work and returns.  Idempotent; a no-op once ``run`` returned.
         """
         self._stop_requested = True
-        if self._wakeup is not None:
-            self._wakeup.set()
+        self._wake()
 
     def request_stop_threadsafe(self) -> None:
         """Thread-safe :meth:`request_stop` (callable off the loop)."""
@@ -101,32 +127,48 @@ class AsyncioKernel(KernelBase):
     def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if self._parked is not None:
+            # Only foreign code runs while the kernel sleeps: the event
+            # arrives now, not at the (stale) time of the last dispatch.
+            self._now = max(self._now, self._wall())
+            self._wake()
         self._sequence += 1
         heapq.heappush(self._heap,
                        (self._now + delay, priority, self._sequence, event))
-        if self._wakeup is not None:
-            # Wake the run loop: a feeder task may schedule mid-sleep.
-            self._wakeup.set()
 
     # -- running ---------------------------------------------------------
     def _wall(self) -> float:
         assert self._loop is not None and self._origin is not None
         return self._loop.time() - self._origin
 
-    async def _sleep(self, seconds: Optional[float]) -> None:
-        """Sleep until ``seconds`` elapse or something new is scheduled."""
-        assert self._wakeup is not None
-        self._wakeup.clear()
+    def _wake(self) -> None:
+        """End the current :meth:`_sleep`, if there is one."""
+        if self._parked is not None and not self._parked.done():
+            self._parked.set_result(None)
+
+    async def _sleep(self, deadline: Optional[float]) -> None:
+        """Park until kernel time ``deadline`` (``None``: indefinitely)
+        or until something is scheduled or a stop is requested.
+
+        One future and at most one timer per pause, no :class:`asyncio.Task`.
+        """
+        assert self._loop is not None and self._origin is not None
+        parked = self._parked = self._loop.create_future()
+        timer = None if deadline is None else self._loop.call_at(
+            self._origin + deadline, self._wake)
         try:
-            await asyncio.wait_for(self._wakeup.wait(), timeout=seconds)
-        except asyncio.TimeoutError:
-            pass
+            await parked
+        finally:
+            self._parked = None
+            if timer is not None:
+                timer.cancel()
 
     async def run(self, until: Optional[float] = None,
                   until_event: Optional[SimEvent] = None) -> None:
         """Drive events in real time; a coroutine, unlike the simulator.
 
-        ``until`` bounds the run in kernel seconds.  ``until_event``
+        ``until`` bounds the run in kernel seconds; if the heap outlives
+        it the clock is left exactly at ``until``.  ``until_event``
         keeps the kernel alive through empty-heap moments (waiting for
         live sources) until that event has been processed.
         """
@@ -135,7 +177,6 @@ class AsyncioKernel(KernelBase):
         self._loop = asyncio.get_running_loop()
         # Align the wall clock with any pre-run scheduling done at now=0.
         self._origin = self._loop.time() - self._now
-        self._wakeup = asyncio.Event()
         try:
             drained = 0
             while True:
@@ -151,18 +192,21 @@ class AsyncioKernel(KernelBase):
                     if until_event is None:
                         break
                     await self._sleep(None)
+                    # Nothing modelled was pending: follow the wall.
                     self._now = max(self._now, self._wall())
                     continue
                 deadline = self._heap[0][0]
-                wall = self._wall()
-                if deadline > wall:
-                    pause = deadline - wall
-                    if until is not None:
-                        pause = min(pause, max(0.0, until - wall))
-                    await self._sleep(pause)
-                    self._now = max(self._now, self._wall())
+                bound = deadline if until is None else min(deadline, until)
+                if bound > self._wall():
+                    # `now` is not resynced afterwards: it advances to
+                    # the deadline when the due event is popped below,
+                    # so a late wake shortens the next pause.
+                    await self._sleep(bound)
                     drained = 0
                     continue
+                if deadline > bound:
+                    self._now = bound  # the heap outlives `until`
+                    break
                 _, _priority, _seq, event = heapq.heappop(self._heap)
                 # Freeze `now` at the due deadline while draining, so
                 # same-deadline chains keep simulator-identical order.
@@ -176,7 +220,6 @@ class AsyncioKernel(KernelBase):
         finally:
             self._loop = None
             self._origin = None
-            self._wakeup = None
             self._stop_requested = False
         self._raise_unhandled_failures()
 

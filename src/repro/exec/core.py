@@ -105,6 +105,23 @@ class SimEvent:
         self.sim._schedule(self, delay=0.0, priority=priority)
         return self
 
+    def grant(self, value: Any = None) -> "SimEvent":
+        """Succeed *in place*: the event is processed here and now,
+        without a trip through the kernel's heap.
+
+        For a wait that is already satisfied when it is asked for (a
+        free :class:`~repro.sim.resources.Resource` slot): the process
+        that yields the event carries straight on, and the kernel
+        dispatches one event fewer.  Callbacks already registered run
+        synchronously.  Only for waits where skipping the hop cannot
+        reorder the model — see ``tests/test_sim_resources.py``.
+        """
+        if self._state != _PENDING:
+            raise SimulationError(f"event {self!r} already triggered")
+        self.value = value
+        self._run_callbacks()
+        return self
+
     # -- callbacks ---------------------------------------------------------
     def add_callback(self, callback: Callable[["SimEvent"], None]) -> None:
         """Run ``callback(event)`` when the event is processed.
@@ -279,37 +296,46 @@ class Process(SimEvent):
 
     def _resume(self, event: SimEvent) -> None:
         self._waiting_on = None
-        try:
-            if event.failure is not None:
-                if isinstance(event, Process):
-                    event.defused = True
-                target = self.generator.throw(event.failure)
-            else:
-                target = self.generator.send(event.value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
+        while True:
+            try:
+                if event.failure is not None:
+                    if isinstance(event, Process):
+                        event.defused = True
+                    target = self.generator.throw(event.failure)
+                else:
+                    target = self.generator.send(event.value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except Interrupt as exc:
+                # An uncaught interrupt terminates the process "normally"
+                # with the interrupt as its value marker; anything else
+                # is an error.
+                self.fail(exc)
+                return
+            except BaseException as exc:  # noqa: BLE001 - forward real failures
+                self.fail(exc)
+                self.sim._note_failed_process(self)
+                return
+            if not isinstance(target, SimEvent):
+                self.generator.close()
+                self.fail(SimulationError(
+                    f"process {self.name!r} yielded {target!r}, "
+                    f"expected a SimEvent"))
+                return
+            if target.sim is not self.sim:
+                self.generator.close()
+                self.fail(SimulationError(
+                    "yielded event belongs to a different kernel"))
+                return
+            if target._state == _PROCESSED:
+                # Already happened: carry on in this dispatch (a loop,
+                # not recursion through add_callback's immediate call).
+                event = target
+                continue
+            self._waiting_on = target
+            target.add_callback(self._resume)
             return
-        except Interrupt as exc:
-            # An uncaught interrupt terminates the process "normally" with
-            # the interrupt as its value marker; anything else is an error.
-            self.fail(exc)
-            return
-        except BaseException as exc:  # noqa: BLE001 - forward real failures
-            self.fail(exc)
-            self.sim._note_failed_process(self)
-            return
-        if not isinstance(target, SimEvent):
-            self.generator.close()
-            self.fail(SimulationError(
-                f"process {self.name!r} yielded {target!r}, expected a SimEvent"))
-            return
-        if target.sim is not self.sim:
-            self.generator.close()
-            self.fail(SimulationError(
-                "yielded event belongs to a different kernel"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._resume)
 
 
 class KernelBase:
@@ -321,7 +347,8 @@ class KernelBase:
     events by ``(priority, insertion order)``.
     """
 
-    #: current time in seconds (virtual or since-start wall clock).
+    #: current time in seconds (virtual, or the wall-clock backend's
+    #: dispatch clock — see :mod:`repro.exec.aio`).
     now: float
 
     def __init__(self) -> None:

@@ -174,7 +174,7 @@ class MemoryLease:
         """Accept ``delta_bytes`` offered by the broker (grow event)."""
         if delta_bytes <= 0:
             return
-        self.total_bytes += delta_bytes
+        self._resize(delta_bytes)
         self.grow_revision += 1
         self._publish()
         for callback in self._grow_subscribers:
@@ -202,9 +202,17 @@ class MemoryLease:
         target_bytes = max(target_bytes, self.used_bytes)
         freed = self.total_bytes - target_bytes
         if freed > 0:
-            self.total_bytes = target_bytes
+            self._resize(-freed)
             self._publish()
         return max(freed, 0)
+
+    def _resize(self, delta_bytes: int) -> None:
+        """The one place a carved lease's total changes, so the broker's
+        running :attr:`MemoryBroker.leased_bytes` stays equal to the
+        re-sum over its leases."""
+        self.total_bytes += delta_bytes
+        if self.broker is not None and not self.released:
+            self.broker._leased_bytes += delta_bytes
 
     # -- observability ------------------------------------------------------
     def attach_metrics(self, registry: "MetricsRegistry",
@@ -259,6 +267,7 @@ class MemoryBroker:
         self.sim = sim
         self.telemetry = telemetry
         self.leases: List[MemoryLease] = []
+        self._leased_bytes = 0
         self._admission: Optional["AdmissionController"] = None
         self._leased_gauge: Optional["Gauge"] = None
         self._spare_gauge: Optional["Gauge"] = None
@@ -273,7 +282,9 @@ class MemoryBroker:
 
     @property
     def leased_bytes(self) -> int:
-        return sum(lease.total_bytes for lease in self.leases)
+        """``sum(lease.total_bytes for lease in self.leases)``, kept as
+        a running total (read on every :meth:`spare_bytes` call)."""
+        return self._leased_bytes
 
     def spare_bytes(self) -> Optional[int]:
         """Unleased pool bytes; None when the pool is unbounded."""
@@ -295,6 +306,7 @@ class MemoryBroker:
                             min_bytes=min_bytes, max_bytes=max_bytes,
                             tenant=tenant)
         self.leases.append(lease)
+        self._leased_bytes += num_bytes
         self._publish()
         return lease
 
@@ -341,7 +353,7 @@ class MemoryBroker:
         spare = self.spare_bytes()
         if spare is not None and delta_bytes > spare:
             return False
-        lease.total_bytes += delta_bytes
+        lease._resize(delta_bytes)
         self._publish()
         return True
 
@@ -351,6 +363,7 @@ class MemoryBroker:
             return
         lease.released = True
         self.leases.remove(lease)
+        self._leased_bytes -= lease.total_bytes
         self._publish()
         if self.governed:
             self._redistribute()

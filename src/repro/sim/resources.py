@@ -52,7 +52,7 @@ class Resource:
         if self._in_use < self.capacity:
             self._in_use += 1
             self.occupancy.record(self._in_use)
-            event.succeed()
+            event.grant()
         else:
             self._waiters.append(event)
         return event
@@ -105,11 +105,11 @@ class Store:
             # Hand the item straight to the oldest waiting consumer.
             getter = self._getters.popleft()
             getter.succeed(item)
-            event.succeed()
+            event.grant()
         elif not self.is_full:
             self.items.append(item)
             self.level.record(len(self.items))
-            event.succeed()
+            event.grant()
         else:
             self._putters.append((event, item))
         return event

@@ -212,6 +212,144 @@ def test_asyncio_run_is_not_reentrant():
     asyncio.run(scenario())
 
 
+# -- asyncio backend: the pacing contract -----------------------------------
+# Each bound is several times the measured effect (see docs/performance.md,
+# "The wall-clock kernel paces against deadlines").
+
+def test_asyncio_chained_pauses_do_not_accumulate_timer_lateness():
+    """200 x 0.3 ms is 60 ms of modelled time: a late wake shortens the
+    next pause instead of pushing every later deadline out (246 ms when
+    each pause kept its ~1 ms epoll overshoot)."""
+    kernel = AsyncioKernel()
+    pauses, step = 200, 0.0003
+
+    def chain():
+        for _ in range(pauses):
+            yield kernel.timeout(step)
+
+    kernel.process(chain())
+    start = time.perf_counter()
+    asyncio.run(kernel.run())
+    elapsed = time.perf_counter() - start
+    assert 0.060 - 0.001 <= elapsed < 0.060 + 0.015
+    # The dispatch clock ends on the modelled schedule, not on the wall.
+    assert kernel.now == pytest.approx(pauses * step, abs=1e-9)
+
+
+def test_asyncio_foreign_arrival_mid_sleep_is_stamped_at_the_wall():
+    """The guard against pacing *only* on deadlines: an event triggered
+    from outside 50 ms into a long sleep happens then, and modelled work
+    it arms takes its full modelled time from then on."""
+    kernel = AsyncioKernel()
+    seen: dict = {}
+
+    def sleeper():
+        yield kernel.timeout(1.0)
+
+    data = kernel.event("data")
+    armed = kernel.event("armed")
+
+    def on_data(_event):
+        seen["lag"] = kernel.wall_now - kernel.now
+        seen["armed_at"] = time.perf_counter()
+        kernel.timeout(0.05).add_callback(lambda _e: armed.succeed())
+
+    data.add_callback(on_data)
+    kernel.process(sleeper())
+
+    async def scenario():
+        async def feeder():
+            await asyncio.sleep(0.05)
+            data.succeed()
+        task = asyncio.ensure_future(feeder())
+        await kernel.run(until_event=armed)
+        seen["armed_for"] = time.perf_counter() - seen["armed_at"]
+        await task
+
+    asyncio.run(scenario())
+    assert 0.0 <= seen["lag"] < 0.005
+    assert 0.05 <= kernel.now < 0.5
+    assert seen["armed_for"] >= 0.05
+
+
+def test_asyncio_pauses_build_no_task_and_hold_one_timer():
+    kernel = AsyncioKernel()
+    tasks: list = []
+    timers: list = []
+    live_counts: list = []
+
+    def chain():
+        for _ in range(100):
+            yield kernel.timeout(0.001)
+
+    kernel.process(chain())
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+
+        def factory(loop, coro, **kwargs):
+            tasks.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        real_call_at = loop.call_at
+
+        def call_at(when, callback, *args, **kwargs):
+            handle = real_call_at(when, callback, *args, **kwargs)
+            timers.append(handle)
+            live_counts.append(sum(
+                1 for timer in timers
+                if not timer.cancelled() and timer.when() > loop.time()))
+            return handle
+
+        loop.set_task_factory(factory)
+        loop.call_at = call_at
+        try:
+            await kernel.run()
+        finally:
+            del loop.call_at
+            loop.set_task_factory(None)
+
+    asyncio.run(scenario())
+    assert tasks == []
+    assert 10 <= len(timers) <= 100  # it did sleep, at most once per pause
+    assert max(live_counts) == 1
+
+
+@pytest.mark.parametrize("threadsafe", [False, True])
+def test_asyncio_stop_request_ends_a_timed_sleep(threadsafe):
+    kernel = AsyncioKernel()
+    far = kernel.timeout(5.0)
+
+    async def scenario():
+        loop = asyncio.get_running_loop()
+        run = asyncio.ensure_future(kernel.run())
+        await asyncio.sleep(0.02)
+        asked = time.perf_counter()
+        if threadsafe:
+            await loop.run_in_executor(None, kernel.request_stop_threadsafe)
+        else:
+            kernel.request_stop()
+        await run
+        return time.perf_counter() - asked
+
+    assert asyncio.run(scenario()) < 0.020
+    assert not far.processed
+
+
+def test_asyncio_run_until_leaves_now_at_the_bound_when_the_heap_outlives_it():
+    kernel = AsyncioKernel()
+    far = kernel.timeout(5.0)
+    start = time.perf_counter()
+    asyncio.run(kernel.run(until=0.05))
+    elapsed = time.perf_counter() - start
+    assert 0.05 - 0.001 <= elapsed < 0.05 + 0.020
+    assert kernel.now == 0.05
+    assert not far.processed
+    far.cancel()  # still pending, still cancellable
+    asyncio.run(kernel.run())
+    assert kernel.now == 0.05 and not far.processed
+
+
 def test_asyncio_schedule_in_the_past_is_rejected():
     kernel = AsyncioKernel()
     with pytest.raises(SimulationError):

@@ -1,6 +1,9 @@
 """Unit tests for the resource-governance plane (repro.resources)."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.observability import Telemetry
@@ -164,6 +167,74 @@ class TestBroker:
         assert registry.gauge("broker.mediator.leased_bytes").value == 600
         assert registry.gauge("broker.mediator.spare_bytes").value == 400
         assert registry.gauge("broker.mediator.active_leases").value == 1
+
+
+class BrokerMachine(RuleBasedStateMachine):
+    """Random carve / pull / grow / reclaim / release traffic against a
+    governed pool: the running ``leased_bytes`` always equals the re-sum
+    over the live leases and never exceeds the pool."""
+
+    POOL = 4000
+
+    def __init__(self):
+        super().__init__()
+        self.broker = MemoryBroker(self.POOL)
+        self.serial = 0
+
+    def _pick(self, index):
+        leases = self.broker.leases
+        return leases[index % len(leases)] if leases else None
+
+    @rule(size=st.integers(1, 1500), floor=st.integers(1, 1500),
+          room=st.integers(0, 1500), subscribe=st.booleans())
+    def carve(self, size, floor, room, subscribe):
+        if size > self.broker.spare_bytes():
+            return
+        self.serial += 1
+        lease = self.broker.lease(f"q{self.serial}", size,
+                                  min_bytes=min(floor, size),
+                                  max_bytes=size + room)
+        if subscribe:  # growable: release/reclaim will offer it bytes
+            lease.subscribe_grow(lambda granted, total: None)
+
+    @rule(index=st.integers(0, 50), size=st.integers(1, 2500))
+    def reserve(self, index, size):
+        lease = self._pick(index)
+        if lease is None or lease.held_by("t") or not lease.would_fit(size):
+            return
+        lease.reserve("t", size)  # may demand-pull from the pool
+
+    @rule(index=st.integers(0, 50), delta=st.integers(0, 1500))
+    def grow(self, index, delta):
+        lease = self._pick(index)
+        if lease is not None and lease.held_by("t"):
+            lease.try_grow("t", delta)
+
+    @rule(index=st.integers(0, 50))
+    def free(self, index):
+        lease = self._pick(index)
+        if lease is not None and lease.held_by("t"):
+            lease.release("t")  # reclaim + redistribution under demand
+
+    @rule(index=st.integers(0, 50))
+    def finish(self, index):
+        lease = self._pick(index)
+        if lease is not None:
+            self.broker.release(lease)
+            self.broker.release(lease)  # idempotent
+
+    @invariant()
+    def running_total_is_the_re_sum(self):
+        broker = self.broker
+        assert broker.leased_bytes == sum(
+            lease.total_bytes for lease in broker.leases)
+        assert 0 <= broker.leased_bytes <= self.POOL
+        assert broker.spare_bytes() == self.POOL - broker.leased_bytes
+
+
+TestBrokerMachine = BrokerMachine.TestCase
+TestBrokerMachine.settings = settings(max_examples=40,
+                                      stateful_step_count=40, deadline=None)
 
 
 # -- admission control -------------------------------------------------------

@@ -292,6 +292,39 @@ def test_callback_after_processed_runs_immediately(sim):
     assert log == ["late"]
 
 
+def test_yielding_processed_events_loops_instead_of_recursing(sim):
+    """A process may wait on what already happened any number of times;
+    resuming through ``add_callback``'s immediate call would nest two
+    frames per wait and die of RecursionError."""
+    done = sim.timeout(0.0)
+
+    def worker():
+        for _ in range(5000):
+            yield done
+        return "finished"
+
+    proc = sim.process(worker())
+    sim.run()
+    assert proc.value == "finished"
+    # start event + the timeout + the process's own completion: the
+    # 4999 repeat waits cost no kernel event.
+    assert sim.processed_events == 3
+
+
+def test_grant_processes_an_event_in_place(sim):
+    event = sim.event("slot")
+    log = []
+    event.add_callback(lambda e: log.append(e.value))
+    assert event.grant("yours") is event
+    assert event.processed and event.ok and log == ["yours"]
+    with pytest.raises(SimulationError):
+        event.grant()
+    with pytest.raises(SimulationError):
+        event.succeed()
+    sim.run()
+    assert sim.processed_events == 0
+
+
 def test_determinism_same_seedless_structure():
     def build_and_run():
         sim = Simulator()
