@@ -330,6 +330,14 @@ class QueryRun:
         if not isinstance(end, EndOfQEP):
             raise SimulationError(
                 f"query run {self.name!r} ended without EndOfQEP: {end!r}")
+        for wrapper in self.wrappers:
+            # A live source that died had its stream closed so the
+            # engine could drain; what it computed is truncated input.
+            error = getattr(wrapper, "error", None)
+            if error is not None:
+                raise SimulationError(
+                    f"query run {self.name!r}: source {wrapper.name!r} "
+                    f"failed mid-stream: {error!r}") from error
         if not self.runtime.all_done:
             raise SimulationError(
                 f"query run {self.name!r}: kernel idle but query incomplete")

@@ -12,10 +12,12 @@ strategies were designed for — the simulator only ever emulated it.
   batches and hands them to a kernel-side pump process, which delivers
   through ``CommunicationManager.deliver`` so the window protocol,
   per-message CPU costs and rate estimation all apply exactly as in the
-  simulation.
+  simulation — and nothing else does: a live run costs the modelled
+  machine what the simulated wrapper would.
 * :func:`jittered_batches` — a ready-made async source: ships a relation
-  in message-sized batches, sleeping a jittered per-tuple wait between
-  batches (the live analogue of the paper's uniform-[0, 2w] delay model).
+  in message-sized batches, each a jittered per-tuple wait after the
+  last (the live analogue of the paper's uniform-[0, 2w] delay model),
+  paced against absolute deadlines.
 * :class:`LiveQueryEngine` — builds a :class:`World` on an
   :class:`AsyncioKernel`, runs one
   :class:`~repro.core.engine.QueryRun` over :func:`live_wrappers` and
@@ -25,7 +27,6 @@ strategies were designed for — the simulator only ever emulated it.
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from pathlib import Path
 from typing import (
     Any,
@@ -58,15 +59,29 @@ from repro.observability.server import ObservabilityServer
 BatchSource = Union[AsyncIterator[int], Callable[[], Awaitable[Optional[int]]]]
 
 
+#: batches a feeder may hold ahead of its pump: the capacity of the
+#: simulated wrapper's ``outbound`` store, so a live source runs exactly
+#: as far ahead of the window protocol as a simulated one.
+_PIPELINE_DEPTH = 2
+
+
 async def jittered_batches(cardinality: int, tuples_per_batch: int,
                            mean_wait: float, rng: np.random.Generator,
                            jitter: float = 1.0) -> AsyncIterator[int]:
     """Ship ``cardinality`` tuples in batches with jittered real delays.
 
-    Before each batch the source sleeps ``count * w`` seconds where ``w``
-    is drawn uniformly from ``[(1 - jitter) * mean_wait,
+    Each batch takes ``count * w`` seconds to produce, where ``w`` is
+    drawn uniformly from ``[(1 - jitter) * mean_wait,
     (1 + jitter) * mean_wait]`` — with the default ``jitter=1`` that is
     the paper's uniform-[0, 2w] per-tuple wait, applied per batch.
+
+    The source paces against an absolute ``due`` time, not pause by
+    pause: a wake that comes late shortens the next pause, so host timer
+    lateness is bounded by one overshoot rather than summed over the
+    stream.  Time the consumer holds a batch (the generator is suspended
+    at ``yield``) is not production time: it moves ``due`` back by as
+    much, so a source that was held up resumes at its modelled rate
+    instead of bursting to catch up.
     """
     if cardinality < 0 or tuples_per_batch < 1:
         raise ConfigurationError(
@@ -74,14 +89,19 @@ async def jittered_batches(cardinality: int, tuples_per_batch: int,
             f"tuples_per_batch={tuples_per_batch}")
     if not 0.0 <= jitter <= 1.0:
         raise ConfigurationError(f"jitter must be in [0, 1], got {jitter}")
+    clock = asyncio.get_running_loop().time
+    due = clock()
     remaining = cardinality
     while remaining > 0:
         count = min(tuples_per_batch, remaining)
         wait = float(rng.uniform(1.0 - jitter, 1.0 + jitter)) * mean_wait
-        delay = count * wait
-        if delay > 0:
-            await asyncio.sleep(delay)
+        due += count * wait
+        pause = due - clock()
+        if pause > 0:
+            await asyncio.sleep(pause)
+        handed_over = clock()
         yield count
+        due += clock() - handed_over
         remaining -= count
 
 
@@ -90,7 +110,9 @@ class LiveWrapper:
 
     Mirrors the simulated wrapper's external surface (``name``,
     ``tuples_sent``, ``production_time``, ``blocked_time``,
-    ``finished_at``) so engine result collection works unchanged.
+    ``finished_at``) and its timing model: production overlaps delivery
+    through a :data:`_PIPELINE_DEPTH`-deep inbox, every data batch is
+    one modelled message, and the end of the stream is not a message.
     """
 
     def __init__(self, kernel: AsyncioKernel, name: str, cm: Any,
@@ -100,12 +122,16 @@ class LiveWrapper:
         self.cm = cm
         self._source = source
         self.tuples_sent = 0
-        self.production_time = 0.0      # real seconds between batches
-        self.blocked_time = 0.0         # real seconds inside deliver()
+        self.production_time = 0.0      # real seconds inside the source
+        self.blocked_time = 0.0         # real seconds held between batches
         self.finished_at: Optional[float] = None
-        self._inbox: deque[tuple[int, bool, float]] = deque()
+        #: what the source raised mid-stream, if it did; the stream is
+        #: closed regardless and ``QueryRun.check_complete`` reports it.
+        self.error: Optional[Exception] = None
+        self._inbox: asyncio.Queue[tuple[int, float]] = asyncio.Queue(
+            _PIPELINE_DEPTH)
+        self._exhausted = False
         self._data: Optional[SimEvent] = None
-        self._delivered = asyncio.Event()
         self._task: Optional[asyncio.Task] = None
         self._pump_process: Any = None
 
@@ -142,47 +168,60 @@ class LiveWrapper:
         return _poll()
 
     async def _feed(self) -> None:
-        """asyncio side: pull batches, timestamp them, wake the pump.
+        """asyncio side: pull batches, time their production, wake the pump.
 
-        Production is backpressured batch-by-batch, matching the
-        simulated wrapper: the next batch is not pulled from the source
-        until the previous one has cleared ``deliver`` (and therefore
-        the window protocol).  Without this the source would free-run
-        into the unbounded inbox and the mediator could never slow a
-        producer down.
+        The next batch is pulled while the previous ones are still on
+        their way through ``deliver``, as the simulated wrapper keeps
+        producing into its ``outbound`` store; once the inbox holds
+        :data:`_PIPELINE_DEPTH` batches the source is left suspended, so
+        the window protocol still slows a producer down.
+
+        A batch's production time is the time spent inside the source,
+        from asking for the batch to getting it.  Time spent waiting for
+        inbox room is the mediator's doing and is kept out of it, or the
+        rate estimator would read a back-pressured source as a slow one.
         """
-        loop = asyncio.get_running_loop()
-        last = loop.time()
+        clock = asyncio.get_running_loop().time
         try:
+            asked = clock()
             async for count in self._aiter():
-                now = loop.time()
-                self._delivered.clear()
-                self._push(int(count), False, now - last)
-                await self._delivered.wait()
-                last = loop.time()
+                got = clock()
+                self.production_time += got - asked
+                await self._inbox.put((int(count), got - asked))
+                self._wake_pump()
+                asked = clock()
+                self.blocked_time += asked - got
+        except Exception as exc:
+            self.error = exc
         finally:
-            self._push(0, True, 0.0)
+            # Also on cancellation: the pump must end the stream, or it
+            # would stay parked on a kernel that outlives this query.
+            self._exhausted = True
+            self._wake_pump()
 
-    def _push(self, count: int, eof: bool, production: float) -> None:
-        self._inbox.append((count, eof, production))
+    def _wake_pump(self) -> None:
         if self._data is not None and not self._data.triggered:
             self._data.succeed()
 
     def _pump(self) -> Generator[SimEvent, Any, None]:
-        """Kernel side: drain the inbox through the window protocol."""
+        """Kernel side: drain the inbox through the window protocol.
+
+        The stream ends with ``cm.close``, not with a ``deliver``: an
+        async iterator only reports exhaustion when asked for the *next*
+        batch, too late to flag the last message as the simulated
+        wrapper does, and a separate end-of-stream message would bill
+        the modelled CPU for a receive the model does not have.
+        """
         while True:
-            while self._inbox:
-                count, eof, production = self._inbox.popleft()
-                self.production_time += production
-                before = self.kernel.now
-                yield from self.cm.deliver(self.name, count, eof=eof,
+            while not self._inbox.empty():
+                count, production = self._inbox.get_nowait()
+                yield from self.cm.deliver(self.name, count, eof=False,
                                            production_seconds=production)
-                self.blocked_time += self.kernel.now - before
                 self.tuples_sent += count
-                self._delivered.set()
-                if eof:
-                    self.finished_at = self.kernel.now
-                    return
+            if self._exhausted:
+                yield from self.cm.close(self.name)
+                self.finished_at = self.kernel.now
+                return
             self._data = self.kernel.event(name=f"live-data:{self.name}")
             yield self._data
             self._data = None

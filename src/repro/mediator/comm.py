@@ -97,6 +97,19 @@ class CommunicationManager:
             tuples, production_seconds=production_seconds)
         self._check_rate_change(source)
 
+    def close(self, source: str) -> Generator[SimEvent, Any, None]:
+        """End ``source``'s stream; ``yield from`` me like :meth:`deliver`.
+
+        For a source that only learns it is exhausted after its last
+        data message has left (it cannot set ``eof`` on that message).
+        The end marker honours the window protocol but is not a modelled
+        message: no link time, no receive CPU, no rate sample, and it
+        does not count as a received message.
+        """
+        queue = self.queue(source)
+        yield queue.wait_not_full()
+        queue.put(Message(0, eof=True))
+
     # -- rate-change signalling --------------------------------------------
     def set_rate_listener(self, listener: Optional[RateChangeListener]) -> None:
         """Install the callback fired on significant rate changes."""

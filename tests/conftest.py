@@ -137,9 +137,11 @@ def pending_feeders():
 @pytest.fixture
 def break_service_source(monkeypatch, breaking_source):
     """``break_service_source(how)`` makes one source of every service
-    submission die: ``"mid-stream"`` after two batches, ``"at-open"``
-    before the first.  Patches the one place both service front-ends
-    (in-process backend, worker host) build their source factories."""
+    submission die: ``"mid-stream"`` the largest relation after its
+    first batch (submit at a scale that gives it more than one),
+    ``"at-open"`` the last one before its first.  Patches the one place
+    both service front-ends (in-process backend, worker host) build
+    their source factories."""
     from repro.service import service as service_module
 
     real = service_module.submission_sources
@@ -151,10 +153,15 @@ def break_service_source(monkeypatch, breaking_source):
         def sources(service_seed, params, workload, request, sequence):
             factories = real(service_seed, params, workload, request,
                              sequence)
-            # The plan's last source: its siblings start before it.
-            victim = workload.qep.source_relations()[-1]
-            factories[victim] = (breaking_source(factories[victim])
-                                 if how == "mid-stream" else cannot_open)
+            if how == "mid-stream":
+                victim = max(factories, key=lambda relation:
+                             workload.catalog.relation(relation).cardinality)
+                factories[victim] = breaking_source(factories[victim],
+                                                    after=1)
+            else:
+                # The plan's last source: its siblings start before it.
+                victim = workload.qep.source_relations()[-1]
+                factories[victim] = cannot_open
             return factories
         monkeypatch.setattr(service_module, "submission_sources", sources)
     return install

@@ -452,10 +452,11 @@ def test_live_engine_source_failure_leaks_nothing(breaks, breaking_source,
     """One lifecycle, live front-end: however a source dies, the caller's
     pool gets its lease back and no feeder task is left running.
 
-    A stream that raises mid-way simply ends (the wrapper ships EOF; a
-    retry/fail policy is the fault-injection item's business); a source
-    that cannot even be opened fails the run after its siblings were
-    already started, so they must be cancelled.
+    A stream that raises mid-way is closed so the engine drains, and
+    the run then fails naming the relation and the cause rather than
+    answering from truncated input (retrying is the fault-injection
+    item's business); a source that cannot even be opened fails the run
+    after its siblings were already started, so they must be cancelled.
     """
     import numpy as np
 
@@ -479,9 +480,12 @@ def test_live_engine_source_failure_leaks_nothing(breaks, breaking_source,
         raise RuntimeError("source cannot be opened")
 
     sources = {rel: factory(rel) for rel in workload.relation_names}
-    victim = workload.qep.source_relations()[-1]  # siblings start first
-    sources[victim] = (breaking_source(sources[victim])
-                       if breaks == "mid-stream" else cannot_open)
+    if breaks == "mid-stream":
+        victim = "F"  # 1,800 tuples: seven batches are never shipped
+        sources[victim] = breaking_source(sources[victim])
+    else:
+        victim = workload.qep.source_relations()[-1]  # siblings start first
+        sources[victim] = cannot_open
     broker = MemoryBroker(64 << 20)
     engine = LiveQueryEngine(workload.catalog, workload.qep,
                              make_policy("DSE"), sources, params=params,
@@ -490,13 +494,18 @@ def test_live_engine_source_failure_leaks_nothing(breaks, breaking_source,
     async def scenario():
         try:
             await engine.run()
-            failed = False
-        except (RuntimeError, SimulationError):
-            failed = True
+            error = None
+        except (RuntimeError, SimulationError) as exc:
+            error = exc
         await asyncio.sleep(0)  # let cancelled feeders unwind
-        return failed, pending_feeders()
+        return error, pending_feeders()
 
-    failed, feeders = asyncio.run(scenario())
-    assert failed == (breaks == "at-open")
+    error, feeders = asyncio.run(scenario())
+    if breaks == "mid-stream":
+        assert isinstance(error, SimulationError)
+        assert "'F'" in str(error) and "broke mid-stream" in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
+    else:
+        assert "cannot be opened" in str(error)
     assert broker.leased_bytes == 0 and not broker.leases
     assert feeders == []

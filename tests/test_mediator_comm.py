@@ -62,6 +62,50 @@ def test_deliver_charges_receive_cpu():
     assert world.cm.queue("W").tuples_available == 100
 
 
+def test_close_ends_the_stream_without_a_modelled_message():
+    """``close`` costs the model nothing: no receive CPU, no received
+    message, no rate sample — only the queue learns the stream ended."""
+    world = make_world(telemetry_enabled=True)
+    world.cm.register_source("W")
+    seen = []
+
+    def producer():
+        yield from world.cm.deliver("W", 100, eof=False,
+                                    production_seconds=0.002)
+        seen.append((world.sim.now, world.cpu.busy_time))
+        yield from world.cm.close("W")
+        seen.append((world.sim.now, world.cpu.busy_time))
+
+    world.sim.process(producer())
+    world.sim.run()
+    assert seen[0] == seen[1]
+    queue, estimator = world.cm.queue("W"), world.cm.estimator("W")
+    assert queue.eof_received and queue.tuples_available == 100
+    assert estimator.messages_delivered == 1
+    assert estimator.wait_estimate == pytest.approx(0.002 / 100)
+    registry = world.telemetry.registry
+    assert registry.get("cm.messages_received").value == 1
+    assert queue.take_batch(100) == 100 and queue.exhausted
+
+
+def test_close_respects_a_full_queue():
+    """The end marker obeys the window protocol like any message."""
+    world = make_world()
+    queue = world.cm.register_source("W")
+
+    def producer():
+        for _ in range(world.params.queue_capacity_messages):
+            yield from world.cm.deliver("W", 10, eof=False)
+        yield from world.cm.close("W")
+
+    world.sim.process(producer())
+    world.sim.run()
+    assert queue.is_full and not queue.eof_received
+    queue.take_batch(10)  # frees one slot
+    world.sim.run()
+    assert queue.eof_received
+
+
 def test_rate_change_listener_fires():
     world = make_world(rate_change_threshold=0.5)
     world.cm.register_source("W")

@@ -349,16 +349,18 @@ def test_bad_admission_policy_is_rejected():
 @pytest.mark.parametrize("how", ["mid-stream", "at-open"])
 def test_in_process_source_failure_leaks_nothing(how, break_service_source,
                                                  pending_feeders):
-    """However a source dies, the submission reaches a terminal state,
-    its lease is back in the pool, no feeder task is left running and
-    the record no longer pins its run."""
+    """However a source dies, the submission ends ``failed`` with the
+    cause, its lease is back in the pool, no feeder task is left running
+    and the record no longer pins its run."""
     break_service_source(how)
+    # Mid-stream: F ships 204 of its 3,600 tuples, then raises.
+    request = dict(FAST, scale=0.02) if how == "mid-stream" else FAST
 
     async def scenario():
         service = QueryService(seed=5, global_memory_bytes=4 << 20)
         await service.start()
         try:
-            record = service.submit(SubmissionRequest(**FAST))
+            record = service.submit(SubmissionRequest(**request))
             await asyncio.wait_for(record.done.wait(), timeout=30.0)
             await asyncio.sleep(0)  # let cancelled feeders unwind
             return record, service.machine.broker.leased_bytes, \
@@ -367,8 +369,10 @@ def test_in_process_source_failure_leaks_nothing(how, break_service_source,
             await service.stop()
 
     record, leased, feeders, snapshot = asyncio.run(scenario())
-    assert record.state == ("done" if how == "mid-stream" else "failed")
-    if how == "at-open":
+    assert record.state == "failed"
+    if how == "mid-stream":
+        assert "'F'" in record.error and "broke mid-stream" in record.error
+    else:
         assert "cannot be opened" in record.error
     assert leased == 0 and snapshot["pool"]["active_leases"] == 0
     assert feeders == []
