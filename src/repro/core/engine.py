@@ -70,13 +70,6 @@ class ExecutionResult:
     #: for an empty result) — the metric operator-level adaptation
     #: optimizes for.
     time_to_first_tuple: Optional[float] = None
-    # Submission identity (set by the multi-tenant service; None for the
-    # one-shot front-ends).
-    submission_id: Optional[str] = None
-    tenant: Optional[str] = None
-    #: executing worker in a sharded `repro serve --workers N` fleet
-    #: (None when the query ran in the coordinator/front-end process).
-    worker_id: Optional[int] = None
     # Engine behaviour.
     planning_phases: int = 0
     context_switches: int = 0
@@ -222,9 +215,11 @@ class QueryRun:
     simulator, :func:`repro.exec.live.live_wrappers` on live sources.
 
     Two shapes, no event hop between them and the optimizer:
-    :meth:`start` spawns the optimizer as its own process (the caller
-    runs the kernel or joins the process), :meth:`drive` is the same
-    lifecycle inline, for a caller that already *is* a kernel process.
+    :meth:`start` spawns the optimizer as its own process (the one-shot
+    front-ends, which then run the kernel and collect :meth:`result`),
+    :meth:`drive` is the same lifecycle inline, for a caller that
+    already *is* a kernel process on a shared machine (multi-query
+    launcher, service execution plane) and reports :meth:`outcome`.
     """
 
     def __init__(self, world: World, qep: QEP, policy: PlanningPolicy,
@@ -300,15 +295,6 @@ class QueryRun:
             # timeouts would keep the kernel alive.
             self.main.add_callback(lambda _event: telemetry.stop_sampler())
 
-    def join(self) -> Generator[SimEvent, Any, ExecutionResult]:
-        """:meth:`start`, wait for the run to end, return its result;
-        the sources are detached either way."""
-        try:
-            yield self.start()  # an engine failure re-raises here
-            return self.result()
-        finally:
-            self.detach()
-
     def snapshot(self) -> Any:
         """A live snapshot of this run (see :func:`build_live_snapshot`)."""
         return build_live_snapshot(self.world, self.runtime, self.processor,
@@ -343,23 +329,34 @@ class QueryRun:
                 f"query run {self.name!r}: kernel idle but query incomplete")
         return end
 
+    def outcome(self, end: EndOfQEP) -> dict[str, Any]:
+        """The finished run's headline numbers, from its own state only —
+        all a front-end on a shared machine reports per query, where the
+        telemetry channels :meth:`result` copies hold every neighbour's
+        records too."""
+        first = self.runtime.first_result_at
+        return {
+            "response_time": end.time - self.started_at,
+            "result_tuples": self.runtime.result_tuples,
+            "time_to_first_tuple": (first - self.started_at
+                                    if first is not None else None),
+            "batches_processed": self.processor.batches_processed,
+            "stall_time": self.processor.stall_time,
+            "memory_peak_bytes": self.world.memory.peak_bytes,
+        }
+
     def result(self, trace: bool = False) -> ExecutionResult:
-        """Validate completion and collect the :class:`ExecutionResult`."""
+        """Validate completion and collect the :class:`ExecutionResult`
+        (for a world that owns its machine: the telemetry is the run's)."""
         end = self.check_complete()
         world, runtime = self.world, self.runtime
         scheduler, processor = self.scheduler, self.processor
         optimizer = self.optimizer
         return ExecutionResult(
             strategy=scheduler.policy.name,
-            response_time=end.time - self.started_at,
-            result_tuples=runtime.result_tuples,
-            time_to_first_tuple=(runtime.first_result_at - self.started_at
-                                 if runtime.first_result_at is not None
-                                 else None),
+            **self.outcome(end),
             planning_phases=scheduler.planning_phases,
             context_switches=processor.context_switches,
-            batches_processed=processor.batches_processed,
-            stall_time=processor.stall_time,
             degradations=len(runtime.degraded_chains),
             memory_splits=runtime.memory_splits,
             timeouts=optimizer.timeouts,
@@ -371,7 +368,6 @@ class QueryRun:
             disk_ios=int(sum(d.ios.value for d in world.disks)),
             disk_seeks=int(sum(d.seeks.value for d in world.disks)),
             cache_hit_ratio=world.cache.hit_ratio(),
-            memory_peak_bytes=world.memory.peak_bytes,
             tuples_spilled=int(world.buffer.tuples_spilled.value),
             tuples_reloaded=int(world.buffer.tuples_reloaded.value),
             # Simulated and live wrappers share this read-only surface.

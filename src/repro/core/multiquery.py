@@ -44,10 +44,10 @@ from repro.observability import DecisionRecord
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
 from repro.resources import (
-    ADMISSION_POLICIES,
     AdmissionController,
-    MemoryBroker,
     admitted,
+    check_governance,
+    govern,
 )
 from repro.wrappers.delays import DelayModel
 
@@ -149,8 +149,6 @@ class QueryOutcome:
     budget_grows: int = 0
     #: owning tenant ("" outside the multi-tenant service).
     tenant: str = ""
-    #: service submission id (None for batch multi-query runs).
-    submission_id: Optional[str] = None
 
     @property
     def response_time(self) -> float:
@@ -232,24 +230,12 @@ class MultiQueryEngine:
         self.params = params if params is not None else SimulationParameters()
         self.seed = seed
         self.trace = trace
-        if admission not in ADMISSION_POLICIES + ("none",):
-            raise ConfigurationError(
-                f"unknown admission policy {admission!r}; expected one of "
-                f"{ADMISSION_POLICIES + ('none',)}")
-        if global_memory_bytes is not None and global_memory_bytes <= 0:
-            raise ConfigurationError(
-                f"global_memory_bytes must be positive, "
-                f"got {global_memory_bytes}")
+        #: True when a bounded pool with admission control is active.
+        self.governed = check_governance(global_memory_bytes, admission)
         self.global_memory_bytes = global_memory_bytes
         self.admission = admission
         self._controller: Optional[AdmissionController] = None
         self._submissions: list[QuerySubmission] = []
-
-    @property
-    def governed(self) -> bool:
-        """True when a bounded pool with admission control is active."""
-        return (self.global_memory_bytes is not None
-                and self.admission != "none")
 
     def submit(self, submission: QuerySubmission) -> None:
         """Queue one query for the next :meth:`run`."""
@@ -273,13 +259,8 @@ class MultiQueryEngine:
                     raise ConfigurationError(
                         f"query {submission.name!r}: minimum working set "
                         f"{min_bytes} exceeds the global memory pool {pool}")
-            machine.broker = MemoryBroker(pool, sim=machine.sim,
-                                          telemetry=machine.telemetry)
-            self._controller = AdmissionController(
-                machine.broker, machine.sim, telemetry=machine.telemetry,
-                policy=self.admission)
-        else:
-            self._controller = None
+        self._controller = govern(machine, self.global_memory_bytes,
+                                  self.admission)
         launchers = [spawn_main(machine.sim, self._launch(submission, machine),
                                 f"query:{submission.name}")
                      for submission in self._submissions]

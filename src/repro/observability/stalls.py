@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import SimulationError
 
@@ -57,7 +57,11 @@ class StallInterval:
 
 
 class StallAttribution:
-    """Accumulates attributed idle intervals and their per-cause totals.
+    """Accumulates the per-cause totals of attributed idle intervals.
+
+    The intervals themselves are not kept — a long-lived machine records
+    them without end; an observer that wants each one (the flight
+    recorder) hooks :attr:`on_record`.
 
     Reads (:meth:`by_cause`, :attr:`total`) take a lock shared with
     :meth:`record`, so the live ``/metrics`` thread never iterates the
@@ -65,9 +69,7 @@ class StallAttribution:
     sum exactly to the recorded stall time.
     """
 
-    def __init__(self, keep_intervals: bool = True):
-        self.keep_intervals = keep_intervals
-        self.intervals: List[StallInterval] = []
+    def __init__(self) -> None:
         self.breakdown: Dict[str, float] = {}
         self._lock = threading.RLock()
         #: optional observer invoked after each recorded interval (the
@@ -81,8 +83,6 @@ class StallAttribution:
                 f"stall interval ends before it starts: {started} > {ended}")
         interval = StallInterval(started, ended, cause)
         with self._lock:
-            if self.keep_intervals:
-                self.intervals.append(interval)
             self.breakdown[cause] = (self.breakdown.get(cause, 0.0)
                                      + (ended - started))
         if self.on_record is not None:

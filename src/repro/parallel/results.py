@@ -43,12 +43,13 @@ from repro.observability import (
 #:    (``submission_id`` / ``tenant``; None/"" outside `repro serve`).
 #: 6: ``worker_id`` joined the scalar fields — results produced by a
 #:    `repro serve --workers N` pool identify the executing worker.
-RESULT_SCHEMA_VERSION = 6
+#: 7: ``submission_id`` / ``tenant`` / ``worker_id`` left again (the
+#:    service reports a submission's own outcome dict, not this payload).
+RESULT_SCHEMA_VERSION = 7
 
 #: scalar ExecutionResult fields copied verbatim, in schema order.
 _SCALAR_FIELDS = (
     "strategy", "response_time", "result_tuples", "time_to_first_tuple",
-    "submission_id", "tenant", "worker_id",
     "planning_phases", "context_switches", "batches_processed", "stall_time",
     "degradations", "memory_splits", "timeouts", "rate_change_events",
     "cpu_busy_time", "cpu_utilization", "disk_busy_time", "disk_ios",

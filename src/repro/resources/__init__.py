@@ -23,6 +23,8 @@ from repro.resources.admission import (
     AdmissionController,
     AdmissionTicket,
     admitted,
+    check_governance,
+    govern,
 )
 from repro.resources.broker import MemoryBroker, MemoryLease
 from repro.resources.tenants import (
@@ -43,4 +45,6 @@ __all__ = [
     "TenantRegistry",
     "TenantSpec",
     "admitted",
+    "check_governance",
+    "govern",
 ]

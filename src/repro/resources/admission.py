@@ -194,6 +194,36 @@ class AdmissionController:
                 f"{len(self.queue)} queued)")
 
 
+def check_governance(pool_bytes: Optional[int], policy: str) -> bool:
+    """Validate a machine's memory-governance settings; True when they
+    bound its pool (a pool size *and* an admission policy)."""
+    if policy not in ADMISSION_POLICIES + ("none",):
+        raise ConfigurationError(
+            f"unknown admission policy {policy!r}; expected one of "
+            f"{ADMISSION_POLICIES + ('none',)}")
+    if pool_bytes is not None and pool_bytes <= 0:
+        raise ConfigurationError(
+            f"global_memory_bytes must be positive, got {pool_bytes}")
+    return pool_bytes is not None and policy != "none"
+
+
+def govern(machine: "World", pool_bytes: Optional[int], policy: str,
+           name: str = "mediator") -> Optional[AdmissionController]:
+    """Bound ``machine``'s memory pool and queue submissions in front of
+    it: the one place a governed broker + controller pair is built.
+
+    Returns the controller, or None (machine left on its unbounded
+    default broker) when the settings do not govern — see
+    :func:`check_governance`.  ``name`` labels the broker's gauges.
+    """
+    if not check_governance(pool_bytes, policy):
+        return None
+    machine.broker = MemoryBroker(pool_bytes, sim=machine.sim,
+                                  telemetry=machine.telemetry, name=name)
+    return AdmissionController(machine.broker, machine.sim,
+                               telemetry=machine.telemetry, policy=policy)
+
+
 def admitted(machine: "World", controller: Optional[AdmissionController],
              name: str, budgets: Tuple[int, int, int],
              run: Callable[["World", float], Generator[Event, Any, Any]],

@@ -1,30 +1,26 @@
 """The execution plane behind the service's control plane.
 
-PR 7 fused the two planes: :class:`~repro.service.service.QueryService`
-owned one :class:`~repro.exec.aio.AsyncioKernel` and ran every admitted
-submission on it directly.  This module splits them.  The *control
-plane* (tenant gating, admission, machine-level memory governance,
-bounded aggregation, SLOs, archive, drain) stays in ``QueryService``;
-*where the query actually executes* is behind the
-:class:`ExecutionBackend` protocol:
+The *control plane* (tenant gating, refusal accounting, bounded
+aggregation, SLOs, archive, drain) is
+:class:`~repro.service.service.QueryService`; *what executes an admitted
+submission* is an :class:`ExecutionPlane`: one kernel, one machine
+:class:`~repro.core.runtime.World`, its governed broker + admission
+controller, and the one submission generator.  *Where* that plane sits
+is behind the :class:`ExecutionBackend` protocol — two transports over
+the same implementation:
 
-* :class:`InProcessBackend` — the submission passes the coordinator's
-  :func:`~repro.resources.admission.admitted` bracket and becomes a
-  :class:`~repro.core.engine.QueryRun` on the service's own kernel,
-  telemetry is recorded in place.  ``repro serve`` with ``--workers 1`` (the
-  default) routes here and is bit-identical to the pre-split service.
-* :class:`~repro.service.workers.WorkerPoolBackend` — the sharded
-  plane: N worker processes, each with its own long-lived kernel and a
-  :class:`~repro.resources.broker.MemoryLease` carved from the machine
-  broker, fed over a :mod:`multiprocessing` pipe wire protocol with
-  least-loaded dispatch and work stealing.
+* :class:`InProcessBackend` — the service's own plane, called directly
+  (``repro serve`` with ``--workers 1``, the default);
+* :class:`~repro.service.workers.WorkerPoolBackend` — N worker
+  processes, each a plane with a pipe in front
+  (:class:`~repro.service.workers.WorkerHost`) and a pool carved from
+  the machine broker, fed with least-loaded dispatch and work stealing.
 
 The seam is the :meth:`ExecutionBackend.launch` generator: the control
-plane spawns it as a kernel process (so completion flows through the
-unchanged ``_finish`` path — latency window, tenant accounting, SLO
-observation, archive outcome records), and the backend decides what the
-generator *waits on*: an in-process engine join, or a result event
-triggered by a remote worker.
+plane spawns it as a kernel process, so completion flows through the
+one ``_finish`` path, and the backend decides what it *waits on* — the
+plane's own generator, or a result event triggered by a remote worker.
+Either way it returns the plane's outcome dict.
 """
 
 from __future__ import annotations
@@ -32,28 +28,132 @@ from __future__ import annotations
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Generator,
     List,
     Optional,
     Protocol,
+    Tuple,
 )
 
+from repro.config import SimulationParameters
 from repro.core.engine import QueryRun
+from repro.core.runtime import World
 from repro.core.strategies import make_policy
+from repro.exec.aio import AsyncioKernel
 from repro.exec.core import SimEvent
 from repro.exec.live import live_wrappers
-from repro.resources import admitted
+from repro.experiments.workloads import Figure5Workload, figure5_workload
+from repro.observability import DecisionAuditLog, span_summary
+from repro.resources import admitted, govern
 
 if TYPE_CHECKING:
-    from repro.core.engine import ExecutionResult
-    from repro.core.runtime import World
-    from repro.experiments.workloads import Figure5Workload
-    from repro.service.service import QueryService, SubmissionRecord
+    from repro.service.service import (
+        QueryService,
+        SubmissionRecord,
+        SubmissionRequest,
+    )
 
 #: backend names, as reported in service snapshots / ``/healthz``.
 BACKEND_IN_PROCESS = "in-process"
 BACKEND_WORKER_POOL = "worker-pool"
+
+#: machine audit-log ring size (decisions, across all submissions).
+DEFAULT_AUDIT_CAPACITY = 4096
+
+
+class ExecutionPlane:
+    """One kernel and everything it needs to execute submissions.
+
+    A submission's result is built from its run's own state; the
+    machine-wide telemetry (audit ring, stall totals, registry, span
+    recorder) stays on :attr:`machine`, bounded, never copied per
+    submission.
+    """
+
+    def __init__(self, params: SimulationParameters, seed: int,
+                 memory_bytes: Optional[int], admission: str,
+                 name: str) -> None:
+        self.params = params
+        self.seed = seed
+        self.kernel = AsyncioKernel()
+        self.machine = World(params, seed=seed, kernel=self.kernel)
+        # Bounded aggregation over the unbounded stream: the machine's
+        # audit log becomes a ring *before* anything hooks into it.
+        self.machine.telemetry.audit = DecisionAuditLog(
+            capacity=DEFAULT_AUDIT_CAPACITY)
+        self.controller = govern(self.machine, memory_bytes, admission,
+                                 name=name)
+        # Not an lru_cache on figure5_workload: callers that time a
+        # build must keep getting one.
+        self._workloads: Dict[float, Figure5Workload] = {}
+
+    def workload(self, scale: float) -> Figure5Workload:
+        """The Figure 5 plan at ``scale``, built and validated once."""
+        workload = self._workloads.get(scale)
+        if workload is None:
+            workload = self._workloads[scale] = figure5_workload(scale=scale)
+        return workload
+
+    def execute(self, name: str, request: "SubmissionRequest",
+                sequence: int, budgets: Tuple[int, int, int],
+                priority: float,
+                started: Callable[[QueryRun, float], None]
+                ) -> Generator[SimEvent, Any, Dict[str, Any]]:
+        """The kernel-process generator executing one submission here.
+
+        ``started(run, waited)`` fires once the lease is granted, before
+        the run attaches.  Returns :meth:`QueryRun.outcome` plus
+        ``span_summary`` (None with spans off).
+        """
+        # Imported here: repro.service.service imports this module.
+        from repro.service.service import submission_sources
+
+        workload = self.workload(request.scale)
+
+        def run(world: World, waited: float
+                ) -> Generator[SimEvent, Any, Dict[str, Any]]:
+            query = QueryRun(
+                world, workload.qep, make_policy(request.strategy),
+                live_wrappers(world, submission_sources(
+                    self.seed, self.params, workload, request, sequence)),
+                name=name)
+            started(query, waited)
+            try:
+                end = yield from query.drive()
+            finally:
+                query.detach()
+            return dict(query.outcome(end),
+                        span_summary=_subtree_summary(query))
+
+        # Query-view worlds skip per-query gauges: the registry must not
+        # grow with the submission stream.
+        return (yield from admitted(
+            self.machine, self.controller, name, budgets, run,
+            priority=priority, tenant=request.tenant,
+            attach_memory_metrics=False))
+
+
+def _subtree_summary(query: QueryRun) -> Optional[Dict[str, Any]]:
+    """Span summary of one submission on a shared recorder: its query
+    span's subtree plus the admission wait that delayed it."""
+    recorder = query.world.telemetry.spans
+    root = query.runtime.query_span
+    if recorder is None or root is None:
+        return None
+    spans = recorder.spans
+    wait = query.world.admission_span
+    selected = [spans[wait]] if wait is not None else []
+    # A span's id is its list position and parents are recorded before
+    # children: one forward pass from the root collects the subtree
+    # without walking the recorder's history.
+    ids = {root}
+    for span in spans[root:]:
+        if span.span_id in ids or span.parent_id in ids:
+            ids.add(span.span_id)
+            selected.append(span)
+    return span_summary(selected)
 
 
 class ExecutionBackend(Protocol):
@@ -74,12 +174,13 @@ class ExecutionBackend(Protocol):
         """Tear the execution plane down (drain ran; nothing in flight)."""
 
     def launch(self, service: "QueryService", record: "SubmissionRecord",
-               workload: "Figure5Workload", initial: int, min_bytes: int,
-               max_bytes: int) -> Generator[SimEvent, Any, Any]:
+               initial: int, min_bytes: int,
+               max_bytes: int) -> Generator[SimEvent, Any, Dict[str, Any]]:
         """The kernel-process generator executing one submission.
 
-        Must return the submission's ExecutionResult (or raise); the
-        control plane's completion callback reads it off the process.
+        Must return the submission's outcome dict (see
+        :meth:`ExecutionPlane.execute`) or raise; the control plane's
+        completion callback reads it off the process.
         """
 
     def admission_limit_bytes(self,
@@ -108,13 +209,7 @@ class ExecutionBackend(Protocol):
 
 
 class InProcessBackend:
-    """The single-kernel execution plane.
-
-    :meth:`launch` is the one query lifecycle on the shared kernel:
-    :func:`~repro.resources.admission.admitted` (coordinator-side
-    admission, lease, query-view ``World``, release) around one
-    :class:`QueryRun` over live wrappers.
-    """
+    """The service's own :class:`ExecutionPlane`, called directly."""
 
     name = BACKEND_IN_PROCESS
 
@@ -125,36 +220,22 @@ class InProcessBackend:
         return None
 
     def launch(self, service: "QueryService", record: "SubmissionRecord",
-               workload: "Figure5Workload", initial: int, min_bytes: int,
-               max_bytes: int) -> Generator[SimEvent, Any, Any]:
-        from repro.service.service import STATE_RUNNING, submission_sources
+               initial: int, min_bytes: int,
+               max_bytes: int) -> Generator[SimEvent, Any, Dict[str, Any]]:
+        from repro.service.service import STATE_RUNNING
 
-        request = record.request
-
-        def run(world: "World", waited: float
-                ) -> Generator[SimEvent, Any, "ExecutionResult"]:
+        def started(run: QueryRun, waited: float) -> None:
             record.admission_wait = waited
             record.state = STATE_RUNNING
             record.started_at = service.kernel.wall_now
-            query = record.run = QueryRun(
-                world, workload.qep, make_policy(request.strategy),
-                live_wrappers(world, submission_sources(
-                    service.seed, service.params, workload, request,
-                    record.sequence)),
-                name=record.id)
-            result = yield from query.join()
-            result.submission_id = record.id
-            result.tenant = request.tenant
-            return result
+            record.run = run
 
-        # Query-view worlds skip per-query gauges: the registry must not
-        # grow with the submission stream.
-        return (yield from admitted(
-            service.machine, service.controller, record.id,
-            (initial, min_bytes, max_bytes), run,
-            priority=service.tenants.priority_for(request.tenant,
-                                                  request.priority),
-            tenant=request.tenant, attach_memory_metrics=False))
+        request = record.request
+        return (yield from service.plane.execute(
+            record.id, request, record.sequence,
+            (initial, min_bytes, max_bytes),
+            service.tenants.priority_for(request.tenant, request.priority),
+            started))
 
     def admission_limit_bytes(self,
                               service: "QueryService") -> Optional[int]:

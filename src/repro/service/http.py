@@ -21,8 +21,8 @@ validates request bodies and sends every response in one segment):
 
 HTTP handler threads never touch kernel state directly: submissions and
 record lookups cross into the asyncio loop
-(:meth:`~repro.service.service.QueryService.submit_threadsafe`), reads
-come from the :class:`~repro.observability.live.MetricsPublisher`.
+(:meth:`ServiceServer.on_loop`), reads come from the
+:class:`~repro.observability.live.MetricsPublisher`.
 """
 
 from __future__ import annotations
@@ -138,9 +138,8 @@ class ServiceServer(ObservabilityServer):
 
     def _submit(self, request: Request) -> Response:
         try:
-            record = self.service.submit_threadsafe(
-                SubmissionRequest.from_json(request.read_json()),
-                timeout=_LOOP_TIMEOUT_S)
+            submission = SubmissionRequest.from_json(request.read_json())
+            record = self.on_loop(lambda: self.service.submit(submission))
         except ConfigurationError as exc:
             return 400, {"error": str(exc)}
         except QuotaExceeded as exc:

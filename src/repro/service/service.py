@@ -36,7 +36,6 @@ flushes the flight recorder and span log to disk.
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -58,14 +57,10 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
 from repro.core.engine import QueryRun, spawn_main
 from repro.core.strategies import make_policy
-from repro.exec.aio import AsyncioKernel
 from repro.exec.core import Process, SimEvent
 from repro.exec.live import BatchSource, jittered_batches
-from repro.experiments.workloads import Figure5Workload, figure5_workload
-from repro.observability import (
-    DecisionAuditLog,
-    MetricsPublisher,
-)
+from repro.experiments.workloads import Figure5Workload
+from repro.observability import MetricsPublisher
 from repro.observability.archive import (
     RECORD_ALERT,
     RECORD_DECISION,
@@ -76,15 +71,12 @@ from repro.observability.archive import (
 )
 from repro.observability.audit import DecisionRecord
 from repro.observability.flight import FlightRecorder
-from repro.resources import (
-    ADMISSION_POLICIES,
-    AdmissionController,
-    MemoryBroker,
-    TenantAccount,
-    TenantRegistry,
-    TenantSpec,
+from repro.resources import TenantAccount, TenantRegistry, TenantSpec
+from repro.service.backend import (
+    ExecutionBackend,
+    ExecutionPlane,
+    InProcessBackend,
 )
-from repro.service.backend import ExecutionBackend, InProcessBackend
 from repro.service.slo import SLOSpec, SLOTracker
 from repro.service.stats import LatencyWindow
 
@@ -98,9 +90,6 @@ SERVICE_SNAPSHOT_VERSION = 2
 #: per-second publish tick would bloat the log ~10x for no added
 #: insight; outcomes carry the per-submission record anyway).
 DEFAULT_SNAPSHOT_ARCHIVE_INTERVAL_S = 10.0
-
-#: machine audit-log ring size (decisions, across all submissions).
-DEFAULT_AUDIT_CAPACITY = 4096
 
 #: finished submissions kept queryable over HTTP.
 DEFAULT_HISTORY = 256
@@ -269,10 +258,10 @@ class SubmissionRecord:
     #: submission sequence number (seeds the source streams; fixed at
     #: submit time so results do not depend on dispatch order).
     sequence: int = 0
-    #: read off the finished run (in-process) or the worker's result.
+    #: off the execution plane's outcome, beside :attr:`outcome`: the
+    #: lease's high-water mark and (spans on) the summary of the
+    #: submission's own span subtree.
     memory_peak_bytes: Optional[int] = None
-    #: the worker's span summary (worker pool only; in-process spans
-    #: are summarized off the machine recorder when archived).
     span_summary: Optional[Dict[str, Any]] = None
 
     @property
@@ -337,8 +326,9 @@ class QueryService:
 
     Single-threaded core: every mutation happens on the asyncio loop
     that drives the kernel (HTTP threads enter through
-    :meth:`submit_threadsafe` / :meth:`drain_threadsafe`).  Construction
-    is cheap and loop-free; :meth:`start` must run inside the loop.
+    :meth:`~repro.service.http.ServiceServer.on_loop` /
+    :meth:`drain_threadsafe`).  Construction is cheap and loop-free;
+    :meth:`start` must run inside the loop.
     """
 
     def __init__(self, params: Optional[SimulationParameters] = None,
@@ -347,7 +337,6 @@ class QueryService:
                  admission: str = "priority",
                  tenants: Optional[List[TenantSpec]] = None,
                  strict_tenants: bool = False,
-                 audit_capacity: int = DEFAULT_AUDIT_CAPACITY,
                  history: int = DEFAULT_HISTORY,
                  latency_window: Optional[int] = None,
                  publish_interval_s: float = DEFAULT_PUBLISH_INTERVAL_S,
@@ -363,19 +352,9 @@ class QueryService:
                  workers: int = 1,
                  worker_window: Optional[int] = None,
                  backend: Optional[ExecutionBackend] = None) -> None:
-        from repro.core.runtime import World
-
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
-        if admission not in ADMISSION_POLICIES + ("none",):
-            raise ConfigurationError(
-                f"unknown admission policy {admission!r}; expected one of "
-                f"{ADMISSION_POLICIES + ('none',)}")
-        if global_memory_bytes is not None and global_memory_bytes <= 0:
-            raise ConfigurationError(
-                f"global_memory_bytes must be positive, "
-                f"got {global_memory_bytes}")
         self.params = (params if params is not None
                        else SimulationParameters(telemetry_enabled=True))
         self.seed = seed
@@ -386,12 +365,15 @@ class QueryService:
                             if flight_dump is not None else None)
         self.span_dump = Path(span_dump) if span_dump is not None else None
 
-        self.kernel = AsyncioKernel()
-        self.machine = World(self.params, seed=seed, kernel=self.kernel)
-        # Bounded aggregation over the unbounded stream: the machine's
-        # audit log becomes a ring *before* anything hooks into it.
-        self.machine.telemetry.audit = DecisionAuditLog(
-            capacity=audit_capacity)
+        #: the coordinator's own execution plane: the machine every
+        #: control-plane view reads, and where submissions run unless a
+        #: worker pool carries them.
+        self.plane = ExecutionPlane(self.params, seed, global_memory_bytes,
+                                    admission, name="service")
+        self.kernel = self.plane.kernel
+        self.machine = self.plane.machine
+        self.controller = self.plane.controller
+        self.governed = self.controller is not None
         # The audit ring exposes ONE on_record callable; the flight
         # recorder and the archive both want it, so they register as
         # observers behind a single dispatcher.
@@ -421,18 +403,6 @@ class QueryService:
         if self._audit_observers:
             self.machine.telemetry.audit.on_record = self._dispatch_audit
 
-        self.governed = (global_memory_bytes is not None
-                         and admission != "none")
-        self.controller: Optional[AdmissionController] = None
-        if self.governed:
-            assert global_memory_bytes is not None
-            self.machine.broker = MemoryBroker(
-                global_memory_bytes, sim=self.kernel,
-                telemetry=self.machine.telemetry, name="service")
-            self.controller = AdmissionController(
-                self.machine.broker, self.kernel,
-                telemetry=self.machine.telemetry, policy=admission)
-
         # The execution plane: in-process on this kernel (default), or
         # a sharded worker-process pool (``workers > 1``), or whatever
         # custom backend the caller injected.
@@ -460,7 +430,6 @@ class QueryService:
         self.records: Dict[str, SubmissionRecord] = {}
         self._recent: List[str] = []
         self._history = max(1, history)
-        self._workloads: Dict[float, Figure5Workload] = {}
         self._sequence = 0
         self._batches_done = 0
         self.submitted = 0
@@ -604,13 +573,6 @@ class QueryService:
         """Submissions currently queued or running."""
         return self.submitted - self.completed - self.failed
 
-    def _workload(self, scale: float) -> Figure5Workload:
-        workload = self._workloads.get(scale)
-        if workload is None:
-            workload = figure5_workload(scale=scale)
-            self._workloads[scale] = workload
-        return workload
-
     def submit(self, request: SubmissionRequest) -> SubmissionRecord:
         """Accept one submission (loop thread only).
 
@@ -623,7 +585,7 @@ class QueryService:
         if self.draining:
             self.rejected += 1
             raise ServiceDraining("service is draining; try another mediator")
-        workload = self._workload(request.scale)
+        workload = self.plane.workload(request.scale)
         unknown = set(request.slow) - set(workload.relation_names)
         if unknown:
             raise ConfigurationError(
@@ -657,28 +619,12 @@ class QueryService:
         self.submitted += 1
         process = spawn_main(
             self.kernel,
-            self.backend.launch(self, record, workload, initial,
-                                min_bytes, max_bytes),
+            self.backend.launch(self, record, initial, min_bytes,
+                                max_bytes),
             f"query:{record.id}")
         process.add_callback(
             lambda _event: self._finish(record, process))
         return record
-
-    def submit_threadsafe(self, request: SubmissionRequest,
-                          timeout: float = 10.0) -> SubmissionRecord:
-        """Submit from a foreign thread (the HTTP handler pool)."""
-        assert self._loop is not None, "service not started"
-        future: "concurrent.futures.Future[SubmissionRecord]" = \
-            concurrent.futures.Future()
-
-        def _on_loop() -> None:
-            try:
-                future.set_result(self.submit(request))
-            except BaseException as exc:  # delivered to the caller
-                future.set_exception(exc)
-
-        self._loop.call_soon_threadsafe(_on_loop)
-        return future.result(timeout=timeout)
 
     def _finish(self, record: SubmissionRecord, process: Process) -> None:
         """Completion callback (kernel thread): close out one submission."""
@@ -687,32 +633,26 @@ class QueryService:
         # negative under load.
         now = self.kernel.wall_now
         record.finished_at = now
-        run = record.run
-        if run is not None:
-            self._batches_done += run.batches_processed
-            record.memory_peak_bytes = run.world.memory.peak_bytes
+        run, record.run = record.run, None
         ok = process.failure is None
         if ok:
             record.state = STATE_DONE
-            result = process.value
-            if run is None:
-                # Remote execution: no live QueryRun on this kernel —
-                # the fleet-wide batch counter rides the result instead.
-                self._batches_done += result.batches_processed
-            if result.worker_id is not None:
-                record.worker_id = result.worker_id
+            # The plane's outcome dict, whichever transport carried it.
+            outcome = dict(process.value)
+            record.memory_peak_bytes = outcome.pop("memory_peak_bytes")
+            record.span_summary = outcome.pop("span_summary")
+            self._batches_done += outcome["batches_processed"]
             self.completed += 1
-            record.outcome = {
-                "response_time": result.response_time,
-                "result_tuples": result.result_tuples,
-                "time_to_first_tuple": result.time_to_first_tuple,
-                "batches_processed": result.batches_processed,
-                "stall_time": result.stall_time,
-            }
+            record.outcome = outcome
         else:
             record.state = STATE_FAILED
             record.error = repr(process.failure)
             self.failed += 1
+            if run is not None:
+                # Failed on this kernel: the live batch count snapshot()
+                # was reporting must not drop out of the total.
+                self._batches_done += run.batches_processed
+                record.memory_peak_bytes = run.world.memory.peak_bytes
         latency = record.latency(now)
         self.latency.observe(latency, now)
         if self.slo is not None:
@@ -720,7 +660,6 @@ class QueryService:
         if self.archive is not None:
             self.archive.append(self._outcome_record(record, ok, latency))
             self._archive_span_summary(record)
-        record.run = None
         if record.account is not None:
             self.tenants.finish(record.account, record.declared_max_bytes,
                                 ok=ok, waited_s=record.admission_wait,
@@ -760,30 +699,13 @@ class QueryService:
         return out
 
     def _archive_span_summary(self, record: SubmissionRecord) -> None:
-        """Archive the submission's span subtree as one summary record."""
-        # Remote execution: the worker already summarized its spans.
-        summary = record.span_summary
-        spans = self.machine.telemetry.spans
-        run = record.run
-        if spans is not None and run is not None and run.attached \
-                and run.runtime.query_span is not None:
-            from repro.observability.explain import span_summary
-
-            # Spans are appended parent-before-child, so one forward pass
-            # collects the whole subtree of the query span.
-            root = run.runtime.query_span
-            ids = {root}
-            selected = []
-            for span in spans.spans:
-                if span.span_id == root or span.parent_id in ids:
-                    ids.add(span.span_id)
-                    selected.append(span)
-            summary = span_summary(selected)
-        if summary is None:
+        """Archive the submission's span summary as one record."""
+        if record.span_summary is None:
             return
         entry = {"kind": RECORD_SPAN, "t": time.time(),
                  "at": record.finished_at, "id": record.id,
-                 "tenant": record.request.tenant, "summary": summary}
+                 "tenant": record.request.tenant,
+                 "summary": record.span_summary}
         if record.worker_id is not None:
             entry["worker"] = record.worker_id
         assert self.archive is not None

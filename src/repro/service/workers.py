@@ -1,9 +1,10 @@
 """The sharded execution plane: a work-stealing worker-process pool.
 
 ``repro serve --workers N`` splits query execution across N long-lived
-worker processes, each running its own :class:`~repro.exec.aio.
-AsyncioKernel` and machine :class:`~repro.core.runtime.World` with a
-memory pool carved out of the coordinator's machine-level
+worker processes, each an :class:`~repro.service.backend.
+ExecutionPlane` — the single-kernel plane the in-process backend calls
+directly — behind a pipe (:class:`WorkerHost`), with a memory pool
+carved out of the coordinator's machine-level
 :class:`~repro.resources.broker.MemoryBroker`
 (:meth:`~repro.resources.broker.MemoryBroker.carve_even`).  The
 coordinator keeps the whole control plane — tenant gating, refusal
@@ -21,8 +22,9 @@ Topology::
            ├─ reader thread         multiprocessing.connection.wait over
            │                        every worker pipe + a self-wake pipe
            └─ worker 0..N-1         spawn-context Process running
-                                    worker_main: own kernel, own broker
-                                    (pool = carve), own admission queue
+                                    worker_main: an ExecutionPlane (own
+                                    kernel, broker with pool = carve,
+                                    admission queue) + pipe reader
 
 Wire protocol (one duplex :func:`multiprocessing.Pipe` per worker,
 pickled dicts):
@@ -30,12 +32,13 @@ pickled dicts):
 * coordinator → worker: ``{"op": "job", "id", "request", "sequence",
   "priority", "initial", "min_bytes", "max_bytes", "stolen"}`` and
   ``{"op": "stop"}``.
-* worker → coordinator: ``{"op": "ready", "worker", "pool", "schema",
-  "pid"}`` and ``{"op": "result", "id", "ok", "payload"|"error",
-  "wait_s", "stalls"}`` where ``payload`` is the schema-6
-  :func:`~repro.parallel.results.result_to_payload` flattening (with
-  the bulky channels — registry snapshot, samples, span list — kept
-  worker-side; the compact ``span_summary`` crosses).
+* worker → coordinator: ``{"op": "ready", "worker", "pool", "pid"}``
+  and ``{"op": "result", "id", "ok", "payload"|"error", "wait_s",
+  "stalls"}`` where ``payload`` is the submission's outcome dict
+  (:meth:`~repro.service.backend.ExecutionPlane.execute`: five headline
+  numbers, ``memory_peak_bytes``, ``span_summary``) — constant size,
+  whatever the worker's uptime; its machine-wide telemetry stays
+  worker-side except the cumulative per-cause ``stalls`` totals.
 
 Determinism despite stealing: the source batch streams are seeded per
 ``(service seed, request seed, submission sequence, relation)`` — see
@@ -72,21 +75,11 @@ from typing import (
 )
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.core.engine import ExecutionResult, QueryRun, spawn_main
-from repro.core.strategies import make_policy
+from repro.core.engine import spawn_main
 from repro.exec.core import SimEvent
-from repro.exec.live import live_wrappers
-from repro.parallel.results import (
-    RESULT_SCHEMA_VERSION,
-    result_from_payload,
-    result_to_payload,
-)
-from repro.resources import admitted
-from repro.service.backend import BACKEND_WORKER_POOL
+from repro.service.backend import BACKEND_WORKER_POOL, ExecutionPlane
 
 if TYPE_CHECKING:
-    from repro.core.runtime import World
-    from repro.experiments.workloads import Figure5Workload
     from repro.resources import MemoryLease
     from repro.service.service import QueryService, SubmissionRecord
 
@@ -296,8 +289,7 @@ class WorkerPoolBackend:
             "params": service.params,
             "seed": service.seed,
             "memory_bytes": self._carve,
-            "admission": (service.admission if service.governed
-                          else "none"),
+            "admission": service.admission,
         }
 
     def _spawn(self, worker_id: int) -> None:
@@ -456,12 +448,8 @@ class WorkerPoolBackend:
         record.worker_id = worker_id
         if message.get("ok"):
             slot.completed += 1
-            result = result_from_payload(message["payload"])
-            result.worker_id = worker_id
-            record.memory_peak_bytes = result.memory_peak_bytes
-            record.span_summary = result.span_summary
             if not job.event.triggered:
-                job.event.succeed(result)
+                job.event.succeed(message["payload"])
         else:
             slot.failed += 1
             if not job.event.triggered:
@@ -545,8 +533,8 @@ class WorkerPoolBackend:
 
     # -- ExecutionBackend ----------------------------------------------------
     def launch(self, service: "QueryService", record: "SubmissionRecord",
-               workload: "Figure5Workload", initial: int, min_bytes: int,
-               max_bytes: int) -> Generator[SimEvent, Any, Any]:
+               initial: int, min_bytes: int,
+               max_bytes: int) -> Generator[SimEvent, Any, Dict[str, Any]]:
         request = record.request
         event = service.kernel.event(name=f"result:{record.id}")
         message = {
@@ -564,9 +552,7 @@ class WorkerPoolBackend:
                                      event=event)
         self.scheduler.assign(record.id)
         self._pump()
-        result = yield event  # WorkerDied / failure re-raises here
-        assert isinstance(result, ExecutionResult)
-        return result
+        return (yield event)  # WorkerDied / failure re-raises here
 
     def admission_limit_bytes(self,
                               service: "QueryService") -> Optional[int]:
@@ -606,45 +592,24 @@ class WorkerPoolBackend:
 
 
 # -- the worker process ------------------------------------------------------
-class WorkerHost:
-    """One worker process: a long-lived kernel executing piped jobs.
+class WorkerHost(ExecutionPlane):
+    """One worker process: an execution plane fed over a pipe.
 
-    The same query lifecycle as the in-process backend
-    (:func:`~repro.resources.admission.admitted` around one
-    :class:`~repro.core.engine.QueryRun`) on a private machine world:
-    own governed broker (pool = the coordinator's carve-out), own
-    admission queue, query-view worlds per job.  The host's pipe
-    reader thread marshals messages onto its asyncio loop; job
-    completion sends the schema-6 result payload back.
+    Everything that executes a job is the plane the in-process backend
+    calls directly (own kernel and machine world, governed broker with
+    pool = the coordinator's carve-out, own admission queue); the host
+    adds the pipe reader thread marshalling messages onto its asyncio
+    loop, the ``ready`` handshake, the result message and drain.
     """
 
     def __init__(self, worker_id: int, conn: Any,
                  config: Dict[str, Any]) -> None:
-        from repro.core.runtime import World
-        from repro.exec.aio import AsyncioKernel
-        from repro.resources import AdmissionController, MemoryBroker
-
+        super().__init__(config["params"], config["seed"],
+                         config.get("memory_bytes"),
+                         config.get("admission", "none"),
+                         name=f"worker-{worker_id}")
         self.worker_id = worker_id
         self.conn = conn
-        self.params = config["params"]
-        self.seed = config["seed"]
-        self.memory_bytes: Optional[int] = config.get("memory_bytes")
-        self.admission: str = config.get("admission", "none")
-        self.kernel = AsyncioKernel()
-        self.machine = World(self.params, seed=self.seed,
-                             kernel=self.kernel)
-        self.controller: Optional[AdmissionController] = None
-        if self.memory_bytes is not None:
-            self.machine.broker = MemoryBroker(
-                self.memory_bytes, sim=self.kernel,
-                telemetry=self.machine.telemetry,
-                name=f"worker-{worker_id}")
-            if self.admission != "none":
-                self.controller = AdmissionController(
-                    self.machine.broker, self.kernel,
-                    telemetry=self.machine.telemetry,
-                    policy=self.admission)
-        self._workloads: Dict[float, "Figure5Workload"] = {}
         self._waits: Dict[str, float] = {}
         self._active = 0
         self._stopping = False
@@ -664,8 +629,7 @@ class WorkerHost:
                                   name="job-reader", daemon=True)
         reader.start()
         self.conn.send({"op": "ready", "worker": self.worker_id,
-                        "pool": self.memory_bytes,
-                        "schema": RESULT_SCHEMA_VERSION,
+                        "pool": self.machine.broker.total_bytes,
                         "pid": os.getpid()})
         await run_task
         try:
@@ -704,54 +668,23 @@ class WorkerHost:
         self._active += 1
         process = spawn_main(self.kernel, self._execute(message),
                              f"job:{message['id']}")
-
-        def _finish(_event: Any, m: Dict[str, Any] = message,
-                    p: Any = process) -> None:
-            self._done(m, p)
-
-        process.add_callback(_finish)
-
-    def _workload(self, scale: float) -> "Figure5Workload":
-        from repro.experiments.workloads import figure5_workload
-
-        workload = self._workloads.get(scale)
-        if workload is None:
-            workload = figure5_workload(scale=scale)
-            self._workloads[scale] = workload
-        return workload
+        process.add_callback(lambda _event: self._done(message, process))
 
     def _execute(self, message: Dict[str, Any]
-                 ) -> Generator[SimEvent, Any, Any]:
-        from repro.service.service import (
-            SubmissionRequest,
-            submission_sources,
-        )
+                 ) -> Generator[SimEvent, Any, Dict[str, Any]]:
+        from repro.service.service import SubmissionRequest
 
-        request = SubmissionRequest.from_json(message["request"])
-        workload = self._workload(request.scale)
         name: str = message["id"]
 
-        def run(world: "World", waited: float
-                ) -> Generator[SimEvent, Any, ExecutionResult]:
+        def started(_run: Any, waited: float) -> None:
             self._waits[name] = waited
-            query = QueryRun(
-                world, workload.qep, make_policy(request.strategy),
-                live_wrappers(world, submission_sources(
-                    self.seed, self.params, workload, request,
-                    message["sequence"])),
-                name=name)
-            result = yield from query.join()
-            result.submission_id = name
-            result.tenant = request.tenant
-            result.worker_id = self.worker_id
-            return result
 
-        return (yield from admitted(
-            self.machine, self.controller, name,
+        return (yield from self.execute(
+            name, SubmissionRequest.from_json(message["request"]),
+            message["sequence"],
             (message["initial"], message["min_bytes"],
-             message["max_bytes"]), run,
-            priority=float(message.get("priority") or 0.0),
-            tenant=request.tenant, attach_memory_metrics=False))
+             message["max_bytes"]),
+            float(message.get("priority") or 0.0), started))
 
     def _done(self, message: Dict[str, Any], process: Any) -> None:
         self._active -= 1
@@ -764,15 +697,8 @@ class WorkerHost:
                 "stalls": stalls,
             }
         else:
-            payload = result_to_payload(process.value)
-            # The bulky channels stay worker-side; the wire carries the
-            # scalars, per-wrapper/fragment stats and span summary.
-            payload["metrics"] = None
-            payload["samples"] = []
-            payload["spans"] = None
-            payload["decisions"] = []
             out = {"op": "result", "id": message["id"], "ok": True,
-                   "payload": payload, "wait_s": wait_s,
+                   "payload": process.value, "wait_s": wait_s,
                    "stalls": stalls}
         try:
             self.conn.send(out)

@@ -111,14 +111,16 @@ def test_disabled_registry_hands_out_null_metric():
 
 def test_stall_attribution_accumulates_by_cause():
     stalls = StallAttribution()
+    intervals = []
+    stalls.on_record = intervals.append
     stalls.record(source_wait("A"), 0.0, 1.5)
     stalls.record(source_wait("A"), 2.0, 2.5)
     stalls.record("memory-wait", 3.0, 3.25)
     assert stalls.total == pytest.approx(2.25)
     assert stalls.by_cause() == {"source-wait:A": 2.0, "memory-wait": 0.25}
     assert stalls.source_waits() == {"A": 2.0}
-    assert len(stalls.intervals) == 3
-    assert stalls.intervals[0].duration == pytest.approx(1.5)
+    assert len(intervals) == 3
+    assert intervals[0].duration == pytest.approx(1.5)
 
 
 def test_stall_attribution_rejects_backwards_interval():

@@ -33,9 +33,10 @@ def test_schema_version_covers_the_telemetry_payload():
     # multi-query payloads gained decisions and admission outcomes,
     # 3 -> 4 when span trees and their summaries joined, 4 -> 5 when
     # submission/tenant identity joined, 5 -> 6 when worker identity
-    # joined (`repro serve --workers N`); the version is part of every
-    # cache key, so stale entries miss cleanly.
-    assert RESULT_SCHEMA_VERSION == 6
+    # joined (`repro serve --workers N`), 6 -> 7 when all three left
+    # again; the version is part of every cache key, so stale entries
+    # miss cleanly.
+    assert RESULT_SCHEMA_VERSION == 7
 
 
 def test_payload_roundtrip_preserves_metrics_and_samples():

@@ -434,6 +434,72 @@ def test_latency_never_undercuts_the_response_time_on_a_busy_kernel():
 
 
 # --------------------------------------------------------------------------
+# A long-lived service holds nothing per submission it has finished with
+# --------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def aged_service():
+    """300 submissions, 16 in flight at a time, through one governed
+    in-process service on a fast modelled machine."""
+    async def scenario():
+        service = QueryService(
+            seed=3, global_memory_bytes=16 << 20,
+            params=SimulationParameters(telemetry_enabled=True,
+                                        cpu_mips=10_000.0))
+        await service.start()
+        records = []
+        requests = iter(range(300))
+
+        async def client():
+            for seed in requests:
+                record = service.submit(SubmissionRequest(
+                    seed=seed, scale=0.0005, wait_us=0.0,
+                    memory_bytes=1 << 20))
+                records.append(record)
+                await record.done.wait()
+
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*(client() for _ in range(16))),
+                timeout=120.0)
+            return service, records, service.snapshot()
+        finally:
+            await service.stop()
+
+    return asyncio.run(scenario())
+
+
+def test_finished_records_keep_their_own_outcome_and_nothing_else(
+        aged_service):
+    service, records, _ = aged_service
+    assert len(records) == 300
+    for record in records:
+        assert record.state == "done", record.error
+        assert record.run is None
+        assert record.memory_peak_bytes > 0
+        assert set(record.outcome) == {
+            "response_time", "result_tuples", "time_to_first_tuple",
+            "batches_processed", "stall_time"}
+    audit = service.machine.telemetry.audit
+    assert audit.appended >= 300 and len(audit.records) <= audit.capacity
+
+
+def test_stall_attribution_holds_totals_only(aged_service):
+    """No per-interval list grows with the submission stream; the
+    per-cause totals still re-sum to what the snapshot reports."""
+    service, _, snapshot = aged_service
+    stalls = service.machine.telemetry.stalls
+    containers = {name for name, value in vars(stalls).items()
+                  if isinstance(value, (list, dict, set, tuple))
+                  or hasattr(value, "maxlen")}
+    assert containers == {"breakdown"}
+    assert 0 < len(stalls.breakdown) <= 10
+    assert sum(stalls.breakdown.values()) \
+        == pytest.approx(sum(snapshot["stalls"].values()))
+    assert stalls.total > 0.0
+
+
+# --------------------------------------------------------------------------
 # Durable archive + SLO plane wired into a live session
 # --------------------------------------------------------------------------
 

@@ -36,6 +36,10 @@ from repro.service.workers import WorkerPoolBackend
 #: memory budget is far under the per-worker carve so workers overlap.
 FAST = dict(scale=0.0005, wait_us=20.0, memory_bytes=256 << 10)
 
+#: what ``SubmissionRecord.outcome`` holds, whichever backend ran it.
+OUTCOME_KEYS = {"response_time", "result_tuples", "time_to_first_tuple",
+                "batches_processed", "stall_time"}
+
 
 # --------------------------------------------------------------------------
 # PoolScheduler: the pure dispatch/steal policy
@@ -221,10 +225,9 @@ def test_render_service_top_shows_the_worker_section(pool_session):
     assert len(worker_rows) == 2
 
 
-def test_pool_results_match_the_in_process_backend(pool_session):
-    """Stealing must not change results: source streams are seeded per
-    submission, not per worker, so the same request sequence yields the
-    same tuple counts on either backend."""
+@pytest.fixture(scope="module")
+def solo_session():
+    """``pool_session``'s six submissions on the in-process backend."""
     out = {}
 
     async def scenario():
@@ -240,9 +243,35 @@ def test_pool_results_match_the_in_process_backend(pool_session):
         out["records"] = records
 
     asyncio.run(scenario())
+    return out
+
+
+def test_pool_results_match_the_in_process_backend(pool_session,
+                                                   solo_session):
+    """Stealing must not change results: source streams are seeded per
+    submission, not per worker, so the same request sequence yields the
+    same tuple counts on either backend."""
     pooled = [r.outcome["result_tuples"] for r in pool_session["records"]]
-    solo = [r.outcome["result_tuples"] for r in out["records"]]
+    solo = [r.outcome["result_tuples"] for r in solo_session["records"]]
     assert pooled == solo
+
+
+def test_a_submission_reports_one_outcome_on_either_backend(pool_session,
+                                                            solo_session):
+    """Both transports carry the execution plane's outcome dict: the
+    records differ in the worker id and in what follows the wall clock
+    (times, and through batch interleaving the counts and the peak)."""
+    for pooled, solo in zip(pool_session["records"],
+                            solo_session["records"]):
+        assert set(pooled.outcome) == set(solo.outcome) == OUTCOME_KEYS
+        assert pooled.outcome["result_tuples"] \
+            == solo.outcome["result_tuples"]
+        for record in (pooled, solo):
+            assert record.outcome["batches_processed"] > 0
+            assert record.memory_peak_bytes > 0
+            assert record.run is None
+        assert set(pooled.to_dict(0.0)) == set(solo.to_dict(0.0))
+        assert pooled.worker_id in (0, 1) and solo.worker_id is None
 
 
 # --------------------------------------------------------------------------
@@ -456,6 +485,23 @@ def _run_host(jobs, pool_bytes, probe=list):
     return host, results, pipe.probed
 
 
+def _own_spans(recorder, name):
+    """The spans one job owns on a worker's shared recorder: its query
+    span's subtree plus the admission wait that query names as cause."""
+    from repro.observability import SPAN_QUERY
+
+    (root,) = [span for span in recorder.by_kind(SPAN_QUERY)
+               if span.name == name]
+    own, frontier = [], [root]
+    while frontier:
+        span = frontier.pop()
+        own.append(span)
+        frontier.extend(recorder.children(span.span_id))
+    if root.caused_by is not None:
+        own.append(recorder.spans[root.caused_by])
+    return own
+
+
 def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
     """A job queued behind a worker's carve is attributed exactly like
     one queued in the coordinator: stall, span, cause link — and the
@@ -478,8 +524,36 @@ def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
     assert causes == {"s-000001": None, "s-000002": waits[0].span_id}
     assert second["stalls"]["admission-wait"] \
         == pytest.approx(second["wait_s"])
-    assert second["payload"]["span_summary"]["spans"] == len(spans)
+    own = _own_spans(spans, "s-000002")
+    assert waits[0] in own
+    assert second["payload"]["span_summary"]["spans"] == len(own) < len(spans)
     assert host.machine.broker.leased_bytes == 0
+
+
+def test_worker_span_summary_covers_the_job_not_the_workers_history():
+    """Job 3 reports the same summary whether or not jobs 1-2 ran on the
+    worker before (and beside) it."""
+    from repro.observability import span_summary
+
+    third = _job(3, 1 << 20, scale=0.02, strategy="SEQ")
+    busy, busy_results, _ = _run_host(
+        [_job(1, 1 << 20), _job(2, 1 << 20), third], pool_bytes=4 << 20)
+    idle, idle_results, _ = _run_host([third], pool_bytes=4 << 20)
+
+    summaries = []
+    for host, results in ((busy, busy_results), (idle, idle_results)):
+        payload = results["s-000003"]["payload"]
+        own = _own_spans(host.machine.telemetry.spans, "s-000003")
+        own.sort(key=lambda span: span.span_id)
+        assert payload["span_summary"] == span_summary(own)
+        assert payload["span_summary"]["response_time"] \
+            == payload["response_time"]
+        summaries.append(payload["span_summary"])
+    with_history, alone = summaries
+    assert with_history["spans"] < len(busy.machine.telemetry.spans)
+    assert alone["spans"] == len(idle.machine.telemetry.spans)
+    # Stall spans follow the wall clock, so counts match only closely.
+    assert with_history["spans"] == pytest.approx(alone["spans"], rel=0.1)
 
 
 @pytest.mark.parametrize("how", ["mid-stream", "at-open"])
@@ -503,3 +577,90 @@ def test_worker_source_failure_leaks_nothing(how, break_service_source,
     assert host.machine.broker.leased_bytes == 0
     assert not host.machine.broker.leases
     assert feeders == [[]]
+
+
+# --------------------------------------------------------------------------
+# A worker does not age: cost, memory and wire size are flat in uptime
+# --------------------------------------------------------------------------
+
+class SerialPipe(MemoryPipe):
+    """One job in flight at a time: each result releases the next job,
+    the last one reports the coordinator gone."""
+
+    def __init__(self, messages):
+        import queue
+
+        self._inbox = queue.Queue()
+        self._pending = iter(messages)
+        self._inbox.put(next(self._pending))
+        self.sent = []
+
+    def send(self, message):
+        self.sent.append(message)
+        if message["op"] == "result":
+            self._inbox.put(next(self._pending, None))
+
+
+def _keys(value):
+    """Every dict key anywhere inside ``value``."""
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield key
+            yield from _keys(inner)
+    elif isinstance(value, (list, tuple)):
+        for inner in value:
+            yield from _keys(inner)
+
+
+def test_governed_worker_cost_and_wire_size_do_not_grow_with_uptime(
+        monkeypatch):
+    """400 jobs through one governed worker: the audit log is a ring,
+    every result message is the same small shape, and closing out job
+    400 costs what closing out job 1 did — nothing per-job copies,
+    walks or serialises the machine's history."""
+    import pickle
+    import time
+    from statistics import fmean
+
+    from repro.config import SimulationParameters
+    from repro.service.backend import DEFAULT_AUDIT_CAPACITY
+    from repro.service.workers import WorkerHost
+
+    done_seconds = []
+    real_done = WorkerHost._done
+
+    def timed_done(self, message, process):
+        started = time.perf_counter()
+        real_done(self, message, process)
+        done_seconds.append(time.perf_counter() - started)
+
+    monkeypatch.setattr(WorkerHost, "_done", timed_done)
+    jobs = 400
+    pipe = SerialPipe([_job(index, 256 << 10, wait_us=0.0)
+                       for index in range(1, jobs + 1)])
+    host = WorkerHost(0, pipe, {
+        # A fast modelled machine keeps the test host-bound and short.
+        "params": SimulationParameters(telemetry_enabled=True,
+                                       cpu_mips=10_000.0),
+        "seed": 11, "memory_bytes": 16 * (256 << 10),
+        "admission": "priority"})
+    host.run()
+
+    results = [message for message in pipe.sent
+               if message["op"] == "result"]
+    assert len(results) == jobs and all(r["ok"] for r in results)
+
+    audit = host.machine.telemetry.audit
+    assert audit.capacity == DEFAULT_AUDIT_CAPACITY
+    assert len(audit.records) <= audit.capacity
+    assert audit.appended >= jobs
+
+    first, last = results[0], results[-1]
+    for message in results:
+        assert set(message) == set(first)
+        assert set(message["payload"]) == set(first["payload"])
+        assert not {"decisions", "metrics", "samples", "spans",
+                    "fragment_stats"} & set(_keys(message))
+    assert abs(len(pickle.dumps(last)) - len(pickle.dumps(first))) <= 16
+
+    assert fmean(done_seconds[300:]) <= 3 * fmean(done_seconds[:100])
