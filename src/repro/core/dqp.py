@@ -142,16 +142,6 @@ class DynamicQueryProcessor:
         if self._rate_event is not None and not self._rate_event.triggered:
             self._rate_event.succeed("budget-grow")
 
-    def recompile_hooks(self) -> None:
-        """Rebuild the dispatch table after a channel attaches/detaches.
-
-        Cheap (registry getters are get-or-create), and picked up by the
-        next ``execute`` call, i.e. the next scheduling plan.
-        """
-        self.hooks = compile_dqp_hooks(
-            self.runtime.world.telemetry,
-            phase_span_of=lambda: self.current_phase_span)
-
     # -- main loop ---------------------------------------------------------
     def execute(self, sp: SchedulingPlan) -> Generator[
             SimEvent, Any, InterruptionEvent]:

@@ -211,8 +211,13 @@ class QueryRun:
     completion checks"; every front-end (one-shot, multi-query, live,
     service backends) builds a :class:`World` its own way and hands the
     rest to a run.  ``make_wrapper`` maps a source relation to an
-    unstarted wrapper on that world: :func:`seeded_wrappers` on the
-    simulator, :func:`repro.exec.live.live_wrappers` on live sources.
+    unstarted wrapper on that world: a modelled
+    :class:`~repro.wrappers.source.Wrapper` on any kernel
+    (:func:`seeded_wrappers`, the service's execution plane) or
+    :func:`repro.exec.live.live_wrappers` over real async sources.  Both
+    kinds meet one contract: ``name``, ``tuples_sent``,
+    ``production_time``, ``blocked_time``, ``finished_at``, ``error``,
+    ``start()``, ``stop()``.
 
     Two shapes, no event hop between them and the optimizer:
     :meth:`start` spawns the optimizer as its own process (the one-shot
@@ -301,12 +306,10 @@ class QueryRun:
                                    self.policy.name)
 
     def detach(self) -> None:
-        """Stop sources that outlive the kernel's view of them (live
-        feeder tasks); idempotent, meant for failure paths too."""
+        """Stop the sources (a modelled producer at its next message, a
+        live feeder task now); idempotent, meant for failure paths too."""
         for wrapper in self.wrappers:
-            stop = getattr(wrapper, "stop", None)
-            if stop is not None:
-                stop()
+            wrapper.stop()
 
     def check_complete(self) -> EndOfQEP:
         """Raise unless the run finished cleanly; returns its end event."""
@@ -317,13 +320,13 @@ class QueryRun:
             raise SimulationError(
                 f"query run {self.name!r} ended without EndOfQEP: {end!r}")
         for wrapper in self.wrappers:
-            # A live source that died had its stream closed so the
-            # engine could drain; what it computed is truncated input.
-            error = getattr(wrapper, "error", None)
-            if error is not None:
+            # A source that died had its stream closed so the engine
+            # could drain; what it computed is truncated input.
+            if wrapper.error is not None:
                 raise SimulationError(
                     f"query run {self.name!r}: source {wrapper.name!r} "
-                    f"failed mid-stream: {error!r}") from error
+                    f"failed mid-stream: {wrapper.error!r}"
+                ) from wrapper.error
         if not self.runtime.all_done:
             raise SimulationError(
                 f"query run {self.name!r}: kernel idle but query incomplete")
@@ -370,7 +373,6 @@ class QueryRun:
             cache_hit_ratio=world.cache.hit_ratio(),
             tuples_spilled=int(world.buffer.tuples_spilled.value),
             tuples_reloaded=int(world.buffer.tuples_reloaded.value),
-            # Simulated and live wrappers share this read-only surface.
             wrapper_stats={w.name: (w.tuples_sent, w.production_time,
                                     w.blocked_time)
                            for w in self.wrappers},

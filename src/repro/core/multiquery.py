@@ -52,8 +52,49 @@ from repro.resources import (
 from repro.wrappers.delays import DelayModel
 
 
+class LeaseBudgets:
+    """The optional memory budget of a submission, for the dataclasses
+    that declare these three fields (here and in the service)."""
+
+    #: per-query memory budget; None uses the configured default.
+    memory_bytes: Optional[int]
+    #: minimum working set the query can *start* with (admission gate);
+    #: defaults to the initial budget.
+    min_memory_bytes: Optional[int]
+    #: budget ceiling the lease may grow to via broker offers; defaults
+    #: to the initial budget (i.e. static, as in the paper).
+    max_memory_bytes: Optional[int]
+
+    def check_budgets(self, prefix: str = "") -> None:
+        """Reject a non-positive budget and ``min`` above ``max``."""
+        for label in ("memory_bytes", "min_memory_bytes",
+                      "max_memory_bytes"):
+            value = getattr(self, label)
+            if value is not None and value <= 0:
+                raise ConfigurationError(
+                    f"{prefix}{label} must be positive, got {value}")
+        if (self.min_memory_bytes is not None
+                and self.max_memory_bytes is not None
+                and self.min_memory_bytes > self.max_memory_bytes):
+            raise ConfigurationError(
+                f"{prefix}min_memory_bytes {self.min_memory_bytes} "
+                f"exceeds max_memory_bytes {self.max_memory_bytes}")
+
+    def resolved_budgets(self, params: SimulationParameters) -> tuple[
+            int, int, int]:
+        """``(initial, min, max)`` lease bytes with defaults applied."""
+        initial = (self.memory_bytes if self.memory_bytes is not None
+                   else params.query_memory_bytes)
+        min_bytes = (self.min_memory_bytes
+                     if self.min_memory_bytes is not None else initial)
+        max_bytes = (self.max_memory_bytes
+                     if self.max_memory_bytes is not None else initial)
+        initial = min(max(initial, min_bytes), max_bytes)
+        return initial, min_bytes, max_bytes
+
+
 @dataclass
-class QuerySubmission:
+class QuerySubmission(LeaseBudgets):
     """One query to run: plan, policy, sources and arrival time."""
 
     name: str
@@ -62,13 +103,8 @@ class QuerySubmission:
     policy: PlanningPolicy
     delay_models: Mapping[str, DelayModel]
     start_time: float = 0.0
-    #: per-query memory budget; None uses the configured default.
     memory_bytes: Optional[int] = None
-    #: minimum working set the query can *start* with (admission gate);
-    #: defaults to the initial budget.
     min_memory_bytes: Optional[int] = None
-    #: budget ceiling the lease may grow to via broker offers; defaults
-    #: to the initial budget (i.e. static, as in the paper).
     max_memory_bytes: Optional[int] = None
     #: admission priority (higher admits first under ``priority`` policy).
     priority: float = 0.0
@@ -81,20 +117,7 @@ class QuerySubmission:
         if self.start_time < 0:
             raise ConfigurationError(
                 f"start_time must be >= 0, got {self.start_time}")
-        for label, value in (("memory_bytes", self.memory_bytes),
-                             ("min_memory_bytes", self.min_memory_bytes),
-                             ("max_memory_bytes", self.max_memory_bytes)):
-            if value is not None and value <= 0:
-                raise ConfigurationError(
-                    f"query {self.name!r}: {label} must be positive, "
-                    f"got {value}")
-        if (self.min_memory_bytes is not None
-                and self.max_memory_bytes is not None
-                and self.min_memory_bytes > self.max_memory_bytes):
-            raise ConfigurationError(
-                f"query {self.name!r}: min_memory_bytes "
-                f"{self.min_memory_bytes} exceeds max_memory_bytes "
-                f"{self.max_memory_bytes}")
+        self.check_budgets(f"query {self.name!r}: ")
         if self.memory_bytes is not None:
             if (self.min_memory_bytes is not None
                     and self.memory_bytes < self.min_memory_bytes):
@@ -111,19 +134,6 @@ class QuerySubmission:
         if missing:
             raise ConfigurationError(
                 f"query {self.name!r}: no delay model for {sorted(missing)}")
-
-    def resolved_budgets(self, params: SimulationParameters) -> tuple[
-            int, int, int]:
-        """``(initial, min, max)`` lease bytes with defaults applied."""
-        initial = (self.memory_bytes if self.memory_bytes is not None
-                   else params.query_memory_bytes)
-        min_bytes = (self.min_memory_bytes
-                     if self.min_memory_bytes is not None else initial)
-        max_bytes = (self.max_memory_bytes
-                     if self.max_memory_bytes is not None else initial)
-        initial = min(max(initial, min_bytes), max_bytes)
-        return initial, min_bytes, max_bytes
-
 
 @dataclass
 class QueryOutcome:

@@ -381,7 +381,11 @@ class KernelBase:
 
     # -- failure accounting ------------------------------------------------
     def _note_failed_process(self, process: Process) -> None:
-        self._failed_processes.append(process)
+        # A process born defused has an owner who reads its failure (see
+        # ``spawn_main``); listing it would pin the failure, its
+        # traceback and every frame's run for the life of the kernel.
+        if not process.defused:
+            self._failed_processes.append(process)
 
     def _raise_unhandled_failures(self) -> None:
         for process in self._failed_processes:

@@ -25,6 +25,7 @@ Either way it returns the plane's outcome dict.
 
 from __future__ import annotations
 
+import zlib
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,16 +38,18 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.config import SimulationParameters
 from repro.core.engine import QueryRun
 from repro.core.runtime import World
 from repro.core.strategies import make_policy
 from repro.exec.aio import AsyncioKernel
 from repro.exec.core import SimEvent
-from repro.exec.live import live_wrappers
 from repro.experiments.workloads import Figure5Workload, figure5_workload
 from repro.observability import DecisionAuditLog, span_summary
 from repro.resources import admitted, govern
+from repro.wrappers import JitteredDelay, Wrapper
 
 if TYPE_CHECKING:
     from repro.service.service import (
@@ -96,6 +99,33 @@ class ExecutionPlane:
             workload = self._workloads[scale] = figure5_workload(scale=scale)
         return workload
 
+    def wrappers(self, world: World, request: "SubmissionRequest",
+                 sequence: int) -> Callable[[str], Wrapper]:
+        """Per-relation factory of one submission's sources on ``world``:
+        its delay profile, run by the modelled wrapper.
+
+        Seeded per ``(service seed, request seed, submission sequence,
+        relation)``: every submission sees fresh-but-reproducible delays,
+        and — because nothing here depends on the executing process — a
+        pool worker builds exactly the sources the coordinator would
+        have built, so work stealing never changes a result.  (Not
+        ``world.rng``: that keeps one generator per label for the life
+        of the machine.)
+        """
+        catalog = self.workload(request.scale).catalog
+        base_wait = request.wait_us * 1e-6
+
+        def make(relation: str) -> Wrapper:
+            rng = np.random.default_rng(
+                [self.seed, request.seed, sequence,
+                 zlib.crc32(relation.encode())])
+            return Wrapper(
+                world.sim, catalog.relation(relation),
+                JitteredDelay(base_wait * request.slow.get(relation, 1.0),
+                              request.jitter),
+                world.cm, rng, world.params)
+        return make
+
     def execute(self, name: str, request: "SubmissionRequest",
                 sequence: int, budgets: Tuple[int, int, int],
                 priority: float,
@@ -107,18 +137,12 @@ class ExecutionPlane:
         the run attaches.  Returns :meth:`QueryRun.outcome` plus
         ``span_summary`` (None with spans off).
         """
-        # Imported here: repro.service.service imports this module.
-        from repro.service.service import submission_sources
-
-        workload = self.workload(request.scale)
-
         def run(world: World, waited: float
                 ) -> Generator[SimEvent, Any, Dict[str, Any]]:
             query = QueryRun(
-                world, workload.qep, make_policy(request.strategy),
-                live_wrappers(world, submission_sources(
-                    self.seed, self.params, workload, request, sequence)),
-                name=name)
+                world, self.workload(request.scale).qep,
+                make_policy(request.strategy),
+                self.wrappers(world, request, sequence), name=name)
             started(query, waited)
             try:
                 end = yield from query.drive()

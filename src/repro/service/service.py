@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -51,15 +50,12 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
 from repro.core.engine import QueryRun, spawn_main
+from repro.core.multiquery import LeaseBudgets
 from repro.core.strategies import make_policy
 from repro.exec.core import Process, SimEvent
-from repro.exec.live import BatchSource, jittered_batches
-from repro.experiments.workloads import Figure5Workload
 from repro.observability import MetricsPublisher
 from repro.observability.archive import (
     RECORD_ALERT,
@@ -109,7 +105,7 @@ class ServiceDraining(Exception):
 
 
 @dataclass(frozen=True)
-class SubmissionRequest:
+class SubmissionRequest(LeaseBudgets):
     """One query submission as it arrives over the wire.
 
     The service runs the Figure 5 workload shape (that is the engine's
@@ -122,7 +118,7 @@ class SubmissionRequest:
     strategy: str = "DSE"
     scale: float = 0.02
     seed: int = 0
-    #: mean per-tuple source wait, microseconds (the live delay model).
+    #: mean per-tuple source wait, microseconds.
     wait_us: float = 200.0
     jitter: float = 1.0
     #: per-relation wait multipliers, e.g. ``{"A": 10.0}``.
@@ -154,18 +150,7 @@ class SubmissionRequest:
                 raise ConfigurationError(
                     f"slow factor for {relation!r} must be >= 0, "
                     f"got {factor}")
-        for label, value in (("memory_bytes", self.memory_bytes),
-                             ("min_memory_bytes", self.min_memory_bytes),
-                             ("max_memory_bytes", self.max_memory_bytes)):
-            if value is not None and value <= 0:
-                raise ConfigurationError(
-                    f"{label} must be positive, got {value}")
-        if (self.min_memory_bytes is not None
-                and self.max_memory_bytes is not None
-                and self.min_memory_bytes > self.max_memory_bytes):
-            raise ConfigurationError(
-                f"min_memory_bytes {self.min_memory_bytes} exceeds "
-                f"max_memory_bytes {self.max_memory_bytes}")
+        self.check_budgets()
 
     @classmethod
     def from_json(cls, data: Any) -> "SubmissionRequest":
@@ -216,18 +201,6 @@ class SubmissionRequest:
             "min_memory_bytes": self.min_memory_bytes,
             "max_memory_bytes": self.max_memory_bytes,
         }
-
-    def resolved_budgets(self, params: SimulationParameters
-                         ) -> tuple[int, int, int]:
-        """``(initial, min, max)`` lease bytes with defaults applied."""
-        initial = (self.memory_bytes if self.memory_bytes is not None
-                   else params.query_memory_bytes)
-        min_bytes = (self.min_memory_bytes
-                     if self.min_memory_bytes is not None else initial)
-        max_bytes = (self.max_memory_bytes
-                     if self.max_memory_bytes is not None else initial)
-        initial = min(max(initial, min_bytes), max_bytes)
-        return initial, min_bytes, max_bytes
 
 
 @dataclass
@@ -288,37 +261,6 @@ class SubmissionRecord:
             "error": self.error,
             "outcome": self.outcome,
         }
-
-
-def submission_sources(service_seed: int, params: SimulationParameters,
-                       workload: Figure5Workload,
-                       request: SubmissionRequest,
-                       sequence: int) -> Dict[str, Callable[[], BatchSource]]:
-    """Source-stream factories for one submission.
-
-    Seeded per ``(service seed, request seed, submission sequence,
-    relation)``: every submission sees fresh-but-reproducible delays,
-    and — because nothing here depends on the executing process — a
-    pool worker reproduces exactly the streams the coordinator would
-    have built, so work stealing never changes a result.
-    """
-    base_wait = request.wait_us * 1e-6
-
-    def factory(relation: str) -> Callable[[], BatchSource]:
-        cardinality = workload.catalog.relation(relation).cardinality
-
-        def make() -> BatchSource:
-            rng = np.random.default_rng(
-                [service_seed, request.seed, sequence,
-                 zlib.crc32(relation.encode())])
-            return jittered_batches(
-                cardinality, params.tuples_per_message,
-                base_wait * request.slow.get(relation, 1.0), rng,
-                jitter=request.jitter)
-        return make
-
-    return {relation: factory(relation)
-            for relation in workload.relation_names}
 
 
 class QueryService:

@@ -40,10 +40,10 @@ pickled dicts):
   whatever the worker's uptime; its machine-wide telemetry stays
   worker-side except the cumulative per-cause ``stalls`` totals.
 
-Determinism despite stealing: the source batch streams are seeded per
+Determinism despite stealing: a submission's sources are seeded per
 ``(service seed, request seed, submission sequence, relation)`` — see
-:func:`repro.service.service.submission_sources` — so a submission's
-result does not depend on *which* worker executed it.
+:meth:`~repro.service.backend.ExecutionPlane.wrappers` — so its result
+does not depend on *which* worker executed it.
 
 Failure semantics: a worker that dies (EOF/OSError on its pipe) fails
 every submission it had in flight with :class:`WorkerDied` (the error

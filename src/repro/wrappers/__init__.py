@@ -13,6 +13,7 @@ from repro.wrappers.delays import (
     DelayModel,
     ExponentialDelay,
     InitialDelay,
+    JitteredDelay,
     NormalDelay,
     UniformDelay,
     slow_delivery,
@@ -25,6 +26,7 @@ __all__ = [
     "DelayModel",
     "ExponentialDelay",
     "InitialDelay",
+    "JitteredDelay",
     "NormalDelay",
     "UniformDelay",
     "Wrapper",

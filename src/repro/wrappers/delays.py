@@ -15,7 +15,9 @@ The taxonomy of Section 1.2:
   explicit spelling.
 
 The experiments' default (Section 5.1.3) is :class:`UniformDelay`:
-per-tuple delays uniform on ``[0, 2w]``, hence an average of ``w``.
+per-tuple delays uniform on ``[0, 2w]``, hence an average of ``w``;
+:class:`JitteredDelay`, a service submission's delay profile, makes that
+draw once per message.
 """
 
 from __future__ import annotations
@@ -44,32 +46,31 @@ class DelayModel(ABC):
             raise ConfigurationError(f"tuple count must be >= 0, got {n}")
 
 
-class ConstantDelay(DelayModel):
-    """Exactly ``w`` seconds before every tuple."""
+class _MeanWaitDelay(DelayModel):
+    """A model parameterised by its mean per-tuple wait ``w``."""
 
     def __init__(self, w: float):
         if w < 0:
             raise ConfigurationError(f"w must be >= 0, got {w}")
         self.w = w
-
-    def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        self._check_n(n)
-        return np.full(n, self.w)
 
     def mean_wait(self) -> float:
         return self.w
 
     def __repr__(self) -> str:
-        return f"ConstantDelay(w={self.w:g})"
+        return f"{type(self).__name__}(w={self.w:g})"
 
 
-class UniformDelay(DelayModel):
+class ConstantDelay(_MeanWaitDelay):
+    """Exactly ``w`` seconds before every tuple."""
+
+    def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        self._check_n(n)
+        return np.full(n, self.w)
+
+
+class UniformDelay(_MeanWaitDelay):
     """Per-tuple delays uniform on ``[0, 2w]`` (the paper's experiments)."""
-
-    def __init__(self, w: float):
-        if w < 0:
-            raise ConfigurationError(f"w must be >= 0, got {w}")
-        self.w = w
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
         self._check_n(n)
@@ -77,11 +78,31 @@ class UniformDelay(DelayModel):
             return np.zeros(n)
         return rng.uniform(0.0, 2.0 * self.w, size=n)
 
-    def mean_wait(self) -> float:
-        return self.w
+
+class JitteredDelay(_MeanWaitDelay):
+    """One draw per message: each of its tuples waits ``w * u``, ``u``
+    uniform on ``[1 - jitter, 1 + jitter]``.
+
+    With ``jitter=1`` that is the uniform-[0, 2w] wait applied per
+    message instead of per tuple — the draw
+    :func:`repro.exec.live.jittered_batches` makes, so a delay profile
+    (``w``, ``jitter``) means the same production times on either path.
+    """
+
+    def __init__(self, w: float, jitter: float = 1.0):
+        super().__init__(w)
+        if not 0.0 <= jitter <= 1.0:
+            raise ConfigurationError(
+                f"jitter must be in [0, 1], got {jitter}")
+        self.jitter = jitter
+
+    def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        self._check_n(n)
+        return np.full(n, self.w * rng.uniform(1.0 - self.jitter,
+                                               1.0 + self.jitter))
 
     def __repr__(self) -> str:
-        return f"UniformDelay(w={self.w:g})"
+        return f"JitteredDelay(w={self.w:g}, jitter={self.jitter:g})"
 
 
 def slow_delivery(w: float) -> UniformDelay:
@@ -89,29 +110,18 @@ def slow_delivery(w: float) -> UniformDelay:
     return UniformDelay(w)
 
 
-class ExponentialDelay(DelayModel):
+class ExponentialDelay(_MeanWaitDelay):
     """Memoryless per-tuple delays (Poisson tuple arrivals) with mean ``w``.
 
     Heavier-tailed than the experiments' uniform model: occasional long
     gaps stress the scheduler's ability to absorb irregularity.
     """
 
-    def __init__(self, w: float):
-        if w < 0:
-            raise ConfigurationError(f"w must be >= 0, got {w}")
-        self.w = w
-
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
         self._check_n(n)
         if self.w == 0:
             return np.zeros(n)
         return rng.exponential(self.w, size=n)
-
-    def mean_wait(self) -> float:
-        return self.w
-
-    def __repr__(self) -> str:
-        return f"ExponentialDelay(w={self.w:g})"
 
 
 class NormalDelay(DelayModel):

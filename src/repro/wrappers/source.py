@@ -40,6 +40,10 @@ class Wrapper:
         self.production_time = 0.0      # time spent producing (delay model)
         self.blocked_time = 0.0         # time suspended by the window protocol
         self.finished_at: Optional[float] = None
+        #: what the delay model raised mid-stream, if it did; the stream
+        #: is closed regardless and ``QueryRun.check_complete`` reports it.
+        self.error: Optional[Exception] = None
+        self._stopped = False
         self._process: Optional[Process] = None
         registry = cm.telemetry.registry
         name = relation.name
@@ -62,6 +66,14 @@ class Wrapper:
         self._process = self.sim.process(self._run(), name=f"wrapper:{self.name}")
         return self._process
 
+    def stop(self) -> None:
+        """Stop producing at the next message (used on engine failure
+        paths).  A flag, not ``Process.interrupt``: an interrupted sender
+        queued for the machine's one CPU would keep its place in the
+        resource's waiters, and the slot later handed to it is lost to
+        every other query on the machine."""
+        self._stopped = True
+
     def _run(self) -> Generator[SimEvent, Any, None]:
         """Producer half: applies the delay model, fills the send pipeline.
 
@@ -81,9 +93,13 @@ class Wrapper:
             self.finished_at = self.sim.now
             return
         per_message = self.params.tuples_per_message
-        while remaining > 0:
+        while remaining > 0 and not self._stopped:
             count = min(per_message, remaining)
-            waits = self.delay_model.waiting_times(count, self.rng)
+            try:
+                waits = self.delay_model.waiting_times(count, self.rng)
+            except Exception as exc:
+                self.error = exc
+                break
             # ndarray.sum() skips numpy's dispatch wrapper; same value,
             # same RNG stream, measurably less per-message overhead.
             production = float(waits.sum())
@@ -96,13 +112,22 @@ class Wrapper:
             self.blocked_time += blocked
             self._blocked_metric.inc(blocked)
             remaining -= count
+        if remaining > 0:
+            # Died or stopped short: the sender must still end the
+            # stream, or the query would wait on this source forever.
+            yield outbound.put(None)
         yield sender  # join: the wrapper is done once everything is delivered
         self.finished_at = self.sim.now
 
     def _send(self, outbound: Store) -> Generator[SimEvent, Any, None]:
         """Sender half: drains the pipeline through the window protocol."""
         while True:
-            count, eof, production = yield outbound.get()
+            message = yield outbound.get()
+            if message is None:
+                # An end marker, not a modelled message (see cm.close).
+                yield from self.cm.close(self.name)
+                return
+            count, eof, production = message
             yield from self.cm.deliver(self.name, count, eof=eof,
                                        production_seconds=production)
             self.tuples_sent += count

@@ -67,11 +67,20 @@ def mini_fig5():
     return figure5_workload(scale=0.1)
 
 
-@pytest.fixture
-def give_up_params() -> SimulationParameters:
-    """A dead source stalls the engine: bound the TimeOut loop so the
-    simulation drains and reports the death instead of spinning."""
-    return SimulationParameters(timeout=0.05, max_consecutive_timeouts=2)
+def _breaking(base, after):
+    """``base`` delay model whose source dies after ``after`` messages."""
+    class BreakingDelay(base):
+        messages = 0
+
+        def reset(self):
+            self.messages = 0
+
+        def waiting_times(self, count, rng):
+            self.messages += 1
+            if self.messages > after:
+                raise RuntimeError("source broke mid-stream")
+            return super().waiting_times(count, rng)
+    return BreakingDelay
 
 
 @pytest.fixture
@@ -80,25 +89,10 @@ def breaking_delays():
     relation A's simulated source dies after two messages."""
     from repro.wrappers import UniformDelay
 
-    class BreakingDelay(UniformDelay):
-        def __init__(self, mean, after=2):
-            super().__init__(mean)
-            self.after = after
-            self.messages = 0
-
-        def reset(self):
-            self.messages = 0
-
-        def waiting_times(self, count, rng):
-            self.messages += 1
-            if self.messages > self.after:
-                raise RuntimeError("source broke mid-stream")
-            return super().waiting_times(count, rng)
-
     def delays(workload, params):
         models = {name: UniformDelay(params.w_min)
                   for name in workload.relation_names}
-        models["A"] = BreakingDelay(params.w_min)
+        models["A"] = _breaking(UniformDelay, after=2)(params.w_min)
         return models
     return delays
 
@@ -135,33 +129,81 @@ def pending_feeders():
 
 
 @pytest.fixture
-def break_service_source(monkeypatch, breaking_source):
-    """``break_service_source(how)`` makes one source of every service
-    submission die: ``"mid-stream"`` the largest relation after its
-    first batch (submit at a scale that gives it more than one),
-    ``"at-open"`` the last one before its first.  Patches the one place
-    both service front-ends (in-process backend, worker host) build
-    their source factories."""
-    from repro.service import service as service_module
+def break_service_source(monkeypatch):
+    """``break_service_source(how, every=1)`` makes one source of every
+    ``every``-th service submission die: ``"mid-stream"`` the largest
+    relation on its second message (submit at a scale that gives it more
+    than one), ``"at-open"`` the last one before its first.  Patches the
+    one place both service front-ends (in-process backend, worker host)
+    build their sources: the execution plane's wrapper factory."""
+    from repro.service.backend import ExecutionPlane
+    from repro.wrappers import JitteredDelay
 
-    real = service_module.submission_sources
+    real = ExecutionPlane.wrappers
 
-    def install(how):
-        def cannot_open():
-            raise RuntimeError("source cannot be opened")
-
-        def sources(service_seed, params, workload, request, sequence):
-            factories = real(service_seed, params, workload, request,
-                             sequence)
+    def install(how, every=1):
+        def wrappers(plane, world, request, sequence):
+            make = real(plane, world, request, sequence)
+            if sequence % every:
+                return make
+            workload = plane.workload(request.scale)
             if how == "mid-stream":
-                victim = max(factories, key=lambda relation:
+                victim = max(workload.relation_names, key=lambda relation:
                              workload.catalog.relation(relation).cardinality)
-                factories[victim] = breaking_source(factories[victim],
-                                                    after=1)
             else:
                 # The plan's last source: its siblings start before it.
                 victim = workload.qep.source_relations()[-1]
-                factories[victim] = cannot_open
-            return factories
-        monkeypatch.setattr(service_module, "submission_sources", sources)
+
+            def broken(relation):
+                if relation != victim:
+                    return make(relation)
+                if how == "at-open":
+                    raise RuntimeError("source cannot be opened")
+                wrapper = make(relation)
+                wrapper.delay_model = _breaking(JitteredDelay, after=1)(
+                    wrapper.delay_model.w, wrapper.delay_model.jitter)
+                return wrapper
+            return broken
+        monkeypatch.setattr(ExecutionPlane, "wrappers", wrappers)
     return install
+
+
+@pytest.fixture
+def virtual_outcome():
+    """``virtual_outcome(seed, params, request, sequence)``: the outcome
+    of one service submission run alone in virtual time — a
+    :class:`QueryRun` on a ``Simulator`` over the sources the execution
+    plane's own factory builds for it."""
+    from repro.core.engine import QueryRun
+    from repro.core.runtime import World
+    from repro.core.strategies import make_policy
+    from repro.service.backend import ExecutionPlane
+
+    def outcome(seed, params, request, sequence):
+        plane = ExecutionPlane(params, seed, None, "none", name="virtual")
+        world = World(params, seed=seed, memory_bytes=request.memory_bytes)
+        query = QueryRun(world, plane.workload(request.scale).qep,
+                         make_policy(request.strategy),
+                         plane.wrappers(world, request, sequence))
+        query.start()
+        world.sim.run()
+        return query.outcome(query.check_complete())
+    return outcome
+
+
+@pytest.fixture
+def assert_same_outcome():
+    """``assert_same_outcome(record, expected)``: a finished service
+    record reports ``expected`` (a :meth:`QueryRun.outcome` dict) — the
+    counts exactly, the times up to the float rounding of a clock that
+    did not start at zero."""
+    def check(record, expected):
+        assert record.state == "done", record.error
+        got = dict(record.outcome, memory_peak_bytes=record.memory_peak_bytes)
+        assert set(got) == set(expected)
+        for key in ("result_tuples", "batches_processed",
+                    "memory_peak_bytes"):
+            assert got[key] == expected[key], key
+        for key in ("response_time", "time_to_first_tuple", "stall_time"):
+            assert got[key] == pytest.approx(expected[key], rel=1e-9), key
+    return check

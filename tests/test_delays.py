@@ -9,6 +9,7 @@ from repro.wrappers import (
     ConstantDelay,
     ExponentialDelay,
     InitialDelay,
+    JitteredDelay,
     NormalDelay,
     UniformDelay,
     slow_delivery,
@@ -44,6 +45,35 @@ def test_uniform_delay_range_and_mean(rng):
 def test_uniform_zero_wait(rng):
     model = UniformDelay(0.0)
     assert np.all(model.waiting_times(10, rng) == 0.0)
+
+
+def test_jittered_delay_draws_once_per_message():
+    """The draw ``jittered_batches`` makes: ``count * w * u`` of
+    production per message, ``u`` uniform on ``[1 - jitter, 1 + jitter]``."""
+    w, jitter = 50e-6, 0.5
+    model = JitteredDelay(w, jitter)
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    for count in (204, 204, 92):
+        waits = model.waiting_times(count, rng)
+        u = float(reference.uniform(1.0 - jitter, 1.0 + jitter))
+        assert waits.shape == (count,) and np.all(waits == waits[0])
+        assert float(waits.sum()) == pytest.approx(count * (u * w),
+                                                   rel=1e-12)
+    assert model.mean_wait() == w
+
+
+def test_jittered_delay_edges(rng):
+    assert np.all(JitteredDelay(2e-5, jitter=0.0).waiting_times(7, rng)
+                  == 2e-5)
+    assert np.all(JitteredDelay(0.0).waiting_times(7, rng) == 0.0)
+    per_message = [JitteredDelay(1e-3).waiting_times(1, rng)[0]
+                   for _ in range(10_000)]
+    assert 0.0 <= min(per_message) and max(per_message) <= 2e-3
+    assert np.mean(per_message) == pytest.approx(1e-3, rel=0.05)
+    for bad in (dict(w=-1.0), dict(w=1.0, jitter=1.5),
+                dict(w=1.0, jitter=-0.1)):
+        with pytest.raises(ConfigurationError):
+            JitteredDelay(**bad)
 
 
 def test_slow_delivery_is_uniform():

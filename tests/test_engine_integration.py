@@ -192,14 +192,17 @@ def test_generated_workload_end_to_end():
 # -- the one query lifecycle (QueryRun) --------------------------------------
 
 def test_source_failure_surfaces_from_the_one_shot_engine(
-        tiny_fig5, breaking_delays, give_up_params):
+        tiny_fig5, breaking_delays, params):
+    """Default parameters: nothing caps the TimeOut loop, so the run
+    only returns because the dead source's stream was closed."""
     from repro import SimulationError
 
     engine = QueryEngine(tiny_fig5.catalog, tiny_fig5.qep,
                          make_policy("DSE"),
-                         breaking_delays(tiny_fig5, give_up_params),
-                         params=give_up_params, seed=1)
-    with pytest.raises(SimulationError, match="wrapper:A") as raised:
+                         breaking_delays(tiny_fig5, params),
+                         params=params, seed=1)
+    with pytest.raises(SimulationError,
+                       match="source 'A' failed mid-stream") as raised:
         engine.run()
     assert isinstance(raised.value.__cause__, RuntimeError)
 

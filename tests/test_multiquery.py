@@ -86,19 +86,51 @@ def test_single_query_matches_single_engine(tiny_fig5, params):
 
 
 def test_source_failure_returns_the_lease(tiny_fig5, breaking_delays,
-                                          give_up_params):
+                                          params):
     """One lifecycle: a source dying mid-stream fails the run, and the
     admitted bracket still gives the query's lease back to the pool."""
     from repro import SimulationError
 
-    engine = MultiQueryEngine(params=give_up_params, seed=1,
+    engine = MultiQueryEngine(params=params, seed=1,
                               global_memory_bytes=64 << 20)
     engine.submit(QuerySubmission(
         name="Q1", catalog=tiny_fig5.catalog, qep=tiny_fig5.qep,
         policy=make_policy("DSE"), memory_bytes=8 << 20,
-        delay_models=breaking_delays(tiny_fig5, give_up_params)))
-    with pytest.raises(SimulationError, match="wrapper:A"):
+        delay_models=breaking_delays(tiny_fig5, params)))
+    with pytest.raises(SimulationError,
+                       match="source 'A' failed mid-stream"):
         engine.run()
+    assert engine._controller.broker.leased_bytes == 0
+
+
+def test_source_failure_fails_its_own_query_only(tiny_fig5,
+                                                 breaking_delays):
+    """Q1's source dies mid-stream on a pool that holds one lease: Q1
+    fails naming the source, Q2 — queued behind it — is admitted, runs
+    to completion, and the pool ends empty.  (The kernel's ``process
+    'wrapper:A' died`` used to replace both results.)"""
+    from repro import SimulationError
+    from repro.observability import SPAN_QUERY
+
+    params = SimulationParameters(telemetry_enabled=True,
+                                  telemetry_spans=True)
+    engine = MultiQueryEngine(params=params, seed=1,
+                              global_memory_bytes=8 << 20)
+    engine.submit(QuerySubmission(
+        name="Q1", catalog=tiny_fig5.catalog, qep=tiny_fig5.qep,
+        policy=make_policy("DSE"), memory_bytes=8 << 20,
+        delay_models=breaking_delays(tiny_fig5, params)))
+    engine.submit(submission(tiny_fig5, params, name="Q2", strategy="DSE",
+                             memory=8 << 20))
+    with pytest.raises(SimulationError,
+                       match="'Q1': source 'A' failed mid-stream"):
+        engine.run()
+    telemetry = engine._controller.telemetry
+    assert [record.subject for record in telemetry.audit
+            if record.kind == "admission-queue"] == ["Q2"]
+    results = {span.name: span.attrs.get("result_tuples")
+               for span in telemetry.spans.by_kind(SPAN_QUERY)}
+    assert results["Q2"] == 1000
     assert engine._controller.broker.leased_bytes == 0
 
 

@@ -347,11 +347,10 @@ def test_bad_admission_policy_is_rejected():
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("how", ["mid-stream", "at-open"])
-def test_in_process_source_failure_leaks_nothing(how, break_service_source,
-                                                 pending_feeders):
+def test_in_process_source_failure_leaks_nothing(how, break_service_source):
     """However a source dies, the submission ends ``failed`` with the
-    cause, its lease is back in the pool, no feeder task is left running
-    and the record no longer pins its run."""
+    cause, its lease is back in the pool and the record no longer pins
+    its run."""
     break_service_source(how)
     # Mid-stream: F ships 204 of its 3,600 tuples, then raises.
     request = dict(FAST, scale=0.02) if how == "mid-stream" else FAST
@@ -362,22 +361,178 @@ def test_in_process_source_failure_leaks_nothing(how, break_service_source,
         try:
             record = service.submit(SubmissionRequest(**request))
             await asyncio.wait_for(record.done.wait(), timeout=30.0)
-            await asyncio.sleep(0)  # let cancelled feeders unwind
             return record, service.machine.broker.leased_bytes, \
-                pending_feeders(), service.snapshot()
+                service.snapshot()
         finally:
             await service.stop()
 
-    record, leased, feeders, snapshot = asyncio.run(scenario())
+    record, leased, snapshot = asyncio.run(scenario())
     assert record.state == "failed"
     if how == "mid-stream":
         assert "'F'" in record.error and "broke mid-stream" in record.error
     else:
         assert "cannot be opened" in record.error
     assert leased == 0 and snapshot["pool"]["active_leases"] == 0
-    assert feeders == []
     assert record.run is None
     assert snapshot["active"] == 0
+
+
+def test_a_failed_submission_stops_its_sources_and_frees_the_machine(
+        break_service_source, monkeypatch, virtual_outcome,
+        assert_same_outcome):
+    """C cannot be opened after A, B, F, E and D started.  Those five
+    stop at their next message without holding the machine's one CPU:
+    the next submission has the machine to itself, so it reports what
+    its own sources give in virtual time."""
+    break_service_source("at-open")
+    follower = SubmissionRequest(seed=9, **FAST)
+
+    async def scenario():
+        service = QueryService(seed=5, global_memory_bytes=4 << 20)
+        await service.start()
+        try:
+            # 58 messages: sources left running would still be shipping.
+            failed = service.submit(SubmissionRequest(
+                scale=0.02, wait_us=20.0, memory_bytes=2 << 20))
+            await asyncio.wait_for(failed.done.wait(), timeout=30.0)
+            monkeypatch.undo()
+            record = service.submit(follower)
+            await asyncio.wait_for(record.done.wait(), timeout=30.0)
+            return service, failed, record
+        finally:
+            await service.stop()
+
+    service, failed, record = asyncio.run(scenario())
+    assert failed.state == "failed" and "cannot be opened" in failed.error
+    assert_same_outcome(record, virtual_outcome(
+        service.seed, service.params, follower, record.sequence))
+    assert service.machine.broker.leased_bytes == 0
+
+
+def test_failed_submissions_leave_nothing_behind(break_service_source):
+    """120 submissions, 8 in flight over 4 leases, every third losing F
+    mid-stream: each failure stays with its own submission, and neither
+    the pool, the kernel nor the heap keeps anything of them."""
+    import gc
+
+    from repro.core.engine import QueryRun
+    from repro.wrappers import Wrapper
+
+    def alive():
+        gc.collect()
+        return [sum(isinstance(thing, kind) for thing in gc.get_objects())
+                for kind in (QueryRun, Wrapper)]
+
+    break_service_source("mid-stream", every=3)
+    before = alive()
+
+    async def scenario():
+        service = QueryService(
+            seed=3, global_memory_bytes=4 << 20,
+            params=SimulationParameters(telemetry_enabled=True,
+                                        cpu_mips=10_000.0))
+        await service.start()
+        records = []
+        requests = iter(range(120))
+
+        async def client():
+            for seed in requests:
+                # F ships 204 of its 360 tuples, then (every third) raises.
+                record = service.submit(SubmissionRequest(
+                    seed=seed, scale=0.002, wait_us=20.0,
+                    memory_bytes=1 << 20))
+                records.append(record)
+                await record.done.wait()
+
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*(client() for _ in range(8))), timeout=120.0)
+            await asyncio.sleep(0.01)  # the kernel parks on an empty heap
+            return service, records, len(service.kernel._heap)
+        finally:
+            await service.stop()
+
+    service, records, pending_events = asyncio.run(scenario())
+    failed = [record for record in records if record.state == "failed"]
+    assert len(failed) == 40
+    assert sum(record.state == "done" for record in records) == 80
+    for record in failed:
+        assert record.sequence % 3 == 0
+        assert f"{record.id!r}: source 'F' failed mid-stream" in record.error
+        assert "broke mid-stream" in record.error
+    assert service.machine.broker.leased_bytes == 0
+    assert pending_events == 0
+    assert service.kernel._failed_processes == []
+    del records, failed
+    assert alive() == before
+
+
+# --------------------------------------------------------------------------
+# A submission's sources are a delay profile on the plane's own kernel
+# --------------------------------------------------------------------------
+
+def test_a_submission_in_flight_adds_no_asyncio_task():
+    """Its sources are kernel processes (six feeder tasks each, when
+    they were async generators behind ``LiveWrapper``)."""
+    async def scenario():
+        service = QueryService(seed=5)
+        await service.start()
+        try:
+            idle = len(asyncio.all_tasks())
+            record = service.submit(SubmissionRequest(
+                scale=0.02, wait_us=20.0, memory_bytes=2 << 20))
+            in_flight = []
+            while not record.finished:
+                await asyncio.sleep(0.005)
+                if record.state == "running":
+                    in_flight.append(len(asyncio.all_tasks()))
+            return idle, in_flight, record
+        finally:
+            await service.stop()
+
+    idle, in_flight, record = asyncio.run(scenario())
+    assert record.state == "done", record.error
+    assert in_flight and set(in_flight) == {idle}
+
+
+def test_the_execution_plane_runs_unchanged_on_a_simulator(monkeypatch):
+    """Nothing below the control plane needs asyncio: with the plane's
+    kernel swapped for a ``Simulator`` its one generator admits, runs and
+    releases eight submissions over a two-lease pool the same way every
+    time, the higher priority first."""
+    from repro.core.engine import main_value, spawn_main
+    from repro.service import backend
+    from repro.sim import Simulator
+
+    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
+    params = SimulationParameters(telemetry_enabled=True)
+    priorities = {f"s-{index:06d}": float(index % 3) for index in range(1, 9)}
+
+    def session():
+        plane = backend.ExecutionPlane(params, 7, 2 << 20, "priority",
+                                       name="virtual")
+        admissions = []
+        mains = []
+        for sequence, (name, priority) in enumerate(priorities.items(), 1):
+            request = SubmissionRequest(seed=sequence, **FAST)
+            mains.append(spawn_main(plane.kernel, plane.execute(
+                name, request, sequence, request.resolved_budgets(params),
+                priority, lambda run, waited: admissions.append(
+                    (run.name, waited))), f"query:{name}"))
+        plane.kernel.run()
+        return (admissions, [main_value(main) for main in mains],
+                plane.machine.broker.leased_bytes)
+
+    admissions, outcomes, leased = first = session()
+    assert session() == first
+    assert leased == 0
+    assert [outcome["result_tuples"] for outcome in outcomes] == [25] * 8
+    # Two leases fit: the first two arrivals start at once, the other
+    # six queue and leave the queue by priority.
+    assert [waited for _, waited in admissions[:2]] == [0.0, 0.0]
+    queued = [priorities[name] for name, _ in admissions[2:]]
+    assert queued == sorted(queued, reverse=True) and len(queued) == 6
+    assert all(waited > 0.0 for _, waited in admissions[2:])
 
 
 def test_latency_never_undercuts_the_response_time_on_a_busy_kernel():

@@ -274,6 +274,53 @@ def test_a_submission_reports_one_outcome_on_either_backend(pool_session,
         assert pooled.worker_id in (0, 1) and solo.worker_id is None
 
 
+#: strategies, scales and delay profiles apart; seconds of modelled
+#: time in all, since each runs on the wall clock twice.
+REPEATABLE = [
+    dict(strategy="DSE", scale=0.0005, wait_us=50.0, seed=1,
+         memory_bytes=1 << 20),
+    dict(strategy="SEQ", scale=0.002, wait_us=20.0, seed=2,
+         memory_bytes=1 << 20),
+    dict(strategy="MA", scale=0.005, wait_us=0.0, seed=3,
+         memory_bytes=2 << 20),
+    dict(strategy="DSE", scale=0.02, wait_us=10.0, slow={"A": 10.0}, seed=4,
+         memory_bytes=4 << 20),
+    dict(strategy="SEQ", scale=0.05, wait_us=5.0, jitter=0.5, seed=5,
+         memory_bytes=8 << 20),
+]
+
+
+def test_a_solo_submission_reports_its_virtual_time_run_on_either_backend(
+        virtual_outcome, assert_same_outcome):
+    """A submission's sources are a seeded delay profile run by the
+    modelled wrapper on the executing plane's kernel, so with the
+    machine to itself it is the virtual-time run of its own sources:
+    in-process, on a pool worker, every time."""
+    def one_at_a_time(workers):
+        async def scenario():
+            service = QueryService(seed=11, global_memory_bytes=64 << 20,
+                                   workers=workers)
+            await service.start()
+            try:
+                records = []
+                for body in REPEATABLE:
+                    record = service.submit(SubmissionRequest(**body))
+                    await asyncio.wait_for(record.done.wait(), timeout=60.0)
+                    records.append(record)
+                return service, records
+            finally:
+                await service.stop()
+        return asyncio.run(scenario())
+
+    for workers in (1, 2):
+        service, records = one_at_a_time(workers)
+        for record in records:
+            assert (record.worker_id is None) == (workers == 1)
+            assert_same_outcome(record, virtual_outcome(
+                service.seed, service.params, record.request,
+                record.sequence))
+
+
 # --------------------------------------------------------------------------
 # Failure semantics: death, respawn, consistent counters
 # --------------------------------------------------------------------------
@@ -429,12 +476,9 @@ def test_fail_fast_still_reconnects_once_a_frame_arrived():
 class MemoryPipe:
     """The worker's end of the coordinator pipe, in memory: ``recv``
     hands out the queued messages, then reports the coordinator gone
-    (which makes the host finish in-flight work and exit).  One loop
-    turn after each result is sent, ``probe()`` is sampled into
-    ``probed`` — what is still running once the job's own clean-up had
-    its turn."""
+    (which makes the host finish in-flight work and exit)."""
 
-    def __init__(self, messages, probe):
+    def __init__(self, messages):
         import queue
 
         self._inbox = queue.Queue()
@@ -442,8 +486,6 @@ class MemoryPipe:
             self._inbox.put(message)
         self._inbox.put(None)
         self.sent = []
-        self.probe = probe
-        self.probed = []
 
     def recv(self):
         message = self._inbox.get()
@@ -453,9 +495,6 @@ class MemoryPipe:
 
     def send(self, message):
         self.sent.append(message)
-        if message["op"] == "result":
-            asyncio.get_running_loop().call_soon(
-                lambda: self.probed.append(self.probe()))
 
     def close(self):
         pass
@@ -470,11 +509,11 @@ def _job(index, memory_bytes, **request):
             "stolen": False}
 
 
-def _run_host(jobs, pool_bytes, probe=list):
+def _run_host(jobs, pool_bytes):
     from repro.config import SimulationParameters
     from repro.service.workers import WorkerHost
 
-    pipe = MemoryPipe(jobs, probe)
+    pipe = MemoryPipe(jobs)
     host = WorkerHost(0, pipe, {
         "params": SimulationParameters(telemetry_enabled=True,
                                        telemetry_spans=True),
@@ -482,7 +521,7 @@ def _run_host(jobs, pool_bytes, probe=list):
     host.run()
     results = {message["id"]: message for message in pipe.sent
                if message["op"] == "result"}
-    return host, results, pipe.probed
+    return host, results
 
 
 def _own_spans(recorder, name):
@@ -509,7 +548,7 @@ def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
     from repro.observability import SPAN_ADMISSION_WAIT, SPAN_QUERY
 
     # 1.5 MiB each into a 2 MiB carve: the second job must queue.
-    host, results, _ = _run_host([_job(1, 3 << 19), _job(2, 3 << 19)],
+    host, results = _run_host([_job(1, 3 << 19), _job(2, 3 << 19)],
                                  pool_bytes=2 << 20)
     first, second = results["s-000001"], results["s-000002"]
     assert first["ok"] and second["ok"]
@@ -536,9 +575,9 @@ def test_worker_span_summary_covers_the_job_not_the_workers_history():
     from repro.observability import span_summary
 
     third = _job(3, 1 << 20, scale=0.02, strategy="SEQ")
-    busy, busy_results, _ = _run_host(
+    busy, busy_results = _run_host(
         [_job(1, 1 << 20), _job(2, 1 << 20), third], pool_bytes=4 << 20)
-    idle, idle_results, _ = _run_host([third], pool_bytes=4 << 20)
+    idle, idle_results = _run_host([third], pool_bytes=4 << 20)
 
     summaries = []
     for host, results in ((busy, busy_results), (idle, idle_results)):
@@ -557,16 +596,14 @@ def test_worker_span_summary_covers_the_job_not_the_workers_history():
 
 
 @pytest.mark.parametrize("how", ["mid-stream", "at-open"])
-def test_worker_source_failure_leaks_nothing(how, break_service_source,
-                                             pending_feeders):
-    """However a source dies, the worker answers the job, returns its
-    lease to the carve and leaves no feeder task behind."""
+def test_worker_source_failure_leaks_nothing(how, break_service_source):
+    """However a source dies, the worker answers the job and returns
+    its lease to the carve."""
     break_service_source(how)
     # Mid-stream: F ships 204 of its 3,600 tuples, then raises.
     request = {"scale": 0.02} if how == "mid-stream" else {}
-    host, results, feeders = _run_host([_job(1, 1 << 20, **request)],
-                                       pool_bytes=2 << 20,
-                                       probe=pending_feeders)
+    host, results = _run_host([_job(1, 1 << 20, **request)],
+                              pool_bytes=2 << 20)
     answer = results["s-000001"]
     assert not answer["ok"]
     if how == "mid-stream":
@@ -576,7 +613,6 @@ def test_worker_source_failure_leaks_nothing(how, break_service_source,
         assert "cannot be opened" in answer["error"]
     assert host.machine.broker.leased_bytes == 0
     assert not host.machine.broker.leases
-    assert feeders == [[]]
 
 
 # --------------------------------------------------------------------------
