@@ -269,8 +269,9 @@ class DynamicQueryProcessor:
         self._rate_event = self._cached_rate_event
         timeout = sim.timeout(params.timeout)
         started = sim.now
-        world.tracer.emit("stall", "no data on any scheduled fragment",
-                          fragments=[f.name for f in live])
+        if world.tracer.enabled:
+            world.tracer.emit("stall", "no data on any scheduled fragment",
+                              fragments=[f.name for f in live])
         waiter = sim.any_of([event for _, event in waits]
                             + [self._rate_event, timeout])
         yield waiter

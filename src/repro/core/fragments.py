@@ -13,13 +13,17 @@ Tuple flow is content-free: each batch of ``n`` input tuples expands
 through the segment's operators using the joins' *actual* fanouts, with
 fractional carries so that totals converge to the true cardinalities, and
 the whole batch's instruction count is charged to the mediator CPU in one
-piece.
+piece.  Everything a batch needs from the operator list is fixed when
+the fragment is built, so the list is *compiled* once — into flat
+per-operator cost steps and one sink kind — and a batch is a loop over
+floats; ``tests/test_fragments_runtime.py`` keeps the per-batch
+interpreter it replaced as the oracle.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Generator, Optional, TYPE_CHECKING, Union
+from typing import Any, Generator, Literal, Optional, TYPE_CHECKING, Union
 
 from repro.common.errors import SchedulingError, SimulationError
 from repro.mediator.buffer import HashTable, TempReader, TempWriter
@@ -55,6 +59,14 @@ BATCH_OVERFLOW = "overflow"
 
 FragmentInput = Union[SourceQueue, TempReader]
 
+#: one compiled scan or probe: instructions per input tuple, the carry
+#: pool key of its fractional output, output tuples per input tuple,
+#: instructions per output tuple.
+FlowStep = tuple[float, tuple[str, str], float, float]
+#: where a fragment's terminal delivers: a hash-table build, a temp
+#: materialization, or the query output.
+SinkKind = Literal["table", "temp", "output"]
+
 
 class Fragment:
     """One executable query fragment."""
@@ -68,9 +80,8 @@ class Fragment:
         self.name = name
         self.kind = kind
         self.chain = chain
-        self.operators = list(operators)
-        self._carry_keys = [(chain.name, op.name) for op in self.operators]
         self.source = source
+        self._compile(operators)
         #: fractional-tuple accumulators, shared per (chain, operator
         #: name) across all fragments of the chain: a degraded chain's
         #: MF/CF/PC parts then produce exactly the same totals as the
@@ -100,8 +111,57 @@ class Fragment:
 
     # -- structure ---------------------------------------------------------
     @property
+    def operators(self) -> tuple[Operator, ...]:
+        """The segment's operators, read-only: the batch loop runs the
+        compiled form, so the only way to change them is
+        :meth:`replace_terminal`, which recompiles."""
+        return self._operators
+
+    def replace_terminal(self, terminal: Operator) -> None:
+        """Swap the last operator and rebuild everything derived from the
+        operator list (the DQO redirecting an overflowing build to a temp)."""
+        self._compile([*self._operators[:-1], terminal])
+
+    def _compile(self, operators: list[Operator]) -> None:
+        """Resolve ``operators`` into the per-batch constants.
+
+        Table 1's costs and the joins' actual fanouts do not change
+        while a query runs, so the operator walk happens here, once.
+        """
+        params = self.runtime.world.params
+        chain = self.chain.name
+        steps: list[FlowStep] = []
+        for op in operators[:-1]:
+            if isinstance(op, ScanOp):
+                steps.append((params.move_tuple_instructions,
+                              (chain, op.name), op.scan_selectivity, 0.0))
+            elif isinstance(op, ProbeOp):
+                steps.append((params.hash_search_instructions,
+                              (chain, op.name), op.join.actual_fanout(),
+                              params.produce_tuple_instructions))
+            else:
+                raise SchedulingError(
+                    f"unknown operator {op!r} in {self.name!r}")
+        terminal = operators[-1]
+        sink: SinkKind
+        if isinstance(terminal, MatOp):
+            sink = "table" if terminal.join is not None else "temp"
+            terminal_instructions = params.move_tuple_instructions
+        elif isinstance(terminal, OutputOp):
+            sink = "output"
+            terminal_instructions = 0.0
+        else:
+            raise SchedulingError(
+                f"fragment {self.name!r} has unsupported terminal "
+                f"{terminal!r}")
+        self._operators = tuple(operators)
+        self._steps = tuple(steps)
+        self._terminal_instructions = terminal_instructions
+        self._sink_kind = sink
+
+    @property
     def terminal(self) -> Operator:
-        return self.operators[-1]
+        return self._operators[-1]
 
     @property
     def builds_join(self) -> Optional[str]:
@@ -125,12 +185,6 @@ class Fragment:
         return [op.join.name for op in self.operators if isinstance(op, ProbeOp)]
 
     # -- data availability ---------------------------------------------------
-    @property
-    def source_exhausted(self) -> bool:
-        if isinstance(self.source, SourceQueue):
-            return self.source.exhausted
-        return self.source.exhausted
-
     def has_work(self) -> bool:
         """True if processing or finalization can make progress *now*.
 
@@ -140,11 +194,8 @@ class Fragment:
         """
         if self.status is FragmentStatus.DONE:
             return False
-        if self.stop_requested or self.source_exhausted:
-            return True
-        if isinstance(self.source, SourceQueue):
-            return self.source.has_data()
-        return self.source.has_data()
+        source = self.source
+        return self.stop_requested or source.exhausted or source.has_data()
 
     def wait_event(self) -> SimEvent:
         """Event that fires when this fragment may have work again."""
@@ -157,26 +208,27 @@ class Fragment:
         """Process one batch; returns a ``BATCH_*`` marker. ``yield from`` me."""
         if self.status is FragmentStatus.DONE:
             raise SchedulingError(f"fragment {self.name!r} already done")
+        world = self.runtime.world
         if self.status is FragmentStatus.PENDING:
             self.status = FragmentStatus.RUNNING
-            self.started_at = self.runtime.world.sim.now
-        if self.stop_requested or self.source_exhausted:
+            self.started_at = world.sim.now
+        source = self.source
+        if self.stop_requested or source.exhausted:
             yield from self._finalize()
             return BATCH_FINISHED
 
-        if isinstance(self.source, SourceQueue):
-            count = self.source.take_batch(max_tuples)
+        if isinstance(source, SourceQueue):
+            count = source.take_batch(max_tuples)
         else:
-            count = self.source.read_now(max_tuples)
+            count = source.read_now(max_tuples)
         if count == 0:
             # EOF-only message, or the prefetcher has not caught up yet.
-            if self.source_exhausted:
+            if source.exhausted:
                 yield from self._finalize()
                 return BATCH_FINISHED
             return BATCH_EMPTY
 
         instructions, terminal_tuples = self._flow(count)
-        world = self.runtime.world
         yield from world.cpu.work(instructions)
         # Pure operator work: queueing behind other CPU users (message
         # receives, I/O issue costs) is overhead, not fragment work.
@@ -184,64 +236,47 @@ class Fragment:
         self.tuples_in += count
         self.batches += 1
 
-        outcome = yield from self._sink(terminal_tuples)
+        outcome = self._sink(terminal_tuples)
         if outcome is not None:
             return outcome
         self.tuples_out += terminal_tuples
 
-        if self.source_exhausted:
+        if source.exhausted:
             yield from self._finalize()
             return BATCH_FINISHED
         return BATCH_OK
 
     def _flow(self, count: int) -> tuple[float, int]:
-        """Instruction cost and terminal tuple count for ``count`` inputs."""
-        params = self.runtime.world.params
+        """Instruction cost and terminal tuple count for ``count`` inputs.
+
+        Each step's fractional output is carried in the chain's shared
+        pool so totals match the true cardinalities.
+        """
+        pool = self._carry_pool
         instructions = 0.0
-        flowing: float = count
-        for i, op in enumerate(self.operators):
-            if isinstance(op, ScanOp):
-                instructions += flowing * params.move_tuple_instructions
-                flowing = self._carry(i, flowing * op.scan_selectivity)
-            elif isinstance(op, ProbeOp):
-                instructions += flowing * params.hash_search_instructions
-                flowing = self._carry(i, flowing * op.join.actual_fanout())
-                instructions += flowing * params.produce_tuple_instructions
-            elif isinstance(op, MatOp):
-                instructions += flowing * params.move_tuple_instructions
-            elif isinstance(op, OutputOp):
-                pass
-            else:
-                raise SchedulingError(f"unknown operator {op!r} in {self.name!r}")
-        return instructions, int(flowing)
+        flowing = count
+        for per_input, key, fanout, per_output in self._steps:
+            instructions += flowing * per_input
+            total = flowing * fanout + pool.get(key, 0.0)
+            flowing = int(total)
+            pool[key] = total - flowing
+            instructions += flowing * per_output
+        return instructions + flowing * self._terminal_instructions, flowing
 
-    def _carry(self, op_index: int, value: float) -> int:
-        """Accumulate fractional tuples so totals match cardinalities."""
-        key = self._carry_keys[op_index]
-        total = value + self._carry_pool.get(key, 0.0)
-        whole = int(total)
-        self._carry_pool[key] = total - whole
-        return whole
-
-    def _sink(self, tuples: int) -> Generator[SimEvent, Any, Optional[str]]:
+    def _sink(self, tuples: int) -> Optional[str]:
         """Deliver ``tuples`` to the terminal; returns an outcome on overflow."""
-        if self.builds_join is not None:
-            table = self._require_table()
-            if not table.insert(tuples):
+        sink = self._sink_kind
+        if sink == "table":
+            if not self._require_table().insert(tuples):
                 self.pending_spill = tuples
                 return BATCH_OVERFLOW
-        elif self.writes_temp:
+        elif sink == "temp":
             self._require_writer().write(tuples)
-        elif self.is_output:
+        else:
             if tuples > 0 and self.runtime.result_tuples == 0:
                 self.runtime.first_result_at = self.runtime.world.sim.now
             self.runtime.result_tuples += tuples
-        else:
-            raise SchedulingError(
-                f"fragment {self.name!r} has unsupported terminal "
-                f"{self.terminal!r}")
         return None
-        yield  # pragma: no cover - makes this a generator for uniformity
 
     def _finalize(self) -> Generator[SimEvent, Any, None]:
         # Hash-table sealing and release are chain-level concerns handled

@@ -357,10 +357,10 @@ class QueryRuntime:
         writer = self.world.buffer.create_temp(f"spill:{fragment.name}")
         terminal: MatOp = fragment.terminal  # type: ignore[assignment]
         join = terminal.join
-        fragment.operators[-1] = MatOp(
+        fragment.replace_terminal(MatOp(
             name="mat[temp]", join=None,
             estimated_input_cardinality=terminal.estimated_input_cardinality,
-            estimated_output_cardinality=terminal.estimated_output_cardinality)
+            estimated_output_cardinality=terminal.estimated_output_cardinality))
         fragment.temp_writer = writer
         if fragment.pending_spill:
             writer.write(fragment.pending_spill)

@@ -56,8 +56,13 @@ class SimEvent:
     with :attr:`value` (or has the failure exception thrown into it).
     """
 
+    # Slotted: a run mints one record per kernel event, and nothing
+    # hangs ad-hoc attributes on them.
+    __slots__ = ("sim", "name", "value", "failure", "_state", "_callbacks")
+
     #: a cancelled event's callbacks never run; kernels drop its heap
-    #: entry lazily when they reach it (see :meth:`Timeout.cancel`).
+    #: entry lazily when they reach it.  Only a :class:`Timeout` can be
+    #: cancelled (its slot shadows this constant).
     cancelled = False
 
     def __init__(self, sim: "KernelBase", name: str = ""):
@@ -91,7 +96,7 @@ class SimEvent:
             raise SimulationError(f"event {self!r} already triggered")
         self.value = value
         self._state = _TRIGGERED
-        self.sim._schedule(self, delay=0.0, priority=priority)
+        self.sim._schedule(self, 0.0, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "SimEvent":
@@ -155,18 +160,25 @@ class SimEvent:
 class Timeout(SimEvent):
     """An event that succeeds after a fixed delay (virtual or wall-clock)."""
 
+    __slots__ = ("delay", "cancelled")
+
     def __init__(self, sim: "KernelBase", delay: float, value: Any = None,
                  priority: int = PRIORITY_NORMAL):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
-        # Constant name: timeouts are the single most-minted event kind
-        # (one per CPU slice), and the f-string was measurable there.
-        # The delay is still on the instance for debugging.
-        super().__init__(sim, name="timeout")
-        self.delay = delay
+        # Timeouts are the single most-minted event kind (one per CPU
+        # slice): the record is filled in here, born triggered, without
+        # the ``super().__init__`` hop, under a constant name.  The
+        # delay is still on the instance for debugging.
+        self.sim = sim
+        self.name = "timeout"
         self.value = value
+        self.failure = None
         self._state = _TRIGGERED
-        sim._schedule(self, delay=delay, priority=priority)
+        self._callbacks = []
+        self.delay = delay
+        self.cancelled = False
+        sim._schedule(self, delay, priority)
 
     def cancel(self) -> None:
         """Withdraw the timeout before it occurs: callbacks never run.
@@ -187,6 +199,8 @@ class AnyOf(SimEvent):
     The value is a dict mapping each already-triggered child to its value.
     A failing child fails the composite.
     """
+
+    __slots__ = ("events",)
 
     def __init__(self, sim: "KernelBase", events: Iterable[SimEvent]):
         super().__init__(sim, name="any_of")
@@ -229,6 +243,8 @@ class AllOf(SimEvent):
     failing child fails the composite.
     """
 
+    __slots__ = ("events", "_remaining")
+
     def __init__(self, sim: "KernelBase", events: Iterable[SimEvent]):
         super().__init__(sim, name="all_of")
         self.events = list(events)
@@ -257,6 +273,8 @@ class Process(SimEvent):
     it.  Other processes can therefore ``yield`` a process to join it.
     """
 
+    __slots__ = ("generator", "defused", "_waiting_on", "_step")
+
     def __init__(self, sim: "KernelBase", generator: ProcessGenerator,
                  name: str = ""):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
@@ -264,12 +282,15 @@ class Process(SimEvent):
         #: set to True by anyone who handles this process's failure; an
         #: un-defused failure is re-raised by the kernel's ``run``.
         self.defused = False
-        self._waiting_on: Optional[SimEvent] = None
+        #: the one bound :meth:`_resume` this process registers on every
+        #: event it waits for (``self._resume`` mints a new bound method
+        #: per access, once per wait on the hot path).
+        self._step: Callable[[SimEvent], None] = self._resume
         # Bootstrap: resume the generator at time `now` via an urgent event.
         start = SimEvent(sim, name=f"start:{self.name}")
         start.succeed(priority=PRIORITY_URGENT)
-        start.add_callback(self._resume)
-        self._waiting_on = start
+        start.add_callback(self._step)
+        self._waiting_on: Optional[SimEvent] = start
 
     @property
     def is_alive(self) -> bool:
@@ -285,13 +306,13 @@ class Process(SimEvent):
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self!r}")
         if self._waiting_on is not None:
-            self._waiting_on.remove_callback(self._resume)
+            self._waiting_on.remove_callback(self._step)
             self._waiting_on = None
         wakeup = SimEvent(self.sim, name=f"interrupt:{self.name}")
         wakeup.failure = Interrupt(cause)
         wakeup._state = _TRIGGERED
         self.sim._schedule(wakeup, delay=0.0, priority=PRIORITY_URGENT)
-        wakeup.add_callback(self._resume)
+        wakeup.add_callback(self._step)
         self._waiting_on = wakeup
 
     def _resume(self, event: SimEvent) -> None:
@@ -333,8 +354,10 @@ class Process(SimEvent):
                 # not recursion through add_callback's immediate call).
                 event = target
                 continue
+            # Not processed yet (checked just above), so this is all
+            # ``add_callback`` would do.
             self._waiting_on = target
-            target.add_callback(self._resume)
+            target._callbacks.append(self._step)
             return
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.common.errors import SimulationError
 from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
 from repro.exec import Kernel, SimEvent
-from repro.sim.stats import Counter, TimeWeightedStat
+from repro.sim.stats import Counter
 
 
 @dataclass
@@ -41,6 +41,10 @@ class SourceQueue:
                 f"queue capacity must be >= 1 message, got {capacity_messages}")
         self.sim = sim
         self.source = source
+        # Minted once per message and once per stall: precomputed for the
+        # reason Resource._request_name is.
+        self._space_name = f"space:{source}"
+        self._data_name = f"data:{source}"
         self.capacity_messages = capacity_messages
         registry = registry if registry is not None else NULL_REGISTRY
         self._depth_gauge = registry.gauge(
@@ -52,7 +56,6 @@ class SourceQueue:
         self.eof_received = False
         self.tuples_available = 0
         self.tuples_consumed = Counter()
-        self.occupancy = TimeWeightedStat(sim)
         # Window-protocol accounting: total time spent at capacity.  The
         # delivery-rate estimator subtracts this from arrival gaps so a
         # consumer-side stall is not mistaken for a slow source.
@@ -66,8 +69,12 @@ class SourceQueue:
 
     def wait_not_full(self) -> SimEvent:
         """Event that succeeds once there is room for one more message."""
-        event = self.sim.event(name=f"space:{self.source}")
+        event = self.sim.event(name=self._space_name)
         if not self.is_full:
+            # succeed(), not grant(): the zero-delay trip through the
+            # heap orders same-instant contenders for the mediator CPU;
+            # replacing it changes both bench/expected.json digests
+            # (measured for ISSUE 22).
             event.succeed()
         else:
             self._space_waiters.append(event)
@@ -83,7 +90,6 @@ class SourceQueue:
         self.tuples_available += message.tuples
         if message.eof:
             self.eof_received = True
-        self.occupancy.record(len(self._messages))
         self._depth_gauge.set(self.tuples_available)
         if self.is_full and self._full_since is None:
             self._full_since = self.sim.now
@@ -107,7 +113,7 @@ class SourceQueue:
         for the EOF message, so a consumer waiting on an exhausted source
         wakes up and notices termination.
         """
-        event = self.sim.event(name=f"data:{self.source}")
+        event = self.sim.event(name=self._data_name)
         if self.tuples_available > 0 or self.eof_received:
             event.succeed(self.source)
         else:
@@ -135,7 +141,6 @@ class SourceQueue:
                 taken += want
         self.tuples_available -= taken
         self.tuples_consumed.add(taken)
-        self.occupancy.record(len(self._messages))
         self._depth_gauge.set(self.tuples_available)
         if not self.is_full and self._full_since is not None:
             self._full_time_total += self.sim.now - self._full_since

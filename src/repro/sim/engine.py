@@ -29,7 +29,7 @@ import heapq
 from typing import Optional
 
 from repro.common.errors import SimulationError
-from repro.exec.core import KernelBase, SimEvent
+from repro.exec.core import _PROCESSED, KernelBase, SimEvent
 
 
 class Simulator(KernelBase):
@@ -83,7 +83,9 @@ class Simulator(KernelBase):
         """
         if until is None and max_events is None:
             # Hot path (every full engine run): one tight loop, locals
-            # pinned, no per-event method dispatch.
+            # pinned, no per-event method dispatch — the body of
+            # ``SimEvent._run_callbacks`` (the one definition, used by
+            # ``step``, ``grant`` and the wall-clock kernel) runs inline.
             heap = self._heap
             pop = heapq.heappop
             now = self.now
@@ -97,7 +99,10 @@ class Simulator(KernelBase):
                         raise SimulationError("event heap time went backwards")
                     self.now = now = when
                     processed_total += 1
-                    event._run_callbacks()
+                    event._state = _PROCESSED
+                    callbacks, event._callbacks = event._callbacks, []
+                    for callback in callbacks:
+                        callback(event)
             finally:
                 self._processed_events = processed_total
             self._raise_unhandled_failures()

@@ -13,14 +13,16 @@ from typing import Any, Generator, Optional
 
 from repro.common.errors import SimulationError
 from repro.exec import Kernel, SimEvent
-from repro.sim.stats import Counter, TimeWeightedStat
+from repro.sim.stats import Counter
 
 
 class Resource:
     """A FIFO resource with fixed capacity (SimPy-style).
 
     ``request()`` returns an event that succeeds when a slot is granted;
-    ``release()`` frees one slot and wakes the next waiter.
+    ``release()`` frees one slot and wakes the next waiter.  A holder
+    that can use a free slot straight away asks ``try_acquire()`` first
+    and yields ``request()`` only when it has to queue.
     """
 
     def __init__(self, sim: Kernel, capacity: int = 1, name: str = ""):
@@ -34,7 +36,6 @@ class Resource:
         self._request_name = f"request:{self.name}"
         self._in_use = 0
         self._waiters: deque[SimEvent] = deque()
-        self.occupancy = TimeWeightedStat(sim)
 
     @property
     def in_use(self) -> int:
@@ -46,12 +47,24 @@ class Resource:
         """Number of pending requests."""
         return len(self._waiters)
 
+    def try_acquire(self) -> bool:
+        """Take a free slot here and now; False if the caller must queue.
+
+        The uncontended half of :meth:`request` without the event: a
+        granted request never went through the kernel's heap, so taking
+        the slot directly is order-identical.  Waiters exist only while
+        every slot is held (``release`` hands a slot straight over), so
+        this cannot jump the queue.
+        """
+        if self._in_use < self.capacity:
+            self._in_use += 1
+            return True
+        return False
+
     def request(self) -> SimEvent:
         """An event that succeeds once a slot is granted to the caller."""
         event = self.sim.event(name=self._request_name)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.occupancy.record(self._in_use)
+        if self.try_acquire():
             event.grant()
         else:
             self._waiters.append(event)
@@ -67,7 +80,6 @@ class Resource:
             waiter.succeed()
         else:
             self._in_use -= 1
-            self.occupancy.record(self._in_use)
 
     def __repr__(self) -> str:
         return (f"Resource({self.name!r}, {self._in_use}/{self.capacity} used, "
@@ -89,7 +101,6 @@ class Store:
         self.items: deque[Any] = deque()
         self._putters: deque[tuple[SimEvent, Any]] = deque()
         self._getters: deque[SimEvent] = deque()
-        self.level = TimeWeightedStat(sim)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -108,7 +119,6 @@ class Store:
             event.grant()
         elif not self.is_full:
             self.items.append(item)
-            self.level.record(len(self.items))
             event.grant()
         else:
             self._putters.append((event, item))
@@ -120,7 +130,10 @@ class Store:
         if self.items:
             item = self.items.popleft()
             self._admit_blocked_putter()
-            self.level.record(len(self.items))
+            # succeed(), not grant(): the zero-delay trip through the
+            # heap orders same-instant contenders for the mediator CPU;
+            # replacing it changes both bench/expected.json digests
+            # (measured for ISSUE 22).
             event.succeed(item)
         else:
             self._getters.append(event)
@@ -132,7 +145,6 @@ class Store:
             return False, None
         item = self.items.popleft()
         self._admit_blocked_putter()
-        self.level.record(len(self.items))
         return True, item
 
     def _admit_blocked_putter(self) -> None:
@@ -173,7 +185,8 @@ class CPU:
     def work(self, instructions: float) -> Generator[SimEvent, Any, None]:
         """Acquire the CPU, execute ``instructions``, release. ``yield from`` me."""
         duration = self.seconds_for(instructions)
-        yield self._resource.request()
+        if not self._resource.try_acquire():
+            yield self._resource.request()
         try:
             yield self.sim.timeout(duration)
             self.busy_time += duration
@@ -241,7 +254,8 @@ class Disk:
         """
         if num_pages <= 0:
             raise SimulationError(f"num_pages must be positive, got {num_pages}")
-        yield self._resource.request()
+        if not self._resource.try_acquire():
+            yield self._resource.request()
         try:
             sequential = self._head == (extent, start_page)
             duration = num_pages * self.page_transfer_time
@@ -295,7 +309,8 @@ class NetworkLink:
     def transmit(self, num_bytes: int) -> Generator[SimEvent, Any, None]:
         """Occupy the link while a message crosses it. ``yield from`` me."""
         duration = self.transmission_time(num_bytes)
-        yield self._resource.request()
+        if not self._resource.try_acquire():
+            yield self._resource.request()
         try:
             yield self.sim.timeout(duration)
             self.busy_time += duration

@@ -1,6 +1,10 @@
 """Tests for runtime fragments, chain lifecycle, degradation and splits."""
 
+import math
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.catalog import Relation
 from repro.common.errors import SchedulingError
@@ -10,11 +14,21 @@ from repro.core.fragments import (
     BATCH_FINISHED,
     BATCH_OK,
     BATCH_OVERFLOW,
+    Fragment,
     FragmentKind,
     FragmentStatus,
 )
 from repro.core.runtime import QueryRuntime, World
 from repro.mediator.queues import Message
+from repro.plan.operators import (
+    JoinSpec,
+    MatOp,
+    Operator,
+    OutputOp,
+    ProbeOp,
+    ScanOp,
+)
+from repro.plan.qep import PipelineChain
 
 
 @pytest.fixture
@@ -293,3 +307,191 @@ def test_new_memory_needed(rt, small_qep):
     assert rt.new_memory_needed(fragment) == 0
     # Output fragments never need new memory.
     assert rt.new_memory_needed(rt.fragments["pT"]) == 0
+
+
+# --------------------------------------------------------------------------
+# The compiled flow against the per-batch interpreter it replaced
+# --------------------------------------------------------------------------
+
+def reference_flow(chain_name, operators, params, pool, count):
+    """The interpreted ``Fragment._flow`` / ``_carry`` as they stood
+    before fragments were compiled: the oracle, bit for bit."""
+    def carry(op, value):
+        key = (chain_name, op.name)
+        total = value + pool.get(key, 0.0)
+        whole = int(total)
+        pool[key] = total - whole
+        return whole
+
+    instructions = 0.0
+    flowing = count
+    for op in operators:
+        if isinstance(op, ScanOp):
+            instructions += flowing * params.move_tuple_instructions
+            flowing = carry(op, flowing * op.scan_selectivity)
+        elif isinstance(op, ProbeOp):
+            instructions += flowing * params.hash_search_instructions
+            flowing = carry(op, flowing * op.join.actual_fanout())
+            instructions += flowing * params.produce_tuple_instructions
+        elif isinstance(op, MatOp):
+            instructions += flowing * params.move_tuple_instructions
+        elif isinstance(op, OutputOp):
+            pass
+        else:
+            raise AssertionError(f"unknown operator {op!r}")
+    return instructions, int(flowing)
+
+
+class Twin:
+    """One fragment and its oracle, each over its own carry pool."""
+
+    def __init__(self, runtime, oracle_pool, name, kind, chain, operators):
+        self.fragment = Fragment(runtime, name, kind, chain, operators, None)
+        self.chain, self.operators = chain.name, list(operators)
+        self.params, self.pool = runtime.world.params, runtime.carry_pool
+        self.oracle_pool = oracle_pool
+
+    def flow(self, count):
+        got = self.fragment._flow(count)
+        want = reference_flow(self.chain, self.operators, self.params,
+                              self.oracle_pool, count)
+        assert got == want
+        assert type(got[1]) is int
+        assert self.pool == self.oracle_pool
+        return got[1]
+
+
+TERMINALS = {
+    "table": lambda join: MatOp(name=f"mat[{join.name}]", join=join),
+    "temp": lambda join: MatOp(name="mat[temp]", join=None),
+    "output": lambda join: OutputOp(name="output"),
+}
+
+fanouts = st.tuples(st.floats(0.001, 1.0), st.floats(0.0, 60.0),
+                    st.floats(0.1, 3.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(selectivity=st.floats(0.001, 1.0),
+       probes=st.lists(fanouts, max_size=4),
+       terminal=st.sampled_from(sorted(TERMINALS)),
+       actions=st.lists(st.tuples(st.sampled_from(["pc", "mf", "cf"]),
+                                  st.integers(1, 5000)),
+                        min_size=1, max_size=40))
+def test_compiled_flow_equals_the_interpreter(selectivity, probes, terminal,
+                                              actions):
+    joins = [JoinSpec(name=f"J{i}", build_relations=(f"B{i}",),
+                      probe_relations=("S",), crossing_selectivity=crossing,
+                      estimated_build_cardinality=build,
+                      actual_fanout_factor=factor)
+             for i, (crossing, build, factor) in enumerate(probes)]
+    build_join = JoinSpec(name="JT", build_relations=("S",),
+                          probe_relations=("X",), crossing_selectivity=1.0)
+    scan = ScanOp(name="scan(S)", relation="S", scan_selectivity=selectivity)
+    chain = PipelineChain("pS", "S", [
+        scan, *(ProbeOp(name=f"probe[{j.name}]", join=j) for j in joins),
+        TERMINALS[terminal](build_join)])
+    runtime = SimpleNamespace(
+        world=SimpleNamespace(params=SimulationParameters()), carry_pool={})
+    oracle_pool = {}
+
+    # The three parts of a degraded chain share one pool: MF applies the
+    # scan and writes a temp, CF replays the temp through the rest, PC
+    # runs the undivided pipeline on whatever the MF left in the queue.
+    def twin(name, kind, operators):
+        return Twin(runtime, oracle_pool, name, kind, chain, operators)
+
+    pc = twin("pS", FragmentKind.PIPELINE_CHAIN, chain.operators)
+    mf = twin("MF(pS)", FragmentKind.MATERIALIZATION,
+              [scan, MatOp(name="mat[temp]", join=None)])
+    cf = twin("CF(pS)", FragmentKind.COMPLEMENT,
+              [ScanOp(name="scan(temp)", relation="temp"),
+               *chain.operators[1:]])
+
+    consumed = delivered = temp_backlog = 0
+    for which, count in actions:
+        if which == "pc":
+            consumed += count
+            delivered += pc.flow(count)
+        elif which == "mf":
+            consumed += count
+            temp_backlog += mf.flow(count)
+        elif temp_backlog:
+            count = min(count, temp_backlog)
+            temp_backlog -= count
+            delivered += cf.flow(count)
+    if temp_backlog:
+        delivered += cf.flow(temp_backlog)
+
+    # Totals converge to the true cardinality: every stage holds back
+    # less than one tuple, amplified by the fanouts downstream of it.
+    ratios = [selectivity] + [j.actual_fanout() for j in joins]
+    exact = consumed * math.prod(ratios)
+    slack = sum(math.prod(ratios[i + 1:]) for i in range(len(ratios)))
+    tolerance = 1e-9 * max(1.0, exact)
+    assert exact - slack - tolerance <= delivered <= exact + tolerance
+
+
+def test_operator_errors_are_raised_when_the_fragment_is_compiled(rt):
+    fragment = rt.fragments["pR"]
+    chain, source = fragment.chain, fragment.source
+    stranger = Operator(name="sort")
+    with pytest.raises(SchedulingError, match="unknown operator"):
+        Fragment(rt, "x", FragmentKind.PIPELINE_CHAIN, chain,
+                 [chain.scan, stranger, chain.terminal], source)
+    with pytest.raises(SchedulingError, match="unsupported terminal"):
+        Fragment(rt, "x", FragmentKind.PIPELINE_CHAIN, chain,
+                 [chain.scan, stranger], source)
+    with pytest.raises(SchedulingError, match="unsupported terminal"):
+        fragment.replace_terminal(stranger)
+    assert fragment.terminal is chain.terminal  # the failed swap left it alone
+
+
+def test_operators_change_only_through_replace_terminal(rt):
+    fragment = rt.fragments["pR"]
+    assert isinstance(fragment.operators, tuple)
+    with pytest.raises(TypeError):
+        fragment.operators[-1] = OutputOp(name="output")
+    with pytest.raises(AttributeError):
+        fragment.operators = [fragment.operators[0], OutputOp(name="output")]
+
+
+def test_split_fragment_runs_the_recompiled_plan(rt, small_qep):
+    """After a forced split the next batch goes to the temp at the
+    materialization cost, and the continuation builds the table."""
+    params, cpu = rt.world.params, rt.world.cpu
+    fragment = rt.fragments["pR"]
+    join_name = fragment.builds_join
+    rt.ensure_hash_table(fragment)
+    feed(rt, "R", 400)
+    run_batch(rt, fragment)
+    table = fragment.hash_table
+    assert table.tuples == 400
+
+    fragment.pending_spill = 100
+    continuation = rt.split_for_memory(fragment)
+    assert fragment.writes_temp and fragment.builds_join is None
+    assert fragment.operators[-1].name == "mat[temp]"
+
+    oracle_pool = dict(rt.carry_pool)
+    before = cpu.instructions_executed.value
+    feed(rt, "R", 500, eof=True)
+    assert run_batch(rt, fragment) == BATCH_FINISHED
+    instructions, tuples = reference_flow(
+        fragment.chain.name, fragment.operators, params, oracle_pool, 500)
+    assert tuples == 500
+    assert instructions == 500 * 2 * params.move_tuple_instructions
+    assert cpu.instructions_executed.value - before >= instructions
+    assert fragment.cpu_seconds == sum(
+        params.instructions_seconds(n * 2 * params.move_tuple_instructions)
+        for n in (400, 500))  # scan + materialize, both batches
+    assert rt.carry_pool == oracle_pool
+    assert table.tuples == 400                       # stopped growing
+    assert fragment.temp_writer.temp.tuples == 600   # spill + the batch
+
+    assert continuation.builds_join == join_name
+    while continuation.status is not FragmentStatus.DONE:
+        run_batch(rt, continuation)
+    assert table.tuples == 1000
+    assert continuation.cpu_seconds == params.instructions_seconds(
+        600 * 2 * params.move_tuple_instructions)

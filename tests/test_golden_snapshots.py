@@ -51,3 +51,32 @@ def test_goldens_cover_all_strategies():
             # Stall attribution must account for every stalled second.
             total = sum(digest["stall_breakdown"].values())
             assert total == pytest.approx(digest["stall_time"], abs=1e-9)
+
+
+#: ``Simulator.processed_events`` of the SEQ / MA / DSE run of each
+#: golden workload, taken on the commit before the kernel fast paths
+#: (ISSUE 22).  A host-time optimisation does the same events; one that
+#: removes or adds a hop is a model change and must say so here.
+KERNEL_EVENTS = {
+    "baseline": [5047, 6219, 5678],
+    "slow_a": [5038, 6178, 5830],
+    "tight_memory": [7638, 9168, 8467],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(KERNEL_EVENTS))
+def test_goldens_dispatch_the_same_kernel_events(workload, monkeypatch):
+    import repro.core.engine as engine_module
+
+    worlds = []
+    make_world = engine_module.World
+
+    def recording_world(*args, **kwargs):
+        worlds.append(make_world(*args, **kwargs))
+        return worlds[-1]
+
+    monkeypatch.setattr(engine_module, "World", recording_world)
+    capture_golden.run_digest(
+        workload, capture_golden.workload_configs()[workload])
+    assert ([world.sim.processed_events for world in worlds]
+            == KERNEL_EVENTS[workload])

@@ -325,6 +325,68 @@ def test_grant_processes_an_event_in_place(sim):
     assert sim.processed_events == 0
 
 
+def test_kernel_event_records_are_slotted(sim):
+    def idle():
+        yield sim.timeout(1.0)
+
+    process = sim.process(idle())
+    records = [sim.event("e"), sim.timeout(1.0), process,
+               sim.any_of([sim.event()]), sim.all_of([sim.event()])]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(AttributeError):
+            record.scribble = 1
+    # Only a timeout carries its own cancellation flag; the rest read
+    # the class constant the kernels' hot loops test.
+    assert [record.cancelled for record in records] == [False] * 5
+    sim.run()
+
+
+def test_cancelled_timeout_is_skipped_by_every_way_of_running(sim):
+    fired = []
+    for run in (lambda: sim.run(), lambda: sim.run(until=sim.now + 10.0),
+                lambda: sim.step()):
+        doomed = sim.timeout(1.0)
+        doomed.add_callback(lambda e: fired.append("doomed"))
+        kept = sim.timeout(2.0)
+        kept.add_callback(lambda e: fired.append("kept"))
+        doomed.cancel()
+        before = sim.processed_events
+        run()
+        assert fired == ["kept"] and not doomed.processed and kept.processed
+        assert sim.processed_events == before + 1
+        fired.clear()
+    with pytest.raises(SimulationError):
+        kept.cancel()  # already elapsed
+
+
+def test_interrupt_detaches_the_process_from_the_event_it_waited_on(sim):
+    """A process registers one cached bound ``_resume`` per wait; an
+    interrupt must take exactly that callback off the abandoned event,
+    or the event would resume the process a second time later."""
+    gate = sim.event("gate")
+    log = []
+
+    def waiter():
+        try:
+            yield gate
+            log.append("gate")
+        except Interrupt as interrupt:
+            log.append(interrupt.cause)
+        yield sim.timeout(5.0)
+        log.append("slept")
+
+    process = sim.process(waiter())
+    sim.run()
+    assert len(gate._callbacks) == 1
+    process.interrupt("stop waiting")
+    assert gate._callbacks == []
+    gate.succeed()  # fires after the interrupt, while the process sleeps
+    sim.run()
+    assert log == ["stop waiting", "slept"]
+    assert process.ok and sim.now == 5.0
+
+
 def test_determinism_same_seedless_structure():
     def build_and_run():
         sim = Simulator()

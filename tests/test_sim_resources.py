@@ -57,6 +57,34 @@ def test_resource_capacity_validation(sim):
         Resource(sim, capacity=0)
 
 
+def test_try_acquire_and_request_share_one_account(sim):
+    """The event-free acquire is the uncontended half of ``request``:
+    mixed freely they never over-commit and hand slots over FIFO."""
+    resource = Resource(sim, capacity=2)
+    assert resource.try_acquire()
+    assert resource.request().processed       # second free slot, in place
+    assert not resource.try_acquire()         # full: the caller must queue
+    assert resource.in_use == 2
+    first, second = resource.request(), resource.request()
+    assert resource.queue_length == 2
+
+    resource.release()                        # slot goes to the oldest waiter
+    assert not resource.try_acquire()         # ... not to a late arrival
+    sim.run()
+    assert first.processed and not second.triggered
+    assert resource.in_use == 2
+
+    resource.release()
+    sim.run()
+    assert second.processed and resource.queue_length == 0
+    resource.release()
+    resource.release()
+    assert resource.in_use == 0
+    with pytest.raises(SimulationError):
+        resource.release()
+    assert resource.try_acquire() and resource.in_use == 1
+
+
 # --------------------------------------------------------------------------
 # Store
 # --------------------------------------------------------------------------
@@ -183,6 +211,28 @@ def test_cpu_serializes_concurrent_work(sim):
     sim.process(worker())
     sim.run()
     assert sim.now == pytest.approx(0.02)
+
+
+def test_cpu_work_costs_one_event_idle_and_two_when_it_must_queue(sim):
+    """An idle CPU is taken without an event — the slice's timeout is the
+    only kernel event; behind a holder the queued request is a second."""
+    cpu = CPU(sim, mips=100.0)
+
+    def worker():
+        yield from cpu.work(1_000_000)
+
+    def events_for(workers):
+        before = sim.processed_events
+        processes = [sim.process(worker()) for _ in range(workers)]
+        sim.run()
+        assert all(process.ok for process in processes)
+        # Starting and ending a process is one kernel event each.
+        return sim.processed_events - before - 2 * workers
+
+    assert events_for(1) == 1
+    assert events_for(2) == 1 + 2
+    assert cpu.busy_time == pytest.approx(0.03)
+    assert cpu.instructions_executed.value == 3_000_000
 
 
 def test_cpu_utilization(sim):
