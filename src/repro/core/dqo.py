@@ -87,87 +87,94 @@ class DynamicQEPOptimizer:
         replan_cause = None
         if self.scheduler.policy.wants_rate_events:
             world.cm.set_rate_listener(self.processor.notify_rate_change)
-        while True:
-            if spans is not None:
-                planning_span = spans.begin(
-                    SPAN_PLANNING,
-                    f"planning-{self.scheduler.planning_phases + 1}",
-                    parent_id=query_span, caused_by=replan_cause)
-                replan_cause = None
-            yield from world.cpu.work(world.params.planning_instructions)
-            sp = self.scheduler.plan()
-            if spans is not None:
-                spans.finish(planning_span, fragments=len(sp.fragments))
+        try:
+            while True:
+                if spans is not None:
+                    planning_span = spans.begin(
+                        SPAN_PLANNING,
+                        f"planning-{self.scheduler.planning_phases + 1}",
+                        parent_id=query_span, caused_by=replan_cause)
+                    replan_cause = None
+                yield from world.cpu.work(world.params.planning_instructions)
+                sp = self.scheduler.plan()
+                if spans is not None:
+                    spans.finish(planning_span, fragments=len(sp.fragments))
 
-            if sp.overflow_fragment is not None:
-                self._handle_overflow_fragment(sp.overflow_fragment)
-                continue
-            if not sp.fragments:
-                raise SchedulingError(
-                    "planning produced no schedulable fragment although the "
-                    "query is not complete")
+                if sp.overflow_fragment is not None:
+                    self._handle_overflow_fragment(sp.overflow_fragment)
+                    continue
+                if not sp.fragments:
+                    raise SchedulingError(
+                        "planning produced no schedulable fragment although "
+                        "the query is not complete")
 
-            if spans is not None:
-                phase_span = spans.begin(
-                    SPAN_EXEC_PHASE,
-                    f"exec-{self.scheduler.planning_phases}",
-                    parent_id=query_span, caused_by=planning_span,
-                    fragments=[f.name for f in sp.fragments])
-                self.processor.current_phase_span = phase_span
+                if spans is not None:
+                    phase_span = spans.begin(
+                        SPAN_EXEC_PHASE,
+                        f"exec-{self.scheduler.planning_phases}",
+                        parent_id=query_span, caused_by=planning_span,
+                        fragments=[f.name for f in sp.fragments])
+                    self.runtime.current_phase_span = phase_span
 
-            event = yield from self.processor.execute(sp)
+                event = yield from self.processor.execute(sp)
 
-            if spans is not None:
-                spans.finish(phase_span, outcome=type(event).__name__)
-                self.processor.current_phase_span = None
-                if isinstance(event, BudgetGrow):
-                    replan_cause = spans.instant(
-                        SPAN_LEASE_GROW, "lease-grow", parent_id=query_span,
-                        granted_bytes=event.granted_bytes,
-                        total_bytes=event.total_bytes)
-                elif isinstance(event, RateChange):
-                    replan_cause = spans.instant(
-                        SPAN_RATE_REPLAN, f"rate-change:{event.source}",
-                        parent_id=query_span, source=event.source,
-                        old_wait=event.old_wait, new_wait=event.new_wait)
+                if spans is not None:
+                    spans.finish(phase_span, outcome=type(event).__name__)
+                    self.runtime.current_phase_span = None
+                    if isinstance(event, BudgetGrow):
+                        replan_cause = spans.instant(
+                            SPAN_LEASE_GROW, "lease-grow",
+                            parent_id=query_span,
+                            granted_bytes=event.granted_bytes,
+                            total_bytes=event.total_bytes)
+                    elif isinstance(event, RateChange):
+                        replan_cause = spans.instant(
+                            SPAN_RATE_REPLAN, f"rate-change:{event.source}",
+                            parent_id=query_span, source=event.source,
+                            old_wait=event.old_wait, new_wait=event.new_wait)
 
-            self._check_estimates()
+                self._check_estimates()
 
-            if isinstance(event, EndOfQEP):
-                world.tracer.emit("qep-end", "query complete",
-                                  result_tuples=event.result_tuples)
-                if spans is not None and query_span is not None:
-                    spans.finish(query_span,
-                                 result_tuples=event.result_tuples)
-                return event
-            if isinstance(event, MemoryOverflow):
-                fragment = self.runtime.fragments[event.fragment_name]
-                self._handle_overflow_fragment(fragment)
-                self._consecutive_timeouts = 0
-            elif isinstance(event, TimeOut):
-                self.timeouts += 1
-                self._timeout_metric.inc()
-                self._consecutive_timeouts += 1
-                world.tracer.emit(
-                    "timeout", "engine stalled; re-optimization hook",
-                    stalled_for=event.stalled_for)
-                limit = world.params.max_consecutive_timeouts
-                if limit and self._consecutive_timeouts >= limit:
-                    raise QueryTimeoutError(
-                        self._consecutive_timeouts,
-                        self._consecutive_timeouts * world.params.timeout)
-            else:
-                # EndOfQF / PhaseComplete / RateChange / BudgetGrow: real
-                # progress or new information; replan on the next loop.
-                self._consecutive_timeouts = 0
-                if isinstance(event, RateChange):
-                    self.rate_changes += 1
-                elif isinstance(event, BudgetGrow):
-                    self.budget_grows += 1
+                if isinstance(event, EndOfQEP):
+                    world.tracer.emit("qep-end", "query complete",
+                                      result_tuples=event.result_tuples)
+                    if spans is not None and query_span is not None:
+                        spans.finish(query_span,
+                                     result_tuples=event.result_tuples)
+                    return event
+                if isinstance(event, MemoryOverflow):
+                    fragment = self.runtime.fragments[event.fragment_name]
+                    self._handle_overflow_fragment(fragment)
+                    self._consecutive_timeouts = 0
+                elif isinstance(event, TimeOut):
+                    self.timeouts += 1
+                    self._timeout_metric.inc()
+                    self._consecutive_timeouts += 1
                     world.tracer.emit(
-                        "budget-grow", "lease grew; replanning",
-                        granted_bytes=event.granted_bytes,
-                        total_bytes=event.total_bytes)
+                        "timeout", "engine stalled; re-optimization hook",
+                        stalled_for=event.stalled_for)
+                    limit = world.params.max_consecutive_timeouts
+                    if limit and self._consecutive_timeouts >= limit:
+                        raise QueryTimeoutError(
+                            self._consecutive_timeouts,
+                            self._consecutive_timeouts * world.params.timeout)
+                else:
+                    # EndOfQF / PhaseComplete / RateChange / BudgetGrow: real
+                    # progress or new information; replan on the next loop.
+                    self._consecutive_timeouts = 0
+                    if isinstance(event, RateChange):
+                        self.rate_changes += 1
+                    elif isinstance(event, BudgetGrow):
+                        self.budget_grows += 1
+                        world.tracer.emit(
+                            "budget-grow", "lease grew; replanning",
+                            granted_bytes=event.granted_bytes,
+                            total_bytes=event.total_bytes)
+        finally:
+            # The query's CM outlives the run; left installed, the
+            # listener would tie CM, processor, runtime and world in a
+            # cycle only the collector could free.
+            world.cm.set_rate_listener(None)
 
     def _check_estimates(self) -> None:
         """Flag observed cardinality misestimates; optionally act on them.

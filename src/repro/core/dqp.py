@@ -61,12 +61,18 @@ class SchedulingPlan:
     _live: Optional[list[Fragment]] = field(
         default=None, repr=False, compare=False)
     _live_revision: int = field(default=-1, repr=False, compare=False)
+    #: the fragments' runtime, looked up once (they reach it weakly).
+    _runtime: Optional[QueryRuntime] = field(
+        default=None, repr=False, compare=False)
 
     def live(self) -> list[Fragment]:
         fragments = self.fragments
         if not fragments:
             return fragments
-        revision = fragments[0].runtime.done_revision
+        runtime = self._runtime
+        if runtime is None:
+            runtime = self._runtime = fragments[0].runtime
+        revision = runtime.done_revision
         if self._live is None or revision != self._live_revision:
             self._live = [f for f in fragments
                           if f.status is not FragmentStatus.DONE]
@@ -108,15 +114,14 @@ class DynamicQueryProcessor:
         self._round_robin = params.dqp_discipline == "round-robin"
         telemetry = runtime.world.telemetry
         self._stalls = telemetry.stalls
-        #: current execution-phase span id (set by the DQO per phase);
-        #: the compiled span hooks read it at call time.
-        self.current_phase_span: Optional[int] = None
         #: compiled observability dispatch table.  Every active channel
         #: (metrics, flight recorder, spans) contributed its pre-bound
         #: callables at compile time; when everything is off the slots
         #: are empty tuples and the hot loop pays one truthiness check.
+        # The span hooks read the runtime's current phase span at call
+        # time; a closure over ``self`` would make the table a cycle.
         self.hooks = compile_dqp_hooks(
-            telemetry, phase_span_of=lambda: self.current_phase_span)
+            telemetry, phase_span_of=lambda: runtime.current_phase_span)
         # Subscribe to broker grow offers so a mid-flight budget increase
         # interrupts the execution phase for a replan (same pattern as
         # the CM's rate-change listener).  Only when the feature is on:

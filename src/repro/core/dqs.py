@@ -93,10 +93,11 @@ class DynamicQueryScheduler:
                 hook(now, len(admitted))
         priorities = self.policy.priorities(self.runtime)
         sp = SchedulingPlan(admitted, priorities, overflow_fragment=overflow)
-        self.runtime.world.tracer.emit(
-            "plan", sp.describe() or "(empty)",
-            phase=self.planning_phases,
-            overflow=overflow.name if overflow else None)
+        if world.tracer.enabled:  # describe() formats every fragment
+            world.tracer.emit(
+                "plan", sp.describe() or "(empty)",
+                phase=self.planning_phases,
+                overflow=overflow.name if overflow else None)
         return sp
 
     def _admit(self, candidates: list[Fragment]) -> tuple[

@@ -23,6 +23,7 @@ interpreter it replaced as the oracle.
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Any, Generator, Literal, Optional, TYPE_CHECKING, Union
 
 from repro.common.errors import SchedulingError, SimulationError
@@ -76,7 +77,11 @@ class Fragment:
                  source: FragmentInput):
         if not operators:
             raise SchedulingError(f"fragment {name!r} has no operators")
-        self.runtime = runtime
+        # The runtime owns its fragments; the way back up is weak, so a
+        # finished query is freed by reference count.  What a batch
+        # needs is held directly and costs no dereference.
+        self._runtime = weakref.ref(runtime)
+        self.world = runtime.world
         self.name = name
         self.kind = kind
         self.chain = chain
@@ -111,6 +116,12 @@ class Fragment:
 
     # -- structure ---------------------------------------------------------
     @property
+    def runtime(self) -> "QueryRuntime":
+        """The query this fragment belongs to (alive as long as anything
+        runs the fragment: the engine stack holds it)."""
+        return self._runtime()  # type: ignore[return-value]
+
+    @property
     def operators(self) -> tuple[Operator, ...]:
         """The segment's operators, read-only: the batch loop runs the
         compiled form, so the only way to change them is
@@ -128,7 +139,7 @@ class Fragment:
         Table 1's costs and the joins' actual fanouts do not change
         while a query runs, so the operator walk happens here, once.
         """
-        params = self.runtime.world.params
+        params = self.world.params
         chain = self.chain.name
         steps: list[FlowStep] = []
         for op in operators[:-1]:
@@ -208,7 +219,7 @@ class Fragment:
         """Process one batch; returns a ``BATCH_*`` marker. ``yield from`` me."""
         if self.status is FragmentStatus.DONE:
             raise SchedulingError(f"fragment {self.name!r} already done")
-        world = self.runtime.world
+        world = self.world
         if self.status is FragmentStatus.PENDING:
             self.status = FragmentStatus.RUNNING
             self.started_at = world.sim.now
@@ -273,9 +284,10 @@ class Fragment:
         elif sink == "temp":
             self._require_writer().write(tuples)
         else:
-            if tuples > 0 and self.runtime.result_tuples == 0:
-                self.runtime.first_result_at = self.runtime.world.sim.now
-            self.runtime.result_tuples += tuples
+            runtime = self.runtime
+            if tuples > 0 and runtime.result_tuples == 0:
+                runtime.first_result_at = self.world.sim.now
+            runtime.result_tuples += tuples
         return None
 
     def _finalize(self) -> Generator[SimEvent, Any, None]:
@@ -287,15 +299,7 @@ class Fragment:
         if self.writes_temp:
             yield from self._require_writer().finish()
         self.status = FragmentStatus.DONE
-        self.finished_at = self.runtime.world.sim.now
-        registry = self.runtime.world.telemetry.registry
-        registry.counter("fragments.completed",
-                         "Query fragments run to completion.").inc()
-        if self.started_at is not None:
-            registry.histogram(
-                "fragments.duration_seconds",
-                help="Wall (virtual) time from first batch to finalize."
-            ).observe(self.finished_at - self.started_at)
+        self.finished_at = self.world.sim.now
         self.runtime.on_fragment_done(self)
 
     def _require_table(self) -> HashTable:

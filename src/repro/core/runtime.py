@@ -197,6 +197,15 @@ class QueryRuntime:
                                for join_name, join in qep.joins.items()}
         #: root of this query's causal span tree (None when spans off).
         self.query_span: Optional[int] = None
+        #: current execution-phase span id (set by the DQO per phase);
+        #: the DQP's compiled span hooks read it at call time.
+        self.current_phase_span: Optional[int] = None
+        registry = world.telemetry.registry
+        self._fragments_completed = registry.counter(
+            "fragments.completed", "Query fragments run to completion.")
+        self._fragment_seconds = registry.histogram(
+            "fragments.duration_seconds",
+            help="Wall (virtual) time from first batch to finalize.")
         spans = world.telemetry.spans
         if spans is not None:
             self.query_span = spans.begin(
@@ -552,6 +561,10 @@ class QueryRuntime:
     def on_fragment_done(self, fragment: Fragment) -> None:
         """Bookkeeping when a fragment finalizes."""
         self.done_revision += 1
+        self._fragments_completed.inc()
+        if fragment.started_at is not None:
+            self._fragment_seconds.observe(
+                fragment.finished_at - fragment.started_at)
         self.world.tracer.emit(
             "fragment-done", fragment.name,
             chain=fragment.chain.name, tuples_in=fragment.tuples_in,

@@ -19,7 +19,7 @@ across backends given identical event timings.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, TypeVar
 
 from repro.common.errors import SimulationError
 
@@ -34,6 +34,19 @@ _PROCESSED = "processed"  # callbacks have run
 
 #: the generator type driven by :class:`Process`.
 ProcessGenerator = Generator["SimEvent", Any, Any]
+_Exc = TypeVar("_Exc", bound=BaseException)
+
+
+def caught(exc: _Exc) -> _Exc:
+    """``exc`` without the traceback entry of the frame that caught it.
+
+    For a handler that *stores* the exception on the object its own
+    frame holds (a process its failure, a wrapper its error): with that
+    entry left in, object -> exception -> traceback -> frame -> object
+    is a cycle only the collector could free.
+    """
+    assert exc.__traceback__ is not None
+    return exc.with_traceback(exc.__traceback__.tb_next)
 
 
 class Interrupt(Exception):
@@ -191,6 +204,11 @@ class Timeout(SimEvent):
         if self._state == _PROCESSED:
             raise SimulationError(f"cannot cancel elapsed timeout {self!r}")
         self.cancelled = True
+        # Inert from here on: the callbacks can never run, so nothing
+        # may stay pinned by them, and the heap entry awaiting its lazy
+        # discard must not tie the kernel to itself through ``sim``.
+        self._callbacks.clear()
+        self.sim = None  # type: ignore[assignment]
 
 
 class AnyOf(SimEvent):
@@ -224,15 +242,17 @@ class AnyOf(SimEvent):
         return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
 
     def detach(self) -> None:
-        """Unhook :meth:`_on_child` from children that never triggered.
+        """Unhook :meth:`_on_child` from children that have not occurred.
 
         A composite whose winner has been seen keeps its pending children
         alive through their callback lists; a waiter that re-waits on the
         same children (the DQP stall loop) calls this to stop the dead
-        composites from accumulating.
+        composites from accumulating.  "Not processed", not "not
+        triggered": a guard :class:`Timeout` is born triggered, and left
+        hooked it and this composite would hold each other.
         """
         for event in self.events:
-            if not event.triggered:
+            if event._state != _PROCESSED:
                 event.remove_callback(self._on_child)
 
 
@@ -284,7 +304,8 @@ class Process(SimEvent):
         self.defused = False
         #: the one bound :meth:`_resume` this process registers on every
         #: event it waits for (``self._resume`` mints a new bound method
-        #: per access, once per wait on the hot path).
+        #: per access, once per wait on the hot path).  A reference to
+        #: itself: :meth:`_resume` drops it with the generator.
         self._step: Callable[[SimEvent], None] = self._resume
         # Bootstrap: resume the generator at time `now` via an urgent event.
         start = SimEvent(sim, name=f"start:{self.name}")
@@ -327,28 +348,28 @@ class Process(SimEvent):
                     target = self.generator.send(event.value)
             except StopIteration as stop:
                 self.succeed(stop.value)
-                return
+                break
             except Interrupt as exc:
                 # An uncaught interrupt terminates the process "normally"
                 # with the interrupt as its value marker; anything else
                 # is an error.
-                self.fail(exc)
-                return
+                self.fail(caught(exc))
+                break
             except BaseException as exc:  # noqa: BLE001 - forward real failures
-                self.fail(exc)
+                self.fail(caught(exc))
                 self.sim._note_failed_process(self)
-                return
+                break
             if not isinstance(target, SimEvent):
                 self.generator.close()
                 self.fail(SimulationError(
                     f"process {self.name!r} yielded {target!r}, "
                     f"expected a SimEvent"))
-                return
+                break
             if target.sim is not self.sim:
                 self.generator.close()
                 self.fail(SimulationError(
                     "yielded event belongs to a different kernel"))
-                return
+                break
             if target._state == _PROCESSED:
                 # Already happened: carry on in this dispatch (a loop,
                 # not recursion through add_callback's immediate call).
@@ -359,6 +380,10 @@ class Process(SimEvent):
             self._waiting_on = target
             target._callbacks.append(self._step)
             return
+        # The generator is over: let go of it and of the bound method of
+        # ourselves, so a finished process is freed by reference count —
+        # its frames, and every run they hold, with it.
+        self.generator = self._step = None  # type: ignore[assignment]
 
 
 class KernelBase:

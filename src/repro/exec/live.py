@@ -44,7 +44,7 @@ import numpy as np
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
 from repro.exec.aio import AsyncioKernel
-from repro.exec.core import SimEvent
+from repro.exec.core import SimEvent, caught
 from repro.observability.flight import (
     ENTRY_PHASE,
     ENTRY_SAMPLE,
@@ -192,7 +192,7 @@ class LiveWrapper:
                 asked = clock()
                 self.blocked_time += asked - got
         except Exception as exc:
-            self.error = exc
+            self.error = caught(exc)
         finally:
             # Also on cancellation: the pump must end the stream, or it
             # would stay parked on a kernel that outlives this query.

@@ -33,22 +33,25 @@ def ancestor_closure(qep: QEP) -> dict[str, set[str]]:
     """Transitive closure of :func:`direct_ancestors` (``ancestors*``)."""
     direct = direct_ancestors(qep)
     closure: dict[str, set[str]] = {}
-
-    def resolve(name: str, trail: tuple[str, ...]) -> set[str]:
-        if name in closure:
-            return closure[name]
-        if name in trail:
-            cycle = " -> ".join(trail + (name,))
-            raise PlanError(f"cyclic blocking dependency: {cycle}")
-        result = set(direct[name])
-        for parent in direct[name]:
-            result |= resolve(parent, trail + (name,))
-        closure[name] = result
-        return result
-
     for chain in qep.chains:
-        resolve(chain.name, ())
+        _resolve(chain.name, (), direct, closure)
     return closure
+
+
+def _resolve(name: str, trail: tuple[str, ...], direct: dict[str, set[str]],
+             closure: dict[str, set[str]]) -> set[str]:
+    # Module level, not nested in its caller: a closure that calls itself
+    # is a reference cycle minted once per call (once per query).
+    if name in closure:
+        return closure[name]
+    if name in trail:
+        cycle = " -> ".join(trail + (name,))
+        raise PlanError(f"cyclic blocking dependency: {cycle}")
+    result = set(direct[name])
+    for parent in direct[name]:
+        result |= _resolve(parent, trail + (name,), direct, closure)
+    closure[name] = result
+    return result
 
 
 def iterator_order(qep: QEP) -> list[str]:

@@ -32,6 +32,7 @@ events appear in the audit log.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.common.errors import SimulationError
@@ -79,7 +80,9 @@ class MemoryLease:
         self.used_bytes = 0
         self.peak_bytes = 0
         self._allocations: dict[str, int] = {}
-        self.broker = broker
+        # The broker owns its leases; the way back is weak (whoever
+        # holds a lease holds the machine, and so the broker).
+        self._broker = None if broker is None else weakref.ref(broker)
         self.name = name
         #: owning tenant ("" outside the multi-tenant service).
         self.tenant = tenant
@@ -98,6 +101,11 @@ class MemoryLease:
         self._used_gauge: Optional["Gauge"] = None
         self._peak_gauge: Optional["Gauge"] = None
         self._avail_gauge: Optional["Gauge"] = None
+
+    @property
+    def broker(self) -> Optional["MemoryBroker"]:
+        """The pool this lease was carved from (None when standalone)."""
+        return None if self._broker is None else self._broker()
 
     # -- leaf accounting (a static budget when standalone) ------------------
     @property
@@ -157,8 +165,9 @@ class MemoryLease:
             raise SimulationError(f"owner {owner!r} holds no reservation") from None
         self.used_bytes -= num_bytes
         self._publish()
-        if self.broker is not None and not self.released:
-            self.broker.reclaim(self)
+        broker = self.broker
+        if broker is not None and not self.released:
+            broker.reclaim(self)
         return num_bytes
 
     def held_by(self, owner: str) -> int:
@@ -182,20 +191,22 @@ class MemoryLease:
 
     def _headroom(self) -> int:
         """Bytes a demand pull could claim beyond the current total."""
-        if self.broker is None or self.released:
+        broker = self.broker
+        if broker is None or self.released:
             return 0
         room = self.max_bytes - self.total_bytes
         if room <= 0:
             return 0
-        spare = self.broker.spare_bytes()
+        spare = broker.spare_bytes()
         return room if spare is None else min(room, spare)
 
     def _pull(self, delta_bytes: int) -> bool:
         """Demand-pull ``delta_bytes`` from the broker (no grow event)."""
         if delta_bytes > self._headroom():
             return False
-        assert self.broker is not None
-        return self.broker.expand_lease(self, delta_bytes)
+        broker = self.broker
+        assert broker is not None
+        return broker.expand_lease(self, delta_bytes)
 
     def _shrink_to(self, target_bytes: int) -> int:
         """Drop headroom down to ``target_bytes``; returns bytes freed."""
@@ -211,8 +222,9 @@ class MemoryLease:
         running :attr:`MemoryBroker.leased_bytes` stays equal to the
         re-sum over its leases."""
         self.total_bytes += delta_bytes
-        if self.broker is not None and not self.released:
-            self.broker._leased_bytes += delta_bytes
+        broker = self.broker
+        if broker is not None and not self.released:
+            broker._leased_bytes += delta_bytes
 
     # -- observability ------------------------------------------------------
     def attach_metrics(self, registry: "MetricsRegistry",
@@ -268,7 +280,9 @@ class MemoryBroker:
         self.telemetry = telemetry
         self.leases: List[MemoryLease] = []
         self._leased_bytes = 0
-        self._admission: Optional["AdmissionController"] = None
+        #: weak: the controller sits in front of the broker and holds it.
+        self._admission: Callable[
+            [], Optional["AdmissionController"]] = lambda: None
         self._leased_gauge: Optional["Gauge"] = None
         self._spare_gauge: Optional["Gauge"] = None
         self._active_gauge: Optional["Gauge"] = None
@@ -363,6 +377,9 @@ class MemoryBroker:
             return
         lease.released = True
         self.leases.remove(lease)
+        # No offer can reach a returned lease: let its subscribers (the
+        # finished query's DQP, which holds the lease) go.
+        lease._grow_subscribers.clear()
         self._leased_bytes -= lease.total_bytes
         self._publish()
         if self.governed:
@@ -392,7 +409,7 @@ class MemoryBroker:
 
     # -- redistribution -----------------------------------------------------
     def attach_admission(self, controller: "AdmissionController") -> None:
-        self._admission = controller
+        self._admission = weakref.ref(controller)
 
     def bind(self, sim: Kernel, telemetry: "Telemetry") -> None:
         """Late-bind kernel and telemetry (broker built before the World)."""
@@ -401,7 +418,8 @@ class MemoryBroker:
         self._attach_gauges()
 
     def _demand_exists(self, releasing: MemoryLease) -> bool:
-        if self._admission is not None and self._admission.queue_depth > 0:
+        admission = self._admission()
+        if admission is not None and admission.queue_depth > 0:
             return True
         return any(lease is not releasing and not lease.released
                    and lease._grow_subscribers
@@ -412,8 +430,9 @@ class MemoryBroker:
         """Hand spare bytes out: admissions first, then grow offers."""
         if not self.governed:
             return
-        if self._admission is not None:
-            self._admission.on_capacity()
+        admission = self._admission()
+        if admission is not None:
+            admission.on_capacity()
         for lease in list(self.leases):
             spare = self.spare_bytes()
             if spare is None or spare <= 0:

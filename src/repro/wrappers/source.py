@@ -98,7 +98,10 @@ class Wrapper:
             try:
                 waits = self.delay_model.waiting_times(count, self.rng)
             except Exception as exc:
-                self.error = exc
+                # Without its traceback: that leads back to this frame
+                # (the model was called from it) and so to ``self`` — a
+                # cycle only the collector could free.
+                self.error = exc.with_traceback(None)
                 break
             # ndarray.sum() skips numpy's dispatch wrapper; same value,
             # same RNG stream, measurably less per-message overhead.

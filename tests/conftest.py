@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.catalog import Catalog, JoinStatistics, Relation
@@ -67,8 +69,10 @@ def mini_fig5():
     return figure5_workload(scale=0.1)
 
 
+@functools.lru_cache(maxsize=None)
 def _breaking(base, after):
-    """``base`` delay model whose source dies after ``after`` messages."""
+    """``base`` delay model whose source dies after ``after`` messages.
+    (Cached: a class is cyclic garbage, and tests count that.)"""
     class BreakingDelay(base):
         messages = 0
 
@@ -206,4 +210,41 @@ def assert_same_outcome():
             assert got[key] == expected[key], key
         for key in ("response_time", "time_to_first_tuple", "stall_time"):
             assert got[key] == pytest.approx(expected[key], rel=1e-9), key
+    return check
+
+
+@pytest.fixture
+def assert_no_cyclic_garbage():
+    """``assert_no_cyclic_garbage(run)``: with the cyclic collector off,
+    ``run()`` (its result dropped) leaves nothing only the collector
+    could free — whatever it built was freed by reference counting."""
+    import gc
+    from collections import Counter
+
+    def unreachable(run, debug):
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(debug)
+        try:
+            run()
+            found = gc.collect()
+            return found, Counter(type(thing).__name__
+                                  for thing in gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+
+    def check(run):
+        found, _ = unreachable(run, 0)
+        if found:
+            # Again, keeping what is found so the message can name it.
+            # (A first run also pays for imports and lazily built
+            # classes; only garbage that repeats is the run's own.)
+            found, members = unreachable(run, gc.DEBUG_SAVEALL)
+            assert not found, (
+                f"{found} objects left to the cyclic collector: "
+                f"{members.most_common()}")
     return check

@@ -342,6 +342,15 @@ def reference_flow(chain_name, operators, params, pool, count):
     return instructions, int(flowing)
 
 
+class StubRuntime:
+    """What ``Fragment.__init__`` reads off its runtime (a fragment
+    reaches its runtime weakly, which a ``SimpleNamespace`` cannot be)."""
+
+    def __init__(self):
+        self.world = SimpleNamespace(params=SimulationParameters())
+        self.carry_pool = {}
+
+
 class Twin:
     """One fragment and its oracle, each over its own carry pool."""
 
@@ -391,8 +400,7 @@ def test_compiled_flow_equals_the_interpreter(selectivity, probes, terminal,
     chain = PipelineChain("pS", "S", [
         scan, *(ProbeOp(name=f"probe[{j.name}]", join=j) for j in joins),
         TERMINALS[terminal](build_join)])
-    runtime = SimpleNamespace(
-        world=SimpleNamespace(params=SimulationParameters()), carry_pool={})
+    runtime = StubRuntime()
     oracle_pool = {}
 
     # The three parts of a degraded chain share one pool: MF applies the

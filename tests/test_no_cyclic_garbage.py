@@ -1,0 +1,219 @@
+"""Nothing a query builds needs the cyclic collector.
+
+Ownership points down (``QueryRun`` -> runtime -> fragments; kernel ->
+process -> generator) and every back-reference is weak or severed by its
+owner when the thing ends — see ``docs/architecture.md`` §1.  Each case
+runs with the collector off and must leave it nothing to find, on
+success and failure paths alike and whatever the number of queries.
+"""
+
+import asyncio
+
+import pytest
+
+from repro.config import SimulationParameters
+from repro.core.engine import QueryRun, seeded_wrappers
+from repro.core.runtime import World
+from repro.core.strategies import make_policy
+from repro.exec import Interrupt
+from repro.parallel.spec import MultiQuerySpec, RunSpec, uniform_delay_specs
+from repro.service import QueryService, SubmissionRequest
+from repro.sim import Simulator
+from repro.wrappers import UniformDelay
+
+FAST = dict(cpu_mips=10_000.0, disk_latency=17e-5, disk_seek_time=5e-5,
+            disk_transfer_rate=600_000_000.0)
+
+
+def serve(requests, leases=4, history=8):
+    """Run ``requests`` through an in-process service that remembers
+    its ``history`` newest records; returns each submission's end state."""
+    params = SimulationParameters(telemetry_enabled=True, **FAST)
+
+    async def scenario():
+        service = QueryService(
+            params=params, seed=1, history=history,
+            global_memory_bytes=leases * params.query_memory_bytes,
+            admission="priority")
+        await service.start()
+        try:
+            records = [service.submit(request) for request in requests]
+            for record in records:
+                await asyncio.wait_for(record.done.wait(), timeout=60.0)
+            return [record.state for record in records]
+        finally:
+            await service.stop()
+    return asyncio.run(scenario())
+
+
+@pytest.mark.parametrize("submissions", [20, 200])
+def test_service_submissions(assert_no_cyclic_garbage, submissions):
+    """Over 4 leases, cycling the strategies, records dropped past
+    ``history``: 0 objects, whatever the number of submissions."""
+    strategies = ("DSE", "DSE", "MA", "SEQ")
+    requests = [SubmissionRequest(strategy=strategies[i % 4], scale=0.0005,
+                                  seed=i, wait_us=0.0)
+                for i in range(submissions)]
+
+    def run():
+        assert set(serve(requests)) == {"done"}
+    assert_no_cyclic_garbage(run)
+
+
+def test_service_submission_whose_source_dies(assert_no_cyclic_garbage,
+                                              break_service_source):
+    break_service_source("mid-stream", every=2)
+    requests = [SubmissionRequest(seed=i, scale=0.002, wait_us=20.0,
+                                  memory_bytes=1 << 20) for i in range(8)]
+
+    def run():
+        # Sequence numbers start at 1: the even ones lose a source.
+        assert serve(requests) == ["done", "failed"] * 4
+    assert_no_cyclic_garbage(run)
+
+
+@pytest.mark.parametrize("strategy", ["SEQ", "MA", "DSE"])
+def test_one_shot_run(assert_no_cyclic_garbage, strategy):
+    params = SimulationParameters()
+    delays = uniform_delay_specs(
+        {name: 4 * params.w_min for name in "ABCDEF"})
+
+    def run():
+        result = RunSpec(strategy, 1, 0.02, delays, params).execute()
+        assert result.result_tuples == 1000
+    assert_no_cyclic_garbage(run)
+
+
+def test_one_shot_run_through_timeouts(assert_no_cyclic_garbage):
+    """A source silent for ten timeouts: every stall of that stretch is
+    ended by its guard ``Timeout``, none by data."""
+    params = SimulationParameters(timeout=0.5)
+    delays = uniform_delay_specs({name: params.w_min for name in "ABCDEF"})
+    delays["A"] = {"kind": "initial", "initial": 5.0, "base": delays["A"]}
+
+    def run():
+        result = RunSpec("SEQ", 1, 0.02, delays, params).execute()
+        assert result.timeouts >= 5 and result.result_tuples == 1000
+    assert_no_cyclic_garbage(run)
+
+
+@pytest.mark.parametrize("strategy", ["DSE", "MA"])
+def test_multiquery_with_spans_and_dynamic_budgets(assert_no_cyclic_garbage,
+                                                   strategy):
+    """The tight-pool batch of ``bench/``: admission waits, lease grows,
+    degradations and DQO splits, with the span hooks compiled in."""
+    mb = 1024 * 1024
+    shrink = 0.04
+    params = SimulationParameters(telemetry_enabled=True,
+                                  telemetry_spans=True,
+                                  dynamic_budget_replanning=True)
+    spec = MultiQuerySpec(
+        strategy, 4 * params.w_min, 8, 3, 0.5 * shrink, inter_arrival=0.05,
+        params=params, memory_bytes=int(4.0 * mb * shrink),
+        min_memory_bytes=int(3.7 * mb * shrink),
+        max_memory_bytes=int(8 * mb * shrink),
+        global_memory_bytes=int(10 * mb * shrink), admission="priority")
+
+    def run():
+        outcomes = spec.execute().outcomes
+        assert sum(outcome.memory_splits for outcome in outcomes) >= 1
+        assert sum(outcome.budget_grows for outcome in outcomes) >= 1
+        assert any(outcome.admission_wait > 0 for outcome in outcomes)
+    assert_no_cyclic_garbage(run)
+
+
+def test_live_run(assert_no_cyclic_garbage, tiny_fig5):
+    """``repro live``: real async sources, a kernel of its own."""
+    import numpy as np
+
+    from repro.exec.live import LiveQueryEngine, jittered_batches
+
+    params = SimulationParameters(telemetry_enabled=True,
+                                  telemetry_spans=True, **FAST)
+
+    def source(relation):
+        return lambda: jittered_batches(
+            tiny_fig5.catalog.relation(relation).cardinality,
+            params.tuples_per_message, 5e-6,
+            np.random.default_rng([9, len(relation)]))
+
+    def run():
+        engine = LiveQueryEngine(
+            tiny_fig5.catalog, tiny_fig5.qep, make_policy("DSE"),
+            {name: source(name) for name in tiny_fig5.relation_names},
+            params=params, seed=9)
+        assert asyncio.run(engine.run()).result_tuples == 1000
+    assert_no_cyclic_garbage(run)
+
+
+def test_run_stopped_by_detach(assert_no_cyclic_garbage, tiny_fig5):
+    """Sources stopped mid-stream: each closes its stream at its next
+    message and the engine drains what arrived."""
+    params = SimulationParameters()
+    delays = {name: UniformDelay(4 * params.w_min)
+              for name in tiny_fig5.relation_names}
+
+    def run():
+        world = World(params, seed=1)
+        query = QueryRun(world, tiny_fig5.qep, make_policy("DSE"),
+                         seeded_wrappers(world, tiny_fig5.catalog, delays))
+        query.start()
+        world.sim.run(until=0.05)
+        assert 0 < query.batches_processed
+        query.detach()
+        world.sim.run()
+        query.result()
+        assert any(wrapper.tuples_sent < wrapper.relation.cardinality
+                   for wrapper in query.wrappers)
+    assert_no_cyclic_garbage(run)
+
+
+def test_interrupted_process(assert_no_cyclic_garbage):
+    def sleeper(sim, catch):
+        try:
+            yield sim.timeout(10.0)
+        except Interrupt:
+            if not catch:
+                raise
+        return "woken"
+
+    def run():
+        sim = Simulator()
+        caught = sim.process(sleeper(sim, catch=True))
+        uncaught = sim.process(sleeper(sim, catch=False))
+        sim.run(until=1.0)
+        caught.interrupt("replan")
+        uncaught.interrupt("replan")
+        sim.run()
+        assert caught.value == "woken"
+        assert isinstance(uncaught.failure, Interrupt)
+    assert_no_cyclic_garbage(run)
+
+
+@pytest.mark.parametrize("data_at", [1.0, None])
+def test_timed_stall(assert_no_cyclic_garbage, data_at):
+    """The DQP's stall idiom: wait for data under a guard timeout, then
+    detach the composite and withdraw the guard.  Ended by the data
+    (guard cancelled) or by the guard (data never comes)."""
+    def stalled(sim, data):
+        guard = sim.timeout(5.0)
+        waiter = sim.any_of([data, guard])
+        yield waiter
+        waiter.detach()
+        if not guard.processed:
+            guard.cancel()
+        return sim.now
+
+    def feeder(sim, data):
+        yield sim.timeout(data_at)
+        data.succeed()
+
+    def run():
+        sim = Simulator()
+        data = sim.event("data")
+        waiter = sim.process(stalled(sim, data))
+        if data_at is not None:
+            sim.process(feeder(sim, data))
+        sim.run()
+        assert waiter.value == (data_at or 5.0)
+    assert_no_cyclic_garbage(run)

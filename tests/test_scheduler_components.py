@@ -73,6 +73,45 @@ def test_dqs_admits_within_memory(small_qep):
     assert sp.overflow_fragment is None
 
 
+def test_plan_is_described_only_for_an_enabled_tracer(small_qep,
+                                                      monkeypatch):
+    """``describe()`` formats every fragment's priority: nine plans a
+    submission, for a tracer that is almost always off."""
+    described = []
+    real = SchedulingPlan.describe
+    monkeypatch.setattr(SchedulingPlan, "describe", lambda sp: (
+        described.append(sp), real(sp))[1])
+    rt = make_runtime(small_qep)
+    DynamicQueryScheduler(rt, FixedPolicy(["pR"])).plan()
+    assert not described and not rt.world.tracer.events
+
+    rt = make_runtime(small_qep)
+    rt.world.tracer.enabled = True
+    DynamicQueryScheduler(rt, FixedPolicy(["pR"])).plan()
+    (event,) = rt.world.tracer.filter("plan")
+    assert len(described) == 1 and event.message.startswith("pR(")
+
+
+def test_fragment_metrics_are_resolved_once_per_runtime(small_qep,
+                                                        monkeypatch):
+    """A finalize updates two registry handles the runtime holds; it
+    does not get-or-create them by name under the registry lock."""
+    rt = make_runtime(small_qep, telemetry_enabled=True)
+    registry = rt.world.telemetry.registry
+    feed(rt, "R", 1000, eof=True)
+    rt.ensure_hash_table(rt.fragments["pR"])
+    dqp = DynamicQueryProcessor(rt)
+    monkeypatch.setattr(registry, "counter", None)
+    monkeypatch.setattr(registry, "histogram", None)
+    proc = rt.world.sim.process(
+        _drive(dqp, SchedulingPlan([rt.fragments["pR"]])))
+    rt.world.sim.run()
+    assert isinstance(proc.value, EndOfQF)
+    monkeypatch.undo()
+    assert registry.counter("fragments.completed").value == 1
+    assert registry.histogram("fragments.duration_seconds").count == 1
+
+
 def test_dqs_skips_fragment_that_does_not_fit(small_qep):
     # Budget fits pR's table (40 KB) but not also... use a tiny budget
     # that fits pR (40 KB) but not pS's J2 table (80 KB).

@@ -615,6 +615,33 @@ def test_worker_source_failure_leaks_nothing(how, break_service_source):
     assert not host.machine.broker.leases
 
 
+def test_worker_jobs_leave_nothing_to_the_cyclic_collector(
+        assert_no_cyclic_garbage, break_service_source):
+    """40 jobs over 4 leases on one worker, every fourth losing a source
+    mid-stream: each is freed by reference count as it is answered."""
+    from repro.config import SimulationParameters
+    from repro.service.workers import WorkerHost
+
+    break_service_source("mid-stream", every=4)
+    hosts = []  # the machine outlives its jobs; they are what is counted
+
+    def run():
+        pipe = MemoryPipe([_job(index, 256 << 10, scale=0.002)
+                           for index in range(1, 41)])
+        host = WorkerHost(0, pipe, {
+            "params": SimulationParameters(telemetry_enabled=True,
+                                           telemetry_spans=True,
+                                           cpu_mips=10_000.0),
+            "seed": 11, "memory_bytes": 4 * (256 << 10),
+            "admission": "priority"})
+        hosts.append(host)
+        host.run()
+        answers = [message["ok"] for message in pipe.sent
+                   if message["op"] == "result"]
+        assert len(answers) == 40 and answers.count(False) == 10
+    assert_no_cyclic_garbage(run)
+
+
 # --------------------------------------------------------------------------
 # A worker does not age: cost, memory and wire size are flat in uptime
 # --------------------------------------------------------------------------

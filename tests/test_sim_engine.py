@@ -360,6 +360,68 @@ def test_cancelled_timeout_is_skipped_by_every_way_of_running(sim):
         kept.cancel()  # already elapsed
 
 
+def test_cancelled_timeout_pins_nothing(sim):
+    """Its callbacks can never run, so it lets go of them — and of the
+    kernel whose heap still holds it until the lazy discard."""
+    guard = sim.timeout(5.0)
+    waiter = sim.any_of([sim.event("data"), guard])
+    assert guard._callbacks == [waiter._on_child]
+    guard.cancel()
+    assert guard._callbacks == [] and guard.sim is None
+    sim.run()
+    assert not guard.processed and not waiter.triggered
+
+
+def test_detach_unhooks_a_guard_timeout_that_has_not_occurred(sim):
+    data, guard = sim.event("data"), sim.timeout(5.0)
+    waiter = sim.any_of([data, guard])
+    data.succeed()
+    sim.run(until=1.0)
+    assert waiter.processed and not guard.processed
+    waiter.detach()  # a Timeout is born triggered: "not processed" counts
+    assert guard._callbacks == []
+
+
+@pytest.mark.parametrize("ending", ["returns", "raises", "yields junk"])
+def test_finished_process_releases_its_generator_and_its_step(sim, ending):
+    """``_step`` is a bound method of the process itself: kept past the
+    end, every finished process would be a reference cycle."""
+    def body():
+        yield sim.timeout(1.0)
+        if ending == "raises":
+            raise ValueError("boom")
+        if ending == "yields junk":
+            yield "not an event"
+
+    process = sim.process(body())
+    process.defused = True
+    assert process.generator is not None and process._step is not None
+    sim.run()
+    assert not process.is_alive
+    assert process.ok == (ending == "returns")
+    assert process.generator is None and process._step is None
+    with pytest.raises(SimulationError):
+        process.interrupt()
+
+
+def test_failed_process_is_not_reachable_from_its_own_failure(sim):
+    """The traceback starts at the generator, not at the kernel frame
+    that caught the failure (which holds the process)."""
+    def body():
+        yield sim.timeout(1.0)
+        raise ValueError("boom")
+
+    process = sim.process(body())
+    process.defused = True
+    sim.run()
+    frames = []
+    traceback = process.failure.__traceback__
+    while traceback is not None:
+        frames.append(traceback.tb_frame.f_code.co_name)
+        traceback = traceback.tb_next
+    assert frames == ["body"]
+
+
 def test_interrupt_detaches_the_process_from_the_event_it_waited_on(sim):
     """A process registers one cached bound ``_resume`` per wait; an
     interrupt must take exactly that callback off the abandoned event,
