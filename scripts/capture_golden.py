@@ -6,6 +6,12 @@ per workload into ``tests/golden/``.  The digests pin down everything a
 scheduling-relevant refactor could disturb: response time, tuple counts,
 stall attribution, per-phase counters and the full decision audit log.
 
+``plane_sessions.json`` does the same for the service path: three
+sessions of twelve submissions through one
+:class:`~repro.service.backend.ExecutionPlane` whose kernel is a
+``Simulator`` — admission order and waits, every submission's outcome,
+the kernel's event count.
+
 ``tests/test_golden_snapshots.py`` re-runs the same configurations and
 asserts bit-identical digests, so any change to virtual-time event
 ordering is caught immediately.  Regenerate (only when a behaviour
@@ -87,12 +93,75 @@ def run_digest(name: str, config: dict) -> dict:
             "strategies": digests}
 
 
+#: delay profile of each pinned plane session: sources that model no
+#: delay, the tests' usual profile, and a slow jittered one.
+PLANE_SESSIONS = {
+    "zero_wait": dict(wait_us=0.0),
+    "wait_20": dict(wait_us=20.0),
+    "wait_200_jittered_slow_a": dict(wait_us=200.0, jitter=0.5,
+                                     slow={"A": 4.0}),
+}
+PLANE_SUBMISSIONS = 12
+
+
+def plane_session(profile: dict) -> dict:
+    """Twelve submissions (DSE / MA / SEQ in turn, priority ``index % 3``)
+    over a two-lease priority pool, on a virtual-time plane."""
+    from repro.core.engine import main_value, spawn_main
+    from repro.service import SubmissionRequest, backend
+    from repro.sim import Simulator
+
+    params = SimulationParameters(telemetry_enabled=True)
+    kernel_class = backend.AsyncioKernel
+    backend.AsyncioKernel = Simulator
+    try:
+        plane = backend.ExecutionPlane(params, 7, 2 << 20, "priority",
+                                       name="virtual")
+    finally:
+        backend.AsyncioKernel = kernel_class
+    admissions: list = []
+    mains = []
+    for sequence in range(1, PLANE_SUBMISSIONS + 1):
+        name = f"s-{sequence:06d}"
+        request = SubmissionRequest(
+            strategy=STRATEGIES[sequence % len(STRATEGIES)], scale=0.0005,
+            seed=sequence, memory_bytes=1 << 20, **profile)
+        mains.append(spawn_main(plane.kernel, plane.execute(
+            name, request, sequence, request.resolved_budgets(params),
+            float(sequence % 3),
+            lambda run, waited: admissions.append([run.name, repr(waited)])),
+            f"query:{name}"))
+    plane.kernel.run()
+    outcomes = []
+    for main in mains:
+        outcome = main_value(main)
+        outcome.pop("span_summary")
+        outcomes.append({key: repr(value) if isinstance(value, float)
+                         else value for key, value in outcome.items()})
+    return {"profile": profile, "admissions": admissions,
+            "outcomes": outcomes,
+            "processed_events": plane.kernel.processed_events,
+            "leased_bytes": plane.machine.broker.leased_bytes}
+
+
+def plane_sessions_digest() -> dict:
+    return {name: plane_session(profile)
+            for name, profile in PLANE_SESSIONS.items()}
+
+
+def render(digest: dict) -> str:
+    """The exact text of a golden file."""
+    return json.dumps(digest, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name, config in workload_configs().items():
-        digest = run_digest(name, config)
+    digests = {name: run_digest(name, config)
+               for name, config in workload_configs().items()}
+    digests["plane_sessions"] = plane_sessions_digest()
+    for name, digest in digests.items():
         path = GOLDEN_DIR / f"{name}.json"
-        path.write_text(json.dumps(digest, indent=2, sort_keys=True) + "\n")
+        path.write_text(render(digest))
         print(f"wrote {path}")
     return 0
 

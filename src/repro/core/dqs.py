@@ -67,16 +67,21 @@ class DynamicQueryScheduler:
     def plan(self) -> SchedulingPlan:
         """One planning phase: select candidates, admit them into memory."""
         self.planning_phases += 1
-        world = self.runtime.world
-        self.runtime.statistics.snapshot_rates(
-            world.sim.now, world.cm.wait_snapshot(world.params.w_min))
-        if self._dynamic:
-            self._replan_after_grow()
-        candidates = self.policy.select(self.runtime)
-        if self._dynamic and self._degrade_memory_blocked(candidates):
-            # Memory-blocked PCs were just degraded (suspended, replaced
-            # by MFs): re-select so the plan sees the new fragment set.
-            candidates = self.policy.select(self.runtime)
+        runtime = self.runtime
+        world = runtime.world
+        # One snapshot a phase, the policy's too: planning delivers nothing.
+        runtime.phase_waits = world.cm.wait_snapshot(world.params.w_min)
+        runtime.statistics.snapshot_rates(world.sim.now, runtime.phase_waits)
+        try:
+            if self._dynamic:
+                self._replan_after_grow()
+            candidates = self.policy.select(runtime)
+            if self._dynamic and self._degrade_memory_blocked(candidates):
+                # Memory-blocked PCs were just degraded (suspended, replaced
+                # by MFs): re-select so the plan sees the new fragment set.
+                candidates = self.policy.select(runtime)
+        finally:
+            runtime.phase_waits = None
         for fragment in candidates:
             if not self.runtime.is_c_schedulable(fragment):
                 # Defensive: a policy bug here would deadlock the DQP.

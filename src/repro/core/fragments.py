@@ -13,11 +13,12 @@ Tuple flow is content-free: each batch of ``n`` input tuples expands
 through the segment's operators using the joins' *actual* fanouts, with
 fractional carries so that totals converge to the true cardinalities, and
 the whole batch's instruction count is charged to the mediator CPU in one
-piece.  Everything a batch needs from the operator list is fixed when
-the fragment is built, so the list is *compiled* once — into flat
-per-operator cost steps and one sink kind — and a batch is a loop over
-floats; ``tests/test_fragments_runtime.py`` keeps the per-batch
-interpreter it replaced as the oracle.
+piece.  Everything a batch or a planning phase needs from the operator
+list is fixed when the fragment is built, so the list is *compiled*
+once (:class:`CompiledSegment`; a chain's own list once per plan,
+:func:`compiled_chains`) and a batch is a loop over floats;
+``tests/test_fragments_runtime.py`` keeps the per-batch interpreter it
+replaced as the oracle.
 """
 
 from __future__ import annotations
@@ -27,11 +28,13 @@ import weakref
 from typing import Any, Generator, Literal, Optional, TYPE_CHECKING, Union
 
 from repro.common.errors import SchedulingError, SimulationError
+from repro.config import SimulationParameters
+from repro.core.metrics import chain_cpu_seconds_per_source_tuple
 from repro.mediator.buffer import HashTable, TempReader, TempWriter
 from repro.mediator.queues import SourceQueue
 from repro.plan.operators import MatOp, Operator, OutputOp, ProbeOp, ScanOp
 from repro.exec import SimEvent
-from repro.plan.qep import PipelineChain
+from repro.plan.qep import QEP, PipelineChain
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.runtime import QueryRuntime
@@ -69,11 +72,79 @@ FlowStep = tuple[float, tuple[str, str], float, float]
 SinkKind = Literal["table", "temp", "output"]
 
 
+class CompiledSegment:
+    """An operator list resolved into per-batch and per-phase constants.
+
+    Table 1's costs and the joins' fanouts do not change while a query
+    runs, so the operator walk happens here, once.  Holds no run state.
+    """
+
+    __slots__ = ("operators", "steps", "terminal_instructions", "sink_kind",
+                 "builds_join", "probed_joins", "cpu_per_tuple",
+                 "local_cpu_per_tuple")
+
+    def __init__(self, owner: str, chain: str, operators: list[Operator],
+                 params: SimulationParameters):
+        steps: list[FlowStep] = []
+        for op in operators[:-1]:
+            if isinstance(op, ScanOp):
+                steps.append((params.move_tuple_instructions,
+                              (chain, op.name), op.scan_selectivity, 0.0))
+            elif isinstance(op, ProbeOp):
+                steps.append((params.hash_search_instructions,
+                              (chain, op.name), op.join.actual_fanout(),
+                              params.produce_tuple_instructions))
+            else:
+                raise SchedulingError(f"unknown operator {op!r} in {owner!r}")
+        terminal = operators[-1]
+        #: name of the join whose hash table the segment builds, if any.
+        self.builds_join: Optional[str] = None
+        self.sink_kind: SinkKind = "output"
+        self.terminal_instructions = 0.0
+        if isinstance(terminal, MatOp):
+            self.terminal_instructions = params.move_tuple_instructions
+            self.sink_kind = "temp"
+            if terminal.join is not None:
+                self.sink_kind = "table"
+                self.builds_join = terminal.join.name
+        elif not isinstance(terminal, OutputOp):
+            raise SchedulingError(
+                f"fragment {owner!r} has unsupported terminal {terminal!r}")
+        self.operators = tuple(operators)
+        self.steps = tuple(steps)
+        self.probed_joins = tuple(op.join.name for op in operators
+                                  if isinstance(op, ProbeOp))
+        #: ``c_p`` (Section 4.3) fed from a temp, and from a wrapper
+        #: (plus the per-tuple share of the message receive cost).
+        self.local_cpu_per_tuple = chain_cpu_seconds_per_source_tuple(
+            operators, params, include_receive=False)
+        self.cpu_per_tuple = (self.local_cpu_per_tuple
+                              + params.receive_cpu_seconds_per_tuple())
+
+
+def compiled_chains(qep: QEP, params: SimulationParameters
+                    ) -> dict[str, CompiledSegment]:
+    """Every chain of ``qep`` compiled under ``params``, by chain name;
+    cached on the plan under every constant the compile reads (parameter
+    objects are mutable and unhashable)."""
+    key = (params.move_tuple_instructions, params.hash_search_instructions,
+           params.produce_tuple_instructions, params.message_instructions,
+           params.tuples_per_message, params.cpu_mips)
+    chains = qep.compiled.get(key)
+    if chains is None:
+        chains = qep.compiled[key] = {
+            chain.name: CompiledSegment(chain.name, chain.name,
+                                        chain.operators, params)
+            for chain in qep.chains}
+    return chains
+
+
 class Fragment:
     """One executable query fragment."""
 
     def __init__(self, runtime: "QueryRuntime", name: str, kind: FragmentKind,
-                 chain: PipelineChain, operators: list[Operator],
+                 chain: PipelineChain,
+                 operators: Union[list[Operator], CompiledSegment],
                  source: FragmentInput):
         if not operators:
             raise SchedulingError(f"fragment {name!r} has no operators")
@@ -86,7 +157,10 @@ class Fragment:
         self.kind = kind
         self.chain = chain
         self.source = source
-        self._compile(operators)
+        if not isinstance(operators, CompiledSegment):
+            operators = CompiledSegment(name, chain.name, operators,
+                                        self.world.params)
+        self._adopt(operators)
         #: fractional-tuple accumulators, shared per (chain, operator
         #: name) across all fragments of the chain: a degraded chain's
         #: MF/CF/PC parts then produce exactly the same totals as the
@@ -131,69 +205,26 @@ class Fragment:
     def replace_terminal(self, terminal: Operator) -> None:
         """Swap the last operator and rebuild everything derived from the
         operator list (the DQO redirecting an overflowing build to a temp)."""
-        self._compile([*self._operators[:-1], terminal])
+        self._adopt(CompiledSegment(
+            self.name, self.chain.name, [*self._operators[:-1], terminal],
+            self.world.params))
 
-    def _compile(self, operators: list[Operator]) -> None:
-        """Resolve ``operators`` into the per-batch constants.
-
-        Table 1's costs and the joins' actual fanouts do not change
-        while a query runs, so the operator walk happens here, once.
-        """
-        params = self.world.params
-        chain = self.chain.name
-        steps: list[FlowStep] = []
-        for op in operators[:-1]:
-            if isinstance(op, ScanOp):
-                steps.append((params.move_tuple_instructions,
-                              (chain, op.name), op.scan_selectivity, 0.0))
-            elif isinstance(op, ProbeOp):
-                steps.append((params.hash_search_instructions,
-                              (chain, op.name), op.join.actual_fanout(),
-                              params.produce_tuple_instructions))
-            else:
-                raise SchedulingError(
-                    f"unknown operator {op!r} in {self.name!r}")
-        terminal = operators[-1]
-        sink: SinkKind
-        if isinstance(terminal, MatOp):
-            sink = "table" if terminal.join is not None else "temp"
-            terminal_instructions = params.move_tuple_instructions
-        elif isinstance(terminal, OutputOp):
-            sink = "output"
-            terminal_instructions = 0.0
-        else:
-            raise SchedulingError(
-                f"fragment {self.name!r} has unsupported terminal "
-                f"{terminal!r}")
-        self._operators = tuple(operators)
-        self._steps = tuple(steps)
-        self._terminal_instructions = terminal_instructions
-        self._sink_kind = sink
+    def _adopt(self, segment: CompiledSegment) -> None:
+        # Held flat: a batch and a planning phase read attributes.
+        self._operators = segment.operators
+        self._steps = segment.steps
+        self._terminal_instructions = segment.terminal_instructions
+        self._sink_kind = segment.sink_kind
+        self.builds_join = segment.builds_join
+        self.probed_joins = segment.probed_joins
+        self.writes_temp = segment.sink_kind == "temp"
+        self.is_output = segment.sink_kind == "output"
+        self.cpu_per_tuple = segment.cpu_per_tuple
+        self.local_cpu_per_tuple = segment.local_cpu_per_tuple
 
     @property
     def terminal(self) -> Operator:
         return self._operators[-1]
-
-    @property
-    def builds_join(self) -> Optional[str]:
-        """Name of the join whose hash table this fragment builds, if any."""
-        terminal = self.terminal
-        if isinstance(terminal, MatOp) and terminal.join is not None:
-            return terminal.join.name
-        return None
-
-    @property
-    def writes_temp(self) -> bool:
-        terminal = self.terminal
-        return isinstance(terminal, MatOp) and terminal.join is None
-
-    @property
-    def is_output(self) -> bool:
-        return isinstance(self.terminal, OutputOp)
-
-    def probed_joins(self) -> list[str]:
-        """Names of the joins probed inside this fragment."""
-        return [op.join.name for op in self.operators if isinstance(op, ProbeOp)]
 
     # -- data availability ---------------------------------------------------
     def has_work(self) -> bool:

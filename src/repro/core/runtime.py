@@ -31,7 +31,12 @@ import numpy as np
 from repro.common.errors import SchedulingError, SimulationError
 from repro.common.rng import RandomStreams
 from repro.config import SimulationParameters
-from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
+from repro.core.fragments import (
+    Fragment,
+    FragmentKind,
+    FragmentStatus,
+    compiled_chains,
+)
 from repro.core.statistics import RuntimeStatistics
 from repro.mediator.buffer import BufferManager, HashTable
 from repro.mediator.comm import CommunicationManager
@@ -47,7 +52,6 @@ from repro.observability import (
     SpanRecorder,
     Telemetry,
 )
-from repro.plan.chains import ancestor_closure
 from repro.plan.operators import MatOp, ScanOp
 from repro.plan.qep import QEP, PipelineChain
 from repro.resources.broker import MemoryBroker, MemoryLease
@@ -165,7 +169,8 @@ class QueryRuntime:
     def __init__(self, world: World, qep: QEP):
         self.world = world
         self.qep = qep
-        self.closure = ancestor_closure(qep)
+        self.closure = qep.closure  # the plan's, shared: read-only
+        self.compiled = compiled_chains(qep, world.params)
         self.result_tuples = 0
         #: virtual time of the first result tuple (time-to-first-tuple).
         self.first_result_at: Optional[float] = None
@@ -191,10 +196,11 @@ class QueryRuntime:
         #: grown enough for the table (see :meth:`memory_stop_allowed`).
         self.memory_degraded_chains: set[str] = set()
         self.stopped_materializations: set[str] = set()
+        #: degraded chains whose MF has not been followed by a CF yet.
+        self._cf_owed: set[str] = set()
+        #: the DQS's wait snapshot, for the planning phase in progress.
+        self.phase_waits: Optional[dict[str, float]] = None
         self.memory_splits = 0
-        #: join name -> name of the chain whose probe consumes it.
-        self._probing_chain = {join_name: qep.chain_probing(join).name
-                               for join_name, join in qep.joins.items()}
         #: root of this query's causal span tree (None when spans off).
         self.query_span: Optional[int] = None
         #: current execution-phase span id (set by the DQO per phase);
@@ -237,7 +243,7 @@ class QueryRuntime:
     def _create_pc_fragment(self, chain: PipelineChain) -> Fragment:
         queue = self.world.cm.queue(chain.source_relation)
         fragment = Fragment(self, chain.name, FragmentKind.PIPELINE_CHAIN,
-                            chain, chain.operators, queue)
+                            chain, self.compiled[chain.name], queue)
         self.chain_fragments[chain.name] = [fragment]
         return self._register(fragment)
 
@@ -288,6 +294,7 @@ class QueryRuntime:
         pc.suspended = True
         self.chain_fragments[chain.name] = [mf, pc]
         self.degraded_chains.add(chain.name)
+        self._cf_owed.add(chain.name)
         self.world.tracer.emit("degrade", chain.name,
                                mf=mf.name, temp=writer.temp.name)
         self._audit(DECISION_DEGRADE, chain.name, decision_inputs,
@@ -316,19 +323,19 @@ class QueryRuntime:
         Called by planning policies at the start of each planning phase;
         returns the complement fragments created.
         """
-        created = []
-        for chain in self.qep.chains:
-            if chain.name not in self.degraded_chains:
+        created: list[Fragment] = []
+        owed = self._cf_owed
+        if not owed:
+            return created
+        for chain in self.qep.chains:  # plan order: CFs are created in it
+            if chain.name not in owed:
                 continue
-            fragments = self.chain_fragments[chain.name]
-            mf = fragments[0]
-            has_cf = any(f.kind is FragmentKind.COMPLEMENT for f in fragments)
-            if mf.status is not FragmentStatus.DONE or has_cf:
+            mf = self.chain_fragments[chain.name][0]
+            if mf.status is not FragmentStatus.DONE:
                 continue
-            cf = self._create_cf_fragment(chain, mf)
-            created.append(cf)
-            pc = self.fragments[chain.name]
-            pc.suspended = False
+            owed.discard(chain.name)
+            created.append(self._create_cf_fragment(chain, mf))
+            self.fragments[chain.name].suspended = False
         return created
 
     def _create_cf_fragment(self, chain: PipelineChain, mf: Fragment) -> Fragment:
@@ -449,14 +456,14 @@ class QueryRuntime:
                     self.qep.chain_probing(old_join).name)
         self.qep = swap_join_sides(self.qep, join_name,
                                    self.world.params.tuple_size)
-        self.closure = ancestor_closure(self.qep)
-        self._probing_chain = {name: self.qep.chain_probing(join).name
-                               for name, join in self.qep.joins.items()}
+        self.closure = self.qep.closure
+        self.compiled = compiled_chains(self.qep, self.world.params)
         for chain_name in affected:
             old_fragment = self.fragments.pop(chain_name)
             chain = self.qep.chain(chain_name)
             fragment = Fragment(self, chain.name, FragmentKind.PIPELINE_CHAIN,
-                                chain, chain.operators, old_fragment.source)
+                                chain, self.compiled[chain_name],
+                                old_fragment.source)
             self.fragments[fragment.name] = fragment
             self.chain_fragments[chain_name] = [fragment]
         self.statistics.update_estimate(
@@ -501,6 +508,10 @@ class QueryRuntime:
     def chain_complete(self, chain_name: str) -> bool:
         return chain_name in self.completed_chains
 
+    def ancestors_done(self, chain_name: str) -> bool:
+        """Every chain of ``ancestors*(chain_name)`` has terminated."""
+        return self.closure[chain_name] <= self.completed_chains
+
     def chain_table_fits(self, chain: PipelineChain) -> bool:
         """True when the table ``chain`` builds fits the current budget
         (or already exists, or the chain builds nothing)."""
@@ -525,22 +536,22 @@ class QueryRuntime:
         """Dependency constraints of Section 4.1, per fragment kind."""
         if fragment.status is FragmentStatus.DONE or fragment.suspended:
             return False
-        ancestors_done = all(self.chain_complete(name)
-                             for name in self.closure[fragment.chain.name])
         if fragment.kind is FragmentKind.MATERIALIZATION:
             return True  # "MF(p) has no ancestor" (Section 4.4)
-        if fragment.kind is FragmentKind.COMPLEMENT:
-            mf = self.chain_fragments[fragment.chain.name][0]
-            return mf.status is FragmentStatus.DONE and ancestors_done
+        chain_name = fragment.chain.name
         if fragment.kind is FragmentKind.CONTINUATION:
             # Runnable once everything before it in the chain is done —
             # that is when the chain's probe tables have been released
             # and the memory it needs to grow its build table is free.
-            chain_frags = self.chain_fragments[fragment.chain.name]
+            chain_frags = self.chain_fragments[chain_name]
             index = chain_frags.index(fragment)
             return all(f.status is FragmentStatus.DONE
                        for f in chain_frags[:index])
-        return ancestors_done
+        if fragment.kind is FragmentKind.COMPLEMENT:
+            mf = self.chain_fragments[chain_name][0]
+            if mf.status is not FragmentStatus.DONE:
+                return False
+        return self.ancestors_done(chain_name)
 
     def new_memory_needed(self, fragment: Fragment) -> int:
         """Bytes the fragment must newly reserve before running.
@@ -593,12 +604,12 @@ class QueryRuntime:
 
     def _maybe_drop_tables(self, fragment: Fragment) -> None:
         """Drop each probed table once no live fragment still probes it."""
-        for join_name in fragment.probed_joins():
-            probing_chain = self._probing_chain[join_name]
+        probing_chain = self.qep.probing_chain
+        for join_name in fragment.probed_joins:
             still_probing = any(
                 f.status is not FragmentStatus.DONE
-                and join_name in f.probed_joins()
-                for f in self.chain_fragments[probing_chain])
+                and join_name in f.probed_joins
+                for f in self.chain_fragments[probing_chain[join_name]])
             if still_probing:
                 continue
             table = self.hash_tables.pop(join_name, None)

@@ -22,7 +22,6 @@ from repro.core.dqs import PlanningPolicy
 from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
 from repro.core.metrics import (
     benefit_materialization_indicator,
-    chain_cpu_seconds_per_source_tuple,
     critical_degree,
 )
 from repro.core.runtime import QueryRuntime
@@ -42,8 +41,10 @@ class DsePolicy(PlanningPolicy):
         self.degradations: list[str] = []
 
     def select(self, runtime: QueryRuntime) -> list[Fragment]:
-        params = runtime.world.params
-        waits = runtime.world.cm.wait_snapshot(default=params.w_min)
+        waits = runtime.phase_waits
+        if waits is None:  # selecting outside a DQS planning phase
+            waits = runtime.world.cm.wait_snapshot(
+                default=runtime.world.params.w_min)
         runtime.world.cm.arm_rate_baseline()
 
         runtime.advance_degraded_chains()
@@ -52,10 +53,8 @@ class DsePolicy(PlanningPolicy):
 
         candidates = [fragment for fragment in runtime.live_fragments()
                       if runtime.is_c_schedulable(fragment)]
-        chain_index = {chain.name: i
-                       for i, chain in enumerate(runtime.qep.chains)}
-        keys = {fragment.name: self._priority_key(runtime, fragment, waits,
-                                                  chain_index)
+        chain_index = runtime.qep.chain_index
+        keys = {fragment.name: self._priority_key(runtime, fragment, waits)
                 for fragment in candidates}
         self.last_priorities = {name: key[1] for name, key in keys.items()}
         candidates.sort(key=lambda f: (
@@ -79,17 +78,19 @@ class DsePolicy(PlanningPolicy):
         directly — materialization stays *partial*, covering only the
         period during which the chain was blocked.
         """
+        degraded = runtime.degraded_chains
+        if not degraded:
+            return
         for chain in runtime.qep.chains:
-            if chain.name not in runtime.degraded_chains:
+            if chain.name not in degraded:
                 continue
             mf = runtime.chain_fragments[chain.name][0]
             if (mf.kind is FragmentKind.MATERIALIZATION
                     and mf.status is not FragmentStatus.DONE
-                    and not mf.stop_requested):
-                ancestors_done = all(runtime.chain_complete(name)
-                                     for name in runtime.closure[chain.name])
-                if ancestors_done and runtime.memory_stop_allowed(chain):
-                    runtime.request_stop_materialization(chain)
+                    and not mf.stop_requested
+                    and runtime.ancestors_done(chain.name)
+                    and runtime.memory_stop_allowed(chain)):
+                runtime.request_stop_materialization(chain)
 
     # -- degradation (Section 4.4) ----------------------------------------
     def _degrade_critical_chains(self, runtime: QueryRuntime,
@@ -109,8 +110,7 @@ class DsePolicy(PlanningPolicy):
             if remaining <= 2 * params.tuples_per_message:
                 continue  # nothing worth materializing anymore
             wait = waits.get(chain.source_relation, params.w_min)
-            cpu = chain_cpu_seconds_per_source_tuple(chain.operators, params)
-            crit = critical_degree(remaining, wait, cpu)
+            crit = critical_degree(remaining, wait, fragment.cpu_per_tuple)
             if crit <= 0:
                 continue
             bmi = benefit_materialization_indicator(wait, io_per_tuple)
@@ -151,13 +151,12 @@ class DsePolicy(PlanningPolicy):
     #   band 0 — local replay fragments (CF/CONT): data always
     #            available, so they absorb whatever is left.
     def _priority_key(self, runtime: QueryRuntime, fragment: Fragment,
-                      waits: dict[str, float],
-                      chain_index: dict[str, int]) -> tuple[int, float, int]:
+                      waits: dict[str, float]) -> tuple[int, float, int]:
         params = runtime.world.params
         if isinstance(fragment.source, SourceQueue):
             wait = waits.get(fragment.source.source, params.w_min)
             remaining = runtime.remaining_source_tuples(fragment.chain)
-            cpu = chain_cpu_seconds_per_source_tuple(fragment.operators, params)
+            cpu = fragment.cpu_per_tuple
             crit = critical_degree(remaining, wait, cpu)
             sparse = wait > 0 and (cpu / wait) <= params.sparse_demand_threshold
             if sparse:
@@ -167,6 +166,5 @@ class DsePolicy(PlanningPolicy):
         # Temp-backed fragment: the local disk never makes the engine
         # wait for "delivery"; its (negative) critical degree is -n*c.
         remaining = fragment.source.temp.tuples - fragment.source.tuples_read
-        cpu = chain_cpu_seconds_per_source_tuple(
-            fragment.operators, params, include_receive=False)
-        return (0, critical_degree(max(0.0, remaining), 0.0, cpu), 0)
+        return (0, critical_degree(max(0.0, remaining), 0.0,
+                                   fragment.local_cpu_per_tuple), 0)

@@ -55,7 +55,7 @@ import heapq
 from typing import Optional
 
 from repro.common.errors import SimulationError
-from repro.exec.core import KernelBase, SimEvent
+from repro.exec.core import _PROCESSED, KernelBase, SimEvent
 
 #: drain at most this many due events before yielding to the asyncio
 #: loop, so live feeder tasks are never starved by long callback chains.
@@ -70,17 +70,13 @@ class AsyncioKernel(KernelBase):
         self._heap: list[tuple[float, int, int, SimEvent]] = []
         self._sequence = 0
         self._processed_events = 0
-        self._now = 0.0
+        #: the dispatch clock (module docstring); 0.0 before ``run``.
+        self.now = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._origin: Optional[float] = None
         #: the future ``run`` is parked on while it sleeps, else None.
         self._parked: Optional[asyncio.Future[None]] = None
         self._stop_requested = False
-
-    @property
-    def now(self) -> float:  # type: ignore[override]
-        """The dispatch clock (module docstring); 0.0 before ``run``."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -100,8 +96,8 @@ class AsyncioKernel(KernelBase):
         latency.
         """
         if self._loop is not None and self._origin is not None:
-            return max(self._now, self._wall())
-        return self._now
+            return max(self.now, self._wall())
+        return self.now
 
     # -- shutdown ------------------------------------------------------------
     def request_stop(self) -> None:
@@ -130,11 +126,11 @@ class AsyncioKernel(KernelBase):
         if self._parked is not None:
             # Only foreign code runs while the kernel sleeps: the event
             # arrives now, not at the (stale) time of the last dispatch.
-            self._now = max(self._now, self._wall())
+            self.now = max(self.now, self._wall())
             self._wake()
         self._sequence += 1
         heapq.heappush(self._heap,
-                       (self._now + delay, priority, self._sequence, event))
+                       (self.now + delay, priority, self._sequence, event))
 
     # -- running ---------------------------------------------------------
     def _wall(self) -> float:
@@ -176,7 +172,9 @@ class AsyncioKernel(KernelBase):
             raise SimulationError("AsyncioKernel.run() is not reentrant")
         self._loop = asyncio.get_running_loop()
         # Align the wall clock with any pre-run scheduling done at now=0.
-        self._origin = self._loop.time() - self._now
+        self._origin = self._loop.time() - self.now
+        heap = self._heap
+        pop = heapq.heappop
         try:
             drained = 0
             while True:
@@ -184,20 +182,22 @@ class AsyncioKernel(KernelBase):
                     break
                 if until_event is not None and until_event.processed:
                     break
-                if until is not None and self._now >= until:
+                if until is not None and self.now >= until:
                     break
-                while self._heap and self._heap[0][3].cancelled:
-                    heapq.heappop(self._heap)
-                if not self._heap:
+                while heap and heap[0][3].cancelled:
+                    pop(heap)
+                if not heap:
                     if until_event is None:
                         break
                     await self._sleep(None)
                     # Nothing modelled was pending: follow the wall.
-                    self._now = max(self._now, self._wall())
+                    self.now = max(self.now, self._wall())
                     continue
-                deadline = self._heap[0][0]
+                deadline = heap[0][0]
                 bound = deadline if until is None else min(deadline, until)
-                if bound > self._wall():
+                # `now` is never ahead of the wall: a head due by the
+                # dispatch clock is due, and the wall is not read.
+                if bound > self.now and bound > self._wall():
                     # `now` is not resynced afterwards: it advances to
                     # the deadline when the due event is popped below,
                     # so a late wake shortens the next pause.
@@ -205,14 +205,19 @@ class AsyncioKernel(KernelBase):
                     drained = 0
                     continue
                 if deadline > bound:
-                    self._now = bound  # the heap outlives `until`
+                    self.now = bound  # the heap outlives `until`
                     break
-                _, _priority, _seq, event = heapq.heappop(self._heap)
+                event = pop(heap)[3]
                 # Freeze `now` at the due deadline while draining, so
                 # same-deadline chains keep simulator-identical order.
-                self._now = max(self._now, deadline)
+                if deadline > self.now:
+                    self.now = deadline
                 self._processed_events += 1
-                event._run_callbacks()
+                # SimEvent._run_callbacks, inline as in Simulator.run.
+                event._state = _PROCESSED
+                callbacks, event._callbacks = event._callbacks, []
+                for callback in callbacks:
+                    callback(event)
                 drained += 1
                 if drained >= _DRAIN_QUANTUM:
                     drained = 0
@@ -224,5 +229,5 @@ class AsyncioKernel(KernelBase):
         self._raise_unhandled_failures()
 
     def __repr__(self) -> str:
-        return (f"AsyncioKernel(now={self._now:g}, "
+        return (f"AsyncioKernel(now={self.now:g}, "
                 f"pending={len(self._heap)})")

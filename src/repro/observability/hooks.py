@@ -17,9 +17,9 @@ pre-bound callable per hook point, and the hot loop does
 
 so the fully-disabled path pays exactly one truthiness check per batch
 — no method calls, no attribute chains, no null objects.  The table is
-compiled once per processor/scheduler and refreshed at each
-``execute(sp)`` entry (once per scheduling plan), so late channel
-attachment is picked up at the next phase boundary for free.
+compiled once per processor/scheduler; its registry half is the same
+for everything on one machine and is compiled once per ``Telemetry``,
+so a metrics-only machine shares one table between all its queries.
 
 Hook signatures:
 
@@ -75,6 +75,39 @@ class DQPHooks:
 NULL_HOOKS = DQPHooks()
 
 
+def _compile_metric_hooks(registry: Any) -> DQPHooks:
+    """The registry half of the table, the same on one machine."""
+    batches_metric = registry.counter(
+        "dqp.batches", "Batches the DQP processed.")
+    batch_tuples_metric = registry.histogram(
+        "dqp.batch_tuples", buckets=BATCH_BUCKETS,
+        help="Tuples actually consumed per batch.")
+    switch_metric = registry.counter(
+        "dqp.context_switches", "Fragment-to-fragment switches charged.")
+    stall_metric = registry.histogram(
+        "dqp.stall_seconds", help="Duration of individual DQP stalls.")
+    phases_metric = registry.counter(
+        "dqs.planning_phases", "Planning phases executed.")
+    plan_size_metric = registry.gauge(
+        "dqs.plan_fragments", "Fragments admitted into the current plan.")
+
+    def metrics_batch(started: float, now: float, fragment: Any,
+                      tuples: int) -> None:
+        batches_metric.inc()
+        batch_tuples_metric.observe(tuples)
+
+    def metrics_stall(started: float, ended: float, cause: str) -> None:
+        stall_metric.observe(ended - started)
+
+    def metrics_plan(now: float, plan_size: int) -> None:
+        phases_metric.inc()
+        plan_size_metric.set(plan_size)
+
+    return DQPHooks(batch=(metrics_batch,),
+                    switch=(lambda now, fragment: switch_metric.inc(),),
+                    stall=(metrics_stall,), plan=(metrics_plan,))
+
+
 def compile_dqp_hooks(
         telemetry: Any,
         phase_span_of: Optional[Callable[[], Optional[int]]] = None,
@@ -86,45 +119,20 @@ def compile_dqp_hooks(
     land under the right parent even when several queries interleave on
     one shared recorder.
     """
-    batch: list = []
-    switch: list = []
-    stall: list = []
-    plan: list = []
-
-    registry = telemetry.registry
-    if getattr(registry, "enabled", False):
-        batches_metric = registry.counter(
-            "dqp.batches", "Batches the DQP processed.")
-        batch_tuples_metric = registry.histogram(
-            "dqp.batch_tuples", buckets=BATCH_BUCKETS,
-            help="Tuples actually consumed per batch.")
-        switch_metric = registry.counter(
-            "dqp.context_switches", "Fragment-to-fragment switches charged.")
-        stall_metric = registry.histogram(
-            "dqp.stall_seconds", help="Duration of individual DQP stalls.")
-        phases_metric = registry.counter(
-            "dqs.planning_phases", "Planning phases executed.")
-        plan_size_metric = registry.gauge(
-            "dqs.plan_fragments", "Fragments admitted into the current plan.")
-
-        def metrics_batch(started: float, now: float, fragment: Any,
-                          tuples: int) -> None:
-            batches_metric.inc()
-            batch_tuples_metric.observe(tuples)
-
-        def metrics_stall(started: float, ended: float, cause: str) -> None:
-            stall_metric.observe(ended - started)
-
-        def metrics_plan(now: float, plan_size: int) -> None:
-            phases_metric.inc()
-            plan_size_metric.set(plan_size)
-
-        batch.append(metrics_batch)
-        switch.append(lambda now, fragment: switch_metric.inc())
-        stall.append(metrics_stall)
-        plan.append(metrics_plan)
-
+    metrics = NULL_HOOKS
+    if getattr(telemetry.registry, "enabled", False):
+        # Compiled once per telemetry plane, not per query.
+        metrics = telemetry.metric_hooks
+        if metrics is None:
+            metrics = telemetry.metric_hooks = _compile_metric_hooks(
+                telemetry.registry)
     flight = telemetry.flight
+    spans = getattr(telemetry, "spans", None)
+    if flight is None and spans is None:
+        return metrics
+    batch = list(metrics.batch)
+    stall = list(metrics.stall)
+
     if flight is not None:
         def flight_batch(started: float, now: float, fragment: Any,
                          tuples: int) -> None:
@@ -136,7 +144,6 @@ def compile_dqp_hooks(
         # the ``stalls.on_record`` / ``audit.on_record`` observers the
         # live engine installs; only the per-batch path rides the table.
 
-    spans = getattr(telemetry, "spans", None)
     if spans is not None:
         current_phase = phase_span_of if phase_span_of is not None \
             else (lambda: None)
@@ -154,7 +161,5 @@ def compile_dqp_hooks(
         batch.append(span_batch)
         stall.append(span_stall)
 
-    if not (batch or switch or stall or plan):
-        return NULL_HOOKS
-    return DQPHooks(batch=tuple(batch), switch=tuple(switch),
-                    stall=tuple(stall), plan=tuple(plan))
+    return DQPHooks(batch=tuple(batch), switch=metrics.switch,
+                    stall=tuple(stall), plan=metrics.plan)

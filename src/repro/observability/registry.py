@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Type, Union
 
 from repro.common.errors import ConfigurationError
 from repro.exec import Kernel
-from repro.sim.stats import Counter, TimeWeightedStat, WelfordStat
+from repro.sim.stats import TimeWeightedStat, WelfordStat
 
 #: default histogram buckets for virtual-time durations (seconds).
 DURATION_BUCKETS_S = (1e-4, 1e-3, 1e-2, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0)
@@ -63,22 +63,20 @@ class CounterMetric:
     """A named, monotonically growing tally."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "_counter", "_lock")
+    __slots__ = ("name", "help", "value", "_lock")
 
     def __init__(self, name: str, help: str = "",
                  lock: Optional[threading.RLock] = None):
         self.name = name
         self.help = help
-        self._counter = Counter()
+        self.value: float = 0
         self._lock = lock if lock is not None else threading.RLock()
 
     def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name!r}: negative {amount}")
         with self._lock:
-            self._counter.add(amount)
-
-    @property
-    def value(self) -> float:
-        return self._counter.value
+            self.value += amount
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -119,10 +117,10 @@ class GaugeMetric:
     def set(self, value: float) -> None:
         with self._lock:
             self.value = value
-            self.minimum = (value if self.minimum is None
-                            else min(self.minimum, value))
-            self.maximum = (value if self.maximum is None
-                            else max(self.maximum, value))
+            if self.minimum is None or value < self.minimum:
+                self.minimum = value
+            if self.maximum is None or value > self.maximum:
+                self.maximum = value
             if self._weighted is not None:
                 self._weighted.record(value)
 
@@ -279,10 +277,14 @@ class MetricsRegistry:
         self._lock = threading.RLock()
 
     # -- factories ---------------------------------------------------------
+    # An existing name of the right kind: one dict read, no lock.
     def counter(self, name: str,
                 help: str = "") -> Union[CounterMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
+        metric = self._metrics.get(name)
+        if type(metric) is CounterMetric:
+            return metric
         return self._get_or_create(
             name, CounterMetric,
             lambda: CounterMetric(name, help, lock=self._lock))
@@ -291,6 +293,9 @@ class MetricsRegistry:
               help: str = "") -> Union[GaugeMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
+        metric = self._metrics.get(name)
+        if type(metric) is GaugeMetric:
+            return metric
         return self._get_or_create(
             name, GaugeMetric,
             lambda: GaugeMetric(name, help, sim=self.sim, lock=self._lock))
@@ -300,6 +305,9 @@ class MetricsRegistry:
                   help: str = "") -> Union[HistogramMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
+        metric = self._metrics.get(name)
+        if type(metric) is HistogramMetric:
+            return metric
         return self._get_or_create(
             name, HistogramMetric,
             lambda: HistogramMetric(name, buckets, help, lock=self._lock))

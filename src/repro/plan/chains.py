@@ -9,8 +9,12 @@ once every chain in ``ancestors*(p)`` has terminated.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.common.errors import PlanError
-from repro.plan.qep import QEP
+
+if TYPE_CHECKING:  # pragma: no cover - the plan imports this module
+    from repro.plan.qep import QEP
 
 
 def direct_ancestors(qep: QEP) -> dict[str, set[str]]:

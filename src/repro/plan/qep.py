@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Any, Iterator, Optional
 
 from repro.common.errors import PlanError
+from repro.plan.chains import ancestor_closure
 from repro.plan.operators import JoinSpec, MatOp, Operator, OutputOp, ProbeOp, ScanOp
 
 
@@ -105,6 +107,11 @@ class QEP:
     iterator-model engine would execute them (left-to-right recursion,
     Section 2.3); the sequential baseline executes them exactly in this
     order, and the dynamic scheduler uses it only as a tie-breaker.
+
+    A plan is immutable once built (:func:`~repro.plan.reopt.swap_join_sides`
+    returns a new one), so what every run of it would derive again is
+    computed on first use and kept here; the plan sits below every run,
+    so none of it is run state and none of it refers to a run.
     """
 
     def __init__(self, chains: list[PipelineChain], joins: dict[str, JoinSpec],
@@ -123,6 +130,24 @@ class QEP:
         self.total_memory_estimate = (
             total_memory_estimate if total_memory_estimate is not None
             else self.peak_memory_estimate())
+        #: filled by :func:`repro.core.fragments.compiled_chains`.
+        self.compiled: dict[Any, Any] = {}
+
+    @cached_property
+    def closure(self) -> dict[str, set[str]]:
+        """``ancestors*`` of each chain (Section 4.1), by chain name."""
+        return ancestor_closure(self)
+
+    @cached_property
+    def probing_chain(self) -> dict[str, str]:
+        """Join name -> name of the chain whose probe consumes it."""
+        return {name: self.chain_probing(join).name
+                for name, join in self.joins.items()}
+
+    @cached_property
+    def chain_index(self) -> dict[str, int]:
+        """Chain name -> position in iterator order."""
+        return {chain.name: i for i, chain in enumerate(self.chains)}
 
     def chain(self, name: str) -> PipelineChain:
         try:

@@ -110,20 +110,19 @@ class ExecutionPlane:
         pool worker builds exactly the sources the coordinator would
         have built, so work stealing never changes a result.  (Not
         ``world.rng``: that keeps one generator per label for the life
-        of the machine.)
+        of the machine; none at all for a profile that cannot draw.)
         """
         catalog = self.workload(request.scale).catalog
         base_wait = request.wait_us * 1e-6
 
         def make(relation: str) -> Wrapper:
+            model = JitteredDelay(
+                base_wait * request.slow.get(relation, 1.0), request.jitter)
             rng = np.random.default_rng(
                 [self.seed, request.seed, sequence,
-                 zlib.crc32(relation.encode())])
-            return Wrapper(
-                world.sim, catalog.relation(relation),
-                JitteredDelay(base_wait * request.slow.get(relation, 1.0),
-                              request.jitter),
-                world.cm, rng, world.params)
+                 zlib.crc32(relation.encode())]) if model.draws else None
+            return Wrapper(world.sim, catalog.relation(relation), model,
+                           world.cm, rng, world.params)
         return make
 
     def execute(self, name: str, request: "SubmissionRequest",

@@ -38,8 +38,10 @@ class WelfordStat:
         delta = value - self._mean
         self._mean += delta / self.count
         self._m2 += delta * (value - self._mean)
-        self.minimum = value if self.minimum is None else min(self.minimum, value)
-        self.maximum = value if self.maximum is None else max(self.maximum, value)
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
 
     @property
     def mean(self) -> float:

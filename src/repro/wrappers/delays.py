@@ -2,7 +2,8 @@
 
 A delay model produces, for ``n`` tuples, the waiting time *preceding*
 each tuple (Section 4.3's ``w_p`` is the average of these).  Models are
-stateless descriptions; randomness comes from the generator passed in.
+stateless descriptions; randomness comes from the generator passed in,
+which only a model whose :attr:`DelayModel.draws` is true ever reads.
 
 The taxonomy of Section 1.2:
 
@@ -40,6 +41,11 @@ class DelayModel(ABC):
     def mean_wait(self) -> float:
         """Analytic long-run average waiting time per tuple (seconds)."""
 
+    @property
+    def draws(self) -> bool:
+        """Whether :meth:`waiting_times` can ever read ``rng``."""
+        return True
+
     @staticmethod
     def _check_n(n: int) -> None:
         if n < 0:
@@ -57,12 +63,18 @@ class _MeanWaitDelay(DelayModel):
     def mean_wait(self) -> float:
         return self.w
 
+    @property
+    def draws(self) -> bool:
+        return self.w > 0  # around a zero mean: the constant zero
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(w={self.w:g})"
 
 
 class ConstantDelay(_MeanWaitDelay):
     """Exactly ``w`` seconds before every tuple."""
+
+    draws = False
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
         self._check_n(n)
@@ -98,6 +110,8 @@ class JitteredDelay(_MeanWaitDelay):
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
         self._check_n(n)
+        if self.w == 0:
+            return np.zeros(n)
         return np.full(n, self.w * rng.uniform(1.0 - self.jitter,
                                                1.0 + self.jitter))
 
@@ -175,6 +189,10 @@ class InitialDelay(DelayModel):
             self._first_emitted = True
         return waits
 
+    @property
+    def draws(self) -> bool:
+        return self.base.draws
+
     def reset(self) -> None:
         """Re-arm the initial delay (models are reused across repetitions)."""
         self._first_emitted = False
@@ -193,6 +211,8 @@ class BurstyDelay(DelayModel):
     ``burst_tuples`` arrive with ``within_burst_wait`` between them, then a
     ``gap`` of silence precedes the next burst.
     """
+
+    draws = False
 
     def __init__(self, burst_tuples: int, gap: float,
                  within_burst_wait: float = 0.0):

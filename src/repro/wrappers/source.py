@@ -16,7 +16,7 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro.catalog.schema import Relation
-from repro.common.errors import SimulationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
 from repro.mediator.comm import CommunicationManager
 from repro.exec import Kernel, Process, SimEvent
@@ -29,7 +29,11 @@ class Wrapper:
 
     def __init__(self, sim: Kernel, relation: Relation,
                  delay_model: DelayModel, cm: CommunicationManager,
-                 rng: np.random.Generator, params: SimulationParameters):
+                 rng: Optional[np.random.Generator],
+                 params: SimulationParameters):
+        if rng is None and delay_model.draws:
+            raise ConfigurationError(
+                f"wrapper {relation.name!r}: {delay_model!r} needs a generator")
         self.sim = sim
         self.relation = relation
         self.delay_model = delay_model

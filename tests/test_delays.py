@@ -191,3 +191,84 @@ def test_negative_count_rejected(rng):
 
 def test_zero_count_allowed(rng):
     assert len(UniformDelay(1.0).waiting_times(0, rng)) == 0
+
+
+# --------------------------------------------------------------------------
+# The contract: a model says whether it can draw, and only then needs a
+# generator
+# --------------------------------------------------------------------------
+
+class _NoGenerator:
+    """Stands in for the generator of a source that was given none:
+    touching it in any way fails the test."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"a model that cannot draw read rng.{name}")
+
+
+W, N = 3e-4, 7
+
+#: configurations that can never draw.
+CANNOT_DRAW = [
+    ConstantDelay(W), ConstantDelay(0.0),
+    UniformDelay(0.0), ExponentialDelay(0.0),
+    JitteredDelay(0.0), JitteredDelay(0.0, jitter=0.25),
+    BurstyDelay(burst_tuples=3, gap=1e-2, within_burst_wait=1e-5),
+    InitialDelay(0.5, ConstantDelay(W)), InitialDelay(0.5, UniformDelay(0.0)),
+    InitialDelay(0.5, JitteredDelay(0.0)),
+]
+
+#: configurations that draw, each with the numpy call it makes today.
+DRAWS = [
+    (UniformDelay(W), lambda rng: rng.uniform(0.0, 2.0 * W, size=N)),
+    (ExponentialDelay(W), lambda rng: rng.exponential(W, size=N)),
+    (JitteredDelay(W), lambda rng: np.full(N, W * rng.uniform(0.0, 2.0))),
+    (JitteredDelay(W, jitter=0.25),
+     lambda rng: np.full(N, W * rng.uniform(0.75, 1.25))),
+    # Zero jitter still consumes its draw: the stream must not shift.
+    (JitteredDelay(W, jitter=0.0),
+     lambda rng: np.full(N, W * rng.uniform(1.0, 1.0))),
+    (NormalDelay(W, W / 2),
+     lambda rng: np.maximum(0.0, rng.normal(W, W / 2, size=N))),
+    (NormalDelay(W, 0.0),
+     lambda rng: np.maximum(0.0, rng.normal(W, 0.0, size=N))),
+    (InitialDelay(0.0, ExponentialDelay(W)),
+     lambda rng: rng.exponential(W, size=N)),
+]
+
+
+@pytest.mark.parametrize("model", CANNOT_DRAW, ids=repr)
+def test_a_model_that_cannot_draw_never_touches_the_generator(model):
+    assert model.draws is False
+    first = model.waiting_times(N, _NoGenerator())
+    second = model.waiting_times(N, None)
+    assert first.shape == second.shape == (N,)
+    assert np.all(first >= 0.0)
+
+
+def test_the_zero_wait_models_agree():
+    """``JitteredDelay(0)`` multiplied a draw by zero where its siblings
+    returned zeros untouched."""
+    for model in (UniformDelay(0.0), ExponentialDelay(0.0),
+                  JitteredDelay(0.0), JitteredDelay(0.0, jitter=0.5)):
+        waits = model.waiting_times(N, _NoGenerator())
+        assert waits.dtype == np.float64
+        assert np.array_equal(waits, np.zeros(N))
+
+
+@pytest.mark.parametrize("model,numpy_call", DRAWS,
+                         ids=[repr(model) for model, _ in DRAWS])
+def test_a_drawing_model_draws_what_it_drew_before(model, numpy_call):
+    """Bit for bit, from the first draw on, and the stream ends where
+    the same numpy calls leave it."""
+    assert model.draws is True
+    rng, twin = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(3):
+        assert np.array_equal(model.waiting_times(N, rng), numpy_call(twin))
+    assert rng.random() == twin.random()
+
+
+def test_an_initial_delay_draws_as_its_base_does():
+    assert InitialDelay(1.0, UniformDelay(W)).draws is True
+    assert InitialDelay(1.0, UniformDelay(0.0)).draws is False
+    assert InitialDelay(1.0, BurstyDelay(2, 1e-3)).draws is False

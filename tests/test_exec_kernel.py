@@ -350,6 +350,117 @@ def test_asyncio_run_until_leaves_now_at_the_bound_when_the_heap_outlives_it():
     assert kernel.now == 0.05 and not far.processed
 
 
+def _spy_wall(kernel, monkeypatch):
+    """Count the kernel's wall-clock reads."""
+    reads = []
+    wall = kernel._wall
+
+    def spied():
+        reads.append(kernel.now)
+        return wall()
+
+    monkeypatch.setattr(kernel, "_wall", spied)
+    return reads
+
+
+def test_asyncio_due_chain_does_not_read_the_wall_per_event(monkeypatch):
+    """A head that is due by the dispatch clock is due: `now` is never
+    ahead of the wall, so a chain of zero-delay events costs O(1) wall
+    reads, not one each."""
+    kernel = AsyncioKernel()
+    reads = _spy_wall(kernel, monkeypatch)
+    steps = []
+
+    def chain():
+        for step in range(1000):
+            yield kernel.timeout(0.0)
+            steps.append(step)
+
+    kernel.process(chain())
+    asyncio.run(kernel.run())
+    assert steps == list(range(1000))
+    assert kernel.processed_events >= 1000
+    assert len(reads) <= 5
+    assert kernel.now == 0.0
+
+
+def test_asyncio_timed_pauses_still_read_the_wall(monkeypatch):
+    """Only the already-due head skips the read: a head in the future
+    of the dispatch clock is still checked against the wall."""
+    kernel = AsyncioKernel()
+    reads = _spy_wall(kernel, monkeypatch)
+
+    def pauses():
+        for _ in range(5):
+            yield kernel.timeout(0.002)
+
+    kernel.process(pauses())
+    start = time.perf_counter()
+    asyncio.run(kernel.run())
+    assert time.perf_counter() - start >= 0.009
+    assert kernel.now == pytest.approx(0.010)
+    assert len(reads) >= 5
+    # The invariant the shortcut rests on: never ahead of the wall.
+    assert kernel.now <= time.perf_counter() - start + 1e-6
+
+
+def test_asyncio_run_until_in_a_due_chain_leaves_now_at_the_bound(
+        monkeypatch):
+    kernel = AsyncioKernel()
+    _spy_wall(kernel, monkeypatch)
+    fired = []
+
+    def ticker():
+        while True:
+            yield kernel.timeout(0.01)
+            fired.append(kernel.now)
+
+    kernel.process(ticker())
+    asyncio.run(kernel.run(until=0.035))
+    assert kernel.now == 0.035
+    assert fired == pytest.approx([0.01, 0.02, 0.03])
+    asyncio.run(kernel.run(until=0.035))  # already there: returns at once
+    assert kernel.now == 0.035 and len(fired) == 3
+
+
+def test_asyncio_cancelled_head_is_dropped_not_dispatched():
+    kernel = AsyncioKernel()
+    order = []
+    head = kernel.timeout(0.0)
+    head.add_callback(lambda event: order.append("cancelled head"))
+    later = kernel.timeout(0.001)
+    later.add_callback(lambda event: order.append("later"))
+    head.cancel()
+    asyncio.run(kernel.run())
+    assert order == ["later"]
+    assert not head.processed and later.processed
+    assert kernel.processed_events == 1
+
+
+def test_asyncio_drain_quantum_still_yields_to_the_loop():
+    """A long due chain may not starve other tasks of the loop."""
+    kernel = AsyncioKernel()
+    turns = []
+
+    def chain():
+        for _ in range(500):
+            yield kernel.timeout(0.0)
+
+    proc = kernel.process(chain())
+
+    async def scenario():
+        async def bystander():
+            while not proc.processed:
+                turns.append(kernel.processed_events)
+                await asyncio.sleep(0)
+        task = asyncio.ensure_future(bystander())
+        await kernel.run(until_event=proc)
+        await task
+
+    asyncio.run(scenario())
+    assert len(turns) >= 500 // 64
+
+
 def test_asyncio_schedule_in_the_past_is_rejected():
     kernel = AsyncioKernel()
     with pytest.raises(SimulationError):

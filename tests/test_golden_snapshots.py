@@ -34,15 +34,35 @@ def test_digest_matches_golden_exactly(workload):
     assert path.exists(), (
         f"missing golden snapshot {path}; run scripts/capture_golden.py")
     digest = capture_golden.run_digest(workload, config)
-    rendered = json.dumps(digest, indent=2, sort_keys=True) + "\n"
-    assert rendered == path.read_text(), (
+    assert capture_golden.render(digest) == path.read_text(), (
         f"{workload}: execution digest drifted from the golden snapshot — "
         "virtual-time behaviour changed. If intended, regenerate with "
         "scripts/capture_golden.py and explain the change in the PR.")
 
 
+def test_plane_sessions_match_golden_exactly():
+    """The service path's "same events" proof: three virtual-time
+    sessions through one ``ExecutionPlane`` admit in the same order after
+    the same waits, report the same six outcome numbers per submission
+    (floats by ``repr``) and dispatch the same number of kernel events
+    as on the commit that captured them."""
+    path = GOLDEN_DIR / "plane_sessions.json"
+    digest = capture_golden.plane_sessions_digest()
+    assert capture_golden.render(digest) == path.read_text(), (
+        "a plane session drifted from tests/golden/plane_sessions.json — "
+        "the service path no longer does the same events. If intended, "
+        "regenerate with scripts/capture_golden.py and explain why.")
+    for name, session in digest.items():
+        assert session["leased_bytes"] == 0, name
+        assert [o["result_tuples"] for o in session["outcomes"]] == [25] * 12
+        # Two leases: two start at once, ten queue and leave by priority.
+        assert [wait for _, wait in session["admissions"][:2]] == ["0.0"] * 2
+        assert all(float(wait) > 0 for _, wait in session["admissions"][2:])
+
+
 def test_goldens_cover_all_strategies():
-    for path in sorted(GOLDEN_DIR.glob("*.json")):
+    for workload in sorted(capture_golden.workload_configs()):
+        path = GOLDEN_DIR / f"{workload}.json"
         data = json.loads(path.read_text())
         assert set(data["strategies"]) == set(capture_golden.STRATEGIES)
         for strategy, digest in data["strategies"].items():

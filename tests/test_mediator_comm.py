@@ -225,6 +225,38 @@ def test_wrapper_start_twice_rejected():
         wrapper.start()
 
 
+def test_a_wrapper_needs_a_generator_exactly_when_its_model_draws():
+    """``DelayModel.draws`` is the contract: a source that cannot draw
+    ships its whole relation with no generator at all, and one that can
+    is refused at construction, not at its first message."""
+    from repro.common.errors import ConfigurationError
+    from repro.wrappers import JitteredDelay
+
+    world = make_world()
+    for model in (UniformDelay(5e-5), JitteredDelay(5e-5, 0.5)):
+        with pytest.raises(ConfigurationError, match="needs a generator"):
+            Wrapper(world.sim, Relation("W", 10), model, world.cm, None,
+                    world.params)
+    assert "W" not in world.cm.queues  # refused before anything registered
+    relation = Relation("W", 500)
+    wrapper = Wrapper(world.sim, relation, JitteredDelay(0.0, 0.5),
+                      world.cm, None, world.params)
+    wrapper.start()
+
+    def consumer():
+        queue = world.cm.queue("W")
+        while not queue.exhausted:
+            if queue.has_data():
+                queue.take_batch(10_000)
+            else:
+                yield queue.data_event()
+
+    world.sim.process(consumer())
+    world.sim.run()
+    assert wrapper.error is None and wrapper.tuples_sent == 500
+    assert wrapper.production_time == 0.0
+
+
 def test_wrapper_rate_estimate_converges():
     world = make_world()
     relation = Relation("W", 20_000)

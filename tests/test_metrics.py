@@ -1,4 +1,5 @@
-"""Tests for critical degree, bmi and per-tuple CPU cost estimation."""
+"""Tests for critical degree, bmi and per-tuple CPU cost estimation, and
+for the metrics registry's handle lookup and flattened updates."""
 
 import pytest
 
@@ -99,3 +100,139 @@ def test_every_pc_critical_at_w_min(tiny_fig5, params):
     for chain in tiny_fig5.qep.chains:
         cost = chain_cpu_seconds_per_source_tuple(chain.operators, params)
         assert cost < params.w_min, chain.name
+
+
+# --------------------------------------------------------------------------
+# MetricsRegistry: a handle that exists is one dict read
+# --------------------------------------------------------------------------
+
+def test_an_existing_handle_is_returned_without_the_creation_path(monkeypatch):
+    from repro.observability import MetricsRegistry
+
+    registry = MetricsRegistry()
+    handles = {
+        "counter": registry.counter("c", "a counter"),
+        "gauge": registry.gauge("g", "a gauge"),
+        "histogram": registry.histogram("h", buckets=(1.0, 2.0)),
+    }
+
+    def no_creation(*args, **kwargs):
+        raise AssertionError("an existing name went through _get_or_create")
+
+    monkeypatch.setattr(registry, "_get_or_create", no_creation)
+    assert registry.counter("c") is handles["counter"]
+    assert registry.counter("c", "other help text") is handles["counter"]
+    assert registry.gauge("g") is handles["gauge"]
+    assert registry.histogram("h") is handles["histogram"]
+    assert len(registry) == 3
+
+
+@pytest.mark.parametrize("first,second", [
+    ("counter", "gauge"), ("counter", "histogram"),
+    ("gauge", "counter"), ("gauge", "histogram"),
+    ("histogram", "counter"), ("histogram", "gauge"),
+])
+def test_a_name_of_another_kind_is_still_refused(first, second):
+    from repro.common.errors import ConfigurationError
+    from repro.observability import MetricsRegistry
+
+    registry = MetricsRegistry()
+    handle = getattr(registry, first)("shared.name")
+    with pytest.raises(ConfigurationError, match=f"registered as {first}"):
+        getattr(registry, second)("shared.name")
+    assert getattr(registry, first)("shared.name") is handle
+
+
+def test_a_disabled_registry_still_hands_out_the_null_metric():
+    from repro.observability import NULL_METRIC, MetricsRegistry
+
+    registry = MetricsRegistry(enabled=False)
+    for _ in range(2):
+        assert registry.counter("c") is NULL_METRIC
+        assert registry.gauge("g") is NULL_METRIC
+        assert registry.histogram("h") is NULL_METRIC
+    assert len(registry) == 0
+
+
+def test_flattened_updates_keep_their_checks_and_extremes():
+    from repro.observability import MetricsRegistry
+    from repro.sim.stats import WelfordStat
+
+    registry = MetricsRegistry()
+    counter = registry.counter("c")
+    counter.inc()
+    counter.inc(2.5)
+    with pytest.raises(ValueError, match="negative"):
+        counter.inc(-1.0)
+    assert counter.value == 3.5 and counter.as_dict()["value"] == 3.5
+    gauge = registry.gauge("g")
+    assert gauge.minimum is None and gauge.maximum is None
+    for value in (4.0, -2.0, 9.0, 0.0):
+        gauge.set(value)
+    assert (gauge.value, gauge.minimum, gauge.maximum) == (0.0, -2.0, 9.0)
+    stream = WelfordStat()
+    assert stream.minimum is None and stream.maximum is None
+    for value in (3.0, 1.0, 2.0):
+        stream.record(value)
+    assert (stream.count, stream.minimum, stream.maximum) == (3, 1.0, 3.0)
+    assert stream.mean == pytest.approx(2.0)
+    assert stream.variance == pytest.approx(1.0)
+
+
+def test_looking_handles_up_while_another_thread_exports_never_tears():
+    """Engine-side code resolving its handles by name on every update
+    (the lock-free path) against a thread snapshotting ``as_dict()``:
+    the export stays consistent and no update is lost."""
+    import sys
+    import threading
+
+    from repro.observability import MetricsRegistry
+
+    registry = MetricsRegistry()
+    workers, iterations = 4, 3000
+    start = threading.Barrier(workers + 1)
+    done = threading.Event()
+    torn = []
+
+    def mutate(worker):
+        start.wait(timeout=30.0)
+        for index in range(iterations):
+            registry.counter("ops").inc()
+            registry.histogram("sizes", buckets=(1.0, 2.0)).observe(
+                float(index % 3))
+            registry.gauge(f"level.{worker}").set(float(index))
+
+    def observe():
+        start.wait(timeout=30.0)
+        while not done.is_set():
+            snapshot = registry.as_dict()
+            sizes = snapshot.get("sizes")
+            ops = snapshot.get("ops")
+            if sizes is None or ops is None:
+                continue  # not registered yet
+            if sum(sizes["counts"]) != sizes["count"]:
+                torn.append(("histogram", sizes))
+            if ops["value"] < sizes["count"]:
+                # Each worker bumps the counter before it observes.
+                torn.append(("order", ops["value"], sizes["count"]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=mutate, args=(w,))
+                   for w in range(workers)]
+        observer = threading.Thread(target=observe)
+        for thread in [*threads, observer]:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        done.set()
+        observer.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in [*threads, observer])
+    finally:
+        sys.setswitchinterval(interval)
+    assert torn == []
+    final = registry.as_dict()
+    assert final["ops"]["value"] == workers * iterations
+    assert final["sizes"]["count"] == workers * iterations
+    assert len(registry) == 2 + workers

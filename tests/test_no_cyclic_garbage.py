@@ -217,3 +217,69 @@ def test_timed_stall(assert_no_cyclic_garbage, data_at):
         sim.run()
         assert waiter.value == (data_at or 5.0)
     assert_no_cyclic_garbage(run)
+
+
+@pytest.mark.parametrize("submissions", [20, 200])
+def test_what_the_plan_compiled_pins_no_run(monkeypatch, submissions):
+    """The plane's cached workload carries what every run of its plan
+    shares (``QEP.closure`` ..., the compiled chains): it outlives every
+    submission, grows with none of them, and — sitting below every run —
+    keeps no finished ``QueryRuntime`` or query-view ``World`` alive."""
+    import gc
+    import weakref
+
+    import repro.core.engine as engine_module
+    from repro.core.engine import main_value, spawn_main
+    from repro.service import backend
+
+    finished = []
+    make_runtime = engine_module.QueryRuntime
+
+    def recording_runtime(world, qep):
+        runtime = make_runtime(world, qep)
+        finished.extend((weakref.ref(runtime), weakref.ref(world)))
+        return runtime
+
+    monkeypatch.setattr(engine_module, "QueryRuntime", recording_runtime)
+    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
+    params = SimulationParameters(telemetry_enabled=True, **FAST)
+    plane = backend.ExecutionPlane(
+        params, 1, 4 * params.query_memory_bytes, "priority", name="virtual")
+    strategies = ("DSE", "DSE", "MA", "SEQ")
+
+    def run(count, first):
+        mains = []
+        for sequence in range(first, first + count):
+            request = SubmissionRequest(
+                strategy=strategies[sequence % 4], scale=0.0005,
+                seed=sequence, wait_us=0.0)
+            mains.append(spawn_main(plane.kernel, plane.execute(
+                f"s-{sequence}", request, sequence,
+                request.resolved_budgets(params), 0.0,
+                lambda run, waited: None), f"query:{sequence}"))
+        plane.kernel.run()
+        assert [main_value(main)["result_tuples"] for main in mains] \
+            == [25] * count
+
+    def cache_size():
+        qep = plane.workload(0.0005).qep
+        return (len(plane._workloads), len(qep.compiled),
+                sorted(len(chains) for chains in qep.compiled.values()),
+                len(plane.machine.telemetry.registry))
+
+    run(4, 1)  # imports, lazily built classes, the first compile
+    warm = cache_size()
+    assert warm[:3] == (1, 1, [6])
+    finished.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        run(submissions, 1000)
+        assert len(finished) == 2 * submissions
+        alive = [ref() for ref in finished if ref() is not None]
+        assert alive == [], f"{len(alive)} finished runtimes/worlds pinned"
+    finally:
+        gc.enable()
+    assert cache_size() == warm
+    qep = plane.workload(0.0005).qep
+    assert qep.closure["pC"] and qep.chain_index["pA"] == 0
