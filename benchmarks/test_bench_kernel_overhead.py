@@ -7,6 +7,14 @@ through the real :class:`Simulator` and through an inline frozen copy of
 the pre-refactor hot path (heap push/pop plus ``SimEvent`` callbacks,
 no base class, no cancellation check), and asserts the refactored kernel
 keeps at least ~90% of the inline loop's event rate.
+
+A second case, *guard churn*, is the DQP stall shape on a long-lived
+kernel: every step arms a guard timeout far in the future and cancels it
+when the step's own short wait ends.  The kernel clock never reaches a
+guard's deadline, so unless cancelled entries are compacted away the
+heap grows by one dead entry per step and process, and every push and
+pop pays for it.  The case asserts the heap stays bounded and that an
+event costs the same at step 2,000 as at step 200.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import time
 
 from conftest import run_measured
 
-from repro.exec.core import Process, SimEvent, Timeout
+from repro.exec.core import _COMPACT_FLOOR, Process, SimEvent, Timeout
 from repro.sim.engine import Simulator
 
 PROCESSES = 20
@@ -24,13 +32,22 @@ STEPS = 2_000
 BEST_OF = 5
 #: the ISSUE budget: at most ~10% dispatch regression vs the inline loop.
 MAX_REGRESSION = 0.10
+#: guard churn: the stall guard (``params.timeout``) and the wait it
+#: guards, which always ends first; 2,000 steps stay far short of 60 s.
+GUARD_S = 60.0
+STEP_S = 1e-3
+#: steps timed on either side of step 200 and before step 2,000.
+WINDOW = 100
+#: µs per event at step 2,000 may exceed that at step 200 by this much.
+MAX_AGEING = 0.10
 
 
 class InlineLoop:
     """Frozen copy of the pre-refactor Simulator hot path.
 
     Duck-types the kernel surface :class:`SimEvent`/:class:`Process`
-    need (``_schedule``, ``_note_failed_process``) with everything
+    need (``_schedule``, ``_note_failed_process``; nothing here cancels,
+    so not :meth:`Timeout.cancel`'s ``_note_cancelled``) with everything
     inlined in one class and no cancelled-event handling — the cheapest
     correct dispatcher for this workload, used as the 100% mark.
     """
@@ -102,3 +119,53 @@ def test_kernel_dispatch_overhead(benchmark):
     assert ratio >= 1.0 - MAX_REGRESSION, (
         f"kernel dispatch regressed {100 * (1 - ratio):.1f}% vs the inline "
         f"loop (budget {100 * MAX_REGRESSION:.0f}%)")
+
+
+def _churner(kernel, steps: int):
+    for _ in range(steps):
+        guard = kernel.timeout(GUARD_S)
+        yield kernel.timeout(STEP_S)
+        guard.cancel()
+
+
+def _churn_once() -> tuple[float, float, int]:
+    """One run: seconds per event in the window around step 200 and in
+    the one ending at step 2,000, and the largest heap seen."""
+    kernel = Simulator()
+    stamps: list[float] = []
+    peak = 0
+
+    def clock():
+        nonlocal peak
+        for _ in range(STEPS + 1):
+            stamps.append(time.perf_counter())
+            peak = max(peak, len(kernel._heap))
+            yield kernel.timeout(STEP_S)
+
+    for _ in range(PROCESSES):
+        kernel.process(_churner(kernel, STEPS))
+    kernel.process(clock())
+    kernel.run()
+    events = (PROCESSES + 1) * 2 * WINDOW  # one wake a step each
+    early = stamps[200 + WINDOW] - stamps[200 - WINDOW]
+    late = stamps[STEPS] - stamps[STEPS - 2 * WINDOW]
+    return early / events, late / events, peak
+
+
+def test_guard_churn_cost_does_not_grow_with_age(benchmark):
+    runs = run_measured(benchmark,
+                        lambda: [_churn_once() for _ in range(BEST_OF)])
+    early = min(run[0] for run in runs)
+    late = min(run[1] for run in runs)
+    peak = max(run[2] for run in runs)
+    # Live at any moment: each churner's wait and guard, and the clock.
+    live = 2 * PROCESSES + 1
+    print()
+    print(f"guard churn: {early * 1e6:.3f} us/event at step 200, "
+          f"{late * 1e6:.3f} at step {STEPS:,}; heap peak {peak} "
+          f"({live} live)")
+    assert peak <= 2 * live + _COMPACT_FLOOR, (
+        f"heap reached {peak} entries with at most {live} live")
+    assert late <= early * (1 + MAX_AGEING), (
+        f"an event at step {STEPS:,} costs {100 * (late / early - 1):.1f}% "
+        f"more than at step 200 (budget {100 * MAX_AGEING:.0f}%)")

@@ -13,6 +13,13 @@ Exit status 1 when some shape occurs at least once per query — the
 engine's ownership rule (``docs/architecture.md`` §1) is that nothing a
 query builds needs the collector.
 
+Then a retention census: a closed loop of clients on one in-process
+service, with ``tracemalloc`` on, reports the bytes still allocated per
+completion between two points after a warm-up, and the kernel heap's
+length against its live entries at the end.  Exit status 1 as well when
+more than ``MAX_RETAINED_BYTES`` a completion stay behind — nothing a
+finished submission made may stay reachable from the machine.
+
     PYTHONPATH=src python scripts/gc_census.py
 """
 
@@ -21,8 +28,18 @@ from __future__ import annotations
 import asyncio
 import gc
 import sys
+import tracemalloc
 from collections import Counter
 from typing import Any, Callable
+
+#: bytes a completion may leave allocated on a long-lived service once
+#: its rings are full (a cancelled guard timeout left in the kernel heap
+#: was ≈ 1.35 KB, 2.5 a completion; a temp relation's ledger entry
+#: ≈ 120 B, three per MA submission).
+MAX_RETAINED_BYTES = 64
+#: completions before retention is measured: past the service's
+#: 4,096-entry latency window and 4,096-decision audit ring.
+RETENTION_WARMUP = 5_000
 
 
 def cycle_shapes(objects: list[Any]) -> Counter:
@@ -127,27 +144,39 @@ def multiquery() -> int:
     return 16
 
 
-def service(submissions: int = 120) -> int:
+#: bench/service_workloads.py's fast machine: the host, not a modelled
+#: delay, is what a service loop waits for.
+FAST_MACHINE = dict(
+    cpu_mips=10_000.0, disk_latency=17e-5, disk_seek_time=5e-5,
+    disk_transfer_rate=600_000_000.0, telemetry_enabled=True)
+STRATEGIES = ("DSE", "DSE", "MA", "SEQ")
+
+
+def new_service() -> Any:
     from repro.config import SimulationParameters
-    from repro.service import QueryService, SubmissionRequest
+    from repro.service import QueryService
 
-    # bench/service_workloads.py's fast machine: the host, not a
-    # modelled delay, is what the loop waits for.
-    params = SimulationParameters(
-        cpu_mips=10_000.0, disk_latency=17e-5, disk_seek_time=5e-5,
-        disk_transfer_rate=600_000_000.0, telemetry_enabled=True)
-    strategies = ("DSE", "DSE", "MA", "SEQ")
+    params = SimulationParameters(**FAST_MACHINE)
+    return QueryService(
+        params=params, seed=1,
+        global_memory_bytes=4 * params.query_memory_bytes,
+        admission="priority", history=16)
 
+
+def request(index: int) -> Any:
+    from repro.service import SubmissionRequest
+
+    return SubmissionRequest(
+        strategy=STRATEGIES[index % len(STRATEGIES)], scale=0.0005,
+        seed=index, wait_us=0.0, jitter=1.0)
+
+
+def service(submissions: int = 120) -> int:
     async def drive() -> None:
-        service = QueryService(
-            params=params, seed=1,
-            global_memory_bytes=4 * params.query_memory_bytes,
-            admission="priority", history=16)
+        service = new_service()
         await service.start()
-        records = [service.submit(SubmissionRequest(
-            strategy=strategies[index % len(strategies)], scale=0.0005,
-            seed=index, wait_us=0.0, jitter=1.0))
-            for index in range(submissions)]
+        records = [service.submit(request(index))
+                   for index in range(submissions)]
         for record in records:
             await record.done.wait()
             assert record.state == "done", record.error
@@ -156,6 +185,46 @@ def service(submissions: int = 120) -> int:
 
     asyncio.run(drive())
     return submissions
+
+
+def retention(warmup: int = RETENTION_WARMUP, completions: int = 2_000,
+              clients: int = 8) -> tuple[float, int, int]:
+    """Bytes still allocated per completion between completion ``warmup``
+    and ``warmup + completions`` of a closed loop of ``clients`` (work in
+    flight is alike at both points), and the kernel heap's length and
+    live entries at the second."""
+    marks: list[int] = []
+    heap: list[int] = []
+
+    async def drive() -> None:
+        service = new_service()
+        await service.start()
+        done = 0
+
+        async def client(index: int) -> None:
+            nonlocal done
+            while done < warmup + completions:
+                record = service.submit(request(index))
+                index += clients
+                await record.done.wait()
+                assert record.state == "done", record.error
+                done += 1
+                if done in (warmup, warmup + completions):
+                    gc.collect()
+                    marks.append(tracemalloc.get_traced_memory()[0])
+                    entries = service.kernel._heap
+                    heap[:] = [len(entries), sum(
+                        not entry[3].cancelled for entry in entries)]
+
+        await asyncio.gather(*(client(index) for index in range(clients)))
+        await service.stop()
+
+    tracemalloc.start()
+    try:
+        asyncio.run(drive())
+    finally:
+        tracemalloc.stop()
+    return (marks[1] - marks[0]) / completions, heap[0], heap[1]
 
 
 def main() -> int:
@@ -172,7 +241,13 @@ def main() -> int:
             per_query = per_query or count >= queries
     if per_query:
         print("FAIL: a reference cycle is built per query", file=sys.stderr)
-    return 1 if per_query else 0
+    retained, entries, live = retention()
+    print(f"retention: {retained:.1f} bytes per completion after warm-up "
+          f"(limit {MAX_RETAINED_BYTES}); kernel heap {entries} entries, "
+          f"{live} live")
+    if retained > MAX_RETAINED_BYTES:
+        print("FAIL: a finished submission stays reachable", file=sys.stderr)
+    return 1 if per_query or retained > MAX_RETAINED_BYTES else 0
 
 
 if __name__ == "__main__":

@@ -67,9 +67,6 @@ class AsyncioKernel(KernelBase):
 
     def __init__(self) -> None:
         super().__init__()
-        self._heap: list[tuple[float, int, int, SimEvent]] = []
-        self._sequence = 0
-        self._processed_events = 0
         #: the dispatch clock (module docstring); 0.0 before ``run``.
         self.now = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -77,11 +74,6 @@ class AsyncioKernel(KernelBase):
         #: the future ``run`` is parked on while it sleeps, else None.
         self._parked: Optional[asyncio.Future[None]] = None
         self._stop_requested = False
-
-    @property
-    def processed_events(self) -> int:
-        """Total number of events processed since construction."""
-        return self._processed_events
 
     @property
     def wall_now(self) -> float:
@@ -149,6 +141,7 @@ class AsyncioKernel(KernelBase):
         One future and at most one timer per pause, no :class:`asyncio.Task`.
         """
         assert self._loop is not None and self._origin is not None
+        self._compact()
         parked = self._parked = self._loop.create_future()
         timer = None if deadline is None else self._loop.call_at(
             self._origin + deadline, self._wake)
@@ -186,6 +179,7 @@ class AsyncioKernel(KernelBase):
                     break
                 while heap and heap[0][3].cancelled:
                     pop(heap)
+                    self._cancelled -= 1
                 if not heap:
                     if until_event is None:
                         break
@@ -221,8 +215,10 @@ class AsyncioKernel(KernelBase):
                 drained += 1
                 if drained >= _DRAIN_QUANTUM:
                     drained = 0
+                    self._compact()
                     await asyncio.sleep(0)
         finally:
+            self._compact()
             self._loop = None
             self._origin = None
             self._stop_requested = False

@@ -8,7 +8,7 @@ three building blocks:
   or fail (with an exception), and on which processes can wait;
 * :class:`Process` — a Python generator driven by the kernel; each
   ``yield``-ed event suspends the process until the event triggers;
-* :class:`KernelBase` — the factory surface shared by all backends.
+* :class:`KernelBase` — the factory surface and event heap of all backends.
 
 What a backend adds is *when* a scheduled event's callbacks run: a
 virtual-time kernel pops a heap and jumps the clock, a real-time kernel
@@ -19,6 +19,7 @@ across backends given identical event timings.
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Generator, Iterable, Optional, TypeVar
 
 from repro.common.errors import SimulationError
@@ -27,6 +28,10 @@ from repro.common.errors import SimulationError
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
+
+#: cancelled heap entries a kernel tolerates however few are live:
+#: below this a rebuild would cost more than the entries it frees.
+_COMPACT_FLOOR = 64
 
 _PENDING = "pending"
 _TRIGGERED = "triggered"  # scheduled on the heap, callbacks not yet run
@@ -74,8 +79,8 @@ class SimEvent:
     __slots__ = ("sim", "name", "value", "failure", "_state", "_callbacks")
 
     #: a cancelled event's callbacks never run; kernels drop its heap
-    #: entry lazily when they reach it.  Only a :class:`Timeout` can be
-    #: cancelled (its slot shadows this constant).
+    #: entry when they reach it or compact it away.  Only a
+    #: :class:`Timeout` can be cancelled (its slot shadows this constant).
     cancelled = False
 
     def __init__(self, sim: "KernelBase", name: str = ""):
@@ -196,18 +201,22 @@ class Timeout(SimEvent):
     def cancel(self) -> None:
         """Withdraw the timeout before it occurs: callbacks never run.
 
-        The heap entry is discarded lazily when the kernel reaches it, so
-        a waiter that arms a guard timeout on every wait (the DQP stall
-        loop) does not keep the kernel alive — or the heap growing — for
-        ``delay`` seconds after every wait ends early.
+        The heap entry is discarded when the kernel reaches it or
+        compacts its heap (:meth:`KernelBase._compact`), so a waiter that
+        arms a guard timeout on every wait (the DQP stall loop) neither
+        keeps the kernel alive nor grows its heap for ``delay`` seconds
+        after every wait ends early.  Cancelling twice is a no-op.
         """
         if self._state == _PROCESSED:
             raise SimulationError(f"cannot cancel elapsed timeout {self!r}")
+        if self.cancelled:
+            return
         self.cancelled = True
         # Inert from here on: the callbacks can never run, so nothing
-        # may stay pinned by them, and the heap entry awaiting its lazy
+        # may stay pinned by them, and the heap entry awaiting its
         # discard must not tie the kernel to itself through ``sim``.
         self._callbacks.clear()
+        self.sim._note_cancelled()
         self.sim = None  # type: ignore[assignment]
 
 
@@ -387,12 +396,12 @@ class Process(SimEvent):
 
 
 class KernelBase:
-    """Event factories and failure accounting shared by every backend.
+    """Event factories, the event heap and failure accounting shared by
+    every backend.
 
-    A backend supplies two things on top of this base: a clock
-    (:attr:`now`) and :meth:`_schedule`, which arranges for an event's
-    callbacks to run ``delay`` seconds from now, ordering equal-deadline
-    events by ``(priority, insertion order)``.
+    A backend supplies a clock (:attr:`now`), :meth:`_schedule`, which
+    pushes ``(now + delay, priority, sequence, event)`` onto the heap so
+    equal deadlines pop by ``(priority, insertion order)``, and a drain.
     """
 
     #: current time in seconds (virtual, or the wall-clock backend's
@@ -401,6 +410,16 @@ class KernelBase:
 
     def __init__(self) -> None:
         self._failed_processes: list[Process] = []
+        self._heap: list[tuple[float, int, int, SimEvent]] = []
+        self._sequence = 0
+        self._processed_events = 0
+        #: cancelled entries still in the heap (each discard counts down).
+        self._cancelled = 0
+
+    @property
+    def processed_events(self) -> int:
+        """Total number of events processed since construction."""
+        return self._processed_events
 
     # -- event factories ---------------------------------------------------
     def event(self, name: str = "") -> SimEvent:
@@ -426,6 +445,27 @@ class KernelBase:
     # -- backend contract --------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
         raise NotImplementedError
+
+    # -- cancelled entries -------------------------------------------------
+    def _note_cancelled(self) -> None:
+        """A scheduled :class:`Timeout` was cancelled: its entry is dead."""
+        self._cancelled += 1
+        self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap from its live entries once cancelled ones
+        outnumber them and :data:`_COMPACT_FLOOR`.  Run on every cancel
+        and wherever a drain hands control back, so the heap is seen with
+        at most ``2 * live + _COMPACT_FLOOR`` entries.  Order-neutral:
+        the keys are unique, so what pops next depends on the live set,
+        not the layout; in place, so a drain loop's pinned list stays it.
+        """
+        heap = self._heap
+        if (self._cancelled > _COMPACT_FLOOR
+                and 2 * self._cancelled > len(heap)):
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
+            heapq.heapify(heap)
+            self._cancelled = 0
 
     # -- failure accounting ------------------------------------------------
     def _note_failed_process(self, process: Process) -> None:

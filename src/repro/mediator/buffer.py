@@ -136,7 +136,6 @@ class BufferManager:
         self.params = params
         self.tracer = tracer
         self._next_extent = 0
-        self.temps: list[TempRelation] = []
         self.tuples_spilled = Counter()
         self.tuples_reloaded = Counter()
 
@@ -163,7 +162,6 @@ class BufferManager:
                      and memory.would_fit(estimated_bytes))
         temp = TempRelation(name, self._next_extent, self.params.tuple_size,
                             disk_index=disk_index, in_memory=in_memory)
-        self.temps.append(temp)
         writer = TempWriter(self, temp, memory=memory if in_memory else None)
         self.tracer.emit("temp-create", name, extent=temp.extent,
                          location="memory" if in_memory else f"disk{disk_index}")

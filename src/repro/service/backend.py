@@ -65,6 +65,10 @@ BACKEND_WORKER_POOL = "worker-pool"
 #: machine audit-log ring size (decisions, across all submissions).
 DEFAULT_AUDIT_CAPACITY = 4096
 
+#: request scales (any positive float a client sends) a plane keeps a
+#: built workload, and its plan's compiled forms, for.
+WORKLOAD_CACHE_SIZE = 4
+
 
 class ExecutionPlane:
     """One kernel and everything it needs to execute submissions.
@@ -89,14 +93,19 @@ class ExecutionPlane:
         self.controller = govern(self.machine, memory_bytes, admission,
                                  name=name)
         # Not an lru_cache on figure5_workload: callers that time a
-        # build must keep getting one.
+        # build must keep getting one.  Least recently used first.
         self._workloads: Dict[float, Figure5Workload] = {}
 
     def workload(self, scale: float) -> Figure5Workload:
-        """The Figure 5 plan at ``scale``, built and validated once."""
-        workload = self._workloads.get(scale)
+        """The Figure 5 plan at ``scale``, built and validated once while
+        among the :data:`WORKLOAD_CACHE_SIZE` most recently used scales."""
+        workloads = self._workloads
+        workload = workloads.pop(scale, None)
         if workload is None:
-            workload = self._workloads[scale] = figure5_workload(scale=scale)
+            workload = figure5_workload(scale=scale)
+            if len(workloads) >= WORKLOAD_CACHE_SIZE:
+                del workloads[next(iter(workloads))]
+        workloads[scale] = workload
         return workload
 
     def wrappers(self, world: World, request: "SubmissionRequest",

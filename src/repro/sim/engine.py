@@ -38,9 +38,6 @@ class Simulator(KernelBase):
     def __init__(self) -> None:
         super().__init__()
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, int, SimEvent]] = []
-        self._sequence = 0
-        self._processed_events = 0
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
@@ -54,6 +51,7 @@ class Simulator(KernelBase):
         """Lazily discard cancelled events sitting at the heap top."""
         while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
+            self._cancelled -= 1
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -71,6 +69,7 @@ class Simulator(KernelBase):
         self.now = time
         self._processed_events += 1
         event._run_callbacks()
+        self._compact()
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -94,6 +93,7 @@ class Simulator(KernelBase):
                 while heap:
                     when, _priority, _seq, event = pop(heap)
                     if event.cancelled:
+                        self._cancelled -= 1
                         continue
                     if when < now:
                         raise SimulationError("event heap time went backwards")
@@ -123,11 +123,6 @@ class Simulator(KernelBase):
         if until is not None and self.now < until:
             self.now = until
         self._raise_unhandled_failures()
-
-    @property
-    def processed_events(self) -> int:
-        """Total number of events processed since construction."""
-        return self._processed_events
 
     def __repr__(self) -> str:
         return f"Simulator(now={self.now:g}, pending={len(self._heap)})"

@@ -8,10 +8,16 @@ kernel does not need it.
 from __future__ import annotations
 
 import asyncio
+import functools
+import math
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.exec.core as kernel_core
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.exec import (
     PRIORITY_NORMAL,
@@ -21,6 +27,7 @@ from repro.exec import (
     Timeout,
 )
 from repro.exec.aio import AsyncioKernel
+from repro.exec.core import _COMPACT_FLOOR
 from repro.sim.engine import Simulator
 
 
@@ -97,6 +104,216 @@ def test_run_with_until_still_honours_cancellation(sim):
     sim.run(until=10.0)
     assert kept.processed and not cancelled.processed
     assert sim.now == 10.0
+
+
+# -- heap compaction ----------------------------------------------------------
+# A cancelled guard's entry used to wait in the heap for its deadline: on a
+# long-lived kernel whose clock never reaches it, one per finished stall.
+
+class _NeverCompacts:
+    """Mixin: the reference kernel keeps every cancelled entry until it
+    reaches the heap top, as the kernels did before compaction."""
+
+    def _compact(self) -> None:
+        pass
+
+
+class _ReferenceSimulator(_NeverCompacts, Simulator):
+    pass
+
+
+class _ReferenceAsyncioKernel(_NeverCompacts, AsyncioKernel):
+    pass
+
+
+class _Timers:
+    """Arms, cancels and drives timeouts on one kernel, logging the order
+    they fire in; the same script gives the same calls on any kernel."""
+
+    def __init__(self, kernel, loop=None):
+        self.kernel = kernel
+        self.loop = loop
+        self.timers: list = []
+        self.log: list = []
+        if loop is not None:
+            # A wall clock that is always ahead: the wall-clock kernel
+            # never sleeps, so run(until=) is pure dispatch order.
+            kernel._wall = lambda: math.inf
+
+    def arm(self, delay, priority, count, action=None):
+        for index in range(count):
+            timer = Timeout(self.kernel, delay, priority=priority)
+            timer.add_callback(functools.partial(
+                self._fired, len(self.timers), action if index == 0 else None))
+            self.timers.append(timer)
+
+    def _fired(self, tag, action, _event):
+        self.log.append(tag)
+        if action is not None:  # runs inside the drain loop
+            first, count, delay = action
+            self.cancel(first, count)
+            if delay is not None:
+                self.arm(delay, PRIORITY_NORMAL, 1)
+
+    def cancel(self, first, count):
+        for position in range(first, first + count) if self.timers else ():
+            timer = self.timers[position % len(self.timers)]
+            if not timer.processed:
+                timer.cancel()  # a second cancel is a no-op
+
+    def run(self, until=None):
+        if self.loop is None:
+            self.kernel.run(until=until)
+        else:
+            self.loop.run_until_complete(self.kernel.run(until=until))
+
+    def step(self):
+        if self.loop is None and self.kernel.peek() != math.inf:
+            self.kernel.step()
+
+    def apply(self, op):
+        name, *args = op
+        if name == "run_until":
+            self.run(self.kernel.now + args[0])
+        else:
+            getattr(self, name)(*args)
+
+
+_DELAYS = st.sampled_from([0.0, 0.5, 1.0, 2.0, 60.0])
+#: a run of timers to cancel: (first, count), positions taken modulo
+#: the timers armed so far, so a run may wrap onto cancelled ones.
+_RUN = (st.integers(0, 500), st.integers(0, 120))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("arm"), _DELAYS,
+              st.sampled_from([PRIORITY_URGENT, PRIORITY_NORMAL]),
+              st.integers(1, 40),
+              st.none() | st.tuples(*_RUN, st.none() | _DELAYS)),
+    st.tuples(st.just("cancel"), *_RUN),
+    st.tuples(st.just("run_until"), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+    st.tuples(st.just("step")),
+    st.tuples(st.just("run")),
+), max_size=25)
+
+
+def _assert_compact(kernel, floor):
+    heap = kernel._heap
+    dead = sum(entry[3].cancelled for entry in heap)
+    assert kernel._cancelled == dead
+    assert len(heap) <= 2 * (len(heap) - dead) + floor
+
+
+@pytest.mark.parametrize("floor", [2, _COMPACT_FLOOR])
+@pytest.mark.parametrize("backend", ["simulator", "asyncio"])
+@settings(max_examples=60, deadline=None)
+@given(ops=_OPS)
+def test_compaction_changes_nothing_that_fires(backend, floor, ops):
+    """Random arm / cancel / cancel-twice / run(until=) / step sequences,
+    some cancelling from inside a callback while ``run`` drains: the
+    compacting kernel fires exactly what a never-compacting one fires, in
+    the same order, counts the same events, and after every operation
+    holds at most ``2 * live + floor`` entries.  (A floor of 2 makes
+    short scripts compact often.)"""
+    loop = asyncio.new_event_loop() if backend == "asyncio" else None
+    kernels = ((Simulator(), _ReferenceSimulator()) if loop is None
+               else (AsyncioKernel(), _ReferenceAsyncioKernel()))
+    compacting, reference = (_Timers(kernel, loop) for kernel in kernels)
+    try:
+        with mock.patch.object(kernel_core, "_COMPACT_FLOOR", floor):
+            for op in ops + [("run",)]:
+                compacting.apply(op)
+                reference.apply(op)
+                _assert_compact(compacting.kernel, floor)
+                assert compacting.log == reference.log
+                assert (compacting.kernel.processed_events
+                        == reference.kernel.processed_events)
+                assert compacting.kernel.now == reference.kernel.now
+    finally:
+        if loop is not None:
+            loop.close()
+    assert compacting.kernel._heap == [] and compacting.kernel._cancelled == 0
+
+
+def test_compaction_inside_a_drain_loses_and_duplicates_nothing(sim):
+    """The first timeout to fire cancels 200 guards: the heap the drain
+    loop has pinned is rebuilt in place under it."""
+    timers = _Timers(sim)
+    timers.arm(1.0, PRIORITY_NORMAL, 1, action=(1, 200, None))
+    timers.arm(60.0, PRIORITY_NORMAL, 200)
+    timers.arm(2.0, PRIORITY_NORMAL, 50)
+    heap_lengths = []
+    sim.timeout(1.5).add_callback(
+        lambda _event: heap_lengths.append(len(sim._heap)))
+    sim.run()
+    # 50 live entries left; without compaction 250 until t=60.
+    assert heap_lengths[0] <= 50 + _COMPACT_FLOOR
+    assert timers.log == [0] + list(range(201, 251))
+    assert sim.processed_events == 52
+
+
+@pytest.mark.parametrize("backend", ["simulator", "asyncio"])
+def test_draining_live_entries_compacts_too(backend):
+    """50 guards cancelled while 55 live timers keep them company; once
+    ``run(until=)`` has fired 50 of those (fewer than the wall-clock
+    kernel's drain quantum), the dead may not stay behind the 5 still
+    due before them."""
+    loop = asyncio.new_event_loop() if backend == "asyncio" else None
+    timers = _Timers(Simulator() if loop is None else AsyncioKernel(), loop)
+    kernel = timers.kernel
+    try:
+        with mock.patch.object(kernel_core, "_COMPACT_FLOOR", 2):
+            timers.arm(1.0, PRIORITY_NORMAL, 50)
+            timers.arm(2.0, PRIORITY_NORMAL, 5)
+            timers.arm(60.0, PRIORITY_NORMAL, 50)
+            timers.cancel(55, 50)
+            assert len(kernel._heap) == 105  # dead do not outnumber live
+            timers.run(until=1.5)
+            assert len(kernel._heap) <= 2 * 5 + 2
+            assert timers.log == list(range(50))
+            timers.run()
+    finally:
+        if loop is not None:
+            loop.close()
+    assert timers.log == list(range(55))
+    assert kernel._heap == [] and kernel._cancelled == 0
+
+
+@pytest.mark.parametrize("due_now", [50, 100])
+def test_asyncio_kernel_compacts_before_it_yields_to_the_loop(due_now):
+    """A long-lived wall-clock kernel never returns from ``run``: whoever
+    looks at its heap does so while it sleeps (50 due now, then a 20 ms
+    pause) or at a drain-quantum yield (100 due now)."""
+    kernel = AsyncioKernel()
+    timers = _Timers(kernel)
+    seen = []
+
+    async def scenario():
+        running = asyncio.ensure_future(kernel.run())
+        while not running.done():
+            heap = kernel._heap
+            dead = sum(entry[3].cancelled for entry in heap)
+            seen.append((len(heap), len(heap) - dead))
+            await asyncio.sleep(0)
+        await running
+
+    with mock.patch.object(kernel_core, "_COMPACT_FLOOR", 2):
+        timers.arm(0.0, PRIORITY_NORMAL, due_now)
+        timers.arm(0.02, PRIORITY_NORMAL, 5)
+        timers.arm(60.0, PRIORITY_NORMAL, due_now)
+        timers.cancel(due_now + 5, due_now)
+        asyncio.run(scenario())
+    assert timers.log == list(range(due_now + 5))
+    assert len(seen) > 2
+    assert all(length <= 2 * live + 2 for length, live in seen[1:])
+
+
+def test_a_second_cancel_is_not_counted_twice(sim):
+    guard = sim.timeout(60.0)
+    sim.timeout(1.0)
+    guard.cancel()
+    guard.cancel()
+    assert sim._cancelled == 1
+    sim.run()
+    assert sim._cancelled == 0 and sim._heap == []
 
 
 # -- asyncio backend --------------------------------------------------------

@@ -283,3 +283,57 @@ def test_what_the_plan_compiled_pins_no_run(monkeypatch, submissions):
     assert cache_size() == warm
     qep = plane.workload(0.0005).qep
     assert qep.closure["pC"] and qep.chain_index["pA"] == 0
+
+
+def test_a_finished_submission_pins_nothing(monkeypatch):
+    """300 MA/DSE submissions on one plane: every temp relation and temp
+    writer they made is freed, and the kernel heap never holds more than
+    ``2 * live + floor`` entries (it kept each finished stall's cancelled
+    guard, ≈ 2.5 a submission, until its deadline came up)."""
+    import gc
+    import weakref
+
+    from repro.core.engine import main_value, spawn_main
+    from repro.exec.core import _COMPACT_FLOOR
+    from repro.mediator.buffer import BufferManager
+    from repro.service import backend
+
+    made = []
+    create_temp = BufferManager.create_temp
+
+    def recording_create_temp(self, *args, **kwargs):
+        writer = create_temp(self, *args, **kwargs)
+        made.extend((weakref.ref(writer), weakref.ref(writer.temp)))
+        return writer
+
+    monkeypatch.setattr(BufferManager, "create_temp", recording_create_temp)
+    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
+    params = SimulationParameters(telemetry_enabled=True, **FAST)
+    plane = backend.ExecutionPlane(
+        params, 1, 4 * params.query_memory_bytes, "priority", name="virtual")
+    kernel = plane.kernel
+    mains = []
+    for sequence in range(1, 301):
+        request = SubmissionRequest(
+            strategy=("MA", "DSE")[sequence % 2], scale=0.0005,
+            seed=sequence, wait_us=0.0)
+        mains.append(spawn_main(kernel, plane.execute(
+            f"s-{sequence}", request, sequence,
+            request.resolved_budgets(params), 0.0,
+            lambda run, waited: None), f"query:{sequence}"))
+    excess = []
+    gc.collect()
+    gc.disable()
+    try:
+        while kernel.peek() != float("inf"):
+            kernel.run(until=kernel.now + 1e-3)
+            live = sum(not entry[3].cancelled for entry in kernel._heap)
+            excess.append(len(kernel._heap) - 2 * live)
+        assert [main_value(main)["result_tuples"] for main in mains] \
+            == [25] * 300
+        del mains
+        assert len(made) >= 2 * 3 * 150  # three temps per MA submission
+        assert [ref for ref in made if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert len(excess) > 10 and max(excess) <= _COMPACT_FLOOR

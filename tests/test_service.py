@@ -535,6 +535,24 @@ def test_the_execution_plane_runs_unchanged_on_a_simulator(monkeypatch):
     assert all(waited > 0.0 for _, waited in admissions[2:])
 
 
+def test_a_client_cannot_grow_the_plane_with_distinct_scales():
+    """``scale`` is any positive float a client sends: the plane keeps a
+    built workload for the few most recently used scales only, and a
+    scale still in use keeps its one workload (and the compiled plan
+    cached on it)."""
+    from repro.service.backend import WORKLOAD_CACHE_SIZE, ExecutionPlane
+
+    plane = ExecutionPlane(SimulationParameters(), 7, None, "none",
+                           name="plane")
+    hot = plane.workload(0.0005)
+    first = plane.workload(0.001)
+    for index in range(100):
+        plane.workload(0.001 + index * 1e-5)
+        assert plane.workload(0.0005) is hot
+        assert len(plane._workloads) <= WORKLOAD_CACHE_SIZE
+    assert plane.workload(0.001) is not first  # evicted, built again
+
+
 def test_latency_never_undercuts_the_response_time_on_a_busy_kernel():
     """`submitted_at` and `finished_at` come from one clock.
 
