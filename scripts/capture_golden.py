@@ -6,8 +6,9 @@ per workload into ``tests/golden/``.  The digests pin down everything a
 scheduling-relevant refactor could disturb: response time, tuple counts,
 stall attribution, per-phase counters and the full decision audit log.
 
-``plane_sessions.json`` does the same for the service path: three
-sessions of twelve submissions through one
+``plane_sessions.json`` does the same for the service path: four
+sessions (three of twelve submissions on the default machine, one of 96
+at the ``service_saturated`` bench configuration), each through one
 :class:`~repro.service.backend.ExecutionPlane` whose kernel is a
 ``Simulator`` — admission order and waits, every submission's outcome,
 the kernel's event count.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -94,43 +96,87 @@ def run_digest(name: str, config: dict) -> dict:
 
 
 #: delay profile of each pinned plane session: sources that model no
-#: delay, the tests' usual profile, and a slow jittered one.
+#: delay, the tests' usual profile, a slow jittered one, and the
+#: ``service_saturated`` bench workload's.
 PLANE_SESSIONS = {
     "zero_wait": dict(wait_us=0.0),
     "wait_20": dict(wait_us=20.0),
     "wait_200_jittered_slow_a": dict(wait_us=200.0, jitter=0.5,
                                      slow={"A": 4.0}),
+    "service_saturated": dict(wait_us=0.0, jitter=1.0),
 }
-PLANE_SUBMISSIONS = 12
 
 
-def plane_session(profile: dict) -> dict:
-    """Twelve submissions (DSE / MA / SEQ in turn, priority ``index % 3``)
-    over a two-lease priority pool, on a virtual-time plane."""
+class PlaneSetup(NamedTuple):
+    """How a plane session runs: its machine, ``leases`` leases of
+    ``memory_bytes`` (None: the default query memory) under priority
+    admission, and ``submissions`` arrivals ``gap_s`` apart whose
+    strategy and priority rotate through the two tuples."""
+
+    params: SimulationParameters
+    leases: int
+    memory_bytes: Optional[int]
+    submissions: int
+    gap_s: float
+    strategies: Tuple[str, ...]
+    priorities: Tuple[float, ...]
+
+
+#: twelve submissions at once (MA / DSE / SEQ, priority ``sequence % 3``)
+#: over two 1 MiB leases on the default machine.
+DEFAULT_SETUP = PlaneSetup(SimulationParameters(telemetry_enabled=True),
+                           2, 1 << 20, 12, 0.0, ("MA", "DSE", "SEQ"),
+                           (1.0, 2.0, 0.0))
+#: ``bench/service_workloads.py`` in virtual time: its fast machine, its
+#: 16 default-memory leases, its tenants' priorities and strategy
+#: rotation, 96 submissions arriving 20 µs apart.
+PLANE_SETUPS = {"service_saturated": PlaneSetup(
+    SimulationParameters(cpu_mips=10_000.0, disk_latency=17e-5,
+                         disk_seek_time=5e-5,
+                         disk_transfer_rate=600_000_000.0,
+                         telemetry_enabled=True),
+    16, None, 96, 20e-6, ("DSE", "DSE", "MA", "SEQ"), (2.0, 1.0, 0.0))}
+
+
+def plane_session(profile: dict, setup: PlaneSetup = DEFAULT_SETUP) -> dict:
+    """``setup``'s submissions, each with ``profile``'s sources, through
+    one virtual-time plane."""
     from repro.core.engine import main_value, spawn_main
     from repro.service import SubmissionRequest, backend
     from repro.sim import Simulator
 
-    params = SimulationParameters(telemetry_enabled=True)
+    params = setup.params
     kernel_class = backend.AsyncioKernel
     backend.AsyncioKernel = Simulator
     try:
-        plane = backend.ExecutionPlane(params, 7, 2 << 20, "priority",
-                                       name="virtual")
+        plane = backend.ExecutionPlane(
+            params, 7,
+            setup.leases * (setup.memory_bytes or params.query_memory_bytes),
+            "priority", name="virtual")
     finally:
         backend.AsyncioKernel = kernel_class
     admissions: list = []
     mains = []
-    for sequence in range(1, PLANE_SUBMISSIONS + 1):
+
+    def submit(index: int) -> None:
+        sequence = index + 1
         name = f"s-{sequence:06d}"
+        strategies, priorities = setup.strategies, setup.priorities
         request = SubmissionRequest(
-            strategy=STRATEGIES[sequence % len(STRATEGIES)], scale=0.0005,
-            seed=sequence, memory_bytes=1 << 20, **profile)
+            strategy=strategies[index % len(strategies)], scale=0.0005,
+            seed=sequence, memory_bytes=setup.memory_bytes, **profile)
         mains.append(spawn_main(plane.kernel, plane.execute(
             name, request, sequence, request.resolved_budgets(params),
-            float(sequence % 3),
+            priorities[index % len(priorities)],
             lambda run, waited: admissions.append([run.name, repr(waited)])),
             f"query:{name}"))
+
+    for index in range(setup.submissions):
+        if index and setup.gap_s:
+            plane.kernel.timeout(index * setup.gap_s).add_callback(
+                lambda _event, index=index: submit(index))
+        else:
+            submit(index)
     plane.kernel.run()
     outcomes = []
     for main in mains:
@@ -145,7 +191,8 @@ def plane_session(profile: dict) -> dict:
 
 
 def plane_sessions_digest() -> dict:
-    return {name: plane_session(profile)
+    return {name: plane_session(profile,
+                                PLANE_SETUPS.get(name, DEFAULT_SETUP))
             for name, profile in PLANE_SESSIONS.items()}
 
 
