@@ -15,15 +15,21 @@ guard's deadline, so unless cancelled entries are compacted away the
 heap grows by one dead entry per step and process, and every push and
 pop pays for it.  The case asserts the heap stays bounded and that an
 event costs the same at step 2,000 as at step 200.
+
+A third case, the *due chain*, compares the two backends' drain on work
+the host cannot keep up with (the saturated service's shape): the
+wall-clock kernel may cost at most 1.2x the simulator per event.
 """
 
 from __future__ import annotations
 
+import asyncio
 import heapq
 import time
 
 from conftest import run_measured
 
+from repro.exec.aio import AsyncioKernel
 from repro.exec.core import _COMPACT_FLOOR, Process, SimEvent, Timeout
 from repro.sim.engine import Simulator
 
@@ -40,6 +46,14 @@ STEP_S = 1e-3
 WINDOW = 100
 #: µs per event at step 2,000 may exceed that at step 200 by this much.
 MAX_AGEING = 0.10
+#: due chain: processes, events, and the base delay each process steps
+#: by (process ``i`` waits ``DUE_STEP_S * (1 + i / DUE_PROCESSES)``, so
+#: no two deadlines coincide and the host is far slower than the model).
+DUE_PROCESSES = 16
+DUE_EVENTS = 200_000
+DUE_STEP_S = 1e-7
+#: the wall-clock kernel's µs per due event over the simulator's.
+MAX_ASYNCIO_RATIO = 1.2
 
 
 class InlineLoop:
@@ -119,6 +133,49 @@ def test_kernel_dispatch_overhead(benchmark):
     assert ratio >= 1.0 - MAX_REGRESSION, (
         f"kernel dispatch regressed {100 * (1 - ratio):.1f}% vs the inline "
         f"loop (budget {100 * MAX_REGRESSION:.0f}%)")
+
+
+def _due_chain(kernel, index: int, steps: int):
+    delay = DUE_STEP_S * (1 + index / DUE_PROCESSES)
+    for _ in range(steps):
+        yield kernel.timeout(delay)
+
+
+def _due_chain_us_per_event(make_kernel) -> float:
+    """One run of the due chain: host µs per kernel event."""
+    kernel = make_kernel()
+    for index in range(DUE_PROCESSES):
+        kernel.process(_due_chain(kernel, index,
+                                  DUE_EVENTS // DUE_PROCESSES))
+    start = time.perf_counter()
+    running = kernel.run()
+    if running is not None:  # the wall-clock kernel's run is a coroutine
+        asyncio.run(running)
+    elapsed = time.perf_counter() - start
+    assert kernel.processed_events >= DUE_EVENTS
+    return elapsed / kernel.processed_events * 1e6
+
+
+def test_asyncio_drain_costs_what_the_simulator_does(benchmark):
+    """A host-bound chain of distinct deadlines: every head is already due
+    by the wall when the kernel reaches it, so the wall-clock kernel never
+    sleeps and its cost over the simulator's is pure drain overhead
+    (quantum yields, wall reads, the due check)."""
+    def measure() -> tuple[float, float]:
+        # Interleaved, so a host that changes speed mid-test slows both.
+        runs = [(_due_chain_us_per_event(Simulator),
+                 _due_chain_us_per_event(AsyncioKernel))
+                for _ in range(BEST_OF)]
+        return min(run[0] for run in runs), min(run[1] for run in runs)
+
+    simulated, wall_clock = run_measured(benchmark, measure)
+    ratio = wall_clock / simulated
+    print()
+    print(f"due chain: Simulator {simulated:.3f} us/event, AsyncioKernel "
+          f"{wall_clock:.3f} us/event ({ratio:.2f}x)")
+    assert ratio <= MAX_ASYNCIO_RATIO, (
+        f"the asyncio drain costs {ratio:.2f}x the simulator's per event "
+        f"(budget {MAX_ASYNCIO_RATIO}x)")
 
 
 def _churner(kernel, steps: int):

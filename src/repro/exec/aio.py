@@ -51,11 +51,11 @@ Semantics compared to the simulator:
 from __future__ import annotations
 
 import asyncio
-import heapq
+import math
 from typing import Optional
 
 from repro.common.errors import SimulationError
-from repro.exec.core import _PROCESSED, KernelBase, SimEvent
+from repro.exec.core import KernelBase, SimEvent
 
 #: drain at most this many due events before yielding to the asyncio
 #: loop, so live feeder tasks are never starved by long callback chains.
@@ -67,13 +67,10 @@ class AsyncioKernel(KernelBase):
 
     def __init__(self) -> None:
         super().__init__()
-        #: the dispatch clock (module docstring); 0.0 before ``run``.
-        self.now = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._origin: Optional[float] = None
         #: the future ``run`` is parked on while it sleeps, else None.
         self._parked: Optional[asyncio.Future[None]] = None
-        self._stop_requested = False
 
     @property
     def wall_now(self) -> float:
@@ -103,6 +100,10 @@ class AsyncioKernel(KernelBase):
         self._stop_requested = True
         self._wake()
 
+    def _halt(self, _event: SimEvent) -> None:
+        """``run``'s callback on its ``until_event``."""
+        self._stop_requested = True
+
     def request_stop_threadsafe(self) -> None:
         """Thread-safe :meth:`request_stop` (callable off the loop)."""
         loop = self._loop
@@ -113,16 +114,12 @@ class AsyncioKernel(KernelBase):
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if self._parked is not None:
             # Only foreign code runs while the kernel sleeps: the event
             # arrives now, not at the (stale) time of the last dispatch.
             self.now = max(self.now, self._wall())
             self._wake()
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, priority, self._sequence, event))
+        KernelBase._schedule(self, event, delay, priority)
 
     # -- running ---------------------------------------------------------
     def _wall(self) -> float:
@@ -141,7 +138,6 @@ class AsyncioKernel(KernelBase):
         One future and at most one timer per pause, no :class:`asyncio.Task`.
         """
         assert self._loop is not None and self._origin is not None
-        self._compact()
         parked = self._parked = self._loop.create_future()
         timer = None if deadline is None else self._loop.call_at(
             self._origin + deadline, self._wake)
@@ -159,71 +155,60 @@ class AsyncioKernel(KernelBase):
         ``until`` bounds the run in kernel seconds; if the heap outlives
         it the clock is left exactly at ``until``.  ``until_event``
         keeps the kernel alive through empty-heap moments (waiting for
-        live sources) until that event has been processed.
+        live sources) until that event has been processed, and ``run``
+        returns right after the dispatch that processed it.
         """
         if self._loop is not None:
             raise SimulationError("AsyncioKernel.run() is not reentrant")
         self._loop = asyncio.get_running_loop()
         # Align the wall clock with any pre-run scheduling done at now=0.
         self._origin = self._loop.time() - self.now
-        heap = self._heap
-        pop = heapq.heappop
+        end = math.inf if until is None else until
+        if until_event is not None:
+            # Processed mid-drain, it ends the drain right there.
+            until_event.add_callback(self._halt)
+        # The last wall reading: `now` is never ahead of the wall, and
+        # anything due by either is due without a fresh read.
+        wall = self.now
+        drained = 0
         try:
-            drained = 0
-            while True:
+            while not self._stop_requested and self.now < end:
+                # `now` freezes at each due deadline while draining, so
+                # same-deadline chains keep simulator-identical order.
+                drained += self._drain(min(max(self.now, wall), end),
+                                       _DRAIN_QUANTUM - drained)
+                if drained >= _DRAIN_QUANTUM:
+                    drained = 0
+                    await asyncio.sleep(0)
+                    continue
                 if self._stop_requested:
                     break
-                if until_event is not None and until_event.processed:
-                    break
-                if until is not None and self.now >= until:
-                    break
-                while heap and heap[0][3].cancelled:
-                    pop(heap)
-                    self._cancelled -= 1
-                if not heap:
+                # Nothing is due by the last reading: look at the head.
+                deadline = self.peek()
+                if deadline == math.inf:
                     if until_event is None:
                         break
                     await self._sleep(None)
                     # Nothing modelled was pending: follow the wall.
-                    self.now = max(self.now, self._wall())
+                    self.now = wall = max(self.now, self._wall())
                     continue
-                deadline = heap[0][0]
-                bound = deadline if until is None else min(deadline, until)
-                # `now` is never ahead of the wall: a head due by the
-                # dispatch clock is due, and the wall is not read.
-                if bound > self.now and bound > self._wall():
-                    # `now` is not resynced afterwards: it advances to
-                    # the deadline when the due event is popped below,
-                    # so a late wake shortens the next pause.
-                    await self._sleep(bound)
-                    drained = 0
-                    continue
+                bound = min(deadline, end)
+                if bound > self.now and bound > wall:
+                    wall = self._wall()
+                    if bound > wall:
+                        # `now` is not resynced afterwards: it advances
+                        # to the deadline when the due event is drained,
+                        # so a late wake shortens the next pause.
+                        await self._sleep(bound)
+                        drained = 0
+                        continue
                 if deadline > bound:
                     self.now = bound  # the heap outlives `until`
                     break
-                event = pop(heap)[3]
-                # Freeze `now` at the due deadline while draining, so
-                # same-deadline chains keep simulator-identical order.
-                if deadline > self.now:
-                    self.now = deadline
-                self._processed_events += 1
-                # SimEvent._run_callbacks, inline as in Simulator.run.
-                event._state = _PROCESSED
-                callbacks, event._callbacks = event._callbacks, []
-                for callback in callbacks:
-                    callback(event)
-                drained += 1
-                if drained >= _DRAIN_QUANTUM:
-                    drained = 0
-                    self._compact()
-                    await asyncio.sleep(0)
         finally:
-            self._compact()
+            if until_event is not None:
+                until_event.remove_callback(self._halt)
             self._loop = None
             self._origin = None
             self._stop_requested = False
         self._raise_unhandled_failures()
-
-    def __repr__(self) -> str:
-        return (f"AsyncioKernel(now={self.now:g}, "
-                f"pending={len(self._heap)})")

@@ -8,7 +8,8 @@ three building blocks:
   or fail (with an exception), and on which processes can wait;
 * :class:`Process` — a Python generator driven by the kernel; each
   ``yield``-ed event suspends the process until the event triggers;
-* :class:`KernelBase` — the factory surface and event heap of all backends.
+* :class:`KernelBase` — the factory surface, event heap and drain loop
+  of all backends.
 
 What a backend adds is *when* a scheduled event's callbacks run: a
 virtual-time kernel pops a heap and jumps the clock, a real-time kernel
@@ -20,6 +21,7 @@ across backends given identical event timings.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, Optional, TypeVar
 
 from repro.common.errors import SimulationError
@@ -356,7 +358,14 @@ class Process(SimEvent):
                 else:
                     target = self.generator.send(event.value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                if self._callbacks:
+                    self.succeed(stop.value)
+                else:
+                    # Nobody waits: the heap hop would pop with no
+                    # callback to run, so the process ends here.  A later
+                    # joiner carries on in its own dispatch.
+                    self.value = stop.value
+                    self._state = _PROCESSED
                 break
             except Interrupt as exc:
                 # An uncaught interrupt terminates the process "normally"
@@ -368,16 +377,18 @@ class Process(SimEvent):
                 self.fail(caught(exc))
                 self.sim._note_failed_process(self)
                 break
-            if not isinstance(target, SimEvent):
+            if not isinstance(target, SimEvent) or target.sim is not self.sim:
+                # A broken yield protocol is a failure like any other.
                 self.generator.close()
                 self.fail(SimulationError(
-                    f"process {self.name!r} yielded {target!r}, "
-                    f"expected a SimEvent"))
-                break
-            if target.sim is not self.sim:
-                self.generator.close()
-                self.fail(SimulationError(
-                    "yielded event belongs to a different kernel"))
+                    f"process {self.name!r} yielded {target!r}, " + (
+                        "expected a SimEvent"
+                        if not isinstance(target, SimEvent)
+                        # It let go of its kernel when it was cancelled.
+                        else "a cancelled timeout, which never occurs"
+                        if target.cancelled
+                        else "an event of a different kernel")))
+                self.sim._note_failed_process(self)
                 break
             if target._state == _PROCESSED:
                 # Already happened: carry on in this dispatch (a loop,
@@ -396,25 +407,28 @@ class Process(SimEvent):
 
 
 class KernelBase:
-    """Event factories, the event heap and failure accounting shared by
-    every backend.
+    """Event factories, the event heap, its drain and failure accounting
+    shared by every backend.
 
-    A backend supplies a clock (:attr:`now`), :meth:`_schedule`, which
-    pushes ``(now + delay, priority, sequence, event)`` onto the heap so
-    equal deadlines pop by ``(priority, insertion order)``, and a drain.
+    :meth:`_schedule` pushes ``(now + delay, priority, sequence, event)``
+    onto the heap, so equal deadlines pop by ``(priority, insertion
+    order)``.  A backend supplies the ``run`` that decides how far each
+    :meth:`_drain` may go: the simulator jumps its clock, the wall-clock
+    kernel sleeps until the wall catches up.
     """
 
-    #: current time in seconds (virtual, or the wall-clock backend's
-    #: dispatch clock — see :mod:`repro.exec.aio`).
-    now: float
-
     def __init__(self) -> None:
+        #: current time in seconds (virtual, or the wall-clock backend's
+        #: dispatch clock — see :mod:`repro.exec.aio`).
+        self.now = 0.0
         self._failed_processes: list[Process] = []
         self._heap: list[tuple[float, int, int, SimEvent]] = []
         self._sequence = 0
         self._processed_events = 0
         #: cancelled entries still in the heap (each discard counts down).
         self._cancelled = 0
+        #: set to end the drain after the event being dispatched.
+        self._stop_requested = False
 
     @property
     def processed_events(self) -> int:
@@ -442,9 +456,56 @@ class KernelBase:
         """Composite event: all children succeeded."""
         return AllOf(self, events)
 
-    # -- backend contract --------------------------------------------------
+    # -- the heap ------------------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
-        raise NotImplementedError
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._sequence += 1
+        heapq.heappush(self._heap, (self.now + delay, priority, self._sequence, event))
+
+    def _drain(self, bound: float, limit: float) -> int:
+        """Dispatch the events due by ``bound``, at most ``limit`` of them
+        and none after one during which a stop was requested; return how
+        many.  The one dispatch loop of both backends, locals pinned and
+        :meth:`SimEvent._run_callbacks` inline.  Ends with a
+        :meth:`_compact`: the heap handed back holds at most
+        ``2 * live + _COMPACT_FLOOR`` entries.
+        """
+        heap = self._heap
+        pop = heapq.heappop
+        now = self.now
+        # Both floats: compared on every event, an int against a float
+        # (say, an infinite limit) takes the interpreter's slow path.
+        processed, limit = 0.0, float(limit)
+        try:
+            while heap and processed < limit:
+                when, priority, sequence, event = pop(heap)
+                if event.cancelled:
+                    self._cancelled -= 1
+                    continue
+                if when > bound:
+                    heapq.heappush(heap, (when, priority, sequence, event))
+                    break
+                if when > now:
+                    self.now = now = when
+                processed += 1.0
+                event._state = _PROCESSED
+                callbacks, event._callbacks = event._callbacks, []
+                for callback in callbacks:
+                    callback(event)
+                if self._stop_requested:
+                    break
+        finally:
+            self._processed_events += int(processed)
+            self._compact()
+        return int(processed)
+
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if none."""
+        # A bound before every deadline: the drain only drops the
+        # cancelled entries on top.
+        self._drain(-math.inf, 1)
+        return self._heap[0][0] if self._heap else math.inf
 
     # -- cancelled entries -------------------------------------------------
     def _note_cancelled(self) -> None:
@@ -481,3 +542,6 @@ class KernelBase:
                 raise SimulationError(
                     f"process {process.name!r} died: {process.failure!r}"
                 ) from process.failure
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(now={self.now:g}, pending={len(self._heap)})"

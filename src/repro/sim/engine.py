@@ -25,51 +25,20 @@ Example
 
 from __future__ import annotations
 
-import heapq
+import math
 from typing import Optional
 
 from repro.common.errors import SimulationError
-from repro.exec.core import _PROCESSED, KernelBase, SimEvent
+from repro.exec.core import KernelBase
 
 
 class Simulator(KernelBase):
-    """The virtual-time event loop: a clock and a priority heap of events."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.now: float = 0.0
-
-    # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._sequence, event))
-
-    # -- running ---------------------------------------------------------
-    def _drop_cancelled(self) -> None:
-        """Lazily discard cancelled events sitting at the heap top."""
-        while self._heap and self._heap[0][3].cancelled:
-            heapq.heappop(self._heap)
-            self._cancelled -= 1
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        self._drop_cancelled()
-        return self._heap[0][0] if self._heap else float("inf")
+    """The virtual-time event loop: its clock jumps to each deadline."""
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it)."""
-        self._drop_cancelled()
-        if not self._heap:
+        if not self._drain(math.inf, 1):
             raise SimulationError("step() on an empty event queue")
-        time, _priority, _seq, event = heapq.heappop(self._heap)
-        if time < self.now:
-            raise SimulationError("event heap time went backwards")
-        self.now = time
-        self._processed_events += 1
-        event._run_callbacks()
-        self._compact()
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
@@ -80,49 +49,10 @@ class Simulator(KernelBase):
         queue outlives it.  ``max_events`` guards against runaway loops in
         tests.
         """
-        if until is None and max_events is None:
-            # Hot path (every full engine run): one tight loop, locals
-            # pinned, no per-event method dispatch — the body of
-            # ``SimEvent._run_callbacks`` (the one definition, used by
-            # ``step``, ``grant`` and the wall-clock kernel) runs inline.
-            heap = self._heap
-            pop = heapq.heappop
-            now = self.now
-            processed_total = self._processed_events
-            try:
-                while heap:
-                    when, _priority, _seq, event = pop(heap)
-                    if event.cancelled:
-                        self._cancelled -= 1
-                        continue
-                    if when < now:
-                        raise SimulationError("event heap time went backwards")
-                    self.now = now = when
-                    processed_total += 1
-                    event._state = _PROCESSED
-                    callbacks, event._callbacks = event._callbacks, []
-                    for callback in callbacks:
-                        callback(event)
-            finally:
-                self._processed_events = processed_total
-            self._raise_unhandled_failures()
-            return
-        processed = 0
-        while self._heap:
-            self._drop_cancelled()
-            if not self._heap:
-                break
-            if until is not None and self.peek() > until:
-                self.now = until
-                self._raise_unhandled_failures()
-                return
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            self.step()
-            processed += 1
+        bound = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
+        if self._drain(bound, limit) == limit and self.peek() <= bound:
+            raise SimulationError(f"exceeded max_events={max_events}")
         if until is not None and self.now < until:
             self.now = until
         self._raise_unhandled_failures()
-
-    def __repr__(self) -> str:
-        return f"Simulator(now={self.now:g}, pending={len(self._heap)})"

@@ -11,7 +11,8 @@ the mediator's per-message receive CPU cost.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from functools import partial
+from typing import Any, Callable, Generator, Optional
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from repro.catalog.schema import Relation
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
 from repro.mediator.comm import CommunicationManager
-from repro.exec import Kernel, Process, SimEvent
+from repro.exec import PRIORITY_URGENT, Kernel, Process, SimEvent, Timeout
 from repro.sim.resources import Store
 from repro.wrappers.delays import DelayModel
 
@@ -67,7 +68,11 @@ class Wrapper:
         if self._process is not None:
             raise SimulationError(f"wrapper {self.name!r} started twice")
         self.cm.register_source(self.name)
-        self._process = self.sim.process(self._run(), name=f"wrapper:{self.name}")
+        cardinality = self.relation.cardinality
+        body = (self._run_one(cardinality)
+                if cardinality <= self.params.tuples_per_message
+                else self._run())
+        self._process = self.sim.process(body, name=f"wrapper:{self.name}")
         return self._process
 
     def stop(self) -> None:
@@ -77,6 +82,21 @@ class Wrapper:
         resource's waiters, and the slot later handed to it is lost to
         every other query on the machine."""
         self._stopped = True
+
+    def _produce(self, count: int) -> Optional[float]:
+        """Production seconds of the next ``count`` tuples, drawn from the
+        delay model; None (and :attr:`error` set) if the model raised."""
+        try:
+            waits = self.delay_model.waiting_times(count, self.rng)
+        except Exception as exc:
+            # Without its traceback: that leads back to this frame (the
+            # model was called from it) and so to ``self`` — a cycle only
+            # the collector could free.
+            self.error = exc.with_traceback(None)
+            return None
+        # ndarray.sum() skips numpy's dispatch wrapper; same value, same
+        # RNG stream, measurably less per-message overhead.
+        return float(waits.sum())
 
     def _run(self) -> Generator[SimEvent, Any, None]:
         """Producer half: applies the delay model, fills the send pipeline.
@@ -88,28 +108,15 @@ class Wrapper:
         only throttle production once the pipeline is full.
         """
         outbound = Store(self.sim, capacity=2, name=f"outbound:{self.name}")
-        sender = self.sim.process(self._send(outbound),
+        sender = self.sim.process(self._send(outbound.get),
                                   name=f"sender:{self.name}")
         remaining = self.relation.cardinality
-        if remaining == 0:
-            yield outbound.put((0, True, 0.0))
-            yield sender
-            self.finished_at = self.sim.now
-            return
         per_message = self.params.tuples_per_message
         while remaining > 0 and not self._stopped:
             count = min(per_message, remaining)
-            try:
-                waits = self.delay_model.waiting_times(count, self.rng)
-            except Exception as exc:
-                # Without its traceback: that leads back to this frame
-                # (the model was called from it) and so to ``self`` — a
-                # cycle only the collector could free.
-                self.error = exc.with_traceback(None)
+            production = self._produce(count)
+            if production is None:
                 break
-            # ndarray.sum() skips numpy's dispatch wrapper; same value,
-            # same RNG stream, measurably less per-message overhead.
-            production = float(waits.sum())
             if production > 0:
                 yield self.sim.timeout(production)
             self.production_time += production
@@ -126,10 +133,35 @@ class Wrapper:
         yield sender  # join: the wrapper is done once everything is delivered
         self.finished_at = self.sim.now
 
-    def _send(self, outbound: Store) -> Generator[SimEvent, Any, None]:
-        """Sender half: drains the pipeline through the window protocol."""
+    def _run_one(self, cardinality: int) -> Generator[SimEvent, Any, None]:
+        """A relation that fits in one message: both halves in one process.
+
+        Nothing overlaps, so only the pipeline's hops that order a
+        contender for the mediator CPU stay, at the heap keys it gives
+        them (``docs/architecture.md`` §4): the sender's start when the
+        message is already waiting (URGENT) and the get (NORMAL).
+        """
+        message = (0, True, 0.0) if cardinality == 0 else None
+        if cardinality and not self._stopped:
+            production = self._produce(cardinality)
+            if production is not None:
+                message = (cardinality, True, production)
+                if production > 0:
+                    yield self.sim.timeout(production)
+                self.production_time += production
+                self._blocked_metric.inc(0.0)  # as the pipeline's put does
+        if message is None or message[2] == 0:
+            yield Timeout(self.sim, 0.0, priority=PRIORITY_URGENT)
+        # The sender, fed by a zero-delay timeout in place of the get.
+        yield from self._send(partial(self.sim.timeout, 0.0, message))
+        self.finished_at = self.sim.now
+
+    def _send(self, get: Callable[[], SimEvent]
+              ) -> Generator[SimEvent, Any, None]:
+        """Sender half: ships each message ``get()`` hands over through
+        the window protocol until the stream ends."""
         while True:
-            message = yield outbound.get()
+            message = yield get()
             if message is None:
                 # An end marker, not a modelled message (see cm.close).
                 yield from self.cm.close(self.name)

@@ -316,6 +316,160 @@ def test_a_second_cancel_is_not_counted_twice(sim):
     assert sim._cancelled == 0 and sim._heap == []
 
 
+# -- how a process ends -------------------------------------------------------
+# A process nobody waits on ends in place: the heap hop that used to carry
+# its completion popped with no callback to run.
+
+_BACKENDS = [Simulator, AsyncioKernel]
+
+
+def _run(kernel, **kwargs):
+    if isinstance(kernel, AsyncioKernel):
+        asyncio.run(kernel.run(**kwargs))
+    else:
+        kernel.run(**kwargs)
+
+
+def _ends_after_one_step(kernel, value="done"):
+    def body():
+        yield kernel.timeout(0.0)
+        return value
+    return kernel.process(body(), name="ends")
+
+
+@pytest.mark.parametrize("make_kernel", _BACKENDS)
+def test_an_unjoined_finish_takes_no_heap_entry_and_no_event(make_kernel):
+    kernel = make_kernel()
+    process = _ends_after_one_step(kernel)
+    seen = []
+
+    def observer():
+        yield kernel.timeout(0.0)  # pops right after the process ended
+        seen.append((process.processed, len(kernel._heap)))
+
+    kernel.process(observer())
+    _run(kernel)
+    # Two starts and two timeouts; neither completion is an event.
+    assert kernel.processed_events == 4
+    assert seen == [(True, 0)]
+    assert process.ok and process.value == "done"
+
+
+@pytest.mark.parametrize("make_kernel", _BACKENDS)
+def test_a_waiter_registered_before_the_end_resumes_through_the_heap(
+        make_kernel):
+    kernel = make_kernel()
+    process = _ends_after_one_step(kernel)
+    order = []
+
+    def waiter():
+        value = yield process
+        order.append(("waiter", value))
+
+    def bystander():
+        yield kernel.timeout(0.0)  # queued after the process's timeout
+        order.append(("bystander", None))
+
+    kernel.process(waiter())
+    kernel.process(bystander())
+    _run(kernel)
+    # The completion is an event: the bystander's hop, queued ahead of
+    # it, runs first.
+    assert order == [("bystander", None), ("waiter", "done")]
+    assert kernel.processed_events == 3 + 2 + 1  # starts, timeouts, the end
+
+
+@pytest.mark.parametrize("make_kernel", _BACKENDS)
+def test_a_later_joiner_continues_in_the_same_dispatch(make_kernel):
+    kernel = make_kernel()
+    process = _ends_after_one_step(kernel)
+    joined = []
+
+    def joiner():
+        yield kernel.timeout(1e-3)
+        before = kernel.processed_events
+        value = yield process
+        joined.append((value, kernel.processed_events - before))
+
+    kernel.process(joiner())
+    _run(kernel)
+    assert joined == [("done", 0)]
+
+
+@pytest.mark.parametrize("make_kernel", _BACKENDS)
+def test_a_failing_process_still_goes_through_the_heap_and_is_raised(
+        make_kernel):
+    kernel = make_kernel()
+
+    def boom():
+        yield kernel.timeout(0.0)
+        raise ValueError("kaputt")
+
+    process = kernel.process(boom())
+    with pytest.raises(SimulationError, match="kaputt"):
+        _run(kernel)
+    assert kernel.processed_events == 3  # start, timeout, the failure
+    assert isinstance(process.failure, ValueError)
+
+
+def test_asyncio_until_event_returns_when_it_ends_unjoined():
+    kernel = AsyncioKernel()
+    process = _ends_after_one_step(kernel)
+    kernel.timeout(60.0)  # would hold the run for a minute
+    start = time.perf_counter()
+    asyncio.run(kernel.run(until_event=process))
+    assert process.value == "done"
+    assert time.perf_counter() - start < 5.0
+
+
+def test_asyncio_until_event_ends_the_drain_it_is_processed_in():
+    """A due chain keeps going after the event: ``run`` returns after the
+    event's own dispatch, not at the end of the drain quantum."""
+    kernel = AsyncioKernel()
+    steps = []
+
+    def chain():
+        for step in range(200):
+            yield kernel.timeout(0.0)
+            steps.append(step)
+
+    kernel.process(chain())
+    process = _ends_after_one_step(kernel)
+    asyncio.run(kernel.run(until_event=process))
+    assert process.processed
+    assert len(steps) <= 3
+
+
+# -- the yield protocol -------------------------------------------------------
+
+@pytest.mark.parametrize("make_kernel", _BACKENDS)
+@pytest.mark.parametrize("target, message", [
+    ("junk", r"yielded 42, expected a SimEvent"),
+    ("other kernel", r"an event of a different kernel"),
+    ("cancelled", r"a cancelled timeout, which never occurs"),
+])
+def test_breaking_the_yield_protocol_is_an_unhandled_failure(
+        make_kernel, target, message):
+    kernel = make_kernel()
+
+    def body():
+        yield kernel.timeout(0.0)
+        if target == "junk":
+            yield 42
+        elif target == "other kernel":
+            yield make_kernel().event("elsewhere")
+        else:
+            guard = kernel.timeout(1.0)
+            guard.cancel()
+            yield guard
+
+    process = kernel.process(body(), name="rude")
+    with pytest.raises(SimulationError, match=message) as raised:
+        _run(kernel)
+    assert "'rude'" in str(raised.value)
+    assert not process.defused and process.generator is None
+
+
 # -- asyncio backend --------------------------------------------------------
 
 def test_asyncio_kernel_runs_processes_in_real_time():

@@ -6,6 +6,7 @@ from repro.catalog import Relation
 from repro.common.errors import SimulationError
 from repro.config import SimulationParameters
 from repro.core.runtime import World
+from repro.sim.resources import Store
 from repro.wrappers import ConstantDelay, UniformDelay
 from repro.wrappers.source import Wrapper
 
@@ -255,6 +256,197 @@ def test_a_wrapper_needs_a_generator_exactly_when_its_model_draws():
     world.sim.run()
     assert wrapper.error is None and wrapper.tuples_sent == 500
     assert wrapper.production_time == 0.0
+
+
+# -- a one-message relation is one process ----------------------------------
+
+class _TwoProcessWrapper(Wrapper):
+    """Reference: every relation a producer and a sender joined through a
+    two-slot ``Store``, as one-message relations used to be shipped (the
+    producer and sender bodies of that version, verbatim)."""
+
+    def _run_one(self, cardinality):
+        return self._pipeline()
+
+    def _pipeline(self):
+        outbound = Store(self.sim, capacity=2, name=f"outbound:{self.name}")
+        sender = self.sim.process(self._sender(outbound),
+                                  name=f"sender:{self.name}")
+        remaining = self.relation.cardinality
+        if remaining == 0:
+            yield outbound.put((0, True, 0.0))
+            yield sender
+            self.finished_at = self.sim.now
+            return
+        per_message = self.params.tuples_per_message
+        while remaining > 0 and not self._stopped:
+            count = min(per_message, remaining)
+            try:
+                waits = self.delay_model.waiting_times(count, self.rng)
+            except Exception as exc:
+                self.error = exc.with_traceback(None)
+                break
+            production = float(waits.sum())
+            if production > 0:
+                yield self.sim.timeout(production)
+            self.production_time += production
+            before_put = self.sim.now
+            yield outbound.put((count, remaining == count, production))
+            blocked = self.sim.now - before_put
+            self.blocked_time += blocked
+            self._blocked_metric.inc(blocked)
+            remaining -= count
+        if remaining > 0:
+            yield outbound.put(None)
+        yield sender
+        self.finished_at = self.sim.now
+
+    def _sender(self, outbound):
+        while True:
+            message = yield outbound.get()
+            if message is None:
+                yield from self.cm.close(self.name)
+                return
+            count, eof, production = message
+            yield from self.cm.deliver(self.name, count, eof=eof,
+                                       production_seconds=production)
+            self.tuples_sent += count
+            self._sent_metric.inc(count)
+            if eof:
+                return
+
+
+class _Unreadable(ConstantDelay):
+    """A source that fails before its first tuple."""
+
+    def waiting_times(self, n, rng):
+        raise RuntimeError("source cannot be read")
+
+
+#: the wrapper's own bookkeeping hops, which the two shapes may differ in:
+#: what the rest of the machine sees must not.
+_WRAPPER_HOPS = ("start:wrapper:", "start:sender:", "get:outbound:",
+                 "wrapper:", "sender:")
+
+
+def _ship_one_message(wrapper_class, model, cardinality, stop_first,
+                      rivals_at):
+    """Ship relation W under ``model`` while rivals ask for the mediator
+    CPU at each instant of ``rivals_at``, 0-3 event hops after it, half
+    of them started before the wrapper and half after, so every hop the
+    wrapper takes races one of them.  Returns the CM's delivery trace,
+    the wrapper's stats, every popped event that is not one of the
+    wrapper's own hops and when each rival got done — and, apart, the
+    kernel's event count."""
+    world = make_world(telemetry_enabled=True)
+    sim = world.sim
+    popped, rivals, deliveries = [], [], []
+    schedule = sim._schedule
+
+    def logged(event, delay, priority):
+        schedule(event, delay, priority)
+        own = (event.name.startswith(_WRAPPER_HOPS)
+               or (event.name == "timeout" and delay == 0.0))
+        if not own:
+            event._callbacks.insert(0, lambda e: popped.append(
+                (sim.now, priority, e.name)))
+
+    sim._schedule = logged
+
+    def rival(at, hops):
+        if at:
+            yield sim.timeout(at)
+        for hop in range(hops):
+            yield sim.event(f"rival-hop:{hop}").succeed()
+        yield from world.cpu.work(world.params.message_instructions)
+        rivals.append((sim.now, at, hops))
+
+    def start_rivals(side):
+        for at in rivals_at:
+            for hops in range(4):
+                sim.process(rival(at, hops), name=f"rival:{side}:{at}:{hops}")
+
+    start_rivals("before")
+    wrapper = wrapper_class(sim, Relation("W", cardinality), model, world.cm,
+                            world.rng("wrapper:W") if model.draws else None,
+                            world.params)
+    if stop_first:
+        wrapper.stop()
+    wrapper.start()
+    start_rivals("after")
+    queue = world.cm.queue("W")
+    put = queue.put
+
+    def recorded(message):
+        deliveries.append((sim.now, "W", message.tuples, message.eof))
+        put(message)
+
+    queue.put = recorded
+    sim.run()
+    registry = world.telemetry.registry
+    stats = (wrapper.tuples_sent, wrapper.production_time,
+             wrapper.blocked_time, wrapper.finished_at, repr(wrapper.error),
+             repr(registry.get("wrapper.W.tuples_sent").value),
+             repr(registry.get("wrapper.W.blocked_seconds").value))
+    return (deliveries, stats, popped, rivals), sim.processed_events
+
+
+@pytest.mark.parametrize("case", [
+    "zero-wait", "drawing", "jittered", "cardinality 0", "stopped first",
+    "model raises"])
+def test_a_one_message_source_is_one_process_and_changes_nothing(case):
+    """The one-process shape keeps every hop that orders a contender for
+    the mediator CPU at the same heap key, so against the two-process
+    reference the CM receives the same messages at the same instants, the
+    wrapper reports the same numbers, and every other event — rivals for
+    the CPU asking at the same instant included — pops in the same
+    order.  Only the wrapper's bookkeeping hops go: the sender's finish,
+    and its start where it only registered a getter."""
+    from repro.wrappers import JitteredDelay
+
+    model, cardinality = {
+        "zero-wait": (ConstantDelay(0.0), 100),
+        "drawing": (UniformDelay(5e-5), 100),
+        "jittered": (JitteredDelay(5e-5, 1.0), 204),
+        "cardinality 0": (ConstantDelay(0.0), 0),
+        "stopped first": (UniformDelay(5e-5), 100),
+        "model raises": (_Unreadable(0.0), 100),
+    }[case]
+    assert cardinality <= make_world().params.tuples_per_message
+    stop_first = case == "stopped first"
+    (_, stats, _, _), _ = _ship_one_message(
+        _TwoProcessWrapper, model, cardinality, stop_first, [0.0])
+    production = stats[1]
+    rivals_at = [0.0] + ([production] if production else [])
+    reference, reference_events = _ship_one_message(
+        _TwoProcessWrapper, model, cardinality, stop_first, rivals_at)
+    fused, fused_events = _ship_one_message(
+        Wrapper, model, cardinality, stop_first, rivals_at)
+    assert fused == reference
+    assert fused_events == reference_events - (2 if production else 1)
+    deliveries, _stats, _popped, rivals = fused
+    assert deliveries[-1][3] and len(rivals) == 8 * len(rivals_at)
+    # The rivals really raced the wrapper: some got the CPU before the
+    # message did and some after.
+    if case not in ("cardinality 0", "stopped first", "model raises"):
+        assert min(r[0] for r in rivals) < deliveries[0][0] \
+            < max(r[0] for r in rivals)
+
+
+def test_a_multi_message_relation_keeps_its_pipeline():
+    """Production overlaps delivery only with more than one message: such
+    a relation still runs as a producer and a sender."""
+    world = make_world()
+    names = []
+    process = world.sim.process
+    world.sim.process = lambda generator, name="": names.append(name) or \
+        process(generator, name=name)
+    per_message = world.params.tuples_per_message
+    for name, cardinality in (("ONE", per_message), ("TWO", per_message + 1)):
+        Wrapper(world.sim, Relation(name, cardinality), ConstantDelay(0.0),
+                world.cm, None, world.params).start()
+    world.sim.run()
+    assert names == ["wrapper:ONE", "wrapper:TWO", "sender:TWO"]
 
 
 def test_wrapper_rate_estimate_converges():
