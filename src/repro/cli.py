@@ -29,12 +29,9 @@ writing any code:
   sweeps mediator-wide memory pools (with ``--admission`` picking the
   queueing policy) to expose the throughput-vs-response-time tradeoff of
   resource governance;
-* ``bench`` — the canonical performance suite; writes ``BENCH_PR10.json``
-  and gates regressions against a committed baseline via ``--compare``;
 * ``explain`` — record one run's causal span tree and print the
-  attributed critical path (``--vs STRATEGY`` diffs two runs,
-  ``--bench-diff`` two committed bench reports, ``--from`` a saved
-  span export).
+  attributed critical path (``--vs STRATEGY`` diffs two runs, ``--from``
+  explains a saved span export).
 
 Every sweep accepts ``--csv PATH`` to export the series for plotting,
 and ``--jobs N`` / ``--cache-dir DIR`` / ``--no-cache`` to shard the
@@ -428,53 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     multi.add_argument("--csv", help="write the series to this CSV file")
     _parallel(multi)
 
-    bench = sub.add_parser(
-        "bench", help="run the canonical performance suite and write the "
-                      "benchmark report JSON")
-    bench.add_argument("--out", default="BENCH_PR10.json",
-                       help="report path (default ./BENCH_PR10.json)")
-    bench.add_argument("--jobs", type=int, default=0,
-                       help="worker processes for the parallel sweep case "
-                            "(default 0 = one per core)")
-    bench.add_argument("--scale", type=float, default=0.2,
-                       help="workload scale of the bench cases (default 0.2)")
-    bench.add_argument("--retrieval-times", type=float, nargs="+",
-                       default=[2.0, 5.0, 8.0],
-                       help="sweep points of the fig6 bench case")
-    bench.add_argument("--repetitions", type=int, default=1)
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--best-of", type=int, default=3,
-                       help="repeats of the micro cases; best is kept")
-    bench.add_argument("--service-submissions", type=int, default=300,
-                       help="submissions of the service_loadtest case "
-                            "(default 300; the committed baseline uses "
-                            "the full 10k run)")
-    bench.add_argument("--service-rate", type=float, default=200.0,
-                       help="open-loop arrival rate of the service case "
-                            "in submissions/s (default 200)")
-    bench.add_argument("--service-workers", type=int, default=2,
-                       help="worker processes of the "
-                            "service_loadtest_workers case (default 2; "
-                            "0 or 1 skips the case)")
-    bench.add_argument("--assert-speedup", type=float, metavar="X",
-                       help="exit non-zero unless the parallel sweep is at "
-                            "least X times faster than serial (CI gate)")
-    bench.add_argument("--assert-worker-speedup", type=float, metavar="X",
-                       help="exit non-zero unless the multi-worker service "
-                            "qps is at least X times the single-kernel qps "
-                            "(skipped on hosts with < 4 cores)")
-    bench.add_argument("--compare", metavar="BASELINE.json", default=None,
-                       help="compare the fresh report against this committed "
-                            "report and exit non-zero on regression")
-    bench.add_argument("--max-regression", default="10%", metavar="PCT",
-                       help="regression budget for --compare, e.g. '10%%' "
-                            "(default 10%%; CI uses a looser budget because "
-                            "absolute rates are host-relative)")
-
     explain = sub.add_parser(
         "explain", help="record one run's span tree and print the "
                         "attributed critical path (SEQ-vs-DSE diffs, "
-                        "bench-report diffs, saved span exports)")
+                        "saved span exports)")
     _common(explain)
     explain.add_argument("--strategy", default="DSE",
                          help="SEQ, MA, DSE or DSE-ND (default DSE)")
@@ -496,10 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="skip the run: explain a span export written "
                               "by --spans-out / `repro run --spans-out` / "
                               "`repro live --span-dump`")
-    explain.add_argument("--bench-diff", nargs=2, metavar=("BASE", "CURRENT"),
-                         default=None,
-                         help="skip the run: diff two committed bench "
-                              "report JSONs case by case")
 
     return parser
 
@@ -551,7 +501,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "top": _cmd_top,
         "multiquery": _cmd_multiquery,
         "reproduce": _cmd_reproduce,
-        "bench": _cmd_bench,
         "explain": _cmd_explain,
     }
     try:
@@ -1335,109 +1284,14 @@ def _cmd_multiquery(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.parallel.bench import run_bench_suite, write_bench_json
-    from repro.parallel.trend import (
-        compare_reports,
-        load_bench_report,
-        parse_percent,
-    )
-
-    if args.jobs < 0:
-        raise SystemExit(f"jobs must be >= 1 (or 0 = auto), got {args.jobs}")
-    baseline = None
-    if args.compare:
-        # Fail fast, before spending minutes on the suite.
-        baseline = load_bench_report(args.compare)
-        budget = parse_percent(args.max_regression)
-    report = run_bench_suite(
-        jobs=args.jobs, scale=args.scale,
-        retrieval_times=list(args.retrieval_times),
-        repetitions=args.repetitions, seed=args.seed,
-        best_of=args.best_of,
-        service_submissions=args.service_submissions,
-        service_rate=args.service_rate,
-        service_workers=args.service_workers,
-        progress=lambda step: print(f"[{step}]", flush=True))
-    derived = report["derived"]
-    print(f"dqp batch loop : {derived['dqp_batches_per_sec']:12,.0f} "
-          f"batches/s")
-    print(f"kernel dispatch: {derived['kernel_events_per_sec']:12,.0f} "
-          f"events/s")
-    speedup = derived["parallel_speedup"]
-    if speedup is None:
-        print(f"parallel sweep : n/a (single-core host, "
-              f"--jobs {report['config']['jobs']})")
-    else:
-        print(f"parallel sweep : {speedup:.2f}x speedup at "
-              f"--jobs {report['config']['jobs']} "
-              f"({report['host']['cpu_count']} cores)")
-    print(f"warm cache     : {100 * derived['warm_cache_fraction']:.1f}% of "
-          f"serial wall-clock")
-    print(f"service        : {derived['service_qps']:,.1f} q/s sustained "
-          f"(p50 {1e3 * derived['service_p50_latency_s']:.1f}ms, "
-          f"p99 {1e3 * derived['service_p99_latency_s']:.1f}ms)")
-    worker_speedup = derived.get("service_worker_speedup")
-    if worker_speedup is not None:
-        print(f"worker pool    : {worker_speedup:.2f}x service qps at "
-              f"--service-workers {report['config']['service_workers']}")
-    elif report["config"]["service_workers"] > 1:
-        print(f"worker pool    : n/a ({report['host']['cpu_count']}-core "
-              f"host; needs >= 4 cores for a meaningful ratio)")
-    print("wrote", write_bench_json(report, args.out))
-    if args.assert_speedup is not None:
-        if speedup is None:
-            print("skipping --assert-speedup: single-core host cannot "
-                  "demonstrate a parallel speedup")
-        elif speedup < args.assert_speedup:
-            print(f"FAIL: parallel speedup {speedup:.2f}x "
-                  f"< required {args.assert_speedup:g}x")
-            return 1
-    if args.assert_worker_speedup is not None:
-        if worker_speedup is None:
-            print("skipping --assert-worker-speedup: needs the "
-                  "multi-worker case and a >= 4-core host")
-        elif worker_speedup < args.assert_worker_speedup:
-            print(f"FAIL: worker-pool speedup {worker_speedup:.2f}x "
-                  f"< required {args.assert_worker_speedup:g}x")
-            return 1
-    if baseline is not None:
-        comparisons = compare_reports(baseline, report, budget)
-        print(f"compare vs {args.compare} "
-              f"(budget {100 * budget:g}%):")
-        regressed = []
-        for comparison in comparisons:
-            flag = ""
-            if comparison.regressed(budget):
-                regressed.append(comparison)
-                flag = "  << REGRESSION"
-            print("  " + "  ".join(comparison.row()) + flag)
-        if regressed:
-            print(f"FAIL: {len(regressed)} metric(s) regressed more than "
-                  f"{100 * budget:g}% vs {args.compare}")
-            return 1
-    return 0
-
-
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.observability import (
         explain_spans,
-        format_bench_diff,
         format_explanation,
         format_explanation_diff,
         load_spans,
         write_spans_json,
     )
-
-    if args.bench_diff:
-        from repro.parallel.trend import load_bench_report
-        base_path, current_path = args.bench_diff
-        base = load_bench_report(base_path)
-        current = load_bench_report(current_path)
-        print(format_bench_diff(base, current,
-                                base_label=base_path,
-                                current_label=current_path))
-        return 0
 
     if args.from_path:
         explanation = explain_spans(load_spans(args.from_path))

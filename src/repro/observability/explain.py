@@ -21,10 +21,9 @@ with the attributed segments re-summing **exactly** to the query's
 response time (a residual-absorption pass pushes float rounding dust
 into the scheduling bucket until the left-to-right sum is equal).
 
-The diff half (:func:`format_explanation_diff`,
-:func:`format_bench_diff`) compares two runs — or two committed
-``BENCH_PR*.json`` reports — and attributes the delta per category, so
-"why is SEQ 2.3 s slower than DSE here" becomes a one-screen answer.
+The diff half (:func:`format_explanation_diff`) compares two runs and
+attributes the delta per category, so "why is SEQ 2.3 s slower than DSE
+here" becomes a one-screen answer.
 """
 
 from __future__ import annotations
@@ -295,38 +294,6 @@ def format_explanation_diff(base: Explanation,
     lines.append("")
     lines.append(f"largest contributor to the delta: {biggest} "
                  f"({other.totals[biggest] - base.totals[biggest]:+.3f}s)")
-    return "\n".join(lines)
-
-
-def format_bench_diff(base: Dict[str, Any], current: Dict[str, Any],
-                      base_label: str = "base",
-                      current_label: str = "current") -> str:
-    """Per-case wall-clock diff of two ``BENCH_PR*.json`` reports."""
-    base_cases = {case["name"]: case for case in base.get("cases", [])}
-    current_cases = {case["name"]: case for case in current.get("cases", [])}
-    lines = [f"bench diff: {base_label} vs {current_label}", ""]
-    lines.append(f"  {'case':<22} {base_label:>12} {current_label:>12} "
-                 f"{'delta':>9}")
-    for name, base_case in base_cases.items():
-        current_case = current_cases.get(name)
-        if current_case is None:
-            continue
-        a = float(base_case.get("wall_s", 0.0))
-        b = float(current_case.get("wall_s", 0.0))
-        change = (b - a) / a if a else 0.0
-        lines.append(f"  {name:<22} {a:>11.4f}s {b:>11.4f}s {change:>+8.1%}")
-    derived_a = base.get("derived", {})
-    derived_b = current.get("derived", {})
-    shared = [key for key in derived_a if key in derived_b]
-    if shared:
-        lines.append("")
-        lines.append(f"  {'derived metric':<22} {base_label:>12} "
-                     f"{current_label:>12}")
-        for key in sorted(shared):
-            a_val, b_val = derived_a[key], derived_b[key]
-            a_text = f"{a_val:,.2f}" if a_val is not None else "n/a"
-            b_text = f"{b_val:,.2f}" if b_val is not None else "n/a"
-            lines.append(f"  {key:<22} {a_text:>12} {b_text:>12}")
     return "\n".join(lines)
 
 

@@ -15,8 +15,7 @@ such workloads:
 
 The sweep drivers under :mod:`repro.experiments` all accept a
 ``runner=`` argument; the CLI exposes ``--jobs`` / ``--cache-dir`` /
-``--no-cache`` on the sweep subcommands and ``repro bench`` runs the
-canonical performance suite.
+``--no-cache`` on the sweep subcommands.
 """
 
 from repro.parallel.cache import RunCache

@@ -18,9 +18,6 @@ telemetry), serving an unbounded stream of query submissions over HTTP:
   Prometheus metrics (:mod:`repro.service.http`);
 * :class:`LatencyWindow` — sliding p50/p99 + throughput aggregation
   (:mod:`repro.service.stats`);
-* :func:`run_loadtest` — the sustained-arrival load harness behind
-  ``scripts/service_loadtest.py`` and the ``service_loadtest`` bench
-  case (:mod:`repro.service.loadtest`);
 * :class:`SLOSpec` / :class:`SLOTracker` — per-tenant latency
   objectives with multi-window burn-rate alerting
   (:mod:`repro.service.slo`);
@@ -41,7 +38,6 @@ from repro.service.backend import ExecutionBackend, InProcessBackend
 from repro.service.workers import PoolScheduler, WorkerDied, WorkerPoolBackend
 from repro.service.http import ServiceServer
 from repro.service.stats import LatencyWindow, service_prometheus_text
-from repro.service.loadtest import run_loadtest
 from repro.service.slo import SLOSpec, SLOTracker, parse_slo_specs
 from repro.service.history import (
     diff_windows,
@@ -70,7 +66,6 @@ __all__ = [
     "load_alerts",
     "load_outcomes",
     "parse_slo_specs",
-    "run_loadtest",
     "service_prometheus_text",
     "slo_report",
     "summarize_outcomes",

@@ -14,6 +14,7 @@ text exposition format — the service counterpart of
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -38,7 +39,7 @@ def percentile(sorted_values: List[float], fraction: float) -> float:
         raise ValueError(f"percentile fraction out of range: {fraction}")
     if not sorted_values:
         return 0.0
-    rank = max(1, int(round(fraction * len(sorted_values) + 0.5)))
+    rank = max(1, math.ceil(fraction * len(sorted_values)))
     return sorted_values[min(rank, len(sorted_values)) - 1]
 
 

@@ -320,10 +320,11 @@ def test_summarize_outcomes_recomputes_exact_percentiles(tmp_path):
     assert summary["completed"] == 100
     assert summary["failed"] == 1
     # Nearest-rank percentiles over the 100 finished latencies
-    # 0.01..1.00 (the failed outcome's 9.9s must be excluded).
+    # 0.01..1.00 (the failed outcome's 9.9s must be excluded): rank
+    # ceil(p * 100), so p95 is the 95th value and p99 the 99th.
     assert summary["latency"]["p50_s"] == pytest.approx(0.50)
-    assert summary["latency"]["p95_s"] == pytest.approx(0.96)
-    assert summary["latency"]["p99_s"] == pytest.approx(1.00)
+    assert summary["latency"]["p95_s"] == pytest.approx(0.95)
+    assert summary["latency"]["p99_s"] == pytest.approx(0.99)
     assert summary["latency"]["max_s"] == pytest.approx(1.00)
     assert set(summary["tenants"]) == {"gold", "silver"}
     assert summary["throughput_qps"] > 0

@@ -165,7 +165,7 @@ def test_cmd_live_assert_needs_both_strategies():
 
 
 # --------------------------------------------------------------------------
-# Parallel sweeps and the bench suite
+# Parallel sweeps
 # --------------------------------------------------------------------------
 
 def test_cmd_fig6_parallel_and_cached_match_serial(capsys, tmp_path):
@@ -191,72 +191,8 @@ def test_cmd_multiquery_accepts_jobs(capsys):
     assert "concurrent queries" in capsys.readouterr().out
 
 
-def test_cmd_bench_writes_report(capsys, tmp_path):
-    import json
-
-    target = tmp_path / "bench.json"
-    assert main(["bench", "--scale", "0.02", "--retrieval-times", "0.1",
-                 "--best-of", "1", "--jobs", "2",
-                 "--service-submissions", "40", "--service-rate", "400",
-                 "--out", str(target)]) == 0
-    out = capsys.readouterr().out
-    assert "parallel sweep" in out and "warm cache" in out
-    assert "service" in out
-
-    report = json.loads(target.read_text())
-    assert report["suite"] == "repro-parallel-bench"
-    assert report["schema_version"] == 1
-    assert report["host"]["cpu_count"] >= 1
-    names = [case["name"] for case in report["cases"]]
-    assert names == ["dqp_batch_loop", "kernel_dispatch",
-                     "fig6_sweep_jobs1", "fig6_sweep_jobsN",
-                     "fig6_sweep_warm_cache", "service_loadtest",
-                     "service_loadtest_archive",
-                     "service_loadtest_workers"]
-    worker_case = report["cases"][-1]
-    assert worker_case["workers"] == 2
-    assert sum(worker_case["worker_completed"]) == 40
-    assert worker_case["steals"] >= 0
-    worker_speedup = report["derived"]["service_worker_speedup"]
-    if report["host"]["cpu_count"] >= 4:
-        assert worker_speedup > 0
-    else:
-        # Below 4 cores the coordinator and the workers just contend;
-        # the ratio is explicitly null rather than a misleading number.
-        assert worker_speedup is None
-    assert report["derived"]["service_qps"] > 0
-    assert report["derived"]["service_archive_qps_ratio"] > 0
-    assert report["derived"]["service_p99_latency_s"] >= \
-        report["derived"]["service_p50_latency_s"] > 0
-    speedup = report["derived"]["parallel_speedup"]
-    if report["host"]["cpu_count"] > 1:
-        assert speedup > 0
-    else:
-        # A single-core host cannot demonstrate parallelism: the metric
-        # is explicitly null rather than a misleading ~1.0.
-        assert speedup is None
-    assert 0 < report["derived"]["warm_cache_fraction"] < 1
-
-
-def test_cmd_bench_assert_speedup_can_fail(capsys, tmp_path):
-    import os
-
-    # An impossible bar: guarantees the gate path is exercised -- except
-    # on a single-core host, where the gate is explicitly skipped.
-    code = main(["bench", "--scale", "0.02", "--retrieval-times", "0.1",
-                 "--best-of", "1", "--jobs", "1",
-                 "--service-submissions", "40", "--service-rate", "400",
-                 "--out", str(tmp_path / "b.json"),
-                 "--assert-speedup", "1000"])
-    if os.cpu_count() and os.cpu_count() > 1:
-        assert code == 1
-    else:
-        assert code == 0
-        assert "skipping --assert-speedup" in capsys.readouterr().out
-
-
 # --------------------------------------------------------------------------
-# Offline telemetry loading (--from), repro top, and the regression gate
+# Offline telemetry loading (--from) and repro top
 # --------------------------------------------------------------------------
 
 def test_cmd_metrics_from_missing_file_exits_2(capsys, tmp_path):
@@ -346,62 +282,6 @@ def test_cmd_top_once_with_nothing_listening_exits_2(capsys):
     assert "cannot stream" in capsys.readouterr().err
 
 
-def test_bench_default_out_is_this_prs_report():
-    args = build_parser().parse_args(["bench"])
-    assert args.out == "BENCH_PR10.json"
-    assert args.max_regression == "10%"
-
-
-def test_cmd_bench_compare_bad_baseline_fails_fast(capsys, tmp_path):
-    # Exit 2 *before* running the suite: no [case] progress printed.
-    assert main(["bench", "--compare", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path / "b.json")]) == 2
-    captured = capsys.readouterr()
-    assert "not found" in captured.err
-    assert "[dqp_batch_loop]" not in captured.out
-
-
-def test_cmd_bench_compare_bad_budget_fails_fast(capsys, tmp_path):
-    import json as _json
-
-    baseline = tmp_path / "base.json"
-    baseline.write_text(_json.dumps(
-        {"suite": "repro-parallel-bench", "derived": {}}))
-    assert main(["bench", "--compare", str(baseline),
-                 "--max-regression", "lots",
-                 "--out", str(tmp_path / "b.json")]) == 2
-    assert "percentage" in capsys.readouterr().err
-
-
-def test_cmd_bench_compare_gates_an_injected_regression(capsys, tmp_path):
-    import json as _json
-
-    argv = ["bench", "--scale", "0.02", "--retrieval-times", "0.1",
-            "--best-of", "1", "--jobs", "2",
-            "--service-submissions", "40", "--service-rate", "400"]
-
-    # A baseline far slower than any real run: the gate passes.
-    modest = {"suite": "repro-parallel-bench", "derived": {
-        "dqp_batches_per_sec": 1.0, "kernel_events_per_sec": 1.0}}
-    baseline = tmp_path / "modest.json"
-    baseline.write_text(_json.dumps(modest))
-    assert main(argv + ["--out", str(tmp_path / "pass.json"),
-                        "--compare", str(baseline)]) == 0
-    assert "REGRESSION" not in capsys.readouterr().out
-
-    # A baseline claiming impossible throughput: every real run is a
-    # >=10% regression against it and the gate must fail.
-    inflated = {"suite": "repro-parallel-bench", "derived": {
-        "dqp_batches_per_sec": 1e12, "kernel_events_per_sec": 1e12}}
-    baseline.write_text(_json.dumps(inflated))
-    assert main(argv + ["--out", str(tmp_path / "fail.json"),
-                        "--compare", str(baseline),
-                        "--max-regression", "10%"]) == 1
-    out = capsys.readouterr().out
-    assert "<< REGRESSION" in out
-    assert "FAIL:" in out
-
-
 # --------------------------------------------------------------------------
 # repro explain: the critical-path analyzer
 # --------------------------------------------------------------------------
@@ -454,37 +334,6 @@ def test_cmd_explain_from_missing_file_exits_2(capsys, tmp_path):
 def test_cmd_explain_unknown_slow_relation_fails_fast():
     with pytest.raises(SystemExit):
         main(["explain", "--scale", "0.02", "--slow", "ZZ:4"])
-
-
-def test_cmd_explain_bench_diff(capsys, tmp_path):
-    import json as _json
-
-    base = {"suite": "repro-parallel-bench",
-            "cases": [{"name": "dqp_hot_loop", "wall_s": 1.0}],
-            "derived": {"dqp_batches_per_sec": 20000.0,
-                        "parallel_speedup": None}}
-    current = {"suite": "repro-parallel-bench",
-               "cases": [{"name": "dqp_hot_loop", "wall_s": 1.1}],
-               "derived": {"dqp_batches_per_sec": 22000.0,
-                           "parallel_speedup": 1.7}}
-    base_path = tmp_path / "base.json"
-    current_path = tmp_path / "current.json"
-    base_path.write_text(_json.dumps(base))
-    current_path.write_text(_json.dumps(current))
-
-    assert main(["explain", "--bench-diff", str(base_path),
-                 str(current_path)]) == 0
-    out = capsys.readouterr().out
-    assert "bench diff:" in out
-    assert "dqp_hot_loop" in out and "+10.0%" in out
-    assert "n/a" in out  # None-valued derived metric renders as n/a
-
-
-def test_cmd_explain_bench_diff_bad_report_exits_2(capsys, tmp_path):
-    bogus = tmp_path / "bogus.json"
-    bogus.write_text("{}")
-    assert main(["explain", "--bench-diff", str(bogus), str(bogus)]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_cmd_run_spans_out_writes_a_loadable_export(capsys, tmp_path):

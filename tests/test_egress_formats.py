@@ -23,7 +23,6 @@ import pytest
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.observability import load_flight_dump, load_metrics_json, load_spans
-from repro.parallel.trend import load_bench_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EGRESS_DIR = REPO_ROOT / "tests" / "golden" / "egress"
@@ -77,7 +76,7 @@ def test_every_fixture_file_is_rendered_by_the_capture_script():
 # --------------------------------------------------------------------------
 
 #: kind -> (loader, CLI argv prefix, a file that is the right shape but
-#: the wrong version/suite).
+#: the wrong version).
 LOADERS = {
     "metrics": (load_metrics_json, ["metrics", "--from"],
                 {"version": 999, "strategy": "DSE", "metrics": {}}),
@@ -85,10 +84,6 @@ LOADERS = {
               {"version": 999, "clock": "kernel-seconds", "spans": []}),
     "flight": (load_flight_dump, ["top", "--replay"],
                {"version": 999, "reason": "drain", "entries": []}),
-    "bench": (load_bench_report, ["bench", "--out", "unused.json",
-                                  "--compare"],
-              {"suite": "some-other-suite", "schema_version": 999,
-               "derived": {}}),
     "trace": (None, ["trace", "--from"],
               {"version": 999, "reason": "drain", "entries": []}),
 }

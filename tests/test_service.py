@@ -9,6 +9,8 @@ and the fleet view `repro top` renders from a service snapshot.
 
 import asyncio
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -86,6 +88,15 @@ def test_percentile_nearest_rank():
     assert percentile(values, 0.99) == 4.0
     with pytest.raises(ValueError):
         percentile(values, 1.5)
+    # fraction * n an odd integer: the rank is exactly fraction * n.
+    assert percentile([1.0, 2.0], 0.5) == 1.0
+    assert percentile([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], 0.5) == 3.0
+    # The exact nearest rank is ceil(p * n) in rational arithmetic.
+    for fraction in ("0.5", "0.95", "0.99"):
+        for n in range(1, 1001):
+            rank = math.ceil(Fraction(fraction) * n)
+            assert percentile(list(range(1, n + 1)), float(fraction)) == \
+                rank, (fraction, n)
 
 
 def test_percentile_empty_and_single_element_pins():

@@ -36,7 +36,6 @@ from repro.observability import (
     SpanRecorder,
     compile_dqp_hooks,
     explain_spans,
-    format_bench_diff,
     format_explanation,
     format_explanation_diff,
     load_spans,
@@ -346,18 +345,6 @@ def test_span_summary_matches_the_full_explanation():
 def test_span_summary_of_an_empty_recording_is_harmless():
     assert span_summary([]) == {"spans": 0, "totals": None,
                                 "response_time": None}
-
-
-def test_format_bench_diff_lists_cases_and_derived_metrics():
-    base = {"cases": [{"name": "dqp_batch_loop", "wall_s": 1.0}],
-            "derived": {"dqp_batches_per_sec": 100.0,
-                        "parallel_speedup": None}}
-    current = {"cases": [{"name": "dqp_batch_loop", "wall_s": 1.1}],
-               "derived": {"dqp_batches_per_sec": 90.0,
-                           "parallel_speedup": 2.0}}
-    text = format_bench_diff(base, current, "PR5", "PR6")
-    assert "dqp_batch_loop" in text and "+10.0%" in text
-    assert "n/a" in text  # the None speedup renders, not crashes
 
 
 # --------------------------------------------------------------------------
