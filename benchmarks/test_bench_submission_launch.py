@@ -26,7 +26,8 @@ from conftest import run_measured
 
 from repro.config import SimulationParameters
 from repro.core.engine import main_value, spawn_main
-from repro.service import SubmissionRequest, backend
+from repro.service import SubmissionRequest
+from repro.service.backend import ExecutionPlane
 from repro.sim import Simulator
 
 SUBMISSIONS = 200
@@ -44,9 +45,8 @@ def _session(monkeypatch, wait_us: float) -> tuple[float, int]:
     params = SimulationParameters(
         cpu_mips=10_000.0, disk_latency=17e-5, disk_seek_time=5e-5,
         disk_transfer_rate=600_000_000.0, telemetry_enabled=True)
-    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
-    plane = backend.ExecutionPlane(
-        params, 1, 16 * params.query_memory_bytes, "priority", name="bench")
+    plane = ExecutionPlane(params, 1, 16 * params.query_memory_bytes,
+                           "priority", name="bench", kernel=Simulator())
     seeded = []
     default_rng = np.random.default_rng
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import NamedTuple, Optional, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -142,52 +142,108 @@ def plane_session(profile: dict, setup: PlaneSetup = DEFAULT_SETUP) -> dict:
     """``setup``'s submissions, each with ``profile``'s sources, through
     one virtual-time plane."""
     from repro.core.engine import main_value, spawn_main
-    from repro.service import SubmissionRequest, backend
+    from repro.service.backend import ExecutionPlane
     from repro.sim import Simulator
 
     params = setup.params
-    kernel_class = backend.AsyncioKernel
-    backend.AsyncioKernel = Simulator
-    try:
-        plane = backend.ExecutionPlane(
-            params, 7,
-            setup.leases * (setup.memory_bytes or params.query_memory_bytes),
-            "priority", name="virtual")
-    finally:
-        backend.AsyncioKernel = kernel_class
+    plane = ExecutionPlane(params, 7, _pool_bytes(setup), "priority",
+                           name="virtual", kernel=Simulator())
     admissions: list = []
     mains = []
 
     def submit(index: int) -> None:
         sequence = index + 1
         name = f"s-{sequence:06d}"
-        strategies, priorities = setup.strategies, setup.priorities
-        request = SubmissionRequest(
-            strategy=strategies[index % len(strategies)], scale=0.0005,
-            seed=sequence, memory_bytes=setup.memory_bytes, **profile)
+        request = _request(profile, setup, index)
         mains.append(spawn_main(plane.kernel, plane.execute(
             name, request, sequence, request.resolved_budgets(params),
-            priorities[index % len(priorities)],
+            setup.priorities[index % len(setup.priorities)],
             lambda run, waited: admissions.append([run.name, repr(waited)])),
             f"query:{name}"))
 
-    for index in range(setup.submissions):
-        if index and setup.gap_s:
-            plane.kernel.timeout(index * setup.gap_s).add_callback(
-                lambda _event, index=index: submit(index))
-        else:
-            submit(index)
+    _arrive(plane.kernel, setup, submit)
     plane.kernel.run()
     outcomes = []
     for main in mains:
         outcome = main_value(main)
         outcome.pop("span_summary")
-        outcomes.append({key: repr(value) if isinstance(value, float)
-                         else value for key, value in outcome.items()})
+        outcomes.append(_reprs(outcome))
     return {"profile": profile, "admissions": admissions,
             "outcomes": outcomes,
             "processed_events": plane.kernel.processed_events,
             "leased_bytes": plane.machine.broker.leased_bytes}
+
+
+def service_session(profile: dict, setup: PlaneSetup = DEFAULT_SETUP) -> dict:
+    """:func:`plane_session` through the whole control plane: one
+    ``QueryService`` on a ``Simulator``, one tenant per priority of
+    ``setup``.  Returns the counterpart of each field it pins (admission
+    waits by submission, sorted) and the service's counters after
+    ``close()``."""
+    from repro.resources import TenantSpec
+    from repro.service import QueryService
+    from repro.sim import Simulator
+
+    priorities = setup.priorities
+    service = QueryService(
+        params=setup.params, seed=7,
+        global_memory_bytes=_pool_bytes(setup), admission="priority",
+        tenants=[TenantSpec(f"p{index}", priority=priority)
+                 for index, priority in enumerate(priorities)],
+        kernel=Simulator())
+    records = []
+
+    def submit(index: int) -> None:
+        records.append(service.submit(_request(
+            profile, setup, index, tenant=f"p{index % len(priorities)}")))
+
+    service.open()
+    _arrive(service.kernel, setup, submit)
+    service.kernel.run()
+    service.drain()
+    service.close()
+    return {"admissions": sorted([record.id, repr(record.admission_wait)]
+                                 for record in records),
+            "outcomes": [_reprs(dict(record.outcome or {},
+                                     memory_peak_bytes=record.memory_peak_bytes))
+                         for record in records],
+            "processed_events": service.kernel.processed_events,
+            "leased_bytes": service.machine.broker.leased_bytes,
+            "submitted": service.submitted, "completed": service.completed,
+            "active": service.active}
+
+
+def _pool_bytes(setup: PlaneSetup) -> int:
+    return setup.leases * (setup.memory_bytes
+                           or setup.params.query_memory_bytes)
+
+
+def _request(profile: dict, setup: PlaneSetup, index: int, **fields: Any):
+    """The ``index``-th arrival of a session (its sequence is index + 1)."""
+    from repro.service import SubmissionRequest
+
+    return SubmissionRequest(
+        strategy=setup.strategies[index % len(setup.strategies)],
+        scale=0.0005, seed=index + 1, memory_bytes=setup.memory_bytes,
+        **profile, **fields)
+
+
+def _arrive(kernel: Any, setup: PlaneSetup,
+            submit: Callable[[int], None]) -> None:
+    """Call ``submit(index)`` for each arrival: the first now, the rest
+    ``gap_s`` apart on kernel timeouts (all now when ``gap_s`` is 0)."""
+    for index in range(setup.submissions):
+        if index and setup.gap_s:
+            kernel.timeout(index * setup.gap_s).add_callback(
+                lambda _event, index=index: submit(index))
+        else:
+            submit(index)
+
+
+def _reprs(outcome: dict) -> dict:
+    """An outcome with its floats as ``repr`` strings (exact in JSON)."""
+    return {key: repr(value) if isinstance(value, float) else value
+            for key, value in outcome.items()}
 
 
 def plane_sessions_digest() -> dict:

@@ -88,29 +88,9 @@ class AsyncioKernel(KernelBase):
             return max(self.now, self._wall())
         return self.now
 
-    # -- shutdown ------------------------------------------------------------
-    def request_stop(self) -> None:
-        """Ask a running :meth:`run` to return at the next dispatch
-        boundary (clean shutdown hook for daemon/worker hosts).
-
-        Already-due events that were popped keep their callbacks; nothing
-        in flight is interrupted — the loop simply stops picking up new
-        work and returns.  Idempotent; a no-op once ``run`` returned.
-        """
-        self._stop_requested = True
-        self._wake()
-
     def _halt(self, _event: SimEvent) -> None:
         """``run``'s callback on its ``until_event``."""
         self._stop_requested = True
-
-    def request_stop_threadsafe(self) -> None:
-        """Thread-safe :meth:`request_stop` (callable off the loop)."""
-        loop = self._loop
-        if loop is not None:
-            loop.call_soon_threadsafe(self.request_stop)
-        else:
-            self._stop_requested = True
 
     # -- scheduling ----------------------------------------------------------
     def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:

@@ -30,6 +30,12 @@ class Kernel(Protocol):
     #: to event; real-time backends report seconds since ``run`` started.
     now: float
 
+    @property
+    def wall_now(self) -> float:
+        """The clock external arrivals are stamped on: ``now`` in virtual
+        time, the wall on a real-time backend."""
+        ...
+
     def event(self, name: str = "") -> SimEvent:
         """A fresh pending one-shot event."""
         ...

@@ -431,6 +431,12 @@ class KernelBase:
         self._stop_requested = False
 
     @property
+    def wall_now(self) -> float:
+        """The clock external arrivals are stamped on: ``now`` in virtual
+        time; the wall-clock backend overrides it with the wall."""
+        return self.now
+
+    @property
     def processed_events(self) -> int:
         """Total number of events processed since construction."""
         return self._processed_events

@@ -44,7 +44,7 @@ from repro.config import SimulationParameters
 from repro.core.engine import QueryRun
 from repro.core.runtime import World
 from repro.core.strategies import make_policy
-from repro.exec.aio import AsyncioKernel
+from repro.exec.api import Kernel
 from repro.exec.core import SimEvent
 from repro.experiments.workloads import Figure5Workload, figure5_workload
 from repro.observability import DecisionAuditLog, span_summary
@@ -73,18 +73,20 @@ WORKLOAD_CACHE_SIZE = 4
 class ExecutionPlane:
     """One kernel and everything it needs to execute submissions.
 
-    A submission's result is built from its run's own state; the
-    machine-wide telemetry (audit ring, stall totals, registry, span
+    The kernel is the caller's: a ``Simulator`` runs the plane in virtual
+    time, an ``AsyncioKernel`` on the wall clock, and nothing here tells
+    them apart.  A submission's result is built from its run's own state;
+    the machine-wide telemetry (audit ring, stall totals, registry, span
     recorder) stays on :attr:`machine`, bounded, never copied per
     submission.
     """
 
     def __init__(self, params: SimulationParameters, seed: int,
                  memory_bytes: Optional[int], admission: str,
-                 name: str) -> None:
+                 name: str, kernel: Kernel) -> None:
         self.params = params
         self.seed = seed
-        self.kernel = AsyncioKernel()
+        self.kernel = kernel
         self.machine = World(params, seed=seed, kernel=self.kernel)
         # Bounded aggregation over the unbounded stream: the machine's
         # audit log becomes a ring *before* anything hooks into it.

@@ -3,7 +3,8 @@
 :class:`QueryService` is the multi-query engine promoted to a daemon.
 Where :class:`repro.core.multiquery.MultiQueryEngine` runs a *batch* of
 submissions to completion on a fresh simulator, the service keeps one
-:class:`~repro.exec.aio.AsyncioKernel` and one machine-level
+kernel (an :class:`~repro.exec.aio.AsyncioKernel` unless it is given
+one) and one machine-level
 :class:`~repro.core.runtime.World` alive indefinitely and attaches a
 stream of :class:`~repro.core.engine.QueryRun` instances to them — many in
 flight at once, each on its own query-view world, all sharing the
@@ -31,6 +32,13 @@ Graceful drain (SIGTERM): :meth:`drain` stops admitting (new submissions
 get :class:`ServiceDraining`, HTTP 503), in-flight submissions run to
 completion, then the kernel's shutdown event fires and :meth:`stop`
 flushes the flight recorder and span log to disk.
+
+The kernel is a constructor argument, and the kernel-side lifecycle is
+synchronous: :meth:`open` and :meth:`close` bracket a service's life on
+any kernel, so on a ``Simulator`` one drives it as ``open()``,
+``submit()``..., ``kernel.run()``, ``drain()``, ``close()``.
+:meth:`start` / :meth:`stop` are the asyncio adapter around them: the
+backend, the ``AsyncioKernel.run`` task and the publish timer.
 """
 
 from __future__ import annotations
@@ -55,7 +63,9 @@ from repro.config import SimulationParameters
 from repro.core.engine import QueryRun, spawn_main
 from repro.core.multiquery import LeaseBudgets
 from repro.core.strategies import make_policy
-from repro.exec.core import Process, SimEvent
+from repro.exec.aio import AsyncioKernel
+from repro.exec.api import Kernel
+from repro.exec.core import Process
 from repro.observability import MetricsPublisher
 from repro.observability.archive import (
     RECORD_ALERT,
@@ -266,8 +276,9 @@ class SubmissionRecord:
 class QueryService:
     """The long-running multi-tenant engine behind ``repro serve``.
 
-    Single-threaded core: every mutation happens on the asyncio loop
-    that drives the kernel (HTTP threads enter through
+    Single-threaded core: every mutation happens on the thread that
+    drives the kernel — the asyncio loop, for an ``AsyncioKernel`` (HTTP
+    threads enter through
     :meth:`~repro.service.http.ServiceServer.on_loop` /
     :meth:`drain_threadsafe`).  Construction is cheap and loop-free;
     :meth:`start` must run inside the loop.
@@ -293,7 +304,7 @@ class QueryService:
                  slo_options: Optional[Dict[str, Any]] = None,
                  workers: int = 1,
                  worker_window: Optional[int] = None,
-                 backend: Optional[ExecutionBackend] = None) -> None:
+                 kernel: Optional[Kernel] = None) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
@@ -311,7 +322,8 @@ class QueryService:
         #: control-plane view reads, and where submissions run unless a
         #: worker pool carries them.
         self.plane = ExecutionPlane(self.params, seed, global_memory_bytes,
-                                    admission, name="service")
+                                    admission, name="service",
+                                    kernel=kernel or AsyncioKernel())
         self.kernel = self.plane.kernel
         self.machine = self.plane.machine
         self.controller = self.plane.controller
@@ -346,17 +358,14 @@ class QueryService:
             self.machine.telemetry.audit.on_record = self._dispatch_audit
 
         # The execution plane: in-process on this kernel (default), or
-        # a sharded worker-process pool (``workers > 1``), or whatever
-        # custom backend the caller injected.
+        # a sharded worker-process pool (``workers > 1``).
         self.workers = workers
-        if backend is not None:
-            self.backend: ExecutionBackend = backend
-        elif workers > 1:
+        if workers > 1:
             from repro.service.workers import (
                 DEFAULT_WINDOW,
                 WorkerPoolBackend,
             )
-            self.backend = WorkerPoolBackend(
+            self.backend: ExecutionBackend = WorkerPoolBackend(
                 workers,
                 window=(worker_window if worker_window is not None
                         else DEFAULT_WINDOW))
@@ -382,10 +391,11 @@ class QueryService:
         self.draining = False
         self._started = False
         self._stopped = False
-        #: epoch time :meth:`start` ran (``/healthz`` uptime base).
+        #: epoch time :meth:`open` ran (``/healthz`` uptime base).
         self.started_wall: Optional[float] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[SimEvent] = None
+        #: fires once the service is drained and idle: ends ``kernel.run``.
+        self._shutdown = self.kernel.event(name="service-shutdown")
         self._run_task: Optional["asyncio.Task[None]"] = None
         self._publish_task: Optional["asyncio.Task[None]"] = None
 
@@ -401,21 +411,27 @@ class QueryService:
             "name": record.kind, "subject": record.subject,
         })
 
-    async def start(self) -> None:
-        """Bring the kernel up; returns once the service accepts work."""
+    def open(self) -> None:
+        """Accept work from here on (any kernel; :meth:`start` calls it)."""
         if self._started:
             raise SimulationError("QueryService started twice")
         self._started = True
         self.started_wall = time.time()
+        self.publisher.publish(self.snapshot())
+
+    async def start(self) -> None:
+        """Bring the backend and the kernel up on the running loop, then
+        :meth:`open`; returns once the service accepts work."""
+        if self._started:
+            raise SimulationError("QueryService started twice")
         self._loop = asyncio.get_running_loop()
         # Execution plane first: workers must be up (leases carved,
         # ready handshakes in) before anything can be submitted.
         await self.backend.start(self)
-        self._shutdown = self.kernel.event(name="service-shutdown")
-        self._run_task = asyncio.ensure_future(
-            self.kernel.run(until_event=self._shutdown))
+        self._run_task = asyncio.ensure_future(self.kernel.run(
+            until_event=self._shutdown))  # type: ignore[call-arg]
         self._publish_task = asyncio.ensure_future(self._publish_loop())
-        self.publisher.publish(self.snapshot())
+        self.open()
 
     async def _publish_loop(self) -> None:
         try:
@@ -467,8 +483,9 @@ class QueryService:
         if self.draining:
             return
         self.draining = True
-        if self.active == 0 and self._shutdown is not None \
-                and not self._shutdown.triggered:
+        # Before start() too: the event is the kernel's from construction
+        # on, so a run started later still finds it triggered.
+        if self.active == 0 and not self._shutdown.triggered:
             self._shutdown.succeed()
 
     def drain_threadsafe(self) -> None:
@@ -481,19 +498,25 @@ class QueryService:
             await self._run_task
 
     async def stop(self) -> None:
-        """Drain, wait for in-flight work, then flush everything to disk."""
+        """Drain, wait for in-flight work, stop the backend and the
+        publish timer, then :meth:`close`."""
         self.drain()
         if self._run_task is not None:
             await self._run_task
         # In-flight work has drained; tear the execution plane down.
         await self.backend.stop(self)
-        self._stopped = True
         if self._publish_task is not None:
             self._publish_task.cancel()
             try:
                 await self._publish_task
             except asyncio.CancelledError:
                 pass
+        self.close()
+
+    def close(self) -> None:
+        """Flush a drained service (any kernel; :meth:`stop` calls it):
+        the final SLO tick and frame, the archive, flight and span logs."""
+        self._stopped = True
         self._evaluate_slo()
         # Final frame first, so /stream clients see the drained state
         # before the `event: end` marker.
@@ -609,7 +632,6 @@ class QueryService:
         self._remember(record)
         record.done.set()
         if self.draining and self.active == 0 \
-                and self._shutdown is not None \
                 and not self._shutdown.triggered:
             self._shutdown.succeed()
 

@@ -76,6 +76,7 @@ from typing import (
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.core.engine import spawn_main
+from repro.exec.aio import AsyncioKernel
 from repro.exec.core import SimEvent
 from repro.service.backend import BACKEND_WORKER_POOL, ExecutionPlane
 
@@ -220,18 +221,12 @@ class WorkerPoolBackend:
 
     name = BACKEND_WORKER_POOL
 
-    def __init__(self, workers: int, *, window: int = DEFAULT_WINDOW,
-                 respawn: bool = True,
-                 max_restarts: int = DEFAULT_MAX_RESTARTS,
-                 start_timeout_s: float = DEFAULT_START_TIMEOUT_S) -> None:
+    def __init__(self, workers: int, *, window: int = DEFAULT_WINDOW) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"worker pool needs >= 1 worker, got {workers}")
         self.workers = workers
         self.window = window
-        self.respawn = respawn
-        self.max_restarts = max_restarts
-        self.start_timeout_s = start_timeout_s
         self.scheduler = PoolScheduler(range(workers), window=window)
         self._slots: Dict[int, _WorkerSlot] = {
             wid: _WorkerSlot(wid) for wid in range(workers)}
@@ -273,13 +268,13 @@ class WorkerPoolBackend:
             await asyncio.wait_for(
                 asyncio.gather(*(event.wait()
                                  for event in self._ready.values())),
-                timeout=self.start_timeout_s)
+                timeout=DEFAULT_START_TIMEOUT_S)
         except asyncio.TimeoutError:
             missing = sorted(wid for wid, event in self._ready.items()
                              if not event.is_set())
             raise SimulationError(
                 f"worker pool failed to start: worker(s) {missing} sent "
-                f"no ready handshake in {self.start_timeout_s:.0f}s") \
+                f"no ready handshake in {DEFAULT_START_TIMEOUT_S:.0f}s") \
                 from None
 
     def _worker_config(self) -> Dict[str, Any]:
@@ -474,7 +469,7 @@ class WorkerPoolBackend:
         if self._stopping:
             return
         slot.restarts += 1
-        if self.respawn and slot.restarts <= self.max_restarts:
+        if slot.restarts <= DEFAULT_MAX_RESTARTS:
             self._spawn(worker_id)
         # Jobs still queued for the dead worker stay queued: living
         # peers steal them right now, the respawn drains the rest.
@@ -607,24 +602,22 @@ class WorkerHost(ExecutionPlane):
         super().__init__(config["params"], config["seed"],
                          config.get("memory_bytes"),
                          config.get("admission", "none"),
-                         name=f"worker-{worker_id}")
+                         name=f"worker-{worker_id}", kernel=AsyncioKernel())
         self.worker_id = worker_id
         self.conn = conn
         self._waits: Dict[str, float] = {}
         self._active = 0
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._shutdown: Optional[SimEvent] = None
+        self._shutdown = self.kernel.event(name=f"worker-{worker_id}-shutdown")
 
     def run(self) -> None:
         asyncio.run(self._main())
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._shutdown = self.kernel.event(
-            name=f"worker-{self.worker_id}-shutdown")
-        run_task = asyncio.ensure_future(
-            self.kernel.run(until_event=self._shutdown))
+        run_task = asyncio.ensure_future(self.kernel.run(
+            until_event=self._shutdown))  # type: ignore[call-arg]
         reader = threading.Thread(target=self._read_loop,
                                   name="job-reader", daemon=True)
         reader.start()
@@ -654,7 +647,6 @@ class WorkerHost(ExecutionPlane):
 
     def _maybe_shutdown(self) -> None:
         if self._stopping and self._active == 0 \
-                and self._shutdown is not None \
                 and not self._shutdown.triggered:
             self._shutdown.succeed()
 

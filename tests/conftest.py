@@ -184,7 +184,8 @@ def virtual_outcome():
     from repro.service.backend import ExecutionPlane
 
     def outcome(seed, params, request, sequence):
-        plane = ExecutionPlane(params, seed, None, "none", name="virtual")
+        plane = ExecutionPlane(params, seed, None, "none", name="virtual",
+                               kernel=Simulator())
         world = World(params, seed=seed, memory_bytes=request.memory_bytes)
         query = QueryRun(world, plane.workload(request.scale).qep,
                          make_policy(request.strategy),

@@ -686,27 +686,6 @@ def test_asyncio_pauses_build_no_task_and_hold_one_timer():
     assert max(live_counts) == 1
 
 
-@pytest.mark.parametrize("threadsafe", [False, True])
-def test_asyncio_stop_request_ends_a_timed_sleep(threadsafe):
-    kernel = AsyncioKernel()
-    far = kernel.timeout(5.0)
-
-    async def scenario():
-        loop = asyncio.get_running_loop()
-        run = asyncio.ensure_future(kernel.run())
-        await asyncio.sleep(0.02)
-        asked = time.perf_counter()
-        if threadsafe:
-            await loop.run_in_executor(None, kernel.request_stop_threadsafe)
-        else:
-            kernel.request_stop()
-        await run
-        return time.perf_counter() - asked
-
-    assert asyncio.run(scenario()) < 0.020
-    assert not far.processed
-
-
 def test_asyncio_run_until_leaves_now_at_the_bound_when_the_heap_outlives_it():
     kernel = AsyncioKernel()
     far = kernel.timeout(5.0)

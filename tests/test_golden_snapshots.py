@@ -65,6 +65,25 @@ def test_plane_sessions_match_golden_exactly():
         assert all(float(wait) > 0 for wait in waits[setup.leases:])
 
 
+@pytest.mark.parametrize("name", sorted(capture_golden.PLANE_SESSIONS))
+def test_the_control_plane_is_kernel_neutral(name):
+    """Each plane session through the whole ``QueryService`` on a
+    ``Simulator``, tenants at the session's priorities: every outcome and
+    every admission wait is the golden's, and the control plane adds
+    exactly one kernel event a submission — the hop that runs
+    ``_finish``."""
+    golden = json.loads((GOLDEN_DIR / "plane_sessions.json").read_text())[name]
+    setup = capture_golden.PLANE_SETUPS.get(name, capture_golden.DEFAULT_SETUP)
+    session = capture_golden.service_session(
+        capture_golden.PLANE_SESSIONS[name], setup)
+    assert session["outcomes"] == golden["outcomes"]
+    assert session["admissions"] == sorted(golden["admissions"])
+    assert session["processed_events"] \
+        == golden["processed_events"] + setup.submissions
+    assert session["submitted"] == session["completed"] == setup.submissions
+    assert session["active"] == 0 and session["leased_bytes"] == 0
+
+
 def test_goldens_cover_all_strategies():
     for workload in sorted(capture_golden.workload_configs()):
         path = GOLDEN_DIR / f"{workload}.json"

@@ -230,7 +230,7 @@ def test_what_the_plan_compiled_pins_no_run(monkeypatch, submissions):
 
     import repro.core.engine as engine_module
     from repro.core.engine import main_value, spawn_main
-    from repro.service import backend
+    from repro.service.backend import ExecutionPlane
 
     finished = []
     make_runtime = engine_module.QueryRuntime
@@ -241,10 +241,9 @@ def test_what_the_plan_compiled_pins_no_run(monkeypatch, submissions):
         return runtime
 
     monkeypatch.setattr(engine_module, "QueryRuntime", recording_runtime)
-    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
     params = SimulationParameters(telemetry_enabled=True, **FAST)
-    plane = backend.ExecutionPlane(
-        params, 1, 4 * params.query_memory_bytes, "priority", name="virtual")
+    plane = ExecutionPlane(params, 1, 4 * params.query_memory_bytes,
+                           "priority", name="virtual", kernel=Simulator())
     strategies = ("DSE", "DSE", "MA", "SEQ")
 
     def run(count, first):
@@ -296,7 +295,7 @@ def test_a_finished_submission_pins_nothing(monkeypatch):
     from repro.core.engine import main_value, spawn_main
     from repro.exec.core import _COMPACT_FLOOR
     from repro.mediator.buffer import BufferManager
-    from repro.service import backend
+    from repro.service.backend import ExecutionPlane
 
     made = []
     create_temp = BufferManager.create_temp
@@ -307,10 +306,9 @@ def test_a_finished_submission_pins_nothing(monkeypatch):
         return writer
 
     monkeypatch.setattr(BufferManager, "create_temp", recording_create_temp)
-    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
     params = SimulationParameters(telemetry_enabled=True, **FAST)
-    plane = backend.ExecutionPlane(
-        params, 1, 4 * params.query_memory_bytes, "priority", name="virtual")
+    plane = ExecutionPlane(params, 1, 4 * params.query_memory_bytes,
+                           "priority", name="virtual", kernel=Simulator())
     kernel = plane.kernel
     mains = []
     for sequence in range(1, 301):

@@ -1,10 +1,13 @@
 """The always-on multi-tenant query service (`repro serve`).
 
 Pins the service core: strict submission validation, the bounded
-latency window, one real multi-tenant service session on the wall-clock
-kernel (submissions complete, tenants account, snapshots stay JSON-safe
-and bounded, drain refuses new work and flushes the flight recorder),
-and the fleet view `repro top` renders from a service snapshot.
+latency window, one multi-tenant service session on a ``Simulator``
+(submissions complete, tenants account, snapshots stay JSON-safe and
+bounded, drain refuses new work and flushes the flight recorder), and
+the fleet view `repro top` renders from a service snapshot.  What only
+the wall clock can show — arrival stamping, no asyncio task per
+submission, latency against response time on a busy loop — runs on the
+``AsyncioKernel``.
 """
 
 import asyncio
@@ -28,6 +31,7 @@ from repro.service import (
     service_prometheus_text,
 )
 from repro.service.stats import percentile
+from repro.sim import Simulator
 
 #: small-and-fast submission shape used by every live test here.
 FAST = dict(scale=0.0005, wait_us=20.0, memory_bytes=1 << 20)
@@ -151,84 +155,88 @@ def test_latency_window_rejects_bad_capacity():
 
 
 # --------------------------------------------------------------------------
-# One real service session (wall-clock kernel, governed pool)
+# One service session in virtual time (governed pool)
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def service_session(tmp_path_factory):
-    """Start, exercise, drain and stop one governed two-tenant service.
-
-    Collected into a dict so many tests can assert against a single
-    wall-clock session (the expensive part is the kernel lifetime).
+    """Open, exercise, drain and close one governed two-tenant service
+    on a ``Simulator``: the control plane that serves the wall clock,
+    with every time exact.  Collected into a dict so many tests can
+    assert against a single session.
     """
     tmp = tmp_path_factory.mktemp("service")
     flight_path = tmp / "flight.json"
     span_path = tmp / "spans.json"
     out = {"flight_path": flight_path, "span_path": span_path}
 
-    async def scenario():
-        service = QueryService(
-            seed=11, global_memory_bytes=2 << 20,
-            tenants=[TenantSpec("gold", priority=2.0),
-                     TenantSpec("capped", priority=0.0, max_active=1)],
-            history=2, publish_interval_s=0.05,
-            flight_dump=flight_path, span_dump=span_path)
-        await service.start()
+    service = QueryService(
+        seed=11, global_memory_bytes=2 << 20,
+        tenants=[TenantSpec("gold", priority=2.0),
+                 TenantSpec("capped", priority=0.0, max_active=1)],
+        history=2, flight_dump=flight_path, span_dump=span_path,
+        kernel=Simulator())
+    service.open()
 
-        records = [service.submit(SubmissionRequest(
-            tenant="gold", seed=index, **FAST)) for index in range(3)]
-        records.append(service.submit(SubmissionRequest(
-            tenant="walkin", **FAST)))  # auto-registered tenant
+    records = [service.submit(SubmissionRequest(
+        tenant="gold", seed=index, **FAST)) for index in range(3)]
+    records.append(service.submit(SubmissionRequest(
+        tenant="walkin", **FAST)))  # auto-registered tenant
 
-        # The capped tenant admits one submission; the second is refused
-        # while the first is still in flight.
-        capped = service.submit(SubmissionRequest(tenant="capped", **FAST))
-        with pytest.raises(QuotaExceeded):
-            service.submit(SubmissionRequest(tenant="capped", seed=1,
-                                             **FAST))
-        records.append(capped)
+    # The capped tenant admits one submission; the second is refused
+    # while the first is still in flight.
+    capped = service.submit(SubmissionRequest(tenant="capped", **FAST))
+    with pytest.raises(QuotaExceeded):
+        service.submit(SubmissionRequest(tenant="capped", seed=1, **FAST))
+    records.append(capped)
 
-        await asyncio.gather(*(r.done.wait() for r in records))
-        out["mid_snapshot"] = service.snapshot()
-        out["records"] = records
-        out["record_ids"] = [r.id for r in records]
-        out["kept_ids"] = sorted(service.records)
+    service.kernel.run()
+    out["mid_snapshot"] = service.snapshot()
+    out["records"] = records
+    out["record_ids"] = [r.id for r in records]
+    out["kept_ids"] = sorted(service.records)
 
-        # Drain with one submission still in flight: it must finish,
-        # new work is refused, and stop() flushes the recorders.
-        straggler = service.submit(SubmissionRequest(
-            tenant="gold", seed=99, **FAST))
-        service.drain()
-        with pytest.raises(ServiceDraining):
-            service.submit(SubmissionRequest(tenant="gold", **FAST))
-        await service.stop()
-        out["straggler"] = straggler
-        out["final_snapshot"] = service.snapshot()
-        out["service"] = service
-
-    asyncio.run(scenario())
+    # Drain with one submission still in flight: it must finish, new
+    # work is refused, and close() flushes the recorders.
+    straggler = service.submit(SubmissionRequest(
+        tenant="gold", seed=99, **FAST))
+    service.drain()
+    with pytest.raises(ServiceDraining):
+        service.submit(SubmissionRequest(tenant="gold", **FAST))
+    service.kernel.run()
+    service.close()
+    out["straggler"] = straggler
+    out["final_snapshot"] = service.snapshot()
+    out["service"] = service
     return out
 
 
 def test_submissions_complete_with_outcomes(service_session):
     for record in service_session["records"]:
         assert record.state == "done", record.error
-        assert record.outcome["result_tuples"] > 0
-        assert record.finished_at >= record.submitted_at
-        assert record.latency(0.0) > 0
+        assert record.outcome["result_tuples"] == 25
+        assert record.submitted_at == 0.0
+        # Queue, then the run: nothing else on the clock.
+        assert record.latency(0.0) == pytest.approx(
+            record.admission_wait + record.outcome["response_time"],
+            rel=0.0, abs=1e-15)
 
 
 def test_snapshot_shape_and_counters(service_session):
     snapshot = service_session["mid_snapshot"]
+    records = service_session["records"]
     assert snapshot["version"] == SERVICE_SNAPSHOT_VERSION
     assert snapshot["kind"] == "service"
     assert snapshot["submitted"] == 5
     assert snapshot["completed"] == 5
     assert snapshot["failed"] == 0
     assert snapshot["rejected"] == 1  # the quota refusal
-    assert snapshot["batches"] > 0
+    assert snapshot["batches"] == sum(
+        record.outcome["batches_processed"] for record in records)
     assert snapshot["pool"]["total"] == 2 << 20
     assert snapshot["latency"]["count"] == 5
+    assert snapshot["latency"]["max_s"] == max(
+        record.latency(0.0) for record in records)
     json.dumps(snapshot)  # JSON-safe end to end
 
 
@@ -252,10 +260,14 @@ def test_finished_history_is_pruned_to_the_ring(service_session):
 def test_drain_finishes_stragglers_and_refuses_new_work(service_session):
     straggler = service_session["straggler"]
     assert straggler.state == "done", straggler.error
+    # Submitted at the instant the first wave's last run ended.
+    assert straggler.submitted_at == max(
+        record.finished_at for record in service_session["records"])
     final = service_session["final_snapshot"]
     assert final["draining"] is True
     assert final["active"] == 0
     assert final["rejected"] == 2  # quota refusal + drain refusal
+    assert service_session["service"]._shutdown.processed
 
 
 def test_stop_flushes_flight_recorder_and_spans(service_session):
@@ -267,14 +279,25 @@ def test_stop_flushes_flight_recorder_and_spans(service_session):
     assert spans["spans"], "span recorder captured nothing"
 
 
-def test_submitted_at_uses_the_wall_clock_not_the_dispatch_clock(
-        service_session):
-    # The straggler was submitted after a gather over earlier queries;
-    # its timestamp must be at (or after) the moment the earlier work
-    # finished — a stale dispatch-clock stamp would predate it.
-    straggler = service_session["straggler"]
-    earlier = max(r.finished_at for r in service_session["records"])
-    assert straggler.submitted_at >= earlier - 1e-6
+def test_submitted_at_uses_the_wall_clock_not_the_dispatch_clock():
+    """A submission that arrives while the kernel idles is stamped at its
+    arrival: the dispatch clock still shows the last event, 50 ms before."""
+    async def scenario():
+        service = QueryService(seed=11)
+        await service.start()
+        try:
+            first = service.submit(SubmissionRequest(**FAST))
+            await first.done.wait()
+            await asyncio.sleep(0.05)
+            second = service.submit(SubmissionRequest(seed=1, **FAST))
+            await second.done.wait()
+            return first, second
+        finally:
+            await service.stop()
+
+    first, second = asyncio.run(scenario())
+    assert second.state == "done", second.error
+    assert second.submitted_at - first.finished_at >= 0.045
 
 
 def test_service_prometheus_text_renders_the_real_snapshot(service_session):
@@ -311,33 +334,23 @@ def test_render_service_top_fleet_view(service_session):
 # --------------------------------------------------------------------------
 
 def test_strict_tenants_refuses_walk_ins():
-    async def scenario():
-        service = QueryService(tenants=[TenantSpec("known")],
-                               strict_tenants=True)
-        await service.start()
-        try:
-            with pytest.raises(QuotaExceeded):
-                service.submit(SubmissionRequest(tenant="nobody", **FAST))
-            assert service.rejected == 1
-        finally:
-            await service.stop()
-
-    asyncio.run(scenario())
+    service = QueryService(tenants=[TenantSpec("known")],
+                           strict_tenants=True, kernel=Simulator())
+    service.open()
+    with pytest.raises(QuotaExceeded):
+        service.submit(SubmissionRequest(tenant="nobody", **FAST))
+    service.close()
+    assert (service.submitted, service.rejected) == (0, 1)
 
 
 def test_submission_larger_than_the_pool_is_refused_up_front():
-    async def scenario():
-        service = QueryService(global_memory_bytes=1 << 20)
-        await service.start()
-        try:
-            with pytest.raises(ConfigurationError):
-                service.submit(SubmissionRequest(
-                    tenant="big", memory_bytes=2 << 20))
-            assert service.rejected == 1
-        finally:
-            await service.stop()
-
-    asyncio.run(scenario())
+    service = QueryService(global_memory_bytes=1 << 20, kernel=Simulator())
+    service.open()
+    with pytest.raises(ConfigurationError, match="global memory pool"):
+        service.submit(SubmissionRequest(tenant="big",
+                                         memory_bytes=2 << 20))
+    service.close()
+    assert (service.submitted, service.rejected) == (0, 1)
 
 
 def test_submit_before_start_is_an_error():
@@ -353,6 +366,33 @@ def test_bad_admission_policy_is_rejected():
         QueryService(global_memory_bytes=1 << 20, admission="bogus")
 
 
+def test_a_drain_before_start_lets_stop_return():
+    """The shutdown event is the kernel's from construction on, so a
+    drain that comes before the kernel runs still ends its run."""
+    async def scenario():
+        service = QueryService()
+        service.drain()
+        await service.start()
+        await asyncio.wait_for(service.stop(), timeout=3.0)
+        return service
+
+    service = asyncio.run(scenario())
+    assert service.draining and service.active == 0
+    assert service._shutdown.processed
+
+
+def test_a_drain_before_open_ends_the_virtual_run():
+    service = QueryService(kernel=Simulator())
+    service.drain()
+    service.open()
+    with pytest.raises(ServiceDraining):
+        service.submit(SubmissionRequest(**FAST))
+    service.kernel.run()
+    service.close()
+    assert service._shutdown.processed
+    assert (service.submitted, service.rejected) == (0, 1)
+
+
 # --------------------------------------------------------------------------
 # The one query lifecycle under the in-process backend
 # --------------------------------------------------------------------------
@@ -365,27 +405,23 @@ def test_in_process_source_failure_leaks_nothing(how, break_service_source):
     break_service_source(how)
     # Mid-stream: F ships 204 of its 3,600 tuples, then raises.
     request = dict(FAST, scale=0.02) if how == "mid-stream" else FAST
-
-    async def scenario():
-        service = QueryService(seed=5, global_memory_bytes=4 << 20)
-        await service.start()
-        try:
-            record = service.submit(SubmissionRequest(**request))
-            await asyncio.wait_for(record.done.wait(), timeout=30.0)
-            return record, service.machine.broker.leased_bytes, \
-                service.snapshot()
-        finally:
-            await service.stop()
-
-    record, leased, snapshot = asyncio.run(scenario())
+    service = QueryService(seed=5, global_memory_bytes=4 << 20,
+                           kernel=Simulator())
+    service.open()
+    record = service.submit(SubmissionRequest(**request))
+    service.kernel.run()
+    snapshot = service.snapshot()
+    service.drain()
+    service.close()
     assert record.state == "failed"
     if how == "mid-stream":
         assert "'F'" in record.error and "broke mid-stream" in record.error
     else:
         assert "cannot be opened" in record.error
-    assert leased == 0 and snapshot["pool"]["active_leases"] == 0
+    assert service.machine.broker.leased_bytes == 0
+    assert snapshot["pool"]["active_leases"] == 0
     assert record.run is None
-    assert snapshot["active"] == 0
+    assert (snapshot["active"], snapshot["failed"]) == (0, 1)
 
 
 def test_a_failed_submission_stops_its_sources_and_frees_the_machine(
@@ -421,9 +457,10 @@ def test_a_failed_submission_stops_its_sources_and_frees_the_machine(
 
 
 def test_failed_submissions_leave_nothing_behind(break_service_source):
-    """120 submissions, 8 in flight over 4 leases, every third losing F
+    """120 submissions in waves of 8 over 4 leases, every third losing F
     mid-stream: each failure stays with its own submission, and neither
-    the pool, the kernel nor the heap keeps anything of them."""
+    the pool nor the kernel keeps anything of them — no event of theirs
+    outlives the last submission's end."""
     import gc
 
     from repro.core.engine import QueryRun
@@ -436,34 +473,21 @@ def test_failed_submissions_leave_nothing_behind(break_service_source):
 
     break_service_source("mid-stream", every=3)
     before = alive()
-
-    async def scenario():
-        service = QueryService(
-            seed=3, global_memory_bytes=4 << 20,
-            params=SimulationParameters(telemetry_enabled=True,
-                                        cpu_mips=10_000.0))
-        await service.start()
-        records = []
-        requests = iter(range(120))
-
-        async def client():
-            for seed in requests:
-                # F ships 204 of its 360 tuples, then (every third) raises.
-                record = service.submit(SubmissionRequest(
-                    seed=seed, scale=0.002, wait_us=20.0,
-                    memory_bytes=1 << 20))
-                records.append(record)
-                await record.done.wait()
-
-        try:
-            await asyncio.wait_for(
-                asyncio.gather(*(client() for _ in range(8))), timeout=120.0)
-            await asyncio.sleep(0.01)  # the kernel parks on an empty heap
-            return service, records, len(service.kernel._heap)
-        finally:
-            await service.stop()
-
-    service, records, pending_events = asyncio.run(scenario())
+    service = QueryService(
+        seed=3, global_memory_bytes=4 << 20,
+        params=SimulationParameters(telemetry_enabled=True,
+                                    cpu_mips=10_000.0),
+        kernel=Simulator())
+    service.open()
+    records = []
+    for wave in range(0, 120, 8):
+        # F ships 204 of its 360 tuples, then (every third) raises.
+        records.extend(service.submit(SubmissionRequest(
+            seed=seed, scale=0.002, wait_us=20.0, memory_bytes=1 << 20))
+            for seed in range(wave, wave + 8))
+        service.kernel.run()
+    service.drain()
+    service.close()
     failed = [record for record in records if record.state == "failed"]
     assert len(failed) == 40
     assert sum(record.state == "done" for record in records) == 80
@@ -472,7 +496,7 @@ def test_failed_submissions_leave_nothing_behind(break_service_source):
         assert f"{record.id!r}: source 'F' failed mid-stream" in record.error
         assert "broke mid-stream" in record.error
     assert service.machine.broker.leased_bytes == 0
-    assert pending_events == 0
+    assert service.kernel.now == max(record.finished_at for record in records)
     assert service.kernel._failed_processes == []
     del records, failed
     assert alive() == before
@@ -506,22 +530,20 @@ def test_a_submission_in_flight_adds_no_asyncio_task():
     assert in_flight and set(in_flight) == {idle}
 
 
-def test_the_execution_plane_runs_unchanged_on_a_simulator(monkeypatch):
-    """Nothing below the control plane needs asyncio: with the plane's
-    kernel swapped for a ``Simulator`` its one generator admits, runs and
-    releases eight submissions over a two-lease pool the same way every
-    time, the higher priority first."""
+def test_the_execution_plane_runs_unchanged_on_a_simulator():
+    """Nothing below the control plane needs asyncio: on a ``Simulator``
+    the plane's one generator admits, runs and releases eight submissions
+    over a two-lease pool the same way every time, the higher priority
+    first."""
     from repro.core.engine import main_value, spawn_main
-    from repro.service import backend
-    from repro.sim import Simulator
+    from repro.service.backend import ExecutionPlane
 
-    monkeypatch.setattr(backend, "AsyncioKernel", Simulator)
     params = SimulationParameters(telemetry_enabled=True)
     priorities = {f"s-{index:06d}": float(index % 3) for index in range(1, 9)}
 
     def session():
-        plane = backend.ExecutionPlane(params, 7, 2 << 20, "priority",
-                                       name="virtual")
+        plane = ExecutionPlane(params, 7, 2 << 20, "priority",
+                               name="virtual", kernel=Simulator())
         admissions = []
         mains = []
         for sequence, (name, priority) in enumerate(priorities.items(), 1):
@@ -554,7 +576,7 @@ def test_a_client_cannot_grow_the_plane_with_distinct_scales():
     from repro.service.backend import WORKLOAD_CACHE_SIZE, ExecutionPlane
 
     plane = ExecutionPlane(SimulationParameters(), 7, None, "none",
-                           name="plane")
+                           name="plane", kernel=Simulator())
     hot = plane.workload(0.0005)
     first = plane.workload(0.001)
     for index in range(100):
