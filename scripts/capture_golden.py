@@ -178,8 +178,8 @@ def service_session(profile: dict, setup: PlaneSetup = DEFAULT_SETUP) -> dict:
     """:func:`plane_session` through the whole control plane: one
     ``QueryService`` on a ``Simulator``, one tenant per priority of
     ``setup``.  Returns the counterpart of each field it pins (admission
-    waits by submission, sorted) and the service's counters after
-    ``close()``."""
+    waits by submission, sorted), the service's counters after
+    ``close()`` and how many metrics its machine registry holds."""
     from repro.resources import TenantSpec
     from repro.service import QueryService
     from repro.sim import Simulator
@@ -210,7 +210,8 @@ def service_session(profile: dict, setup: PlaneSetup = DEFAULT_SETUP) -> dict:
             "processed_events": service.kernel.processed_events,
             "leased_bytes": service.machine.broker.leased_bytes,
             "submitted": service.submitted, "completed": service.completed,
-            "active": service.active}
+            "active": service.active,
+            "registry_metrics": len(service.machine.telemetry.registry)}
 
 
 def _pool_bytes(setup: PlaneSetup) -> int:

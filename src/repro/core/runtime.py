@@ -79,8 +79,7 @@ class World:
                  kernel: Optional[Kernel] = None,
                  broker: Optional[MemoryBroker] = None,
                  lease: Optional[MemoryLease] = None,
-                 query_name: Optional[str] = None,
-                 attach_memory_metrics: bool = True):
+                 query_name: Optional[str] = None):
         self.params = params
         #: span of the admission wait this query view sat through (set by
         #: :func:`repro.resources.admitted`); the query's span tree names
@@ -144,14 +143,8 @@ class World:
             budget = (memory_bytes if memory_bytes is not None
                       else params.query_memory_bytes)
             self.memory = self.broker.lease(query_name or "query", budget)
-        # The always-on service passes attach_memory_metrics=False: a
-        # per-query gauge prefix would grow the shared machine registry
-        # without bound across its unbounded submission stream.
-        if attach_memory_metrics:
-            self.memory.attach_metrics(
-                self.telemetry.registry,
-                prefix=("memory" if query_name is None
-                        else f"memory.{query_name}"))
+        self.memory.attach_metrics(self.telemetry.registry, prefix=(
+            "memory" if query_name is None else f"memory.{query_name}"))
 
     @property
     def disk(self) -> "Disk":

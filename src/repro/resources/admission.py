@@ -17,6 +17,7 @@ its maximum later.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
 
@@ -126,9 +127,11 @@ class AdmissionController:
                                  submitted_at=self.sim.now, seq=self._seq,
                                  tenant=tenant)
         self._seq += 1
-        self.queue.append(ticket)
         if self.policy == "priority":
-            self.queue.sort(key=lambda t: (-t.priority, t.seq))
+            # Kept in this order; ``seq`` makes every key unique.
+            insort(self.queue, ticket, key=lambda t: (-t.priority, t.seq))
+        else:
+            self.queue.append(ticket)
         self._drain()
         if not ticket.granted:
             ticket.event = self.sim.event(name=f"admit:{name}")
@@ -227,8 +230,7 @@ def govern(machine: "World", pool_bytes: Optional[int], policy: str,
 def admitted(machine: "World", controller: Optional[AdmissionController],
              name: str, budgets: Tuple[int, int, int],
              run: Callable[["World", float], Generator[Event, Any, Any]],
-             *, priority: float = 0.0, tenant: str = "",
-             attach_memory_metrics: bool = True
+             *, priority: float = 0.0, tenant: str = ""
              ) -> Generator[Event, Any, Any]:
     """One query's memory bracket on a shared machine (``yield from`` me).
 
@@ -271,8 +273,7 @@ def admitted(machine: "World", controller: Optional[AdmissionController],
                                      max_bytes=max_bytes, tenant=tenant)
     try:
         world = World(machine.params, share_machine=machine, lease=lease,
-                      query_name=name,
-                      attach_memory_metrics=attach_memory_metrics)
+                      query_name=name)
         world.admission_span = wait_span
         return (yield from run(world, waited))
     finally:

@@ -76,18 +76,18 @@ class ExecutionPlane:
     The kernel is the caller's: a ``Simulator`` runs the plane in virtual
     time, an ``AsyncioKernel`` on the wall clock, and nothing here tells
     them apart.  A submission's result is built from its run's own state;
-    the machine-wide telemetry (audit ring, stall totals, registry, span
-    recorder) stays on :attr:`machine`, bounded, never copied per
-    submission.
+    the machine-wide telemetry (audit ring, stall totals, span recorder)
+    stays on :attr:`machine`, bounded, never copied per submission.  It
+    keeps no metrics registry: the service's metrics are its snapshot.
     """
 
     def __init__(self, params: SimulationParameters, seed: int,
                  memory_bytes: Optional[int], admission: str,
                  name: str, kernel: Kernel) -> None:
-        self.params = params
         self.seed = seed
         self.kernel = kernel
-        self.machine = World(params, seed=seed, kernel=self.kernel)
+        self.machine = World(params.with_overrides(telemetry_enabled=False),
+                             seed=seed, kernel=self.kernel)
         # Bounded aggregation over the unbounded stream: the machine's
         # audit log becomes a ring *before* anything hooks into it.
         self.machine.telemetry.audit = DecisionAuditLog(
@@ -161,12 +161,9 @@ class ExecutionPlane:
             return dict(query.outcome(end),
                         span_summary=_subtree_summary(query))
 
-        # Query-view worlds skip per-query gauges: the registry must not
-        # grow with the submission stream.
         return (yield from admitted(
             self.machine, self.controller, name, budgets, run,
-            priority=priority, tenant=request.tenant,
-            attach_memory_metrics=False))
+            priority=priority, tenant=request.tenant))
 
 
 def _subtree_summary(query: QueryRun) -> Optional[Dict[str, Any]]:

@@ -24,9 +24,9 @@ The submission lifecycle::
 Aggregation stays bounded no matter how many submissions flow through:
 the machine audit log is a ring (:class:`DecisionAuditLog` with a
 capacity), latencies live in a :class:`~repro.service.stats.
-LatencyWindow`, finished submissions are pruned to a recent-history
-ring, and query-view worlds skip per-query gauge registration
-(``attach_memory_metrics=False``).
+LatencyWindow`, and finished submissions are pruned to a recent-history
+ring.  The service's metrics are its :meth:`QueryService.snapshot`; the
+machine keeps no metrics registry.
 
 Graceful drain (SIGTERM): :meth:`drain` stops admitting (new submissions
 get :class:`ServiceDraining`, HTTP 503), in-flight submissions run to
@@ -308,8 +308,7 @@ class QueryService:
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
-        self.params = (params if params is not None
-                       else SimulationParameters(telemetry_enabled=True))
+        self.params = params if params is not None else SimulationParameters()
         self.seed = seed
         self.global_memory_bytes = global_memory_bytes
         self.admission = admission

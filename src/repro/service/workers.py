@@ -105,10 +105,10 @@ class PoolScheduler:
     """Pure dispatch state for the worker fleet (no I/O, no clocks).
 
     Jobs are *assigned* to the least-loaded worker's queue on arrival
-    (ties: lowest worker id) and *dispatched* when a worker has window
-    room: own queue first, otherwise one is stolen from the peer with
-    the longest queue (ties: lowest id).  Deterministic by
-    construction, so the stealing policy is pinned by plain unit tests.
+    (ties: round-robin) and *dispatched* when a worker has window room:
+    own queue first, otherwise one is stolen from the longest queue
+    (ties: lowest id) of a peer that is down or whose window is full.
+    Deterministic, so the stealing policy is pinned by unit tests.
     """
 
     def __init__(self, worker_ids: Iterable[int],
@@ -125,6 +125,10 @@ class PoolScheduler:
         self.steals: Dict[int, int] = {wid: 0 for wid in ids}
         #: job -> worker whose queue currently holds it (queued only).
         self.assigned: Dict[str, int] = {}
+        #: workers that cannot run their own queue (dead or respawning).
+        self.down: Set[int] = set()
+        #: assignment tie order: the worker after the last one chosen first.
+        self._turns: Deque[int] = deque(ids)
 
     @property
     def steals_total(self) -> int:
@@ -139,8 +143,8 @@ class PoolScheduler:
 
     def assign(self, job_id: str) -> int:
         """Queue one job on the least-loaded worker; returns its id."""
-        worker_id = min(self.queues,
-                        key=lambda wid: (self.backlog(wid), wid))
+        worker_id = min(self._turns, key=self.backlog)  # first of equals
+        self._turns.rotate(-1 - self._turns.index(worker_id))
         self.queues[worker_id].append(job_id)
         self.assigned[job_id] = worker_id
         return worker_id
@@ -148,9 +152,9 @@ class PoolScheduler:
     def next_for(self, worker_id: int) -> Optional[Tuple[str, bool]]:
         """``(job, stolen)`` this worker should run next, or None.
 
-        None when the worker's window is full or there is nothing to
-        run anywhere.  The steal source is the peer with the longest
-        *queue* (not backlog: active jobs cannot move).
+        None when the worker's window is full or there is nothing it
+        may run.  The steal source is the longest *queue* (not backlog:
+        active jobs cannot move); an up owner with room runs its own.
         """
         if self.active[worker_id] >= self.window:
             return None
@@ -159,7 +163,9 @@ class PoolScheduler:
             job_id = self.queues[worker_id].popleft()
         else:
             donors = [wid for wid, queue in self.queues.items()
-                      if wid != worker_id and queue]
+                      if wid != worker_id and queue
+                      and (self.active[wid] >= self.window
+                           or wid in self.down)]
             if not donors:
                 return None
             donor = max(donors,
@@ -417,6 +423,7 @@ class WorkerPoolBackend:
         slot = self._slots[worker_id]
         if op == "ready":
             slot.up = True
+            self.scheduler.down.discard(worker_id)
             slot.pid = message.get("pid")
             slot.pool_bytes = message.get("pool")
             event = self._ready.get(worker_id)
@@ -456,7 +463,8 @@ class WorkerPoolBackend:
     def _on_death(self, worker_id: int) -> None:
         slot = self._slots[worker_id]
         slot.up = False
-        doomed = [self._jobs.pop(job_id) for job_id in sorted(slot.inflight)
+        self.scheduler.down.add(worker_id)
+        doomed =[self._jobs.pop(job_id) for job_id in sorted(slot.inflight)
                   if job_id in self._jobs]
         slot.inflight.clear()
         for job in doomed:

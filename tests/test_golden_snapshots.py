@@ -69,9 +69,9 @@ def test_plane_sessions_match_golden_exactly():
 def test_the_control_plane_is_kernel_neutral(name):
     """Each plane session through the whole ``QueryService`` on a
     ``Simulator``, tenants at the session's priorities: every outcome and
-    every admission wait is the golden's, and the control plane adds
-    exactly one kernel event a submission — the hop that runs
-    ``_finish``."""
+    every admission wait is the golden's, the control plane adds exactly
+    one kernel event a submission — the hop that runs ``_finish`` — and,
+    telemetry on in the session's params, no metric is ever written."""
     golden = json.loads((GOLDEN_DIR / "plane_sessions.json").read_text())[name]
     setup = capture_golden.PLANE_SETUPS.get(name, capture_golden.DEFAULT_SETUP)
     session = capture_golden.service_session(
@@ -82,6 +82,8 @@ def test_the_control_plane_is_kernel_neutral(name):
         == golden["processed_events"] + setup.submissions
     assert session["submitted"] == session["completed"] == setup.submissions
     assert session["active"] == 0 and session["leased_bytes"] == 0
+    assert setup.params.telemetry_enabled
+    assert session["registry_metrics"] == 0
 
 
 def test_goldens_cover_all_strategies():

@@ -1,7 +1,7 @@
 """Unit tests for the resource-governance plane (repro.resources)."""
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -301,6 +301,32 @@ class TestAdmission:
         assert broker.leases.index(high.lease) \
             < broker.leases.index(low.lease)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("request"), st.sampled_from([-1.5, 0.0, 1.0, 2.0]),
+                  st.integers(1, 4)),
+        st.tuples(st.just("release"), st.integers(0, 7), st.just(0))),
+        max_size=40))
+    def test_priority_queue_is_always_the_sorted_queue(self, steps):
+        """Each request is inserted into the priority queue in place;
+        whatever the interleaving of requests and releases, the queue is
+        what sorting every waiting ticket by (-priority, seq) gives."""
+        controller, broker, _ = _controller(pool=1000, policy="priority")
+        tickets = []
+        for op, value, size in steps:
+            if op == "request":
+                tickets.append(controller.request(
+                    f"q{len(tickets)}", size * 100, size * 100,
+                    priority=value))
+            else:
+                held = [t for t in tickets
+                        if t.granted and not t.lease.released]
+                if held:
+                    broker.release(held[value % len(held)].lease)
+            waiting = [t for t in tickets if not t.granted]
+            assert controller.queue == sorted(
+                waiting, key=lambda t: (-t.priority, t.seq))
+
     def test_invalid_bounds_rejected(self):
         controller, _, _ = _controller()
         with pytest.raises(ConfigurationError, match="need 0 < min <= max"):
@@ -397,6 +423,10 @@ class TestAdmittedBracket:
         assert machine.telemetry.stalls.by_cause()[STALL_ADMISSION_WAIT] \
             == 1.0
         assert world.memory.released and not machine.broker.leases
+        # A machine whose params turn telemetry on keeps its registry
+        # through the bracket (only the service's plane goes without).
+        assert machine.telemetry.registry.get("dqp.batches").value \
+            == run.processor.batches_processed > 0
 
     def test_lease_returns_when_the_body_fails(self):
         from repro.resources import admitted

@@ -45,14 +45,46 @@ OUTCOME_KEYS = {"response_time", "result_tuples", "time_to_first_tuple",
 # PoolScheduler: the pure dispatch/steal policy
 # --------------------------------------------------------------------------
 
-def test_assign_picks_least_backlog_ties_lowest_id():
+def test_assign_picks_least_backlog_ties_round_robin():
     scheduler = PoolScheduler([0, 1, 2])
-    assert scheduler.assign("a") == 0      # all empty: lowest id
+    assert scheduler.assign("a") == 0      # all empty: first in turn
     assert scheduler.assign("b") == 1
     assert scheduler.assign("c") == 2
-    assert scheduler.assign("d") == 0      # tied again: lowest id
+    assert scheduler.assign("d") == 0      # tied again: the next turn
     scheduler.active[1] += 3               # worker 1 is busy running
     assert scheduler.assign("e") == 2      # backlog counts active too
+
+
+def test_jobs_arriving_at_zero_backlog_split_evenly_without_steals():
+    """Each job finishes before the next arrives, so every backlog is 0
+    on arrival (an open loop under capacity): the pool offers work in id
+    order, as ``WorkerPoolBackend._pump`` does, and still each worker
+    runs its own half."""
+    scheduler = PoolScheduler([0, 1])
+    ran = {0: 0, 1: 0}
+    for index in range(10):
+        owner = scheduler.assign(f"j{index}")
+        for worker_id in (0, 1):
+            item = scheduler.next_for(worker_id)
+            if item is not None:
+                assert item == (f"j{index}", False)
+                ran[worker_id] += 1
+                scheduler.finished(worker_id)
+                assert worker_id == owner
+    assert ran == {0: 5, 1: 5}
+    assert scheduler.steals_total == 0
+
+
+def test_a_down_owners_queue_is_stolen_at_once():
+    scheduler = PoolScheduler([0, 1])
+    scheduler.down.add(1)                  # dead, respawning
+    scheduler.assign("a")
+    assert scheduler.assign("b") == 1
+    assert scheduler.next_for(0) == ("a", False)
+    assert scheduler.next_for(0) == ("b", True)
+    scheduler.down.discard(1)              # back up: runs its own again
+    assert scheduler.assign("c") == 1
+    assert scheduler.next_for(0) is None
 
 
 def test_next_for_prefers_own_queue_and_respects_window():
@@ -63,16 +95,18 @@ def test_next_for_prefers_own_queue_and_respects_window():
     assert scheduler.next_for(0) == ("c", False)
     assert scheduler.next_for(0) is None   # window full (2 active)
     scheduler.finished(0)
+    scheduler.active[1] = 2                # worker 1's window is full
     assert scheduler.next_for(0) == ("b", True)  # own empty: steals
 
 
 def test_steal_takes_from_the_longest_queue_ties_lowest_id():
     scheduler = PoolScheduler([0, 1, 2])
     # Build uneven queues directly: worker 1 holds 2 jobs, worker 2
-    # holds 1; worker 0 is idle and empty.
+    # holds 1, both with full windows; worker 0 is idle and empty.
     for job, victim in (("a", 1), ("b", 1), ("c", 2)):
         scheduler.queues[victim].append(job)
         scheduler.assigned[job] = victim
+    scheduler.active[1] = scheduler.active[2] = scheduler.window
     assert scheduler.next_for(0) == ("a", True)   # longest queue first
     assert scheduler.next_for(0) == ("b", True)   # 1 and 2 tied: lowest
     assert scheduler.next_for(0) == ("c", True)
@@ -567,6 +601,14 @@ def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
     assert waits[0] in own
     assert second["payload"]["span_summary"]["spans"] == len(own) < len(spans)
     assert host.machine.broker.leased_bytes == 0
+
+
+def test_a_worker_machine_keeps_no_metrics_registry():
+    """Telemetry is on in the worker's params, yet its jobs write no
+    metric: nothing on the service path reads a registry."""
+    host, results = _run_host([_job(1, 1 << 20)], pool_bytes=2 << 20)
+    assert results["s-000001"]["ok"]
+    assert len(host.machine.telemetry.registry) == 0
 
 
 def test_worker_span_summary_covers_the_job_not_the_workers_history():
