@@ -131,11 +131,15 @@ class SimulationParameters:
     model_link_contention: bool = False
     #: register named metrics (counters/gauges/histograms) during the
     #: run; off by default so benchmarks see a near-no-op null registry.
+    #: Drives only the front-ends whose result returns the registry
+    #: (one-shot ``ExecutionResult.metrics`` and ``repro live``); the
+    #: service, multi-query and DPHJ machines keep none either way.
     #: Stall attribution and the decision audit log are always on.
     telemetry_enabled: bool = False
-    #: virtual-time interval between occupancy samples (memory, queue
-    #: depths, delivery rates); 0 disables the periodic sampler.  Only
-    #: effective together with ``telemetry_enabled``.
+    #: interval between occupancy samples (memory, queue depths,
+    #: delivery rates) of a one-shot or live run; 0 disables the
+    #: periodic sampler.  Only effective together with
+    #: ``telemetry_enabled``.
     telemetry_sample_interval: float = 0.0
     #: record the causal span tree (query → phases → fragments → batches
     #: and stall intervals) during the run; independent of

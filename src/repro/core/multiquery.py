@@ -259,7 +259,10 @@ class MultiQueryEngine:
         """Execute every submitted query; returns aggregate results."""
         if not self._submissions:
             raise ConfigurationError("no queries submitted")
-        machine = World(self.params, seed=self.seed, trace=self.trace)
+        # No metrics registry: the result returns none, so every write to
+        # one would be waste.  Spans, stalls and the audit log stay on.
+        machine = World(self.params.with_overrides(telemetry_enabled=False),
+                        seed=self.seed, trace=self.trace)
         if self.governed:
             pool = self.global_memory_bytes
             assert pool is not None

@@ -254,7 +254,9 @@ class SymmetricHashJoinEngine:
                 f"no delay model for source(s): {sorted(missing)}")
 
     def run(self) -> SymmetricResult:
-        world = World(self.params, seed=self.seed, trace=self.trace)
+        # The result returns no metrics registry, so the machine keeps none.
+        world = World(self.params.with_overrides(telemetry_enabled=False),
+                      seed=self.seed, trace=self.trace)
         plan = SymmetricPlan(self.catalog, self.tree)
         self._allocate_tables(world, plan)
         start_wrappers(self.tree.relations(),

@@ -17,9 +17,9 @@ pre-bound callable per hook point, and the hot loop does
 
 so the fully-disabled path pays exactly one truthiness check per batch
 — no method calls, no attribute chains, no null objects.  The table is
-compiled once per processor/scheduler; its registry half is the same
-for everything on one machine and is compiled once per ``Telemetry``,
-so a metrics-only machine shares one table between all its queries.
+compiled once per processor/scheduler.  Only the front-ends that return
+a registry (one-shot and live runs, one query each) build their machine
+with one, so the registry half exists there alone.
 
 Hook signatures:
 
@@ -76,7 +76,7 @@ NULL_HOOKS = DQPHooks()
 
 
 def _compile_metric_hooks(registry: Any) -> DQPHooks:
-    """The registry half of the table, the same on one machine."""
+    """The registry half of the table."""
     batches_metric = registry.counter(
         "dqp.batches", "Batches the DQP processed.")
     batch_tuples_metric = registry.histogram(
@@ -121,11 +121,7 @@ def compile_dqp_hooks(
     """
     metrics = NULL_HOOKS
     if getattr(telemetry.registry, "enabled", False):
-        # Compiled once per telemetry plane, not per query.
-        metrics = telemetry.metric_hooks
-        if metrics is None:
-            metrics = telemetry.metric_hooks = _compile_metric_hooks(
-                telemetry.registry)
+        metrics = _compile_metric_hooks(telemetry.registry)
     flight = telemetry.flight
     spans = getattr(telemetry, "spans", None)
     if flight is None and spans is None:
@@ -147,16 +143,19 @@ def compile_dqp_hooks(
     if spans is not None:
         current_phase = phase_span_of if phase_span_of is not None \
             else (lambda: None)
+        # One positional row per batch / stall: the recorder's append,
+        # pre-bound, with the attrs dict built literally (no ``**``).
+        append = spans._append
 
         def span_batch(started: float, now: float, fragment: Any,
                        tuples: int) -> None:
-            spans.add(SPAN_BATCH, fragment.name, started, now,
-                      parent_id=current_phase(),
-                      fragment_kind=fragment.kind.value, tuples=tuples)
+            append(SPAN_BATCH, fragment.name, started, now, current_phase(),
+                   None, {"fragment_kind": fragment.kind.value,
+                          "tuples": tuples})
 
         def span_stall(started: float, ended: float, cause: str) -> None:
-            spans.add(SPAN_STALL, cause, started, ended,
-                      parent_id=current_phase(), cause=cause)
+            append(SPAN_STALL, cause, started, ended, current_phase(), None,
+                   {"cause": cause})
 
         batch.append(span_batch)
         stall.append(span_stall)

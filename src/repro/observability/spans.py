@@ -58,14 +58,15 @@ SPAN_BUDGET_REPLAN = "budget-replan"    #: replanning forced by a BudgetGrow
 SPAN_RATE_REPLAN = "rate-replan"        #: replanning forced by a RateChange
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed interval in the causal tree.
 
     ``end`` is ``None`` while the span is open (and for instant spans
     that were never finished — exports clamp those to the last known
     time).  ``caused_by`` names the span that *triggered* this one,
-    which is distinct from the ``parent_id`` containment edge.
+    which is distinct from the ``parent_id`` containment edge.  Slotted:
+    a traced run keeps one per batch and per stall.
     """
 
     span_id: int
@@ -116,9 +117,8 @@ class SpanRecorder:
                 end: Optional[float], parent_id: Optional[int],
                 caused_by: Optional[int], attrs: Dict[str, Any]) -> int:
         span_id = len(self.spans)
-        self.spans.append(Span(span_id=span_id, kind=kind, name=name,
-                               start=start, end=end, parent_id=parent_id,
-                               caused_by=caused_by, attrs=attrs))
+        self.spans.append(Span(span_id, kind, name, start, end, parent_id,
+                               caused_by, attrs))
         self._last_of_kind[kind] = span_id
         return span_id
 

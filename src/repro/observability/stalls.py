@@ -81,12 +81,12 @@ class StallAttribution:
         if ended < started:
             raise SimulationError(
                 f"stall interval ends before it starts: {started} > {ended}")
-        interval = StallInterval(started, ended, cause)
         with self._lock:
             self.breakdown[cause] = (self.breakdown.get(cause, 0.0)
                                      + (ended - started))
+        # The interval object exists only for an observer to keep.
         if self.on_record is not None:
-            self.on_record(interval)
+            self.on_record(StallInterval(started, ended, cause))
 
     @property
     def total(self) -> float:

@@ -47,8 +47,6 @@ class Telemetry:
         #: optional causal span recorder; ``None`` keeps the compiled
         #: hook tables free of span callables entirely.
         self.spans: Optional[SpanRecorder] = None
-        #: the registry's share of every DQP hook table (hooks.py).
-        self.metric_hooks: Any = None
         self._sampler: Optional[TelemetrySampler] = None
 
     @property

@@ -24,12 +24,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tupl
 from repro.common.errors import ConfigurationError
 from repro.exec import Event, Kernel
 from repro.observability.audit import DECISION_ADMISSION_QUEUE, DECISION_ADMIT
-from repro.observability.registry import (
-    CounterMetric,
-    GaugeMetric,
-    HistogramMetric,
-    NullMetric,
-)
 from repro.observability.spans import SPAN_ADMISSION_WAIT
 from repro.observability.stalls import STALL_ADMISSION_WAIT
 from repro.observability.telemetry import Telemetry
@@ -40,9 +34,6 @@ if TYPE_CHECKING:
 
 #: admission orderings the controller understands.
 ADMISSION_POLICIES = ("fifo", "priority")
-
-#: wait-time histogram buckets (virtual seconds in the queue).
-_WAIT_BUCKETS = (0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0)
 
 
 @dataclass
@@ -89,21 +80,6 @@ class AdmissionController:
         self.queue: List[AdmissionTicket] = []
         self._seq = 0
         broker.attach_admission(self)
-        self._depth_gauge: Optional[GaugeMetric | NullMetric] = None
-        self._admitted: Optional[CounterMetric | NullMetric] = None
-        self._queued: Optional[CounterMetric | NullMetric] = None
-        self._wait_hist: Optional[HistogramMetric | NullMetric] = None
-        registry = (telemetry.registry if telemetry is not None else None)
-        if registry is not None and registry.enabled:
-            self._depth_gauge = registry.gauge(
-                "admission.queue_depth", help="submissions waiting for memory")
-            self._admitted = registry.counter(
-                "admission.admitted", help="submissions granted a lease")
-            self._queued = registry.counter(
-                "admission.queued", help="submissions that had to wait")
-            self._wait_hist = registry.histogram(
-                "admission.wait_s", buckets=_WAIT_BUCKETS,
-                help="virtual seconds spent in the admission queue")
 
     @property
     def queue_depth(self) -> int:
@@ -137,15 +113,11 @@ class AdmissionController:
             ticket.event = self.sim.event(name=f"admit:{name}")
             self._audit(DECISION_ADMISSION_QUEUE, ticket,
                         queue_depth=len(self.queue))
-            if self._queued is not None:
-                self._queued.inc()
-        self._publish_depth()
         return ticket
 
     def on_capacity(self) -> None:
         """Broker callback: spare bytes appeared, admit what now fits."""
         self._drain()
-        self._publish_depth()
 
     def _drain(self) -> None:
         """Admit strictly head-of-line while the head's minimum fits."""
@@ -170,10 +142,6 @@ class AdmissionController:
         ticket.admitted_at = self.sim.now
         self._audit(DECISION_ADMIT, ticket, granted_bytes=granted,
                     waited=ticket.waited)
-        if self._admitted is not None:
-            self._admitted.inc()
-        if self._wait_hist is not None:
-            self._wait_hist.observe(ticket.waited)
         if ticket.event is not None:
             ticket.event.succeed()
 
@@ -187,10 +155,6 @@ class AdmissionController:
             kind, ticket.name, self.sim.now,
             min_bytes=ticket.min_bytes, max_bytes=ticket.max_bytes,
             **fields)
-
-    def _publish_depth(self) -> None:
-        if self._depth_gauge is not None:
-            self._depth_gauge.set(len(self.queue))
 
     def __repr__(self) -> str:
         return (f"AdmissionController({self.policy}, "

@@ -26,6 +26,23 @@ def params() -> SimulationParameters:
 
 
 @pytest.fixture
+def machines_built_by(monkeypatch):
+    """``machines_built_by(module)`` wraps ``module.World`` and returns
+    the list every machine that module builds is appended to."""
+    def catch(module):
+        machines = []
+        real = module.World
+
+        def world(*args, **kwargs):
+            machines.append(real(*args, **kwargs))
+            return machines[-1]
+
+        monkeypatch.setattr(module, "World", world)
+        return machines
+    return catch
+
+
+@pytest.fixture
 def small_catalog() -> Catalog:
     """Three tiny relations joined in a chain R-S-T."""
     stats = JoinStatistics({

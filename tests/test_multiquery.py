@@ -1,5 +1,6 @@
 """Tests for multi-query execution on a shared mediator."""
 
+import json
 import zlib
 
 import numpy as np
@@ -132,6 +133,45 @@ def test_source_failure_fails_its_own_query_only(tiny_fig5,
                for span in telemetry.spans.by_kind(SPAN_QUERY)}
     assert results["Q2"] == 1000
     assert engine._controller.broker.leased_bytes == 0
+
+
+def _governed_run(workload, telemetry):
+    """Two DSE queries on a pool that queues the second one, spans on."""
+    params = SimulationParameters(telemetry_enabled=telemetry,
+                                  telemetry_spans=True,
+                                  dynamic_budget_replanning=True)
+    engine = MultiQueryEngine(params=params, seed=11,
+                              global_memory_bytes=240 << 10,
+                              admission="priority")
+    engine.submit(submission(workload, params, name="Q1", strategy="DSE",
+                             memory=180 << 10))
+    engine.submit(submission(workload, params, name="Q2", strategy="DSE",
+                             start=0.001, memory=150 << 10))
+    return engine.run()
+
+
+def test_machine_keeps_no_metrics_registry(tiny_fig5, machines_built_by):
+    """``MultiQueryResult`` returns no registry, so the run's machine
+    keeps none even when the params turn telemetry on."""
+    import repro.core.multiquery as module
+
+    machines = machines_built_by(module)
+    result = _governed_run(tiny_fig5, telemetry=True)
+    assert [o.result_tuples for o in result.outcomes] == [1000, 1000]
+    assert result.queued_queries == 1
+    (machine,) = machines
+    assert len(machine.telemetry.registry) == 0
+
+
+def test_spans_are_byte_identical_with_telemetry_on_or_off(tiny_fig5):
+    """Turning the registry switch on changes no recorded span."""
+    from repro.observability.spans import spans_payload
+
+    on, off = (_governed_run(tiny_fig5, telemetry=flag)
+               for flag in (True, False))
+    assert on.spans and on.outcomes == off.outcomes
+    assert json.dumps(spans_payload(on.spans)) \
+        == json.dumps(spans_payload(off.spans))
 
 
 def test_no_submissions_rejected(params):

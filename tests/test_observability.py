@@ -123,6 +123,43 @@ def test_stall_attribution_accumulates_by_cause():
     assert intervals[0].duration == pytest.approx(1.5)
 
 
+def test_an_unobserved_stall_builds_no_interval(monkeypatch):
+    """With no observer hooked a stall only adds to its cause's total;
+    hooked, the flight recorder receives the same interval per stall as
+    before, and both machines' totals re-sum exactly."""
+    from repro.observability import stalls as stalls_module
+    from repro.observability.flight import ENTRY_STALL, FlightRecorder
+
+    built = []
+    real = stalls_module.StallInterval
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(stalls_module, "StallInterval", counting)
+    steps = [(source_wait("A"), 0.0, 1.5), ("memory-wait", 2.0, 2.25),
+             (source_wait("A"), 3.0, 3.5)]
+    quiet = StallAttribution()
+    for step in steps:
+        quiet.record(*step)
+    assert built == []
+
+    telemetry = Telemetry()
+    flight = FlightRecorder().attach(telemetry)
+    for step in steps:
+        telemetry.stalls.record(*step)
+    assert built == [(started, ended, cause)
+                     for cause, started, ended in steps]
+    assert [(e.kind, e.time, e.payload) for e in flight.entries()] == [
+        (ENTRY_STALL, ended, {"cause": cause, "duration": ended - started})
+        for cause, started, ended in steps]
+    assert quiet.by_cause() == telemetry.stalls.by_cause() \
+        == {"source-wait:A": 2.0, "memory-wait": 0.25}
+    assert quiet.total == telemetry.stalls.total == sum(
+        e.payload["duration"] for e in flight.entries()) == 2.25
+
+
 def test_stall_attribution_rejects_backwards_interval():
     with pytest.raises(SimulationError):
         StallAttribution().record("timeout", 2.0, 1.0)

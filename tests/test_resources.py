@@ -343,16 +343,34 @@ class TestAdmission:
         with pytest.raises(ConfigurationError, match="unknown admission"):
             _controller(policy="lifo")
 
-    def test_metrics(self):
+    def test_audit_log_reports_queue_and_admit(self):
+        """Admission reports through the audit log, which both governed
+        front-ends (multi-query and the service) return; it writes no
+        registry metric, even into an enabled registry."""
         controller, broker, telemetry = _controller(pool=1000, enabled=True)
+        sim = controller.sim
         first = broker.lease("running", 900)
-        controller.request("q", min_bytes=300, max_bytes=500)
-        registry = telemetry.registry
-        assert registry.gauge("admission.queue_depth").value == 1
-        assert registry.counter("admission.queued").value == 1
-        broker.release(first)
-        assert registry.gauge("admission.queue_depth").value == 0
-        assert registry.counter("admission.admitted").value == 1
+        ticket = controller.request("q", min_bytes=300, max_bytes=500,
+                                    tenant="gold")
+
+        def release_later():
+            yield sim.timeout(2.0)
+            broker.release(first)
+
+        sim.process(release_later(), name="release")
+        sim.run()
+        queued, admit = telemetry.audit
+        assert (queued.time, queued.kind, queued.subject) \
+            == (0.0, "admission-queue", "q")
+        assert queued.details == {"min_bytes": 300, "max_bytes": 500,
+                                  "queue_depth": 1, "tenant": "gold"}
+        assert (admit.time, admit.kind, admit.subject) == (2.0, "admit", "q")
+        assert admit.details == {"min_bytes": 300, "max_bytes": 500,
+                                 "granted_bytes": 500, "waited": 2.0,
+                                 "tenant": "gold"}
+        assert ticket.waited == 2.0 and controller.queue_depth == 0
+        assert not any(name.startswith("admission.")
+                       for name in telemetry.registry.as_dict())
 
 
 # -- the admitted bracket ----------------------------------------------------
@@ -424,7 +442,8 @@ class TestAdmittedBracket:
             == 1.0
         assert world.memory.released and not machine.broker.leases
         # A machine whose params turn telemetry on keeps its registry
-        # through the bracket (only the service's plane goes without).
+        # through the bracket; only the front-ends that return no
+        # registry (service, multi-query, DPHJ) build theirs without one.
         assert machine.telemetry.registry.get("dqp.batches").value \
             == run.processor.batches_processed > 0
 

@@ -117,6 +117,22 @@ def test_payload_roundtrip_preserves_every_field():
         [span.to_dict() for span in recorder.spans]
 
 
+def test_span_is_slotted_and_round_trips():
+    """A span row carries no ``__dict__``; it still survives the payload
+    dict and pickle field for field."""
+    import pickle
+
+    span = Span(3, SPAN_BATCH, "pA", 0.5, 1.0, 1, 2,
+                {"fragment_kind": "mf", "tuples": 10})
+    assert not hasattr(span, "__dict__")
+    assert Span.from_dict(span.to_dict()) == span
+    assert pickle.loads(pickle.dumps(span)) == span
+    assert span.to_dict() == {
+        "span_id": 3, "kind": SPAN_BATCH, "name": "pA", "start": 0.5,
+        "end": 1.0, "parent_id": 1, "caused_by": 2,
+        "attrs": {"fragment_kind": "mf", "tuples": 10}}
+
+
 def test_write_json_and_load_spans_roundtrip(tmp_path):
     clock = _Clock()
     recorder = SpanRecorder(clock)

@@ -129,6 +129,20 @@ def test_dphj_deterministic(tiny_fig5):
     assert first.result_tuples == second.result_tuples
 
 
+def test_dphj_machine_keeps_no_metrics_registry(tiny_fig5,
+                                                machines_built_by):
+    """``SymmetricResult`` returns no registry, so the run's machine keeps
+    none even when the params turn telemetry on; the run is unchanged."""
+    import repro.core.symmetric as module
+
+    machines = machines_built_by(module)
+    on = run_dphj(tiny_fig5, telemetry_enabled=True)
+    off = run_dphj(tiny_fig5)
+    assert len(machines) == 2
+    assert [len(m.telemetry.registry) for m in machines] == [0, 0]
+    assert on == off
+
+
 def test_dphj_single_relation(small_catalog):
     params = SimulationParameters()
     engine = SymmetricHashJoinEngine(
