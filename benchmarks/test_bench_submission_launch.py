@@ -1,8 +1,9 @@
 """Host cost of one service submission — construction + planning.
 
 A 9-batch submission is mostly what it *builds* (six wrappers, a
-``QueryRuntime``, six fragments, DQS/DQP/DQO) and what it *plans* (nine
-phases), not what it processes.  N submissions go through one
+``QueryRuntime``, six fragments, DQS/DQP/DQO) and what it *plans* (DSE 6,
+MA 18 or SEQ 6 phases, 9 over the bench's rotation), not what it
+processes.  N submissions go through one
 ``ExecutionPlane`` whose kernel is a ``Simulator`` (no wall-clock waits,
 so host time per submission is the whole measurement), once with sources
 that model no delay and once with the service's default 200 µs profile:

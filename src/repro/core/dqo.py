@@ -185,10 +185,17 @@ class DynamicQEPOptimizer:
         sides of still-pending joins whose *corrected* build estimate
         turned out larger than the probe side's.
         """
+        statistics = self.runtime.statistics
+        if not statistics.fresh:
+            # Only a newly observed build can be a new misestimate, and a
+            # phase observes at most one: it ends at the first EndOfQF.
+            return
+        observed = statistics.take_observed()
         threshold = self.runtime.world.params.reoptimization_threshold
         found_new = False
-        for observation in self.runtime.statistics.misestimated_joins(threshold):
-            if observation.join_name in self.reopt_opportunities:
+        for observation in observed:
+            if (observation.join_name in self.reopt_opportunities
+                    or not observation.is_misestimated(threshold)):
                 continue
             found_new = True
             self.reopt_opportunities.append(observation.join_name)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
+from repro.common.errors import SchedulingError
 from repro.core.dqp import SchedulingPlan
 from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
 from repro.core.runtime import QueryRuntime
@@ -70,8 +71,9 @@ class DynamicQueryScheduler:
         runtime = self.runtime
         world = runtime.world
         # One snapshot a phase, the policy's too: planning delivers nothing.
-        runtime.phase_waits = world.cm.wait_snapshot(world.params.w_min)
-        runtime.statistics.snapshot_rates(world.sim.now, runtime.phase_waits)
+        runtime.phase_waits = waits = world.cm.wait_snapshot(
+            world.params.w_min)
+        runtime.statistics.snapshot_rates(world.sim.now, waits)
         try:
             if self._dynamic:
                 self._replan_after_grow()
@@ -82,14 +84,13 @@ class DynamicQueryScheduler:
                 candidates = self.policy.select(runtime)
         finally:
             runtime.phase_waits = None
-        for fragment in candidates:
-            if not self.runtime.is_c_schedulable(fragment):
-                # Defensive: a policy bug here would deadlock the DQP.
-                raise_from_policy = (
-                    f"policy {self.policy.name!r} selected "
-                    f"{fragment.name!r} which is not C-schedulable")
-                from repro.common.errors import SchedulingError
-                raise SchedulingError(raise_from_policy)
+        if not all(map(runtime.schedulable.__contains__, candidates)):
+            # Defensive: a policy bug here would deadlock the DQP.
+            stray = next(fragment for fragment in candidates
+                         if fragment not in runtime.schedulable)
+            raise SchedulingError(
+                f"policy {self.policy.name!r} selected {stray.name!r} "
+                "which is not C-schedulable")
         admitted, overflow = self._admit(candidates)
         plan_hooks = self._hooks.plan
         if plan_hooks:
@@ -113,14 +114,22 @@ class DynamicQueryScheduler:
         phase — unless it is the first candidate and nothing else was
         admitted, in which case it is not M-schedulable even alone and
         the DQO must revise the plan.
+
+        A fragment that builds no table, or holds its table already,
+        reserves nothing and always fits: a lease never commits more
+        than it holds, so zero more bytes always fit.
         """
-        memory = self.runtime.world.memory
+        runtime = self.runtime
+        memory = runtime.world.memory
         admitted: list[Fragment] = []
         overflow: Fragment | None = None
         for fragment in candidates:
-            needed = self.runtime.new_memory_needed(fragment)
+            if fragment.builds_join is None or fragment.hash_table is not None:
+                admitted.append(fragment)
+                continue
+            needed = runtime.new_memory_needed(fragment)
             if memory.would_fit(needed):
-                self.runtime.ensure_hash_table(fragment)
+                runtime.ensure_hash_table(fragment)
                 admitted.append(fragment)
             elif not admitted and overflow is None:
                 overflow = fragment

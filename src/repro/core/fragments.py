@@ -61,6 +61,12 @@ BATCH_EMPTY = "empty"
 BATCH_FINISHED = "finished"
 BATCH_OVERFLOW = "overflow"
 
+#: a fragment's place among its chain's fragments, by kind: a chain's
+#: list is always ``[MF, CF, PC, CONT...]`` minus what it has not got.
+#: Continuations are appended, so the runtime adds their position.
+KIND_RANK = {FragmentKind.MATERIALIZATION: 0, FragmentKind.COMPLEMENT: 1,
+             FragmentKind.PIPELINE_CHAIN: 2, FragmentKind.CONTINUATION: 3}
+
 FragmentInput = Union[SourceQueue, TempReader]
 
 #: one compiled scan or probe: instructions per input tuple, the carry
@@ -122,14 +128,19 @@ class CompiledSegment:
                               + params.receive_cpu_seconds_per_tuple())
 
 
+def _compile_key(params: SimulationParameters) -> tuple:
+    """Every constant a compile reads (parameter objects are mutable and
+    unhashable)."""
+    return (params.move_tuple_instructions, params.hash_search_instructions,
+            params.produce_tuple_instructions, params.message_instructions,
+            params.tuples_per_message, params.cpu_mips)
+
+
 def compiled_chains(qep: QEP, params: SimulationParameters
                     ) -> dict[str, CompiledSegment]:
     """Every chain of ``qep`` compiled under ``params``, by chain name;
-    cached on the plan under every constant the compile reads (parameter
-    objects are mutable and unhashable)."""
-    key = (params.move_tuple_instructions, params.hash_search_instructions,
-           params.produce_tuple_instructions, params.message_instructions,
-           params.tuples_per_message, params.cpu_mips)
+    cached on the plan."""
+    key = _compile_key(params)
     chains = qep.compiled.get(key)
     if chains is None:
         chains = qep.compiled[key] = {
@@ -137,6 +148,53 @@ def compiled_chains(qep: QEP, params: SimulationParameters
                                         chain.operators, params)
             for chain in qep.chains}
     return chains
+
+
+def materialization_temp(chain: str) -> str:
+    """Name of the temp chain ``chain``'s MF writes and its CF replays."""
+    return f"mf:{chain}"
+
+
+def compiled_degradations(qep: QEP, params: SimulationParameters
+                          ) -> tuple[dict[str, CompiledSegment],
+                                     dict[str, CompiledSegment]]:
+    """The MF and the CF segment of every chain (Section 4.4), each by
+    chain name and cached on the plan like :func:`compiled_chains`.
+
+    MF(p) scans p's source into the temp; CF(p) replays the temp through
+    the rest of p.  Both follow from the chain alone.
+    """
+    key = _compile_key(params)
+    materializations = qep.compiled.get(("mf", *key))
+    if materializations is None:
+        materializations = qep.compiled[("mf", *key)] = {}
+        complements = qep.compiled[("cf", *key)] = {}
+        for chain in qep.chains:
+            materializations[chain.name], complements[chain.name] = \
+                _degradation_segments(chain, params)
+    return materializations, qep.compiled[("cf", *key)]
+
+
+def _degradation_segments(chain: PipelineChain, params: SimulationParameters
+                          ) -> tuple[CompiledSegment, CompiledSegment]:
+    scan = chain.scan
+    mf_ops: list[Operator] = [
+        ScanOp(name=scan.name, relation=scan.relation,
+               scan_selectivity=scan.scan_selectivity,
+               estimated_input_cardinality=scan.estimated_input_cardinality,
+               estimated_output_cardinality=scan.estimated_output_cardinality),
+        MatOp(name="mat[temp]", join=None,
+              estimated_input_cardinality=scan.estimated_output_cardinality,
+              estimated_output_cardinality=scan.estimated_output_cardinality),
+    ]
+    temp = materialization_temp(chain.name)
+    temp_scan = ScanOp(
+        name=f"scan({temp})", relation=temp, scan_selectivity=1.0,
+        estimated_input_cardinality=scan.estimated_output_cardinality,
+        estimated_output_cardinality=scan.estimated_output_cardinality)
+    return (CompiledSegment(f"MF({chain.name})", chain.name, mf_ops, params),
+            CompiledSegment(f"CF({chain.name})", chain.name,
+                            [temp_scan, *chain.operators[1:]], params))
 
 
 class Fragment:
@@ -156,6 +214,9 @@ class Fragment:
         self.name = name
         self.kind = kind
         self.chain = chain
+        #: orders the fragment among its chain's as ``chain_fragments``
+        #: does (the DQS's last sort tie-breaker), fixed at creation.
+        self.rank = KIND_RANK[kind]
         self.source = source
         if not isinstance(operators, CompiledSegment):
             operators = CompiledSegment(name, chain.name, operators,
@@ -217,10 +278,23 @@ class Fragment:
         self._sink_kind = segment.sink_kind
         self.builds_join = segment.builds_join
         self.probed_joins = segment.probed_joins
-        self.writes_temp = segment.sink_kind == "temp"
-        self.is_output = segment.sink_kind == "output"
         self.cpu_per_tuple = segment.cpu_per_tuple
         self.local_cpu_per_tuple = segment.local_cpu_per_tuple
+        #: the planning policy's last priority key for this fragment and
+        #: the CM wait snapshot it came from (derived from ``c_p``, so
+        #: rebuilt with the segment).
+        self.priority_key: Optional[tuple[Any, Any]] = None
+
+    # Derived, not held: a fragment keeps at most 30 attributes, the most
+    # CPython 3.11 stores inline (beyond that every attribute load on
+    # the batch path goes through a per-instance dict).
+    @property
+    def writes_temp(self) -> bool:
+        return self._sink_kind == "temp"
+
+    @property
+    def is_output(self) -> bool:
+        return self._sink_kind == "output"
 
     @property
     def terminal(self) -> Operator:

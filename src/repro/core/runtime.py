@@ -36,6 +36,8 @@ from repro.core.fragments import (
     FragmentKind,
     FragmentStatus,
     compiled_chains,
+    compiled_degradations,
+    materialization_temp,
 )
 from repro.core.statistics import RuntimeStatistics
 from repro.mediator.buffer import BufferManager, HashTable
@@ -164,6 +166,8 @@ class QueryRuntime:
         self.qep = qep
         self.closure = qep.closure  # the plan's, shared: read-only
         self.compiled = compiled_chains(qep, world.params)
+        self.compiled_mf, self.compiled_cf = compiled_degradations(
+            qep, world.params)
         self.result_tuples = 0
         #: virtual time of the first result tuple (time-to-first-tuple).
         self.first_result_at: Optional[float] = None
@@ -193,6 +197,18 @@ class QueryRuntime:
         self._cf_owed: set[str] = set()
         #: the DQS's wait snapshot, for the planning phase in progress.
         self.phase_waits: Optional[dict[str, float]] = None
+        # What a planning phase reads, kept where it changes — fragment
+        # create, done, degrade (suspend), CF create (unsuspend) and the
+        # chain completions a done brings — never re-derived per phase.
+        #: C-schedulable fragments (Section 4.1): the DSE's candidates.
+        self.schedulable: dict[Fragment, None] = {}
+        #: plain chains whose PC waits on an ancestor, in plan order: the
+        #: chains the DSE may degrade (Section 4.4).
+        self.blocked_chains: dict[str, PipelineChain] = {}
+        #: MFs not done yet, by chain, in the order they were created.
+        self.materializing: dict[str, Fragment] = {}
+        #: chains not complete yet, in plan (iterator) order.
+        self.open_chains: list[str] = [chain.name for chain in qep.chains]
         self.memory_splits = 0
         #: root of this query's causal span tree (None when spans off).
         self.query_span: Optional[int] = None
@@ -231,14 +247,23 @@ class QueryRuntime:
     # -- fragment creation ---------------------------------------------------
     def _register(self, fragment: Fragment) -> Fragment:
         self.fragments[fragment.name] = fragment
+        self._recheck(fragment)
         return fragment
+
+    def _recheck(self, fragment: Fragment) -> None:
+        """Admit ``fragment`` to :attr:`schedulable` if it now qualifies."""
+        if fragment not in self.schedulable and self.is_c_schedulable(fragment):
+            self.schedulable[fragment] = None
 
     def _create_pc_fragment(self, chain: PipelineChain) -> Fragment:
         queue = self.world.cm.queue(chain.source_relation)
         fragment = Fragment(self, chain.name, FragmentKind.PIPELINE_CHAIN,
                             chain, self.compiled[chain.name], queue)
         self.chain_fragments[chain.name] = [fragment]
-        return self._register(fragment)
+        self._register(fragment)
+        if fragment not in self.schedulable:
+            self.blocked_chains[chain.name] = chain
+        return fragment
 
     def degrade_chain(self, chain: PipelineChain,
                       prefer_memory: Optional[bool] = None,
@@ -266,30 +291,24 @@ class QueryRuntime:
         if prefer_memory is None:
             prefer_memory = self.world.params.allow_memory_temps
         writer = self.world.buffer.create_temp(
-            f"mf:{chain.name}",
+            materialization_temp(chain.name),
             memory=self.world.memory,
             estimated_tuples=self.remaining_source_tuples(chain)
             * chain.scan.scan_selectivity,
             prefer_memory=prefer_memory)
-        scan = chain.scan
-        mf_ops = [
-            ScanOp(name=scan.name, relation=scan.relation,
-                   scan_selectivity=scan.scan_selectivity,
-                   estimated_input_cardinality=scan.estimated_input_cardinality,
-                   estimated_output_cardinality=scan.estimated_output_cardinality),
-            MatOp(name="mat[temp]", join=None,
-                  estimated_input_cardinality=scan.estimated_output_cardinality,
-                  estimated_output_cardinality=scan.estimated_output_cardinality),
-        ]
         mf = Fragment(self, f"MF({chain.name})", FragmentKind.MATERIALIZATION,
-                      chain, mf_ops, pc.source)
+                      chain, self.compiled_mf[chain.name], pc.source)
         mf.temp_writer = writer
         pc.suspended = True
+        self.schedulable.pop(pc, None)
+        self.blocked_chains.pop(chain.name, None)
         self.chain_fragments[chain.name] = [mf, pc]
         self.degraded_chains.add(chain.name)
         self._cf_owed.add(chain.name)
-        self.world.tracer.emit("degrade", chain.name,
-                               mf=mf.name, temp=writer.temp.name)
+        self.materializing[chain.name] = mf
+        if self.world.tracer.enabled:
+            self.world.tracer.emit("degrade", chain.name,
+                                   mf=mf.name, temp=writer.temp.name)
         self._audit(DECISION_DEGRADE, chain.name, decision_inputs,
                     mf=mf.name, temp=writer.temp.name)
         return self._register(mf)
@@ -316,34 +335,31 @@ class QueryRuntime:
         Called by planning policies at the start of each planning phase;
         returns the complement fragments created.
         """
-        created: list[Fragment] = []
         owed = self._cf_owed
         if not owed:
-            return created
-        for chain in self.qep.chains:  # plan order: CFs are created in it
-            if chain.name not in owed:
-                continue
-            mf = self.chain_fragments[chain.name][0]
-            if mf.status is not FragmentStatus.DONE:
-                continue
-            owed.discard(chain.name)
-            created.append(self._create_cf_fragment(chain, mf))
-            self.fragments[chain.name].suspended = False
+            return []
+        created: list[Fragment] = []
+        chain_fragments = self.chain_fragments
+        due = [name for name in owed
+               if chain_fragments[name][0].status is FragmentStatus.DONE]
+        due.sort(key=self.qep.chain_index.__getitem__)  # CFs in plan order
+        for name in due:
+            owed.discard(name)
+            mf = chain_fragments[name][0]
+            created.append(self._create_cf_fragment(mf.chain, mf))
+            pc = self.fragments[name]
+            pc.suspended = False
+            self._recheck(pc)
         return created
 
     def _create_cf_fragment(self, chain: PipelineChain, mf: Fragment) -> Fragment:
         temp = mf.temp_writer.temp
-        scan = chain.scan
-        temp_scan = ScanOp(
-            name=f"scan({temp.name})", relation=temp.name,
-            scan_selectivity=1.0,
-            estimated_input_cardinality=scan.estimated_output_cardinality,
-            estimated_output_cardinality=scan.estimated_output_cardinality)
-        cf_ops = [temp_scan] + chain.operators[1:]
         cf = Fragment(self, f"CF({chain.name})", FragmentKind.COMPLEMENT,
-                      chain, cf_ops, self.world.buffer.reader(temp))
+                      chain, self.compiled_cf[chain.name],
+                      self.world.buffer.reader(temp))
         self.chain_fragments[chain.name].insert(1, cf)
-        self.world.tracer.emit("cf-create", cf.name, temp=temp.name)
+        if self.world.tracer.enabled:
+            self.world.tracer.emit("cf-create", cf.name, temp=temp.name)
         self._audit(DECISION_CF_CREATE, cf.name, chain=chain.name,
                     temp=temp.name, temp_tuples=mf.tuples_out)
         return self._register(cf)
@@ -392,7 +408,9 @@ class QueryRuntime:
             fragment.chain, [continuation_scan, continuation_mat],
             self.world.buffer.reader(writer.temp))
         continuation.hash_table = table
-        self.chain_fragments[fragment.chain.name].append(continuation)
+        siblings = self.chain_fragments[fragment.chain.name]
+        siblings.append(continuation)
+        continuation.rank += len(siblings)
         self.memory_splits += 1
         self.world.tracer.emit("memory-split", fragment.name,
                                join=join.name, temp=writer.temp.name)
@@ -451,6 +469,8 @@ class QueryRuntime:
                                    self.world.params.tuple_size)
         self.closure = self.qep.closure
         self.compiled = compiled_chains(self.qep, self.world.params)
+        self.compiled_mf, self.compiled_cf = compiled_degradations(
+            self.qep, self.world.params)
         for chain_name in affected:
             old_fragment = self.fragments.pop(chain_name)
             chain = self.qep.chain(chain_name)
@@ -459,12 +479,28 @@ class QueryRuntime:
                                 old_fragment.source)
             self.fragments[fragment.name] = fragment
             self.chain_fragments[chain_name] = [fragment]
+        self._rederive_planning_state()
         self.statistics.update_estimate(
             join_name, self.qep.joins[join_name].estimated_build_cardinality)
         self.world.tracer.emit("reopt-swap", join_name,
                                new_build=self.qep.joins[join_name].build_relations)
         self._audit(DECISION_REOPT_SWAP, join_name, decision_inputs,
                     new_build=list(self.qep.joins[join_name].build_relations))
+
+    def _rederive_planning_state(self) -> None:
+        """Rebuild what planning keeps, after a swap replaced the plan:
+        its closure and iterator order, and two chains' fragments."""
+        self.schedulable = {fragment: None
+                            for fragment in self.fragments.values()
+                            if self.is_c_schedulable(fragment)}
+        self.blocked_chains = {
+            chain.name: chain for chain in self.qep.chains
+            if chain.name not in self.degraded_chains
+            and self.fragments[chain.name].status is FragmentStatus.PENDING
+            and self.fragments[chain.name] not in self.schedulable}
+        completed = self.completed_chains
+        self.open_chains = [chain.name for chain in self.qep.chains
+                            if chain.name not in completed]
 
     # -- hash tables -----------------------------------------------------------
     def table_estimate_bytes(self, join_name: str) -> int:
@@ -565,6 +601,9 @@ class QueryRuntime:
     def on_fragment_done(self, fragment: Fragment) -> None:
         """Bookkeeping when a fragment finalizes."""
         self.done_revision += 1
+        self.schedulable.pop(fragment, None)
+        if fragment.kind is FragmentKind.MATERIALIZATION:
+            self.materializing.pop(fragment.chain.name, None)
         self._fragments_completed.inc()
         if fragment.started_at is not None:
             self._fragment_seconds.observe(
@@ -594,6 +633,10 @@ class QueryRuntime:
         fragments = self.chain_fragments[chain_name]
         if all(f.status is FragmentStatus.DONE for f in fragments):
             self._complete_chain(chain_name)
+            return
+        for sibling in fragments:  # a continuation waits on those before it
+            if sibling.kind is FragmentKind.CONTINUATION:
+                self._recheck(sibling)
 
     def _maybe_drop_tables(self, fragment: Fragment) -> None:
         """Drop each probed table once no live fragment still probes it."""
@@ -615,6 +658,12 @@ class QueryRuntime:
 
     def _complete_chain(self, chain_name: str) -> None:
         self.completed_chains.add(chain_name)
+        self.open_chains.remove(chain_name)
+        for dependent in self.qep.dependents[chain_name]:
+            if self.ancestors_done(dependent):  # its PC and CF may run now
+                self.blocked_chains.pop(dependent, None)
+                for fragment in self.chain_fragments[dependent]:
+                    self._recheck(fragment)
         chain = self.qep.chain(chain_name)
         if chain.feeds is not None:
             table = self.hash_tables.get(chain.feeds.name)
@@ -639,9 +688,21 @@ class QueryRuntime:
         return [f for f in self.fragments.values()
                 if f.status is not FragmentStatus.DONE]
 
+    def next_in_iterator_order(self) -> Optional[Fragment]:
+        """The first unfinished fragment of the first incomplete chain in
+        plan (iterator) order: what SEQ runs next, and MA once nothing
+        materializes."""
+        chain_fragments = self.chain_fragments
+        for name in self.open_chains:
+            for fragment in chain_fragments[name]:
+                if fragment.status is not FragmentStatus.DONE:
+                    return fragment
+        return None
+
     def remaining_source_tuples(self, chain: PipelineChain) -> float:
         """Source tuples of ``chain`` not yet delivered to the mediator."""
-        if chain.source_relation not in self.world.cm.estimators:
+        estimator = self.world.cm.estimators.get(chain.source_relation)
+        if estimator is None:
             return chain.scan.estimated_input_cardinality
-        delivered = self.world.cm.estimator(chain.source_relation).tuples_delivered
-        return max(0.0, chain.scan.estimated_input_cardinality - delivered)
+        return max(0.0, chain.scan.estimated_input_cardinality
+                   - estimator.tuples_delivered)

@@ -66,6 +66,8 @@ class RuntimeStatistics:
 
     def __init__(self):
         self._joins: dict[str, JoinObservation] = {}
+        #: observations recorded since :meth:`take_observed` last ran.
+        self.fresh: list[JoinObservation] = []
         self.rate_history: list[RateSnapshot] = []
 
     # -- joins ---------------------------------------------------------
@@ -84,7 +86,14 @@ class RuntimeStatistics:
             raise SchedulingError(f"unknown join {join_name!r}") from None
         observation.observed_build = actual_tuples
         observation.observed_at = time
+        self.fresh.append(observation)
         return observation
+
+    def take_observed(self) -> list[JoinObservation]:
+        """Observations recorded since the last call: all that can have
+        become misestimated meanwhile."""
+        observed, self.fresh = self.fresh, []
+        return observed
 
     def update_estimate(self, join_name: str, estimated_build: float) -> None:
         """Re-baseline a join's estimate (after a plan revision swapped
@@ -116,8 +125,12 @@ class RuntimeStatistics:
 
     # -- rates -----------------------------------------------------------
     def snapshot_rates(self, time: float, waits: dict[str, float]) -> None:
-        """Record the per-source wait estimates of one planning phase."""
-        self.rate_history.append(RateSnapshot(time, dict(waits)))
+        """Record the per-source wait estimates of one planning phase.
+
+        ``waits`` is kept, not copied: the CM's snapshot is a new dict
+        whenever an estimate moves and is never mutated.
+        """
+        self.rate_history.append(RateSnapshot(time, waits))
 
     def wait_series(self, source: str) -> list[tuple[float, float]]:
         """(time, wait) history for one source across planning phases."""

@@ -11,7 +11,6 @@ fragments exactly like DSE but never creates materialization fragments.
 
 from __future__ import annotations
 
-from repro.core.fragments import Fragment
 from repro.core.runtime import QueryRuntime
 from repro.core.strategies.dse import DsePolicy
 
@@ -25,8 +24,3 @@ class ConcurrentOnlyPolicy(DsePolicy):
                                  waits: dict[str, float]) -> None:
         """Degradation disabled: blocked chains simply wait."""
 
-    def select(self, runtime: QueryRuntime) -> list[Fragment]:
-        # No degradations ever happen, so the partial-materialization
-        # bookkeeping inherited from DsePolicy is all no-ops; the
-        # selection logic itself is shared.
-        return super().select(runtime)

@@ -17,9 +17,11 @@ only gets a batch when every higher-priority fragment is out of data.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.config import SimulationParameters
 from repro.core.dqs import PlanningPolicy
-from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
+from repro.core.fragments import Fragment, FragmentKind
 from repro.core.metrics import (
     benefit_materialization_indicator,
     critical_degree,
@@ -38,7 +40,6 @@ class DsePolicy(PlanningPolicy):
 
     def __init__(self):
         self.last_priorities: dict[str, float] = {}
-        self.degradations: list[str] = []
 
     def select(self, runtime: QueryRuntime) -> list[Fragment]:
         waits = runtime.phase_waits
@@ -48,26 +49,34 @@ class DsePolicy(PlanningPolicy):
         runtime.world.cm.arm_rate_baseline()
 
         runtime.advance_degraded_chains()
-        self._stop_satisfied_materializations(runtime)
-        self._degrade_critical_chains(runtime, waits)
+        if runtime.materializing:
+            self._stop_satisfied_materializations(runtime)
+        if runtime.blocked_chains:
+            self._degrade_critical_chains(runtime, waits)
 
-        candidates = [fragment for fragment in runtime.live_fragments()
-                      if runtime.is_c_schedulable(fragment)]
+        # The runtime keeps the C-schedulable set; each candidate's sort
+        # key is whole and unique (chain position, then the fragment's
+        # rank in its chain), so the order never depends on the set's.
         chain_index = runtime.qep.chain_index
-        keys = {fragment.name: self._priority_key(runtime, fragment, waits)
-                for fragment in candidates}
-        self.last_priorities = {name: key[1] for name, key in keys.items()}
-        candidates.sort(key=lambda f: (
-            -keys[f.name][0],          # band: sparse > dense > local
-            keys[f.name][2],           # dense band: pipeline before MF
-            -keys[f.name][1],          # critical degree within the band
-            chain_index[f.chain.name],
-            runtime.chain_fragments[f.chain.name].index(f),
-        ))
-        return candidates
+        priorities: dict[str, float] = {}
+        ranked = []
+        for fragment in runtime.schedulable:
+            band, crit, mf_last = self._priority_key(runtime, fragment, waits)
+            priorities[fragment.name] = crit
+            ranked.append((
+                -band,      # band: sparse > dense > local
+                mf_last,    # dense band: pipeline before MF
+                -crit,      # critical degree within the band
+                chain_index[fragment.chain.name],
+                fragment.rank,
+                fragment))
+        ranked.sort()
+        self.last_priorities = priorities
+        return [entry[-1] for entry in ranked]
 
     def priorities(self, runtime: QueryRuntime) -> dict[str, float]:
-        return dict(self.last_priorities)
+        """The last selection's critical degrees (a new dict each phase)."""
+        return self.last_priorities
 
     # -- partial materialization (Section 3.3) -----------------------------
     @staticmethod
@@ -78,16 +87,13 @@ class DsePolicy(PlanningPolicy):
         directly — materialization stays *partial*, covering only the
         period during which the chain was blocked.
         """
-        degraded = runtime.degraded_chains
-        if not degraded:
-            return
-        for chain in runtime.qep.chains:
-            if chain.name not in degraded:
-                continue
-            mf = runtime.chain_fragments[chain.name][0]
-            if (mf.kind is FragmentKind.MATERIALIZATION
-                    and mf.status is not FragmentStatus.DONE
-                    and not mf.stop_requested
+        open_mfs: Iterable[Fragment] = runtime.materializing.values()
+        if len(runtime.materializing) > 1:  # stops are decided in plan order
+            order = runtime.qep.chain_index
+            open_mfs = sorted(open_mfs, key=lambda mf: order[mf.chain.name])
+        for mf in open_mfs:
+            chain = mf.chain
+            if (not mf.stop_requested
                     and runtime.ancestors_done(chain.name)
                     and runtime.memory_stop_allowed(chain)):
                 runtime.request_stop_materialization(chain)
@@ -97,20 +103,16 @@ class DsePolicy(PlanningPolicy):
                                  waits: dict[str, float]) -> None:
         params = runtime.world.params
         io_per_tuple = self._bmi_io_seconds(params)
-        for chain in runtime.qep.chains:
-            if (chain.name in runtime.degraded_chains
-                    or runtime.chain_complete(chain.name)):
-                continue
-            fragment = runtime.fragments.get(chain.name)
-            if fragment is None or fragment.status is not FragmentStatus.PENDING:
-                continue
-            if runtime.is_c_schedulable(fragment):
-                continue  # will run in pipeline; no reason to materialize
+        worth = 2 * params.tuples_per_message
+        # Blocked: not degraded, not complete, a pending PC that is not
+        # C-schedulable — kept by the runtime; degrading one removes it.
+        for chain in tuple(runtime.blocked_chains.values()):
             remaining = runtime.remaining_source_tuples(chain)
-            if remaining <= 2 * params.tuples_per_message:
+            if remaining <= worth:
                 continue  # nothing worth materializing anymore
             wait = waits.get(chain.source_relation, params.w_min)
-            crit = critical_degree(remaining, wait, fragment.cpu_per_tuple)
+            crit = critical_degree(remaining, wait,
+                                   runtime.fragments[chain.name].cpu_per_tuple)
             if crit <= 0:
                 continue
             bmi = benefit_materialization_indicator(wait, io_per_tuple)
@@ -118,7 +120,6 @@ class DsePolicy(PlanningPolicy):
                 runtime.degrade_chain(chain, decision_inputs=dict(
                     critical=crit, bmi=bmi, bmt=params.bmt,
                     wait_per_tuple=wait, remaining_tuples=remaining))
-                self.degradations.append(chain.name)
 
     @staticmethod
     def _bmi_io_seconds(params: SimulationParameters) -> float:
@@ -153,18 +154,28 @@ class DsePolicy(PlanningPolicy):
     def _priority_key(self, runtime: QueryRuntime, fragment: Fragment,
                       waits: dict[str, float]) -> tuple[int, float, int]:
         params = runtime.world.params
-        if isinstance(fragment.source, SourceQueue):
-            wait = waits.get(fragment.source.source, params.w_min)
+        source = fragment.source
+        if isinstance(source, SourceQueue):
+            # A remote fragment's key reads its source's wait and
+            # delivered count: both only move when tuples arrive, and the
+            # CM's snapshot is a new dict exactly then.
+            cached = fragment.priority_key
+            if cached is not None and cached[0] is waits:
+                return cached[1]
+            wait = waits.get(source.source, params.w_min)
             remaining = runtime.remaining_source_tuples(fragment.chain)
             cpu = fragment.cpu_per_tuple
             crit = critical_degree(remaining, wait, cpu)
             sparse = wait > 0 and (cpu / wait) <= params.sparse_demand_threshold
             if sparse:
-                return (2, crit, 0)
-            is_mf = fragment.kind is FragmentKind.MATERIALIZATION
-            return (1, crit, 1 if is_mf else 0)
+                key = (2, crit, 0)
+            else:
+                is_mf = fragment.kind is FragmentKind.MATERIALIZATION
+                key = (1, crit, 1 if is_mf else 0)
+            fragment.priority_key = (waits, key)
+            return key
         # Temp-backed fragment: the local disk never makes the engine
         # wait for "delivery"; its (negative) critical degree is -n*c.
-        remaining = fragment.source.temp.tuples - fragment.source.tuples_read
+        remaining = source.temp.tuples - source.tuples_read
         return (0, critical_degree(max(0.0, remaining), 0.0,
                                    fragment.local_cpu_per_tuple), 0)

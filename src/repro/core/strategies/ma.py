@@ -11,7 +11,7 @@ delays are small relative to the I/O overhead (Section 5.4).
 from __future__ import annotations
 
 from repro.core.dqs import PlanningPolicy
-from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
+from repro.core.fragments import Fragment
 from repro.core.runtime import QueryRuntime
 
 
@@ -22,25 +22,14 @@ class MaterializeAllPolicy(PlanningPolicy):
     wants_rate_events = False
 
     def select(self, runtime: QueryRuntime) -> list[Fragment]:
-        self._ensure_degraded(runtime)
+        if len(runtime.degraded_chains) < len(runtime.qep.chains):
+            self._ensure_degraded(runtime)
         runtime.advance_degraded_chains()
-        materializations = [
-            fragment
-            for chain in runtime.qep.chains
-            for fragment in runtime.chain_fragments[chain.name]
-            if fragment.kind is FragmentKind.MATERIALIZATION
-            and fragment.status is not FragmentStatus.DONE
-        ]
-        if materializations:
-            return materializations
+        if runtime.materializing:  # the open MFs, degraded in plan order
+            return list(runtime.materializing.values())
         # Phase 2: iterator order over the complement fragments.
-        for chain in runtime.qep.chains:
-            if runtime.chain_complete(chain.name):
-                continue
-            for fragment in runtime.chain_fragments[chain.name]:
-                if fragment.status is not FragmentStatus.DONE:
-                    return [fragment]
-        return []
+        fragment = runtime.next_in_iterator_order()
+        return [fragment] if fragment is not None else []
 
     @staticmethod
     def _ensure_degraded(runtime: QueryRuntime) -> None:

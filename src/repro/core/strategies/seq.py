@@ -9,7 +9,7 @@ baseline "when nothing is done to handle unpredictable data delivery".
 from __future__ import annotations
 
 from repro.core.dqs import PlanningPolicy
-from repro.core.fragments import Fragment, FragmentStatus
+from repro.core.fragments import Fragment
 from repro.core.runtime import QueryRuntime
 
 
@@ -20,10 +20,5 @@ class SequentialPolicy(PlanningPolicy):
     wants_rate_events = False
 
     def select(self, runtime: QueryRuntime) -> list[Fragment]:
-        for chain in runtime.qep.chains:
-            if runtime.chain_complete(chain.name):
-                continue
-            for fragment in runtime.chain_fragments[chain.name]:
-                if fragment.status is not FragmentStatus.DONE:
-                    return [fragment]
-        return []
+        fragment = runtime.next_in_iterator_order()
+        return [fragment] if fragment is not None else []

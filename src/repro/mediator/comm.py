@@ -48,6 +48,12 @@ class CommunicationManager:
         self.estimators: dict[str, DeliveryRateEstimator] = {}
         self._rate_listener: Optional[RateChangeListener] = None
         self._rate_baseline: dict[str, float] = {}
+        # :meth:`_delivery_marks` when the baseline and the wait snapshot
+        # were last taken: unchanged marks mean unchanged estimates.
+        self._baseline_marks = (0, -1)
+        self._snapshot_marks = (0, -1)
+        self._snapshot: dict[str, float] = {}
+        self._snapshot_default: Optional[float] = None
 
     # -- registration ------------------------------------------------------
     def register_source(self, source: str) -> SourceQueue:
@@ -115,19 +121,33 @@ class CommunicationManager:
         """Install the callback fired on significant rate changes."""
         self._rate_listener = listener
 
-    def arm_rate_baseline(self) -> dict[str, float]:
+    def arm_rate_baseline(self) -> None:
         """Snapshot current wait estimates as the new comparison baseline.
 
         Called at each planning phase; subsequent deliveries compare
         against this snapshot.  Sources without an estimate yet are left
-        out (their first estimate can never be a "change").
+        out (their first estimate can never be a "change").  With no
+        tuple delivered since the last arm the baseline already holds
+        every current estimate (a re-arm in :meth:`_check_rate_change`
+        sets it to one), so there is nothing to redo.
         """
+        marks = self._delivery_marks()
+        if marks == self._baseline_marks:
+            return
+        self._baseline_marks = marks
         self._rate_baseline = {
             source: est.wait_estimate
             for source, est in self.estimators.items()
             if est.wait_estimate is not None
         }
-        return dict(self._rate_baseline)
+
+    def _delivery_marks(self) -> tuple[int, int]:
+        """Sources, and tuples all of them delivered: a wait estimate
+        only moves when tuples arrive, and neither count ever falls."""
+        delivered = 0
+        for estimator in self.estimators.values():
+            delivered += estimator.tuples_delivered
+        return len(self.estimators), delivered
 
     def _check_rate_change(self, source: str) -> None:
         if self._rate_listener is None:
@@ -149,9 +169,18 @@ class CommunicationManager:
 
     # -- inspection ----------------------------------------------------------
     def wait_snapshot(self, default: float) -> dict[str, float]:
-        """Current ``w_p`` estimate per source (``default`` where unknown)."""
-        return {source: est.wait_or(default)
-                for source, est in self.estimators.items()}
+        """Current ``w_p`` estimate per source (``default`` where unknown).
+
+        The same dict comes back until some source delivers tuples (or
+        ``default`` changes): a caller may keep it, and must not mutate it.
+        """
+        marks = self._delivery_marks()
+        if marks != self._snapshot_marks or default != self._snapshot_default:
+            self._snapshot = {source: est.wait_or(default)
+                              for source, est in self.estimators.items()}
+            self._snapshot_marks = marks
+            self._snapshot_default = default
+        return self._snapshot
 
     def all_exhausted(self) -> bool:
         """True when every registered source has delivered everything."""

@@ -139,6 +139,14 @@ class QEP:
         return ancestor_closure(self)
 
     @cached_property
+    def dependents(self) -> dict[str, tuple[str, ...]]:
+        """Chain name -> the chains whose ``ancestors*`` contain it, in
+        iterator order: all a chain's completion can unblock."""
+        return {chain.name: tuple(other.name for other in self.chains
+                                  if chain.name in self.closure[other.name])
+                for chain in self.chains}
+
+    @cached_property
     def probing_chain(self) -> dict[str, str]:
         """Join name -> name of the chain whose probe consumes it."""
         return {name: self.chain_probing(join).name

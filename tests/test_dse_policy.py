@@ -135,6 +135,20 @@ def test_no_degradation_for_nearly_exhausted_source(tiny_fig5):
     assert rt.degraded_chains == set()
 
 
+def complete(rt, fragment):
+    """Run ``fragment`` through its end of stream, as the DQP would:
+    the runtime's lifecycle hooks then record what that completes."""
+    rt.ensure_hash_table(fragment)
+    rt.world.cm.queue(fragment.source.source).put(Message(0, eof=True))
+
+    def run():
+        outcome = yield from fragment.process_batch(10_000)
+        return outcome
+
+    rt.world.sim.process(run())
+    rt.world.sim.run()
+
+
 def test_stop_requested_once_schedulable(tiny_fig5):
     rt = make_runtime(tiny_fig5.qep)
     rt.degrade_chain(tiny_fig5.qep.chain("pB"))
@@ -143,7 +157,8 @@ def test_stop_requested_once_schedulable(tiny_fig5):
     policy = DsePolicy()
     policy.select(rt)
     assert not mf.stop_requested  # pA not complete yet
-    rt.completed_chains.add("pA")
+    complete(rt, rt.fragments["pA"])
+    assert rt.chain_complete("pA")
     policy.select(rt)
     assert mf.stop_requested
 

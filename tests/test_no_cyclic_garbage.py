@@ -222,7 +222,8 @@ def test_timed_stall(assert_no_cyclic_garbage, data_at):
 @pytest.mark.parametrize("submissions", [20, 200])
 def test_what_the_plan_compiled_pins_no_run(monkeypatch, submissions):
     """The plane's cached workload carries what every run of its plan
-    shares (``QEP.closure`` ..., the compiled chains): it outlives every
+    shares (``QEP.closure`` ..., the compiled chains and their MF / CF
+    segments, one entry each per parameter set): it outlives every
     submission, grows with none of them, and — sitting below every run —
     keeps no finished ``QueryRuntime`` or query-view ``World`` alive."""
     import gc
@@ -268,7 +269,7 @@ def test_what_the_plan_compiled_pins_no_run(monkeypatch, submissions):
 
     run(4, 1)  # imports, lazily built classes, the first compile
     warm = cache_size()
-    assert warm == (1, 1, [6], 0)  # telemetry on, yet no metric written
+    assert warm == (1, 3, [6, 6, 6], 0)  # telemetry on, yet no metric written
     finished.clear()
     gc.collect()
     gc.disable()

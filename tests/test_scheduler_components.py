@@ -75,7 +75,7 @@ def test_dqs_admits_within_memory(small_qep):
 
 def test_plan_is_described_only_for_an_enabled_tracer(small_qep,
                                                       monkeypatch):
-    """``describe()`` formats every fragment's priority: nine plans a
+    """``describe()`` formats every fragment's priority: 6 to 18 plans a
     submission, for a tracer that is almost always off."""
     described = []
     real = SchedulingPlan.describe
