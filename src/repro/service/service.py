@@ -44,6 +44,7 @@ backend, the ``AsyncioKernel.run`` task and the publish timer.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,6 +147,16 @@ class SubmissionRequest(LeaseBudgets):
             make_policy(self.strategy)  # validates the name
         except ValueError as exc:  # -> HTTP 400, not a server error
             raise ConfigurationError(str(exc)) from None
+        # JSON's NaN and Infinity parse as floats: an infinite wait is a
+        # source that never produces, a NaN priority unorders admission.
+        for name, value in (("scale", self.scale), ("wait_us", self.wait_us),
+                            ("jitter", self.jitter),
+                            ("priority", self.priority),
+                            *((f"slow factor for {relation!r}", factor)
+                              for relation, factor in self.slow.items())):
+            if value is not None and not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{name} must be a finite number, got {value}")
         if self.scale <= 0:
             raise ConfigurationError(
                 f"scale must be positive, got {self.scale}")

@@ -109,16 +109,28 @@ class Store:
     def is_full(self) -> bool:
         return self.capacity is not None and len(self.items) >= self.capacity
 
-    def put(self, item: Any) -> SimEvent:
-        """Event that succeeds when ``item`` has been deposited."""
-        event = self.sim.event(name=self._put_name)
+    def try_put(self, item: Any) -> bool:
+        """Deposit ``item`` here and now; False if the caller must queue.
+
+        The mirror of :meth:`Resource.try_acquire`: :meth:`put` grants in
+        place whenever it need not queue, so depositing without the event
+        is order-identical.
+        """
         if self._getters:
             # Hand the item straight to the oldest waiting consumer.
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.grant()
+            self._getters.popleft().succeed(item)
         elif not self.is_full:
             self.items.append(item)
+        else:
+            return False
+        return True
+
+    def put(self, item: Any) -> SimEvent:
+        """Event that succeeds when ``item`` has been deposited.  A
+        producer that can deposit straight away asks :meth:`try_put`
+        first."""
+        event = self.sim.event(name=self._put_name)
+        if self.try_put(item):
             event.grant()
         else:
             self._putters.append((event, item))

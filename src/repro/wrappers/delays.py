@@ -19,15 +19,23 @@ The experiments' default (Section 5.1.3) is :class:`UniformDelay`:
 per-tuple delays uniform on ``[0, 2w]``, hence an average of ``w``;
 :class:`JitteredDelay`, a service submission's delay profile, makes that
 draw once per message.
+
+A wrapper reads a relation's production times through
+:meth:`DelayModel.message_seconds`, one sum of tuple waits a message.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Iterator
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+
+#: full messages an i.i.d. model draws in one ``waiting_times`` call
+#: (64 × 204 tuples: ~104 KB of float64 transient).
+WINDOW_MESSAGES = 64
 
 
 class DelayModel(ABC):
@@ -46,10 +54,55 @@ class DelayModel(ABC):
         """Whether :meth:`waiting_times` can ever read ``rng``."""
         return True
 
+    def message_seconds(self, cardinality: int, per_message: int,
+                        rng: np.random.Generator) -> Iterator[float]:
+        """Production seconds of each message of a ``cardinality``-tuple
+        relation shipped ``per_message`` tuples at a time: the sum of its
+        tuples' waits.
+
+        Drawn lazily, one :meth:`waiting_times` call a message, so a
+        stateful model keeps its per-call behaviour and a model that
+        raises does so at the message it fails on.
+        """
+        for first in range(0, cardinality, per_message):
+            yield float(self.waiting_times(
+                min(per_message, cardinality - first), rng).sum())
+
     @staticmethod
     def _check_n(n: int) -> None:
         if n < 0:
             raise ConfigurationError(f"tuple count must be >= 0, got {n}")
+
+
+class _IidDelay(DelayModel):
+    """A model whose every tuple waits an independent draw of one
+    distribution, so ``waiting_times(k * n)`` is ``k`` calls of ``n``:
+    the same values in the same order, the generator left in the same
+    state.  Its messages are therefore drawn a window at a time."""
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # The window is exact for the draws declared here (the direct
+        # subclasses), not for any draw: one further down that redefines
+        # ``waiting_times`` and not ``message_seconds`` is cut one call a
+        # message, as every other model is.
+        if (_IidDelay not in cls.__bases__ and "waiting_times" in vars(cls)
+                and "message_seconds" not in vars(cls)):
+            cls.message_seconds = DelayModel.message_seconds  # type: ignore[method-assign]
+
+    def message_seconds(self, cardinality: int, per_message: int,
+                        rng: np.random.Generator) -> Iterator[float]:
+        # Row sums equal each message's own ``.sum()`` bit for bit; a
+        # window never reaches past the last full message, and the
+        # trailing partial message is drawn on its own.
+        full, last = divmod(cardinality, per_message)
+        while full:
+            window = min(full, WINDOW_MESSAGES)
+            yield from self.waiting_times(window * per_message, rng).reshape(
+                window, per_message).sum(axis=1).tolist()
+            full -= window
+        if last:
+            yield float(self.waiting_times(last, rng).sum())
 
 
 class _MeanWaitDelay(DelayModel):
@@ -71,7 +124,7 @@ class _MeanWaitDelay(DelayModel):
         return f"{type(self).__name__}(w={self.w:g})"
 
 
-class ConstantDelay(_MeanWaitDelay):
+class ConstantDelay(_MeanWaitDelay, _IidDelay):
     """Exactly ``w`` seconds before every tuple."""
 
     draws = False
@@ -81,7 +134,7 @@ class ConstantDelay(_MeanWaitDelay):
         return np.full(n, self.w)
 
 
-class UniformDelay(_MeanWaitDelay):
+class UniformDelay(_MeanWaitDelay, _IidDelay):
     """Per-tuple delays uniform on ``[0, 2w]`` (the paper's experiments)."""
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -124,7 +177,7 @@ def slow_delivery(w: float) -> UniformDelay:
     return UniformDelay(w)
 
 
-class ExponentialDelay(_MeanWaitDelay):
+class ExponentialDelay(_MeanWaitDelay, _IidDelay):
     """Memoryless per-tuple delays (Poisson tuple arrivals) with mean ``w``.
 
     Heavier-tailed than the experiments' uniform model: occasional long
@@ -138,7 +191,7 @@ class ExponentialDelay(_MeanWaitDelay):
         return rng.exponential(self.w, size=n)
 
 
-class NormalDelay(DelayModel):
+class NormalDelay(_IidDelay):
     """Gaussian per-tuple delays truncated at zero.
 
     ``mean_wait`` reports the truncated mean, so the analytic lower

@@ -66,6 +66,15 @@ def test_from_json_round_trips_a_full_body():
     {"slow": {"A": "x"}},
     {"memory_bytes": 0},
     {"min_memory_bytes": 2048, "max_memory_bytes": 1024},
+    # json.loads accepts NaN and Infinity: none is a number here.
+    json.loads('{"wait_us": Infinity}'),
+    json.loads('{"wait_us": NaN}'),
+    json.loads('{"scale": NaN}'),
+    json.loads('{"scale": Infinity}'),
+    json.loads('{"slow": {"A": Infinity}}'),
+    json.loads('{"slow": {"A": NaN}}'),
+    json.loads('{"priority": NaN}'),
+    json.loads('{"priority": -Infinity}'),
 ])
 def test_from_json_rejects_bad_bodies(body):
     with pytest.raises(ConfigurationError):
