@@ -10,8 +10,10 @@ stall attribution, per-phase counters and the full decision audit log.
 sessions (three of twelve submissions on the default machine, one of 96
 at the ``service_saturated`` bench configuration), each through one
 :class:`~repro.service.backend.ExecutionPlane` whose kernel is a
-``Simulator`` — admission order and waits, every submission's outcome,
-the kernel's event count.
+``Simulator`` (``execute`` runs each submission through the
+:meth:`~repro.core.multiquery.GovernedMachine.run_query` the multi-query
+engine uses too) — admission order and waits, every submission's
+outcome, the kernel's event count.
 
 ``tests/test_golden_snapshots.py`` re-runs the same configurations and
 asserts bit-identical digests, so any change to virtual-time event

@@ -20,13 +20,15 @@ submissions whose declared minimum working set does not fit, admitting
 them FIFO (or by priority) as running queries release their leases.
 Combined with ``dynamic_budget_replanning`` the released bytes are also
 *offered* to running queries, whose DQS then re-plans against the grown
-budget.
+budget.  Both this engine and the service's execution plane run every
+query through :meth:`GovernedMachine.run_query`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Generator, Mapping, Optional
+from typing import Any, Callable, Generator, Mapping, Optional
 
 from repro.catalog.catalog import Catalog
 from repro.common.errors import ConfigurationError
@@ -38,18 +40,23 @@ from repro.core.engine import (
     seeded_wrappers,
     spawn_main,
 )
+from repro.core.events import EndOfQEP
 from repro.core.runtime import World
-from repro.exec import SimEvent
-from repro.observability import DecisionRecord
+from repro.exec import Kernel, SimEvent
+from repro.observability import (
+    SPAN_ADMISSION_WAIT,
+    STALL_ADMISSION_WAIT,
+    DecisionRecord,
+)
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
 from repro.resources import (
     AdmissionController,
-    admitted,
+    MemoryBroker,
     check_governance,
-    govern,
 )
 from repro.wrappers.delays import DelayModel
+from repro.wrappers.source import Wrapper
 
 
 class LeaseBudgets:
@@ -108,15 +115,14 @@ class QuerySubmission(LeaseBudgets):
     max_memory_bytes: Optional[int] = None
     #: admission priority (higher admits first under ``priority`` policy).
     priority: float = 0.0
-    #: owning tenant ("" outside the multi-tenant service).
-    tenant: str = ""
 
     def __post_init__(self):
         if not self.name:
             raise ConfigurationError("submission needs a name")
-        if self.start_time < 0:
+        if not (math.isfinite(self.start_time) and self.start_time >= 0):
             raise ConfigurationError(
-                f"start_time must be >= 0, got {self.start_time}")
+                f"query {self.name!r}: start_time must be finite and "
+                f">= 0, got {self.start_time}")
         self.check_budgets(f"query {self.name!r}: ")
         if self.memory_bytes is not None:
             if (self.min_memory_bytes is not None
@@ -157,8 +163,6 @@ class QueryOutcome:
     memory_peak_bytes: int = 0
     #: lease grow offers the query accepted mid-flight.
     budget_grows: int = 0
-    #: owning tenant ("" outside the multi-tenant service).
-    tenant: str = ""
 
     @property
     def response_time(self) -> float:
@@ -224,6 +228,88 @@ class MultiQueryResult:
         raise KeyError(f"no query named {name!r}")
 
 
+class GovernedMachine:
+    """N queries on one machine :class:`World` (on ``kernel``, a fresh
+    ``Simulator`` when None), and the one way a query runs on it.
+
+    A pool size and an admission policy bound the machine's broker and
+    queue submissions in front of it (see :func:`check_governance`);
+    ``name`` labels the broker's gauges.  No metrics registry: no caller
+    returns one.  Spans, stalls and the audit log stay on.
+    """
+
+    def __init__(self, params: SimulationParameters, seed: int,
+                 memory_bytes: Optional[int], admission: str,
+                 name: str = "mediator",
+                 kernel: Optional[Kernel] = None) -> None:
+        self.machine = World(params.with_overrides(telemetry_enabled=False),
+                             seed=seed, kernel=kernel)
+        self.kernel = self.machine.sim
+        self.controller: Optional[AdmissionController] = None
+        if check_governance(memory_bytes, admission):
+            machine = self.machine
+            machine.broker = MemoryBroker(memory_bytes, sim=self.kernel,
+                                          telemetry=machine.telemetry,
+                                          name=name)
+            self.controller = AdmissionController(
+                machine.broker, self.kernel, telemetry=machine.telemetry,
+                policy=admission)
+
+    def run_query(self, name: str, qep: QEP, policy: PlanningPolicy,
+                  wrappers: Callable[[World], Callable[[str], Wrapper]],
+                  budgets: tuple[int, int, int],
+                  started: Callable[[QueryRun, float], None], *,
+                  priority: float = 0.0, tenant: str = ""
+                  ) -> Generator[SimEvent, Any, tuple[QueryRun, EndOfQEP]]:
+        """One query on this machine (``yield from`` me); returns the
+        finished run and its :class:`EndOfQEP`.
+
+        Admit (or lease directly when ungoverned) ``budgets``, the
+        ``(initial, min, max)`` lease bytes → ``QueryRun`` on a query
+        view of the machine → ``started(run, waited)`` before it
+        attaches → drive it → stop its sources and give the lease back
+        however that ends.  A queueing wait is attributed once: a stall,
+        and (spans on) a span the query's span tree names as its cause.
+        """
+        initial, min_bytes, max_bytes = budgets
+        machine, kernel = self.machine, self.kernel
+        telemetry = machine.telemetry
+        submitted = kernel.now
+        waited = 0.0
+        wait_span = None
+        if self.controller is not None:
+            ticket = self.controller.request(name, min_bytes, max_bytes,
+                                             priority=priority, tenant=tenant)
+            if not ticket.granted:
+                assert ticket.event is not None
+                yield ticket.event
+            lease = ticket.lease
+            assert lease is not None
+            waited = ticket.waited
+            if waited > 0:
+                telemetry.stalls.record(STALL_ADMISSION_WAIT, submitted,
+                                        kernel.now)
+                if telemetry.spans is not None:
+                    wait_span = telemetry.spans.add(
+                        SPAN_ADMISSION_WAIT, name, submitted, kernel.now,
+                        min_bytes=min_bytes)
+        else:
+            lease = machine.broker.lease(name, initial, min_bytes=min_bytes,
+                                         max_bytes=max_bytes, tenant=tenant)
+        run: Optional[QueryRun] = None
+        try:
+            world = World(machine.params, share_machine=machine, lease=lease,
+                          query_name=name)
+            world.admission_span = wait_span
+            run = QueryRun(world, qep, policy, wrappers(world), name=name)
+            started(run, waited)
+            return run, (yield from run.drive())
+        finally:
+            if run is not None:
+                run.detach()
+            machine.broker.release(lease)
+
+
 class MultiQueryEngine:
     """Runs a batch of query submissions on one shared machine.
 
@@ -234,17 +320,15 @@ class MultiQueryEngine:
     """
 
     def __init__(self, params: Optional[SimulationParameters] = None,
-                 seed: int = 0, trace: bool = False,
+                 seed: int = 0,
                  global_memory_bytes: Optional[int] = None,
                  admission: str = "fifo"):
         self.params = params if params is not None else SimulationParameters()
         self.seed = seed
-        self.trace = trace
         #: True when a bounded pool with admission control is active.
         self.governed = check_governance(global_memory_bytes, admission)
         self.global_memory_bytes = global_memory_bytes
         self.admission = admission
-        self._controller: Optional[AdmissionController] = None
         self._submissions: list[QuerySubmission] = []
 
     def submit(self, submission: QuerySubmission) -> None:
@@ -259,10 +343,6 @@ class MultiQueryEngine:
         """Execute every submitted query; returns aggregate results."""
         if not self._submissions:
             raise ConfigurationError("no queries submitted")
-        # No metrics registry: the result returns none, so every write to
-        # one would be waste.  Spans, stalls and the audit log stay on.
-        machine = World(self.params.with_overrides(telemetry_enabled=False),
-                        seed=self.seed, trace=self.trace)
         if self.governed:
             pool = self.global_memory_bytes
             assert pool is not None
@@ -272,16 +352,18 @@ class MultiQueryEngine:
                     raise ConfigurationError(
                         f"query {submission.name!r}: minimum working set "
                         f"{min_bytes} exceeds the global memory pool {pool}")
-        self._controller = govern(machine, self.global_memory_bytes,
-                                  self.admission)
-        launchers = [spawn_main(machine.sim, self._launch(submission, machine),
+        governed = GovernedMachine(self.params, self.seed,
+                                   self.global_memory_bytes, self.admission)
+        launchers = [spawn_main(governed.kernel,
+                                self._launch(governed, submission),
                                 f"query:{submission.name}")
                      for submission in self._submissions]
 
-        machine.sim.run()
+        governed.kernel.run()
 
         outcomes = [main_value(launcher) for launcher in launchers]
         makespan = max(o.completion_time for o in outcomes)
+        machine = governed.machine
         return MultiQueryResult(
             outcomes=outcomes,
             makespan=makespan,
@@ -292,40 +374,38 @@ class MultiQueryEngine:
                    if machine.telemetry.spans is not None else None),
         )
 
-    def _launch(self, submission: QuerySubmission,
-                machine: World) -> Generator[SimEvent, Any, QueryOutcome]:
-        if submission.start_time > 0:
-            yield machine.sim.timeout(submission.start_time)
-        submitted = machine.sim.now
-
-        def run(world: World, waited: float
+    def _launch(self, governed: GovernedMachine, submission: QuerySubmission
                 ) -> Generator[SimEvent, Any, QueryOutcome]:
-            lease = world.memory
-            granted_bytes = lease.total_bytes
-            query = QueryRun(world, submission.qep, submission.policy,
-                             seeded_wrappers(world, submission.catalog,
-                                             submission.delay_models,
-                                             f"{submission.name}:"),
-                             name=submission.name)
-            end = yield from query.drive()
-            return QueryOutcome(
-                name=submission.name,
-                strategy=submission.policy.name,
-                start_time=submitted,
-                completion_time=end.time,
-                result_tuples=query.runtime.result_tuples,
-                degradations=len(query.runtime.degraded_chains),
-                memory_splits=query.runtime.memory_splits,
-                stall_time=query.processor.stall_time,
-                planning_phases=query.scheduler.planning_phases,
-                admission_wait=waited,
-                memory_granted_bytes=granted_bytes,
-                memory_peak_bytes=lease.peak_bytes,
-                budget_grows=query.optimizer.budget_grows,
-                tenant=submission.tenant,
-            )
+        if submission.start_time > 0:
+            yield governed.kernel.timeout(submission.start_time)
+        submitted = governed.kernel.now
+        at_start: dict[str, Any] = {}
 
-        return (yield from admitted(
-            machine, self._controller, submission.name,
-            submission.resolved_budgets(self.params), run,
-            priority=submission.priority, tenant=submission.tenant))
+        def started(run: QueryRun, waited: float) -> None:
+            # Before the run attaches: the lease may grow once it runs.
+            at_start.update(waited=waited,
+                            granted=run.world.memory.total_bytes)
+
+        run, end = yield from governed.run_query(
+            submission.name, submission.qep, submission.policy,
+            lambda world: seeded_wrappers(world, submission.catalog,
+                                          submission.delay_models,
+                                          f"{submission.name}:"),
+            submission.resolved_budgets(self.params), started,
+            priority=submission.priority)
+        runtime = run.runtime
+        return QueryOutcome(
+            name=submission.name,
+            strategy=submission.policy.name,
+            start_time=submitted,
+            completion_time=end.time,
+            result_tuples=runtime.result_tuples,
+            degradations=len(runtime.degraded_chains),
+            memory_splits=runtime.memory_splits,
+            stall_time=run.processor.stall_time,
+            planning_phases=run.scheduler.planning_phases,
+            admission_wait=at_start["waited"],
+            memory_granted_bytes=at_start["granted"],
+            memory_peak_bytes=run.world.memory.peak_bytes,
+            budget_grows=run.optimizer.budget_grows,
+        )

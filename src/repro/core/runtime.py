@@ -84,8 +84,8 @@ class World:
                  query_name: Optional[str] = None):
         self.params = params
         #: span of the admission wait this query view sat through (set by
-        #: :func:`repro.resources.admitted`); the query's span tree names
-        #: it as the cause of running late.
+        #: :meth:`repro.core.multiquery.GovernedMachine.run_query`); the
+        #: query's span tree names it as the cause of running late.
         self.admission_span: Optional[int] = None
         if share_machine is None:
             self.streams = RandomStreams(seed)

@@ -16,9 +16,11 @@ and DSE wins on both metrics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.multiquery import MultiQueryResult
 from repro.experiments.workloads import Figure5Workload
@@ -82,7 +84,10 @@ def run_multiquery_experiment(workload: Figure5Workload,
     thrashing.
     """
     if num_queries < 1:
-        raise ValueError(f"need >= 1 query, got {num_queries}")
+        raise ConfigurationError(f"need >= 1 query, got {num_queries}")
+    if not (math.isfinite(inter_arrival) and inter_arrival >= 0):
+        raise ConfigurationError(
+            f"inter_arrival must be finite and >= 0, got {inter_arrival}")
     runner = runner if runner is not None else SweepRunner()
     pools: list[Optional[int]] = (
         global_memories if global_memories else [None])

@@ -45,7 +45,8 @@ from repro.observability import (
 #:    `repro serve --workers N` pool identify the executing worker.
 #: 7: ``submission_id`` / ``tenant`` / ``worker_id`` left again (the
 #:    service reports a submission's own outcome dict, not this payload).
-RESULT_SCHEMA_VERSION = 7
+#: 8: the multi-query outcome's ``tenant`` left (nothing set it).
+RESULT_SCHEMA_VERSION = 8
 
 #: scalar ExecutionResult fields copied verbatim, in schema order.
 _SCALAR_FIELDS = (

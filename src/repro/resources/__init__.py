@@ -22,9 +22,7 @@ from repro.resources.admission import (
     ADMISSION_POLICIES,
     AdmissionController,
     AdmissionTicket,
-    admitted,
     check_governance,
-    govern,
 )
 from repro.resources.broker import MemoryBroker, MemoryLease
 from repro.resources.tenants import (
@@ -44,7 +42,5 @@ __all__ = [
     "TenantAccount",
     "TenantRegistry",
     "TenantSpec",
-    "admitted",
     "check_governance",
-    "govern",
 ]

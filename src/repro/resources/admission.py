@@ -19,18 +19,13 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.exec import Event, Kernel
 from repro.observability.audit import DECISION_ADMISSION_QUEUE, DECISION_ADMIT
-from repro.observability.spans import SPAN_ADMISSION_WAIT
-from repro.observability.stalls import STALL_ADMISSION_WAIT
 from repro.observability.telemetry import Telemetry
 from repro.resources.broker import MemoryBroker, MemoryLease
-
-if TYPE_CHECKING:
-    from repro.core.runtime import World
 
 #: admission orderings the controller understands.
 ADMISSION_POLICIES = ("fifo", "priority")
@@ -172,73 +167,3 @@ def check_governance(pool_bytes: Optional[int], policy: str) -> bool:
         raise ConfigurationError(
             f"global_memory_bytes must be positive, got {pool_bytes}")
     return pool_bytes is not None and policy != "none"
-
-
-def govern(machine: "World", pool_bytes: Optional[int], policy: str,
-           name: str = "mediator") -> Optional[AdmissionController]:
-    """Bound ``machine``'s memory pool and queue submissions in front of
-    it: the one place a governed broker + controller pair is built.
-
-    Returns the controller, or None (machine left on its unbounded
-    default broker) when the settings do not govern — see
-    :func:`check_governance`.  ``name`` labels the broker's gauges.
-    """
-    if not check_governance(pool_bytes, policy):
-        return None
-    machine.broker = MemoryBroker(pool_bytes, sim=machine.sim,
-                                  telemetry=machine.telemetry, name=name)
-    return AdmissionController(machine.broker, machine.sim,
-                               telemetry=machine.telemetry, policy=policy)
-
-
-def admitted(machine: "World", controller: Optional[AdmissionController],
-             name: str, budgets: Tuple[int, int, int],
-             run: Callable[["World", float], Generator[Event, Any, Any]],
-             *, priority: float = 0.0, tenant: str = ""
-             ) -> Generator[Event, Any, Any]:
-    """One query's memory bracket on a shared machine (``yield from`` me).
-
-    Admit (through ``controller``, or a direct lease when the machine is
-    ungoverned) → build the query-view ``World`` on the lease → delegate
-    to ``run(world, waited)`` → give the lease back however that ends,
-    which admits queued queries and offers grow events to the survivors.
-    ``budgets`` is ``(initial, min, max)`` lease bytes; ``waited`` is the
-    kernel seconds spent queued.  A wait is attributed once: an
-    ``admission-wait`` stall, and (spans on) a span that the query's own
-    span tree names as its cause.
-    """
-    # Imported here: repro.core.runtime itself imports this package.
-    from repro.core.runtime import World
-
-    initial, min_bytes, max_bytes = budgets
-    kernel = machine.sim
-    telemetry = machine.telemetry
-    submitted = kernel.now
-    waited = 0.0
-    wait_span = None
-    if controller is not None:
-        ticket = controller.request(name, min_bytes, max_bytes,
-                                    priority=priority, tenant=tenant)
-        if not ticket.granted:
-            assert ticket.event is not None
-            yield ticket.event
-        lease = ticket.lease
-        assert lease is not None
-        waited = ticket.waited
-        if waited > 0:
-            telemetry.stalls.record(STALL_ADMISSION_WAIT, submitted,
-                                    kernel.now)
-            if telemetry.spans is not None:
-                wait_span = telemetry.spans.add(
-                    SPAN_ADMISSION_WAIT, name, submitted, kernel.now,
-                    min_bytes=min_bytes)
-    else:
-        lease = machine.broker.lease(name, initial, min_bytes=min_bytes,
-                                     max_bytes=max_bytes, tenant=tenant)
-    try:
-        world = World(machine.params, share_machine=machine, lease=lease,
-                      query_name=name)
-        world.admission_span = wait_span
-        return (yield from run(world, waited))
-    finally:
-        machine.broker.release(lease)

@@ -3,11 +3,11 @@
 The *control plane* (tenant gating, refusal accounting, bounded
 aggregation, SLOs, archive, drain) is
 :class:`~repro.service.service.QueryService`; *what executes an admitted
-submission* is an :class:`ExecutionPlane`: one kernel, one machine
-:class:`~repro.core.runtime.World`, its governed broker + admission
-controller, and the one submission generator.  *Where* that plane sits
-is behind the :class:`ExecutionBackend` protocol — two transports over
-the same implementation:
+submission* is an :class:`ExecutionPlane`: a governed machine
+(:class:`~repro.core.multiquery.GovernedMachine`) plus the service's
+plans, sources and outcome dict.  *Where* that plane sits is behind
+the :class:`ExecutionBackend` protocol — two transports over the same
+implementation:
 
 * :class:`InProcessBackend` — the service's own plane, called directly
   (``repro serve`` with ``--workers 1``, the default);
@@ -42,13 +42,13 @@ import numpy as np
 
 from repro.config import SimulationParameters
 from repro.core.engine import QueryRun
+from repro.core.multiquery import GovernedMachine
 from repro.core.runtime import World
 from repro.core.strategies import make_policy
 from repro.exec.api import Kernel
 from repro.exec.core import SimEvent
 from repro.experiments.workloads import Figure5Workload, figure5_workload
 from repro.observability import DecisionAuditLog, span_summary
-from repro.resources import admitted, govern
 from repro.wrappers import JitteredDelay, Wrapper
 
 if TYPE_CHECKING:
@@ -70,30 +70,26 @@ DEFAULT_AUDIT_CAPACITY = 4096
 WORKLOAD_CACHE_SIZE = 4
 
 
-class ExecutionPlane:
-    """One kernel and everything it needs to execute submissions.
+class ExecutionPlane(GovernedMachine):
+    """A governed machine that executes service submissions.
 
-    The kernel is the caller's: a ``Simulator`` runs the plane in virtual
-    time, an ``AsyncioKernel`` on the wall clock, and nothing here tells
-    them apart.  A submission's result is built from its run's own state;
-    the machine-wide telemetry (audit ring, stall totals, span recorder)
-    stays on :attr:`machine`, bounded, never copied per submission.  It
-    keeps no metrics registry: the service's metrics are its snapshot.
+    It adds what is the service's: the Figure 5 plans by scale, each
+    submission's seeded sources, a bounded audit ring and the outcome
+    dict.  A submission's result is built from its run's own state; the
+    machine-wide telemetry (audit ring, stall totals, span recorder)
+    stays on :attr:`machine`, bounded, never copied per submission.
     """
 
     def __init__(self, params: SimulationParameters, seed: int,
                  memory_bytes: Optional[int], admission: str,
                  name: str, kernel: Kernel) -> None:
+        super().__init__(params, seed, memory_bytes, admission, name=name,
+                         kernel=kernel)
         self.seed = seed
-        self.kernel = kernel
-        self.machine = World(params.with_overrides(telemetry_enabled=False),
-                             seed=seed, kernel=self.kernel)
         # Bounded aggregation over the unbounded stream: the machine's
-        # audit log becomes a ring *before* anything hooks into it.
+        # audit log becomes a ring before any submission runs.
         self.machine.telemetry.audit = DecisionAuditLog(
             capacity=DEFAULT_AUDIT_CAPACITY)
-        self.controller = govern(self.machine, memory_bytes, admission,
-                                 name=name)
         # Not an lru_cache on figure5_workload: callers that time a
         # build must keep getting one.  Least recently used first.
         self._workloads: Dict[float, Figure5Workload] = {}
@@ -147,23 +143,12 @@ class ExecutionPlane:
         the run attaches.  Returns :meth:`QueryRun.outcome` plus
         ``span_summary`` (None with spans off).
         """
-        def run(world: World, waited: float
-                ) -> Generator[SimEvent, Any, Dict[str, Any]]:
-            query = QueryRun(
-                world, self.workload(request.scale).qep,
-                make_policy(request.strategy),
-                self.wrappers(world, request, sequence), name=name)
-            started(query, waited)
-            try:
-                end = yield from query.drive()
-            finally:
-                query.detach()
-            return dict(query.outcome(end),
-                        span_summary=_subtree_summary(query))
-
-        return (yield from admitted(
-            self.machine, self.controller, name, budgets, run,
-            priority=priority, tenant=request.tenant))
+        run, end = yield from self.run_query(
+            name, self.workload(request.scale).qep,
+            make_policy(request.strategy),
+            lambda world: self.wrappers(world, request, sequence), budgets,
+            started, priority=priority, tenant=request.tenant)
+        return dict(run.outcome(end), span_summary=_subtree_summary(run))
 
 
 def _subtree_summary(query: QueryRun) -> Optional[Dict[str, Any]]:

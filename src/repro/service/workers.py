@@ -2,9 +2,9 @@
 
 ``repro serve --workers N`` splits query execution across N long-lived
 worker processes, each an :class:`~repro.service.backend.
-ExecutionPlane` — the single-kernel plane the in-process backend calls
-directly — behind a pipe (:class:`WorkerHost`), with a memory pool
-carved out of the coordinator's machine-level
+ExecutionPlane` — the single-kernel governed machine the in-process
+backend calls directly — behind a pipe (:class:`WorkerHost`), with a
+memory pool carved out of the coordinator's machine-level
 :class:`~repro.resources.broker.MemoryBroker`
 (:meth:`~repro.resources.broker.MemoryBroker.carve_even`).  The
 coordinator keeps the whole control plane — tenant gating, refusal
@@ -35,9 +35,10 @@ pickled dicts):
 * worker → coordinator: ``{"op": "ready", "worker", "pool", "pid"}``
   and ``{"op": "result", "id", "ok", "payload"|"error", "wait_s",
   "stalls"}`` where ``payload`` is the submission's outcome dict
-  (:meth:`~repro.service.backend.ExecutionPlane.execute`: five headline
-  numbers, ``memory_peak_bytes``, ``span_summary``) — constant size,
-  whatever the worker's uptime; its machine-wide telemetry stays
+  (:meth:`~repro.service.backend.ExecutionPlane.execute`, which runs it
+  through :meth:`~repro.core.multiquery.GovernedMachine.run_query`: five
+  headline numbers, ``memory_peak_bytes``, ``span_summary``) — constant
+  size, whatever the worker's uptime; its machine-wide telemetry stays
   worker-side except the cumulative per-cause ``stalls`` totals.
 
 Determinism despite stealing: a submission's sources are seeded per

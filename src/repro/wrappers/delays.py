@@ -26,6 +26,7 @@ A wrapper reads a relation's production times through
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Iterator
 
@@ -109,8 +110,8 @@ class _MeanWaitDelay(DelayModel):
     """A model parameterised by its mean per-tuple wait ``w``."""
 
     def __init__(self, w: float):
-        if w < 0:
-            raise ConfigurationError(f"w must be >= 0, got {w}")
+        if not (math.isfinite(w) and w >= 0):
+            raise ConfigurationError(f"w must be finite and >= 0, got {w}")
         self.w = w
 
     def mean_wait(self) -> float:

@@ -28,14 +28,17 @@ def params() -> SimulationParameters:
 @pytest.fixture
 def machines_built_by(monkeypatch):
     """``machines_built_by(module)`` wraps ``module.World`` and returns
-    the list every machine that module builds is appended to."""
+    the list every machine that module builds is appended to (a world
+    built with ``share_machine`` is a query's view of one, not listed)."""
     def catch(module):
         machines = []
         real = module.World
 
         def world(*args, **kwargs):
-            machines.append(real(*args, **kwargs))
-            return machines[-1]
+            built = real(*args, **kwargs)
+            if kwargs.get("share_machine") is None:
+                machines.append(built)
+            return built
 
         monkeypatch.setattr(module, "World", world)
         return machines

@@ -221,6 +221,32 @@ def test_cmd_multiquery_accepts_jobs(capsys):
     assert "concurrent queries" in capsys.readouterr().out
 
 
+def test_cmd_multiquery_inter_arrival_staggers_the_batch(tmp_path):
+    out = tmp_path / "series.csv"
+    assert main(["multiquery", "--scale", "0.02", "--queries", "3",
+                 "--strategies", "DSE", "--waits-us", "20",
+                 "--inter-arrival", "0.5", "--csv", str(out)]) == 0
+    (row,) = csv.DictReader(out.open())
+    # The last of 3 queries arrives at 2 x 0.5 s and then runs.
+    assert float(row["makespan_s"]) > (3 - 1) * 0.5
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--inter-arrival", "inf"], "inter_arrival must be finite"),
+    (["--inter-arrival", "nan"], "inter_arrival must be finite"),
+    (["--waits-us", "nan"], "w must be finite"),
+    (["--waits-us", "inf"], "w must be finite"),
+    (["--queries", "0"], "need >= 1 query"),
+], ids=["inter-arrival-inf", "inter-arrival-nan", "waits-nan", "waits-inf",
+        "no-queries"])
+def test_cmd_multiquery_rejects_bad_numbers_in_one_line(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["multiquery", "--scale", "0.02", "--queries", "2",
+              "--waits-us", "20"] + argv)
+    text = str(exc.value.code)
+    assert message in text and "\n" not in text
+
+
 # --------------------------------------------------------------------------
 # Offline telemetry loading (--from) and repro top
 # --------------------------------------------------------------------------

@@ -87,11 +87,14 @@ def test_single_query_matches_single_engine(tiny_fig5, params):
 
 
 def test_source_failure_returns_the_lease(tiny_fig5, breaking_delays,
-                                          params):
+                                          params, machines_built_by):
     """One lifecycle: a source dying mid-stream fails the run, and the
-    admitted bracket still gives the query's lease back to the pool."""
+    machine's query bracket still gives the query's lease back to the
+    pool."""
+    import repro.core.multiquery as module
     from repro import SimulationError
 
+    machines = machines_built_by(module)
     engine = MultiQueryEngine(params=params, seed=1,
                               global_memory_bytes=64 << 20)
     engine.submit(QuerySubmission(
@@ -101,18 +104,22 @@ def test_source_failure_returns_the_lease(tiny_fig5, breaking_delays,
     with pytest.raises(SimulationError,
                        match="source 'A' failed mid-stream"):
         engine.run()
-    assert engine._controller.broker.leased_bytes == 0
+    (machine,) = machines
+    assert machine.broker.governed and machine.broker.leased_bytes == 0
 
 
 def test_source_failure_fails_its_own_query_only(tiny_fig5,
-                                                 breaking_delays):
+                                                 breaking_delays,
+                                                 machines_built_by):
     """Q1's source dies mid-stream on a pool that holds one lease: Q1
     fails naming the source, Q2 — queued behind it — is admitted, runs
     to completion, and the pool ends empty.  (The kernel's ``process
     'wrapper:A' died`` used to replace both results.)"""
+    import repro.core.multiquery as module
     from repro import SimulationError
     from repro.observability import SPAN_QUERY
 
+    machines = machines_built_by(module)
     params = SimulationParameters(telemetry_enabled=True,
                                   telemetry_spans=True)
     engine = MultiQueryEngine(params=params, seed=1,
@@ -126,13 +133,14 @@ def test_source_failure_fails_its_own_query_only(tiny_fig5,
     with pytest.raises(SimulationError,
                        match="'Q1': source 'A' failed mid-stream"):
         engine.run()
-    telemetry = engine._controller.telemetry
+    (machine,) = machines
+    telemetry = machine.telemetry
     assert [record.subject for record in telemetry.audit
             if record.kind == "admission-queue"] == ["Q2"]
     results = {span.name: span.attrs.get("result_tuples")
                for span in telemetry.spans.by_kind(SPAN_QUERY)}
     assert results["Q2"] == 1000
-    assert engine._controller.broker.leased_bytes == 0
+    assert machine.broker.leased_bytes == 0
 
 
 def _governed_run(workload, telemetry):
@@ -223,6 +231,12 @@ def test_staggered_start_times(tiny_fig5, params):
 def test_negative_start_rejected(tiny_fig5, params):
     with pytest.raises(ConfigurationError):
         submission(tiny_fig5, params, start=-1.0)
+
+
+@pytest.mark.parametrize("start", [float("nan"), float("inf")])
+def test_non_finite_start_rejected(tiny_fig5, params, start):
+    with pytest.raises(ConfigurationError, match="finite"):
+        submission(tiny_fig5, params, start=start)
 
 
 def test_per_query_memory_budgets(tiny_fig5, params):

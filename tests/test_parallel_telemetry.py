@@ -34,9 +34,9 @@ def test_schema_version_covers_the_telemetry_payload():
     # 3 -> 4 when span trees and their summaries joined, 4 -> 5 when
     # submission/tenant identity joined, 5 -> 6 when worker identity
     # joined (`repro serve --workers N`), 6 -> 7 when all three left
-    # again; the version is part of every cache key, so stale entries
-    # miss cleanly.
-    assert RESULT_SCHEMA_VERSION == 7
+    # again, 7 -> 8 when the multi-query outcome's tenant left; the
+    # version is part of every cache key, so stale entries miss cleanly.
+    assert RESULT_SCHEMA_VERSION == 8
 
 
 def test_payload_roundtrip_preserves_metrics_and_samples():

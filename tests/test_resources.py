@@ -375,93 +375,87 @@ class TestAdmission:
 
 # -- the admitted bracket ----------------------------------------------------
 
-def _governed_machine(pool):
-    from repro.config import SimulationParameters
-    from repro.core.runtime import World
+def _run_query(governed, name, workload, delays, seen):
+    """``governed.run_query`` for one SEQ run of ``workload`` under a
+    300 KiB lease; ``seen[name]`` gets ``(run, waited)`` at start."""
+    from repro.core.engine import seeded_wrappers
+    from repro.core.strategies import make_policy
 
-    params = SimulationParameters(telemetry_enabled=True,
-                                  telemetry_spans=True)
-    machine = World(params, seed=1)
-    machine.broker = MemoryBroker(pool, sim=machine.sim,
-                                  telemetry=machine.telemetry)
-    controller = AdmissionController(machine.broker, machine.sim,
-                                     telemetry=machine.telemetry)
-    return machine, controller
+    def started(run, waited):
+        seen[name] = (run, waited)
+
+    budget = 300 << 10
+    return governed.run_query(
+        name, workload.qep, make_policy("SEQ"),
+        lambda world: seeded_wrappers(world, workload.catalog, delays,
+                                      f"{name}:"),
+        (budget, budget, budget), started)
 
 
-class TestAdmittedBracket:
-    """`admitted` on the Simulator: one lease bracket for every driver."""
+class TestGovernedMachine:
+    """`GovernedMachine.run_query` on the Simulator: the one lease
+    bracket of every front end that runs queries on a shared machine."""
 
-    def test_queued_job_gets_span_cause_and_one_stall(self, tiny_fig5):
-        from repro.core.engine import QueryRun, seeded_wrappers
-        from repro.core.strategies import make_policy
+    def test_queued_query_gets_span_cause_and_one_stall(self, tiny_fig5):
+        from repro.config import SimulationParameters
+        from repro.core.engine import main_value, spawn_main
+        from repro.core.multiquery import GovernedMachine
         from repro.observability import (
             SPAN_ADMISSION_WAIT,
             STALL_ADMISSION_WAIT,
         )
-        from repro.resources import admitted
         from repro.wrappers import ConstantDelay
 
-        machine, controller = _governed_machine(pool=400 << 10)
-        sim, spans = machine.sim, machine.telemetry.spans
+        governed = GovernedMachine(
+            SimulationParameters(telemetry_spans=True), 1, 400 << 10, "fifo")
+        machine, sim = governed.machine, governed.kernel
+        spans = machine.telemetry.spans
+        delays = {name: ConstantDelay(1e-5)
+                  for name in tiny_fig5.relation_names}
         seen = {}
-
-        def holder(world, waited):
-            seen["holder"] = (world, waited)
-            yield sim.timeout(1.0)
-
-        def query(world, waited):
-            run = QueryRun(world, tiny_fig5.qep, make_policy("SEQ"),
-                           seeded_wrappers(
-                               world, tiny_fig5.catalog,
-                               {name: ConstantDelay(1e-5)
-                                for name in tiny_fig5.relation_names}),
-                           name="late")
-            yield from run.drive()
-            seen["late"] = (world, waited, run)
-
-        budgets = (300 << 10, 300 << 10, 300 << 10)
-        for name, body in (("holder", holder), ("late", query)):
-            sim.process(admitted(machine, controller, name, budgets, body),
-                        name=f"query:{name}")
+        mains = [spawn_main(sim, _run_query(governed, name, tiny_fig5,
+                                            delays, seen), f"query:{name}")
+                 for name in ("holder", "late")]
         sim.run()
 
-        holder_world, holder_waited = seen["holder"]
-        assert holder_waited == 0.0 and holder_world.admission_span is None
-        world, waited, run = seen["late"]
-        assert waited == 1.0
+        (_, holder_end), _ = (main_value(main) for main in mains)
+        holder, holder_waited = seen["holder"]
+        assert holder_waited == 0.0 and holder.world.admission_span is None
+        run, waited = seen["late"]
+        # 300 KiB each in a 400 KiB pool: "late" starts when "holder"
+        # gives its lease back.
+        assert waited == holder_end.time > 0
         waits = spans.by_kind(SPAN_ADMISSION_WAIT)
         assert [(s.name, s.start, s.end) for s in waits] \
-            == [("late", 0.0, 1.0)]
-        assert world.admission_span == waits[0].span_id
+            == [("late", 0.0, waited)]
+        assert run.world.admission_span == waits[0].span_id
         assert spans.spans[run.runtime.query_span].caused_by \
             == waits[0].span_id
         # Attributed once: the machine's admission-wait stall total is
         # exactly the one queueing interval.
         assert machine.telemetry.stalls.by_cause()[STALL_ADMISSION_WAIT] \
-            == 1.0
-        assert world.memory.released and not machine.broker.leases
-        # A machine whose params turn telemetry on keeps its registry
-        # through the bracket; only the front-ends that return no
-        # registry (service, multi-query, DPHJ) build theirs without one.
-        assert machine.telemetry.registry.get("dqp.batches").value \
-            == run.processor.batches_processed > 0
+            == waited
+        assert run.world.memory.released and not machine.broker.leases
 
-    def test_lease_returns_when_the_body_fails(self):
-        from repro.resources import admitted
+    def test_lease_returns_when_the_run_fails(self, tiny_fig5, params,
+                                              breaking_delays):
+        from repro.core.engine import spawn_main
+        from repro.core.multiquery import GovernedMachine
 
-        machine, controller = _governed_machine(pool=1000)
+        for pool in (400 << 10, None):
+            governed = GovernedMachine(params, 1, pool, "fifo")
+            broker = governed.machine.broker
+            # Ungoverned, the broker is the machine's default one, where
+            # the machine world holds its own lease.
+            before = broker.leased_bytes
+            seen = {}
+            main = spawn_main(governed.kernel, _run_query(
+                governed, "q", tiny_fig5, breaking_delays(tiny_fig5, params),
+                seen), "query:q")
+            governed.kernel.run()
 
-        def body(world, waited):
-            assert machine.broker.leased_bytes == 600
-            yield machine.sim.timeout(0.5)
-            raise RuntimeError("source broke")
-
-        for governed in (controller, None):
-            main = machine.sim.process(
-                admitted(machine, governed, "q", (600, 600, 600), body),
-                name="query:q")
-            main.defused = True
-            machine.sim.run()
-            assert isinstance(main.failure, RuntimeError)
-            assert machine.broker.leased_bytes == 0
+            assert isinstance(main.failure, SimulationError)
+            assert "source 'A' failed mid-stream" in str(main.failure)
+            run, _ = seen["q"]
+            assert run.world.memory.released
+            assert broker.leased_bytes == before
