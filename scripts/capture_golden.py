@@ -15,6 +15,12 @@ at the ``service_saturated`` bench configuration), each through one
 engine uses too) — admission order and waits, every submission's
 outcome, the kernel's event count.
 
+``run_metrics.json`` pins ``result.metrics.as_dict()`` — every counter,
+gauge and histogram — of thirteen seeded one-shot runs with telemetry
+on: the four scheduling strategies with A slowed tenfold and under a
+2 MB memory budget, SEQ and DSE through timeouts, and DSE / DSE-ND / MA
+with a bursty F.
+
 ``tests/test_golden_snapshots.py`` re-runs the same configurations and
 asserts bit-identical digests, so any change to virtual-time event
 ordering is caught immediately.  Regenerate (only when a behaviour
@@ -36,7 +42,7 @@ from repro.config import SimulationParameters
 from repro.core.engine import QueryEngine
 from repro.core.strategies import make_policy
 from repro.experiments import figure5_workload
-from repro.wrappers.delays import UniformDelay
+from repro.wrappers.delays import BurstyDelay, InitialDelay, UniformDelay
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 STRATEGIES = ("SEQ", "MA", "DSE")
@@ -95,6 +101,46 @@ def run_digest(name: str, config: dict) -> dict:
         }
     return {"workload": name, "config": {k: v for k, v in config.items()},
             "strategies": digests}
+
+
+#: the runs whose whole metrics registry is pinned: scenario -> its
+#: strategies, the delay models it puts in place of ``UniformDelay(w_min)``
+#: (a function of ``w_min``; a bursty model keeps state, so one per run)
+#: and its parameter overrides.
+REGISTRY_SCENARIOS: dict[str, dict] = {
+    "slow_a": dict(strategies=("SEQ", "MA", "DSE", "DSE-ND"),
+                   delays=lambda w: {"A": UniformDelay(10 * w)},
+                   overrides={}),
+    "memory_2mb": dict(strategies=("SEQ", "MA", "DSE", "DSE-ND"),
+                       delays=lambda w: {},
+                       overrides=dict(query_memory_bytes=2_000_000)),
+    "timeouts": dict(strategies=("SEQ", "DSE"),
+                     delays=lambda w: {"A": InitialDelay(2.0,
+                                                         UniformDelay(w))},
+                     overrides=dict(timeout=0.5)),
+    "bursty_f": dict(strategies=("DSE", "DSE-ND", "MA"),
+                     delays=lambda w: {"F": BurstyDelay(2000, 0.1, w)},
+                     overrides={}),
+}
+
+
+def registry_digest() -> dict:
+    """``result.metrics.as_dict()`` of each :data:`REGISTRY_SCENARIOS`
+    run (Figure 5 at scale 0.2, seed 1), keyed ``<scenario>/<strategy>``."""
+    workload = figure5_workload(scale=0.2)
+    digest = {}
+    for name, scenario in REGISTRY_SCENARIOS.items():
+        params = SimulationParameters().with_overrides(
+            telemetry_enabled=True, **scenario["overrides"])
+        for strategy in scenario["strategies"]:
+            delays: dict = {rel: UniformDelay(params.w_min)
+                            for rel in workload.relation_names}
+            delays.update(scenario["delays"](params.w_min))
+            result = QueryEngine(workload.catalog, workload.qep,
+                                 make_policy(strategy), delays,
+                                 params=params, seed=1).run()
+            digest[f"{name}/{strategy}"] = result.metrics.as_dict()
+    return digest
 
 
 #: delay profile of each pinned plane session: sources that model no
@@ -265,6 +311,7 @@ def main() -> int:
     digests = {name: run_digest(name, config)
                for name, config in workload_configs().items()}
     digests["plane_sessions"] = plane_sessions_digest()
+    digests["run_metrics"] = registry_digest()
     for name, digest in digests.items():
         path = GOLDEN_DIR / f"{name}.json"
         path.write_text(render(digest))

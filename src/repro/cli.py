@@ -821,7 +821,7 @@ def _cmd_live(args: argparse.Namespace) -> int:
     workload = figure5_workload(scale=args.scale)
     params = SimulationParameters().with_overrides(
         telemetry_enabled=True,
-        telemetry_sample_interval=max(0.0, args.sample_interval))
+        telemetry_sample_interval=args.sample_interval)
     slow = _parse_slow(args.slow if args.slow is not None else ["A:10"])
     unknown = set(slow) - set(workload.relation_names)
     if unknown:

@@ -217,8 +217,9 @@ class SimulationParameters:
             "repetitions": self.repetitions,
             "num_local_disks": self.num_local_disks,
         }
+        # Negated so that NaN, which compares False to everything, fails.
         for name, value in positive.items():
-            if value <= 0:
+            if not value > 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
         non_negative = {
             "disk_latency": self.disk_latency,
@@ -240,7 +241,7 @@ class SimulationParameters:
             "telemetry_sample_interval": self.telemetry_sample_interval,
         }
         for name, value in non_negative.items():
-            if value < 0:
+            if not value >= 0:
                 raise ConfigurationError(f"{name} must be >= 0, got {value}")
         if self.page_size < self.tuple_size:
             raise ConfigurationError("page_size must be >= tuple_size")

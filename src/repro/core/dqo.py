@@ -55,11 +55,6 @@ class DynamicQEPOptimizer:
         self.runtime = runtime
         self.scheduler = scheduler
         self.processor = processor
-        registry = runtime.world.telemetry.registry
-        self._timeout_metric = registry.counter(
-            "dqo.timeouts", "TimeOut interruptions handled.")
-        self._overflow_metric = registry.counter(
-            "dqo.overflows", "Memory-overflow splits applied.")
         self.timeouts = 0
         self._consecutive_timeouts = 0
         self.overflows_handled = 0
@@ -148,7 +143,6 @@ class DynamicQEPOptimizer:
                     self._consecutive_timeouts = 0
                 elif isinstance(event, TimeOut):
                     self.timeouts += 1
-                    self._timeout_metric.inc()
                     self._consecutive_timeouts += 1
                     world.tracer.emit(
                         "timeout", "engine stalled; re-optimization hook",
@@ -260,5 +254,4 @@ class DynamicQEPOptimizer:
                     fragment.builds_join or ""),
                 available=self.runtime.world.memory.available_bytes)
         self.overflows_handled += 1
-        self._overflow_metric.inc()
         self.runtime.split_for_memory(fragment)

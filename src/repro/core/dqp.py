@@ -154,7 +154,6 @@ class DynamicQueryProcessor:
         world = self.runtime.world
         sim, params = world.sim, world.params
         batch_hooks = self.hooks.batch
-        switch_hooks = self.hooks.switch
         while True:
             if self._rate_change is not None:
                 source, old, new = self._rate_change
@@ -197,9 +196,6 @@ class DynamicQueryProcessor:
                     and params.context_switch_instructions > 0):
                 yield from world.cpu.work(params.context_switch_instructions)
                 self.context_switches += 1
-                if switch_hooks:
-                    for hook in switch_hooks:
-                        hook(sim.now, fragment)
             self._last_fragment = fragment
 
             if batch_hooks:

@@ -24,6 +24,7 @@ from repro.core.statistics import RuntimeStatistics
 from repro.core.strategies.lwb import lower_bound
 from repro.exec import Kernel, Process, SimEvent
 from repro.observability import (
+    CounterMetric,
     DecisionRecord,
     MetricsRegistry,
     SamplePoint,
@@ -348,6 +349,36 @@ class QueryRun:
             "memory_peak_bytes": self.world.memory.peak_bytes,
         }
 
+    def _fold_counters(self, registry: MetricsRegistry) -> MetricsRegistry:
+        """``registry`` with every counter set from the field that counts
+        it — the one place counters are written.  Gauges and histograms
+        are time-weighted or per observation, so no owner keeps them:
+        their components push those while the query runs."""
+        cm = self.world.cm
+        estimators = cm.estimators.values()
+        counters: dict[str, float] = {
+            "dqp.batches": self.processor.batches_processed,
+            "dqp.context_switches": self.processor.context_switches,
+            "dqs.planning_phases": self.scheduler.planning_phases,
+            "dqo.timeouts": self.optimizer.timeouts,
+            "dqo.overflows": self.optimizer.overflows_handled,
+            "cm.messages_received": sum(estimator.messages_delivered
+                                        for estimator in estimators),
+            "cm.tuples_received": sum(estimator.tuples_delivered
+                                      for estimator in estimators),
+            "cm.rate_change_signals": cm.rate_change_signals,
+            "fragments.completed": self.runtime.fragments_completed,
+        }
+        for wrapper in self.wrappers:
+            prefix = f"wrapper.{wrapper.name}"
+            counters[f"{prefix}.tuples_sent"] = wrapper.tuples_sent
+            counters[f"{prefix}.blocked_seconds"] = wrapper.blocked_time
+        for name, value in counters.items():
+            counter = registry.counter(name)
+            if isinstance(counter, CounterMetric):  # the registry is enabled
+                counter.value = value
+        return registry
+
     def result(self, trace: bool = False) -> ExecutionResult:
         """Validate completion and collect the :class:`ExecutionResult`
         (for a world that owns its machine: the telemetry is the run's)."""
@@ -395,7 +426,7 @@ class QueryRun:
             stall_breakdown=world.telemetry.stalls.by_cause(),
             decisions=list(world.telemetry.audit),
             samples=list(world.telemetry.samples),
-            metrics=(world.telemetry.registry
+            metrics=(self._fold_counters(world.telemetry.registry)
                      if world.telemetry.enabled else None),
             spans=(list(world.telemetry.spans.spans)
                    if world.telemetry.spans is not None else None),

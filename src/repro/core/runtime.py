@@ -215,12 +215,10 @@ class QueryRuntime:
         #: current execution-phase span id (set by the DQO per phase);
         #: the DQP's compiled span hooks read it at call time.
         self.current_phase_span: Optional[int] = None
-        registry = world.telemetry.registry
-        self._fragments_completed = registry.counter(
-            "fragments.completed", "Query fragments run to completion.")
-        self._fragment_seconds = registry.histogram(
-            "fragments.duration_seconds",
-            help="Wall (virtual) time from first batch to finalize.")
+        #: fragments finalized so far.
+        self.fragments_completed = 0
+        self._fragment_seconds = world.telemetry.registry.histogram(
+            "fragments.duration_seconds")
         spans = world.telemetry.spans
         if spans is not None:
             self.query_span = spans.begin(
@@ -604,7 +602,7 @@ class QueryRuntime:
         self.schedulable.pop(fragment, None)
         if fragment.kind is FragmentKind.MATERIALIZATION:
             self.materializing.pop(fragment.chain.name, None)
-        self._fragments_completed.inc()
+        self.fragments_completed += 1
         if fragment.started_at is not None:
             self._fragment_seconds.observe(
                 fragment.finished_at - fragment.started_at)

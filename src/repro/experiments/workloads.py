@@ -31,11 +31,13 @@ with pipeline chains (iterator order)::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Relation
 from repro.catalog.statistics import JoinStatistics
+from repro.common.errors import ConfigurationError
 from repro.plan.builder import build_qep
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
@@ -108,8 +110,9 @@ def figure5_workload(tuple_size: int = 40,
     ``scale`` shrinks (or grows) every base relation and intermediate
     result proportionally — handy for fast tests; 1.0 is the paper size.
     """
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:
+        raise ConfigurationError(
+            f"scale must be a positive finite number, got {scale}")
     cards = {name: max(1, round(card * scale))
              for name, card in FIGURE5_CARDINALITIES.items()}
     targets = {name: max(1, round(card * scale))

@@ -37,13 +37,6 @@ class CommunicationManager:
         self.tracer = tracer
         self.link = link
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        registry = self.telemetry.registry
-        self._messages_received = registry.counter(
-            "cm.messages_received", "Wrapper messages accepted by the CM.")
-        self._tuples_received = registry.counter(
-            "cm.tuples_received", "Tuples delivered through the CM.")
-        self._rate_changes = registry.counter(
-            "cm.rate_change_signals", "Significant delivery-rate changes signalled.")
         self.queues: dict[str, SourceQueue] = {}
         self.estimators: dict[str, DeliveryRateEstimator] = {}
         self._rate_listener: Optional[RateChangeListener] = None
@@ -54,6 +47,8 @@ class CommunicationManager:
         self._snapshot_marks = (0, -1)
         self._snapshot: dict[str, float] = {}
         self._snapshot_default: Optional[float] = None
+        #: significant delivery-rate changes signalled to the listener.
+        self.rate_change_signals = 0
 
     # -- registration ------------------------------------------------------
     def register_source(self, source: str) -> SourceQueue:
@@ -97,8 +92,6 @@ class CommunicationManager:
             yield from self.link.transmit(tuples * self.params.tuple_size)
         yield from self.cpu.work(self.params.message_instructions)
         queue.put(Message(tuples, eof=eof))
-        self._messages_received.inc()
-        self._tuples_received.inc(tuples)
         self.estimators[source].on_arrival(
             tuples, production_seconds=production_seconds)
         self._check_rate_change(source)
@@ -164,7 +157,7 @@ class CommunicationManager:
             self._rate_baseline[source] = current
             self.tracer.emit("rate-change", f"{source}: w {baseline:.3g} -> "
                              f"{current:.3g}", source=source)
-            self._rate_changes.inc()
+            self.rate_change_signals += 1
             self._rate_listener(source, baseline, current)
 
     # -- inspection ----------------------------------------------------------

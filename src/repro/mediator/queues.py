@@ -47,9 +47,7 @@ class SourceQueue:
         self._data_name = f"data:{source}"
         self.capacity_messages = capacity_messages
         registry = registry if registry is not None else NULL_REGISTRY
-        self._depth_gauge = registry.gauge(
-            f"queue.{source}.depth_tuples",
-            f"Tuples buffered in source {source}'s communication queue.")
+        self._depth_gauge = registry.gauge(f"queue.{source}.depth_tuples")
         self._messages: deque[Message] = deque()
         self._space_waiters: deque[SimEvent] = deque()
         self._data_waiters: list[SimEvent] = []

@@ -19,12 +19,13 @@ so the fully-disabled path pays exactly one truthiness check per batch
 — no method calls, no attribute chains, no null objects.  The table is
 compiled once per processor/scheduler.  Only the front-ends that return
 a registry (one-shot and live runs, one query each) build their machine
-with one, so the registry half exists there alone.
+with one, so the registry half exists there alone.  It feeds only the
+batch-size and stall histograms and the plan-size gauge: a run's
+counters are read from their owners by ``QueryRun.result``.
 
 Hook signatures:
 
 * ``batch(started, now, fragment, tuples)`` — one processed batch;
-* ``switch(now, fragment)`` — one charged context switch;
 * ``stall(started, ended, cause)`` — one attributed stall interval;
 * ``plan(now, plan_size)`` — one completed planning phase (DQS).
 """
@@ -38,7 +39,6 @@ from repro.observability.registry import BATCH_BUCKETS
 from repro.observability.spans import SPAN_BATCH, SPAN_STALL
 
 BatchHook = Callable[[float, float, Any, int], None]
-SwitchHook = Callable[[float, Any], None]
 StallHook = Callable[[float, float, str], None]
 PlanHook = Callable[[float, int], None]
 
@@ -49,26 +49,23 @@ NO_HOOKS: Tuple[Any, ...] = ()
 class DQPHooks:
     """One compiled dispatch table: pre-bound method slots per hook point."""
 
-    __slots__ = ("batch", "switch", "stall", "plan")
+    __slots__ = ("batch", "stall", "plan")
 
     def __init__(self,
                  batch: Tuple[BatchHook, ...] = NO_HOOKS,
-                 switch: Tuple[SwitchHook, ...] = NO_HOOKS,
                  stall: Tuple[StallHook, ...] = NO_HOOKS,
                  plan: Tuple[PlanHook, ...] = NO_HOOKS):
         self.batch = batch
-        self.switch = switch
         self.stall = stall
         self.plan = plan
 
     @property
     def enabled(self) -> bool:
-        return bool(self.batch or self.switch or self.stall or self.plan)
+        return bool(self.batch or self.stall or self.plan)
 
     def __repr__(self) -> str:
         return (f"DQPHooks(batch={len(self.batch)}, "
-                f"switch={len(self.switch)}, stall={len(self.stall)}, "
-                f"plan={len(self.plan)})")
+                f"stall={len(self.stall)}, plan={len(self.plan)})")
 
 
 #: the shared null table components compiled when everything is off.
@@ -77,35 +74,23 @@ NULL_HOOKS = DQPHooks()
 
 def _compile_metric_hooks(registry: Any) -> DQPHooks:
     """The registry half of the table."""
-    batches_metric = registry.counter(
-        "dqp.batches", "Batches the DQP processed.")
-    batch_tuples_metric = registry.histogram(
-        "dqp.batch_tuples", buckets=BATCH_BUCKETS,
-        help="Tuples actually consumed per batch.")
-    switch_metric = registry.counter(
-        "dqp.context_switches", "Fragment-to-fragment switches charged.")
-    stall_metric = registry.histogram(
-        "dqp.stall_seconds", help="Duration of individual DQP stalls.")
-    phases_metric = registry.counter(
-        "dqs.planning_phases", "Planning phases executed.")
-    plan_size_metric = registry.gauge(
-        "dqs.plan_fragments", "Fragments admitted into the current plan.")
+    batch_tuples_metric = registry.histogram("dqp.batch_tuples",
+                                             buckets=BATCH_BUCKETS)
+    stall_metric = registry.histogram("dqp.stall_seconds")
+    plan_size_metric = registry.gauge("dqs.plan_fragments")
 
     def metrics_batch(started: float, now: float, fragment: Any,
                       tuples: int) -> None:
-        batches_metric.inc()
         batch_tuples_metric.observe(tuples)
 
     def metrics_stall(started: float, ended: float, cause: str) -> None:
         stall_metric.observe(ended - started)
 
     def metrics_plan(now: float, plan_size: int) -> None:
-        phases_metric.inc()
         plan_size_metric.set(plan_size)
 
-    return DQPHooks(batch=(metrics_batch,),
-                    switch=(lambda now, fragment: switch_metric.inc(),),
-                    stall=(metrics_stall,), plan=(metrics_plan,))
+    return DQPHooks(batch=(metrics_batch,), stall=(metrics_stall,),
+                    plan=(metrics_plan,))
 
 
 def compile_dqp_hooks(
@@ -160,5 +145,5 @@ def compile_dqp_hooks(
         batch.append(span_batch)
         stall.append(span_stall)
 
-    return DQPHooks(batch=tuple(batch), switch=metrics.switch,
-                    stall=tuple(stall), plan=metrics.plan)
+    return DQPHooks(batch=tuple(batch), stall=tuple(stall),
+                    plan=metrics.plan)

@@ -1,7 +1,10 @@
 """The metrics registry: named counters, gauges and histograms.
 
-Every runtime component registers the quantities it tracks into one
-:class:`MetricsRegistry` per simulated machine (``world.telemetry``).
+One :class:`MetricsRegistry` per simulated machine (``world.telemetry``).
+Runtime components push the gauges and histograms they track into it
+while a query runs; its counters are set once, from the fields that
+count them, when the run's result is collected
+(``repro.core.engine.QueryRun.result``).
 The registry is virtual-time-aware — gauges keep a time-weighted mean
 via :class:`repro.sim.stats.TimeWeightedStat`, histograms a streaming
 mean/variance via :class:`repro.sim.stats.WelfordStat` — and a
@@ -11,11 +14,10 @@ cost one no-op call when telemetry is off.
 
 Thread-safety: every metric of one registry shares the registry's
 re-entrant lock, and :meth:`MetricsRegistry.as_dict` snapshots under
-that same lock — an exporter thread (the live ``/metrics`` endpoint)
-never sees a histogram whose ``counts`` and ``count`` disagree, even
-while the engine thread is mutating.  On the wall-clock backend this is
-what makes Prometheus/JSON/CSV exports tear-free; on the virtual-time
-backend everything runs on one thread and the uncontended lock is noise.
+that same lock — an exporting thread never sees a histogram whose
+``counts`` and ``count`` disagree while another thread mutates it.  No
+exporter reads a registry mid-run (the live ``/metrics`` endpoint serves
+published snapshots), so the lock is uncontended noise.
 
 Serialization: :meth:`MetricsRegistry.as_dict` is a plain-data snapshot,
 :meth:`MetricsRegistry.from_snapshot` rebuilds a registry from one (so
@@ -63,12 +65,10 @@ class CounterMetric:
     """A named, monotonically growing tally."""
 
     kind = "counter"
-    __slots__ = ("name", "help", "value", "_lock")
+    __slots__ = ("name", "value", "_lock")
 
-    def __init__(self, name: str, help: str = "",
-                 lock: Optional[threading.RLock] = None):
+    def __init__(self, name: str, lock: Optional[threading.RLock] = None):
         self.name = name
-        self.help = help
         self.value: float = 0
         self._lock = lock if lock is not None else threading.RLock()
 
@@ -97,14 +97,12 @@ class GaugeMetric:
     """
 
     kind = "gauge"
-    __slots__ = ("name", "help", "value", "minimum", "maximum", "_weighted",
+    __slots__ = ("name", "value", "minimum", "maximum", "_weighted",
                  "_restored_mean", "_lock")
 
-    def __init__(self, name: str, help: str = "",
-                 sim: Optional[Kernel] = None,
+    def __init__(self, name: str, sim: Optional[Kernel] = None,
                  lock: Optional[threading.RLock] = None):
         self.name = name
-        self.help = help
         self.value: float = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
@@ -175,10 +173,9 @@ class HistogramMetric:
     """
 
     kind = "histogram"
-    __slots__ = ("name", "help", "buckets", "counts", "sum", "_stream",
-                 "_lock")
+    __slots__ = ("name", "buckets", "counts", "sum", "_stream", "_lock")
 
-    def __init__(self, name: str, buckets: Sequence[float], help: str = "",
+    def __init__(self, name: str, buckets: Sequence[float],
                  lock: Optional[threading.RLock] = None):
         if not buckets:
             raise ConfigurationError(f"histogram {name!r} needs >= 1 bucket")
@@ -186,7 +183,6 @@ class HistogramMetric:
         if len(set(ordered)) != len(ordered):
             raise ConfigurationError(f"histogram {name!r} has duplicate buckets")
         self.name = name
-        self.help = help
         self.buckets = ordered
         self.counts = [0] * (len(ordered) + 1)  # last one is +Inf
         self.sum = 0.0
@@ -278,19 +274,16 @@ class MetricsRegistry:
 
     # -- factories ---------------------------------------------------------
     # An existing name of the right kind: one dict read, no lock.
-    def counter(self, name: str,
-                help: str = "") -> Union[CounterMetric, NullMetric]:
+    def counter(self, name: str) -> Union[CounterMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
         metric = self._metrics.get(name)
         if type(metric) is CounterMetric:
             return metric
         return self._get_or_create(
-            name, CounterMetric,
-            lambda: CounterMetric(name, help, lock=self._lock))
+            name, CounterMetric, lambda: CounterMetric(name, lock=self._lock))
 
-    def gauge(self, name: str,
-              help: str = "") -> Union[GaugeMetric, NullMetric]:
+    def gauge(self, name: str) -> Union[GaugeMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
         metric = self._metrics.get(name)
@@ -298,11 +291,11 @@ class MetricsRegistry:
             return metric
         return self._get_or_create(
             name, GaugeMetric,
-            lambda: GaugeMetric(name, help, sim=self.sim, lock=self._lock))
+            lambda: GaugeMetric(name, sim=self.sim, lock=self._lock))
 
     def histogram(self, name: str,
-                  buckets: Sequence[float] = DURATION_BUCKETS_S,
-                  help: str = "") -> Union[HistogramMetric, NullMetric]:
+                  buckets: Sequence[float] = DURATION_BUCKETS_S
+                  ) -> Union[HistogramMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
         metric = self._metrics.get(name)
@@ -310,7 +303,7 @@ class MetricsRegistry:
             return metric
         return self._get_or_create(
             name, HistogramMetric,
-            lambda: HistogramMetric(name, buckets, help, lock=self._lock))
+            lambda: HistogramMetric(name, buckets, lock=self._lock))
 
     def _get_or_create(self, name: str, expected_type: Type[Any],
                        factory: Callable[[], Any]) -> Any:

@@ -236,12 +236,9 @@ class MemoryLease:
         """
         if not registry.enabled:
             return
-        self._used_gauge = registry.gauge(
-            f"{prefix}.used_bytes", help="memory reserved by live owners")
-        self._peak_gauge = registry.gauge(
-            f"{prefix}.peak_bytes", help="high-water mark of used bytes")
-        self._avail_gauge = registry.gauge(
-            f"{prefix}.available_bytes", help="lease bytes not yet reserved")
+        self._used_gauge = registry.gauge(f"{prefix}.used_bytes")
+        self._peak_gauge = registry.gauge(f"{prefix}.peak_bytes")
+        self._avail_gauge = registry.gauge(f"{prefix}.available_bytes")
         self._publish()
 
     def _publish(self) -> None:
@@ -460,17 +457,11 @@ class MemoryBroker:
         if self.telemetry is None or not self.telemetry.registry.enabled:
             return
         registry = self.telemetry.registry
-        pool = registry.gauge(f"broker.{self.name}.pool_bytes",
-                              help="global pool size (0 when unbounded)")
-        pool.set(self.total_bytes or 0)
-        self._leased_gauge = registry.gauge(
-            f"broker.{self.name}.leased_bytes",
-            help="bytes currently leased to queries")
-        self._spare_gauge = registry.gauge(
-            f"broker.{self.name}.spare_bytes",
-            help="unleased pool bytes (0 when unbounded)")
-        self._active_gauge = registry.gauge(
-            f"broker.{self.name}.active_leases", help="live leases")
+        prefix = f"broker.{self.name}"
+        registry.gauge(f"{prefix}.pool_bytes").set(self.total_bytes or 0)
+        self._leased_gauge = registry.gauge(f"{prefix}.leased_bytes")
+        self._spare_gauge = registry.gauge(f"{prefix}.spare_bytes")
+        self._active_gauge = registry.gauge(f"{prefix}.active_leases")
         self._publish()
 
     def _publish(self) -> None:

@@ -50,14 +50,6 @@ class Wrapper:
         self.error: Optional[Exception] = None
         self._stopped = False
         self._process: Optional[Process] = None
-        registry = cm.telemetry.registry
-        name = relation.name
-        self._sent_metric = registry.counter(
-            f"wrapper.{name}.tuples_sent",
-            f"Tuples wrapper {name} delivered to the mediator.")
-        self._blocked_metric = registry.counter(
-            f"wrapper.{name}.blocked_seconds",
-            f"Virtual seconds wrapper {name} spent window-protocol blocked.")
 
     @property
     def name(self) -> str:
@@ -127,7 +119,6 @@ class Wrapper:
                 yield outbound.put(message)
                 blocked = self.sim.now - before_put
             self.blocked_time += blocked
-            self._blocked_metric.inc(blocked)
             remaining -= count
         if remaining > 0:
             # Died or stopped short: the sender must still end the
@@ -154,7 +145,6 @@ class Wrapper:
                 if production > 0:
                     yield self.sim.timeout(production)
                 self.production_time += production
-                self._blocked_metric.inc(0.0)  # as the pipeline's put does
         if message is None or message[2] == 0:
             yield Timeout(self.sim, 0.0, priority=PRIORITY_URGENT)
         # The sender, fed by a zero-delay timeout in place of the get.
@@ -175,7 +165,6 @@ class Wrapper:
             yield from self.cm.deliver(self.name, count, eof=eof,
                                        production_seconds=production)
             self.tuples_sent += count
-            self._sent_metric.inc(count)
             if eof:
                 return
 

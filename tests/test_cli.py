@@ -183,6 +183,49 @@ def test_cmd_live_runs_both_strategies(capsys):
     assert "stalls:" in out
 
 
+@pytest.mark.parametrize("interval, sampled", [("0", False),
+                                               ("0.001", True)])
+def test_cmd_live_sample_interval_sets_the_sampler(interval, sampled,
+                                                   monkeypatch):
+    from repro.exec.live import LiveQueryEngine
+
+    results = []
+    run = LiveQueryEngine.run
+
+    async def recorded(engine):
+        results.append(await run(engine))
+        return results[-1]
+
+    monkeypatch.setattr(LiveQueryEngine, "run", recorded)
+    assert main(["live", "--scale", "0.005", "--wait-us", "30",
+                 "--strategy", "DSE", "--sample-interval", interval]) == 0
+    (result,) = results
+    assert bool(result.samples) is sampled
+
+
+@pytest.mark.parametrize("command", ["live", "metrics"])
+@pytest.mark.parametrize("interval", ["-5", "nan"])
+def test_a_bad_sample_interval_exits_2_in_one_line(command, interval,
+                                                   capsys):
+    assert main([command, "--scale", "0.005",
+                 "--sample-interval", interval]) == 2
+    err = capsys.readouterr().err
+    assert "telemetry_sample_interval must be >= 0" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    "plan", "fig6", "fig8", "run", "metrics", "trace", "anatomy", "live",
+    "multiquery", "explain", "reproduce"])
+@pytest.mark.parametrize("scale", ["0", "-1", "nan", "inf"])
+def test_a_bad_scale_exits_2_in_one_line(command, scale, capsys, tmp_path,
+                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--scale", scale]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale must be") and err.count("\n") == 1
+
+
 def test_cmd_live_unknown_relation():
     with pytest.raises(SystemExit):
         main(["live", "--scale", "0.005", "--slow", "Z:10"])
@@ -275,6 +318,17 @@ def test_cmd_metrics_from_roundtrips_a_previous_export(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "DSE:" in out and "metrics" in out
     assert prom.read_text().startswith("# HELP repro_response_time_seconds")
+
+
+@pytest.mark.parametrize("interval, sampled", [("0", False), ("0.05", True)])
+def test_cmd_metrics_sample_interval_sets_the_sampler(interval, sampled,
+                                                      capsys, tmp_path):
+    import json
+
+    exported = tmp_path / "metrics.json"
+    assert main(["metrics", "--scale", "0.02", "--sample-interval", interval,
+                 "--json", str(exported)]) == 0
+    assert bool(json.loads(exported.read_text())["samples"]) is sampled
 
 
 def test_cmd_trace_from_missing_file_exits_2(capsys, tmp_path):

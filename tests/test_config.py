@@ -1,5 +1,7 @@
 """Tests for SimulationParameters (Table 1 + engine knobs)."""
 
+import math
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -81,6 +83,28 @@ def test_with_overrides_returns_validated_copy():
 def test_validation_rejects_bad_values(field, value):
     with pytest.raises(ConfigurationError):
         SimulationParameters(**{field: value})
+
+
+@pytest.mark.parametrize("field", [
+    "cpu_mips", "disk_transfer_rate", "tuple_size", "page_size",
+    "network_bandwidth_bits", "message_pages", "queue_capacity_messages",
+    "io_chunk_pages", "io_cache_pages", "adaptive_batch_max_messages",
+    "timeout", "query_memory_bytes", "repetitions", "num_local_disks",
+    "disk_latency", "disk_seek_time", "io_cpu_instructions",
+    "move_tuple_instructions", "hash_search_instructions",
+    "produce_tuple_instructions", "message_instructions",
+    "context_switch_instructions", "planning_instructions", "batch_tuples",
+    "max_consecutive_timeouts", "bmt", "rate_change_threshold",
+    "reoptimization_threshold", "reopt_swap_margin", "w_min",
+    "telemetry_sample_interval",
+])
+def test_validation_rejects_nan_in_every_range_checked_field(field):
+    """NaN compares False to every bound, so it must fail the check
+    rather than slip past it; infinity is a value like any other."""
+    with pytest.raises(ConfigurationError, match=field):
+        SimulationParameters(**{field: math.nan})
+    if field != "tuple_size":  # no page holds an infinite tuple
+        SimulationParameters(**{field: math.inf})
 
 
 def test_page_smaller_than_tuple_rejected():

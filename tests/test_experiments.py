@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.experiments import (
     average_response_time,
@@ -66,8 +67,9 @@ def test_figure5_scaling():
 
 
 def test_figure5_scale_validation():
-    with pytest.raises(ValueError):
-        figure5_workload(scale=0)
+    for scale in (0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError, match="scale must be"):
+            figure5_workload(scale=scale)
 
 
 # --------------------------------------------------------------------------

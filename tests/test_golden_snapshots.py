@@ -86,6 +86,24 @@ def test_the_control_plane_is_kernel_neutral(name):
     assert session["registry_metrics"] == 0
 
 
+def test_run_metrics_match_golden():
+    """The whole registry of thirteen seeded one-shot runs: the same
+    metric names, each counter equal in value to the golden's (an int
+    where its owner counts in ints), every gauge and histogram exact."""
+    golden = json.loads((GOLDEN_DIR / "run_metrics.json").read_text())
+    digest = json.loads(capture_golden.render(
+        capture_golden.registry_digest()))
+    assert sorted(digest) == sorted(golden)
+    for run, metrics in golden.items():
+        assert sorted(digest[run]) == sorted(metrics), run
+        for name, data in metrics.items():
+            if data["kind"] == "counter":
+                assert digest[run][name] == data, (run, name)
+            else:
+                assert (json.dumps(digest[run][name], sort_keys=True)
+                        == json.dumps(data, sort_keys=True)), (run, name)
+
+
 def test_goldens_cover_all_strategies():
     for workload in sorted(capture_golden.workload_configs()):
         path = GOLDEN_DIR / f"{workload}.json"

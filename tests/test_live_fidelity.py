@@ -94,14 +94,15 @@ def test_a_live_run_registers_one_modelled_message_per_data_batch(
     result, world, query = run_live(
         workload, "DSE", constant_sources(workload, params, 0.0), params)
 
-    received = world.telemetry.registry.get("cm.messages_received")
-    assert received.value == messages
     assert sum(estimator.messages_delivered
                for estimator in world.cm.estimators.values()) == messages
+    assert result.metrics.get("cm.messages_received").value == messages
     assert world.cm.all_exhausted()
     for wrapper in query.wrappers:
         assert wrapper.tuples_sent \
             == workload.catalog.relation(wrapper.name).cardinality
+        assert (result.metrics.get(f"wrapper.{wrapper.name}.tuples_sent")
+                .value == wrapper.tuples_sent)
         assert wrapper.finished_at is not None and wrapper.error is None
 
 

@@ -66,7 +66,7 @@ def test_deliver_charges_receive_cpu():
 def test_close_ends_the_stream_without_a_modelled_message():
     """``close`` costs the model nothing: no receive CPU, no received
     message, no rate sample — only the queue learns the stream ended."""
-    world = make_world(telemetry_enabled=True)
+    world = make_world()
     world.cm.register_source("W")
     seen = []
 
@@ -84,8 +84,6 @@ def test_close_ends_the_stream_without_a_modelled_message():
     assert queue.eof_received and queue.tuples_available == 100
     assert estimator.messages_delivered == 1
     assert estimator.wait_estimate == pytest.approx(0.002 / 100)
-    registry = world.telemetry.registry
-    assert registry.get("cm.messages_received").value == 1
     assert queue.take_batch(100) == 100 and queue.exhausted
 
 
@@ -294,7 +292,6 @@ class _TwoProcessWrapper(Wrapper):
             yield outbound.put((count, remaining == count, production))
             blocked = self.sim.now - before_put
             self.blocked_time += blocked
-            self._blocked_metric.inc(blocked)
             remaining -= count
         if remaining > 0:
             yield outbound.put(None)
@@ -311,7 +308,6 @@ class _TwoProcessWrapper(Wrapper):
             yield from self.cm.deliver(self.name, count, eof=eof,
                                        production_seconds=production)
             self.tuples_sent += count
-            self._sent_metric.inc(count)
             if eof:
                 return
 
@@ -338,7 +334,7 @@ def _ship_one_message(wrapper_class, model, cardinality, stop_first,
     the wrapper's stats, every popped event that is not one of the
     wrapper's own hops and when each rival got done — and, apart, the
     kernel's event count."""
-    world = make_world(telemetry_enabled=True)
+    world = make_world()
     sim = world.sim
     popped, rivals, deliveries = [], [], []
     schedule = sim._schedule
@@ -383,11 +379,8 @@ def _ship_one_message(wrapper_class, model, cardinality, stop_first,
 
     queue.put = recorded
     sim.run()
-    registry = world.telemetry.registry
     stats = (wrapper.tuples_sent, wrapper.production_time,
-             wrapper.blocked_time, wrapper.finished_at, repr(wrapper.error),
-             repr(registry.get("wrapper.W.tuples_sent").value),
-             repr(registry.get("wrapper.W.blocked_seconds").value))
+             wrapper.blocked_time, wrapper.finished_at, repr(wrapper.error))
     return (deliveries, stats, popped, rivals), sim.processed_events
 
 

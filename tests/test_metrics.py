@@ -111,8 +111,8 @@ def test_an_existing_handle_is_returned_without_the_creation_path(monkeypatch):
 
     registry = MetricsRegistry()
     handles = {
-        "counter": registry.counter("c", "a counter"),
-        "gauge": registry.gauge("g", "a gauge"),
+        "counter": registry.counter("c"),
+        "gauge": registry.gauge("g"),
         "histogram": registry.histogram("h", buckets=(1.0, 2.0)),
     }
 
@@ -121,7 +121,6 @@ def test_an_existing_handle_is_returned_without_the_creation_path(monkeypatch):
 
     monkeypatch.setattr(registry, "_get_or_create", no_creation)
     assert registry.counter("c") is handles["counter"]
-    assert registry.counter("c", "other help text") is handles["counter"]
     assert registry.gauge("g") is handles["gauge"]
     assert registry.histogram("h") is handles["histogram"]
     assert len(registry) == 3

@@ -251,6 +251,21 @@ def test_telemetry_run_collects_metrics_and_samples(mini_fig5):
     assert set(last.queue_depth_tuples) == set(mini_fig5.relation_names)
 
 
+@pytest.mark.parametrize("strategy", ["SEQ", "MA", "DSE"])
+def test_a_telemetry_run_writes_no_counter(mini_fig5, strategy, monkeypatch):
+    """Counters are read from the fields that count them when the result
+    is collected: no component writes one while the query runs."""
+    from repro.observability.registry import CounterMetric
+
+    calls = []
+    monkeypatch.setattr(CounterMetric, "inc",
+                        lambda self, amount=1.0: calls.append(self.name))
+    result = _run(mini_fig5, strategy, SimulationParameters(
+        telemetry_enabled=True), slow={"A": 10.0})
+    assert calls == []
+    assert result.metrics.get("dqp.batches").value == result.batches_processed
+
+
 # --------------------------------------------------------------------------
 # Exporters
 # --------------------------------------------------------------------------

@@ -184,8 +184,7 @@ def test_everything_off_compiles_to_the_shared_null_table():
     hooks = compile_dqp_hooks(Telemetry())
     assert hooks is NULL_HOOKS
     assert not hooks.enabled
-    assert hooks.batch == () and hooks.switch == ()
-    assert hooks.stall == () and hooks.plan == ()
+    assert hooks.batch == () and hooks.stall == () and hooks.plan == ()
 
 
 def test_spans_only_compile_batch_and_stall_slots():
@@ -194,7 +193,7 @@ def test_spans_only_compile_batch_and_stall_slots():
     hooks = compile_dqp_hooks(telemetry, phase_span_of=lambda: 7)
     assert hooks.enabled
     assert len(hooks.batch) == 1 and len(hooks.stall) == 1
-    assert hooks.switch == () and hooks.plan == ()
+    assert hooks.plan == ()
 
     class _Kind:
         value = "mf"
@@ -214,11 +213,11 @@ def test_spans_only_compile_batch_and_stall_slots():
 def test_metrics_channel_compiles_every_slot():
     telemetry = Telemetry(sim=_Clock(), enabled=True)
     hooks = compile_dqp_hooks(telemetry)
-    assert len(hooks.batch) == 1 and len(hooks.switch) == 1
-    assert len(hooks.stall) == 1 and len(hooks.plan) == 1
+    assert len(hooks.batch) == 1 and len(hooks.stall) == 1
+    assert len(hooks.plan) == 1
     hooks.plan[0](0.0, 5)
-    assert telemetry.registry.get("dqs.planning_phases").value == 1
     assert telemetry.registry.get("dqs.plan_fragments").value == 5
+    assert telemetry.registry.get("dqs.planning_phases") is None
 
 
 # --------------------------------------------------------------------------
