@@ -42,6 +42,7 @@ content-addressed run cache (results are identical to a serial run).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Any, Optional, Sequence
 
@@ -818,6 +819,18 @@ def _cmd_live(args: argparse.Namespace) -> int:
     from repro.common.errors import SimulationError
     from repro.exec.live import LiveQueryEngine, jittered_batches
 
+    # Checked before any run: each would fail (or do nothing) mid-run.
+    if not 0.0 <= args.jitter <= 1.0:
+        raise ConfigurationError(
+            f"--jitter must be in [0, 1], got {args.jitter}")
+    if not 0.0 <= args.wait_us < math.inf:
+        raise ConfigurationError(
+            f"--wait-us must be finite and >= 0, got {args.wait_us}")
+    for flag, value in (("--stall-after", args.stall_after),
+                        ("--deadline", args.deadline)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigurationError(
+                f"{flag} must be positive and finite, got {value}")
     workload = figure5_workload(scale=args.scale)
     params = SimulationParameters().with_overrides(
         telemetry_enabled=True,

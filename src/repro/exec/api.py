@@ -48,6 +48,13 @@ class Kernel(Protocol):
         """Drive ``generator`` as a process starting at the current time."""
         ...
 
+    def elapse(self, delay: float) -> bool:
+        """Advance ``now`` by ``delay`` in place, True, when the timeout
+        it stands for would be the next event dispatched and would resume
+        only the caller; else False, and the caller yields
+        ``timeout(delay)`` (see :meth:`repro.exec.core.KernelBase.elapse`)."""
+        ...
+
     def any_of(self, events: Iterable[SimEvent]) -> AnyOf:
         """Composite event: succeeds with the first child that succeeds."""
         ...

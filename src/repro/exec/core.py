@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, Callable, Generator, Iterable, Optional, TypeVar
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence, TypeVar
 
 from repro.common.errors import SimulationError
 
@@ -144,7 +144,14 @@ class SimEvent:
         if self._state != _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
         self.value = value
-        self._run_callbacks()
+        # A process resumed here runs inside another's dispatch, never as
+        # its sole callback: it may not wait in place (KernelBase.elapse).
+        sim = self.sim
+        dispatching, sim._dispatching = sim._dispatching, ()
+        try:
+            self._run_callbacks()
+        finally:
+            sim._dispatching = dispatching
         return self
 
     # -- callbacks ---------------------------------------------------------
@@ -429,6 +436,15 @@ class KernelBase:
         self._cancelled = 0
         #: set to end the drain after the event being dispatched.
         self._stop_requested = False
+        #: waits a process took in place (:meth:`elapse`): each one is an
+        #: event the kernel did not dispatch.
+        self.waits_in_place = 0
+        #: the running drain's bound, the ``waits_in_place`` it may reach,
+        #: and the callbacks of the event it is dispatching (all restored
+        #: when a drain ends; :meth:`SimEvent.grant` blanks the last).
+        self._bound = -math.inf
+        self._cap = 0.0
+        self._dispatching: Sequence[Callable[[SimEvent], None]] = ()
 
     @property
     def wall_now(self) -> float:
@@ -471,8 +487,10 @@ class KernelBase:
 
     def _drain(self, bound: float, limit: float) -> int:
         """Dispatch the events due by ``bound``, at most ``limit`` of them
-        and none after one during which a stop was requested; return how
-        many.  The one dispatch loop of both backends, locals pinned and
+        and none after one during which a stop was requested, and let the
+        callbacks take at most ``limit - 1`` waits in place
+        (:meth:`elapse`); return how many of both.  The one dispatch loop
+        of both backends, locals pinned and
         :meth:`SimEvent._run_callbacks` inline.  Ends with a
         :meth:`_compact`: the heap handed back holds at most
         ``2 * live + _COMPACT_FLOOR`` entries.
@@ -483,6 +501,9 @@ class KernelBase:
         # Both floats: compared on every event, an int against a float
         # (say, an infinite limit) takes the interpreter's slow path.
         processed, limit = 0.0, float(limit)
+        waited = self.waits_in_place
+        outer = self._bound, self._cap, self._dispatching
+        self._bound, self._cap = bound, waited + limit - 1.0
         try:
             while heap and processed < limit:
                 when, priority, sequence, event = pop(heap)
@@ -492,19 +513,59 @@ class KernelBase:
                 if when > bound:
                     heapq.heappush(heap, (when, priority, sequence, event))
                     break
+                # `now` is not re-read after a callback: one that waited
+                # in place left it at or before every deadline on the heap.
                 if when > now:
                     self.now = now = when
                 processed += 1.0
                 event._state = _PROCESSED
                 callbacks, event._callbacks = event._callbacks, []
+                self._dispatching = callbacks
                 for callback in callbacks:
                     callback(event)
                 if self._stop_requested:
                     break
         finally:
+            self._bound, self._cap, self._dispatching = outer
             self._processed_events += int(processed)
             self._compact()
-        return int(processed)
+        return int(processed) + self.waits_in_place - waited
+
+    def elapse(self, delay: float) -> bool:
+        """Let ``delay`` seconds pass *in place* if nothing can happen
+        meanwhile: advance ``now`` and return True, or return False and
+        leave the caller to ``yield timeout(delay)`` as usual.
+
+        True only for the process a drain runs as the sole callback of
+        the event it popped (never one :meth:`SimEvent.grant` resumes),
+        with no stop requested, ``now + delay`` within the drain's bound,
+        the drain's in-place allowance not spent, and every live heap
+        entry strictly later.  The timeout it stands for would then be
+        the very next event popped, to resume the same process alone, so
+        skipping its push, pop and resumption changes no order — on
+        either backend, since their drains differ only in the bound (the
+        wall-clock kernel's last wall reading).
+        """
+        if not delay >= 0:
+            raise SimulationError(f"cannot elapse {delay} seconds")
+        if (len(self._dispatching) != 1 or self._stop_requested
+                or self.waits_in_place >= self._cap):
+            return False
+        when = self.now + delay
+        if when > self._bound:
+            return False
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[0] > when:
+                break
+            if not head[3].cancelled:
+                return False  # due by then, a tie included
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        self.now = when
+        self.waits_in_place += 1
+        return True
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

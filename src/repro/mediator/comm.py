@@ -87,7 +87,10 @@ class CommunicationManager:
         estimator.
         """
         queue = self.queue(source)
-        yield queue.wait_not_full()
+        # Room now: the zero-delay hop wait_not_full would make is taken
+        # in place when it is the kernel's next event anyway.
+        if queue.is_full or not self.sim.elapse(0.0):
+            yield queue.wait_not_full()
         if self.link is not None:
             yield from self.link.transmit(tuples * self.params.tuple_size)
         yield from self.cpu.work(self.params.message_instructions)

@@ -73,6 +73,8 @@ class SourceQueue:
             # heap orders same-instant contenders for the mediator CPU;
             # replacing it changes both bench/expected.json digests
             # (measured for ISSUE 22).
+            # A caller skips it only where it orders nothing:
+            # is_full, then Kernel.elapse(0).
             event.succeed()
         else:
             self._space_waiters.append(event)

@@ -22,6 +22,7 @@ paths pay a single attribute check.
 
 from __future__ import annotations
 
+import math
 import threading
 import time as _time
 from collections import deque
@@ -221,9 +222,12 @@ class StallWatchdog:
                 "watchdog needs a stall_after and/or a deadline")
         for name, value in (("stall_after", stall_after),
                             ("deadline", deadline)):
-            if value is not None and value <= 0:
+            # `not 0 < value < inf`: a NaN would pass `value <= 0` and arm
+            # a watchdog that never fires.
+            if value is not None and not 0.0 < value < math.inf:
                 raise ConfigurationError(
-                    f"watchdog {name} must be positive, got {value}")
+                    f"watchdog {name} must be positive and finite, "
+                    f"got {value}")
         self.recorder = recorder
         self.dump_path = Path(dump_path)
         self.stall_after = stall_after

@@ -43,7 +43,8 @@ class Simulator(KernelBase):
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None:
         """Run until the event queue drains, ``until`` is reached, or
-        ``max_events`` have been processed.
+        ``max_events`` have been processed (and at most one fewer waits
+        taken in place).
 
         With ``until`` set, the clock is left exactly at ``until`` if the
         queue outlives it.  ``max_events`` guards against runaway loops in
@@ -51,7 +52,7 @@ class Simulator(KernelBase):
         """
         bound = math.inf if until is None else until
         limit = math.inf if max_events is None else max_events
-        if self._drain(bound, limit) == limit and self.peek() <= bound:
+        if self._drain(bound, limit) >= limit and self.peek() <= bound:
             raise SimulationError(f"exceeded max_events={max_events}")
         if until is not None and self.now < until:
             self.now = until

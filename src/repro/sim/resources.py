@@ -3,7 +3,9 @@
 All models are driven by Table 1 of the paper (CPU speed in MIPS, disk
 latency / seek time / transfer rate, network bandwidth, per-I/O and
 per-message CPU costs).  Each model exposes generator helpers meant to be
-``yield from``-ed inside simulation processes.
+``yield from``-ed inside simulation processes.  A timed slice on a
+held unit waits in place (:meth:`repro.exec.Kernel.elapse`) when its
+timeout would be the kernel's next event, and through the heap otherwise.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ class CPU:
         if not self._resource.try_acquire():
             yield self._resource.request()
         try:
-            yield self.sim.timeout(duration)
+            if not self.sim.elapse(duration):
+                yield self.sim.timeout(duration)
             self.busy_time += duration
             self.instructions_executed.add(instructions)
         finally:
@@ -274,7 +277,8 @@ class Disk:
             if not sequential:
                 duration += self.latency + self.seek_time
                 self.seeks.add(1)
-            yield self.sim.timeout(duration)
+            if not self.sim.elapse(duration):
+                yield self.sim.timeout(duration)
             self.busy_time += duration
             self.ios.add(1)
             self.pages_transferred.add(num_pages)
@@ -324,7 +328,8 @@ class NetworkLink:
         if not self._resource.try_acquire():
             yield self._resource.request()
         try:
-            yield self.sim.timeout(duration)
+            if not self.sim.elapse(duration):
+                yield self.sim.timeout(duration)
             self.busy_time += duration
             self.messages.add(1)
             self.bytes_carried.add(num_bytes)

@@ -226,6 +226,32 @@ def test_a_bad_scale_exits_2_in_one_line(command, scale, capsys, tmp_path,
     assert err.startswith("error: scale must be") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--jitter", "2"], "--jitter must be in [0, 1], got 2.0"),
+    (["--jitter", "nan"], "--jitter must be in [0, 1], got nan"),
+    (["--wait-us", "nan"], "--wait-us must be finite and >= 0, got nan"),
+    (["--wait-us", "-1"], "--wait-us must be finite and >= 0, got -1.0"),
+    (["--stall-after", "nan", "--flight-dump", "F"],
+     "--stall-after must be positive and finite, got nan"),
+    (["--deadline", "inf", "--flight-dump", "F"],
+     "--deadline must be positive and finite, got inf"),
+])
+def test_a_bad_live_flag_exits_2_in_one_line_before_any_run(
+        flags, message, capsys, tmp_path, monkeypatch):
+    from repro.exec.live import LiveQueryEngine
+
+    def no_run(engine):
+        raise AssertionError("a run started")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(LiveQueryEngine, "run", no_run)
+    assert main(["live", "--scale", "0.005", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "F").exists()
+
+
 def test_cmd_live_unknown_relation():
     with pytest.raises(SystemExit):
         main(["live", "--scale", "0.005", "--slow", "Z:10"])

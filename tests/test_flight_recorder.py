@@ -137,6 +137,15 @@ def test_watchdog_needs_a_trigger_and_positive_values(tmp_path):
         StallWatchdog(recorder, tmp_path / "d.json", deadline=-1.0)
 
 
+@pytest.mark.parametrize("field", ["stall_after", "deadline"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_watchdog_rejects_non_finite_values(field, value, tmp_path):
+    # A NaN passes `value <= 0` and would arm a watchdog that never fires.
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        StallWatchdog(FlightRecorder(), tmp_path / "d.json",
+                      **{field: value})
+
+
 def test_watchdog_fires_on_stall_and_dumps(tmp_path):
     recorder = FlightRecorder()
     recorder.record(ENTRY_BATCH, 0.0, fragment="pA", tuples=1)

@@ -173,7 +173,9 @@ def test_waits_that_order_the_model_still_take_one_kernel_event(sim):
     keep their hop through the heap even when already satisfied: it is
     what lets the DQP and a sender reach the CPU in the modelled order
     (granting the first two in place changes both seeded bench digests;
-    the third was left alone)."""
+    the third was left alone).  Their callers skip the hop only when it
+    is the kernel's next event (``Kernel.elapse``,
+    ``tests/test_in_place_waits.py``)."""
     store = Store(sim)
     store.put("item")
     queue = SourceQueue(sim, "W", capacity_messages=2)
@@ -213,27 +215,37 @@ def test_cpu_serializes_concurrent_work(sim):
     assert sim.now == pytest.approx(0.02)
 
 
-def test_cpu_work_costs_one_event_idle_and_two_when_it_must_queue(sim):
-    """An idle CPU is taken without an event — the slice's timeout is the
-    only kernel event; behind a holder the queued request is a second."""
+def test_cpu_work_costs_no_event_idle_and_one_when_a_timer_is_due_first(sim):
+    """An idle CPU is taken without an event, and a slice nothing else
+    can happen during is taken in place (``Kernel.elapse``): no kernel
+    event.  A timer due first, or at the very instant the slice ends,
+    puts the slice's timeout through the heap: one event.  Behind a
+    holder the queued request is one more, and the holder's slice goes
+    through the heap (the second worker's start is due)."""
     cpu = CPU(sim, mips=100.0)
 
     def worker():
-        yield from cpu.work(1_000_000)
+        yield from cpu.work(1_000_000)  # 10 ms
 
-    def events_for(workers):
-        before = sim.processed_events
+    def cost(workers, timer=None):
+        before = sim.processed_events, sim.waits_in_place
         processes = [sim.process(worker()) for _ in range(workers)]
+        if timer is not None:
+            sim.timeout(timer)
         sim.run()
         assert all(process.ok for process in processes)
-        # Starting a process is one kernel event; ending one nobody
-        # waits on is none.
-        return sim.processed_events - before - workers
+        # Starting a process is one kernel event, and a timer one; ending
+        # a process nobody waits on is none.
+        return (sim.processed_events - before[0] - workers
+                - (timer is not None), sim.waits_in_place - before[1])
 
-    assert events_for(1) == 1
-    assert events_for(2) == 1 + 2
-    assert cpu.busy_time == pytest.approx(0.03)
-    assert cpu.instructions_executed.value == 3_000_000
+    assert cost(1) == (0, 1)
+    assert cost(1, timer=0.02) == (0, 1)
+    assert cost(1, timer=0.005) == (1, 0)
+    assert cost(1, timer=0.01) == (1, 0)
+    assert cost(2) == (1 + 1, 1)
+    assert cpu.busy_time == pytest.approx(0.06)
+    assert cpu.instructions_executed.value == 6_000_000
 
 
 def test_cpu_utilization(sim):
