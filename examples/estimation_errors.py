@@ -39,7 +39,7 @@ def main() -> None:
                       for name in workload.relation_names}
             engine = QueryEngine(workload.catalog, qep,
                                  make_policy(strategy), delays,
-                                 params=params, seed=1, trace=True)
+                                 params=params, seed=1)
             result = engine.run()
             rows.append([strategy, "on" if reopt else "off",
                          f"{result.response_time:.3f}",
@@ -48,10 +48,10 @@ def main() -> None:
                          ",".join(result.reopt_swaps) or "-",
                          f"{result.result_tuples:,}"])
             if strategy == "SEQ" and reopt:
-                print("DQO trace (SEQ, re-optimization on):")
-                for category in ["reopt-opportunity", "reopt-swap"]:
-                    for event in result.tracer.filter(category):
-                        print(f"  {event}")
+                print("DQO decisions (SEQ, re-optimization on):")
+                for record in result.decisions:
+                    if record.kind == "reopt-swap":
+                        print(f"  {record}")
                 print()
 
     print(format_table(

@@ -12,6 +12,7 @@ is already saturated, decisive when slow sources leave it idle.
 
 from repro import SimulationParameters
 from repro.experiments import (
+    ThroughputPoint,
     figure5_workload,
     format_table,
     run_multiquery_experiment,
@@ -32,9 +33,7 @@ def main() -> None:
         seed=11)
 
     print(format_table(
-        ["strategy", "w (µs)", "mean resp (s)", "makespan (s)", "queries/s",
-         "CPU"],
-        [p.row() for p in points],
+        ThroughputPoint.HEADERS, [p.row() for p in points],
         title="4 staggered queries on one mediator"))
 
     fast = {p.strategy: p for p in points if p.wait == params.w_min}

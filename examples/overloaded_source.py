@@ -33,14 +33,14 @@ def main() -> None:
         return {name: UniformDelay(wait) for name, wait in waits.items()}
 
     rows = []
-    traced = None
+    dse = None
     for strategy in ["SEQ", "MA", "DSE"]:
         engine = QueryEngine(workload.catalog, workload.qep,
                              make_policy(strategy), delays(),
-                             params=params, seed=1, trace=(strategy == "DSE"))
+                             params=params, seed=1)
         result = engine.run()
         if strategy == "DSE":
-            traced = result
+            dse = result
         rows.append([strategy, f"{result.response_time:.3f}",
                      f"{result.stall_time:.3f}",
                      f"{result.cpu_utilization:.0%}",
@@ -54,10 +54,9 @@ def main() -> None:
          "spilled tuples"],
         rows, title="Six sources, F ten times slower (2 ms -> 200 µs/tuple)"))
 
-    print("\nDSE scheduler decisions (from the execution trace):")
-    for category in ["degrade", "mf-stop", "cf-create", "chain-complete"]:
-        for event in traced.tracer.filter(category):
-            print(f"  {event}")
+    print("\nDSE scheduler decisions (the execution trace):")
+    for record in dse.decisions:
+        print(f"  {record}")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,6 @@ from repro.observability.server import (
     write_sse_event,
 )
 from repro.service.stats import service_prometheus_text
-from repro.sim import Simulator, Tracer
 
 EGRESS_DIR = (Path(__file__).resolve().parent.parent
               / "tests" / "golden" / "egress")
@@ -191,7 +190,7 @@ SPANS = [
 
 def _traced_result() -> Any:
     """A hand-built result: two chains, one unfinished fragment, a chain
-    that only the timeline knows, and traced decisions with audit args."""
+    that only the timeline knows, and decisions with and without args."""
     stats = {
         "pA": FragmentStat("pA", "PC", "C1", 0.5, 2.0, 100, 90, 4, 0.125),
         "pB": FragmentStat("pB", "MF", "C2", 0.0, 1.0, 200, 200, 8, 0.25),
@@ -199,24 +198,17 @@ def _traced_result() -> Any:
         "pD": FragmentStat("pD", "PC", "C1", 2.0, 2.0000000001, 1, 1, 1, 0.0),
     }
     late = FragmentStat("pE", "CF", "C9", 3.0, 4.0, 5, 5, 1, 0.0625)
-    sim = Simulator()
-    tracer = Tracer(sim)
-    sim.now = 1.0
-    tracer.emit("degrade", "pA", bmi=2.5)
-    tracer.emit("batch", "not a decision category")
-    sim.now = 1.5
-    tracer.emit("mf-stop", "pB")
-    tracer.emit("timeout", "A", waited=0.25)
     decisions = [
         DecisionRecord(1.0, "degrade", "pA", critical=3.5, bmi=2.5, bmt=1.0,
                        details={"temp": "tA"}),
-        DecisionRecord(9.0, "degrade", "pA", bmi=0.0),     # no trace twin
+        DecisionRecord(1.5, "mf-stop", "pB"),
+        DecisionRecord(9.0, "degrade", "pA", bmi=0.0),
     ]
     return SimpleNamespace(
         strategy="DSE", response_time=4.0, fragment_stats=stats,
         timeline=lambda: sorted(list(stats.values()) + [late],
                                 key=lambda s: (s.started_at, s.name)),
-        tracer=tracer, decisions=decisions)
+        decisions=decisions)
 
 
 def trace_fixtures() -> Dict[str, str]:
@@ -226,7 +218,7 @@ def trace_fixtures() -> Dict[str, str]:
         return json.dumps(events, indent=1) + "\n"
 
     untraced = _traced_result()
-    untraced.tracer = None
+    untraced.decisions = []
     return {
         "trace_flight.json": render(flight_trace_events(FLIGHT_ENTRIES)),
         "trace_spans.json": render(span_trace_events(SPANS)),

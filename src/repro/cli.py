@@ -10,8 +10,8 @@ writing any code:
 * ``run`` — one execution of one strategy, with optional slow sources;
 * ``metrics`` — run one strategy with telemetry and export the metrics,
   stall breakdown and decision log (JSON / CSV / Prometheus text);
-* ``trace`` — run one strategy traced and write the Chrome timeline plus
-  the decision audit log;
+* ``trace`` — run one strategy and write the Chrome timeline plus the
+  decision audit log (the run's execution trace);
 * ``live`` — SEQ vs DSE against *real* jittery asyncio sources on the
   wall-clock execution backend; ``--serve`` exposes /metrics, /healthz
   and an SSE /stream while the run is in flight, ``--flight-dump`` (with
@@ -51,6 +51,9 @@ from repro.config import SimulationParameters
 from repro.core.engine import QueryEngine
 from repro.core.strategies import lower_bound, make_policy
 from repro.experiments import (
+    GainPoint,
+    SlowdownPoint,
+    ThroughputPoint,
     figure5_workload,
     format_table,
     run_multiquery_experiment,
@@ -58,7 +61,6 @@ from repro.experiments import (
     run_uniform_slowdown_experiment,
 )
 from repro.experiments.report import write_csv
-from repro.experiments.slowdown import STRATEGIES
 from repro.wrappers.delays import UniformDelay
 
 
@@ -110,14 +112,11 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--reopt", action="store_true",
                      help="let the DQO swap misoriented pending joins")
     run.add_argument("--trace", action="store_true",
-                     help="print the scheduler's trace events")
+                     help="print the scheduler's decision audit log")
     run.add_argument("--timeline", action="store_true",
                      help="print the per-fragment schedule")
     run.add_argument("--chrome-trace", metavar="PATH",
                      help="write a chrome://tracing timeline JSON")
-    run.add_argument("--trace-out", metavar="PATH",
-                     help="write the Chrome/Perfetto trace JSON to PATH "
-                          "(implies collecting trace events)")
     run.add_argument("--spans-out", metavar="PATH",
                      help="record the causal span tree and write its JSON "
                           "export (plus a .trace.json chrome sibling) to "
@@ -150,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "metrics JSON export and summarize/re-export it")
 
     trace = sub.add_parser(
-        "trace", help="run one strategy traced; write the Chrome timeline "
+        "trace", help="run one strategy; write the Chrome timeline "
                       "and print the decision audit log")
     _common(trace)
     trace.add_argument("--strategy", default="DSE",
@@ -543,13 +542,12 @@ def _cmd_fig6(args: argparse.Namespace) -> int:
         workload, args.relation, list(args.retrieval_times), params,
         repetitions=args.repetitions, base_seed=args.seed,
         runner=_runner_from(args))
-    headers = ["retrieval_s"] + STRATEGIES + ["LWB"]
     rows = [p.row() for p in points]
     figure = "Figure 7" if args.relation == "F" else "Figure 6"
-    print(format_table(headers, rows,
+    print(format_table(SlowdownPoint.HEADERS, rows,
                        title=f"{figure}: slowing {args.relation}"))
     if args.csv:
-        print("wrote", write_csv(args.csv, headers, rows))
+        print("wrote", write_csv(args.csv, SlowdownPoint.HEADERS, rows))
     return 0
 
 
@@ -560,11 +558,11 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
         workload, [w * 1e-6 for w in args.waits_us], params,
         repetitions=args.repetitions, base_seed=args.seed,
         runner=_runner_from(args))
-    headers = ["w_min_us", "SEQ_s", "DSE_s", "gain_pct", "LWB_s"]
     rows = [p.row() for p in points]
-    print(format_table(headers, rows, title="Figure 8: DSE gain vs w_min"))
+    print(format_table(GainPoint.HEADERS, rows,
+                       title="Figure 8: DSE gain vs w_min"))
     if args.csv:
-        print("wrote", write_csv(args.csv, headers, rows))
+        print("wrote", write_csv(args.csv, GainPoint.HEADERS, rows))
     return 0
 
 
@@ -592,21 +590,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
     waits = {name: params.w_min * slow.get(name, 1.0)
              for name in workload.relation_names}
     delays = {name: UniformDelay(wait) for name, wait in waits.items()}
-    collect_trace = args.trace or bool(args.trace_out)
 
     if args.strategy.upper() == "DPHJ":
-        if args.spans_out:
-            raise SystemExit("--spans-out needs the DQP engine; DPHJ "
-                             "records no scheduling spans")
+        needs_dqp = [flag for flag, given in (
+            ("--trace", args.trace), ("--timeline", args.timeline),
+            ("--chrome-trace", args.chrome_trace),
+            ("--spans-out", args.spans_out)) if given]
+        if needs_dqp:
+            raise SystemExit(f"{needs_dqp[0]} needs the DQP engine; DPHJ "
+                             "records no fragments, decisions or spans")
         from repro.core.symmetric import SymmetricHashJoinEngine
         result = SymmetricHashJoinEngine(
             workload.catalog, workload.tree, delays, params=params,
-            seed=args.seed, trace=collect_trace).run()
+            seed=args.seed).run()
         print(result.summary())
         print(f"LWB: {lower_bound(workload.qep, waits, params):.3f}s")
-        if args.trace_out:
-            from repro.experiments.trace_export import write_chrome_trace
-            print("trace:", write_chrome_trace(args.trace_out, result))
         return 0
 
     qep = workload.qep
@@ -620,7 +618,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise SystemExit(str(exc)) from None
     engine = QueryEngine(workload.catalog, qep,
                          make_policy(args.strategy), delays, params=params,
-                         seed=args.seed, trace=collect_trace)
+                         seed=args.seed)
     result = engine.run()
     print(result.summary())
     if result.reopt_opportunities:
@@ -631,25 +629,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.timeline:
         print()
         print(result.render_timeline())
-    if args.chrome_trace or args.trace_out:
+    if args.chrome_trace:
         from repro.experiments.trace_export import write_chrome_trace
-        for path in (args.chrome_trace, args.trace_out):
-            if path:
-                print("chrome trace:", write_chrome_trace(path, result))
+        print("chrome trace:", write_chrome_trace(args.chrome_trace, result))
     if args.spans_out and result.spans is not None:
         from repro.observability import write_spans_json
         print("spans:", write_spans_json(result.spans, args.spans_out))
-    if args.trace and result.tracer is not None:
+    if args.trace:
         print()
-        for category in ["plan", "degrade", "mf-stop", "chain-complete",
-                         "memory-split", "reopt-opportunity", "reopt-swap"]:
-            for event in result.tracer.filter(category):
-                print(event)
+        _print_decisions(result)
     return 0
 
 
-def _run_with_telemetry(args: argparse.Namespace, sample_interval: float,
-                        trace: bool):
+def _print_decisions(result) -> None:
+    """The run's decision audit log: its execution trace."""
+    if result.decisions:
+        print(f"decisions ({len(result.decisions)}):")
+        for record in result.decisions:
+            print(" ", record)
+
+
+def _run_with_telemetry(args: argparse.Namespace, sample_interval: float):
     """One telemetry-enabled execution shared by ``metrics`` and ``trace``."""
     workload = figure5_workload(scale=args.scale)
     params = SimulationParameters().with_overrides(
@@ -664,7 +664,7 @@ def _run_with_telemetry(args: argparse.Namespace, sample_interval: float,
     delays = {name: UniformDelay(wait) for name, wait in waits.items()}
     engine = QueryEngine(workload.catalog, workload.qep,
                          make_policy(args.strategy), delays, params=params,
-                         seed=args.seed, trace=trace)
+                         seed=args.seed)
     return engine.run()
 
 
@@ -706,15 +706,12 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             print("wrote", path)
         return 0
 
-    result = _run_with_telemetry(args, args.sample_interval, trace=False)
+    result = _run_with_telemetry(args, args.sample_interval)
     print(result.summary())
     print("stall breakdown:")
     for cause, seconds in result.stall_by_cause().items():
         print(f"  {cause:<24} {seconds:.6f}s")
-    if result.decisions:
-        print(f"decisions ({len(result.decisions)}):")
-        for record in result.decisions:
-            print(" ", record)
+    _print_decisions(result)
 
     snapshot = telemetry_snapshot(result)
     explicit = [(args.json, write_metrics_json),
@@ -778,12 +775,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.from_path:
         return _summarize_trace_file(args.from_path)
 
-    result = _run_with_telemetry(args, sample_interval=0.0, trace=True)
+    result = _run_with_telemetry(args, sample_interval=0.0)
     print(result.summary())
-    if result.decisions:
-        print(f"decisions ({len(result.decisions)}):")
-        for record in result.decisions:
-            print(" ", record)
+    _print_decisions(result)
     print("chrome trace:", write_chrome_trace(args.out, result))
     return 0
 
@@ -1287,13 +1281,11 @@ def _cmd_multiquery(args: argparse.Namespace) -> int:
         # e.g. a min working set that exceeds the pool: a usage error,
         # not an engine bug — report it like one.
         raise SystemExit(str(exc)) from None
-    headers = ["strategy", "w_us", "pool", "mean_resp_s", "makespan_s",
-               "queries_per_s", "cpu", "queued", "mean_wait_s"]
     rows = [p.row() for p in points]
-    print(format_table(headers, rows,
+    print(format_table(ThroughputPoint.HEADERS, rows,
                        title=f"{args.queries} concurrent queries"))
     if args.csv:
-        print("wrote", write_csv(args.csv, headers, rows))
+        print("wrote", write_csv(args.csv, ThroughputPoint.HEADERS, rows))
     return 0
 
 

@@ -131,8 +131,6 @@ class DynamicQEPOptimizer:
                 self._check_estimates()
 
                 if isinstance(event, EndOfQEP):
-                    world.tracer.emit("qep-end", "query complete",
-                                      result_tuples=event.result_tuples)
                     if spans is not None and query_span is not None:
                         spans.finish(query_span,
                                      result_tuples=event.result_tuples)
@@ -144,9 +142,6 @@ class DynamicQEPOptimizer:
                 elif isinstance(event, TimeOut):
                     self.timeouts += 1
                     self._consecutive_timeouts += 1
-                    world.tracer.emit(
-                        "timeout", "engine stalled; re-optimization hook",
-                        stalled_for=event.stalled_for)
                     limit = world.params.max_consecutive_timeouts
                     if limit and self._consecutive_timeouts >= limit:
                         raise QueryTimeoutError(
@@ -160,10 +155,6 @@ class DynamicQEPOptimizer:
                         self.rate_changes += 1
                     elif isinstance(event, BudgetGrow):
                         self.budget_grows += 1
-                        world.tracer.emit(
-                            "budget-grow", "lease grew; replanning",
-                            granted_bytes=event.granted_bytes,
-                            total_bytes=event.total_bytes)
         finally:
             # The query's CM outlives the run; left installed, the
             # listener would tie CM, processor, runtime and world in a
@@ -193,11 +184,6 @@ class DynamicQEPOptimizer:
                 continue
             found_new = True
             self.reopt_opportunities.append(observation.join_name)
-            self.runtime.world.tracer.emit(
-                "reopt-opportunity", observation.join_name,
-                estimated=observation.estimated_build,
-                observed=observation.observed_build,
-                ratio=observation.error_ratio)
         if found_new and self.runtime.world.params.enable_reoptimization:
             self._swap_misoriented_joins()
 

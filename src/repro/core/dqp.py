@@ -79,11 +79,6 @@ class SchedulingPlan:
             self._live_revision = revision
         return self._live
 
-    def describe(self) -> str:
-        return " > ".join(
-            f"{f.name}({self.priorities.get(f.name, 0.0):.3g})"
-            for f in self.fragments)
-
 
 class DynamicQueryProcessor:
     """Executes one scheduling plan until an interruption event."""
@@ -213,7 +208,6 @@ class DynamicQueryProcessor:
             if outcome == BATCH_OVERFLOW:
                 return self._overflow_event(fragment)
             if outcome == BATCH_FINISHED:
-                world.tracer.emit("qf-end", fragment.name)
                 if self.runtime.all_done:
                     return EndOfQEP(sim.now,
                                     result_tuples=self.runtime.result_tuples)
@@ -270,9 +264,6 @@ class DynamicQueryProcessor:
         self._rate_event = self._cached_rate_event
         timeout = sim.timeout(params.timeout)
         started = sim.now
-        if world.tracer.enabled:
-            world.tracer.emit("stall", "no data on any scheduled fragment",
-                              fragments=[f.name for f in live])
         waiter = sim.any_of([event for _, event in waits]
                             + [self._rate_event, timeout])
         yield waiter
@@ -317,7 +308,6 @@ class DynamicQueryProcessor:
         world = self.runtime.world
         join_name = fragment.builds_join or ""
         needed = world.params.page_size
-        world.tracer.emit("memory-overflow", fragment.name, join=join_name)
         return MemoryOverflow(
             world.sim.now,
             fragment_name=fragment.name,

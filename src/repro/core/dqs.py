@@ -43,7 +43,7 @@ class PlanningPolicy(ABC):
         """
 
     def priorities(self, runtime: QueryRuntime) -> dict[str, float]:
-        """Optional priority values for tracing/reporting."""
+        """Optional priority values, reported with the plan."""
         return {}
 
 
@@ -98,13 +98,7 @@ class DynamicQueryScheduler:
             for hook in plan_hooks:
                 hook(now, len(admitted))
         priorities = self.policy.priorities(self.runtime)
-        sp = SchedulingPlan(admitted, priorities, overflow_fragment=overflow)
-        if world.tracer.enabled:  # describe() formats every fragment
-            world.tracer.emit(
-                "plan", sp.describe() or "(empty)",
-                phase=self.planning_phases,
-                overflow=overflow.name if overflow else None)
-        return sp
+        return SchedulingPlan(admitted, priorities, overflow_fragment=overflow)
 
     def _admit(self, candidates: list[Fragment]) -> tuple[
             list[Fragment], Fragment | None]:

@@ -34,7 +34,6 @@ from repro.observability import (
 )
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
-from repro.sim.tracing import Tracer
 from repro.wrappers.delays import DelayModel
 from repro.wrappers.source import Wrapper
 
@@ -100,7 +99,6 @@ class ExecutionResult:
     reopt_swaps: list[str] = field(default_factory=list)
     #: observed runtime statistics (cardinalities, rate history).
     statistics: Optional["RuntimeStatistics"] = None
-    tracer: Optional[Tracer] = None
     #: idle-time breakdown by cause; its values sum to ``stall_time``.
     stall_breakdown: dict[str, float] = field(default_factory=dict)
     #: scheduler decisions with the inputs that drove them.
@@ -379,7 +377,7 @@ class QueryRun:
                 counter.value = value
         return registry
 
-    def result(self, trace: bool = False) -> ExecutionResult:
+    def result(self) -> ExecutionResult:
         """Validate completion and collect the :class:`ExecutionResult`
         (for a world that owns its machine: the telemetry is the run's)."""
         end = self.check_complete()
@@ -422,7 +420,6 @@ class QueryRun:
             reopt_opportunities=list(optimizer.reopt_opportunities),
             reopt_swaps=list(optimizer.reopt_swaps),
             statistics=runtime.statistics,
-            tracer=world.tracer if trace else None,
             stall_breakdown=world.telemetry.stalls.by_cause(),
             decisions=list(world.telemetry.audit),
             samples=list(world.telemetry.samples),
@@ -441,13 +438,12 @@ class QueryEngine:
     def __init__(self, catalog: Catalog, qep: QEP, policy: PlanningPolicy,
                  delay_models: Mapping[str, DelayModel],
                  params: Optional[SimulationParameters] = None,
-                 seed: int = 0, trace: bool = False):
+                 seed: int = 0):
         self.catalog = catalog
         self.qep = qep
         self.policy = policy
         self.params = params if params is not None else SimulationParameters()
         self.seed = seed
-        self.trace = trace
         validate_qep(qep)
         self.delay_models = dict(delay_models)
         missing = set(qep.source_relations()) - set(self.delay_models)
@@ -457,14 +453,14 @@ class QueryEngine:
 
     def run(self) -> ExecutionResult:
         """Execute once and collect the result."""
-        world = World(self.params, seed=self.seed, trace=self.trace)
+        world = World(self.params, seed=self.seed)
         query = QueryRun(world, self.qep, self.policy,
                          seeded_wrappers(world, self.catalog,
                                          self.delay_models))
         query.start()
         query.sample()
         world.sim.run()
-        return query.result(trace=self.trace)
+        return query.result()
 
     def lower_bound(self) -> float:
         """The analytic LWB for this engine's query and delay models."""

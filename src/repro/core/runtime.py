@@ -60,7 +60,6 @@ from repro.resources.broker import MemoryBroker, MemoryLease
 from repro.exec import Kernel
 from repro.sim.cache import LRUPageCache
 from repro.sim.resources import CPU, Disk, NetworkLink
-from repro.sim.tracing import Tracer
 
 
 class World:
@@ -75,7 +74,6 @@ class World:
     """
 
     def __init__(self, params: SimulationParameters, seed: int = 0,
-                 trace: bool = False,
                  share_machine: Optional["World"] = None,
                  memory_bytes: Optional[int] = None,
                  kernel: Optional[Kernel] = None,
@@ -94,7 +92,6 @@ class World:
                 from repro.sim.engine import Simulator
                 kernel = Simulator()
             self.sim: Kernel = kernel
-            self.tracer = Tracer(self.sim, enabled=trace)
             self.cpu = CPU(self.sim, params.cpu_mips)
             self.disks = [
                 Disk(self.sim,
@@ -109,7 +106,7 @@ class World:
             self.link = NetworkLink(self.sim,
                                     bandwidth=params.network_bandwidth_bytes)
             self.buffer = BufferManager(self.sim, self.cpu, self.disks,
-                                        self.cache, params, self.tracer)
+                                        self.cache, params)
             self.telemetry = Telemetry(
                 self.sim, enabled=params.telemetry_enabled,
                 sample_interval=params.telemetry_sample_interval)
@@ -127,7 +124,6 @@ class World:
             machine = share_machine
             self.streams = machine.streams
             self.sim = machine.sim
-            self.tracer = machine.tracer
             self.cpu = machine.cpu
             self.disks = machine.disks
             self.cache = machine.cache
@@ -136,7 +132,7 @@ class World:
             self.telemetry = machine.telemetry
             self.broker = machine.broker
         self.cm = CommunicationManager(
-            self.sim, self.cpu, params, self.tracer,
+            self.sim, self.cpu, params,
             link=self.link if params.model_link_contention else None,
             telemetry=self.telemetry)
         if lease is not None:
@@ -304,9 +300,6 @@ class QueryRuntime:
         self.degraded_chains.add(chain.name)
         self._cf_owed.add(chain.name)
         self.materializing[chain.name] = mf
-        if self.world.tracer.enabled:
-            self.world.tracer.emit("degrade", chain.name,
-                                   mf=mf.name, temp=writer.temp.name)
         self._audit(DECISION_DEGRADE, chain.name, decision_inputs,
                     mf=mf.name, temp=writer.temp.name)
         return self._register(mf)
@@ -320,7 +313,6 @@ class QueryRuntime:
         if mf.status is not FragmentStatus.DONE and not mf.stop_requested:
             mf.stop_requested = True
             self.stopped_materializations.add(chain.name)
-            self.world.tracer.emit("mf-stop", mf.name)
             details = {"chain": chain.name,
                        "materialized_tuples": mf.tuples_out}
             if reason is not None:
@@ -356,8 +348,6 @@ class QueryRuntime:
                       chain, self.compiled_cf[chain.name],
                       self.world.buffer.reader(temp))
         self.chain_fragments[chain.name].insert(1, cf)
-        if self.world.tracer.enabled:
-            self.world.tracer.emit("cf-create", cf.name, temp=temp.name)
         self._audit(DECISION_CF_CREATE, cf.name, chain=chain.name,
                     temp=temp.name, temp_tuples=mf.tuples_out)
         return self._register(cf)
@@ -410,8 +400,6 @@ class QueryRuntime:
         siblings.append(continuation)
         continuation.rank += len(siblings)
         self.memory_splits += 1
-        self.world.tracer.emit("memory-split", fragment.name,
-                               join=join.name, temp=writer.temp.name)
         self._audit(DECISION_MEMORY_SPLIT, fragment.name,
                     join=join.name, temp=writer.temp.name,
                     continuation=continuation.name)
@@ -480,8 +468,6 @@ class QueryRuntime:
         self._rederive_planning_state()
         self.statistics.update_estimate(
             join_name, self.qep.joins[join_name].estimated_build_cardinality)
-        self.world.tracer.emit("reopt-swap", join_name,
-                               new_build=self.qep.joins[join_name].build_relations)
         self._audit(DECISION_REOPT_SWAP, join_name, decision_inputs,
                     new_build=list(self.qep.joins[join_name].build_relations))
 
@@ -606,10 +592,6 @@ class QueryRuntime:
         if fragment.started_at is not None:
             self._fragment_seconds.observe(
                 fragment.finished_at - fragment.started_at)
-        self.world.tracer.emit(
-            "fragment-done", fragment.name,
-            chain=fragment.chain.name, tuples_in=fragment.tuples_in,
-            tuples_out=fragment.tuples_out)
         spans = self.world.telemetry.spans
         if spans is not None:
             # Recorded retrospectively: one span per fragment lifetime,
@@ -652,7 +634,6 @@ class QueryRuntime:
                     f"fragment {fragment.name!r} probed {join_name!r} "
                     "but no table is resident")
             table.drop()
-            self.world.tracer.emit("table-drop", join_name)
 
     def _complete_chain(self, chain_name: str) -> None:
         self.completed_chains.add(chain_name)
@@ -674,7 +655,6 @@ class QueryRuntime:
             # runtime fact for the DQO (Section 3.1).
             self.statistics.observe_build(chain.feeds.name, table.tuples,
                                           self.world.sim.now)
-        self.world.tracer.emit("chain-complete", chain_name)
 
     @property
     def all_done(self) -> bool:

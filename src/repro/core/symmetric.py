@@ -235,13 +235,12 @@ class SymmetricHashJoinEngine:
     def __init__(self, catalog: Catalog, tree: JoinTree,
                  delay_models: Mapping[str, DelayModel],
                  params: Optional[SimulationParameters] = None,
-                 seed: int = 0, trace: bool = False,
+                 seed: int = 0,
                  allow_spill: bool = False):
         self.catalog = catalog
         self.tree = tree
         self.params = params if params is not None else SimulationParameters()
         self.seed = seed
-        self.trace = trace
         #: XJoin-style reactive spilling: when the tables no longer fit,
         #: batches spill to disk and a cleanup phase finishes the join
         #: after the last arrival.  Off by default: plain DPHJ *requires*
@@ -256,7 +255,7 @@ class SymmetricHashJoinEngine:
     def run(self) -> SymmetricResult:
         # The result returns no metrics registry, so the machine keeps none.
         world = World(self.params.with_overrides(telemetry_enabled=False),
-                      seed=self.seed, trace=self.trace)
+                      seed=self.seed)
         plan = SymmetricPlan(self.catalog, self.tree)
         self._allocate_tables(world, plan)
         start_wrappers(self.tree.relations(),

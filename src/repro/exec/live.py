@@ -274,7 +274,7 @@ class LiveQueryEngine:
     def __init__(self, catalog: Any, qep: Any, policy: Any,
                  sources: Mapping[str, Callable[[], BatchSource]],
                  params: Optional[SimulationParameters] = None,
-                 seed: int = 0, trace: bool = False,
+                 seed: int = 0,
                  serve_port: Optional[int] = None,
                  serve_host: str = "127.0.0.1",
                  flight_dump: Optional[Union[str, Path]] = None,
@@ -292,7 +292,6 @@ class LiveQueryEngine:
         self.policy = policy
         self.params = params if params is not None else SimulationParameters()
         self.seed = seed
-        self.trace = trace
         #: per-query budget override (None: the configured default).
         self.memory_bytes = memory_bytes
         #: optional :class:`~repro.resources.broker.MemoryBroker` to draw
@@ -328,9 +327,8 @@ class LiveQueryEngine:
         from repro.core.runtime import World
 
         kernel = AsyncioKernel()
-        world = World(self.params, seed=self.seed, trace=self.trace,
-                      kernel=kernel, memory_bytes=self.memory_bytes,
-                      broker=self.broker)
+        world = World(self.params, seed=self.seed, kernel=kernel,
+                      memory_bytes=self.memory_bytes, broker=self.broker)
         recorder = None
         if self.flight_dump is not None:
             recorder = self.recorder = FlightRecorder(
@@ -431,4 +429,4 @@ class LiveQueryEngine:
                 self.server.stop()
                 self.server = None
 
-        return query.result(trace=self.trace)
+        return query.result()

@@ -48,6 +48,10 @@ class ThroughputPoint:
     #: mean admission-queue wait across all queries in the batch.
     mean_admission_wait: float = 0.0
 
+    #: the column names of :meth:`row`.
+    HEADERS = ("strategy", "w_us", "pool", "mean_resp_s", "makespan_s",
+               "queries_per_s", "cpu", "queued", "mean_wait_s")
+
     def row(self) -> list[str]:
         pool = ("inf" if self.global_memory_bytes is None
                 else f"{self.global_memory_bytes // 1024}K")

@@ -12,10 +12,16 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.config import SimulationParameters
-from repro.experiments.multiquery import run_multiquery_experiment
+from repro.experiments.multiquery import (
+    ThroughputPoint,
+    run_multiquery_experiment,
+)
 from repro.experiments.report import format_table, write_csv
-from repro.experiments.slowdown import STRATEGIES, run_slowdown_experiment
-from repro.experiments.uniform_slowdown import run_uniform_slowdown_experiment
+from repro.experiments.slowdown import SlowdownPoint, run_slowdown_experiment
+from repro.experiments.uniform_slowdown import (
+    GainPoint,
+    run_uniform_slowdown_experiment,
+)
 from repro.experiments.workloads import figure5_workload
 from repro.parallel.engine import SweepRunner
 
@@ -65,24 +71,22 @@ def generate_all(outdir: "str | Path", *, scale: float = 1.0,
         points = run_slowdown_experiment(
             workload, relation, RETRIEVAL_TIMES, params,
             repetitions=repetitions, base_seed=seed, runner=runner)
-        headers = ["retrieval_s"] + STRATEGIES + ["LWB"]
         rows = [p.row() for p in points]
         report.append(format_table(
-            headers, rows,
+            SlowdownPoint.HEADERS, rows,
             title=f"Figure {'6' if relation == 'A' else '7'}: "
                   f"one slowed-down relation ({relation})"))
-        write_csv(out / f"{figure}.csv", headers, rows)
+        write_csv(out / f"{figure}.csv", SlowdownPoint.HEADERS, rows)
 
     # Figure 8 ------------------------------------------------------------
     say("fig8")
     points = run_uniform_slowdown_experiment(
         workload, [w * 1e-6 for w in W_VALUES_US], params,
         repetitions=repetitions, base_seed=seed, runner=runner)
-    headers = ["w_min_us", "SEQ_s", "DSE_s", "gain_pct", "LWB_s"]
     rows = [p.row() for p in points]
-    report.append(format_table(headers, rows,
+    report.append(format_table(GainPoint.HEADERS, rows,
                                title="Figure 8: DSE gain over SEQ vs w_min"))
-    write_csv(out / "fig8.csv", headers, rows)
+    write_csv(out / "fig8.csv", GainPoint.HEADERS, rows)
 
     # Extension: multi-query ----------------------------------------------
     say("multiquery")
@@ -92,12 +96,10 @@ def generate_all(outdir: "str | Path", *, scale: float = 1.0,
         multi_workload, ["SEQ", "DSE"],
         [params.w_min, 5 * params.w_min], params,
         num_queries=4, seed=seed, runner=runner)
-    headers = ["strategy", "w_us", "pool", "mean_resp_s", "makespan_s",
-               "queries_per_s", "cpu", "queued", "mean_wait_s"]
     rows = [p.row() for p in multi]
-    report.append(format_table(headers, rows,
+    report.append(format_table(ThroughputPoint.HEADERS, rows,
                                title="Extension: 4 concurrent queries"))
-    write_csv(out / "multiquery.csv", headers, rows)
+    write_csv(out / "multiquery.csv", ThroughputPoint.HEADERS, rows)
 
     (out / "REPORT.txt").write_text("\n\n".join(report) + "\n")
     say("done")

@@ -44,12 +44,10 @@ class MeasuredPoint:
 
 def run_once(catalog: Catalog, qep: QEP, strategy: str,
              delay_factory: DelayFactory,
-             params: SimulationParameters, seed: int = 0,
-             trace: bool = False) -> ExecutionResult:
+             params: SimulationParameters, seed: int = 0) -> ExecutionResult:
     """One simulated execution of ``strategy`` ("SEQ", "MA" or "DSE")."""
     engine = QueryEngine(catalog, qep, make_policy(strategy),
-                         delay_factory(), params=params, seed=seed,
-                         trace=trace)
+                         delay_factory(), params=params, seed=seed)
     return engine.run()
 
 

@@ -36,6 +36,9 @@ class SlowdownPoint:
     response_times: dict[str, float]  #: strategy -> averaged response time
     lwb: float
 
+    #: the column names of :meth:`row`.
+    HEADERS = ("retrieval_s", *STRATEGIES, "LWB")
+
     def row(self) -> list[str]:
         cells = [f"{self.retrieval_time:.2f}"]
         cells += [f"{self.response_times[s]:.3f}" for s in STRATEGIES]

@@ -2,9 +2,9 @@
 
 ``write_chrome_trace`` turns an :class:`ExecutionResult` into the Trace
 Event JSON consumed by ``chrome://tracing`` / Perfetto: one lane per
-pipeline chain with a complete-event span per fragment, plus instant
-events for the scheduler's decisions (degradations, MF stops, memory
-splits, plan revisions) when the run was traced.
+pipeline chain with a complete-event span per fragment, plus one instant
+per record of the run's decision audit log (degradations, MF stops, CF
+creations, memory splits, join swaps), carrying the inputs behind it.
 """
 
 from __future__ import annotations
@@ -18,12 +18,6 @@ from repro.observability.export import (
     trace_span_event,
     trace_thread_name,
     write_trace_document,
-)
-
-#: trace categories exported as instant events, when a tracer is present.
-DECISION_CATEGORIES = (
-    "degrade", "mf-stop", "cf-create", "memory-split", "reopt-swap",
-    "rate-change", "timeout", "chain-complete",
 )
 
 
@@ -53,22 +47,13 @@ def chrome_trace_events(result: ExecutionResult) -> list[dict[str, Any]]:
     events.extend(trace_thread_name(tid, chain)
                   for chain, tid in tids.items())
 
-    if result.tracer is not None:
-        # The audit log carries the numbers behind each decision (critical
-        # degree, bmi vs bmt, memory in use); fold them into the matching
-        # instant's args so the timeline shows *why*, not just *when*.
-        audit_args: dict[tuple[str, str, float], dict[str, Any]] = {
-            (record.kind, record.subject, record.time): record.args()
-            for record in result.decisions
-        }
-        for category in DECISION_CATEGORIES:
-            for trace_event in result.tracer.filter(category):
-                args = dict(trace_event.payload)
-                args.update(audit_args.get(
-                    (category, trace_event.message, trace_event.time), {}))
-                events.append(trace_instant_event(
-                    f"{category}: {trace_event.message}", "decision",
-                    trace_event.time, 0, args, scope="g"))
+    # Each decision's args are the numbers behind it (critical degree,
+    # bmi vs bmt, memory in use), so the timeline shows *why*, not just
+    # *when*.
+    events.extend(
+        trace_instant_event(f"{record.kind}: {record.subject}", "decision",
+                            record.time, 0, record.args(), scope="g")
+        for record in result.decisions)
     return events
 
 

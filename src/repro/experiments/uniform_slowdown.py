@@ -32,6 +32,9 @@ class GainPoint:
     dse_response: float
     lwb: float
 
+    #: the column names of :meth:`row`.
+    HEADERS = ("w_min_us", "SEQ_s", "DSE_s", "gain_pct", "LWB_s")
+
     @property
     def gain(self) -> float:
         """DSE's relative gain over SEQ (the figure's Y axis)."""

@@ -29,7 +29,6 @@ from repro.sim.cache import LRUPageCache
 from repro.exec import Kernel, Process, SimEvent
 from repro.sim.resources import CPU, Disk
 from repro.sim.stats import Counter
-from repro.sim.tracing import Tracer
 
 
 class HashTable:
@@ -125,8 +124,7 @@ class BufferManager:
     """
 
     def __init__(self, sim: Kernel, cpu: CPU, disks: "Disk | list[Disk]",
-                 cache: LRUPageCache, params: SimulationParameters,
-                 tracer: Tracer):
+                 cache: LRUPageCache, params: SimulationParameters):
         self.sim = sim
         self.cpu = cpu
         self.disks = [disks] if isinstance(disks, Disk) else list(disks)
@@ -134,7 +132,6 @@ class BufferManager:
             raise SimulationError("buffer manager needs at least one disk")
         self.cache = cache
         self.params = params
-        self.tracer = tracer
         self._next_extent = 0
         self.tuples_spilled = Counter()
         self.tuples_reloaded = Counter()
@@ -162,10 +159,7 @@ class BufferManager:
                      and memory.would_fit(estimated_bytes))
         temp = TempRelation(name, self._next_extent, self.params.tuple_size,
                             disk_index=disk_index, in_memory=in_memory)
-        writer = TempWriter(self, temp, memory=memory if in_memory else None)
-        self.tracer.emit("temp-create", name, extent=temp.extent,
-                         location="memory" if in_memory else f"disk{disk_index}")
-        return writer
+        return TempWriter(self, temp, memory=memory if in_memory else None)
 
     def destroy_temp(self, temp: TempRelation) -> None:
         """Release a consumed temp's resources (memory pages / cache)."""
@@ -175,7 +169,6 @@ class BufferManager:
         if temp.in_memory and temp.memory_manager is not None:
             temp.memory_manager.release(temp.memory_owner)
         self.cache.invalidate_extent(temp.extent)
-        self.tracer.emit("temp-destroy", temp.name, extent=temp.extent)
 
     def reader(self, temp: TempRelation) -> "TempReader":
         """A reader for ``temp``.
@@ -272,8 +265,6 @@ class TempWriter:
         temp.in_memory = False
         temp.pages = 0
         self._pending_tuples = temp.tuples
-        self.manager.tracer.emit("temp-fallback", temp.name,
-                                 tuples=temp.tuples)
         chunk_tuples = self.params.io_chunk_pages * self.params.tuples_per_page
         while self._pending_tuples >= chunk_tuples:
             self._pending_tuples -= chunk_tuples
@@ -300,8 +291,6 @@ class TempWriter:
         if self._outstanding:
             yield self.manager.sim.all_of(self._outstanding)
         self.temp.sealed = True
-        self.manager.tracer.emit("temp-seal", self.temp.name,
-                                 tuples=self.temp.tuples, pages=self.temp.pages)
         return self.temp
 
 

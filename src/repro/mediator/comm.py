@@ -20,7 +20,6 @@ from repro.mediator.rates import DeliveryRateEstimator
 from repro.observability import NULL_TELEMETRY, Telemetry
 from repro.exec import Kernel, SimEvent
 from repro.sim.resources import CPU, NetworkLink
-from repro.sim.tracing import Tracer
 
 RateChangeListener = Callable[[str, float, float], None]
 
@@ -29,12 +28,11 @@ class CommunicationManager:
     """Owns the source queues and delivery-rate estimators."""
 
     def __init__(self, sim: Kernel, cpu: CPU, params: SimulationParameters,
-                 tracer: Tracer, link: Optional[NetworkLink] = None,
+                 link: Optional[NetworkLink] = None,
                  telemetry: Optional[Telemetry] = None):
         self.sim = sim
         self.cpu = cpu
         self.params = params
-        self.tracer = tracer
         self.link = link
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.queues: dict[str, SourceQueue] = {}
@@ -158,8 +156,6 @@ class CommunicationManager:
         if change > self.params.rate_change_threshold:
             # Re-arm for this source so one change fires one signal.
             self._rate_baseline[source] = current
-            self.tracer.emit("rate-change", f"{source}: w {baseline:.3g} -> "
-                             f"{current:.3g}", source=source)
             self.rate_change_signals += 1
             self._rate_listener(source, baseline, current)
 

@@ -4,19 +4,18 @@ Parallel workers and the run cache both move results across a process or
 filesystem boundary, so the *measured* content of an
 :class:`~repro.core.engine.ExecutionResult` is flattened to plain JSON:
 every scalar metric, the per-wrapper and per-fragment statistics, the
-stall breakdown and the typed decision log survive the round trip
-bit-for-bit (Python floats serialize losslessly through ``repr``-based
-JSON).
+stall breakdown and the typed decision log (the run's execution trace)
+survive the round trip bit-for-bit (Python floats serialize losslessly
+through ``repr``-based JSON).
 
 Since schema 2 the telemetry channels cross the boundary too: the
 metrics registry travels as its snapshot dict (rebuilt via
 :meth:`~repro.observability.registry.MetricsRegistry.from_snapshot`, so
 a parent process can :meth:`~repro.observability.registry.
 MetricsRegistry.merge` worker telemetry) and the periodic samples as
-their plain dicts.  What still does **not** survive are in-memory
-object graphs that only make sense inside the producing process: the
-tracer and the runtime-statistics object.  A run that needs those
-(``repro trace``) is a single execution and stays in-process.
+their plain dicts.  What still does **not** survive is the one
+in-memory object graph that only makes sense inside the producing
+process: the runtime-statistics object.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from repro.sim.engine import Simulator
 from repro.sim.resources import CPU, Disk, NetworkLink, Resource, Store
 from repro.sim.cache import LRUPageCache
 from repro.sim.stats import Counter, TimeWeightedStat, WelfordStat
-from repro.sim.tracing import TraceEvent, Tracer
 
 __all__ = [
     "AllOf",
@@ -44,7 +43,5 @@ __all__ = [
     "Store",
     "TimeWeightedStat",
     "Timeout",
-    "TraceEvent",
-    "Tracer",
     "WelfordStat",
 ]

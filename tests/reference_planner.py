@@ -73,13 +73,7 @@ def plan(self) -> SchedulingPlan:
         for hook in plan_hooks:
             hook(now, len(admitted))
     priorities = self.policy.priorities(self.runtime)
-    sp = SchedulingPlan(admitted, priorities, overflow_fragment=overflow)
-    if world.tracer.enabled:  # describe() formats every fragment
-        world.tracer.emit(
-            "plan", sp.describe() or "(empty)",
-            phase=self.planning_phases,
-            overflow=overflow.name if overflow else None)
-    return sp
+    return SchedulingPlan(admitted, priorities, overflow_fragment=overflow)
 
 
 def _admit(self, candidates: list[Fragment]) -> tuple[
@@ -303,8 +297,6 @@ def degrade_chain(self, chain, prefer_memory=None, decision_inputs=None):
     self.chain_fragments[chain.name] = [mf, pc]
     self.degraded_chains.add(chain.name)
     self._cf_owed.add(chain.name)
-    self.world.tracer.emit("degrade", chain.name,
-                           mf=mf.name, temp=writer.temp.name)
     self._audit(DECISION_DEGRADE, chain.name, decision_inputs,
                 mf=mf.name, temp=writer.temp.name)
     return self._register(mf)
@@ -322,7 +314,6 @@ def _create_cf_fragment(self, chain, mf):
     cf = Fragment(self, f"CF({chain.name})", FragmentKind.COMPLEMENT,
                   chain, cf_ops, self.world.buffer.reader(temp))
     self.chain_fragments[chain.name].insert(1, cf)
-    self.world.tracer.emit("cf-create", cf.name, temp=temp.name)
     self._audit(DECISION_CF_CREATE, cf.name, chain=chain.name,
                 temp=temp.name, temp_tuples=mf.tuples_out)
     return self._register(cf)
@@ -356,11 +347,6 @@ def _check_estimates(self) -> None:
             continue
         found_new = True
         self.reopt_opportunities.append(observation.join_name)
-        self.runtime.world.tracer.emit(
-            "reopt-opportunity", observation.join_name,
-            estimated=observation.estimated_build,
-            observed=observation.observed_build,
-            ratio=observation.error_ratio)
     if found_new and self.runtime.world.params.enable_reoptimization:
         self._swap_misoriented_joins()
 

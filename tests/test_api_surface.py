@@ -73,16 +73,8 @@ def test_qep_len_and_iter(small_qep):
 
 
 # --------------------------------------------------------------------------
-# Tracer / result renderings
+# Result renderings
 # --------------------------------------------------------------------------
-
-def test_trace_event_str_includes_payload(sim):
-    from repro.sim import Tracer
-    tracer = Tracer(sim)
-    tracer.emit("cat", "hello", key=7)
-    text = str(tracer.events[0])
-    assert "cat" in text and "hello" in text and "'key': 7" in text
-
 
 def test_execution_result_dataclass_fields(tiny_fig5):
     from repro import (QueryEngine, SimulationParameters, UniformDelay,

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and CSV export."""
 
 import csv
+import json
 
 import pytest
 
@@ -490,16 +491,30 @@ def test_cmd_run_spans_out_rejects_dphj():
               "--spans-out", "nope.json"])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--chrome-trace", "nope.json"], ["--timeline"], ["--trace"]],
+    ids=lambda flags: flags[0])
+def test_cmd_run_rejects_dqp_output_flags_for_dphj(flags, tmp_path,
+                                                    monkeypatch):
+    """DPHJ has no fragments, decisions or spans: a flag that prints or
+    writes them is refused, not silently ignored."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit, match=f"^{flags[0]} needs the DQP "
+                                         "engine"):
+        main(["run", "--scale", "0.02", "--strategy", "DPHJ", *flags])
+    assert not list(tmp_path.iterdir())
+
+
 # --------------------------------------------------------------------------
 # repro history (offline archive queries)
 # --------------------------------------------------------------------------
 
-def _write_history_archive(directory, times):
+def _write_history_archive(directory, times, tenants=None):
     from repro.observability.archive import SegmentedLog
 
     log = SegmentedLog(directory)
-    for t in times:
-        log.write({"kind": "outcome", "t": t, "tenant": "gold",
+    for t, tenant in zip(times, tenants or ["gold"] * len(times)):
+        log.write({"kind": "outcome", "t": t, "tenant": tenant,
                    "latency_s": 0.01, "wait_s": 0.0, "ok": True})
     log.close()
 
@@ -523,6 +538,22 @@ def test_cmd_history_renders_summary_slo_and_alerts(capsys, tmp_path):
     assert "5 outcomes (5 ok, 0 failed)" in out
     assert "tenant gold" in out
     assert "slo gold:p99<=1s@99%" in out and "MET" in out
+
+
+@pytest.mark.parametrize("window,tenants", [
+    ([], ["bronze", "gold"]),
+    (["--since", "3"], ["bronze"]),
+    (["--until", "3"], ["gold"]),
+    (["--since", "2", "--until", "4"], []),
+], ids=["unbounded", "since", "until", "both"])
+def test_cmd_history_since_and_until_bound_the_records(window, tenants,
+                                                       capsys, tmp_path):
+    """``--since`` drops the records before it, ``--until`` those after."""
+    _write_history_archive(tmp_path / "arch", [1.0, 5.0], ["gold", "bronze"])
+    assert main(["history", str(tmp_path / "arch"), "--json", *window]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["outcomes"] == len(tenants)
+    assert sorted(summary["tenants"]) == tenants
 
 
 def test_cmd_history_diff_windows(capsys, tmp_path):

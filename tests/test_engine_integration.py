@@ -12,14 +12,14 @@ from repro import (
 from repro.wrappers import ConstantDelay, InitialDelay, BurstyDelay
 
 
-def make_engine(workload, strategy="DSE", seed=1, trace=False,
-                delay_models=None, **overrides):
+def make_engine(workload, strategy="DSE", seed=1, delay_models=None,
+                **overrides):
     params = SimulationParameters().with_overrides(**overrides)
     if delay_models is None:
         delay_models = {name: UniformDelay(params.w_min)
                         for name in workload.relation_names}
     return QueryEngine(workload.catalog, workload.qep, make_policy(strategy),
-                       delay_models, params=params, seed=seed, trace=trace)
+                       delay_models, params=params, seed=seed)
 
 
 def test_missing_delay_model_rejected(tiny_fig5):
@@ -75,11 +75,6 @@ def test_wrapper_stats_complete(tiny_fig5):
     for name, (sent, production, blocked) in result.wrapper_stats.items():
         assert sent == tiny_fig5.catalog.relation(name).cardinality
         assert production >= 0 and blocked >= 0
-
-
-def test_trace_only_when_requested(tiny_fig5):
-    assert make_engine(tiny_fig5).run().tracer is None
-    assert make_engine(tiny_fig5, trace=True).run().tracer is not None
 
 
 def test_summary_renders(tiny_fig5):

@@ -87,16 +87,11 @@ def rt(small_qep):
     return QueryRuntime(world, small_qep)
 
 
-def test_scheduling_plan_live_and_describe(rt):
+def test_scheduling_plan_live(rt):
     fragments = [rt.fragments["pR"]]
     sp = SchedulingPlan(fragments, priorities={"pR": 1.25})
     assert sp.live() == fragments
-    assert "pR" in sp.describe()
-    assert "1.25" in sp.describe()
-
-
-def test_scheduling_plan_empty_describe(rt):
-    assert SchedulingPlan([]).describe() == ""
+    assert SchedulingPlan([]).live() == []
 
 
 def test_fragment_describe(rt):

@@ -3,8 +3,8 @@
 Covers the metrics registry (including the disabled null path), stall
 attribution summing to the DQP's ``stall_time``, the scheduler decision
 audit log, periodic sampling, the exporters (JSON round-trip, CSV,
-Prometheus text), the Tracer bisect/clear satellite, the Chrome-trace
-export fixes and the new CLI subcommands.
+Prometheus text), the Chrome-trace export fixes and the new CLI
+subcommands.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.observability import (
     write_metrics_prometheus,
 )
 from repro.sim import Simulator
-from repro.sim.tracing import Tracer
 from repro.wrappers.delays import UniformDelay
 
 
@@ -192,13 +191,13 @@ def test_decision_record_dict_roundtrip():
 # End-to-end: stall breakdown sums to stall_time, audit carries bmi > bmt
 # --------------------------------------------------------------------------
 
-def _run(workload, strategy, params, slow=None, trace=False, seed=1):
+def _run(workload, strategy, params, slow=None, seed=1):
     waits = {name: params.w_min * (slow or {}).get(name, 1.0)
              for name in workload.relation_names}
     delays = {name: UniformDelay(wait) for name, wait in waits.items()}
     engine = QueryEngine(workload.catalog, workload.qep,
                          make_policy(strategy), delays, params=params,
-                         seed=seed, trace=trace)
+                         seed=seed)
     return engine.run()
 
 
@@ -325,40 +324,6 @@ def test_histogram_bucket_lines_are_cumulative(telemetry_result):
 
 
 # --------------------------------------------------------------------------
-# Tracer satellites: bisect filter + clear
-# --------------------------------------------------------------------------
-
-def test_tracer_since_filter_uses_time_order(sim):
-    tracer = Tracer(sim, enabled=True)
-
-    def proc():
-        for i in range(10):
-            tracer.emit("tick", f"t{i}")
-            yield sim.timeout(1.0)
-
-    sim.process(proc())
-    sim.run()
-    got = [event.message for event in tracer.filter(since=5.0)]
-    assert got == [f"t{i}" for i in range(5, 10)]
-    got = [event.message for event in tracer.filter("tick", since=7.5)]
-    assert got == ["t8", "t9"]
-    assert list(tracer.filter(since=100.0)) == []
-    assert len(list(tracer.filter())) == 10
-
-
-def test_tracer_clear(sim):
-    tracer = Tracer(sim, enabled=True)
-    tracer.emit("a", "x")
-    tracer.emit("b", "y")
-    assert tracer.count("a") == 1
-    tracer.clear()
-    assert tracer.events == []
-    assert list(tracer.filter(since=0.0)) == []
-    tracer.emit("a", "z")
-    assert [e.message for e in tracer.filter("a")] == ["z"]
-
-
-# --------------------------------------------------------------------------
 # Chrome-trace export fixes
 # --------------------------------------------------------------------------
 
@@ -367,7 +332,7 @@ def test_chrome_trace_allocates_tid_for_unknown_chain():
                         started_at=0.0, finished_at=1.0, tuples_in=5,
                         tuples_out=5, batches=1, cpu_seconds=0.1)
     view = SimpleNamespace(fragment_stats={}, timeline=lambda: [stat],
-                           tracer=None, decisions=[])
+                           decisions=[])
     events = chrome_trace_events(view)
     spans = [e for e in events if e["ph"] == "X"]
     assert spans and spans[0]["tid"] == 1
@@ -377,7 +342,7 @@ def test_chrome_trace_allocates_tid_for_unknown_chain():
 
 def test_chrome_trace_decision_instants_carry_audit_args(mini_fig5):
     params = SimulationParameters()
-    result = _run(mini_fig5, "DSE", params, slow={"F": 10.0}, trace=True)
+    result = _run(mini_fig5, "DSE", params, slow={"F": 10.0})
     events = chrome_trace_events(result)
     degrades = [e for e in events
                 if e["ph"] == "i" and e["name"].startswith("degrade:")]
@@ -388,8 +353,9 @@ def test_chrome_trace_decision_instants_carry_audit_args(mini_fig5):
         assert "memory_used_bytes" in event["args"]
 
 
-def test_chrome_trace_without_tracer_has_no_instants(tiny_fig5):
-    result = _run(tiny_fig5, "DSE", SimulationParameters(), trace=False)
+def test_chrome_trace_without_decisions_has_no_instants(tiny_fig5):
+    result = _run(tiny_fig5, "SEQ", SimulationParameters())
+    assert result.decisions == []
     events = chrome_trace_events(result)
     assert all(e["ph"] != "i" for e in events)
 
@@ -446,13 +412,18 @@ def test_cli_trace_writes_chrome_trace(tmp_path, capsys):
     assert "decisions" in capsys.readouterr().out
 
 
-def test_cli_run_trace_out(tmp_path, capsys):
-    target = tmp_path / "run-trace.json"
-    assert main(["run", "--strategy", "dse", "--scale", "0.02",
-                 "--trace-out", str(target)]) == 0
-    payload = json.loads(target.read_text())
-    phases = {event["ph"] for event in payload["traceEvents"]}
-    assert "X" in phases
+def test_cli_run_trace_prints_the_audit_log(tmp_path, capsys):
+    """``run --trace`` prints the decision lines ``repro trace`` prints."""
+    argv = ["--strategy", "dse", "--scale", "0.02", "--slow", "A:10"]
+    assert main(["run", *argv, "--trace"]) == 0
+    run_lines = capsys.readouterr().out.splitlines()
+    assert main(["trace", *argv, "--out", str(tmp_path / "t.json")]) == 0
+    trace_lines = capsys.readouterr().out.splitlines()
+    start = next(index for index, line in enumerate(trace_lines)
+                 if line.startswith("decisions ("))
+    decisions = trace_lines[start:-1]  # up to the "chrome trace:" line
+    assert len(decisions) > 1
+    assert run_lines[-len(decisions):] == decisions
 
 
 def test_cli_metrics_rejects_unknown_slow_relation():

@@ -8,8 +8,8 @@ and once on the full one that re-derives everything each phase
 (``tests/reference_planner.py``).  The two must agree phase by phase —
 the admitted fragments in order, the overflow fragment, the priorities
 — and on everything the run reports: decision records with their
-``decision_inputs`` floats, rate history, trace events and every
-``ExecutionResult`` field.  Random plans come from ``repro.query``
+``decision_inputs`` floats, rate history and every ``ExecutionResult``
+field.  Random plans come from ``repro.query``
 (2-6 relations); delays are uniform or jittered; memory is static,
 tight enough to force DQO splits, or a governed lease with dynamic
 budget re-planning.
@@ -109,11 +109,9 @@ def _result_fields(result):
     """Every ``ExecutionResult`` field, the statistics unpacked."""
     fields = {field.name: getattr(result, field.name)
               for field in dataclasses.fields(result)
-              if field.name not in ("statistics", "tracer", "metrics")}
+              if field.name not in ("statistics", "metrics")}
     fields["rate_history"] = result.statistics.rate_history
     fields["observations"] = result.statistics.observations()
-    fields["trace"] = (result.tracer.events
-                       if result.tracer is not None else None)
     return fields
 
 
@@ -132,11 +130,11 @@ def _assert_same(shipped, reference):
 @given(seed=st.integers(0, 10_000), relations=st.integers(2, 6),
        shape=st.sampled_from(["chain", "star", "tree"]),
        strategy=st.sampled_from(STRATEGIES), jittered=st.booleans(),
-       tight=st.sampled_from([0, 1.2, 1.6, 2.5]), trace=st.booleans(),
+       tight=st.sampled_from([0, 1.2, 1.6, 2.5]),
        misestimate=st.sampled_from([1.0, 0.1, 10.0]),
        reoptimize=st.booleans())
 def test_one_query_plans_the_same(seed, relations, shape, strategy, jittered,
-                                  tight, trace, misestimate, reoptimize):
+                                  tight, misestimate, reoptimize):
     workload, qep = _qep(seed, relations, shape, misestimate)
     params = SimulationParameters(enable_reoptimization=reoptimize)
     if tight:
@@ -150,7 +148,7 @@ def test_one_query_plans_the_same(seed, relations, shape, strategy, jittered,
     def run():
         result = QueryEngine(workload.catalog, qep, make_policy(strategy),
                              _delays(workload, seed, jittered), params=params,
-                             seed=seed, trace=trace).run()
+                             seed=seed).run()
         return _result_fields(result)
 
     _assert_same(*_both(run))
@@ -208,7 +206,7 @@ def test_figure5_plans_the_same(strategy, factor, reoptimize):
         delays["A"] = JitteredDelay(params.w_min * 10, 1.0)
         return _result_fields(QueryEngine(
             workload.catalog, qep, make_policy(strategy), delays,
-            params=params, seed=7, trace=True).run())
+            params=params, seed=7).run())
 
     shipped, reference = _both(run)
     _assert_same(shipped, reference)

@@ -18,13 +18,13 @@ def build_with_selections(workload, selections):
                      scan_selectivities=selections)
 
 
-def run(workload, qep, strategy, seed=1, waits=None, trace=False):
+def run(workload, qep, strategy, seed=1, waits=None):
     params = SimulationParameters()
     if waits is None:
         waits = {n: params.w_min for n in workload.relation_names}
     delays = {n: UniformDelay(w) for n, w in waits.items()}
     return QueryEngine(workload.catalog, qep, make_policy(strategy), delays,
-                       params=params, seed=seed, trace=trace).run()
+                       params=params, seed=seed).run()
 
 
 def test_selection_scales_results(tiny_fig5):
@@ -66,14 +66,12 @@ def test_mf_applies_the_scan(tiny_fig5):
     waits = {n: 20e-6 for n in tiny_fig5.relation_names}
     waits["F"] = 200e-6
     qep = build_with_selections(tiny_fig5, {"F": 0.3})
-    result = run(tiny_fig5, qep, "DSE", waits=waits, trace=True)
-    mf_done = [e for e in result.tracer.filter("fragment-done")
-               if e.message == "MF(pF)"]
-    assert mf_done
-    stats = mf_done[0].payload
-    if stats["tuples_in"] > 1000:  # enough volume to check the ratio
-        assert stats["tuples_out"] == pytest.approx(
-            stats["tuples_in"] * 0.3, rel=0.05)
+    result = run(tiny_fig5, qep, "DSE", waits=waits)
+    stats = result.fragment_stats["MF(pF)"]
+    assert stats.finished_at is not None
+    if stats.tuples_in > 1000:  # enough volume to check the ratio
+        assert stats.tuples_out == pytest.approx(
+            stats.tuples_in * 0.3, rel=0.05)
 
 
 def test_selection_reduces_memory_footprint(tiny_fig5):

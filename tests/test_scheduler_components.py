@@ -73,25 +73,6 @@ def test_dqs_admits_within_memory(small_qep):
     assert sp.overflow_fragment is None
 
 
-def test_plan_is_described_only_for_an_enabled_tracer(small_qep,
-                                                      monkeypatch):
-    """``describe()`` formats every fragment's priority: 6 to 18 plans a
-    submission, for a tracer that is almost always off."""
-    described = []
-    real = SchedulingPlan.describe
-    monkeypatch.setattr(SchedulingPlan, "describe", lambda sp: (
-        described.append(sp), real(sp))[1])
-    rt = make_runtime(small_qep)
-    DynamicQueryScheduler(rt, FixedPolicy(["pR"])).plan()
-    assert not described and not rt.world.tracer.events
-
-    rt = make_runtime(small_qep)
-    rt.world.tracer.enabled = True
-    DynamicQueryScheduler(rt, FixedPolicy(["pR"])).plan()
-    (event,) = rt.world.tracer.filter("plan")
-    assert len(described) == 1 and event.message.startswith("pR(")
-
-
 def test_fragment_metrics_are_resolved_once_per_runtime(small_qep,
                                                         monkeypatch):
     """A finalize counts on the runtime and updates the histogram handle

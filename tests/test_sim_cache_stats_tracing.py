@@ -1,9 +1,9 @@
-"""Tests for the LRU page cache, statistics collectors and tracer."""
+"""Tests for the LRU page cache and statistics collectors."""
 
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import Counter, LRUPageCache, TimeWeightedStat, Tracer, WelfordStat
+from repro.sim import Counter, LRUPageCache, TimeWeightedStat, WelfordStat
 
 
 # --------------------------------------------------------------------------
@@ -125,45 +125,3 @@ def test_time_weighted_mean(sim):
 def test_time_weighted_empty(sim):
     assert TimeWeightedStat(sim).mean() == 0.0
 
-
-# --------------------------------------------------------------------------
-# Tracer
-# --------------------------------------------------------------------------
-
-def test_tracer_records_with_time(sim):
-    tracer = Tracer(sim)
-    sim.timeout(2.0)
-    sim.run()
-    tracer.emit("cat", "message", detail=7)
-    assert tracer.events[0].time == 2.0
-    assert tracer.events[0].payload == {"detail": 7}
-
-
-def test_tracer_disabled_drops_events(sim):
-    tracer = Tracer(sim, enabled=False)
-    tracer.emit("cat", "msg")
-    assert tracer.events == []
-
-
-def test_tracer_filter_by_category(sim):
-    tracer = Tracer(sim)
-    tracer.emit("a", "1")
-    tracer.emit("b", "2")
-    tracer.emit("a", "3")
-    assert [e.message for e in tracer.filter("a")] == ["1", "3"]
-    assert tracer.count("b") == 1
-
-
-def test_tracer_filter_since(sim):
-    tracer = Tracer(sim)
-    tracer.emit("a", "early")
-    sim.timeout(5.0)
-    sim.run()
-    tracer.emit("a", "late")
-    assert [e.message for e in tracer.filter("a", since=1.0)] == ["late"]
-
-
-def test_tracer_dump_renders_lines(sim):
-    tracer = Tracer(sim)
-    tracer.emit("cat", "hello")
-    assert "hello" in tracer.dump()

@@ -14,13 +14,13 @@ from repro.core.strategies import (
 from repro.wrappers import ConstantDelay, UniformDelay
 
 
-def run(workload, strategy, waits=None, seed=1, trace=False, **overrides):
+def run(workload, strategy, waits=None, seed=1, **overrides):
     params = SimulationParameters().with_overrides(**overrides)
     if waits is None:
         waits = {name: params.w_min for name in workload.relation_names}
     delays = {name: UniformDelay(wait) for name, wait in waits.items()}
     engine = QueryEngine(workload.catalog, workload.qep, make_policy(strategy),
-                         delays, params=params, seed=seed, trace=trace)
+                         delays, params=params, seed=seed)
     return engine.run()
 
 
@@ -68,9 +68,19 @@ def test_seq_never_degrades(tiny_fig5):
     assert result.tuples_spilled == 0
 
 
+def chain_completions(result):
+    """Chains in completion order: a chain completes when its last
+    fragment finishes."""
+    completed: dict[str, float] = {}
+    for stat in result.fragment_stats.values():
+        completed[stat.chain] = max(completed.get(stat.chain, 0.0),
+                                    stat.finished_at)
+    return sorted(completed.items(), key=lambda item: item[1])
+
+
 def test_seq_processes_chains_in_iterator_order(tiny_fig5):
-    result = run(tiny_fig5, "SEQ", trace=True)
-    completions = [e.message for e in result.tracer.filter("chain-complete")]
+    result = run(tiny_fig5, "SEQ")
+    completions = [chain for chain, _ in chain_completions(result)]
     assert completions == ["pA", "pB", "pF", "pE", "pD", "pC"]
 
 
@@ -94,10 +104,12 @@ def test_ma_degrades_every_chain(tiny_fig5):
 
 
 def test_ma_materializes_before_processing(tiny_fig5):
-    result = run(tiny_fig5, "MA", trace=True)
-    seals = [e for e in result.tracer.filter("temp-seal")]
-    completions = [e for e in result.tracer.filter("chain-complete")]
-    assert max(s.time for s in seals) <= min(c.time for c in completions)
+    result = run(tiny_fig5, "MA")
+    # An MF finishes once its temp is sealed.
+    sealed = [stat.finished_at for stat in result.fragment_stats.values()
+              if stat.kind == "mf"]
+    assert len(sealed) == len(tiny_fig5.qep.chains)
+    assert max(sealed) <= chain_completions(result)[0][1]
 
 
 def test_ma_overlaps_delivery_delays(tiny_fig5):
@@ -133,23 +145,21 @@ def test_dse_no_degradation_on_fast_network(tiny_fig5):
 def test_dse_degrades_blocked_critical_chains(mini_fig5):
     waits = {name: 20e-6 for name in mini_fig5.relation_names}
     waits["F"] = 400e-6
-    result = run(mini_fig5, "DSE", waits=waits, trace=True)
-    degraded = [e.message for e in result.tracer.filter("degrade")]
+    result = run(mini_fig5, "DSE", waits=waits)
+    degraded = [r.subject for r in result.decisions if r.kind == "degrade"]
     assert "pF" in degraded
 
 
 def test_dse_partial_materialization_stops_mf(mini_fig5):
     waits = {name: 20e-6 for name in mini_fig5.relation_names}
     waits["F"] = 100e-6
-    result = run(mini_fig5, "DSE", waits=waits, trace=True)
-    stops = [e.message for e in result.tracer.filter("mf-stop")]
+    result = run(mini_fig5, "DSE", waits=waits)
+    stops = [r.subject for r in result.decisions if r.kind == "mf-stop"]
     assert stops, "expected at least one MF to be stopped early"
     # A stopped MF means F was only partially spilled.
     card_f = mini_fig5.catalog.relation("F").cardinality
     if "MF(pF)" in stops:
-        spilled_f = next(
-            e.payload["tuples_in"] for e in result.tracer.filter("fragment-done")
-            if e.message == "MF(pF)")
+        spilled_f = result.fragment_stats["MF(pF)"].tuples_in
         assert spilled_f < card_f
 
 

@@ -13,12 +13,12 @@ from repro.experiments import (
 )
 
 
-def run_dse(workload, trace=False):
+def run_dse(workload):
     params = SimulationParameters()
     waits = slowdown_waits(workload, "F", 0.5, params)
     delays = {n: UniformDelay(w) for n, w in waits.items()}
     return QueryEngine(workload.catalog, workload.qep, make_policy("DSE"),
-                       delays, params=params, seed=1, trace=trace).run()
+                       delays, params=params, seed=1).run()
 
 
 def test_events_cover_all_finished_fragments(mini_fig5):
@@ -42,21 +42,26 @@ def test_one_lane_per_chain(mini_fig5):
 
 
 def test_decisions_included_when_traced(mini_fig5):
-    result = run_dse(mini_fig5, trace=True)
+    result = run_dse(mini_fig5)
     events = chrome_trace_events(result)
     instants = [e for e in events if e["ph"] == "i"]
     assert any(e["name"].startswith("degrade") for e in instants)
-    assert any(e["name"].startswith("chain-complete") for e in instants)
+    assert any(e["name"].startswith("cf-create") for e in instants)
 
 
-def test_no_decisions_without_tracer(mini_fig5):
-    result = run_dse(mini_fig5, trace=False)
-    events = chrome_trace_events(result)
-    assert not [e for e in events if e["ph"] == "i"]
+def test_one_instant_per_decision(mini_fig5):
+    """The audit log is the trace: each record is one instant, in
+    order, at its time, with its inputs as args."""
+    result = run_dse(mini_fig5)
+    instants = [e for e in chrome_trace_events(result) if e["ph"] == "i"]
+    assert result.decisions
+    assert [(e["name"], e["ts"], e["args"]) for e in instants] == [
+        (f"{r.kind}: {r.subject}", r.time * 1e6, r.args())
+        for r in result.decisions]
 
 
 def test_write_chrome_trace_valid_json(mini_fig5, tmp_path):
-    result = run_dse(mini_fig5, trace=True)
+    result = run_dse(mini_fig5)
     path = write_chrome_trace(tmp_path / "nested" / "trace.json", result)
     payload = json.loads(path.read_text())
     assert payload["otherData"]["strategy"] == "DSE"
