@@ -22,11 +22,13 @@ hook table itself must be the shared ``NULL_HOOKS`` no-op when every
 consumer is off.
 
 A second section repeats the comparison on the wall-clock asyncio
-backend: one small live run with telemetry (and the wall-clock sampler)
-fully enabled versus one with telemetry disabled.  Live runs are
-dominated by real source delays, so the budget is the same shape —
-the instrumented run must not beat the uninstrumented one by more than
-noise, i.e. disabled <= enabled * 1.05 + grace.
+backend: one small live run (jittered modelled sources) with telemetry
+(and the wall-clock sampler) fully enabled versus one with telemetry
+disabled.  Both must report the same response time — telemetry observes
+the run, it does not perturb it.  Live runs are dominated by real
+source delays, so the budget is the same shape — the instrumented run
+must not beat the uninstrumented one by more than noise, i.e.
+disabled <= enabled * 1.05 + grace.
 
 Exit status 0 on success; used as a CI step.
 """
@@ -34,17 +36,15 @@ Exit status 0 on success; used as a CI step.
 import asyncio
 import sys
 import time
-import zlib
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-import numpy as np
 
 from repro import QueryEngine, UniformDelay, make_policy
 from repro.config import SimulationParameters
 from repro.experiments import figure5_workload, run_slowdown_experiment
 from repro.observability import NULL_HOOKS, NULL_METRIC, MetricsRegistry
+from repro.wrappers import JitteredDelay
 
 ROUNDS = 3
 RETRIEVAL_TIME = 2.0  # the smallest Figure 6 point
@@ -78,28 +78,17 @@ def timed_dqp_run(params):
     return best, result
 
 
-def timed_live_run(params) -> float:
+def timed_live_run(params):
     """Best wall-clock of ROUNDS small live (asyncio-backend) runs."""
-    from repro.exec.live import LiveQueryEngine, jittered_batches
+    from repro.exec.live import LiveQueryEngine
 
     workload = figure5_workload(scale=LIVE_SCALE)
-    cards = {name: workload.catalog.relation(name).cardinality
-             for name in workload.relation_names}
-
-    def sources():
-        def factory(rel):
-            def make():
-                rng = np.random.default_rng([1, zlib.crc32(rel.encode())])
-                return jittered_batches(cards[rel],
-                                        params.tuples_per_message,
-                                        100e-6, rng, jitter=1.0)
-            return make
-        return {rel: factory(rel) for rel in workload.relation_names}
-
-    best = float("inf")
+    delays = {rel: JitteredDelay(100e-6, jitter=1.0)
+              for rel in workload.relation_names}
+    best, result = float("inf"), None
     for _ in range(ROUNDS):
         engine = LiveQueryEngine(workload.catalog, workload.qep,
-                                 make_policy("DSE"), sources(),
+                                 make_policy("DSE"), delays,
                                  params=params, seed=1)
         started = time.perf_counter()
         result = asyncio.run(engine.run())
@@ -112,7 +101,7 @@ def timed_live_run(params) -> float:
         else:
             assert result.metrics is None
             assert result.samples == []
-    return best
+    return best, result
 
 
 def main() -> int:
@@ -167,9 +156,11 @@ def main() -> int:
         return 1
     print("OK: spans-disabled batch-loop overhead within 1%")
 
-    live_disabled = timed_live_run(SimulationParameters())
-    live_enabled = timed_live_run(SimulationParameters(
+    live_disabled, live_off = timed_live_run(SimulationParameters())
+    live_enabled, live_on = timed_live_run(SimulationParameters(
         telemetry_enabled=True, telemetry_sample_interval=0.05))
+    assert live_on.response_time == live_off.response_time, \
+        "telemetry perturbed the live run"
     # Live rounds are wall-clock and source-delay dominated; same shape
     # of budget, with a larger absolute grace for scheduler jitter.
     live_budget = live_enabled * 1.05 + 0.25

@@ -12,10 +12,11 @@ writing any code:
   stall breakdown and decision log (JSON / CSV / Prometheus text);
 * ``trace`` — run one strategy and write the Chrome timeline plus the
   decision audit log (the run's execution trace);
-* ``live`` — SEQ vs DSE against *real* jittery asyncio sources on the
-  wall-clock execution backend; ``--serve`` exposes /metrics, /healthz
-  and an SSE /stream while the run is in flight, ``--flight-dump`` (with
-  ``--stall-after`` / ``--deadline``) arms the flight-recorder watchdog;
+* ``live`` — SEQ vs DSE on the wall-clock execution backend: the
+  modelled jittered sources, in real seconds; ``--serve`` exposes
+  /metrics, /healthz and an SSE /stream while the run is in flight,
+  ``--flight-dump`` (with ``--stall-after`` / ``--deadline``) arms the
+  flight-recorder watchdog;
 * ``serve`` — the always-on multi-tenant query service: one shared
   wall-clock kernel accepting JSON submissions over HTTP, with
   per-tenant priorities/quotas, a governed memory pool, SSE progress
@@ -61,7 +62,7 @@ from repro.experiments import (
     run_uniform_slowdown_experiment,
 )
 from repro.experiments.report import write_csv
-from repro.wrappers.delays import UniformDelay
+from repro.wrappers.delays import JitteredDelay, UniformDelay
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     _parallel(reproduce)
 
     live = sub.add_parser(
-        "live", help="run strategies against real asyncio sources "
-                     "(wall-clock backend)")
+        "live", help="run strategies on the wall-clock backend "
+                     "(modelled jittered sources, in real seconds)")
     live.add_argument("--scale", type=float, default=0.02,
                       help="workload scale factor (default 0.02 — live runs "
                            "are wall-clock, keep them small)")
@@ -192,13 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default: SEQ and DSE)")
     live.add_argument("--slow", action="append", default=None,
                       metavar="REL:FACTOR",
-                      help="slow one live source by this factor "
+                      help="slow one source by this factor "
                            "(repeatable; default A:10)")
     live.add_argument("--wait-us", type=float, default=200.0,
                       help="mean per-tuple wait of a normal source in µs "
                            "(default 200)")
     live.add_argument("--jitter", type=float, default=1.0,
-                      help="delay jitter in [0, 1]: each batch waits "
+                      help="delay jitter in [0, 1]: each message waits "
                            "count * w with w uniform in "
                            "[(1-jitter)*mean, (1+jitter)*mean] (default 1)")
     live.add_argument("--timeline", action="store_true",
@@ -806,12 +807,9 @@ def _cmd_anatomy(args: argparse.Namespace) -> int:
 
 def _cmd_live(args: argparse.Namespace) -> int:
     import asyncio
-    import zlib
-
-    import numpy as np
 
     from repro.common.errors import SimulationError
-    from repro.exec.live import LiveQueryEngine, jittered_batches
+    from repro.exec.live import LiveQueryEngine
 
     # Checked before any run: each would fail (or do nothing) mid-run.
     if not 0.0 <= args.jitter <= 1.0:
@@ -834,26 +832,16 @@ def _cmd_live(args: argparse.Namespace) -> int:
     if unknown:
         raise SystemExit(f"unknown relation(s) in --slow: {sorted(unknown)}")
     strategies = args.strategies if args.strategies else ["SEQ", "DSE"]
+    policies = {strategy: make_policy(strategy) for strategy in strategies}
     if args.assert_dse_not_slower and not {"SEQ", "DSE"} <= {
             s.upper() for s in strategies}:
         raise SystemExit("--assert-dse-not-slower needs both SEQ and DSE "
                          "in --strategy")
-    cards = {name: workload.catalog.relation(name).cardinality
-             for name in workload.relation_names}
     base_wait = args.wait_us * 1e-6
-
-    def sources():
-        # Fresh factories per run; per-relation streams are seeded from
-        # (seed, crc32(name)) so every strategy faces the same delays.
-        def factory(rel: str):
-            def make():
-                rng = np.random.default_rng(
-                    [args.seed, zlib.crc32(rel.encode())])
-                return jittered_batches(
-                    cards[rel], params.tuples_per_message,
-                    base_wait * slow.get(rel, 1.0), rng, jitter=args.jitter)
-            return make
-        return {rel: factory(rel) for rel in workload.relation_names}
+    # Seeded per relation (the world's wrapper:<rel> streams, as `repro
+    # run` draws them): every strategy faces the same delays.
+    delays = {rel: JitteredDelay(base_wait * slow.get(rel, 1.0), args.jitter)
+              for rel in workload.relation_names}
 
     slow_desc = ", ".join(f"{rel}x{factor:g}"
                           for rel, factor in sorted(slow.items())) or "none"
@@ -869,8 +857,8 @@ def _cmd_live(args: argparse.Namespace) -> int:
                 f"{p.stem}-{strategy.lower()}{p.suffix or '.json'}")
         try:
             engine = LiveQueryEngine(
-                workload.catalog, workload.qep, make_policy(strategy),
-                sources(), params=params, seed=args.seed,
+                workload.catalog, workload.qep, policies[strategy],
+                delays, params=params, seed=args.seed,
                 serve_port=args.serve, flight_dump=args.flight_dump,
                 stall_after=args.stall_after, deadline=args.deadline,
                 span_dump=span_dump,
@@ -1264,6 +1252,8 @@ def _cmd_multiquery(args: argparse.Namespace) -> int:
         # leases shrink on release, grow offers go out, and running
         # queries re-plan degraded chains when their budget grows.
         dynamic_budget_replanning=governed)
+    for strategy in args.strategies:
+        make_policy(strategy)  # validates the name (-> error:, exit 2)
     try:
         points = run_multiquery_experiment(
             workload, list(args.strategies),

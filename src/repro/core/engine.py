@@ -210,13 +210,13 @@ class QueryRun:
     completion checks"; every front-end (one-shot, multi-query, live,
     service backends) builds a :class:`World` its own way and hands the
     rest to a run.  ``make_wrapper`` maps a source relation to an
-    unstarted wrapper on that world: a modelled
-    :class:`~repro.wrappers.source.Wrapper` on any kernel
-    (:func:`seeded_wrappers`, the service's execution plane) or
-    :func:`repro.exec.live.live_wrappers` over real async sources.  Both
-    kinds meet one contract: ``name``, ``tuples_sent``,
-    ``production_time``, ``blocked_time``, ``finished_at``, ``error``,
-    ``start()``, ``stop()``.
+    unstarted :class:`~repro.wrappers.source.Wrapper` on that world: a
+    modelled one on any kernel (:func:`seeded_wrappers`, the service's
+    execution plane), or a :class:`~repro.exec.live.LiveWrapper` over a
+    real async source (:func:`repro.exec.live.live_wrappers`).  The run
+    reads ``name``, ``tuples_sent``, ``production_time``,
+    ``blocked_time``, ``finished_at``, ``error``, ``start()``,
+    ``stop()``.
 
     Two shapes, no event hop between them and the optimizer:
     :meth:`start` spawns the optimizer as its own process (the one-shot

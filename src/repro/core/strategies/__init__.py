@@ -14,6 +14,7 @@ memory admission — and differ only in their *planning policy*:
   no strategy can beat.
 """
 
+from repro.common.errors import ConfigurationError
 from repro.core.dqs import PlanningPolicy
 from repro.core.strategies.seq import SequentialPolicy
 from repro.core.strategies.ma import MaterializeAllPolicy
@@ -47,5 +48,5 @@ def make_policy(name: str) -> PlanningPolicy:
     try:
         return policies[name.upper()]()
     except KeyError:
-        raise ValueError(f"unknown strategy {name!r}; "
-                         f"choose from {sorted(policies)}") from None
+        raise ConfigurationError(f"unknown strategy {name!r}; "
+                                 f"choose from {sorted(policies)}") from None

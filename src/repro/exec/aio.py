@@ -22,8 +22,9 @@ Semantics compared to the simulator:
      deadline, so zero-delay event chains share one logical timestamp
      and their relative order is exactly the simulator's.
   2. *wall on foreign arrival and on idle wake* — an event scheduled
-     from outside the kernel while it sleeps (a :class:`LiveWrapper`
-     feeder, a pipe reader's ``call_soon_threadsafe``,
+     from outside the kernel while it sleeps (the feeder of a real
+     source's :class:`~repro.exec.live.LiveWrapper`, a pipe reader's
+     ``call_soon_threadsafe``,
      ``QueryService.submit``) is stamped at the wall time of its
      arrival, and a kernel that idled on an empty heap resumes at the
      wall.  Modelled work armed by that arrival then takes its full

@@ -143,10 +143,7 @@ class SubmissionRequest(LeaseBudgets):
     def __post_init__(self) -> None:
         if not self.tenant:
             raise ConfigurationError("submission needs a tenant")
-        try:
-            make_policy(self.strategy)  # validates the name
-        except ValueError as exc:  # -> HTTP 400, not a server error
-            raise ConfigurationError(str(exc)) from None
+        make_policy(self.strategy)  # validates the name (-> HTTP 400)
         # JSON's NaN and Infinity parse as floats: an infinite wait is a
         # source that never produces, a NaN priority unorders admission.
         for name, value in (("scale", self.scale), ("wait_us", self.wait_us),
@@ -305,7 +302,6 @@ class QueryService:
                  latency_window: Optional[int] = None,
                  publish_interval_s: float = DEFAULT_PUBLISH_INTERVAL_S,
                  flight_dump: Optional[Union[str, Path]] = None,
-                 flight_capacity: int = 2048,
                  span_dump: Optional[Union[str, Path]] = None,
                  archive_dir: Optional[Union[str, Path]] = None,
                  archive_options: Optional[Dict[str, Any]] = None,
@@ -344,8 +340,7 @@ class QueryService:
         self._audit_observers: List[Callable[[DecisionRecord], None]] = []
         self.recorder: Optional[FlightRecorder] = None
         if self.flight_dump is not None:
-            self.recorder = FlightRecorder(
-                capacity=flight_capacity).attach(self.machine.telemetry)
+            self.recorder = FlightRecorder().attach(self.machine.telemetry)
             self._audit_observers.append(self.recorder.record_decision)
         if self.span_dump is not None \
                 and self.machine.telemetry.spans is None:

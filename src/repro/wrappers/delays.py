@@ -150,9 +150,8 @@ class JitteredDelay(_MeanWaitDelay):
     uniform on ``[1 - jitter, 1 + jitter]``.
 
     With ``jitter=1`` that is the uniform-[0, 2w] wait applied per
-    message instead of per tuple — the draw
-    :func:`repro.exec.live.jittered_batches` makes, so a delay profile
-    (``w``, ``jitter``) means the same production times on either path.
+    message instead of per tuple: the delay profile of a service
+    submission and of ``repro live``, on either kernel.
     """
 
     def __init__(self, w: float, jitter: float = 1.0):

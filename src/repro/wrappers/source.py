@@ -35,37 +35,48 @@ class Wrapper:
         if rng is None and delay_model.draws:
             raise ConfigurationError(
                 f"wrapper {relation.name!r}: {delay_model!r} needs a generator")
-        self.sim = sim
+        self._bind(sim, relation.name, cm)
         self.relation = relation
         self.delay_model = delay_model
-        self.cm = cm
         self.rng = rng
         self.params = params
+
+    def _bind(self, sim: Kernel, name: str, cm: CommunicationManager) -> None:
+        """The state of a source whatever produces its messages — the
+        delay model here, an asyncio task in
+        :class:`repro.exec.live.LiveWrapper`."""
+        self.sim = sim
+        self.name = name
+        self.cm = cm
         self.tuples_sent = 0
-        self.production_time = 0.0      # time spent producing (delay model)
+        self.production_time = 0.0      # time spent producing messages
         self.blocked_time = 0.0         # time suspended by the window protocol
         self.finished_at: Optional[float] = None
-        #: what the delay model raised mid-stream, if it did; the stream
+        #: what the source raised mid-stream, if it did; the stream
         #: is closed regardless and ``QueryRun.check_complete`` reports it.
         self.error: Optional[Exception] = None
         self._stopped = False
         self._process: Optional[Process] = None
-
-    @property
-    def name(self) -> str:
-        return self.relation.name
 
     def start(self) -> Process:
         """Register with the CM and start shipping tuples."""
         if self._process is not None:
             raise SimulationError(f"wrapper {self.name!r} started twice")
         self.cm.register_source(self.name)
+        self._process = self._spawn()
+        return self._process
+
+    def _spawn(self) -> Process:
+        """Start producing; returns the process that ends with the stream."""
         cardinality = self.relation.cardinality
         body = (self._run_one(cardinality)
                 if cardinality <= self.params.tuples_per_message
                 else self._run())
-        self._process = self.sim.process(body, name=f"wrapper:{self.name}")
-        return self._process
+        return self.sim.process(body, name=f"wrapper:{self.name}")
+
+    def _outbound(self) -> Store:
+        """The send pipeline between the producer and :meth:`_send`."""
+        return Store(self.sim, capacity=2, name=f"outbound:{self.name}")
 
     def stop(self) -> None:
         """Stop producing at the next message (used on engine failure
@@ -97,7 +108,7 @@ class Wrapper:
         process, so the mediator's receive cost and the window protocol
         only throttle production once the pipeline is full.
         """
-        outbound = Store(self.sim, capacity=2, name=f"outbound:{self.name}")
+        outbound = self._outbound()
         sender = self.sim.process(self._send(outbound.get),
                                   name=f"sender:{self.name}")
         remaining = self.relation.cardinality
@@ -125,7 +136,6 @@ class Wrapper:
             # stream, or the query would wait on this source forever.
             yield outbound.put(None)
         yield sender  # join: the wrapper is done once everything is delivered
-        self.finished_at = self.sim.now
 
     def _run_one(self, cardinality: int) -> Generator[SimEvent, Any, None]:
         """A relation that fits in one message: both halves in one process.
@@ -149,7 +159,6 @@ class Wrapper:
             yield Timeout(self.sim, 0.0, priority=PRIORITY_URGENT)
         # The sender, fed by a zero-delay timeout in place of the get.
         yield from self._send(partial(self.sim.timeout, 0.0, message))
-        self.finished_at = self.sim.now
 
     def _send(self, get: Callable[[], SimEvent]
               ) -> Generator[SimEvent, Any, None]:
@@ -160,13 +169,14 @@ class Wrapper:
             if message is None:
                 # An end marker, not a modelled message (see cm.close).
                 yield from self.cm.close(self.name)
-                return
+                break
             count, eof, production = message
             yield from self.cm.deliver(self.name, count, eof=eof,
                                        production_seconds=production)
             self.tuples_sent += count
             if eof:
-                return
+                break
+        self.finished_at = self.sim.now
 
     def __repr__(self) -> str:
         return (f"Wrapper({self.name!r}, sent={self.tuples_sent}/"

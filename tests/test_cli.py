@@ -253,6 +253,20 @@ def test_a_bad_live_flag_exits_2_in_one_line_before_any_run(
     assert not (tmp_path / "F").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--strategy"), ("metrics", "--strategy"), ("trace", "--strategy"),
+    ("anatomy", "--strategies"), ("live", "--strategy"),
+    ("multiquery", "--strategies"), ("explain", "--strategy")])
+def test_an_unknown_strategy_exits_2_in_one_line(command, flag, capsys,
+                                                 tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main([command, "--scale", "0.005", flag, "TURBO"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: unknown strategy 'TURBO'; choose from "
+                            "['DSE', 'DSE-ND', 'MA', 'SEQ']\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cmd_live_unknown_relation():
     with pytest.raises(SystemExit):
         main(["live", "--scale", "0.005", "--slow", "Z:10"])
@@ -461,6 +475,21 @@ def test_cmd_explain_spans_out_export_feeds_explain_from(capsys, tmp_path):
 
     assert table(replay_out) == table(live_out)
     assert table(replay_out), "no category table rendered"
+
+
+def test_cmd_explain_segments_bounds_the_listed_segments(capsys):
+    header = "longest critical-path segments:\n"
+
+    def listed(*flags):
+        assert main(["explain", "--scale", "0.02", "--slow", "C:6",
+                     "--seed", "5", *flags]) == 0
+        out = capsys.readouterr().out
+        return out.split(header, 1)[1].splitlines() if header in out else []
+
+    longest = listed()
+    assert len(longest) == 8  # the default
+    assert listed("--segments", "3") == longest[:3]
+    assert listed("--segments", "0") == []
 
 
 def test_cmd_explain_from_missing_file_exits_2(capsys, tmp_path):

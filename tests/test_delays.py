@@ -48,8 +48,8 @@ def test_uniform_zero_wait(rng):
 
 
 def test_jittered_delay_draws_once_per_message():
-    """The draw ``jittered_batches`` makes: ``count * w * u`` of
-    production per message, ``u`` uniform on ``[1 - jitter, 1 + jitter]``."""
+    """``count * w * u`` of production per message, ``u`` uniform on
+    ``[1 - jitter, 1 + jitter]``."""
     w, jitter = 50e-6, 0.5
     model = JitteredDelay(w, jitter)
     rng, reference = np.random.default_rng(9), np.random.default_rng(9)

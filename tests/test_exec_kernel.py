@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.exec.core as kernel_core
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import SimulationError
 from repro.exec import (
     PRIORITY_NORMAL,
     PRIORITY_URGENT,
@@ -29,6 +29,7 @@ from repro.exec import (
 from repro.exec.aio import AsyncioKernel
 from repro.exec.core import _COMPACT_FLOOR
 from repro.sim.engine import Simulator
+from repro.wrappers import UniformDelay
 
 
 # -- protocol ---------------------------------------------------------------
@@ -829,77 +830,40 @@ def test_process_failure_surfaces_from_asyncio_run():
         asyncio.run(kernel.run())
 
 
-# -- live sources -----------------------------------------------------------
+# -- the live engine --------------------------------------------------------
 
-def test_jittered_batches_validates_shape():
-    import numpy as np
+class _CannotOpen(UniformDelay):
+    """A source whose wrapper cannot even be built."""
 
-    from repro.exec.live import jittered_batches
-
-    async def first(agen):
-        return await agen.__anext__()
-
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigurationError):
-        asyncio.run(first(jittered_batches(-1, 10, 1e-3, rng)))
-    with pytest.raises(ConfigurationError):
-        asyncio.run(first(jittered_batches(10, 0, 1e-3, rng)))
-    with pytest.raises(ConfigurationError):
-        asyncio.run(first(jittered_batches(10, 4, 1e-3, rng, jitter=2.0)))
+    def reset(self) -> None:
+        raise RuntimeError("source cannot be opened")
 
 
-def test_jittered_batches_ships_exactly_the_cardinality():
-    import numpy as np
-
-    from repro.exec.live import jittered_batches
-
-    async def collect():
-        rng = np.random.default_rng(3)
-        return [count async for count in jittered_batches(10, 4, 1e-5, rng)]
-
-    batches = asyncio.run(collect())
-    assert batches == [4, 4, 2]
-
-
-def test_live_engine_matches_simulated_result_tuples(figure_workload=None):
-    """The live asyncio engine computes the same join result as the
-    virtual-time engine — timing differs, data must not."""
-    import numpy as np
-
+def test_live_engine_matches_simulated_result_tuples():
+    """The live asyncio engine runs the virtual-time engine's query over
+    the same modelled sources — the same join result, and, its dispatch
+    clock reading each event's deadline, the same response time."""
     from repro.config import SimulationParameters
     from repro.core.engine import QueryEngine
     from repro.core.strategies import make_policy
-    from repro.exec.live import LiveQueryEngine, jittered_batches
+    from repro.exec.live import LiveQueryEngine
     from repro.experiments import figure5_workload
-    from repro.wrappers.delays import UniformDelay
 
     workload = figure5_workload(scale=0.01)
     params = SimulationParameters()
-    wait = 2e-5
+    delays = {rel: UniformDelay(2e-5) for rel in workload.relation_names}
 
     simulated = QueryEngine(
-        workload.catalog, workload.qep, make_policy("DSE"),
-        {rel: UniformDelay(wait) for rel in workload.relation_names},
+        workload.catalog, workload.qep, make_policy("DSE"), delays,
         params=params, seed=5).run()
-
-    def source_factory(rel):
-        cardinality = workload.catalog.relation(rel).cardinality
-
-        def make():
-            rng = np.random.default_rng([5, len(rel)])
-            return jittered_batches(cardinality, params.tuples_per_message,
-                                    wait, rng)
-        return make
-
-    live_engine = LiveQueryEngine(
-        workload.catalog, workload.qep, make_policy("DSE"),
-        {rel: source_factory(rel) for rel in workload.relation_names},
-        params=params, seed=5)
-    live = asyncio.run(live_engine.run())
+    live = asyncio.run(LiveQueryEngine(
+        workload.catalog, workload.qep, make_policy("DSE"), delays,
+        params=params, seed=5).run())
 
     assert live.result_tuples == simulated.result_tuples
     assert live.strategy == "DSE"
-    assert live.response_time > 0
+    assert live.response_time == pytest.approx(simulated.response_time,
+                                               rel=1e-9)
     assert set(live.wrapper_stats) == set(workload.relation_names)
     # Attribution invariant holds on the wall-clock backend too (only
     # when telemetry is on; default params keep it off -> empty dict).
@@ -908,49 +872,31 @@ def test_live_engine_matches_simulated_result_tuples(figure_workload=None):
 
 
 @pytest.mark.parametrize("breaks", ["mid-stream", "at-open"])
-def test_live_engine_source_failure_leaks_nothing(breaks, breaking_source,
-                                                  pending_feeders):
-    """One lifecycle, live front-end: however a source dies, the caller's
-    pool gets its lease back and no feeder task is left running.
+def test_live_engine_source_failure_leaks_nothing(breaks, breaking_delays):
+    """One lifecycle, live front-end: however a source dies, the run
+    fails and no task is left running on the loop.
 
     A stream that raises mid-way is closed so the engine drains, and
     the run then fails naming the relation and the cause rather than
     answering from truncated input (retrying is the fault-injection
-    item's business); a source that cannot even be opened fails the run
-    after its siblings were already started, so they must be cancelled.
+    item's business); a source that cannot even be built fails the run
+    after its siblings were already started, so they must be stopped.
     """
-    import numpy as np
-
-    from repro.common.errors import SimulationError
     from repro.config import SimulationParameters
     from repro.core.strategies import make_policy
-    from repro.exec.live import LiveQueryEngine, jittered_batches
+    from repro.exec.live import LiveQueryEngine
     from repro.experiments import figure5_workload
-    from repro.resources import MemoryBroker
 
     workload = figure5_workload(scale=0.01)
     params = SimulationParameters()
-
-    def factory(rel):
-        return lambda: jittered_batches(
-            workload.catalog.relation(rel).cardinality,
-            params.tuples_per_message, 2e-5,
-            np.random.default_rng([5, len(rel)]))
-
-    def cannot_open():
-        raise RuntimeError("source cannot be opened")
-
-    sources = {rel: factory(rel) for rel in workload.relation_names}
-    if breaks == "mid-stream":
-        victim = "F"  # 1,800 tuples: seven batches are never shipped
-        sources[victim] = breaking_source(sources[victim])
-    else:
+    delays = breaking_delays(workload, params)  # A dies after two messages
+    if breaks == "at-open":
+        delays["A"] = UniformDelay(params.w_min)
         victim = workload.qep.source_relations()[-1]  # siblings start first
-        sources[victim] = cannot_open
-    broker = MemoryBroker(64 << 20)
+        delays[victim] = _CannotOpen(params.w_min)
     engine = LiveQueryEngine(workload.catalog, workload.qep,
-                             make_policy("DSE"), sources, params=params,
-                             seed=5, broker=broker, memory_bytes=8 << 20)
+                             make_policy("DSE"), delays, params=params,
+                             seed=5)
 
     async def scenario():
         try:
@@ -958,15 +904,16 @@ def test_live_engine_source_failure_leaks_nothing(breaks, breaking_source,
             error = None
         except (RuntimeError, SimulationError) as exc:
             error = exc
-        await asyncio.sleep(0)  # let cancelled feeders unwind
-        return error, pending_feeders()
+        await asyncio.sleep(0)  # let anything cancelled unwind
+        current = asyncio.current_task()
+        return error, [task for task in asyncio.all_tasks()
+                       if task is not current]
 
-    error, feeders = asyncio.run(scenario())
+    error, tasks = asyncio.run(scenario())
     if breaks == "mid-stream":
         assert isinstance(error, SimulationError)
-        assert "'F'" in str(error) and "broke mid-stream" in str(error)
+        assert "'A'" in str(error) and "broke mid-stream" in str(error)
         assert isinstance(error.__cause__, RuntimeError)
     else:
         assert "cannot be opened" in str(error)
-    assert broker.leased_bytes == 0 and not broker.leases
-    assert feeders == []
+    assert tasks == []

@@ -24,6 +24,7 @@ from repro.observability import (
     flight_trace_events,
     load_flight_dump,
 )
+from repro.wrappers import UniformDelay
 
 
 # --------------------------------------------------------------------------
@@ -207,38 +208,33 @@ def test_watchdog_deadline_fires_even_with_steady_progress(tmp_path):
 # Acceptance: a wedged live run leaves a loadable post-mortem
 # --------------------------------------------------------------------------
 
-def test_wedged_live_run_is_aborted_and_leaves_a_postmortem(tmp_path):
-    import numpy as np
+class _Wedged(UniformDelay):
+    """Ships its first message, then waits an hour before the next."""
 
+    def message_seconds(self, cardinality, per_message, rng):
+        seconds = super().message_seconds(cardinality, per_message, rng)
+        yield next(seconds)
+        yield 3600.0
+
+
+def _live_engine(delays, **plane):
     from repro.config import SimulationParameters
     from repro.core.strategies import make_policy
-    from repro.exec.live import LiveQueryEngine, jittered_batches
+    from repro.exec.live import LiveQueryEngine
     from repro.experiments import figure5_workload
 
     workload = figure5_workload(scale=0.01)
-    params = SimulationParameters()
-    cards = {name: workload.catalog.relation(name).cardinality
-             for name in workload.relation_names}
-
-    async def hanging(cardinality, batch):
-        yield min(batch, cardinality)          # one batch, then wedge
-        await asyncio.sleep(3600)
-
-    def factory(rel):
-        def make():
-            if rel == "A":
-                return hanging(cards[rel], params.tuples_per_message)
-            rng = np.random.default_rng([3, len(rel)])
-            return jittered_batches(cards[rel], params.tuples_per_message,
-                                    1e-5, rng)
-        return make
-
-    dump_path = tmp_path / "flight.json"
-    engine = LiveQueryEngine(
+    return LiveQueryEngine(
         workload.catalog, workload.qep, make_policy("DSE"),
-        {rel: factory(rel) for rel in workload.relation_names},
-        params=params, seed=3,
-        flight_dump=dump_path, stall_after=0.3)
+        {rel: delays.get(rel, UniformDelay(1e-5))
+         for rel in workload.relation_names},
+        params=SimulationParameters(), seed=3, **plane)
+
+
+def test_wedged_live_run_is_aborted_and_leaves_a_postmortem(tmp_path):
+    dump_path = tmp_path / "flight.json"
+    engine = _live_engine({"A": _Wedged(1e-5)},  # 1,000 tuples: 5 messages
+                          flight_dump=dump_path, stall_after=0.3)
 
     with pytest.raises(SimulationError, match="watchdog \\(stall\\)") as exc:
         asyncio.run(engine.run())
@@ -249,35 +245,15 @@ def test_wedged_live_run_is_aborted_and_leaves_a_postmortem(tmp_path):
     kinds = {entry.kind for entry in dump["entries"]}
     assert ENTRY_BATCH in kinds     # progress before the wedge was kept
     assert ENTRY_PHASE in kinds     # run-start marker
+    assert {ENTRY_DECISION, ENTRY_STALL} <= kinds
     trace = json.loads(dump_path.with_suffix(".trace.json").read_text())
     assert isinstance(trace["traceEvents"], list)
 
 
 def test_clean_live_run_leaves_no_dump(tmp_path):
-    import numpy as np
-
-    from repro.config import SimulationParameters
-    from repro.core.strategies import make_policy
-    from repro.exec.live import LiveQueryEngine, jittered_batches
-    from repro.experiments import figure5_workload
-
-    workload = figure5_workload(scale=0.01)
-    params = SimulationParameters()
-
-    def factory(rel):
-        def make():
-            rng = np.random.default_rng([3, len(rel)])
-            return jittered_batches(
-                workload.catalog.relation(rel).cardinality,
-                params.tuples_per_message, 1e-5, rng)
-        return make
-
     dump_path = tmp_path / "flight.json"
-    engine = LiveQueryEngine(
-        workload.catalog, workload.qep, make_policy("DSE"),
-        {rel: factory(rel) for rel in workload.relation_names},
-        params=params, seed=3,
-        flight_dump=dump_path, stall_after=10.0, deadline=60.0)
+    engine = _live_engine({}, flight_dump=dump_path, stall_after=10.0,
+                          deadline=60.0)
     result = asyncio.run(engine.run())
     assert result.result_tuples > 0
     assert not dump_path.exists()
@@ -285,13 +261,5 @@ def test_clean_live_run_leaves_no_dump(tmp_path):
 
 
 def test_engine_validates_watchdog_needs_a_dump_path():
-    from repro.core.strategies import make_policy
-    from repro.exec.live import LiveQueryEngine
-    from repro.experiments import figure5_workload
-
-    workload = figure5_workload(scale=0.01)
-    sources = {rel: (lambda: None)
-               for rel in workload.relation_names}
     with pytest.raises(ConfigurationError, match="flight_dump"):
-        LiveQueryEngine(workload.catalog, workload.qep, make_policy("DSE"),
-                        sources, stall_after=1.0)
+        _live_engine({}, stall_after=1.0)

@@ -1,58 +1,81 @@
-"""A live source costs the modelled machine what a simulated one does.
+"""The wall-clock engine is the virtual-time engine; a real source costs
+the modelled machine what a modelled one does.
 
-By count (exact): one modelled message per data batch, the end of the
-stream is not one.  By clock (bounded): a live run's response time
-against the virtual-time run of the same plan, and the pacing of
-``jittered_batches`` itself.
+``LiveQueryEngine`` runs ``QueryEngine``'s query over the same modelled
+wrappers on the asyncio kernel, so its results are the virtual-time
+run's (exact).  ``LiveWrapper`` bridges a *real* async source, here a
+small paced generator: by count (exact), one modelled message per data
+batch and the end of the stream is not one; by clock (bounded), a live
+run's response time against the virtual-time run of the same plan.
 
 The clock bounds are several timer overshoots wide (one ``epoll`` wake
-measures 0.1-1 ms late on the reference sandbox; see
-docs/performance.md, "Live sources cost what the modelled wrapper
-costs"), and host noise only ever adds time, so each clock test takes
-the best of a few attempts.
+measures 0.1-1 ms late on a 2-vCPU Linux VM), and host noise only ever
+adds time, so each clock test takes the best of a few attempts.
 """
 
 import asyncio
 import math
 
-import numpy as np
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.config import SimulationParameters
 from repro.core.engine import QueryEngine, QueryRun
 from repro.core.runtime import World
 from repro.core.strategies import make_policy
 from repro.exec.aio import AsyncioKernel
-from repro.exec.live import LiveWrapper, jittered_batches, live_wrappers
+from repro.exec.live import LiveQueryEngine, LiveWrapper, live_wrappers
 from repro.experiments import figure5_workload
-from repro.wrappers import ConstantDelay
+from repro.wrappers import ConstantDelay, JitteredDelay
 
 ATTEMPTS = 3
+
+
+async def paced(cardinality, per_batch, wait):
+    """A real source: ``cardinality`` tuples in ``per_batch``-tuple
+    batches, each ``count * wait`` seconds after the last.
+
+    Paced against an absolute due time, so a late wake shortens the next
+    pause instead of adding up; time the consumer holds a batch moves
+    the due time back, so a held source resumes at its rate instead of
+    bursting to catch up."""
+    clock = asyncio.get_running_loop().time
+    due = clock()
+    while cardinality > 0:
+        count = min(per_batch, cardinality)
+        due += count * wait
+        pause = due - clock()
+        if pause > 0:
+            await asyncio.sleep(pause)
+        handed_over = clock()
+        yield count
+        due += clock() - handed_over
+        cardinality -= count
 
 
 def constant_sources(workload, params, wait):
     """Every relation ships at exactly ``wait`` seconds per tuple."""
     def factory(relation):
         cardinality = workload.catalog.relation(relation).cardinality
-        return lambda: jittered_batches(
-            cardinality, params.tuples_per_message, wait,
-            np.random.default_rng(0), jitter=0.0)
+        return lambda: paced(cardinality, params.tuples_per_message, wait)
     return {relation: factory(relation)
             for relation in workload.relation_names}
 
 
-def run_live(workload, strategy, sources, params):
+async def live_run(workload, strategy, sources, params):
     """One live run driven directly, so the test keeps the world."""
-    async def scenario():
-        world = World(params, seed=5, kernel=AsyncioKernel())
-        query = QueryRun(world, workload.qep, make_policy(strategy),
-                         live_wrappers(world, sources))
-        try:
-            await world.sim.run(until_event=query.start())
-            return query.result(), world, query
-        finally:
-            query.detach()
-    return asyncio.run(scenario())
+    world = World(params, seed=5, kernel=AsyncioKernel())
+    query = QueryRun(world, workload.qep, make_policy(strategy),
+                     live_wrappers(world, sources))
+    try:
+        await world.sim.run(until_event=query.start())
+        return query.result(), world, query
+    finally:
+        query.detach()
+
+
+def run_live(workload, strategy, sources, params):
+    return asyncio.run(live_run(workload, strategy, sources, params))
 
 
 def run_virtual(workload, strategy, params, wait):
@@ -76,6 +99,40 @@ def live_over_virtual(scale, strategy, wait):
         assert live.result_tuples == virtual.result_tuples
         best = min(best, live.response_time / virtual.response_time)
     return best
+
+
+# -- the engine -------------------------------------------------------------
+
+@pytest.mark.parametrize("delay", ["constant", "jittered"])
+@pytest.mark.parametrize("strategy", ["SEQ", "MA", "DSE"])
+def test_the_live_engine_reports_the_virtual_time_run(strategy, delay):
+    """Same query, delay models and seed: the counts are equal and the
+    times equal up to float rounding, stall attribution included."""
+    workload = figure5_workload(scale=0.005)
+    params = SimulationParameters(telemetry_enabled=True)
+    delays = {relation: (ConstantDelay(20e-6) if delay == "constant" else
+                         JitteredDelay(20e-6 * (10 if relation == "A"
+                                                else 1)))
+              for relation in workload.relation_names}
+    args = (workload.catalog, workload.qep, make_policy(strategy), delays)
+    virtual = QueryEngine(*args, params=params, seed=3).run()
+    live = asyncio.run(LiveQueryEngine(*args, params=params, seed=3).run())
+
+    for key in ("result_tuples", "batches_processed", "degradations",
+                "planning_phases", "memory_peak_bytes"):
+        assert getattr(live, key) == getattr(virtual, key), key
+    for key in ("response_time", "time_to_first_tuple", "stall_time"):
+        assert getattr(live, key) == pytest.approx(getattr(virtual, key),
+                                                   rel=1e-9), key
+    assert live.stall_breakdown.keys() == virtual.stall_breakdown.keys()
+    for cause, seconds in virtual.stall_breakdown.items():
+        assert live.stall_breakdown[cause] == pytest.approx(seconds,
+                                                            rel=1e-9), cause
+    assert live.wrapper_stats.keys() == virtual.wrapper_stats.keys()
+    for name, (sent, production, blocked) in virtual.wrapper_stats.items():
+        assert live.wrapper_stats[name][0] == sent
+        assert live.wrapper_stats[name][1:] == pytest.approx(
+            (production, blocked), rel=1e-9, abs=1e-12), name
 
 
 # -- by count ---------------------------------------------------------------
@@ -124,59 +181,11 @@ def test_multi_batch_response_time_tracks_virtual_time(strategy):
     assert live_over_virtual(0.02, strategy, 20e-6) <= 1.3
 
 
-# -- pacing -----------------------------------------------------------------
-
-def test_jittered_batches_do_not_accumulate_timer_lateness():
-    """100 x 0.3 ms is 30 ms of modelled production (118 ms when every
-    pause kept its own overshoot)."""
-    batches, delay = 100, 0.0003
-
-    async def scenario():
-        clock = asyncio.get_running_loop().time
-        start = clock()
-        shipped = [count async for count in jittered_batches(
-            batches * 10, 10, delay / 10, np.random.default_rng(0),
-            jitter=0.0)]
-        return shipped, clock() - start
-
-    best = math.inf
-    for _ in range(ATTEMPTS):
-        shipped, elapsed = asyncio.run(scenario())
-        assert shipped == [10] * batches
-        assert elapsed >= batches * delay - 1e-4
-        best = min(best, elapsed)
-    assert best < 0.030 + 0.015
-
-
-def test_time_the_consumer_holds_a_batch_shifts_the_schedule():
-    """Deadline pacing must not turn consumer-held time into a burst:
-    batch ``i`` is never handed over before its modelled production
-    time plus everything the consumer held the source for."""
-    batches, delay, hold = 10, 0.002, 0.005
-
-    async def scenario():
-        clock = asyncio.get_running_loop().time
-        source = jittered_batches(batches * 10, 10, delay / 10,
-                                  np.random.default_rng(0), jitter=0.0)
-        start = clock()
-        held, slack = 0.0, []
-        async for _ in source:
-            got = clock()
-            held_before = held
-            await asyncio.sleep(hold)
-            held += clock() - got
-            slack.append(got - start - held_before)
-        return slack, clock() - start, held
-
-    slack, elapsed, held = asyncio.run(scenario())
-    for index, since_start in enumerate(slack):
-        assert since_start >= (index + 1) * delay - 1e-4
-    assert elapsed < batches * delay + held + 0.015
-
+# -- the feeder -----------------------------------------------------------
 
 def test_the_feeder_runs_at_most_two_batches_ahead_of_the_pump():
     """A source that never sleeps against a consumer that does: the
-    inbox is bounded like the simulated wrapper's outbound store, so
+    feeder fills the modelled wrapper's capacity-2 outbound store, so
     the window protocol throttles the source."""
     total, pulls, depths = 40, [], []
     params = SimulationParameters()
@@ -186,7 +195,7 @@ def test_the_feeder_runs_at_most_two_batches_ahead_of_the_pump():
     async def eager():
         for _ in range(total):
             pulls.append(kernel.now)
-            depths.append(wrapper._inbox.qsize())
+            depths.append(len(wrapper.outbound))
             yield 10
 
     wrapper = LiveWrapper(kernel, "W", world.cm, eager())
@@ -211,7 +220,7 @@ def test_the_feeder_runs_at_most_two_batches_ahead_of_the_pump():
     assert asyncio.run(scenario()) == total * 10
     assert max(depths) <= 2
     # In flight at most: the queue's window, one batch inside deliver,
-    # two in the inbox and the one the source was just asked for.
+    # two in the outbound store and the one the source was just asked for.
     window = params.queue_capacity_messages + 1 + 2 + 1
     assert max(ahead) <= window * 10
     # 40 takes 1 ms apart, and the source is held through most of them.
@@ -242,3 +251,43 @@ def test_a_back_pressured_source_does_not_read_as_a_slow_one():
         assert estimate == pytest.approx(wait, rel=0.25)
         assert wrapper.production_time == pytest.approx(
             wrapper.tuples_sent * wait, rel=0.25)
+
+
+# -- failure ----------------------------------------------------------------
+
+@pytest.mark.parametrize("breaks", ["mid-stream", "at-open"])
+def test_a_failing_live_source_leaves_no_feeder(breaks, breaking_source,
+                                                pending_feeders):
+    """A real stream that raises mid-way is closed so the engine drains,
+    and the run fails naming the relation; a source that cannot even be
+    opened fails the run after its siblings started, and detaching
+    cancels their feeders."""
+    workload = figure5_workload(scale=0.01)
+    params = SimulationParameters()
+    sources = constant_sources(workload, params, 2e-5)
+
+    def cannot_open():
+        raise RuntimeError("source cannot be opened")
+
+    if breaks == "mid-stream":
+        sources["F"] = breaking_source(sources["F"])  # 1,800 tuples
+    else:
+        sources[workload.qep.source_relations()[-1]] = cannot_open
+
+    async def scenario():
+        try:
+            await live_run(workload, "DSE", sources, params)
+            error = None
+        except (RuntimeError, SimulationError) as exc:
+            error = exc
+        await asyncio.sleep(0)  # let cancelled feeders unwind
+        return error, pending_feeders()
+
+    error, feeders = asyncio.run(scenario())
+    if breaks == "mid-stream":
+        assert isinstance(error, SimulationError)
+        assert "'F'" in str(error) and "broke mid-stream" in str(error)
+        assert isinstance(error.__cause__, RuntimeError)
+    else:
+        assert "cannot be opened" in str(error)
+    assert feeders == []

@@ -11,13 +11,12 @@ import http.client
 import json
 import threading
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.strategies import make_policy
-from repro.exec.live import LiveQueryEngine, jittered_batches
+from repro.exec.live import LiveQueryEngine
 from repro.experiments import figure5_workload
 from repro.observability import (
     MetricsPublisher,
@@ -25,6 +24,7 @@ from repro.observability import (
     live_prometheus_text,
 )
 from repro.observability.top import _parse_endpoint, render_top
+from repro.wrappers import JitteredDelay
 
 
 # --------------------------------------------------------------------------
@@ -449,20 +449,12 @@ def serving_run(tmp_path_factory):
     params = SimulationParameters(telemetry_enabled=True,
                                   telemetry_sample_interval=0.02)
 
-    def factory(rel):
-        def make():
-            rng = np.random.default_rng([9, len(rel)])
-            slow = 10.0 if rel == "A" else 1.0
-            return jittered_batches(
-                workload.catalog.relation(rel).cardinality,
-                params.tuples_per_message, slow * 100e-6, rng)
-        return make
-
     served = threading.Event()
     port = {}
     engine = LiveQueryEngine(
         workload.catalog, workload.qep, make_policy("DSE"),
-        {rel: factory(rel) for rel in workload.relation_names},
+        {rel: JitteredDelay((10.0 if rel == "A" else 1.0) * 100e-6)
+         for rel in workload.relation_names},
         params=params, seed=9, serve_port=0,
         flight_dump=tmp / "flight.json",
         on_serve=lambda server: (port.update(value=server.port),

@@ -5,18 +5,16 @@ memory-pressure machinery — ``HashTable`` insert overflow, the DQO's
 memory split (MF + CONT), complement replay — and the query must still
 produce the correct join result.  The same path must hold on the
 virtual-time simulator and on the wall-clock asyncio backend, which
-share the execution kernel and, since this PR, the same
-broker-and-lease memory plumbing.
+run the same modelled sources under the same memory plumbing.
 """
 
 import asyncio
 
-import numpy as np
 import pytest
 
 from repro import SimulationParameters, UniformDelay, make_policy
 from repro.core.engine import QueryEngine
-from repro.exec.live import LiveQueryEngine, jittered_batches
+from repro.exec.live import LiveQueryEngine
 from repro.experiments import figure5_workload
 
 KB = 1024
@@ -30,34 +28,24 @@ def workload():
     return figure5_workload(scale=0.01)
 
 
-def _simulated(workload, strategy, budget=None, telemetry=False):
+def _engine(engine_class, workload, strategy, budget=None, telemetry=False):
     overrides = {"telemetry_enabled": telemetry}
     if budget is not None:
         overrides["query_memory_bytes"] = budget
     params = SimulationParameters().with_overrides(**overrides)
-    return QueryEngine(
+    return engine_class(
         workload.catalog, workload.qep, make_policy(strategy),
         {rel: UniformDelay(WAIT) for rel in workload.relation_names},
-        params=params, seed=5).run()
+        params=params, seed=5)
+
+
+def _simulated(workload, strategy, budget=None, telemetry=False):
+    return _engine(QueryEngine, workload, strategy, budget, telemetry).run()
 
 
 def _live(workload, strategy, budget):
-    params = SimulationParameters()
-
-    def source_factory(rel):
-        cardinality = workload.catalog.relation(rel).cardinality
-
-        def make():
-            rng = np.random.default_rng([5, len(rel)])
-            return jittered_batches(cardinality, params.tuples_per_message,
-                                    WAIT, rng)
-        return make
-
-    engine = LiveQueryEngine(
-        workload.catalog, workload.qep, make_policy(strategy),
-        {rel: source_factory(rel) for rel in workload.relation_names},
-        params=params, seed=5, memory_bytes=budget)
-    return asyncio.run(engine.run())
+    return asyncio.run(
+        _engine(LiveQueryEngine, workload, strategy, budget).run())
 
 
 @pytest.mark.parametrize("strategy", ["SEQ", "DSE"])
@@ -84,6 +72,9 @@ def test_asyncio_backend_splits_and_recovers(workload, strategy):
     assert live.memory_splits >= 1
     assert live.result_tuples == 500
     assert live.memory_peak_bytes <= TIGHT
+    simulated = _simulated(workload, strategy, budget=TIGHT)
+    assert (live.memory_splits, live.degradations) \
+        == (simulated.memory_splits, simulated.degradations)
 
 
 def test_memory_gauges_published(workload):

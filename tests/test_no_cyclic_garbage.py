@@ -19,7 +19,7 @@ from repro.exec import Interrupt
 from repro.parallel.spec import MultiQuerySpec, RunSpec, uniform_delay_specs
 from repro.service import QueryService, SubmissionRequest
 from repro.sim import Simulator
-from repro.wrappers import UniformDelay
+from repro.wrappers import JitteredDelay, UniformDelay
 
 FAST = dict(cpu_mips=10_000.0, disk_latency=17e-5, disk_seek_time=5e-5,
             disk_transfer_rate=600_000_000.0)
@@ -123,24 +123,16 @@ def test_multiquery_with_spans_and_dynamic_budgets(assert_no_cyclic_garbage,
 
 
 def test_live_run(assert_no_cyclic_garbage, tiny_fig5):
-    """``repro live``: real async sources, a kernel of its own."""
-    import numpy as np
-
-    from repro.exec.live import LiveQueryEngine, jittered_batches
+    """``repro live``: the modelled sources on a kernel of its own."""
+    from repro.exec.live import LiveQueryEngine
 
     params = SimulationParameters(telemetry_enabled=True,
                                   telemetry_spans=True, **FAST)
-
-    def source(relation):
-        return lambda: jittered_batches(
-            tiny_fig5.catalog.relation(relation).cardinality,
-            params.tuples_per_message, 5e-6,
-            np.random.default_rng([9, len(relation)]))
+    delays = {name: JitteredDelay(5e-6) for name in tiny_fig5.relation_names}
 
     def run():
         engine = LiveQueryEngine(
-            tiny_fig5.catalog, tiny_fig5.qep, make_policy("DSE"),
-            {name: source(name) for name in tiny_fig5.relation_names},
+            tiny_fig5.catalog, tiny_fig5.qep, make_policy("DSE"), delays,
             params=params, seed=9)
         assert asyncio.run(engine.run()).result_tuples == 1000
     assert_no_cyclic_garbage(run)

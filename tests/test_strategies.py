@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.engine import QueryEngine
 from repro.core.strategies import (
@@ -35,7 +36,7 @@ def test_make_policy_by_name():
 
 
 def test_make_policy_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="unknown strategy 'TURBO'"):
         make_policy("TURBO")
 
 
