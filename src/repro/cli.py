@@ -47,7 +47,7 @@ import math
 import sys
 from typing import Any, Optional, Sequence
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, PlanError
 from repro.config import SimulationParameters
 from repro.core.engine import QueryEngine
 from repro.core.strategies import lower_bound, make_policy
@@ -62,6 +62,7 @@ from repro.experiments import (
     run_uniform_slowdown_experiment,
 )
 from repro.experiments.report import write_csv
+from repro.plan import build_qep
 from repro.wrappers.delays import JitteredDelay, UniformDelay
 
 
@@ -75,36 +76,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print Table 1 (simulation parameters)")
 
     plan = sub.add_parser("plan", help="print the Figure 5 QEP")
-    _common(plan)
+    _scale(plan)
 
     fig6 = sub.add_parser("fig6", help="one slowed-down relation sweep "
                                        "(Figure 6; use --relation F for "
                                        "Figure 7)")
-    _common(fig6)
+    _sweep(fig6)
     fig6.add_argument("--relation", default="A",
                       help="relation to slow down (default A)")
     fig6.add_argument("--retrieval-times", type=float, nargs="+",
                       default=[2.0, 4.0, 6.0, 8.0],
                       help="total retrieval times of the slowed relation (s)")
     fig6.add_argument("--csv", help="write the series to this CSV file")
-    _parallel(fig6)
 
     fig8 = sub.add_parser("fig8", help="uniform slowdown gain sweep (Figure 8)")
-    _common(fig8)
+    _sweep(fig8)
     fig8.add_argument("--waits-us", type=float, nargs="+",
                       default=[5, 10, 15, 20, 35, 50, 80, 120],
                       help="per-tuple waits in µs")
     fig8.add_argument("--csv", help="write the series to this CSV file")
-    _parallel(fig8)
 
     run = sub.add_parser("run", help="run one strategy once")
     _common(run)
     run.add_argument("--strategy", default="DSE",
                      help="SEQ, MA, DSE, DSE-ND or DPHJ (default DSE)")
-    run.add_argument("--slow", action="append", default=[],
-                     metavar="REL:FACTOR",
-                     help="slow one relation by a factor of w_min "
-                          "(repeatable), e.g. --slow F:10")
+    _slow(run)
     run.add_argument("--error", action="append", default=[],
                      metavar="JOIN:FACTOR",
                      help="inject a cardinality estimation error on a "
@@ -129,10 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(metrics)
     metrics.add_argument("--strategy", default="DSE",
                          help="SEQ, MA, DSE or DSE-ND (default DSE)")
-    metrics.add_argument("--slow", action="append", default=[],
-                         metavar="REL:FACTOR",
-                         help="slow one relation by a factor of w_min "
-                              "(repeatable), e.g. --slow F:10")
+    _slow(metrics)
     metrics.add_argument("--sample-interval", type=float, default=0.05,
                          help="virtual-time sampling interval in seconds "
                               "(0 disables periodic samples)")
@@ -155,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(trace)
     trace.add_argument("--strategy", default="DSE",
                        help="SEQ, MA, DSE or DSE-ND (default DSE)")
-    trace.add_argument("--slow", action="append", default=[],
-                       metavar="REL:FACTOR",
-                       help="slow one relation by a factor of w_min")
+    _slow(trace)
     trace.add_argument("--out", default="trace.json",
                        help="Chrome trace output path (default ./trace.json)")
     trace.add_argument("--from", dest="from_path", metavar="PATH",
@@ -169,16 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     _common(anatomy)
     anatomy.add_argument("--strategies", nargs="+",
                          default=["SEQ", "MA", "DSE"])
-    anatomy.add_argument("--slow", action="append", default=[],
-                         metavar="REL:FACTOR",
-                         help="slow one relation by a factor of w_min")
+    _slow(anatomy)
 
     reproduce = sub.add_parser(
         "reproduce", help="regenerate every table/figure into a directory")
-    _common(reproduce)
+    _sweep(reproduce)
     reproduce.add_argument("--outdir", default="results",
                            help="output directory (default ./results)")
-    _parallel(reproduce)
 
     live = sub.add_parser(
         "live", help="run strategies on the wall-clock backend "
@@ -191,10 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, metavar="NAME",
                       help="strategy to run, repeatable "
                            "(default: SEQ and DSE)")
-    live.add_argument("--slow", action="append", default=None,
-                      metavar="REL:FACTOR",
-                      help="slow one source by this factor "
-                           "(repeatable; default A:10)")
+    _slow(live, default=None, note="; default A:10")
     live.add_argument("--wait-us", type=float, default=200.0,
                       help="mean per-tuple wait of a normal source in µs "
                            "(default 200)")
@@ -266,11 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "machine memory pool into N static carve-outs "
                             "and dispatches least-loaded-first with work "
                             "stealing")
-    serve.add_argument("--worker-window", type=int, default=None,
-                       metavar="W",
-                       help="in-flight submissions per worker before "
-                            "backlog queues coordinator-side where it is "
-                            "stealable (default 4; needs --workers > 1)")
     serve.add_argument("--publish-interval", type=float, default=1.0,
                        help="seconds between /stream snapshot frames "
                             "(default 1)")
@@ -285,16 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "JSONL: outcomes, snapshots, decisions, span "
                             "summaries, SLO alerts) under DIR; query it "
                             "offline with `repro history`")
-    serve.add_argument("--archive-segment", default="4M", metavar="SIZE",
-                       help="rotate archive segments at this size "
-                            "(default 4M; suffixes K/M/G)")
-    serve.add_argument("--archive-retention", default="256M", metavar="SIZE",
-                       help="delete the oldest sealed segments once the "
-                            "archive exceeds this many bytes (default 256M)")
-    serve.add_argument("--archive-retention-age", type=float,
-                       default=7 * 24 * 3600.0, metavar="SECONDS",
-                       help="delete sealed segments older than this "
-                            "(default 7 days)")
     serve.add_argument("--slo", action="append", dest="slos", default=None,
                        metavar="TENANT:METRIC<=SECONDS@PERCENT%",
                        help="declare a per-tenant latency objective, "
@@ -302,14 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "'*' covers all traffic). Burn-rate alerts "
                             "surface on /slo, the SSE stream and the "
                             "archive")
-    serve.add_argument("--slo-fast-window", type=float, default=300.0,
-                       metavar="SECONDS",
-                       help="fast burn-rate window (default 300s @ burn "
-                            "14.4)")
-    serve.add_argument("--slo-slow-window", type=float, default=3600.0,
-                       metavar="SECONDS",
-                       help="slow burn-rate window (default 3600s @ burn "
-                            "6.0)")
 
     history = sub.add_parser(
         "history", help="query a service telemetry archive offline "
@@ -356,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--wait-us", type=float, default=200.0,
                         help="mean per-tuple source wait in µs (default 200)")
     submit.add_argument("--jitter", type=float, default=1.0)
-    submit.add_argument("--slow", action="append", default=None,
-                        metavar="REL:FACTOR",
-                        help="slow one source by this factor (repeatable)")
+    _slow(submit, default=None)
     submit.add_argument("--priority", type=float, default=None,
                         help="admission priority override "
                              "(default: the tenant's priority)")
@@ -392,12 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "dump instead of connecting")
     top.add_argument("--once", action="store_true",
                      help="print one frame to stdout and exit (no curses)")
-    top.add_argument("--interval", type=float, default=0.5,
-                     help="screen refresh interval in seconds (default 0.5)")
 
     multi = sub.add_parser("multiquery",
                            help="concurrent queries (Section 6 future work)")
     _common(multi)
+    _parallel(multi)
     multi.add_argument("--queries", type=int, default=4)
     multi.add_argument("--inter-arrival", type=float, default=0.0,
                        help="seconds between query arrivals")
@@ -424,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest budget a query's lease may grow to "
                             "when the broker offers reclaimed memory")
     multi.add_argument("--csv", help="write the series to this CSV file")
-    _parallel(multi)
 
     explain = sub.add_parser(
         "explain", help="record one run's span tree and print the "
@@ -437,10 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run this strategy on identical sources "
                               "and print the per-category span diff "
                               "(e.g. --strategy DSE --vs SEQ)")
-    explain.add_argument("--slow", action="append", default=[],
-                         metavar="REL:FACTOR",
-                         help="slow one relation by a factor of w_min "
-                              "(repeatable), e.g. --slow C:10")
+    _slow(explain)
     explain.add_argument("--segments", type=int, default=8,
                          help="longest critical-path segments to list "
                               "(default 8)")
@@ -455,11 +410,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
+def _scale(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0,
                         help="workload scale factor (1.0 = paper size)")
+
+
+def _common(parser: argparse.ArgumentParser) -> None:
+    _scale(parser)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--repetitions", type=int, default=1)
+
+
+def _sweep(parser: argparse.ArgumentParser) -> None:
+    """The options of a paper figure: seeded repetitions averaged per
+    point (Section 5.1.3 uses 3), sharded and cached."""
+    _common(parser)
+    parser.add_argument("--repetitions", type=int, default=1,
+                        help="seeded runs averaged per point (default 1)")
+    _parallel(parser)
+
+
+def _slow(parser: argparse.ArgumentParser, default: Optional[list] = [],
+          note: str = "") -> None:
+    # The shared list is never mutated: argparse's "append" copies it.
+    parser.add_argument("--slow", action="append", default=default,
+                        metavar="REL:FACTOR",
+                        help="multiply one source's per-tuple wait by "
+                             f"FACTOR (repeatable{note}), e.g. --slow F:10")
 
 
 def _parallel(parser: argparse.ArgumentParser) -> None:
@@ -476,11 +452,8 @@ def _parallel(parser: argparse.ArgumentParser) -> None:
 
 def _runner_from(args: argparse.Namespace) -> "SweepRunner":
     from repro.parallel.engine import SweepRunner
-    try:
-        return SweepRunner(jobs=args.jobs, cache_dir=args.cache_dir,
-                           use_cache=not args.no_cache)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    return SweepRunner(jobs=args.jobs, cache_dir=args.cache_dir,
+                       use_cache=not args.no_cache)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -506,9 +479,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigurationError as exc:
-        # Unreadable input file, unreachable endpoint, bad option value:
-        # one line, not a traceback.
+    except (ConfigurationError, PlanError) as exc:
+        # The one usage-error path: a bad option value, an unreadable
+        # input file, an unreachable endpoint or an unbindable port is
+        # one line and exit 2, not a traceback.  A run or submission
+        # that fails returns 1 from its handler.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -536,9 +511,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_fig6(args: argparse.Namespace) -> int:
     workload = figure5_workload(scale=args.scale)
     params = SimulationParameters()
-    if args.relation not in workload.relation_names:
-        raise SystemExit(f"unknown relation {args.relation!r}; choose from "
-                         f"{workload.relation_names}")
     points = run_slowdown_experiment(
         workload, args.relation, list(args.retrieval_times), params,
         repetitions=args.repetitions, base_seed=args.seed,
@@ -567,66 +539,84 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_slow(specs: list[str]) -> dict[str, float]:
-    slow = {}
-    for spec in specs:
+def _parse_factors(specs: Optional[Sequence[str]], flag: str,
+                   names: Optional[Sequence[str]] = None
+                   ) -> dict[str, float]:
+    """``NAME:FACTOR`` specs (``--slow``, ``--error``) as a dict; with
+    ``names``, every NAME must be one of them."""
+    factors = {}
+    for spec in specs or ():
         try:
-            relation, factor = spec.split(":")
-            slow[relation] = float(factor)
+            name, factor = spec.split(":")
+            factors[name] = float(factor)
         except ValueError:
-            raise SystemExit(f"bad --slow spec {spec!r}; expected REL:FACTOR")
-    return slow
+            raise ConfigurationError(
+                f"bad {flag} spec {spec!r}; expected NAME:FACTOR") from None
+    unknown = set(factors) - set(names) if names is not None else set()
+    if unknown:
+        raise ConfigurationError(
+            f"unknown relation(s) in {flag}: {sorted(unknown)}")
+    return factors
+
+
+def _slowed_sources(args: argparse.Namespace, params: SimulationParameters):
+    """The Figure 5 workload at ``--scale``; each source waits
+    ``UniformDelay(w_min x its --slow factor)``."""
+    workload = figure5_workload(scale=args.scale)
+    slow = _parse_factors(args.slow, "--slow", workload.relation_names)
+    return workload, {name: UniformDelay(params.w_min * slow.get(name, 1.0))
+                      for name in workload.relation_names}
+
+
+def _query_engine(args: argparse.Namespace, strategy: str,
+                  params: SimulationParameters,
+                  errors: Optional[dict[str, float]] = None) -> QueryEngine:
+    """One seeded run of ``strategy`` on :func:`_slowed_sources`;
+    ``errors`` scales joins' actual output (``run --error``)."""
+    workload, delays = _slowed_sources(args, params)
+    qep = workload.qep
+    if errors:
+        qep = build_qep(workload.catalog, workload.tree,
+                        actual_output_factors=errors)
+    return QueryEngine(workload.catalog, qep, make_policy(strategy), delays,
+                       params=params, seed=args.seed)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    workload = figure5_workload(scale=args.scale)
     params = SimulationParameters().with_overrides(
         enable_reoptimization=args.reopt,
         telemetry_spans=bool(args.spans_out))
-    slow = _parse_slow(args.slow)
-    unknown = set(slow) - set(workload.relation_names)
-    if unknown:
-        raise SystemExit(f"unknown relation(s) in --slow: {sorted(unknown)}")
-    errors = _parse_slow(args.error)  # same REL:FACTOR syntax
-    waits = {name: params.w_min * slow.get(name, 1.0)
-             for name in workload.relation_names}
-    delays = {name: UniformDelay(wait) for name, wait in waits.items()}
+    errors = _parse_factors(args.error, "--error")
 
     if args.strategy.upper() == "DPHJ":
         needs_dqp = [flag for flag, given in (
+            ("--error", args.error), ("--reopt", args.reopt),
             ("--trace", args.trace), ("--timeline", args.timeline),
             ("--chrome-trace", args.chrome_trace),
             ("--spans-out", args.spans_out)) if given]
         if needs_dqp:
-            raise SystemExit(f"{needs_dqp[0]} needs the DQP engine; DPHJ "
-                             "records no fragments, decisions or spans")
+            raise ConfigurationError(
+                f"{needs_dqp[0]} needs the DQP engine; DPHJ has no "
+                "estimates to skew, re-optimizer, fragments, decisions or "
+                "spans")
         from repro.core.symmetric import SymmetricHashJoinEngine
+        workload, delays = _slowed_sources(args, params)
         result = SymmetricHashJoinEngine(
             workload.catalog, workload.tree, delays, params=params,
             seed=args.seed).run()
+        waits = {name: model.mean_wait() for name, model in delays.items()}
         print(result.summary())
         print(f"LWB: {lower_bound(workload.qep, waits, params):.3f}s")
         return 0
 
-    qep = workload.qep
-    if errors:
-        from repro.common.errors import PlanError
-        from repro.plan import build_qep
-        try:
-            qep = build_qep(workload.catalog, workload.tree,
-                            actual_output_factors=errors)
-        except PlanError as exc:
-            raise SystemExit(str(exc)) from None
-    engine = QueryEngine(workload.catalog, qep,
-                         make_policy(args.strategy), delays, params=params,
-                         seed=args.seed)
+    engine = _query_engine(args, args.strategy, params, errors)
     result = engine.run()
     print(result.summary())
     if result.reopt_opportunities:
         print("misestimates detected:", ", ".join(result.reopt_opportunities))
     if result.reopt_swaps:
         print("joins swapped:", ", ".join(result.reopt_swaps))
-    print(f"LWB: {lower_bound(qep, waits, params):.3f}s")
+    print(f"LWB: {engine.lower_bound():.3f}s")
     if args.timeline:
         print()
         print(result.render_timeline())
@@ -652,21 +642,10 @@ def _print_decisions(result) -> None:
 
 def _run_with_telemetry(args: argparse.Namespace, sample_interval: float):
     """One telemetry-enabled execution shared by ``metrics`` and ``trace``."""
-    workload = figure5_workload(scale=args.scale)
     params = SimulationParameters().with_overrides(
         telemetry_enabled=True,
         telemetry_sample_interval=sample_interval)
-    slow = _parse_slow(args.slow)
-    unknown = set(slow) - set(workload.relation_names)
-    if unknown:
-        raise SystemExit(f"unknown relation(s) in --slow: {sorted(unknown)}")
-    waits = {name: params.w_min * slow.get(name, 1.0)
-             for name in workload.relation_names}
-    delays = {name: UniformDelay(wait) for name, wait in waits.items()}
-    engine = QueryEngine(workload.catalog, workload.qep,
-                         make_policy(args.strategy), delays, params=params,
-                         seed=args.seed)
-    return engine.run()
+    return _query_engine(args, args.strategy, params).run()
 
 
 def _summarize_snapshot(snapshot: dict) -> None:
@@ -785,21 +764,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_anatomy(args: argparse.Namespace) -> int:
     from repro.experiments.analysis import comparison_report
-    workload = figure5_workload(scale=args.scale)
     params = SimulationParameters()
-    slow = _parse_slow(args.slow)
-    unknown = set(slow) - set(workload.relation_names)
-    if unknown:
-        raise SystemExit(f"unknown relation(s) in --slow: {sorted(unknown)}")
-    waits = {name: params.w_min * slow.get(name, 1.0)
-             for name in workload.relation_names}
-    results = {}
-    for strategy in args.strategies:
-        delays = {name: UniformDelay(wait) for name, wait in waits.items()}
-        engine = QueryEngine(workload.catalog, workload.qep,
-                             make_policy(strategy), delays, params=params,
-                             seed=args.seed)
-        results[strategy] = engine.run()
+    results = {strategy: _query_engine(args, strategy, params).run()
+               for strategy in args.strategies}
     print(comparison_report(results,
                             title="Response-time anatomy (Figure 5 workload)"))
     return 0
@@ -827,16 +794,14 @@ def _cmd_live(args: argparse.Namespace) -> int:
     params = SimulationParameters().with_overrides(
         telemetry_enabled=True,
         telemetry_sample_interval=args.sample_interval)
-    slow = _parse_slow(args.slow if args.slow is not None else ["A:10"])
-    unknown = set(slow) - set(workload.relation_names)
-    if unknown:
-        raise SystemExit(f"unknown relation(s) in --slow: {sorted(unknown)}")
+    slow = _parse_factors(args.slow if args.slow is not None else ["A:10"],
+                          "--slow", workload.relation_names)
     strategies = args.strategies if args.strategies else ["SEQ", "DSE"]
     policies = {strategy: make_policy(strategy) for strategy in strategies}
     if args.assert_dse_not_slower and not {"SEQ", "DSE"} <= {
             s.upper() for s in strategies}:
-        raise SystemExit("--assert-dse-not-slower needs both SEQ and DSE "
-                         "in --strategy")
+        raise ConfigurationError("--assert-dse-not-slower needs both SEQ "
+                                 "and DSE in --strategy")
     base_wait = args.wait_us * 1e-6
     # Seeded per relation (the world's wrapper:<rel> streams, as `repro
     # run` draws them): every strategy faces the same delays.
@@ -855,18 +820,15 @@ def _cmd_live(args: argparse.Namespace) -> int:
             p = Path(span_dump)
             span_dump = p.with_name(
                 f"{p.stem}-{strategy.lower()}{p.suffix or '.json'}")
-        try:
-            engine = LiveQueryEngine(
-                workload.catalog, workload.qep, policies[strategy],
-                delays, params=params, seed=args.seed,
-                serve_port=args.serve, flight_dump=args.flight_dump,
-                stall_after=args.stall_after, deadline=args.deadline,
-                span_dump=span_dump,
-                on_serve=lambda server: print(
-                    f"observability plane: {server.url}/metrics "
-                    f"| /healthz | /stream", flush=True))
-        except ConfigurationError as exc:
-            raise SystemExit(str(exc)) from None
+        engine = LiveQueryEngine(
+            workload.catalog, workload.qep, policies[strategy],
+            delays, params=params, seed=args.seed,
+            serve_port=args.serve, flight_dump=args.flight_dump,
+            stall_after=args.stall_after, deadline=args.deadline,
+            span_dump=span_dump,
+            on_serve=lambda server: print(
+                f"observability plane: {server.url}/metrics "
+                f"| /healthz | /stream", flush=True))
         try:
             result = asyncio.run(engine.run())
         except SimulationError as exc:
@@ -909,10 +871,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     if args.replay:
         snapshot = replay_snapshot(args.replay)
         if snapshot is None:
-            print("error: the dump holds no live snapshot (the run "
-                  "had no sampler tick before it ended)",
-                  file=sys.stderr)
-            return 2
+            raise ConfigurationError("the dump holds no live snapshot (the "
+                                     "run had no sampler tick before it "
+                                     "ended)")
         print("\n".join(render_top(snapshot)))
         return 0
     if args.once:
@@ -923,7 +884,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
              if frame.get("kind") != "alert"), None)
         print("\n".join(render_top(snapshot)))
         return 0
-    return run_top(args.connect, interval=args.interval)
+    return run_top(args.connect)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -933,43 +894,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.resources import TenantSpec
     from repro.service import QueryService, ServiceServer
     from repro.service.slo import parse_slo_specs
+    from repro.service.workers import DEFAULT_WINDOW
 
-    try:
-        tenants = [TenantSpec.parse(text) for text in (args.tenants or [])]
-        pool = (_parse_size(args.global_memory, "--global-memory")
-                if args.global_memory is not None else None)
-        archive_options = None
-        if args.archive_dir is not None:
-            segment = _parse_size(args.archive_segment, "--archive-segment")
-            retention = _parse_size(args.archive_retention,
-                                    "--archive-retention")
-            if segment is None or retention is None:
-                raise SystemExit("--archive-segment/--archive-retention "
-                                 "must be finite sizes")
-            archive_options = {
-                "max_segment_bytes": segment,
-                "retention_bytes": retention,
-                "retention_age_s": args.archive_retention_age,
-            }
-        slos = parse_slo_specs(args.slos) if args.slos else None
-        slo_options = {"fast_window_s": args.slo_fast_window,
-                       "slow_window_s": args.slo_slow_window}
-        service = QueryService(
-            seed=args.seed, global_memory_bytes=pool,
-            admission=args.admission, tenants=tenants,
-            strict_tenants=args.strict_tenants,
-            publish_interval_s=args.publish_interval,
-            flight_dump=args.flight_dump, span_dump=args.span_dump,
-            archive_dir=args.archive_dir, archive_options=archive_options,
-            slos=slos, slo_options=slo_options if slos else None,
-            workers=args.workers, worker_window=args.worker_window)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    service = QueryService(
+        seed=args.seed,
+        global_memory_bytes=(_parse_size(args.global_memory,
+                                         "--global-memory")
+                             if args.global_memory is not None else None),
+        admission=args.admission,
+        tenants=[TenantSpec.parse(text) for text in (args.tenants or [])],
+        strict_tenants=args.strict_tenants,
+        publish_interval_s=args.publish_interval,
+        flight_dump=args.flight_dump, span_dump=args.span_dump,
+        archive_dir=args.archive_dir,
+        slos=parse_slo_specs(args.slos) if args.slos else None,
+        workers=args.workers)
+    # Bound before the service starts: a port that cannot be had is a
+    # usage error that leaves no started service or worker pool behind.
+    server = ServiceServer(service, host=args.host, port=args.port)
 
     async def _serve() -> None:
         await service.start()
-        server = ServiceServer(service, host=args.host,
-                               port=args.port).start()
+        server.start()
         loop = asyncio.get_running_loop()
 
         def _on_signal(name: str) -> None:
@@ -984,7 +930,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"/slo /stream /submissions", flush=True)
         if args.workers > 1:
             print(f"  execution plane: {args.workers} worker processes "
-                  f"(work-stealing, window {service.backend.window})",
+                  f"(work-stealing, window {DEFAULT_WINDOW})",
                   flush=True)
         if service.archive is not None:
             print(f"  archiving telemetry under "
@@ -1010,8 +956,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     from repro.observability.top import open_connection, request_json
 
-    conn = open_connection(args.connect)
-    slow = _parse_slow(args.slow) if args.slow else {}
+    _at_least("--count", args.count, 1)
+    slow = _parse_factors(args.slow, "--slow")
     base = {"tenant": args.tenant, "strategy": args.strategy,
             "scale": args.scale, "wait_us": args.wait_us,
             "jitter": args.jitter}
@@ -1022,6 +968,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     if args.memory is not None:
         base["memory_bytes"] = _parse_size(args.memory, "--memory")
 
+    conn = open_connection(args.connect)
     ids = []
     try:
         for index in range(args.count):
@@ -1061,9 +1008,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                       f"(admission wait {record['admission_wait']:.3f}s)")
         return 1 if failed else 0
     except (ConnectionError, OSError) as exc:
-        print(f"error: cannot reach {conn.host}:{conn.port}: {exc} "
-              f"(is `repro serve` running?)", file=sys.stderr)
-        return 2
+        raise ConfigurationError(
+            f"cannot reach {conn.host}:{conn.port}: {exc} "
+            f"(is `repro serve` running?)") from None
     finally:
         conn.close()
 
@@ -1080,6 +1027,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         print(f"stream dropped; reconnecting in {delay:.1f}s "
               f"(attempt {attempt})", file=sys.stderr, flush=True)
 
+    _at_least("--frames", args.frames, 0)
     frames = 0
     previous: "dict[str, Any] | None" = None
     try:
@@ -1149,9 +1097,8 @@ def _cmd_history(args: argparse.Namespace) -> int:
     }
     if args.slo_report:
         if not args.slos:
-            print("error: --slo-report needs at least one --slo "
-                  "objective", file=sys.stderr)
-            return 2
+            raise ConfigurationError("--slo-report needs at least one --slo "
+                                     "objective")
         report["slo"] = slo_report(records, parse_slo_specs(args.slos))
     if args.alerts:
         report["alerts"] = load_alerts(args.archive_dir, since=since,
@@ -1232,12 +1179,17 @@ def _parse_size(text: str, flag: str) -> Optional[int]:
     try:
         value = int(float(lowered) * multiplier)
     except ValueError:
-        raise SystemExit(
+        raise ConfigurationError(
             f"bad {flag} size {text!r}; expected bytes with an optional "
             f"K/M/G suffix, or 'inf'") from None
     if value <= 0:
-        raise SystemExit(f"{flag} must be positive, got {text!r}")
+        raise ConfigurationError(f"{flag} must be positive, got {text!r}")
     return value
+
+
+def _at_least(flag: str, value: int, floor: int) -> None:
+    if value < floor:
+        raise ConfigurationError(f"{flag} must be >= {floor}, got {value}")
 
 
 def _cmd_multiquery(args: argparse.Namespace) -> int:
@@ -1253,24 +1205,19 @@ def _cmd_multiquery(args: argparse.Namespace) -> int:
         # queries re-plan degraded chains when their budget grows.
         dynamic_budget_replanning=governed)
     for strategy in args.strategies:
-        make_policy(strategy)  # validates the name (-> error:, exit 2)
-    try:
-        points = run_multiquery_experiment(
-            workload, list(args.strategies),
-            [w * 1e-6 for w in args.waits_us], params,
-            num_queries=args.queries, inter_arrival=args.inter_arrival,
-            seed=args.seed, runner=_runner_from(args),
-            global_memories=pools, admission=args.admission,
-            memory_bytes=_parse_size(args.query_memory, "--query-memory")
-            if args.query_memory else None,
-            min_memory_bytes=_parse_size(args.min_memory, "--min-memory")
-            if args.min_memory else None,
-            max_memory_bytes=_parse_size(args.max_memory, "--max-memory")
-            if args.max_memory else None)
-    except ConfigurationError as exc:
-        # e.g. a min working set that exceeds the pool: a usage error,
-        # not an engine bug — report it like one.
-        raise SystemExit(str(exc)) from None
+        make_policy(strategy)  # validates the name before any run
+    points = run_multiquery_experiment(
+        workload, list(args.strategies),
+        [w * 1e-6 for w in args.waits_us], params,
+        num_queries=args.queries, inter_arrival=args.inter_arrival,
+        seed=args.seed, runner=_runner_from(args),
+        global_memories=pools, admission=args.admission,
+        memory_bytes=_parse_size(args.query_memory, "--query-memory")
+        if args.query_memory else None,
+        min_memory_bytes=_parse_size(args.min_memory, "--min-memory")
+        if args.min_memory else None,
+        max_memory_bytes=_parse_size(args.max_memory, "--max-memory")
+        if args.max_memory else None)
     rows = [p.row() for p in points]
     print(format_table(ThroughputPoint.HEADERS, rows,
                        title=f"{args.queries} concurrent queries"))
@@ -1288,28 +1235,18 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         write_spans_json,
     )
 
+    _at_least("--segments", args.segments, 0)
     if args.from_path:
         explanation = explain_spans(load_spans(args.from_path))
         print(format_explanation(explanation, top_segments=args.segments))
         return 0
 
-    workload = figure5_workload(scale=args.scale)
     params = SimulationParameters().with_overrides(telemetry_spans=True)
-    slow = _parse_slow(args.slow)
-    unknown = set(slow) - set(workload.relation_names)
-    if unknown:
-        raise SystemExit(f"unknown relation(s) in --slow: {sorted(unknown)}")
-    waits = {name: params.w_min * slow.get(name, 1.0)
-             for name in workload.relation_names}
 
     def run_one(strategy: str):
-        # Fresh delay objects per run so both strategies face identical
-        # sources (the per-wrapper RNG streams are seeded by the engine).
-        delays = {name: UniformDelay(wait) for name, wait in waits.items()}
-        engine = QueryEngine(workload.catalog, workload.qep,
-                             make_policy(strategy), delays, params=params,
-                             seed=args.seed)
-        result = engine.run()
+        # Both strategies face identical sources: the per-wrapper RNG
+        # streams are seeded by the engine.
+        result = _query_engine(args, strategy, params).run()
         return result, explain_spans(result.spans,
                                      strategy=result.strategy)
 

@@ -8,9 +8,7 @@ the paper reports.
 from repro.experiments.workloads import Figure5Workload, figure5_workload
 from repro.experiments.runner import (
     MeasuredPoint,
-    average_response_time,
     run_once,
-    run_strategies,
 )
 from repro.experiments.slowdown import (
     SlowdownPoint,
@@ -44,7 +42,6 @@ __all__ = [
     "SlowdownPoint",
     "ThroughputPoint",
     "TimeBreakdown",
-    "average_response_time",
     "chrome_trace_events",
     "comparison_report",
     "figure5_workload",
@@ -53,7 +50,6 @@ __all__ = [
     "run_multiquery_experiment",
     "run_once",
     "run_slowdown_experiment",
-    "run_strategies",
     "run_uniform_slowdown_experiment",
     "slowdown_waits",
     "time_breakdown",

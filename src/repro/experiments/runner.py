@@ -1,12 +1,12 @@
 """Generic experiment running: repeated measurements, strategy sweeps.
 
 The paper repeats each measurement 3 times and averages (Section 5.1.3);
-:func:`average_response_time` does the same with distinct seeds.
+:func:`measure_points` does the same over runs with distinct seeds.
 
 Two entry styles coexist:
 
-* the classic in-process API (:func:`run_once` / :func:`run_strategies`)
-  for ad-hoc catalogs and delay factories;
+* :func:`run_once`, one in-process run for ad-hoc catalogs and delay
+  factories;
 * the spec-based API (:func:`run_point_specs` / :func:`measure_points`)
   used by every sweep driver — runs are described as serializable
   :class:`~repro.parallel.spec.RunSpec` objects and executed through a
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.engine import ExecutionResult, QueryEngine
 from repro.core.strategies import make_policy
@@ -51,39 +52,6 @@ def run_once(catalog: Catalog, qep: QEP, strategy: str,
     return engine.run()
 
 
-def average_response_time(catalog: Catalog, qep: QEP, strategy: str,
-                          delay_factory: DelayFactory,
-                          params: SimulationParameters,
-                          repetitions: int | None = None,
-                          base_seed: int = 0) -> MeasuredPoint:
-    """Average the response time over ``repetitions`` seeded runs."""
-    reps = repetitions if repetitions is not None else params.repetitions
-    if reps < 1:
-        raise ValueError(f"repetitions must be >= 1, got {reps}")
-    total = 0.0
-    result: ExecutionResult | None = None
-    for i in range(reps):
-        result = run_once(catalog, qep, strategy, delay_factory, params,
-                          seed=base_seed + i)
-        total += result.response_time
-    assert result is not None
-    return MeasuredPoint(strategy, total / reps, reps, result)
-
-
-def run_strategies(catalog: Catalog, qep: QEP, strategies: list[str],
-                   delay_factory: DelayFactory,
-                   params: SimulationParameters,
-                   repetitions: int | None = None,
-                   base_seed: int = 0) -> dict[str, MeasuredPoint]:
-    """Measure several strategies on identical workloads and seeds."""
-    return {
-        strategy: average_response_time(
-            catalog, qep, strategy, delay_factory, params,
-            repetitions=repetitions, base_seed=base_seed)
-        for strategy in strategies
-    }
-
-
 # -- spec-based running (parallel/cached sweeps) ----------------------------
 
 def resolve_repetitions(params: SimulationParameters,
@@ -91,7 +59,7 @@ def resolve_repetitions(params: SimulationParameters,
     """The repetition count of one measured point (paper default: 3)."""
     reps = repetitions if repetitions is not None else params.repetitions
     if reps < 1:
-        raise ValueError(f"repetitions must be >= 1, got {reps}")
+        raise ConfigurationError(f"repetitions must be >= 1, got {reps}")
     return reps
 
 

@@ -8,9 +8,11 @@ measured at each point and the analytic LWB is computed alongside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.strategies.lwb import lower_bound
 from repro.experiments.runner import (
@@ -78,7 +80,14 @@ def run_slowdown_experiment(workload: Figure5Workload, slowed_relation: str,
     deterministic point order.
     """
     if slowed_relation not in workload.relation_names:
-        raise ValueError(f"unknown relation {slowed_relation!r}")
+        raise ConfigurationError(
+            f"unknown relation {slowed_relation!r}; choose from "
+            f"{workload.relation_names}")
+    bad = [t for t in retrieval_times if not (math.isfinite(t) and t >= 0)]
+    if bad:
+        # slowdown_waits would clamp them to w_min under their own label.
+        raise ConfigurationError(
+            f"retrieval times must be finite and >= 0, got {bad}")
     reps = resolve_repetitions(params, repetitions)
     point_waits = [slowdown_waits(workload, slowed_relation, retrieval_time,
                                   params)

@@ -207,7 +207,14 @@ class ObservabilityServer:
         if routes is None:
             routes = {("GET", "/metrics"): self._metrics,
                       ("GET", "/healthz"): self._healthz}
-        self._server = _Server((host, port), publisher, routes)
+        if not 0 <= port <= 65535:
+            raise ConfigurationError(
+                f"port must be in 0..65535, got {port}")
+        try:
+            self._server = _Server((host, port), publisher, routes)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot bind {host}:{port}: {exc.strerror or exc}") from None
         self._thread: Optional[threading.Thread] = None
 
     def _metrics(self, request: Request) -> Response:

@@ -36,6 +36,10 @@ RECONNECT_BACKOFF_S = 0.5
 RECONNECT_MAX_BACKOFF_S = 8.0
 RECONNECT_MAX_FAILURES = 6
 
+#: how long each redraw waits for a 'q' keypress: the dashboard
+#: redraws at most every 0.5 s however fast snapshots arrive.
+_KEY_POLL_MS = 500
+
 #: glyphs for the memory bar; ASCII so any terminal renders it.
 _BAR_FILL = "#"
 _BAR_EMPTY = "-"
@@ -392,14 +396,14 @@ def replay_snapshot(dump_path: str) -> Optional[Dict[str, Any]]:
     return dump.get("snapshot")
 
 
-def run_top(endpoint: str, interval: float = 0.5) -> int:
+def run_top(endpoint: str) -> int:
     """The interactive curses loop ('q' quits). Returns an exit code."""
     import curses
 
     def _loop(screen: Any) -> None:
         curses.curs_set(0)
         screen.nodelay(True)
-        screen.timeout(int(interval * 1000))
+        screen.timeout(_KEY_POLL_MS)
         last_alert: Optional[Dict[str, Any]] = None
         # fail_fast: a dashboard pointed at a dead endpoint should say
         # so immediately, not spin through the whole backoff ladder.

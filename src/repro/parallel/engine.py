@@ -33,6 +33,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol, Sequence
 
+from repro.common.errors import ConfigurationError
 from repro.observability import MetricsRegistry
 from repro.parallel.cache import RunCache
 
@@ -89,7 +90,8 @@ class SweepRunner:
         if self.jobs == 0:
             self.jobs = default_jobs()
         if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1 (or 0 = auto), got {self.jobs}")
+            raise ConfigurationError(
+                f"jobs must be >= 1 (or 0 = auto), got {self.jobs}")
         self.cache: Optional[RunCache] = (
             RunCache(self.cache_dir)
             if self.cache_dir is not None and self.use_cache else None)

@@ -19,6 +19,7 @@ before the probe-side chains, which reproduces the paper's
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Optional
 
 from repro.catalog.catalog import Catalog
@@ -37,13 +38,19 @@ def build_qep(catalog: Catalog, tree: JoinTree, *,
     ----------
     actual_output_factors:
         Optional per-join multipliers applied to the *actual* output
-        cardinality (join name -> factor).  Estimates keep the catalog
-        values; this is how workloads inject estimation error.
+        cardinality (join name -> factor, finite and >= 0).  Estimates
+        keep the catalog values; this is how workloads inject estimation
+        error.
     scan_selectivities:
         Optional per-relation selectivity of a local selection applied by
         the scan (relation name -> selectivity in (0, 1]).
     """
     factors = dict(actual_output_factors or {})
+    bad = {name: factor for name, factor in factors.items()
+           if not (math.isfinite(factor) and factor >= 0)}
+    if bad:
+        raise PlanError(
+            f"actual_output_factors must be finite and >= 0, got {bad}")
     scan_sels = dict(scan_selectivities or {})
     builder = _Builder(catalog, factors, scan_sels)
     qep = builder.build(tree)

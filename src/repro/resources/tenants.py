@@ -25,6 +25,7 @@ before admission decides what the query actually gets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -56,6 +57,11 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigurationError("tenant name must be non-empty")
+        if not math.isfinite(self.priority):
+            # As for a submission's own priority: NaN unorders admission.
+            raise ConfigurationError(
+                f"tenant {self.name!r}: priority must be a finite number, "
+                f"got {self.priority}")
         if self.max_active is not None and self.max_active < 1:
             raise ConfigurationError(
                 f"tenant {self.name!r}: max_active must be >= 1, "
@@ -75,13 +81,17 @@ class TenantSpec:
         from repro.cli import _parse_size
 
         parts = text.split(":")
-        if not parts[0] or len(parts) > 4:
+        try:
+            if not parts[0] or len(parts) > 4:
+                raise ValueError
+            priority = (float(parts[1]) if len(parts) > 1 and parts[1]
+                        else 0.0)
+            max_active = (int(parts[2])
+                          if len(parts) > 2 and parts[2] else None)
+        except ValueError:
             raise ConfigurationError(
                 f"bad tenant spec {text!r}; expected "
-                "NAME[:PRIORITY[:MAX_ACTIVE[:MEMORY]]]")
-        priority = float(parts[1]) if len(parts) > 1 and parts[1] else 0.0
-        max_active = (int(parts[2])
-                      if len(parts) > 2 and parts[2] else None)
+                "NAME[:PRIORITY[:MAX_ACTIVE[:MEMORY]]]") from None
         memory = (_parse_size(parts[3], "tenant memory")
                   if len(parts) > 3 and parts[3] else None)
         return cls(name=parts[0], priority=priority, max_active=max_active,

@@ -96,7 +96,7 @@ SERVICE_SNAPSHOT_VERSION = 2
 #: seconds between full-snapshot records written to the archive (the
 #: per-second publish tick would bloat the log ~10x for no added
 #: insight; outcomes carry the per-submission record anyway).
-DEFAULT_SNAPSHOT_ARCHIVE_INTERVAL_S = 10.0
+SNAPSHOT_ARCHIVE_INTERVAL_S = 10.0
 
 #: finished submissions kept queryable over HTTP.
 DEFAULT_HISTORY = 256
@@ -299,22 +299,21 @@ class QueryService:
                  tenants: Optional[List[TenantSpec]] = None,
                  strict_tenants: bool = False,
                  history: int = DEFAULT_HISTORY,
-                 latency_window: Optional[int] = None,
                  publish_interval_s: float = DEFAULT_PUBLISH_INTERVAL_S,
                  flight_dump: Optional[Union[str, Path]] = None,
                  span_dump: Optional[Union[str, Path]] = None,
                  archive_dir: Optional[Union[str, Path]] = None,
-                 archive_options: Optional[Dict[str, Any]] = None,
-                 snapshot_archive_interval_s: float =
-                 DEFAULT_SNAPSHOT_ARCHIVE_INTERVAL_S,
                  slos: Optional[Sequence[SLOSpec]] = None,
-                 slo_options: Optional[Dict[str, Any]] = None,
                  workers: int = 1,
-                 worker_window: Optional[int] = None,
                  kernel: Optional[Kernel] = None) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"workers must be >= 1, got {workers}")
+        if not 0.0 < publish_interval_s < math.inf:
+            # NaN would never wake the publish loop, <= 0 busy-loops it.
+            raise ConfigurationError(
+                f"publish interval must be positive and finite, got "
+                f"{publish_interval_s}")
         self.params = params if params is not None else SimulationParameters()
         self.seed = seed
         self.global_memory_bytes = global_memory_bytes
@@ -349,14 +348,12 @@ class QueryService:
 
         self.archive: Optional[TelemetryArchive] = None
         if archive_dir is not None:
-            self.archive = TelemetryArchive(archive_dir,
-                                            **(archive_options or {}))
+            self.archive = TelemetryArchive(archive_dir)
             self._audit_observers.append(self._archive_decision)
-        self.snapshot_archive_interval_s = snapshot_archive_interval_s
         self._last_snapshot_archived = float("-inf")
         self.slo: Optional[SLOTracker] = None
         if slos:
-            self.slo = SLOTracker(slos, **(slo_options or {}))
+            self.slo = SLOTracker(slos)
         #: SLO alert transitions seen (firing + resolved).
         self.alerts_total = 0
         if self._audit_observers:
@@ -366,20 +363,13 @@ class QueryService:
         # a sharded worker-process pool (``workers > 1``).
         self.workers = workers
         if workers > 1:
-            from repro.service.workers import (
-                DEFAULT_WINDOW,
-                WorkerPoolBackend,
-            )
-            self.backend: ExecutionBackend = WorkerPoolBackend(
-                workers,
-                window=(worker_window if worker_window is not None
-                        else DEFAULT_WINDOW))
+            from repro.service.workers import WorkerPoolBackend
+            self.backend: ExecutionBackend = WorkerPoolBackend(workers)
         else:
             self.backend = InProcessBackend()
 
         self.tenants = TenantRegistry(tenants, strict=strict_tenants)
-        self.latency = LatencyWindow(
-            latency_window if latency_window is not None else 4096)
+        self.latency = LatencyWindow()
         self.publisher = MetricsPublisher()
 
         #: all known submissions by id (running + bounded recent history).
@@ -471,7 +461,7 @@ class QueryService:
             return
         now = self.kernel.wall_now
         if not force and (now - self._last_snapshot_archived
-                          < self.snapshot_archive_interval_s):
+                          < SNAPSHOT_ARCHIVE_INTERVAL_S):
             return
         self._last_snapshot_archived = now
         snap = self.snapshot()

@@ -228,13 +228,12 @@ class WorkerPoolBackend:
 
     name = BACKEND_WORKER_POOL
 
-    def __init__(self, workers: int, *, window: int = DEFAULT_WINDOW) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ConfigurationError(
                 f"worker pool needs >= 1 worker, got {workers}")
         self.workers = workers
-        self.window = window
-        self.scheduler = PoolScheduler(range(workers), window=window)
+        self.scheduler = PoolScheduler(range(workers))
         self._slots: Dict[int, _WorkerSlot] = {
             wid: _WorkerSlot(wid) for wid in range(workers)}
         self._jobs: Dict[str, _Job] = {}

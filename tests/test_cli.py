@@ -27,6 +27,15 @@ def test_write_csv_rejects_ragged(tmp_path):
         write_csv(tmp_path / "x.csv", ["a", "b"], [["1"]])
 
 
+def usage_error(capsys, argv):
+    """Run ``repro ARGV``; assert the one usage-error shape (one
+    ``error:`` line on stderr, exit 2) and return that line."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 # --------------------------------------------------------------------------
 # Parser
 # --------------------------------------------------------------------------
@@ -131,14 +140,14 @@ def test_cmd_run_with_slow_source(capsys):
     assert "DSE:" in out
 
 
-def test_cmd_run_bad_slow_spec():
-    with pytest.raises(SystemExit):
-        main(["run", "--scale", "0.02", "--slow", "nonsense"])
+def test_cmd_run_bad_slow_spec(capsys):
+    assert "bad --slow spec 'nonsense'" in usage_error(
+        capsys, ["run", "--scale", "0.02", "--slow", "nonsense"])
 
 
-def test_cmd_run_unknown_relation():
-    with pytest.raises(SystemExit):
-        main(["run", "--scale", "0.02", "--slow", "Z:10"])
+def test_cmd_run_unknown_relation(capsys):
+    assert "unknown relation(s) in --slow: ['Z']" in usage_error(
+        capsys, ["run", "--scale", "0.02", "--slow", "Z:10"])
 
 
 def test_cmd_run_dphj(capsys):
@@ -155,15 +164,51 @@ def test_cmd_run_with_error_and_reopt(capsys):
     assert "joins swapped" in out
 
 
-def test_cmd_run_unknown_error_join():
-    with pytest.raises(SystemExit):
-        main(["run", "--scale", "0.02", "--error", "J9:3"])
+def test_cmd_run_unknown_error_join(capsys):
+    assert "unknown joins: ['J9']" in usage_error(
+        capsys, ["run", "--scale", "0.02", "--error", "J9:3"])
 
 
-def test_cmd_fig6_unknown_relation():
-    with pytest.raises(SystemExit):
-        main(["fig6", "--scale", "0.02", "--relation", "Z",
-              "--retrieval-times", "0.1"])
+@pytest.mark.parametrize("factor", ["nan", "inf", "-1"])
+def test_a_bad_error_factor_exits_2_in_one_line(factor, capsys):
+    """A non-finite factor was an int() traceback, a negative one a run
+    with a negative actual cardinality."""
+    err = usage_error(capsys, ["run", "--scale", "0.02", "--strategy", "SEQ",
+                               "--error", f"J1:{factor}"])
+    assert err == (f"error: actual_output_factors must be finite and >= 0, "
+                   f"got {{'J1': {float(factor)}}}\n")
+
+
+def test_cmd_fig6_unknown_relation(capsys):
+    assert "unknown relation 'Z'" in usage_error(
+        capsys, ["fig6", "--scale", "0.02", "--relation", "Z",
+                 "--retrieval-times", "0.1"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fig6", "--retrieval-times", "0.1", "-1"],
+     "retrieval times must be finite and >= 0, got [-1.0]"),
+    (["fig6", "--retrieval-times", "nan"],
+     "retrieval times must be finite and >= 0, got [nan]"),
+    (["fig8", "--repetitions", "0"], "repetitions must be >= 1, got 0"),
+    (["fig8", "--jobs", "-1"], "jobs must be >= 1 (or 0 = auto), got -1"),
+    (["explain", "--segments", "-1"], "--segments must be >= 0, got -1"),
+    (["submit", "--connect", "127.0.0.1:1", "--count", "0"],
+     "--count must be >= 1, got 0"),
+    (["watch", "--connect", "127.0.0.1:1", "--frames", "-1"],
+     "--frames must be >= 0, got -1"),
+], ids=["retrieval-negative", "retrieval-nan", "repetitions-0", "jobs-neg",
+        "segments-neg", "count-0", "frames-neg"])
+def test_a_value_below_its_floor_exits_2_before_any_work(argv, message,
+                                                         capsys, tmp_path,
+                                                         monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    command, *flags = argv
+    scale = ["--scale", "0.02"] if command in ("fig6", "fig8",
+                                               "explain") else []
+    assert usage_error(capsys, [command, *scale, *flags]) == \
+        f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cmd_multiquery(capsys):
@@ -267,15 +312,58 @@ def test_an_unknown_strategy_exits_2_in_one_line(command, flag, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cmd_live_unknown_relation():
-    with pytest.raises(SystemExit):
-        main(["live", "--scale", "0.005", "--slow", "Z:10"])
+def test_a_port_that_cannot_be_bound_exits_2_before_serving(capsys,
+                                                            monkeypatch):
+    """``serve`` binds before its service starts, so nothing is left
+    running; ``live --serve`` fails before its first run."""
+    import socket
+
+    from repro.service import QueryService
+
+    async def no_start(service):
+        raise AssertionError("the service started")
+
+    monkeypatch.setattr(QueryService, "start", no_start)
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        busy = str(held.getsockname()[1])
+        for argv, message in (
+                (["serve", "--port", "70000"],
+                 "port must be in 0..65535, got 70000"),
+                (["serve", "--port", busy], f"cannot bind 127.0.0.1:{busy}"),
+                (["live", "--scale", "0.005", "--strategy", "DSE",
+                  "--serve", busy], f"cannot bind 127.0.0.1:{busy}")):
+            assert usage_error(capsys, argv).startswith(f"error: {message}")
 
 
-def test_cmd_live_assert_needs_both_strategies():
-    with pytest.raises(SystemExit):
-        main(["live", "--scale", "0.005", "--strategy", "dse",
-              "--assert-dse-not-slower"])
+@pytest.mark.parametrize("flags, message", [
+    (["--tenant", "gold:x"], "bad tenant spec 'gold:x'; expected "
+                             "NAME[:PRIORITY[:MAX_ACTIVE[:MEMORY]]]"),
+    (["--tenant", "gold:1:two"], "bad tenant spec 'gold:1:two'"),
+    (["--tenant", "gold:nan"],
+     "tenant 'gold': priority must be a finite number, got nan"),
+    (["--tenant", "gold:1:2:bogus"], "bad tenant memory size 'bogus'"),
+    (["--publish-interval", "nan"],
+     "publish interval must be positive and finite, got nan"),
+], ids=["priority-text", "max-active-text", "priority-nan", "memory-text",
+        "publish-nan"])
+def test_a_bad_serve_flag_exits_2_before_serving(flags, message, capsys):
+    # --port 70000 is refused too, after these: were a check missing,
+    # the test fails on that message instead of serving forever.
+    assert usage_error(capsys, ["serve", "--port", "70000", *flags]) \
+        .startswith(f"error: {message}")
+
+
+def test_cmd_live_unknown_relation(capsys):
+    assert "unknown relation(s) in --slow: ['Z']" in usage_error(
+        capsys, ["live", "--scale", "0.005", "--slow", "Z:10"])
+
+
+def test_cmd_live_assert_needs_both_strategies(capsys):
+    assert "--assert-dse-not-slower needs both SEQ and DSE" in usage_error(
+        capsys, ["live", "--scale", "0.005", "--strategy", "dse",
+                 "--assert-dse-not-slower"])
 
 
 # --------------------------------------------------------------------------
@@ -323,12 +411,11 @@ def test_cmd_multiquery_inter_arrival_staggers_the_batch(tmp_path):
     (["--queries", "0"], "need >= 1 query"),
 ], ids=["inter-arrival-inf", "inter-arrival-nan", "waits-nan", "waits-inf",
         "no-queries"])
-def test_cmd_multiquery_rejects_bad_numbers_in_one_line(argv, message):
-    with pytest.raises(SystemExit) as exc:
-        main(["multiquery", "--scale", "0.02", "--queries", "2",
-              "--waits-us", "20"] + argv)
-    text = str(exc.value.code)
-    assert message in text and "\n" not in text
+def test_cmd_multiquery_rejects_bad_numbers_in_one_line(argv, message,
+                                                        capsys):
+    assert message in usage_error(
+        capsys, ["multiquery", "--scale", "0.02", "--queries", "2",
+                 "--waits-us", "20"] + argv)
 
 
 # --------------------------------------------------------------------------
@@ -497,9 +584,9 @@ def test_cmd_explain_from_missing_file_exits_2(capsys, tmp_path):
     assert "not found" in capsys.readouterr().err
 
 
-def test_cmd_explain_unknown_slow_relation_fails_fast():
-    with pytest.raises(SystemExit):
-        main(["explain", "--scale", "0.02", "--slow", "ZZ:4"])
+def test_cmd_explain_unknown_slow_relation_fails_fast(capsys):
+    assert "unknown relation(s) in --slow: ['ZZ']" in usage_error(
+        capsys, ["explain", "--scale", "0.02", "--slow", "ZZ:4"])
 
 
 def test_cmd_run_spans_out_writes_a_loadable_export(capsys, tmp_path):
@@ -514,23 +601,24 @@ def test_cmd_run_spans_out_writes_a_loadable_export(capsys, tmp_path):
     assert explanation.accounted == explanation.response_time
 
 
-def test_cmd_run_spans_out_rejects_dphj():
-    with pytest.raises(SystemExit, match="DQP engine"):
-        main(["run", "--scale", "0.02", "--strategy", "DPHJ",
-              "--spans-out", "nope.json"])
+def test_cmd_run_spans_out_rejects_dphj(capsys):
+    assert "DQP engine" in usage_error(
+        capsys, ["run", "--scale", "0.02", "--strategy", "DPHJ",
+                 "--spans-out", "nope.json"])
 
 
 @pytest.mark.parametrize("flags", [
-    ["--chrome-trace", "nope.json"], ["--timeline"], ["--trace"]],
+    ["--chrome-trace", "nope.json"], ["--timeline"], ["--trace"],
+    ["--error", "J1:3"], ["--reopt"]],
     ids=lambda flags: flags[0])
-def test_cmd_run_rejects_dqp_output_flags_for_dphj(flags, tmp_path,
+def test_cmd_run_rejects_dqp_output_flags_for_dphj(flags, capsys, tmp_path,
                                                     monkeypatch):
-    """DPHJ has no fragments, decisions or spans: a flag that prints or
-    writes them is refused, not silently ignored."""
+    """DPHJ has no estimates to skew, re-optimizer, fragments, decisions
+    or spans: a flag that needs them is refused, not silently ignored."""
     monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit, match=f"^{flags[0]} needs the DQP "
-                                         "engine"):
-        main(["run", "--scale", "0.02", "--strategy", "DPHJ", *flags])
+    assert usage_error(capsys, ["run", "--scale", "0.02", "--strategy",
+                                "DPHJ", *flags]).startswith(
+        f"error: {flags[0]} needs the DQP engine")
     assert not list(tmp_path.iterdir())
 
 

@@ -5,15 +5,20 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.experiments import (
-    average_response_time,
     figure5_workload,
     format_table,
     run_once,
     run_slowdown_experiment,
-    run_strategies,
     run_uniform_slowdown_experiment,
     slowdown_waits,
 )
+from repro.experiments.runner import (
+    measure_points,
+    point_specs,
+    resolve_repetitions,
+    run_point_specs,
+)
+from repro.parallel.spec import uniform_delay_specs
 from repro.plan import ancestor_closure, validate_qep
 from repro.wrappers import UniformDelay
 
@@ -82,29 +87,54 @@ def test_run_once(tiny_fig5, fast_params):
     assert result.result_tuples == 1000
 
 
+def measure_uniform(workload, params, strategies, reps, base_seed=0):
+    """Run every strategy ``reps`` times at ``w_min`` and fold the runs."""
+    waits = {name: params.w_min for name in workload.relation_names}
+    specs = point_specs(strategies, workload.scale, workload.tuple_size,
+                        uniform_delay_specs(waits), params, reps,
+                        base_seed=base_seed)
+    results = run_point_specs(specs)
+    return specs, results, measure_points(strategies, results, reps)
+
+
 def test_average_response_time_repeats(tiny_fig5, fast_params):
-    point = average_response_time(
-        tiny_fig5.catalog, tiny_fig5.qep, "SEQ",
-        delay_factory_for(tiny_fig5, fast_params), fast_params,
-        repetitions=3)
-    assert point.repetitions == 3
+    """Seeded repetitions of one strategy fold back into their mean."""
+    reps = 3
+    specs, results, measured = measure_uniform(
+        tiny_fig5, fast_params, ["SEQ"], reps, base_seed=4)
+    assert [spec.seed for spec in specs] == [4, 5, 6]
+    point = measured["SEQ"]
+    assert point.repetitions == reps
+    assert point.response_time == pytest.approx(
+        sum(run.response_time for run in results) / reps)
     assert point.response_time > 0
+    assert point.last_result is results[-1]
 
 
 def test_run_strategies_compares(tiny_fig5, fast_params):
-    measured = run_strategies(tiny_fig5.catalog, tiny_fig5.qep,
-                              ["SEQ", "DSE"],
-                              delay_factory_for(tiny_fig5, fast_params),
-                              fast_params, repetitions=1)
+    """Strategy-major runs fold back into one mean per strategy."""
+    strategies, reps = ["SEQ", "DSE"], 2
+    specs, results, measured = measure_uniform(
+        tiny_fig5, fast_params, strategies, reps)
+    assert [spec.seed for spec in specs] == [0, 1] * 2
     assert set(measured) == {"SEQ", "DSE"}
+    for s, strategy in enumerate(strategies):
+        runs = results[s * reps:(s + 1) * reps]
+        assert {run.strategy for run in runs} == {strategy}
+        point = measured[strategy]
+        assert point.repetitions == reps
+        assert point.response_time == pytest.approx(
+            sum(run.response_time for run in runs) / reps)
+        assert point.last_result is runs[-1]
 
 
-def test_repetitions_validation(tiny_fig5, fast_params):
-    with pytest.raises(ValueError):
-        average_response_time(
-            tiny_fig5.catalog, tiny_fig5.qep, "SEQ",
-            delay_factory_for(tiny_fig5, fast_params), fast_params,
-            repetitions=0)
+def test_repetitions_validation(fast_params):
+    assert resolve_repetitions(fast_params, None) == fast_params.repetitions
+    assert resolve_repetitions(fast_params, 2) == 2
+    for bad in (0, -1):
+        with pytest.raises(ConfigurationError,
+                           match="repetitions must be >= 1"):
+            resolve_repetitions(fast_params, bad)
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +170,17 @@ def test_slowdown_experiment_shape(fast_params):
 
 def test_slowdown_unknown_relation_rejected(fast_params):
     workload = figure5_workload(scale=0.02)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="unknown relation 'Z'"):
         run_slowdown_experiment(workload, "Z", [1.0], fast_params)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+def test_slowdown_rejects_a_bad_retrieval_time(bad, fast_params):
+    """Clamped to w_min, the row would run at w_min under a bad label."""
+    workload = figure5_workload(scale=0.02)
+    with pytest.raises(ConfigurationError,
+                       match="retrieval times must be finite and >= 0"):
+        run_slowdown_experiment(workload, "A", [1.0, bad], fast_params)
 
 
 def test_uniform_slowdown_gain(fast_params):

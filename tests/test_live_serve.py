@@ -410,6 +410,35 @@ def test_reconnect_stops_cleanly_on_server_end_without_sleeping():
     assert sleeps == []               # no reconnect machinery engaged
 
 
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_an_out_of_range_port_is_refused_before_any_bind(port, monkeypatch):
+    import socketserver
+
+    from repro.observability.server import ObservabilityServer
+
+    binds = []
+    monkeypatch.setattr(socketserver.TCPServer, "server_bind",
+                        lambda server: binds.append(server))
+    with pytest.raises(ConfigurationError,
+                       match=f"port must be in 0..65535, got {port}"):
+        ObservabilityServer(MetricsPublisher(), port=port)
+    assert binds == []
+
+
+def test_a_busy_port_is_a_configuration_error():
+    import socket
+
+    from repro.observability.server import ObservabilityServer
+
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        port = held.getsockname()[1]
+        with pytest.raises(ConfigurationError,
+                           match=f"cannot bind 127.0.0.1:{port}: "):
+            ObservabilityServer(MetricsPublisher(), port=port)
+
+
 def test_parse_endpoint():
     assert _parse_endpoint("127.0.0.1:9100") == ("127.0.0.1", 9100)
     assert _parse_endpoint(":9100") == ("127.0.0.1", 9100)

@@ -426,6 +426,7 @@ def test_cli_run_trace_prints_the_audit_log(tmp_path, capsys):
     assert run_lines[-len(decisions):] == decisions
 
 
-def test_cli_metrics_rejects_unknown_slow_relation():
-    with pytest.raises(SystemExit):
-        main(["metrics", "--scale", "0.02", "--slow", "ZZ:10"])
+def test_cli_metrics_rejects_unknown_slow_relation(capsys):
+    assert main(["metrics", "--scale", "0.02", "--slow", "ZZ:10"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown relation(s) in --slow: ['ZZ']\n")

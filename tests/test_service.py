@@ -375,6 +375,15 @@ def test_bad_admission_policy_is_rejected():
         QueryService(global_memory_bytes=1 << 20, admission="bogus")
 
 
+@pytest.mark.parametrize("interval", [math.nan, math.inf, 0.0, -1.0])
+def test_a_publish_interval_must_be_positive_and_finite(interval):
+    """NaN never wakes the publish loop (``serve --publish-interval nan``
+    spun at 100 % CPU and ignored SIGTERM); <= 0 busy-loops it."""
+    with pytest.raises(ConfigurationError,
+                       match="publish interval must be positive and finite"):
+        QueryService(publish_interval_s=interval)
+
+
 def test_a_drain_before_start_lets_stop_return():
     """The shutdown event is the kernel's from construction on, so a
     drain that comes before the kernel runs still ends its run."""

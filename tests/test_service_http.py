@@ -265,33 +265,39 @@ def test_stream_delivers_service_frames_then_ends(http_session):
 # Graceful SIGTERM drain, end to end (a real `repro serve` subprocess)
 # --------------------------------------------------------------------------
 
+def _spawn_daemon(*flags):
+    """``repro serve --port 0 FLAGS`` as a subprocess, once its banner
+    is out: ``(process, bound host, bound port)``."""
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(repo / "src") + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", *flags],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, env=env, cwd=repo)
+    for line in daemon.stdout:
+        match = re.search(r"serving on http://(\S+):(\d+)", line)
+        if match:
+            return daemon, match.group(1), int(match.group(2))
+    daemon.kill()
+    output, _ = daemon.communicate()
+    raise AssertionError(f"daemon never printed its address: {output}")
+
+
 @pytest.mark.skipif(os.name == "nt", reason="POSIX signals")
 def test_sigterm_drains_in_flight_work_and_flushes_recorders(
         tmp_path, capsys):
     flight = tmp_path / "flight.json"
     spans = tmp_path / "spans.json"
     archive_dir = tmp_path / "archive"
-    repo = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(repo / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    daemon = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--global-memory", "64M", "--tenant", "gold:2",
-         "--publish-interval", "0.1",
-         "--archive-dir", str(archive_dir),
-         "--slo", "gold:p99<=60s@99%",
-         "--flight-dump", str(flight), "--span-dump", str(spans)],
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env, cwd=repo)
+    daemon, _, port = _spawn_daemon(
+        "--global-memory", "64M", "--tenant", "gold:2",
+        "--publish-interval", "0.1",
+        "--archive-dir", str(archive_dir),
+        "--slo", "gold:p99<=60s@99%",
+        "--flight-dump", str(flight), "--span-dump", str(spans))
     try:
-        url = None
-        for line in daemon.stdout:
-            match = re.search(r"serving on http://\S+:(\d+)", line)
-            if match:
-                url, port = match.group(0), int(match.group(1))
-                break
-        assert url is not None, "daemon never printed its address"
 
         # One slow-ish submission that will still be in flight at SIGTERM.
         status, body = _request(port, "POST", "/submit", {
@@ -354,3 +360,42 @@ def test_sigterm_drains_in_flight_work_and_flushes_recorders(
     (slo,) = report["slo"]
     assert slo["objective"] == "gold:p99<=60s@99%"
     assert slo["met"] is True
+
+
+@pytest.mark.skipif(os.name == "nt", reason="POSIX signals")
+def test_serve_host_strict_tenants_and_submit_priority_take_effect(
+        tmp_path, capsys):
+    """``serve --host`` is the bound address; ``serve --strict-tenants``
+    refuses an undeclared tenant, which ``repro submit`` reports as HTTP
+    429 and exit 1; ``submit --priority`` reaches the archived outcome
+    (over the tenant's own priority 2)."""
+    from repro.cli import main
+    from repro.service.history import load_outcomes
+
+    archive_dir = tmp_path / "archive"
+    # 127.0.0.2 is loopback too, and not the default host.
+    daemon, host, port = _spawn_daemon(
+        "--host", "127.0.0.2", "--strict-tenants", "--tenant", "gold:2",
+        "--archive-dir", str(archive_dir))
+    try:
+        assert host == "127.0.0.2"
+        endpoint = f"{host}:{port}"
+        assert main(["submit", "--connect", endpoint, "--tenant", "nobody",
+                     "--scale", "0.0005"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: HTTP 429: ") and "strict" in err, err
+        assert main(["submit", "--connect", endpoint, "--tenant", "gold",
+                     "--priority", "3", "--scale", "0.0005",
+                     "--wait-us", "20", "--memory", "1M", "--wait"]) == 0
+        assert " done: " in capsys.readouterr().out
+        daemon.send_signal(signal.SIGTERM)
+        stdout, _ = daemon.communicate(timeout=60.0)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.communicate()
+    assert daemon.returncode == 0, stdout
+    assert "drained: 1 completed, 0 failed, 1 rejected" in stdout
+    records, _ = load_outcomes(str(archive_dir))
+    assert [(record["tenant"], record["priority"]) for record in records] \
+        == [("gold", 3.0)]

@@ -86,6 +86,7 @@ def test_cli_anatomy(capsys):
     assert "engine stalls" in out
 
 
-def test_cli_anatomy_unknown_relation():
-    with pytest.raises(SystemExit):
-        main(["anatomy", "--scale", "0.02", "--slow", "Z:5"])
+def test_cli_anatomy_unknown_relation(capsys):
+    assert main(["anatomy", "--scale", "0.02", "--slow", "Z:5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown relation(s) in --slow: ['Z']\n")
