@@ -60,7 +60,7 @@ class InlineLoop:
     """Frozen copy of the pre-refactor Simulator hot path.
 
     Duck-types the kernel surface :class:`SimEvent`/:class:`Process`
-    need (``_schedule``, ``_note_failed_process``; nothing here cancels,
+    need (``_schedule_at``, ``_note_failed_process``; nothing here cancels,
     so not :meth:`Timeout.cancel`'s ``_note_cancelled``) with everything
     inlined in one class and no cancelled-event handling — the cheapest
     correct dispatcher for this workload, used as the 100% mark.
@@ -73,10 +73,10 @@ class InlineLoop:
         self.processed_events = 0
         self._failed = []
 
-    def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
+    def _schedule_at(self, event: SimEvent, when: float,
+                     priority: int) -> None:
         self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self.now + delay, priority, self._sequence, event))
+        heapq.heappush(self._heap, (when, priority, self._sequence, event))
 
     def _note_failed_process(self, process) -> None:
         self._failed.append(process)

@@ -8,7 +8,7 @@ place (``waits_in_place``, see ``Kernel.elapse``).  Their sum is what the
 kernel dispatched before waits were taken in place.
 
     PYTHONPATH=src python scripts/count_kernel_work.py sim_sweep \\
-        --dispatched 261162 --work 403687
+        --dispatched 190823 --work 376083
 
 prints both counts and exits 1 if a pinned one differs.
 """

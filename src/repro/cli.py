@@ -45,7 +45,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, NoReturn, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, PlanError
 from repro.config import SimulationParameters
@@ -66,8 +66,17 @@ from repro.plan import build_qep
 from repro.wrappers.delays import JitteredDelay, UniformDelay
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors argparse finds in the shape of every other: one
+    ``error:`` line on stderr and exit 2, no usage block.  Subcommand
+    parsers are built from the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Reproduction of 'Dynamic Query Scheduling in Data "
                     "Integration Systems' (ICDE 2000)")

@@ -41,7 +41,10 @@ from repro.observability import (
     source_wait,
 )
 from repro.observability.hooks import compile_dqp_hooks
-from repro.exec import AnyOf, SimEvent
+from repro.exec import SimEvent, Timeout
+
+#: the value of a stall's wake-up event when the guard ended it.
+_TIMED_OUT = "timeout"
 
 
 @dataclass
@@ -98,6 +101,11 @@ class DynamicQueryProcessor:
         # source queues, piling up) fresh waiters every iteration.
         self._cached_rate_event: Optional[SimEvent] = None
         self._wait_cache: dict[str, tuple[Any, SimEvent]] = {}
+        #: the phase's guard timeout, armed at its first stall (see
+        #: :meth:`_on_guard`), and while stalled the stall's deadline and
+        #: the event that wakes it.
+        self._guard: Optional[Timeout] = None
+        self._stalled: Optional[tuple[float, SimEvent]] = None
         self._rr_cursor = 0
         # Batch-sizing scalars, hoisted out of the per-batch loop
         # (``effective_batch_tuples`` recomputes two divisions per call).
@@ -149,70 +157,79 @@ class DynamicQueryProcessor:
         world = self.runtime.world
         sim, params = world.sim, world.params
         batch_hooks = self.hooks.batch
-        while True:
-            if self._rate_change is not None:
-                source, old, new = self._rate_change
-                self._rate_change = None
-                return RateChange(sim.now, source=source, old_wait=old,
-                                  new_wait=new)
-            if self._budget_grow is not None:
-                granted, total = self._budget_grow
-                self._budget_grow = None
-                return BudgetGrow(sim.now, granted_bytes=granted,
-                                  total_bytes=total)
+        try:
+            while True:
+                if self._rate_change is not None:
+                    source, old, new = self._rate_change
+                    self._rate_change = None
+                    return RateChange(sim.now, source=source, old_wait=old,
+                                      new_wait=new)
+                if self._budget_grow is not None:
+                    granted, total = self._budget_grow
+                    self._budget_grow = None
+                    return BudgetGrow(sim.now, granted_bytes=granted,
+                                      total_bytes=total)
 
-            live = sp.live()
-            if not live:
-                if self.runtime.all_done:
-                    return EndOfQEP(sim.now,
-                                    result_tuples=self.runtime.result_tuples)
-                return PhaseComplete(sim.now)
+                live = sp.live()
+                if not live:
+                    if self.runtime.all_done:
+                        return EndOfQEP(
+                            sim.now, result_tuples=self.runtime.result_tuples)
+                    return PhaseComplete(sim.now)
 
-            if self._round_robin:
-                workable = [f for f in live if f.has_work()]
-                fragment = (workable[self._rr_cursor % len(workable)]
-                            if workable else None)
-                if fragment is not None:
-                    self._rr_cursor += 1
-            else:
-                # Priority discipline wants only the first fragment with
-                # data; scan instead of building a filtered list per batch.
-                fragment = None
-                for candidate in live:
-                    if candidate.has_work():
-                        fragment = candidate
-                        break
-            if fragment is None:
-                timed_out = yield from self._stall(live)
-                if timed_out:
-                    return TimeOut(sim.now, stalled_for=params.timeout)
-                continue
-            if (fragment is not self._last_fragment
-                    and params.context_switch_instructions > 0):
-                yield from world.cpu.work(params.context_switch_instructions)
-                self.context_switches += 1
-            self._last_fragment = fragment
+                if self._round_robin:
+                    workable = [f for f in live if f.has_work()]
+                    fragment = (workable[self._rr_cursor % len(workable)]
+                                if workable else None)
+                    if fragment is not None:
+                        self._rr_cursor += 1
+                else:
+                    # Priority discipline wants only the first fragment
+                    # with data; scan instead of building a filtered list
+                    # per batch.
+                    fragment = None
+                    for candidate in live:
+                        if candidate.has_work():
+                            fragment = candidate
+                            break
+                if fragment is None:
+                    timed_out = yield from self._stall(live)
+                    if timed_out:
+                        return TimeOut(sim.now, stalled_for=params.timeout)
+                    continue
+                if (fragment is not self._last_fragment
+                        and params.context_switch_instructions > 0):
+                    yield from world.cpu.work(
+                        params.context_switch_instructions)
+                    self.context_switches += 1
+                self._last_fragment = fragment
 
-            if batch_hooks:
-                batch_started = sim.now
-                tuples_before = fragment.tuples_in
-            outcome = yield from fragment.process_batch(
-                self._batch_size(fragment))
-            self.batches_processed += 1
-            if batch_hooks:
-                now = sim.now
-                tuples = fragment.tuples_in - tuples_before
-                for hook in batch_hooks:
-                    hook(batch_started, now, fragment, tuples)
+                if batch_hooks:
+                    batch_started = sim.now
+                    tuples_before = fragment.tuples_in
+                outcome = yield from fragment.process_batch(
+                    self._batch_size(fragment))
+                self.batches_processed += 1
+                if batch_hooks:
+                    now = sim.now
+                    tuples = fragment.tuples_in - tuples_before
+                    for hook in batch_hooks:
+                        hook(batch_started, now, fragment, tuples)
 
-            if outcome == BATCH_OVERFLOW:
-                return self._overflow_event(fragment)
-            if outcome == BATCH_FINISHED:
-                if self.runtime.all_done:
-                    return EndOfQEP(sim.now,
-                                    result_tuples=self.runtime.result_tuples)
-                return EndOfQF(sim.now, fragment_name=fragment.name)
-            # BATCH_OK / BATCH_EMPTY: return to the top of the priority list.
+                if outcome == BATCH_OVERFLOW:
+                    return self._overflow_event(fragment)
+                if outcome == BATCH_FINISHED:
+                    if self.runtime.all_done:
+                        return EndOfQEP(
+                            sim.now, result_tuples=self.runtime.result_tuples)
+                    return EndOfQF(sim.now, fragment_name=fragment.name)
+                # BATCH_OK / BATCH_EMPTY: back to the top of the priority
+                # list.
+        finally:
+            # No guard outlives its phase.
+            guard, self._guard = self._guard, None
+            if guard is not None:
+                guard.cancel()
 
     def _batch_size(self, fragment: Fragment) -> int:
         """The quantum for this fragment's next batch.
@@ -261,23 +278,31 @@ class DynamicQueryProcessor:
         if (self._cached_rate_event is None
                 or self._cached_rate_event.triggered):
             self._cached_rate_event = sim.event(name="rate-change")
-        self._rate_event = self._cached_rate_event
-        timeout = sim.timeout(params.timeout)
+        rate_event = self._rate_event = self._cached_rate_event
         started = sim.now
-        waiter = sim.any_of([event for _, event in waits]
-                            + [self._rate_event, timeout])
-        yield waiter
-        self._rate_event = None
-        # Unhook the spent composite from its untriggered children (they
-        # will be reused) and withdraw the guard timeout so it neither
-        # fires later nor keeps the kernel busy until then.
-        waiter.detach()
-        if not timeout.processed:
-            timeout.cancel()
+        if self._guard is None:
+            self._arm_guard(sim.timeout(params.timeout))
+        # The first child to occur succeeds `wake`: the NORMAL hop an
+        # AnyOf over them would make.
+        wake = sim.event(name="stall")
+        self._stalled = (started + params.timeout, wake)
+        waker = self._wake
+        for _, event in waits:
+            event.add_callback(waker)
+        rate_event.add_callback(waker)
+        yield wake
+        self._stalled = self._rate_event = None
+        # Unhook from the children that have not occurred: they are
+        # reused by the next stall.
+        for _, event in waits:
+            if not event.processed:
+                event.remove_callback(waker)
+        if not rate_event.processed:
+            rate_event.remove_callback(waker)
         stalled_for = sim.now - started
         self.stall_time += stalled_for
         data_arrived = any(event.processed for _, event in waits)
-        timed_out = (timeout.processed and not data_arrived
+        timed_out = (wake.value is _TIMED_OUT and not data_arrived
                      and self._rate_change is None
                      and self._budget_grow is None)
         cause = self._stall_cause(waits, data_arrived, timed_out)
@@ -287,6 +312,39 @@ class DynamicQueryProcessor:
             for hook in stall_hooks:
                 hook(started, sim.now, cause)
         return timed_out
+
+    def _wake(self, _child: SimEvent) -> None:
+        """A stall's child occurred (none of them can fail): wake the
+        stall, once."""
+        stalled = self._stalled
+        if stalled is not None and not stalled[1].triggered:
+            stalled[1].succeed()
+
+    def _arm_guard(self, guard: Timeout) -> None:
+        self._guard = guard
+        guard.add_callback(self._on_guard)
+
+    def _on_guard(self, _guard: SimEvent) -> None:
+        """The phase's guard timeout occurred.
+
+        One guard serves every stall of a phase: armed at the first
+        stall's deadline, it is re-armed at a later stall's own deadline
+        when it falls due during that stall, times the stall out when
+        that deadline is now, and is dropped when it falls due while the
+        DQP is busy (the next stall arms a fresh one).  Each stall thus
+        times out exactly ``timeout`` after it began, as with a guard of
+        its own, without arming and cancelling one per stall.
+        """
+        self._guard = None
+        stalled = self._stalled
+        if stalled is None:
+            return
+        deadline, wake = stalled
+        sim = self.runtime.world.sim
+        if deadline > sim.now:
+            self._arm_guard(sim.timeout_at(deadline))
+        elif not wake.triggered:
+            wake.succeed(_TIMED_OUT)
 
     @staticmethod
     def _stall_cause(waits: list[tuple[Fragment, SimEvent]],

@@ -305,7 +305,7 @@ class QueryRun:
                                    self.policy.name)
 
     def detach(self) -> None:
-        """Stop the sources (a modelled producer at its next message, a
+        """Stop the sources (a modelled one from its next message on, a
         live feeder task now); idempotent, meant for failure paths too."""
         for wrapper in self.wrappers:
             wrapper.stop()

@@ -26,9 +26,10 @@ Semantics compared to the simulator:
      source's :class:`~repro.exec.live.LiveWrapper`, a pipe reader's
      ``call_soon_threadsafe``,
      ``QueryService.submit``) is stamped at the wall time of its
-     arrival, and a kernel that idled on an empty heap resumes at the
-     wall.  Modelled work armed by that arrival then takes its full
-     modelled time from the arrival on.
+     arrival — the clock moves to the wall first, and an event due
+     before it is due then — and a kernel that idled on an empty heap
+     resumes at the wall.  Modelled work armed by that arrival then
+     takes its full modelled time from the arrival on.
   3. *exactly* ``until`` *at the bound* — ``run(until=t)`` whose heap
      outlives ``t`` returns at wall ``t`` with ``now == t``, as
      :meth:`repro.sim.engine.Simulator.run` documents.
@@ -94,13 +95,15 @@ class AsyncioKernel(KernelBase):
         self._stop_requested = True
 
     # -- scheduling ----------------------------------------------------------
-    def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
+    def _schedule_at(self, event: SimEvent, when: float,
+                     priority: int) -> None:
         if self._parked is not None:
             # Only foreign code runs while the kernel sleeps: the event
             # arrives now, not at the (stale) time of the last dispatch.
             self.now = max(self.now, self._wall())
+            when = max(when, self.now)
             self._wake()
-        KernelBase._schedule(self, event, delay, priority)
+        KernelBase._schedule_at(self, event, when, priority)
 
     # -- running ---------------------------------------------------------
     def _wall(self) -> float:

@@ -44,6 +44,11 @@ class Kernel(Protocol):
         """An event that succeeds ``delay`` seconds from now."""
         ...
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event that succeeds at kernel time ``when`` (not before
+        ``now``): the deadline itself, with no ``now + delay`` rounding."""
+        ...
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Drive ``generator`` as a process starting at the current time."""
         ...

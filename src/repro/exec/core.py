@@ -116,7 +116,8 @@ class SimEvent:
             raise SimulationError(f"event {self!r} already triggered")
         self.value = value
         self._state = _TRIGGERED
-        self.sim._schedule(self, 0.0, priority)
+        sim = self.sim
+        sim._schedule_at(self, sim.now, priority)
         return self
 
     def fail(self, exception: BaseException, priority: int = PRIORITY_NORMAL) -> "SimEvent":
@@ -127,7 +128,8 @@ class SimEvent:
             raise TypeError(f"fail() needs an exception, got {exception!r}")
         self.failure = exception
         self._state = _TRIGGERED
-        self.sim._schedule(self, delay=0.0, priority=priority)
+        sim = self.sim
+        sim._schedule_at(self, sim.now, priority)
         return self
 
     def grant(self, value: Any = None) -> "SimEvent":
@@ -190,7 +192,8 @@ class Timeout(SimEvent):
     __slots__ = ("delay", "cancelled")
 
     def __init__(self, sim: "KernelBase", delay: float, value: Any = None,
-                 priority: int = PRIORITY_NORMAL):
+                 priority: int = PRIORITY_NORMAL, *,
+                 at: Optional[float] = None):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         # Timeouts are the single most-minted event kind (one per CPU
@@ -205,16 +208,18 @@ class Timeout(SimEvent):
         self._callbacks = []
         self.delay = delay
         self.cancelled = False
-        sim._schedule(self, delay, priority)
+        # ``at``: the deadline itself (:meth:`KernelBase.timeout_at`).
+        sim._schedule_at(self, sim.now + delay if at is None else at,
+                         priority)
 
     def cancel(self) -> None:
         """Withdraw the timeout before it occurs: callbacks never run.
 
         The heap entry is discarded when the kernel reaches it or
-        compacts its heap (:meth:`KernelBase._compact`), so a waiter that
-        arms a guard timeout on every wait (the DQP stall loop) neither
-        keeps the kernel alive nor grows its heap for ``delay`` seconds
-        after every wait ends early.  Cancelling twice is a no-op.
+        compacts its heap (:meth:`KernelBase._compact`), so a guard
+        withdrawn early (the DQP's, when its phase ends) neither keeps the
+        kernel alive nor holds a heap entry for the rest of ``delay``.
+        Cancelling twice is a no-op.
         """
         if self._state == _PROCESSED:
             raise SimulationError(f"cannot cancel elapsed timeout {self!r}")
@@ -264,10 +269,10 @@ class AnyOf(SimEvent):
 
         A composite whose winner has been seen keeps its pending children
         alive through their callback lists; a waiter that re-waits on the
-        same children (the DQP stall loop) calls this to stop the dead
-        composites from accumulating.  "Not processed", not "not
-        triggered": a guard :class:`Timeout` is born triggered, and left
-        hooked it and this composite would hold each other.
+        same children calls this to stop the dead composites from
+        accumulating.  "Not processed", not "not triggered": a guard
+        :class:`Timeout` is born triggered, and left hooked it and this
+        composite would hold each other.
         """
         for event in self.events:
             if event._state != _PROCESSED:
@@ -350,7 +355,7 @@ class Process(SimEvent):
         wakeup = SimEvent(self.sim, name=f"interrupt:{self.name}")
         wakeup.failure = Interrupt(cause)
         wakeup._state = _TRIGGERED
-        self.sim._schedule(wakeup, delay=0.0, priority=PRIORITY_URGENT)
+        self.sim._schedule_at(wakeup, self.sim.now, PRIORITY_URGENT)
         wakeup.add_callback(self._step)
         self._waiting_on = wakeup
 
@@ -417,7 +422,7 @@ class KernelBase:
     """Event factories, the event heap, its drain and failure accounting
     shared by every backend.
 
-    :meth:`_schedule` pushes ``(now + delay, priority, sequence, event)``
+    :meth:`_schedule_at` pushes ``(deadline, priority, sequence, event)``
     onto the heap, so equal deadlines pop by ``(priority, insertion
     order)``.  A backend supplies the ``run`` that decides how far each
     :meth:`_drain` may go: the simulator jumps its clock, the wall-clock
@@ -466,6 +471,18 @@ class KernelBase:
         """An event that succeeds ``delay`` seconds from now."""
         return Timeout(self, delay, value=value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """An event that succeeds at kernel time ``when``.
+
+        For a deadline computed ahead of time: ``timeout(when - now)``
+        would fall due at ``now + (when - now)``, which floating point
+        need not round back to ``when``.
+        """
+        if not when >= self.now:
+            raise SimulationError(
+                f"cannot schedule in the past (at {when}, now {self.now})")
+        return Timeout(self, when - self.now, value=value, at=when)
+
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start driving ``generator`` as a process (begins at current time)."""
         return Process(self, generator, name=name)
@@ -479,11 +496,12 @@ class KernelBase:
         return AllOf(self, events)
 
     # -- the heap ------------------------------------------------------------
-    def _schedule(self, event: SimEvent, delay: float, priority: int) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+    def _schedule_at(self, event: SimEvent, when: float,
+                     priority: int) -> None:
+        """Put ``event`` on the heap, due at ``when`` (never before
+        ``now``: the callers check)."""
         self._sequence += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._sequence, event))
+        heapq.heappush(self._heap, (when, priority, self._sequence, event))
 
     def _drain(self, bound: float, limit: float) -> int:
         """Dispatch the events due by ``bound``, at most ``limit`` of them

@@ -11,9 +11,9 @@ on the wall clock instead of in virtual time.
   server, flight recorder and watchdog, span export).  Its numbers are
   the virtual-time run's: the dispatch clock reads each event's
   deadline, however late the host wakes.
-* :class:`LiveWrapper` — the modelled wrapper with its producer half
-  replaced by an :mod:`asyncio` task pulling batches from a *real*
-  async source; :func:`live_wrappers` puts such sources under a
+* :class:`LiveWrapper` — the modelled wrapper's state with its
+  messages produced by an :mod:`asyncio` task pulling batches from a
+  *real* async source; :func:`live_wrappers` puts such sources under a
   :class:`~repro.core.engine.QueryRun` by hand.
 """
 
@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import asyncio
 from pathlib import Path
-from typing import Any, AsyncIterator, Callable, Mapping, Optional, Union
+from typing import (Any, AsyncIterator, Callable, Generator, Mapping,
+                    Optional, Union)
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
@@ -35,6 +36,7 @@ from repro.observability.flight import (
 )
 from repro.observability.live import MetricsPublisher
 from repro.observability.server import ObservabilityServer
+from repro.sim.resources import Store
 from repro.wrappers.delays import DelayModel
 from repro.wrappers.source import Wrapper
 
@@ -45,13 +47,15 @@ BatchSource = AsyncIterator[int]
 class LiveWrapper(Wrapper):
     """One real (async) source feeding the mediator.
 
-    The modelled :class:`Wrapper` — its counters, its ``error``, its
-    sender half :meth:`Wrapper._send` behind the same capacity-2
-    ``outbound`` store — with the producer half an :mod:`asyncio` task,
-    :meth:`_feed`.  Every data batch is one modelled message, and the end
-    of the stream is not a message: an async iterator only reports
-    exhaustion when asked for the *next* batch, too late to flag the last
-    message, so the stream ends with the sender's ``cm.close``.
+    The modelled :class:`Wrapper`'s state — its counters, its ``error``
+    — with its production run for real: an :mod:`asyncio` task,
+    :meth:`_feed`, pulls batches into a capacity-2 ``outbound`` store
+    (the modelled source's pipeline depth) and a kernel process,
+    :meth:`_send`, ships them.  Every data batch is one modelled
+    message, and the end of the stream is not a message: an async
+    iterator only reports exhaustion when asked for the *next* batch,
+    too late to flag the last message, so the stream ends with the
+    sender's ``cm.close``.
     """
 
     def __init__(self, kernel: AsyncioKernel, name: str, cm: Any,
@@ -61,11 +65,26 @@ class LiveWrapper(Wrapper):
         self._task: Optional[asyncio.Task[None]] = None
 
     def _spawn(self) -> Process:
-        self.outbound = self._outbound()
-        sender = self.sim.process(self._send(self.outbound.get),
-                                  name=f"live:{self.name}")
+        self.outbound = Store(self.sim, capacity=2,
+                              name=f"outbound:{self.name}")
+        sender = self.sim.process(self._send(), name=f"live:{self.name}")
         self._task = asyncio.ensure_future(self._feed())
         return sender
+
+    def _send(self) -> Generator[SimEvent, Any, None]:
+        """Kernel side: ship each ``(count, production)`` message the
+        feeder queues through the window protocol until the end marker."""
+        outbound = self.outbound
+        while True:
+            message = yield outbound.get()
+            if message is None:
+                yield from self.cm.close(self.name)
+                break
+            count, production = message
+            yield from self.cm.deliver(self.name, count, eof=False,
+                                       production_seconds=production)
+            self.tuples_sent += count
+        self.finished_at = self.sim.now
 
     def stop(self) -> None:
         """Cancel the feeder task (used on engine failure paths)."""
@@ -96,7 +115,7 @@ class LiveWrapper(Wrapper):
             async for count in self._source:
                 got = clock()
                 self.production_time += got - asked
-                message = (int(count), False, got - asked)
+                message = (int(count), got - asked)
                 if not outbound.try_put(message):
                     room: asyncio.Future[None] = loop.create_future()
 

@@ -346,9 +346,11 @@ class QueryService:
             from repro.observability.spans import SpanRecorder
             self.machine.telemetry.spans = SpanRecorder(self.kernel)
 
+        #: opened by :meth:`open`: nothing is created on disk (nor its
+        #: writer thread started) for a service that never serves.
         self.archive: Optional[TelemetryArchive] = None
+        self._archive_dir = archive_dir
         if archive_dir is not None:
-            self.archive = TelemetryArchive(archive_dir)
             self._audit_observers.append(self._archive_decision)
         self._last_snapshot_archived = float("-inf")
         self.slo: Optional[SLOTracker] = None
@@ -412,6 +414,8 @@ class QueryService:
             raise SimulationError("QueryService started twice")
         self._started = True
         self.started_wall = time.time()
+        if self._archive_dir is not None:
+            self.archive = TelemetryArchive(self._archive_dir)
         self.publisher.publish(self.snapshot())
 
     async def start(self) -> None:

@@ -11,8 +11,8 @@ the mediator's per-message receive CPU cost.
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Any, Callable, Generator, Iterator, Optional
+import math
+from typing import Any, Generator, Iterator, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.config import SimulationParameters
 from repro.mediator.comm import CommunicationManager
 from repro.exec import PRIORITY_URGENT, Kernel, Process, SimEvent, Timeout
-from repro.sim.resources import Store
 from repro.wrappers.delays import DelayModel
 
 
@@ -55,7 +54,8 @@ class Wrapper:
         #: what the source raised mid-stream, if it did; the stream
         #: is closed regardless and ``QueryRun.check_complete`` reports it.
         self.error: Optional[Exception] = None
-        self._stopped = False
+        #: when :meth:`stop` was first called.
+        self._stopped_at = math.inf
         self._process: Optional[Process] = None
 
     def start(self) -> Process:
@@ -67,24 +67,17 @@ class Wrapper:
         return self._process
 
     def _spawn(self) -> Process:
-        """Start producing; returns the process that ends with the stream."""
-        cardinality = self.relation.cardinality
-        body = (self._run_one(cardinality)
-                if cardinality <= self.params.tuples_per_message
-                else self._run())
-        return self.sim.process(body, name=f"wrapper:{self.name}")
-
-    def _outbound(self) -> Store:
-        """The send pipeline between the producer and :meth:`_send`."""
-        return Store(self.sim, capacity=2, name=f"outbound:{self.name}")
+        """Start shipping; returns the process that ends with the stream."""
+        return self.sim.process(self._run(), name=f"wrapper:{self.name}")
 
     def stop(self) -> None:
-        """Stop producing at the next message (used on engine failure
-        paths).  A flag, not ``Process.interrupt``: an interrupted sender
-        queued for the machine's one CPU would keep its place in the
-        resource's waiters, and the slot later handed to it is lost to
-        every other query on the machine."""
-        self._stopped = True
+        """Stop producing: no message whose production would start now or
+        later is produced (used on engine failure paths).  A mark, not
+        ``Process.interrupt``: an interrupted sender queued for the
+        machine's one CPU would keep its place in the resource's waiters,
+        and the slot later handed to it is lost to every other query on
+        the machine."""
+        self._stopped_at = min(self._stopped_at, self.sim.now)
 
     def _next_production(self, productions: Iterator[float]
                          ) -> Optional[float]:
@@ -100,72 +93,68 @@ class Wrapper:
             return None
 
     def _run(self) -> Generator[SimEvent, Any, None]:
-        """Producer half: applies the delay model, fills the send pipeline.
+        """Ship the relation through the window protocol, one message at
+        a time, on a production clock computed rather than run.
 
-        Production is *pipelined* with delivery (a real source keeps
-        computing the next block while the previous one is on the wire):
-        a small outbound buffer decouples this process from the sender
-        process, so the mediator's receive cost and the window protocol
-        only throttle production once the pipeline is full.
+        The source is pipelined — it keeps producing while earlier
+        messages are on the wire, at most two of them waiting to be sent
+        — so message ``j`` is ready at ``r_j = s_j + d_j``, ``d_j`` its
+        production seconds.  Its production starts at ``s_j =
+        max(r_{j-1}, g_{j-3})`` (``s_0`` the start instant): handing
+        message ``j-1`` over waited for a free slot, i.e. for the send of
+        message ``j-3`` to begin at ``g_{j-3}``; that of ``j`` waits
+        ``max(0, g_{j-2} - r_j)``, the source's blocked time.  Only the
+        hops that order a contender for the mediator CPU are kernel
+        events (``docs/architecture.md`` §4).  A source stopped at or
+        before ``s_j``, or whose model raises for message ``j``, ends its
+        stream there.
         """
-        outbound = self._outbound()
-        sender = self.sim.process(self._send(outbound.get),
-                                  name=f"sender:{self.name}")
+        sim = self.sim
         remaining = self.relation.cardinality
         per_message = self.params.tuples_per_message
         productions = self.delay_model.message_seconds(
             remaining, per_message, self.rng)
-        while remaining > 0 and not self._stopped:
-            count = min(per_message, remaining)
-            production = self._next_production(productions)
-            if production is None:
-                break
-            if production > 0:
-                yield self.sim.timeout(production)
-            self.production_time += production
-            message = (count, remaining == count, production)
-            blocked = 0.0
-            if not outbound.try_put(message):
-                before_put = self.sim.now
-                yield outbound.put(message)
-                blocked = self.sim.now - before_put
-            self.blocked_time += blocked
-            remaining -= count
-        if remaining > 0:
-            # Died or stopped short: the sender must still end the
-            # stream, or the query would wait on this source forever.
-            yield outbound.put(None)
-        yield sender  # join: the wrapper is done once everything is delivered
-
-    def _run_one(self, cardinality: int) -> Generator[SimEvent, Any, None]:
-        """A relation that fits in one message: both halves in one process.
-
-        Nothing overlaps, so only the pipeline's hops that order a
-        contender for the mediator CPU stay, at the heap keys it gives
-        them (``docs/architecture.md`` §4): the sender's start when the
-        message is already waiting (URGENT) and the get (NORMAL).
-        """
-        message = (0, True, 0.0) if cardinality == 0 else None
-        if cardinality and not self._stopped:
-            production = self._next_production(
-                self.delay_model.message_seconds(
-                    cardinality, self.params.tuples_per_message, self.rng))
-            if production is not None:
-                message = (cardinality, True, production)
-                if production > 0:
-                    yield self.sim.timeout(production)
-                self.production_time += production
-        if message is None or message[2] == 0:
-            yield Timeout(self.sim, 0.0, priority=PRIORITY_URGENT)
-        # The sender, fed by a zero-delay timeout in place of the get.
-        yield from self._send(partial(self.sim.timeout, 0.0, message))
-
-    def _send(self, get: Callable[[], SimEvent]
-              ) -> Generator[SimEvent, Any, None]:
-        """Sender half: ships each message ``get()`` hands over through
-        the window protocol until the stream ends."""
+        first = True
+        ready = sim.now                   # r_{j-1}; s_0 is the start instant
+        # when the sends of messages j-3, j-2 and j-1 began
+        began3 = began2 = began1 = -math.inf
         while True:
-            message = yield get()
+            start = ready if ready >= began3 else began3
+            if not remaining:
+                message = (0, True, 0.0)  # an empty relation: one message
+            else:
+                message = None
+                if start < self._stopped_at:
+                    production = self._next_production(productions)
+                    if production is not None:
+                        count = min(per_message, remaining)
+                        message = (count, count == remaining, production)
+                        ready = start + production
+                        self.production_time += production
+                        if began2 > ready:
+                            self.blocked_time += began2 - ready
+            if message is None:
+                ready = start             # the end of a stream cut short
+            now = sim.now
+            if ready > now:
+                # Still in production: wait for it (in place only where
+                # `now + (ready - now)` rounds back to the deadline),
+                # then take the hop its hand-over to the waiting sender
+                # made.
+                if now + (ready - now) != ready \
+                        or not sim.elapse(ready - now):
+                    yield sim.timeout_at(ready)
+                if not sim.elapse(0.0):
+                    yield sim.timeout(0.0)
+            else:
+                if first:
+                    # Ready at the start instant: the hop that started
+                    # the sender, which jumps NORMAL events due now.
+                    yield Timeout(sim, 0.0, priority=PRIORITY_URGENT)
+                # Waiting already: the get's hop (``Store.get``'s).
+                yield sim.timeout(0.0)
+            began3, began2, began1 = began2, began1, sim.now
+            first = False
             if message is None:
                 # An end marker, not a modelled message (see cm.close).
                 yield from self.cm.close(self.name)
@@ -176,7 +165,8 @@ class Wrapper:
             self.tuples_sent += count
             if eof:
                 break
-        self.finished_at = self.sim.now
+            remaining -= count
+        self.finished_at = sim.now
 
     def __repr__(self) -> str:
         return (f"Wrapper({self.name!r}, sent={self.tuples_sent}/"

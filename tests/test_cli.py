@@ -337,6 +337,37 @@ def test_a_port_that_cannot_be_bound_exits_2_before_serving(capsys,
             assert usage_error(capsys, argv).startswith(f"error: {message}")
 
 
+def test_a_port_that_cannot_be_bound_leaves_no_archive_behind(capsys,
+                                                              tmp_path):
+    """The archive directory is made when the service opens, after the
+    bind: a ``serve`` that cannot have its port creates nothing."""
+    import socket
+
+    archive = tmp_path / "archive"
+    with socket.socket() as held:
+        held.bind(("127.0.0.1", 0))
+        held.listen()
+        busy = str(held.getsockname()[1])
+        assert usage_error(capsys, [
+            "serve", "--port", busy, "--archive-dir", str(archive),
+        ]).startswith(f"error: cannot bind 127.0.0.1:{busy}")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["anatomy", "--strategies"],
+     "argument --strategies: expected at least one argument"),
+    (["run", "--scale", "abc"], "argument --scale: invalid float value: 'abc'"),
+], ids=["missing-value", "not-a-number"])
+def test_an_option_argparse_refuses_is_one_line(argv, message, capsys):
+    """What argparse itself refuses has the shape of every other usage
+    error: one ``error:`` line on stderr, no usage block, exit 2."""
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--tenant", "gold:x"], "bad tenant spec 'gold:x'; expected "
                              "NAME[:PRIORITY[:MAX_ACTIVE[:MEMORY]]]"),

@@ -71,14 +71,15 @@ def test_plane_sessions_match_golden_exactly():
 
 #: ``processed_events + waits_in_place`` of each plane session: its
 #: ``processed_events`` before waits were taken in place (their golden
-#: ``processed_events`` are the events dispatched since: 788 / 701 / 622
-#: / 6,557).
+#: ``processed_events`` are the events dispatched since: 788 / 625 / 550
+#: / 6,557; 701 / 622 for the two drawing sessions until a produced
+#: message's hand-over hop began to be taken in place too).
 PLANE_KERNEL_WORK = {"zero_wait": 1192, "wait_20": 1166,
                      "wait_200_jittered_slow_a": 1086,
                      "service_saturated": 9445}
 #: ``processed_events`` of each session through the whole service.
-SERVICE_EVENTS = {"zero_wait": 801, "wait_20": 714,
-                  "wait_200_jittered_slow_a": 634,
+SERVICE_EVENTS = {"zero_wait": 801, "wait_20": 642,
+                  "wait_200_jittered_slow_a": 562,
                   "service_saturated": 6654}
 
 
@@ -144,22 +145,21 @@ def test_goldens_cover_all_strategies():
 #: golden workload.  A host-time optimisation does the same events.  A
 #: change that removes a hop re-pins these downwards and shows the
 #: digests above unmoved; one that adds a hop is a model change.  Last
-#: moved when a wait that is already the kernel's next event began to be
-#: taken in place (from the sums in :data:`KERNEL_WORK`).
+#: moved when every source became one process on a computed production
+#: clock and a DQP phase began to arm one stall guard, not one a stall
+#: (from 3002 / 4219 / 4176, 2970 / 3932 / 3935, 4236 / 5339 / 5310).
 KERNEL_EVENTS = {
-    "baseline": [3002, 4219, 4176],
-    "slow_a": [2970, 3932, 3935],
-    "tight_memory": [4236, 5339, 5310],
+    "baseline": [2230, 2937, 2919],
+    "slow_a": [2211, 2823, 2791],
+    "tight_memory": [3175, 3901, 3900],
 }
-#: ``processed_events + waits_in_place`` of the same runs: the events
-#: dispatched before waits were taken in place, exactly.  Last moved when
-#: a process nobody waits on began to end without a hop and a
-#: one-message source became one process (from 5047 / 6219 / 5678,
-#: 5038 / 6178 / 5830, 7638 / 9168 / 8467).
+#: ``processed_events + waits_in_place`` of the same runs.  Last moved
+#: with :data:`KERNEL_EVENTS`, the producer's hops gone (from 5040 /
+#: 6204 / 5668, 5031 / 6163 / 5818, 7623 / 9145 / 8449).
 KERNEL_WORK = {
-    "baseline": [5040, 6204, 5668],
-    "slow_a": [5031, 6163, 5818],
-    "tight_memory": [7623, 9145, 8449],
+    "baseline": [4943, 5422, 4933],
+    "slow_a": [4950, 5599, 5205],
+    "tight_memory": [7524, 8511, 7843],
 }
 
 

@@ -256,60 +256,72 @@ def test_a_wrapper_needs_a_generator_exactly_when_its_model_draws():
     assert wrapper.production_time == 0.0
 
 
-# -- a one-message relation is one process ----------------------------------
+# -- a source is one process on a computed production clock -----------------
 
 class _TwoProcessWrapper(Wrapper):
-    """Reference: every relation a producer and a sender joined through a
-    two-slot ``Store``, as one-message relations used to be shipped (the
-    producer and sender bodies of that version, verbatim)."""
+    """Reference: a producer and a sender joined through a two-slot
+    ``Store``, as sources used to be shipped (the producer and sender
+    bodies of that version), recording when the producer began each
+    message (``s_j``), when it was ready (``r_j``) and when the sender
+    took it (``g_j``)."""
 
-    def _run_one(self, cardinality):
-        return self._pipeline()
+    def _spawn(self):
+        self.started_at, self.ready_at, self.taken_at = [], [], []
+        return self.sim.process(self._pipeline(),
+                                name=f"wrapper:{self.name}")
 
     def _pipeline(self):
-        outbound = Store(self.sim, capacity=2, name=f"outbound:{self.name}")
-        sender = self.sim.process(self._sender(outbound),
-                                  name=f"sender:{self.name}")
+        sim = self.sim
+        outbound = Store(sim, capacity=2, name=f"outbound:{self.name}")
+        sender = sim.process(self._sender(outbound),
+                             name=f"sender:{self.name}")
         remaining = self.relation.cardinality
         if remaining == 0:
+            self.ready_at.append(sim.now)
             yield outbound.put((0, True, 0.0))
             yield sender
-            self.finished_at = self.sim.now
             return
         per_message = self.params.tuples_per_message
-        while remaining > 0 and not self._stopped:
+        productions = self.delay_model.message_seconds(
+            remaining, per_message, self.rng)
+        while remaining > 0 and sim.now < self._stopped_at:
+            self.started_at.append(sim.now)
             count = min(per_message, remaining)
-            try:
-                waits = self.delay_model.waiting_times(count, self.rng)
-            except Exception as exc:
-                self.error = exc.with_traceback(None)
+            production = self._next_production(productions)
+            if production is None:
                 break
-            production = float(waits.sum())
             if production > 0:
-                yield self.sim.timeout(production)
+                # timeout(production)'s deadline, through the factory the
+                # harness marks as the wrapper's own.
+                yield sim.timeout_at(sim.now + production)
             self.production_time += production
-            before_put = self.sim.now
-            yield outbound.put((count, remaining == count, production))
-            blocked = self.sim.now - before_put
+            self.ready_at.append(sim.now)
+            message = (count, remaining == count, production)
+            blocked = 0.0
+            if not outbound.try_put(message):
+                before_put = sim.now
+                yield outbound.put(message)
+                blocked = sim.now - before_put
             self.blocked_time += blocked
             remaining -= count
         if remaining > 0:
             yield outbound.put(None)
         yield sender
-        self.finished_at = self.sim.now
 
     def _sender(self, outbound):
         while True:
             message = yield outbound.get()
+            self.taken_at.append(self.sim.now)
             if message is None:
                 yield from self.cm.close(self.name)
-                return
+                break
             count, eof, production = message
             yield from self.cm.deliver(self.name, count, eof=eof,
                                        production_seconds=production)
             self.tuples_sent += count
             if eof:
-                return
+                break
+        self.finished_at = self.sim.now
 
 
 class _Unreadable(ConstantDelay):
@@ -319,35 +331,65 @@ class _Unreadable(ConstantDelay):
         raise RuntimeError("source cannot be read")
 
 
+class _FailsMidStream(UniformDelay):
+    """A source that fails at message ``at`` (drawn a message at a time:
+    it redefines ``waiting_times`` only)."""
+
+    def __init__(self, w, at):
+        super().__init__(w)
+        self.at = at
+
+    def waiting_times(self, n, rng):
+        if self.at == 0:
+            raise RuntimeError("source went away")
+        self.at -= 1
+        return super().waiting_times(n, rng)
+
+
 #: the wrapper's own bookkeeping hops, which the two shapes may differ in:
 #: what the rest of the machine sees must not.
 _WRAPPER_HOPS = ("start:wrapper:", "start:sender:", "get:outbound:",
-                 "wrapper:", "sender:")
+                 "put:outbound:", "wrapper:", "sender:")
+#: a consumer that takes this long a message (7.5 messages' receive
+#: CPU) keeps a one-message queue full, so the source's pipeline blocks.
+_SLOW_CONSUMER_INSTRUCTIONS = 1_500_000
 
 
-def _ship_one_message(wrapper_class, model, cardinality, stop_first,
-                      rivals_at):
+def _ship(wrapper_class, model, cardinality, rivals_at, stop_first=False,
+          stop_at=None, slow_consumer=False):
     """Ship relation W under ``model`` while rivals ask for the mediator
     CPU at each instant of ``rivals_at``, 0-3 event hops after it, half
     of them started before the wrapper and half after, so every hop the
-    wrapper takes races one of them.  Returns the CM's delivery trace,
-    the wrapper's stats, every popped event that is not one of the
-    wrapper's own hops and when each rival got done — and, apart, the
-    kernel's event count."""
-    world = make_world()
+    wrapper takes races one of them.  ``stop_at`` stops the source then;
+    ``slow_consumer`` drains a one-message queue slowly, on the same
+    CPU.  Returns the CM's delivery trace, the wrapper's stats, every
+    popped event that is not one of the wrapper's own hops and when each
+    rival got done — and, apart, the wrapper and the kernel."""
+    world = make_world(**({"queue_capacity_messages": 1}
+                          if slow_consumer else {}))
     sim = world.sim
     popped, rivals, deliveries = [], [], []
-    schedule = sim._schedule
+    schedule, timeout_at = sim._schedule_at, sim.timeout_at
+    marking = [False]
 
-    def logged(event, delay, priority):
-        schedule(event, delay, priority)
+    def logged(event, when, priority):
+        schedule(event, when, priority)
         own = (event.name.startswith(_WRAPPER_HOPS)
-               or (event.name == "timeout" and delay == 0.0))
+               or (event.name == "timeout"
+                   and (marking[0] or when == sim.now)))
         if not own:
             event._callbacks.insert(0, lambda e: popped.append(
                 (sim.now, priority, e.name)))
 
-    sim._schedule = logged
+    def own_timeout_at(when, value=None):
+        # Only the wrappers arm deadlines: their production clocks.
+        marking[0] = True
+        try:
+            return timeout_at(when, value)
+        finally:
+            marking[0] = False
+
+    sim._schedule_at, sim.timeout_at = logged, own_timeout_at
 
     def rival(at, hops):
         if at:
@@ -378,10 +420,27 @@ def _ship_one_message(wrapper_class, model, cardinality, stop_first,
         put(message)
 
     queue.put = recorded
+
+    def stopper():
+        yield sim.timeout(stop_at)
+        wrapper.stop()
+
+    def consumer():
+        while not queue.exhausted:
+            if not queue.has_data():
+                yield queue.data_event()
+                continue
+            queue.take_batch(world.params.tuples_per_message)
+            yield from world.cpu.work(_SLOW_CONSUMER_INSTRUCTIONS)
+
+    if stop_at is not None:
+        sim.process(stopper(), name="stopper")
+    if slow_consumer:
+        sim.process(consumer(), name="consumer")
     sim.run()
     stats = (wrapper.tuples_sent, wrapper.production_time,
              wrapper.blocked_time, wrapper.finished_at, repr(wrapper.error))
-    return (deliveries, stats, popped, rivals), sim.processed_events
+    return (deliveries, stats, popped, rivals), wrapper, sim
 
 
 @pytest.mark.parametrize("case", [
@@ -407,16 +466,17 @@ def test_a_one_message_source_is_one_process_and_changes_nothing(case):
     }[case]
     assert cardinality <= make_world().params.tuples_per_message
     stop_first = case == "stopped first"
-    (_, stats, _, _), _ = _ship_one_message(
-        _TwoProcessWrapper, model, cardinality, stop_first, [0.0])
+    (_, stats, _, _), _, _ = _ship(
+        _TwoProcessWrapper, model, cardinality, [0.0], stop_first)
     production = stats[1]
     rivals_at = [0.0] + ([production] if production else [])
-    reference, reference_events = _ship_one_message(
-        _TwoProcessWrapper, model, cardinality, stop_first, rivals_at)
-    fused, fused_events = _ship_one_message(
-        Wrapper, model, cardinality, stop_first, rivals_at)
+    reference, _, reference_sim = _ship(
+        _TwoProcessWrapper, model, cardinality, rivals_at, stop_first)
+    fused, _, fused_sim = _ship(
+        Wrapper, model, cardinality, rivals_at, stop_first)
     assert fused == reference
-    assert fused_events == reference_events - (2 if production else 1)
+    assert fused_sim.processed_events == \
+        reference_sim.processed_events - (2 if production else 1)
     deliveries, _stats, _popped, rivals = fused
     assert deliveries[-1][3] and len(rivals) == 8 * len(rivals_at)
     # The rivals really raced the wrapper: some got the CPU before the
@@ -426,20 +486,62 @@ def test_a_one_message_source_is_one_process_and_changes_nothing(case):
             < max(r[0] for r in rivals)
 
 
-def test_a_multi_message_relation_keeps_its_pipeline():
-    """Production overlaps delivery only with more than one message: such
-    a relation still runs as a producer and a sender."""
-    world = make_world()
-    names = []
-    process = world.sim.process
-    world.sim.process = lambda generator, name="": names.append(name) or \
-        process(generator, name=name)
-    per_message = world.params.tuples_per_message
-    for name, cardinality in (("ONE", per_message), ("TWO", per_message + 1)):
-        Wrapper(world.sim, Relation(name, cardinality), ConstantDelay(0.0),
-                world.cm, None, world.params).start()
-    world.sim.run()
-    assert names == ["wrapper:ONE", "wrapper:TWO", "sender:TWO"]
+@pytest.mark.parametrize("messages", range(2, 8))
+@pytest.mark.parametrize("case", [
+    "zero-wait", "drawing", "jittered", "stopped mid-stream",
+    "model raises mid-stream"])
+def test_a_source_ships_on_its_computed_production_clock(case, messages):
+    """A relation of several messages, its queue kept full by a slow
+    consumer so that the source's pipeline blocks: the one process that
+    computes when each message is ready (``r_j = s_j + d_j``, ``s_j =
+    max(r_{j-1}, g_{j-3})``) delivers what the producer-and-sender
+    reference delivers, at the same instants, reports the same numbers,
+    and leaves every other event in the same pop order — with rivals for
+    the CPU at every instant a message became ready or was taken, placed
+    again from each run until they stop moving."""
+    from repro.wrappers import JitteredDelay
+
+    cardinality = (messages - 1) * make_world().params.tuples_per_message + 100
+    model = {
+        "zero-wait": lambda: ConstantDelay(0.0),
+        "drawing": lambda: UniformDelay(5e-5),
+        "jittered": lambda: JitteredDelay(5e-5, 1.0),
+        "stopped mid-stream": lambda: UniformDelay(5e-5),
+        "model raises mid-stream": lambda: _FailsMidStream(
+            5e-5, at=messages // 2),
+    }[case]
+    stop_at = None
+    if case == "stopped mid-stream":
+        # Between the starts of two messages, half-way through.
+        _, unstopped, _ = _ship(_TwoProcessWrapper, model(), cardinality,
+                                [], slow_consumer=True)
+        middle = (messages - 1) // 2
+        stop_at = sum(unstopped.started_at[middle:middle + 2]) / 2
+    rivals_at = []
+    for _ in range(4 * messages + 4):
+        reference, wrapper, reference_sim = _ship(
+            _TwoProcessWrapper, model(), cardinality, rivals_at,
+            stop_at=stop_at, slow_consumer=True)
+        instants = sorted(set(wrapper.ready_at + wrapper.taken_at))
+        if instants == rivals_at:
+            break
+        rivals_at = instants
+    else:
+        pytest.fail(f"the rivals never settled: {rivals_at}")
+    fused, _, fused_sim = _ship(Wrapper, model(), cardinality, rivals_at,
+                                stop_at=stop_at, slow_consumer=True)
+    assert fused == reference
+    assert fused_sim.processed_events < reference_sim.processed_events
+    deliveries, (sent, _, blocked, _, error), _, rivals = fused
+    assert deliveries[-1][3] and len(rivals) == 8 * len(rivals_at)
+    if case.endswith("mid-stream"):
+        assert 0 < sent < cardinality and deliveries[-1][2] == 0
+        assert ("went away" in error) == (case == "model raises mid-stream")
+    else:
+        assert sent == cardinality and error == "None"
+        # The pipeline blocked: the sender was still busy with message
+        # j-2 when message j was ready.
+        assert blocked > 0 or messages < 5
 
 
 def test_wrapper_rate_estimate_converges():

@@ -465,3 +465,22 @@ def test_determinism_same_seedless_structure():
         return trace
 
     assert build_and_run() == build_and_run()
+
+
+def test_timeout_at_falls_due_at_the_deadline_itself(sim):
+    """``timeout_at`` keys the heap on the deadline it is given, where
+    ``timeout(when - now)`` lands on ``now + (when - now)``: here one
+    ulp later.  A deadline before ``now`` is refused."""
+    now, when = 0.19886753156080092, 0.4651569241356785
+    assert now + (when - now) != when
+
+    def waiter():
+        yield sim.timeout(now)
+        yield sim.timeout_at(when)
+        return sim.now
+
+    proc = sim.process(waiter())
+    sim.run()
+    assert proc.value == when
+    with pytest.raises(SimulationError):
+        sim.timeout_at(when - 1.0)

@@ -1,5 +1,7 @@
 """Tests for bounded timeout aborts and time-to-first-tuple tracking."""
 
+import math
+
 import pytest
 
 from repro import (
@@ -68,6 +70,132 @@ def test_timeout_limit_validation():
     from repro.common.errors import ConfigurationError
     with pytest.raises(ConfigurationError):
         SimulationParameters(max_consecutive_timeouts=-1)
+
+
+# --------------------------------------------------------------------------
+# One guard per execution phase
+# --------------------------------------------------------------------------
+
+class _PauseAt(UniformDelay):
+    """Uniform waits, but message ``at`` comes ``pause`` seconds late
+    (drawn a message at a time: it redefines ``waiting_times`` only)."""
+
+    def __init__(self, w, at, pause):
+        super().__init__(w)
+        self.at, self.pause = at, pause
+
+    def waiting_times(self, n, rng):
+        waits = super().waiting_times(n, rng)
+        self.at -= 1
+        if self.at == -1:
+            waits[0] += self.pause
+        return waits
+
+
+def _recording(base):
+    """``base`` recording each phase's end, its instant and its stalls."""
+    class Recorded(base):
+        def __init__(self, runtime):
+            super().__init__(runtime)
+            self.phases, self._stalls_now = [], 0
+
+        def execute(self, sp):
+            self._stalls_now = 0
+            event = yield from super().execute(sp)
+            self.phases.append(
+                (type(event).__name__, event.time, self._stalls_now))
+            return event
+
+        def _stall(self, live):
+            self._stalls_now += 1
+            return (yield from super()._stall(live))
+    return Recorded
+
+
+def _per_stall_guard():
+    """The processor as it was: every stall an ``AnyOf`` over its
+    children and a guard timeout of its own, cancelled when it ends."""
+    from repro.core.dqp import DynamicQueryProcessor
+
+    class PerStallGuard(DynamicQueryProcessor):
+        def _stall(self, live):
+            world = self.runtime.world
+            sim, params = world.sim, world.params
+            waits = []
+            for fragment in live:
+                cached = self._wait_cache.get(fragment.name)
+                if (cached is not None and cached[0] is fragment.source
+                        and not cached[1].triggered):
+                    waits.append((fragment, cached[1]))
+                    continue
+                event = fragment.wait_event()
+                if event is not None:
+                    self._wait_cache[fragment.name] = (fragment.source, event)
+                    waits.append((fragment, event))
+            if (self._cached_rate_event is None
+                    or self._cached_rate_event.triggered):
+                self._cached_rate_event = sim.event(name="rate-change")
+            self._rate_event = self._cached_rate_event
+            timeout = sim.timeout(params.timeout)
+            started = sim.now
+            waiter = sim.any_of([event for _, event in waits]
+                                + [self._rate_event, timeout])
+            yield waiter
+            self._rate_event = None
+            waiter.detach()
+            if not timeout.processed:
+                timeout.cancel()
+            self.stall_time += sim.now - started
+            data_arrived = any(event.processed for _, event in waits)
+            timed_out = (timeout.processed and not data_arrived
+                         and self._rate_change is None
+                         and self._budget_grow is None)
+            cause = self._stall_cause(waits, data_arrived, timed_out)
+            self._stalls.record(cause, started, sim.now)
+            return timed_out
+    return PerStallGuard
+
+
+@pytest.mark.parametrize("strategy", ["SEQ", "DSE"])
+def test_one_guard_per_phase_times_out_as_a_guard_per_stall(
+        tiny_fig5, monkeypatch, strategy):
+    """A phase of short stalls, then one that outlasts the timeout: the
+    phase's one guard times it out at the instant a guard of its own
+    would have, and every stall is attributed as before.  No guard
+    outlives its phase: the kernel is empty once the run ends."""
+    import repro.core.engine as engine_module
+    from repro.core.dqp import DynamicQueryProcessor
+
+    params = SimulationParameters().with_overrides(timeout=0.5)
+
+    def run(processor_class):
+        worlds, processors = [], []
+        make_world = engine_module.World
+        monkeypatch.setattr(engine_module, "World", lambda *args, **kw: (
+            worlds.append(make_world(*args, **kw)) or worlds[-1]))
+        monkeypatch.setattr(engine_module, "DynamicQueryProcessor",
+                            lambda runtime: processors.append(
+                                processor_class(runtime)) or processors[-1])
+        delays = {n: UniformDelay(10 * params.w_min)
+                  for n in tiny_fig5.relation_names}
+        delays["A"] = _PauseAt(10 * params.w_min, at=4, pause=1.2)
+        result = QueryEngine(tiny_fig5.catalog, tiny_fig5.qep,
+                             make_policy(strategy), delays, params=params,
+                             seed=1).run()
+        return result, processors[0].phases, worlds[0].sim
+
+    reference, reference_phases, reference_sim = run(
+        _recording(_per_stall_guard()))
+    result, phases, sim = run(_recording(DynamicQueryProcessor))
+    assert phases == reference_phases
+    assert result.stall_breakdown == reference.stall_breakdown
+    assert (result.response_time, result.stall_time, result.timeouts) == (
+        reference.response_time, reference.stall_time, reference.timeouts)
+    assert any(kind == "TimeOut" for kind, _, _ in phases)
+    if strategy == "SEQ":
+        # The pause timed a phase out after several stalls that did not.
+        assert phases[0][0] == "TimeOut" and phases[0][2] >= 3
+    assert sim.peek() == math.inf and sim.now == reference_sim.now
 
 
 # --------------------------------------------------------------------------
