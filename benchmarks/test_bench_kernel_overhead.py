@@ -14,7 +14,10 @@ when the step's own short wait ends.  The kernel clock never reaches a
 guard's deadline, so unless cancelled entries are compacted away the
 heap grows by one dead entry per step and process, and every push and
 pop pays for it.  The case asserts the heap stays bounded and that an
-event costs the same at step 2,000 as at step 200.
+event costs the same at step 2,000 as at step 200.  Its deterministic
+twin counts instead of timing: the heap pushes and pops a step makes,
+the live entries it holds and the most entries it holds, dead ones
+included, are the same at step 2,000 as at step 200.
 
 A third case, the *due chain*, compares the two backends' drain on work
 the host cannot keep up with (the saturated service's shape): the
@@ -29,6 +32,7 @@ import time
 
 from conftest import run_measured
 
+from repro.exec import core
 from repro.exec.aio import AsyncioKernel
 from repro.exec.core import _COMPACT_FLOOR, Process, SimEvent, Timeout
 from repro.sim.engine import Simulator
@@ -226,3 +230,71 @@ def test_guard_churn_cost_does_not_grow_with_age(benchmark):
     assert late <= early * (1 + MAX_AGEING), (
         f"an event at step {STEPS:,} costs {100 * (late / early - 1):.1f}% "
         f"more than at step 200 (budget {100 * MAX_AGEING:.0f}%)")
+
+
+class _CountingHeapq:
+    """``heapq`` as :mod:`repro.exec.core` calls it, counting pushes and
+    pops (a compaction's ``heapify`` is neither)."""
+
+    heapify = staticmethod(heapq.heapify)
+
+    def __init__(self) -> None:
+        self.pushes = 0
+        self.pops = 0
+
+    def heappush(self, heap, item) -> None:
+        self.pushes += 1
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
+
+
+def _churn_counts(monkeypatch) -> list[tuple[int, int, int, int]]:
+    """One guard-churn run; at each clock step the heap pushes and pops
+    so far, and the entries on the heap: all, and the live ones."""
+    counting = _CountingHeapq()
+    monkeypatch.setattr(core, "heapq", counting)
+    kernel = Simulator()
+    samples: list[tuple[int, int, int, int]] = []
+
+    def clock():
+        for _ in range(STEPS + 1):
+            heap = len(kernel._heap)
+            samples.append((counting.pushes, counting.pops, heap,
+                            heap - kernel._cancelled))
+            yield kernel.timeout(STEP_S)
+
+    # One step past the last sample: a churner's final wake pushes
+    # nothing, and the last window must not count it.
+    for _ in range(PROCESSES):
+        kernel.process(_churner(kernel, STEPS + 1))
+    kernel.process(clock())
+    kernel.run()
+    return samples
+
+
+def test_guard_churn_work_does_not_grow_with_age(benchmark, monkeypatch):
+    """The timing case's deterministic twin: the same windows, counted."""
+    samples = run_measured(benchmark, lambda: _churn_counts(monkeypatch))
+
+    def per_window(first: int, last: int) -> tuple[int, int, int]:
+        """Pushes and pops in the window, and its largest heap."""
+        return (samples[last][0] - samples[first][0],
+                samples[last][1] - samples[first][1],
+                max(heap for _, _, heap, _ in samples[first:last + 1]))
+
+    early = per_window(200 - WINDOW, 200 + WINDOW)
+    late = per_window(STEPS - 2 * WINDOW, STEPS)
+    print()
+    print(f"guard churn: (pushes, pops, heap peak) {early} in the "
+          f"{2 * WINDOW} steps around step 200, {late} before step "
+          f"{STEPS:,}")
+    assert early == late
+    # A churner step pushes its guard and its wait, the clock its tick;
+    # only the waits and ticks pop.
+    assert early[:2] == (2 * WINDOW * (2 * PROCESSES + 1),
+                         2 * WINDOW * (PROCESSES + 1))
+    # Each churner's wait and guard; the clock's tick is being minted.
+    assert {live for *_, live in samples[1:]} == {2 * PROCESSES}

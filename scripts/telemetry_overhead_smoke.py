@@ -12,7 +12,8 @@ timer noise.
 
 Also asserts the structural guarantees of the disabled path: the
 registry hands out the null metric without registering it, the result
-carries no metrics object, and no samples are collected.
+carries no metrics object, no samples are collected, and no source
+queue holds a depth gauge (so a message makes no null-metric call).
 
 A span section repeats the check for the causal span recorder with a
 *tighter* budget: spans ride the compiled DQP hook table, so the
@@ -42,6 +43,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import QueryEngine, UniformDelay, make_policy
 from repro.config import SimulationParameters
+from repro.core.engine import QueryRun, seeded_wrappers
+from repro.core.runtime import World
 from repro.experiments import figure5_workload, run_slowdown_experiment
 from repro.observability import NULL_HOOKS, NULL_METRIC, MetricsRegistry
 from repro.wrappers import JitteredDelay
@@ -104,6 +107,21 @@ def timed_live_run(params):
     return best, result
 
 
+def queue_depth_gauges(workload, params) -> list:
+    """The depth gauge each source queue of one DSE run holds (None
+    where it holds none)."""
+    world = World(params, seed=1)
+    delays = {name: UniformDelay(params.w_min)
+              for name in workload.relation_names}
+    query = QueryRun(world, workload.qep, make_policy("DSE"),
+                     seeded_wrappers(world, workload.catalog, delays))
+    query.start()
+    world.sim.run()
+    query.result()
+    assert world.cm.queues, "the run registered no source queue"
+    return [queue._depth_gauge for queue in world.cm.queues.values()]
+
+
 def main() -> int:
     disabled_registry = MetricsRegistry(enabled=False)
     assert disabled_registry.counter("smoke") is NULL_METRIC
@@ -122,6 +140,12 @@ def main() -> int:
                          delays, params=params, seed=1).run()
     assert result.metrics is None, "disabled run must not carry a registry"
     assert result.samples == [], "disabled run must not collect samples"
+    assert all(gauge is None
+               for gauge in queue_depth_gauges(small, params)), \
+        "a source queue holds a depth gauge with telemetry off"
+    assert all(gauge is not None for gauge in queue_depth_gauges(
+        small, SimulationParameters(telemetry_enabled=True))), \
+        "a source queue holds no depth gauge with telemetry on"
 
     budget = enabled * 1.05 + 0.05  # 5% relative + 50 ms timer grace
     print(f"disabled telemetry: {disabled:.3f} s (best of {ROUNDS})")

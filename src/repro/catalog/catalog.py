@@ -52,10 +52,6 @@ class Catalog:
         return len(self._relations)
 
     # -- statistics -------------------------------------------------------
-    def join_selectivity(self, a: str, b: str) -> float:
-        """Selectivity of the direct join edge between ``a`` and ``b``."""
-        return self.statistics.selectivity(a, b)
-
     def estimate_cardinality(self, relations: Iterable[str]) -> float:
         """Estimated output cardinality of joining ``relations``."""
         cards = {name: rel.cardinality for name, rel in self._relations.items()}

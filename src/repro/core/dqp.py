@@ -29,7 +29,6 @@ from repro.core.fragments import (
     BATCH_FINISHED,
     BATCH_OVERFLOW,
     Fragment,
-    FragmentKind,
     FragmentStatus,
 )
 from repro.core.runtime import QueryRuntime
@@ -157,6 +156,8 @@ class DynamicQueryProcessor:
         world = self.runtime.world
         sim, params = world.sim, world.params
         batch_hooks = self.hooks.batch
+        # Fixed unless adaptive: then sized per batch by _batch_size.
+        batch_tuples = None if self._adaptive else self._batch_base
         try:
             while True:
                 if self._rate_change is not None:
@@ -208,7 +209,7 @@ class DynamicQueryProcessor:
                     batch_started = sim.now
                     tuples_before = fragment.tuples_in
                 outcome = yield from fragment.process_batch(
-                    self._batch_size(fragment))
+                    batch_tuples or self._batch_size(fragment))
                 self.batches_processed += 1
                 if batch_hooks:
                     now = sim.now
@@ -232,16 +233,13 @@ class DynamicQueryProcessor:
                 guard.cancel()
 
     def _batch_size(self, fragment: Fragment) -> int:
-        """The quantum for this fragment's next batch.
-
-        Fixed by default; with ``adaptive_batching`` (the paper's
-        footnote: "batch size can vary dynamically") it tracks half the
-        fragment's current backlog, clamped to [1 message,
-        ``adaptive_batch_max_messages`` messages].
+        """The quantum for this fragment's next batch with
+        ``adaptive_batching`` on (the paper's footnote: "batch size can
+        vary dynamically"): half the fragment's current backlog, clamped
+        to [1 message, ``adaptive_batch_max_messages`` messages].  Off,
+        every batch is ``_batch_base`` tuples.
         """
         base = self._batch_base
-        if not self._adaptive:
-            return base
         source = fragment.source
         if isinstance(source, SourceQueue):
             backlog = source.tuples_available

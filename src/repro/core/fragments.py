@@ -345,10 +345,10 @@ class Fragment:
             return BATCH_EMPTY
 
         instructions, terminal_tuples = self._flow(count)
-        yield from world.cpu.work(instructions)
         # Pure operator work: queueing behind other CPU users (message
         # receives, I/O issue costs) is overhead, not fragment work.
-        self.cpu_seconds += world.params.instructions_seconds(instructions)
+        seconds = yield from world.cpu.work(instructions)
+        self.cpu_seconds += seconds
         self.tuples_in += count
         self.batches += 1
 

@@ -87,17 +87,11 @@ class SymmetricJoin:
     continuation: list[tuple["SymmetricJoin", str]] = field(
         default_factory=list)
 
-    def side_total(self, side: str) -> float:
-        return self.left_total if side == LEFT else self.right_total
-
     def inserted(self, side: str) -> float:
         return self.left_inserted if side == LEFT else self.right_inserted
 
     def spilled(self, side: str) -> int:
         return self.left_spilled if side == LEFT else self.right_spilled
-
-    def opposite_inserted(self, side: str) -> float:
-        return self.right_inserted if side == LEFT else self.left_inserted
 
     def opposite_resident(self, side: str) -> float:
         """Tuples of the opposite side currently probe-able online."""

@@ -9,8 +9,8 @@ contract:
   ``now``, ``event()``, ``timeout()``, ``process()``, ``any_of()``,
   ``all_of()``, ``run()`` plus the ``PRIORITY_*`` constants;
 * :class:`KernelBase` + the event machinery (:class:`SimEvent`,
-  :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`, :class:`Process`,
-  :class:`Interrupt`) shared by every backend;
+  :class:`Timeout`, :class:`AnyOf`, :class:`AllOf`, :class:`Process`)
+  shared by every backend;
 * :class:`repro.sim.engine.Simulator` — the deterministic virtual-time
   backend (events at equal times processed in (priority, insertion)
   order; seeded runs are bit-identical);
@@ -29,7 +29,6 @@ from repro.exec.core import (
     PRIORITY_URGENT,
     AllOf,
     AnyOf,
-    Interrupt,
     KernelBase,
     Process,
     SimEvent,
@@ -43,7 +42,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Interrupt",
     "Kernel",
     "KernelBase",
     "PRIORITY_LOW",

@@ -56,18 +56,6 @@ def caught(exc: _Exc) -> _Exc:
     return exc.with_traceback(exc.__traceback__.tb_next)
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries an arbitrary payload describing why the
-    process was interrupted (e.g. a replanning request).
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class SimEvent:
     """A one-shot event.
 
@@ -316,7 +304,7 @@ class Process(SimEvent):
     it.  Other processes can therefore ``yield`` a process to join it.
     """
 
-    __slots__ = ("generator", "defused", "_waiting_on", "_step")
+    __slots__ = ("generator", "defused", "_step")
 
     def __init__(self, sim: "KernelBase", generator: ProcessGenerator,
                  name: str = ""):
@@ -334,33 +322,13 @@ class Process(SimEvent):
         start = SimEvent(sim, name=f"start:{self.name}")
         start.succeed(priority=PRIORITY_URGENT)
         start.add_callback(self._step)
-        self._waiting_on: Optional[SimEvent] = start
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        The process stops waiting on its current event (that event itself
-        is unaffected and may still trigger later).
-        """
-        if not self.is_alive:
-            raise SimulationError(f"cannot interrupt finished process {self!r}")
-        if self._waiting_on is not None:
-            self._waiting_on.remove_callback(self._step)
-            self._waiting_on = None
-        wakeup = SimEvent(self.sim, name=f"interrupt:{self.name}")
-        wakeup.failure = Interrupt(cause)
-        wakeup._state = _TRIGGERED
-        self.sim._schedule_at(wakeup, self.sim.now, PRIORITY_URGENT)
-        wakeup.add_callback(self._step)
-        self._waiting_on = wakeup
-
     def _resume(self, event: SimEvent) -> None:
-        self._waiting_on = None
         while True:
             try:
                 if event.failure is not None:
@@ -378,12 +346,6 @@ class Process(SimEvent):
                     # joiner carries on in its own dispatch.
                     self.value = stop.value
                     self._state = _PROCESSED
-                break
-            except Interrupt as exc:
-                # An uncaught interrupt terminates the process "normally"
-                # with the interrupt as its value marker; anything else
-                # is an error.
-                self.fail(caught(exc))
                 break
             except BaseException as exc:  # noqa: BLE001 - forward real failures
                 self.fail(caught(exc))
@@ -409,7 +371,6 @@ class Process(SimEvent):
                 continue
             # Not processed yet (checked just above), so this is all
             # ``add_callback`` would do.
-            self._waiting_on = target
             target._callbacks.append(self._step)
             return
         # The generator is over: let go of it and of the bound method of

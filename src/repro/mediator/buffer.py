@@ -132,6 +132,8 @@ class BufferManager:
             raise SimulationError("buffer manager needs at least one disk")
         self.cache = cache
         self.params = params
+        #: tuples in one full I/O chunk, read on every temp write and read.
+        self.chunk_tuples = params.io_chunk_pages * params.tuples_per_page
         self._next_extent = 0
         self.tuples_spilled = Counter()
         self.tuples_reloaded = Counter()
@@ -231,7 +233,7 @@ class TempWriter:
             self._fall_back_to_disk()
             return
         self._pending_tuples += tuples
-        chunk_tuples = self.params.io_chunk_pages * self.params.tuples_per_page
+        chunk_tuples = self.manager.chunk_tuples
         while self._pending_tuples >= chunk_tuples:
             self._pending_tuples -= chunk_tuples
             self._flush(self.params.io_chunk_pages)
@@ -265,7 +267,7 @@ class TempWriter:
         temp.in_memory = False
         temp.pages = 0
         self._pending_tuples = temp.tuples
-        chunk_tuples = self.params.io_chunk_pages * self.params.tuples_per_page
+        chunk_tuples = self.manager.chunk_tuples
         while self._pending_tuples >= chunk_tuples:
             self._pending_tuples -= chunk_tuples
             self._flush(self.params.io_chunk_pages)
@@ -373,8 +375,7 @@ class TempReader:
             return
         if self._next_chunk_page >= self.temp.pages:
             return
-        chunk_tuples = self.params.io_chunk_pages * self.params.tuples_per_page
-        if self.available_tuples >= chunk_tuples:
+        if self.available_tuples >= self.manager.chunk_tuples:
             return  # a full chunk is buffered; fetch lazily
         self._start_fetch()
 

@@ -11,24 +11,29 @@ message; a partially consumed message still occupies its slot.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from repro.common.errors import SimulationError
-from repro.observability.registry import NULL_REGISTRY, MetricsRegistry
+from repro.observability.registry import MetricsRegistry
 from repro.exec import Kernel, SimEvent
-from repro.sim.stats import Counter
 
 
-@dataclass
 class Message:
-    """One wrapper-to-mediator message: a count of tuples, plus EOF flag."""
+    """One wrapper-to-mediator message: a count of tuples, plus EOF flag.
 
-    tuples: int
-    eof: bool = False
+    Slotted: one is minted per message, and a consumer taking part of
+    it lowers ``tuples`` in place.
+    """
 
-    def __post_init__(self):
-        if self.tuples < 0:
-            raise SimulationError(f"message with negative tuples: {self.tuples}")
+    __slots__ = ("tuples", "eof")
+
+    def __init__(self, tuples: int, eof: bool = False):
+        if tuples < 0:
+            raise SimulationError(f"message with negative tuples: {tuples}")
+        self.tuples = tuples
+        self.eof = eof
+
+    def __repr__(self) -> str:
+        return f"Message(tuples={self.tuples}, eof={self.eof})"
 
 
 class SourceQueue:
@@ -46,19 +51,16 @@ class SourceQueue:
         self._space_name = f"space:{source}"
         self._data_name = f"data:{source}"
         self.capacity_messages = capacity_messages
-        registry = registry if registry is not None else NULL_REGISTRY
-        self._depth_gauge = registry.gauge(f"queue.{source}.depth_tuples")
+        # Held only with telemetry on: off, every message would make two
+        # no-op calls on the null metric.
+        self._depth_gauge = (
+            registry.gauge(f"queue.{source}.depth_tuples")
+            if registry is not None and registry.enabled else None)
         self._messages: deque[Message] = deque()
         self._space_waiters: deque[SimEvent] = deque()
         self._data_waiters: list[SimEvent] = []
         self.eof_received = False
         self.tuples_available = 0
-        self.tuples_consumed = Counter()
-        # Window-protocol accounting: total time spent at capacity.  The
-        # delivery-rate estimator subtracts this from arrival gaps so a
-        # consumer-side stall is not mistaken for a slow source.
-        self._full_since: float | None = None
-        self._full_time_total = 0.0
 
     # -- producer side (wrapper / communication manager) -----------------
     @property
@@ -90,9 +92,8 @@ class SourceQueue:
         self.tuples_available += message.tuples
         if message.eof:
             self.eof_received = True
-        self._depth_gauge.set(self.tuples_available)
-        if self.is_full and self._full_since is None:
-            self._full_since = self.sim.now
+        if self._depth_gauge is not None:
+            self._depth_gauge.set(self.tuples_available)
         waiters, self._data_waiters = self._data_waiters, []
         for waiter in waiters:
             waiter.succeed(self.source)
@@ -140,19 +141,9 @@ class SourceQueue:
                 head.tuples -= want
                 taken += want
         self.tuples_available -= taken
-        self.tuples_consumed.add(taken)
-        self._depth_gauge.set(self.tuples_available)
-        if not self.is_full and self._full_since is not None:
-            self._full_time_total += self.sim.now - self._full_since
-            self._full_since = None
+        if self._depth_gauge is not None:
+            self._depth_gauge.set(self.tuples_available)
         return taken
-
-    @property
-    def full_time_total(self) -> float:
-        """Cumulative time this queue has spent at capacity."""
-        if self._full_since is not None:
-            return self._full_time_total + (self.sim.now - self._full_since)
-        return self._full_time_total
 
     def _wake_producer(self) -> None:
         if self._space_waiters and not self.is_full:

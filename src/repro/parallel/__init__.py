@@ -32,7 +32,6 @@ from repro.parallel.spec import (
     MultiQuerySpec,
     RunSpec,
     delay_from_spec,
-    delay_to_spec,
     uniform_delay_specs,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "SweepStats",
     "code_fingerprint",
     "delay_from_spec",
-    "delay_to_spec",
     "multiquery_result_from_payload",
     "multiquery_result_to_payload",
     "result_from_payload",

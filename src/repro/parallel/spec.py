@@ -45,29 +45,9 @@ from repro.wrappers.delays import (
 
 # -- delay-model specs ------------------------------------------------------
 
-def delay_to_spec(model: DelayModel) -> dict[str, Any]:
-    """Serializable description of a delay model (inverse of
-    :func:`delay_from_spec`)."""
-    if isinstance(model, ConstantDelay):
-        return {"kind": "constant", "w": model.w}
-    if isinstance(model, UniformDelay):
-        return {"kind": "uniform", "w": model.w}
-    if isinstance(model, ExponentialDelay):
-        return {"kind": "exponential", "w": model.w}
-    if isinstance(model, NormalDelay):
-        return {"kind": "normal", "mean": model.mean, "std": model.std}
-    if isinstance(model, InitialDelay):
-        return {"kind": "initial", "initial": model.initial,
-                "base": delay_to_spec(model.base)}
-    if isinstance(model, BurstyDelay):
-        return {"kind": "bursty", "burst_tuples": model.burst_tuples,
-                "gap": model.gap, "within": model.within_burst_wait}
-    raise ConfigurationError(
-        f"delay model {model!r} has no serializable spec")
-
-
 def delay_from_spec(spec: dict[str, Any]) -> DelayModel:
-    """Build a fresh delay model from a :func:`delay_to_spec` dict."""
+    """Build a fresh delay model from its serializable spec (a dict
+    with a ``kind`` key and that model's parameters)."""
     kind = spec.get("kind")
     if kind == "constant":
         return ConstantDelay(spec["w"])

@@ -10,7 +10,7 @@ mirroring how the paper splits a QEP at blocking edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import PlanError
@@ -146,10 +146,6 @@ class MatOp(Operator):
     """
 
     join: Optional[JoinSpec] = None
-
-    @property
-    def is_hash_build(self) -> bool:
-        return self.join is not None
 
 
 @dataclass

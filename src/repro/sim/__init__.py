@@ -14,7 +14,6 @@ from repro.exec.core import (
     PRIORITY_URGENT,
     AllOf,
     AnyOf,
-    Interrupt,
     Process,
     SimEvent,
     Timeout,
@@ -30,7 +29,6 @@ __all__ = [
     "CPU",
     "Counter",
     "Disk",
-    "Interrupt",
     "LRUPageCache",
     "NetworkLink",
     "PRIORITY_LOW",

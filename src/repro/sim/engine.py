@@ -3,9 +3,8 @@
 :class:`Simulator` is the discrete-event implementation of the
 :class:`repro.exec.Kernel` protocol: a virtual clock and a priority heap
 of events.  The event machinery itself (:class:`SimEvent`,
-:class:`Timeout`, :class:`AnyOf`, :class:`AllOf`, :class:`Process`,
-:class:`Interrupt`) is backend-neutral and lives in
-:mod:`repro.exec.core`.
+:class:`Timeout`, :class:`AnyOf`, :class:`AllOf`, :class:`Process`)
+is backend-neutral and lives in :mod:`repro.exec.core`.
 
 Determinism: events scheduled at the same virtual time are processed in
 (priority, insertion-order) order, so a simulation with seeded RNGs is

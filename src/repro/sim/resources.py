@@ -176,8 +176,8 @@ class CPU:
     """A single processor rated in MIPS.
 
     ``work(instructions)`` is a generator that acquires the CPU, burns the
-    corresponding virtual time, and releases it.  Total busy time is
-    tracked for utilization reporting.
+    corresponding virtual time, releases it, and returns the seconds it
+    charged.  Total busy time is tracked for utilization reporting.
     """
 
     def __init__(self, sim: Kernel, mips: float, name: str = "cpu"):
@@ -188,16 +188,19 @@ class CPU:
         self.name = name
         self._resource = Resource(sim, capacity=1, name=name)
         self.busy_time = 0.0
-        self.instructions_executed = Counter()
+        # The divisor of every slice, the product
+        # ``SimulationParameters.instructions_seconds`` divides by.
+        self._instructions_per_second = mips * 1e6
 
     def seconds_for(self, instructions: float) -> float:
         """Virtual seconds needed to execute ``instructions``."""
         if instructions < 0:
             raise SimulationError(f"negative instruction count: {instructions}")
-        return instructions / (self.mips * 1e6)
+        return instructions / self._instructions_per_second
 
-    def work(self, instructions: float) -> Generator[SimEvent, Any, None]:
-        """Acquire the CPU, execute ``instructions``, release. ``yield from`` me."""
+    def work(self, instructions: float) -> Generator[SimEvent, Any, float]:
+        """Acquire the CPU, execute ``instructions``, release; returns the
+        seconds charged to :attr:`busy_time`. ``yield from`` me."""
         duration = self.seconds_for(instructions)
         if not self._resource.try_acquire():
             yield self._resource.request()
@@ -205,9 +208,9 @@ class CPU:
             if not self.sim.elapse(duration):
                 yield self.sim.timeout(duration)
             self.busy_time += duration
-            self.instructions_executed.add(instructions)
         finally:
             self._resource.release()
+        return duration
 
     def utilization(self) -> float:
         """Fraction of elapsed virtual time the CPU was busy."""
@@ -251,13 +254,6 @@ class Disk:
     def page_transfer_time(self) -> float:
         """Seconds to move one page across the disk interface."""
         return self.page_size / self.transfer_rate
-
-    def access_time(self, extent: int, start_page: int, num_pages: int) -> float:
-        """Timing of an access *if issued now* (head position dependent)."""
-        time = num_pages * self.page_transfer_time
-        if self._head != (extent, start_page):
-            time += self.latency + self.seek_time
-        return time
 
     def transfer(self, extent: int, start_page: int,
                  num_pages: int) -> Generator[SimEvent, Any, None]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.exec import Kernel
@@ -51,10 +50,6 @@ class WelfordStat:
     def variance(self) -> float:
         """Sample variance (n-1 denominator); 0 with fewer than 2 samples."""
         return self._m2 / (self.count - 1) if self.count > 1 else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
 
     def __repr__(self) -> str:
         return f"WelfordStat(n={self.count}, mean={self.mean:.6g})"

@@ -72,8 +72,8 @@ class Wrapper:
 
     def stop(self) -> None:
         """Stop producing: no message whose production would start now or
-        later is produced (used on engine failure paths).  A mark, not
-        ``Process.interrupt``: an interrupted sender queued for the
+        later is produced (used on engine failure paths).  A mark, not an
+        exception thrown into the process: a sender queued for the
         machine's one CPU would keep its place in the resource's waiters,
         and the slot later handed to it is lost to every other query on
         the machine."""

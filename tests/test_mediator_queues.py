@@ -98,18 +98,6 @@ def test_zero_batch_rejected(queue):
         queue.take_batch(0)
 
 
-def test_full_time_tracking(queue, sim):
-    queue.put(Message(1))
-    queue.put(Message(1))  # full at t=0
-    sim.timeout(2.0)
-    sim.run()
-    assert queue.full_time_total == pytest.approx(2.0)
-    queue.take_batch(1)
-    sim.timeout(3.0)
-    sim.run()
-    assert queue.full_time_total == pytest.approx(2.0)  # stopped counting
-
-
 def test_message_negative_tuples_rejected():
     with pytest.raises(SimulationError):
         Message(-1)

@@ -15,7 +15,6 @@ from repro.config import SimulationParameters
 from repro.core.engine import QueryRun, seeded_wrappers
 from repro.core.runtime import World
 from repro.core.strategies import make_policy
-from repro.exec import Interrupt
 from repro.parallel.spec import MultiQuerySpec, RunSpec, uniform_delay_specs
 from repro.service import QueryService, SubmissionRequest
 from repro.sim import Simulator
@@ -157,28 +156,6 @@ def test_run_stopped_by_detach(assert_no_cyclic_garbage, tiny_fig5):
         query.result()
         assert any(wrapper.tuples_sent < wrapper.relation.cardinality
                    for wrapper in query.wrappers)
-    assert_no_cyclic_garbage(run)
-
-
-def test_interrupted_process(assert_no_cyclic_garbage):
-    def sleeper(sim, catch):
-        try:
-            yield sim.timeout(10.0)
-        except Interrupt:
-            if not catch:
-                raise
-        return "woken"
-
-    def run():
-        sim = Simulator()
-        caught = sim.process(sleeper(sim, catch=True))
-        uncaught = sim.process(sleeper(sim, catch=False))
-        sim.run(until=1.0)
-        caught.interrupt("replan")
-        uncaught.interrupt("replan")
-        sim.run()
-        assert caught.value == "woken"
-        assert isinstance(uncaught.failure, Interrupt)
     assert_no_cyclic_garbage(run)
 
 

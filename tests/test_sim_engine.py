@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import PRIORITY_URGENT, Interrupt, Simulator
+from repro.sim import PRIORITY_URGENT, Simulator
 
 
 def test_clock_starts_at_zero(sim):
@@ -215,38 +215,6 @@ def test_any_of_empty_rejected(sim):
         sim.any_of([])
 
 
-def test_interrupt_wakes_waiting_process(sim):
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(1.0)
-        proc.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    # The process woke at t=1; the abandoned timeout still drains at 100.
-    assert log == [(1.0, "wake up")]
-    assert not proc.is_alive
-
-
-def test_interrupt_finished_process_rejected(sim):
-    def quick():
-        yield sim.timeout(0.5)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_step_on_empty_queue_rejected(sim):
     with pytest.raises(SimulationError):
         sim.step()
@@ -400,8 +368,6 @@ def test_finished_process_releases_its_generator_and_its_step(sim, ending):
     assert not process.is_alive
     assert process.ok == (ending == "returns")
     assert process.generator is None and process._step is None
-    with pytest.raises(SimulationError):
-        process.interrupt()
 
 
 def test_failed_process_is_not_reachable_from_its_own_failure(sim):
@@ -420,33 +386,6 @@ def test_failed_process_is_not_reachable_from_its_own_failure(sim):
         frames.append(traceback.tb_frame.f_code.co_name)
         traceback = traceback.tb_next
     assert frames == ["body"]
-
-
-def test_interrupt_detaches_the_process_from_the_event_it_waited_on(sim):
-    """A process registers one cached bound ``_resume`` per wait; an
-    interrupt must take exactly that callback off the abandoned event,
-    or the event would resume the process a second time later."""
-    gate = sim.event("gate")
-    log = []
-
-    def waiter():
-        try:
-            yield gate
-            log.append("gate")
-        except Interrupt as interrupt:
-            log.append(interrupt.cause)
-        yield sim.timeout(5.0)
-        log.append("slept")
-
-    process = sim.process(waiter())
-    sim.run()
-    assert len(gate._callbacks) == 1
-    process.interrupt("stop waiting")
-    assert gate._callbacks == []
-    gate.succeed()  # fires after the interrupt, while the process sleeps
-    sim.run()
-    assert log == ["stop waiting", "slept"]
-    assert process.ok and sim.now == 5.0
 
 
 def test_determinism_same_seedless_structure():

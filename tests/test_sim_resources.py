@@ -5,6 +5,7 @@ import asyncio
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.config import SimulationParameters
 from repro.exec.aio import AsyncioKernel
 from repro.mediator import Message, SourceQueue
 from repro.sim import CPU, Disk, NetworkLink, Resource, Simulator, Store
@@ -223,9 +224,10 @@ def test_cpu_work_costs_no_event_idle_and_one_when_a_timer_is_due_first(sim):
     holder the queued request is one more, and the holder's slice goes
     through the heap (the second worker's start is due)."""
     cpu = CPU(sim, mips=100.0)
+    charged = []
 
     def worker():
-        yield from cpu.work(1_000_000)  # 10 ms
+        charged.append((yield from cpu.work(1_000_000)))  # 10 ms
 
     def cost(workers, timer=None):
         before = sim.processed_events, sim.waits_in_place
@@ -245,7 +247,45 @@ def test_cpu_work_costs_no_event_idle_and_one_when_a_timer_is_due_first(sim):
     assert cost(1, timer=0.01) == (1, 0)
     assert cost(2) == (1 + 1, 1)
     assert cpu.busy_time == pytest.approx(0.06)
-    assert cpu.instructions_executed.value == 6_000_000
+    # Six slices of 1M instructions, each charged once, in the order
+    # they ended.
+    assert charged == [cpu.seconds_for(1_000_000)] * 6
+    assert cpu.busy_time == sum(charged)
+
+
+def test_cpu_work_returns_the_seconds_it_charged(sim):
+    """A slice returns what it added to ``busy_time``, and that is bit
+    for bit ``SimulationParameters.instructions_seconds`` of its
+    instructions (what a fragment's ``cpu_seconds`` adds up), whether
+    the slice is taken in place or through a timeout."""
+    params = SimulationParameters()
+    cpu = CPU(sim, params.cpu_mips)
+    slices = []
+
+    def worker(instructions):
+        before = cpu.busy_time
+        in_place = sim.waits_in_place
+        seconds = yield from cpu.work(instructions)
+        slices.append((instructions, seconds, before,
+                       sim.waits_in_place > in_place))
+
+    for instructions, timer in ((params.message_instructions, None),
+                                (123_457.0, None),
+                                (987_653.0, 1e-4)):
+        sim.process(worker(instructions))
+        if timer is not None:
+            sim.timeout(timer)  # due first: the slice goes to the heap
+        sim.run()
+    assert [in_place for *_, in_place in slices] == [True, True, False]
+    for instructions, seconds, before, _ in slices:
+        assert seconds == params.instructions_seconds(instructions)
+    # Each slice found busy_time at the sum of what the earlier ones
+    # returned: it added exactly what it returned.
+    total = 0.0
+    for _, seconds, before, _ in slices:
+        assert before == total
+        total += seconds
+    assert cpu.busy_time == total
 
 
 def test_cpu_utilization(sim):
