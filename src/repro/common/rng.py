@@ -42,11 +42,5 @@ class RandomStreams:
             self._streams[label] = np.random.default_rng(seed)
         return self._streams[label]
 
-    def fresh(self, label: str) -> np.random.Generator:
-        """Return a brand-new generator for ``label``, restarting its stream."""
-        seed = derive_seed(self.root_seed, label)
-        self._streams[label] = np.random.default_rng(seed)
-        return self._streams[label]
-
     def __repr__(self) -> str:
         return f"RandomStreams(root_seed={self.root_seed}, streams={sorted(self._streams)})"

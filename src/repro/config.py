@@ -8,7 +8,7 @@ shared by every runtime component of one simulated execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.common.errors import ConfigurationError

@@ -110,7 +110,7 @@ class ExecutionResult:
     #: causal span tree of the run (``telemetry_spans`` enabled only).
     spans: Optional[list[Span]] = None
     #: compact span-derived summary (count, response time, critical-path
-    #: totals) — cheap enough to ship through result payloads.
+    #: totals).
     span_summary: Optional[dict] = None
 
     def stall_by_cause(self) -> dict[str, float]:

@@ -10,8 +10,7 @@ problem only the DQO can fix (MemoryOverflow).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -20,11 +19,6 @@ class InterruptionEvent:
 
     time: float
 
-    @property
-    def is_abnormal(self) -> bool:
-        """Abnormal events may require revising the SP or the QEP."""
-        return True
-
 
 @dataclass(frozen=True)
 class EndOfQF(InterruptionEvent):
@@ -32,20 +26,12 @@ class EndOfQF(InterruptionEvent):
 
     fragment_name: str = ""
 
-    @property
-    def is_abnormal(self) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class EndOfQEP(InterruptionEvent):
     """The whole plan terminated (normal; handled by the DQO)."""
 
     result_tuples: int = 0
-
-    @property
-    def is_abnormal(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)
@@ -55,10 +41,6 @@ class PhaseComplete(InterruptionEvent):
     Normal; the DQS must plan the next phase (typically fragments that
     just became C-schedulable).
     """
-
-    @property
-    def is_abnormal(self) -> bool:
-        return False
 
 
 @dataclass(frozen=True)

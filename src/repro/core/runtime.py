@@ -77,7 +77,6 @@ class World:
                  share_machine: Optional["World"] = None,
                  memory_bytes: Optional[int] = None,
                  kernel: Optional[Kernel] = None,
-                 broker: Optional[MemoryBroker] = None,
                  lease: Optional[MemoryLease] = None,
                  query_name: Optional[str] = None):
         self.params = params
@@ -115,11 +114,7 @@ class World:
             # The machine's memory broker.  Default: an *unbounded*
             # private pool — a lease drawn from it with min == max is
             # arithmetically identical to the old per-query manager.
-            if broker is None:
-                broker = MemoryBroker(sim=self.sim, telemetry=self.telemetry)
-            elif broker.sim is None:
-                broker.bind(self.sim, self.telemetry)
-            self.broker = broker
+            self.broker = MemoryBroker(sim=self.sim, telemetry=self.telemetry)
         else:
             machine = share_machine
             self.streams = machine.streams

@@ -28,7 +28,6 @@ from repro.core.metrics import (
 )
 from repro.core.runtime import QueryRuntime
 from repro.mediator.queues import SourceQueue
-from repro.plan.qep import PipelineChain
 
 
 class DsePolicy(PlanningPolicy):

@@ -87,12 +87,6 @@ class SymmetricJoin:
     continuation: list[tuple["SymmetricJoin", str]] = field(
         default_factory=list)
 
-    def inserted(self, side: str) -> float:
-        return self.left_inserted if side == LEFT else self.right_inserted
-
-    def spilled(self, side: str) -> int:
-        return self.left_spilled if side == LEFT else self.right_spilled
-
     def opposite_resident(self, side: str) -> float:
         """Tuples of the opposite side currently probe-able online."""
         if side == LEFT:

@@ -252,20 +252,6 @@ class AnyOf(SimEvent):
         # scheduled/triggered but has not *occurred* until processed.
         return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
 
-    def detach(self) -> None:
-        """Unhook :meth:`_on_child` from children that have not occurred.
-
-        A composite whose winner has been seen keeps its pending children
-        alive through their callback lists; a waiter that re-waits on the
-        same children calls this to stop the dead composites from
-        accumulating.  "Not processed", not "not triggered": a guard
-        :class:`Timeout` is born triggered, and left hooked it and this
-        composite would hold each other.
-        """
-        for event in self.events:
-            if event._state != _PROCESSED:
-                event.remove_callback(self._on_child)
-
 
 class AllOf(SimEvent):
     """Succeeds when *all* child events have succeeded.

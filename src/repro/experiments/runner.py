@@ -40,7 +40,6 @@ class MeasuredPoint:
     strategy: str
     response_time: float
     repetitions: int
-    last_result: ExecutionResult
 
 
 def run_once(catalog: Catalog, qep: QEP, strategy: str,
@@ -97,5 +96,5 @@ def measure_points(strategies: Sequence[str], results:
         chunk = results[s * repetitions:(s + 1) * repetitions]
         total = sum(r.response_time for r in chunk)
         measured[strategy] = MeasuredPoint(
-            strategy, total / repetitions, repetitions, chunk[-1])
+            strategy, total / repetitions, repetitions)
     return measured

@@ -138,11 +138,6 @@ class BufferManager:
         self.tuples_spilled = Counter()
         self.tuples_reloaded = Counter()
 
-    @property
-    def disk(self) -> Disk:
-        """The first disk (convenience for single-disk configurations)."""
-        return self.disks[0]
-
     def create_temp(self, name: str, *,
                     memory: Optional[MemoryLease] = None,
                     estimated_tuples: float = 0.0,

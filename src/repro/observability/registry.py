@@ -19,11 +19,9 @@ that same lock — an exporting thread never sees a histogram whose
 exporter reads a registry mid-run (the live ``/metrics`` endpoint serves
 published snapshots), so the lock is uncontended noise.
 
-Serialization: :meth:`MetricsRegistry.as_dict` is a plain-data snapshot,
-:meth:`MetricsRegistry.from_snapshot` rebuilds a registry from one (so
-pool workers can ship their metrics to the sweep parent), and
-:meth:`MetricsRegistry.merge` folds another registry or snapshot in —
-counters and histograms add, gauges keep their extremes.
+Serialization: :meth:`MetricsRegistry.as_dict` is a plain-data snapshot
+(the exporters' input).  A registry stays in the process that ran its
+machine: sweep results cross a process boundary without it.
 """
 
 from __future__ import annotations
@@ -82,9 +80,6 @@ class CounterMetric:
         with self._lock:
             return {"kind": self.kind, "value": self.value}
 
-    def _merge(self, data: Dict[str, Any]) -> None:
-        self.inc(data["value"])
-
     def __repr__(self) -> str:
         return f"CounterMetric({self.name!r}, {self.value})"
 
@@ -97,8 +92,7 @@ class GaugeMetric:
     """
 
     kind = "gauge"
-    __slots__ = ("name", "value", "minimum", "maximum", "_weighted",
-                 "_restored_mean", "_lock")
+    __slots__ = ("name", "value", "minimum", "maximum", "_weighted", "_lock")
 
     def __init__(self, name: str, sim: Optional[Kernel] = None,
                  lock: Optional[threading.RLock] = None):
@@ -107,9 +101,6 @@ class GaugeMetric:
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
         self._weighted = TimeWeightedStat(sim) if sim is not None else None
-        #: time-weighted mean carried over by :meth:`_restore` (a restored
-        #: registry has no simulator to keep weighting against).
-        self._restored_mean: Optional[float] = None
         self._lock = lock if lock is not None else threading.RLock()
 
     def set(self, value: float) -> None:
@@ -127,37 +118,13 @@ class GaugeMetric:
 
     def time_weighted_mean(self) -> Optional[float]:
         """Time-weighted mean of the signal (None without a simulator)."""
-        if self._weighted is not None:
-            return self._weighted.mean()
-        return self._restored_mean
+        return self._weighted.mean() if self._weighted is not None else None
 
     def as_dict(self) -> Dict[str, Any]:
         with self._lock:
             return {"kind": self.kind, "value": self.value,
                     "min": self.minimum, "max": self.maximum,
                     "time_weighted_mean": self.time_weighted_mean()}
-
-    def _restore(self, data: Dict[str, Any]) -> None:
-        self.value = data["value"]
-        self.minimum = data["min"]
-        self.maximum = data["max"]
-        self._restored_mean = data.get("time_weighted_mean")
-
-    def _merge(self, data: Dict[str, Any]) -> None:
-        # Gauges from independent runs have no common timeline: keep the
-        # extremes, let `value` track the largest observed level, and drop
-        # the (unmergeable) time-weighted mean.
-        with self._lock:
-            self.value = max(self.value, data["value"])
-            for other in (data["min"],):
-                if other is not None:
-                    self.minimum = (other if self.minimum is None
-                                    else min(self.minimum, other))
-            for other in (data["max"],):
-                if other is not None:
-                    self.maximum = (other if self.maximum is None
-                                    else max(self.maximum, other))
-            self._restored_mean = None
 
     def __repr__(self) -> str:
         return f"GaugeMetric({self.name!r}, {self.value})"
@@ -209,43 +176,6 @@ class HistogramMetric:
                     "counts": list(self.counts), "sum": self.sum,
                     "count": self.count, "mean": self.mean,
                     "min": self._stream.minimum, "max": self._stream.maximum}
-
-    def _restore(self, data: Dict[str, Any]) -> None:
-        self.counts = list(data["counts"])
-        self.sum = data["sum"]
-        # The streaming variance (m2) is not part of the snapshot — no
-        # exporter exposes it — so a restored histogram keeps count /
-        # mean / min / max and reports zero variance.
-        self._stream.count = data["count"]
-        self._stream._mean = data["mean"]
-        self._stream.minimum = data["min"]
-        self._stream.maximum = data["max"]
-
-    def _merge(self, data: Dict[str, Any]) -> None:
-        with self._lock:
-            if list(data["buckets"]) != list(self.buckets):
-                raise ConfigurationError(
-                    f"cannot merge histogram {self.name!r}: bucket layouts "
-                    f"differ ({data['buckets']} vs {list(self.buckets)})")
-            for i, count in enumerate(data["counts"]):
-                self.counts[i] += count
-            self.sum += data["sum"]
-            ours, theirs = self._stream.count, data["count"]
-            if theirs:
-                total = ours + theirs
-                self._stream._mean = ((self._stream._mean * ours
-                                       + data["mean"] * theirs) / total)
-                self._stream.count = total
-            for other in (data["min"],):
-                if other is not None:
-                    self._stream.minimum = (
-                        other if self._stream.minimum is None
-                        else min(self._stream.minimum, other))
-            for other in (data["max"],):
-                if other is not None:
-                    self._stream.maximum = (
-                        other if self._stream.maximum is None
-                        else max(self._stream.maximum, other))
 
     def __repr__(self) -> str:
         return f"HistogramMetric({self.name!r}, n={self.count})"
@@ -334,60 +264,6 @@ class MetricsRegistry:
         with self._lock:
             return {name: self._metrics[name].as_dict()
                     for name in sorted(self._metrics)}
-
-    # -- serialization / aggregation ---------------------------------------
-    @classmethod
-    def from_snapshot(cls, snapshot: Dict[str, Dict[str, Any]],
-                      sim: Optional[Kernel] = None) -> "MetricsRegistry":
-        """Rebuild a registry from an :meth:`as_dict` snapshot.
-
-        Used when pool workers ship their per-run metrics to the sweep
-        parent: every exported field round-trips (the histogram variance,
-        which no exporter exposes, does not).
-        """
-        registry = cls(sim=sim, enabled=True)
-        registry.merge(snapshot)
-        return registry
-
-    def merge(self, other: Union["MetricsRegistry",
-                                 Dict[str, Dict[str, Any]]]) -> None:
-        """Fold another registry (or an :meth:`as_dict` snapshot) in.
-
-        Counters and histograms add; gauges keep their extremes and the
-        largest observed ``value``; kind mismatches raise.
-        """
-        snapshot = other.as_dict() if isinstance(other, MetricsRegistry) \
-            else other
-        with self._lock:
-            for name, data in snapshot.items():
-                kind = data["kind"]
-                metric = self._metrics.get(name)
-                if metric is None:
-                    metric = self._create_for_merge(name, data)
-                    self._metrics[name] = metric
-                    if kind == "counter":
-                        metric._merge(data)
-                elif metric.kind != kind:
-                    raise ConfigurationError(
-                        f"cannot merge metric {name!r}: kind {kind} into "
-                        f"{metric.kind}")
-                else:
-                    metric._merge(data)
-
-    def _create_for_merge(self, name: str, data: Dict[str, Any]) -> Metric:
-        kind = data["kind"]
-        if kind == "counter":
-            return CounterMetric(name, lock=self._lock)
-        if kind == "gauge":
-            gauge = GaugeMetric(name, lock=self._lock)
-            gauge._restore(data)
-            return gauge
-        if kind == "histogram":
-            histogram = HistogramMetric(name, data["buckets"],
-                                        lock=self._lock)
-            histogram._restore(data)
-            return histogram
-        raise ConfigurationError(f"unknown metric kind {kind!r} for {name!r}")
 
     def __len__(self) -> int:
         return len(self._metrics)

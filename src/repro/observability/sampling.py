@@ -36,10 +36,6 @@ class SamplePoint:
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SamplePoint":
-        return cls(**data)
-
 
 def take_sample(sim: Kernel, memory: Any, cm: Any) -> SamplePoint:
     """Snapshot ``memory`` and the communication manager ``cm`` now."""

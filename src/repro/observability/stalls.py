@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.common.errors import SimulationError
 
@@ -106,10 +106,6 @@ class StallAttribution:
             return {cause[len(_SOURCE_PREFIX):]: seconds
                     for cause, seconds in self.breakdown.items()
                     if is_source_wait(cause)}
-
-    def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"total": self.total, "breakdown": self.by_cause()}
 
     def __repr__(self) -> str:
         return (f"StallAttribution({len(self.breakdown)} causes, "

@@ -1,21 +1,17 @@
 """ExecutionResult <-> JSON payload conversion.
 
-Parallel workers and the run cache both move results across a process or
-filesystem boundary, so the *measured* content of an
-:class:`~repro.core.engine.ExecutionResult` is flattened to plain JSON:
-every scalar metric, the per-wrapper and per-fragment statistics, the
-stall breakdown and the typed decision log (the run's execution trace)
-survive the round trip bit-for-bit (Python floats serialize losslessly
-through ``repr``-based JSON).
+Every result a sweep returns — run inline, in a pool worker, or served
+from the run cache — is rebuilt from the one payload defined here.  It
+carries the run's own seeded outcome, flattened to plain JSON: every
+scalar metric, the per-wrapper and per-fragment statistics, the stall
+breakdown and the typed decision log (the run's execution trace).  All
+of it survives the round trip bit-for-bit (Python floats serialize
+losslessly through ``repr``-based JSON).
 
-Since schema 2 the telemetry channels cross the boundary too: the
-metrics registry travels as its snapshot dict (rebuilt via
-:meth:`~repro.observability.registry.MetricsRegistry.from_snapshot`, so
-a parent process can :meth:`~repro.observability.registry.
-MetricsRegistry.merge` worker telemetry) and the periodic samples as
-their plain dicts.  What still does **not** survive is the one
-in-memory object graph that only makes sense inside the producing
-process: the runtime-statistics object.
+The telemetry planes (metrics registry, periodic samples, span tree) and
+the runtime-statistics object stay with the process that ran the query:
+a rebuilt result has ``metrics is None``, ``samples == []`` and
+``spans is None``.  A caller that wants them runs ``spec.execute()``.
 """
 
 from __future__ import annotations
@@ -25,12 +21,7 @@ from typing import Any
 
 from repro.core.engine import ExecutionResult, FragmentStat
 from repro.core.multiquery import MultiQueryResult, QueryOutcome
-from repro.observability import (
-    DecisionRecord,
-    MetricsRegistry,
-    SamplePoint,
-    Span,
-)
+from repro.observability import DecisionRecord
 
 #: bumped whenever the payload layout changes (part of the cache key).
 #: 2: telemetry metrics snapshot + periodic samples joined the payload.
@@ -45,7 +36,10 @@ from repro.observability import (
 #: 7: ``submission_id`` / ``tenant`` / ``worker_id`` left again (the
 #:    service reports a submission's own outcome dict, not this payload).
 #: 8: the multi-query outcome's ``tenant`` left (nothing set it).
-RESULT_SCHEMA_VERSION = 8
+#: 9: the telemetry planes left (``metrics``, ``samples``, ``spans``,
+#:    ``span_summary``): every sweep result is rebuilt from the payload,
+#:    and no sweep reads them.
+RESULT_SCHEMA_VERSION = 9
 
 #: scalar ExecutionResult fields copied verbatim, in schema order.
 _SCALAR_FIELDS = (
@@ -70,12 +64,6 @@ def result_to_payload(result: ExecutionResult) -> dict[str, Any]:
     payload["reopt_swaps"] = list(result.reopt_swaps)
     payload["stall_breakdown"] = dict(result.stall_breakdown)
     payload["decisions"] = [record.to_dict() for record in result.decisions]
-    payload["metrics"] = (result.metrics.as_dict()
-                          if result.metrics is not None else None)
-    payload["samples"] = [sample.to_dict() for sample in result.samples]
-    payload["spans"] = ([span.to_dict() for span in result.spans]
-                        if result.spans is not None else None)
-    payload["span_summary"] = result.span_summary
     return payload
 
 
@@ -94,15 +82,6 @@ def result_from_payload(payload: dict[str, Any]) -> ExecutionResult:
     result.stall_breakdown = dict(payload["stall_breakdown"])
     result.decisions = [DecisionRecord.from_dict(record)
                         for record in payload["decisions"]]
-    metrics = payload.get("metrics")
-    if metrics is not None:
-        result.metrics = MetricsRegistry.from_snapshot(metrics)
-    result.samples = [SamplePoint.from_dict(sample)
-                      for sample in payload.get("samples", [])]
-    spans = payload.get("spans")
-    if spans is not None:
-        result.spans = [Span.from_dict(span) for span in spans]
-    result.span_summary = payload.get("span_summary")
     return result
 
 
@@ -114,20 +93,15 @@ def multiquery_result_to_payload(result: MultiQueryResult) -> dict[str, Any]:
         "cpu_busy_time": result.cpu_busy_time,
         "disk_busy_time": result.disk_busy_time,
         "decisions": [record.to_dict() for record in result.decisions],
-        "spans": ([span.to_dict() for span in result.spans]
-                  if result.spans is not None else None),
     }
 
 
 def multiquery_result_from_payload(payload: dict[str, Any]) -> MultiQueryResult:
-    spans = payload.get("spans")
     return MultiQueryResult(
         outcomes=[QueryOutcome(**outcome) for outcome in payload["outcomes"]],
         makespan=payload["makespan"],
         cpu_busy_time=payload["cpu_busy_time"],
         disk_busy_time=payload["disk_busy_time"],
         decisions=[DecisionRecord.from_dict(record)
-                   for record in payload.get("decisions", [])],
-        spans=([Span.from_dict(span) for span in spans]
-               if spans is not None else None),
+                   for record in payload["decisions"]],
     )

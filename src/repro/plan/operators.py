@@ -59,10 +59,6 @@ class JoinSpec:
         if self.actual_output_cardinality is None:
             self.actual_output_cardinality = self.estimated_output_cardinality
 
-    @property
-    def relations(self) -> tuple[str, ...]:
-        return self.build_relations + self.probe_relations
-
     def estimated_fanout(self) -> float:
         """Estimated result tuples per probe-input tuple."""
         return self.crossing_selectivity * self.estimated_build_cardinality

@@ -17,7 +17,7 @@ and rebuilds the affected fragments.
 from __future__ import annotations
 
 from repro.common.errors import PlanError
-from repro.plan.operators import JoinSpec, MatOp, Operator, ProbeOp, ScanOp
+from repro.plan.operators import JoinSpec, MatOp, Operator, ProbeOp
 from repro.plan.qep import QEP, PipelineChain
 from repro.plan.validation import validate_qep
 

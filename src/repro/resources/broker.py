@@ -408,12 +408,6 @@ class MemoryBroker:
     def attach_admission(self, controller: "AdmissionController") -> None:
         self._admission = weakref.ref(controller)
 
-    def bind(self, sim: Kernel, telemetry: "Telemetry") -> None:
-        """Late-bind kernel and telemetry (broker built before the World)."""
-        self.sim = sim
-        self.telemetry = telemetry
-        self._attach_gauges()
-
     def _demand_exists(self, releasing: MemoryLease) -> bool:
         admission = self._admission()
         if admission is not None and admission.queue_depth > 0:

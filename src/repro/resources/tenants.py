@@ -26,7 +26,7 @@ before admission decides what the query actually gets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError

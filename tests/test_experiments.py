@@ -108,7 +108,6 @@ def test_average_response_time_repeats(tiny_fig5, fast_params):
     assert point.response_time == pytest.approx(
         sum(run.response_time for run in results) / reps)
     assert point.response_time > 0
-    assert point.last_result is results[-1]
 
 
 def test_run_strategies_compares(tiny_fig5, fast_params):
@@ -125,7 +124,6 @@ def test_run_strategies_compares(tiny_fig5, fast_params):
         assert point.repetitions == reps
         assert point.response_time == pytest.approx(
             sum(run.response_time for run in runs) / reps)
-        assert point.last_result is runs[-1]
 
 
 def test_repetitions_validation(fast_params):

@@ -163,29 +163,3 @@ def test_json_and_csv_exports_under_concurrent_updates(tmp_path):
 
     final = json.loads(target.read_text())
     _check_snapshot(final["metrics"])
-
-
-def test_merged_registry_equals_the_sum_of_worker_registries():
-    """Cross-process aggregation semantics: merge() is associative and
-    sums counters/histograms while keeping gauge extremes."""
-    workers = []
-    for w in range(3):
-        registry = MetricsRegistry(enabled=True)
-        registry.counter("dqp.batches").inc(100 * (w + 1))
-        registry.gauge("memory.used").set(10.0 * (w + 1))
-        hist = registry.histogram("batch.sizes", buckets=BUCKETS)
-        for i in range(50):
-            hist.observe(float(i + w))
-        workers.append(registry)
-
-    merged = MetricsRegistry(enabled=True)
-    for worker in workers:
-        merged.merge(worker.as_dict())  # what SweepRunner does per result
-
-    snapshot = merged.as_dict()
-    assert snapshot["dqp.batches"]["value"] == 100 + 200 + 300
-    assert snapshot["batch.sizes"]["count"] == 150
-    assert snapshot["batch.sizes"]["sum"] == sum(
-        float(i + w) for w in range(3) for i in range(50))
-    assert snapshot["memory.used"]["max"] == 30.0
-    assert snapshot["memory.used"]["min"] == 10.0

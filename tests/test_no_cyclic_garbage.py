@@ -159,32 +159,32 @@ def test_run_stopped_by_detach(assert_no_cyclic_garbage, tiny_fig5):
     assert_no_cyclic_garbage(run)
 
 
-@pytest.mark.parametrize("data_at", [1.0, None])
-def test_timed_stall(assert_no_cyclic_garbage, data_at):
-    """The DQP's stall idiom: wait for data under a guard timeout, then
-    detach the composite and withdraw the guard.  Ended by the data
-    (guard cancelled) or by the guard (data never comes)."""
-    def stalled(sim, data):
-        guard = sim.timeout(5.0)
-        waiter = sim.any_of([data, guard])
-        yield waiter
-        waiter.detach()
-        if not guard.processed:
-            guard.cancel()
-        return sim.now
+@pytest.mark.parametrize("stop_at", [2.5, 3.0])
+def test_tick_raced_against_stop(assert_no_cyclic_garbage, stop_at):
+    """The telemetry sampler's idiom: race each periodic tick against one
+    stop event, with no guard to withdraw.  Stopped between two ticks
+    (the pending tick still fires, unheeded) or on a tick."""
+    def ticker(sim, stop, ticks):
+        while True:
+            tick = sim.timeout(1.0)
+            yield sim.any_of([tick, stop])
+            if stop.triggered:
+                return sim.now
+            ticks.append(sim.now)
 
-    def feeder(sim, data):
-        yield sim.timeout(data_at)
-        data.succeed()
+    def stopper(sim, stop):
+        yield sim.timeout(stop_at)
+        stop.succeed("stop")
 
     def run():
         sim = Simulator()
-        data = sim.event("data")
-        waiter = sim.process(stalled(sim, data))
-        if data_at is not None:
-            sim.process(feeder(sim, data))
+        stop = sim.event("stop")
+        ticks: list = []
+        waiter = sim.process(ticker(sim, stop, ticks))
+        sim.process(stopper(sim, stop))
         sim.run()
-        assert waiter.value == (data_at or 5.0)
+        assert waiter.value == stop_at
+        assert ticks == [1.0, 2.0]
     assert_no_cyclic_garbage(run)
 
 

@@ -19,8 +19,12 @@ from repro.experiments.slowdown import (
     slowdown_waits,
 )
 from repro.experiments.workloads import figure5_workload
-from repro.parallel import SweepRunner, result_to_payload
-from repro.parallel.spec import RunSpec, uniform_delay_specs
+from repro.parallel import (
+    SweepRunner,
+    multiquery_result_to_payload,
+    result_to_payload,
+)
+from repro.parallel.spec import MultiQuerySpec, RunSpec, uniform_delay_specs
 from repro.wrappers.delays import UniformDelay
 
 SCALE = 0.05
@@ -96,3 +100,37 @@ def test_pool_payload_equals_inline_payload(specs):
     """What a worker ships over the wire == what inline execution yields."""
     spec = specs[0]
     assert spec.execute_payload() == result_to_payload(spec.execute())
+
+
+def test_governed_multiquery_sweep_identical_serial_pooled_and_cached(
+        tmp_path):
+    """A governed batch (finite pool, FIFO admission, queued queries)
+    comes back the same serial, sharded and from a cold-then-warm
+    cache; the warm sweep executes nothing."""
+    params = SimulationParameters().with_overrides(
+        dynamic_budget_replanning=True)
+    specs = [MultiQuerySpec(strategy=strategy, wait=2e-5, num_queries=3,
+                            seed=1, scale=SCALE, params=params,
+                            memory_bytes=384 * 1024,
+                            min_memory_bytes=384 * 1024,
+                            max_memory_bytes=2 * 1024 * 1024,
+                            global_memory_bytes=896 * 1024,
+                            admission="fifo")
+             for strategy in ("DSE", "SEQ")]
+    assert len({spec.cache_key() for spec in specs}) == len(specs)
+
+    def payloads(results):
+        return [multiquery_result_to_payload(r) for r in results]
+
+    serial = payloads(SweepRunner(jobs=1).run(specs))
+    assert any(outcome["admission_wait"] > 0
+               for payload in serial for outcome in payload["outcomes"])
+    assert payloads(SweepRunner(jobs=2).run(specs)) == serial
+
+    cold = SweepRunner(jobs=1, cache_dir=tmp_path)
+    assert payloads(cold.run(specs)) == serial
+    assert cold.stats.stored == len(specs)
+    warm = SweepRunner(jobs=1, cache_dir=tmp_path)
+    assert payloads(warm.run(specs)) == serial
+    assert warm.stats.cache_hits == len(specs)
+    assert warm.stats.executed_inline == warm.stats.executed_pool == 0

@@ -340,16 +340,6 @@ def test_cancelled_timeout_pins_nothing(sim):
     assert not guard.processed and not waiter.triggered
 
 
-def test_detach_unhooks_a_guard_timeout_that_has_not_occurred(sim):
-    data, guard = sim.event("data"), sim.timeout(5.0)
-    waiter = sim.any_of([data, guard])
-    data.succeed()
-    sim.run(until=1.0)
-    assert waiter.processed and not guard.processed
-    waiter.detach()  # a Timeout is born triggered: "not processed" counts
-    assert guard._callbacks == []
-
-
 @pytest.mark.parametrize("ending", ["returns", "raises", "yields junk"])
 def test_finished_process_releases_its_generator_and_its_step(sim, ending):
     """``_step`` is a bound method of the process itself: kept past the

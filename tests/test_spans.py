@@ -363,33 +363,6 @@ def test_span_summary_of_an_empty_recording_is_harmless():
 
 
 # --------------------------------------------------------------------------
-# Payloads: spans cross the process/cache boundary
-# --------------------------------------------------------------------------
-
-def test_execution_payload_roundtrips_spans():
-    from repro.parallel.results import result_from_payload, result_to_payload
-
-    result = _run("DSE", slow={"C": 4.0})
-    rebuilt = result_from_payload(result_to_payload(result))
-    assert rebuilt.span_summary == result.span_summary
-    assert [s.to_dict() for s in rebuilt.spans] == \
-        [s.to_dict() for s in result.spans]
-    # And the rebuilt spans explain identically.
-    assert explain_spans(rebuilt.spans).totals == \
-        explain_spans(result.spans).totals
-
-
-def test_spans_disabled_payload_ships_none():
-    from repro.parallel.results import result_from_payload, result_to_payload
-
-    result = _run("DSE", spans=False)
-    payload = result_to_payload(result)
-    assert payload["spans"] is None and payload["span_summary"] is None
-    rebuilt = result_from_payload(payload)
-    assert rebuilt.spans is None and rebuilt.span_summary is None
-
-
-# --------------------------------------------------------------------------
 # Multi-query: admission waits cause late query spans
 # --------------------------------------------------------------------------
 
@@ -423,13 +396,3 @@ def test_admission_wait_span_causes_the_queued_query(tiny_fig5):
     assert set(queries) == {"running", "waiter"}
     assert queries["running"].caused_by is None
     assert queries["waiter"].caused_by == waits[0].span_id
-
-    # The machine-wide tree round-trips through the worker payload.
-    from repro.parallel.results import (
-        multiquery_result_from_payload,
-        multiquery_result_to_payload,
-    )
-    rebuilt = multiquery_result_from_payload(
-        multiquery_result_to_payload(result))
-    assert [s.to_dict() for s in rebuilt.spans] == \
-        [s.to_dict() for s in result.spans]

@@ -142,7 +142,11 @@ def _per_stall_guard():
                                 + [self._rate_event, timeout])
             yield waiter
             self._rate_event = None
-            waiter.detach()
+            # Unhook the composite from the children that have not
+            # occurred (the guard is born triggered: "not processed").
+            for event in waiter.events:
+                if not event.processed:
+                    event.remove_callback(waiter._on_child)
             if not timeout.processed:
                 timeout.cancel()
             self.stall_time += sim.now - started
