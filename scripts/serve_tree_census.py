@@ -1,0 +1,164 @@
+#!/usr/bin/env python
+"""Census of the processes behind ``repro serve --workers 2``.
+
+Starts the daemon on a free port, submits 20 queries over HTTP and
+waits until each is done, then walks the daemon's process tree in
+``/proc`` and prints every process with its role (coordinator, worker
+N, or other) and its peak resident set (``VmHWM``).
+
+Exit status 1 when the tree holds any process besides the coordinator
+and its two workers (a ``multiprocessing`` resource tracker, a helper
+nobody reaps), or when the coordinator maps numpy: it executes no
+query, so it never draws.  The MB figures are printed, not gated: they
+differ from host to host.
+
+    PYTHONPATH=src python scripts/serve_tree_census.py
+"""
+
+from __future__ import annotations
+
+import http.client
+import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import Any, Dict, List, Optional
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+WORKERS = 2
+SUBMISSIONS = 20
+#: one small query: a few milliseconds of modelled work each.
+BODY = {"tenant": "census", "strategy": "DSE", "scale": 0.0005,
+        "wait_us": 20.0, "memory_bytes": 256 << 10}
+TIMEOUT_S = 60.0
+
+
+def _request(port: int, method: str, path: str,
+             body: Optional[Dict[str, Any]] = None) -> Any:
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        connection.request(
+            method, path,
+            body=json.dumps(body).encode() if body is not None else None,
+            headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        payload = json.loads(response.read() or b"null")
+        if response.status // 100 != 2:
+            raise RuntimeError(f"{method} {path} answered {response.status}: "
+                               f"{payload}")
+        return payload
+    finally:
+        connection.close()
+
+
+def _parent(pid: int) -> Optional[int]:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None  # exited while listed
+    return int(stat.rsplit(")", 1)[1].split()[1])
+
+
+def descendants(root: int) -> List[int]:
+    """Every process below ``root``, from the ppid field of /proc."""
+    children: Dict[int, List[int]] = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            parent = _parent(int(entry.name))
+            if parent is not None:
+                children.setdefault(parent, []).append(int(entry.name))
+    found, frontier = [], [root]
+    while frontier:
+        for child in sorted(children.get(frontier.pop(), [])):
+            found.append(child)
+            frontier.append(child)
+    return found
+
+
+def peak_rss_mb(pid: int) -> float:
+    status = Path(f"/proc/{pid}/status").read_text()
+    match = re.search(r"VmHWM:\s+(\d+) kB", status)
+    return int(match.group(1)) / 1024.0 if match else 0.0
+
+
+def maps_numpy(pid: int) -> bool:
+    return "numpy" in Path(f"/proc/{pid}/maps").read_text()
+
+
+def _start(log: Path) -> "tuple[subprocess.Popen[bytes], int]":
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    with open(log, "w") as out:
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", str(WORKERS)],
+            stdout=out, stderr=subprocess.STDOUT, env=env, cwd=log.parent)
+    deadline = time.monotonic() + TIMEOUT_S
+    while time.monotonic() < deadline:
+        if daemon.poll() is not None:
+            raise RuntimeError(f"serve exited {daemon.returncode}: "
+                               f"{log.read_text()[-500:]}")
+        match = re.search(r"serving on http://[^:]+:(\d+)", log.read_text())
+        if match:
+            return daemon, int(match.group(1))
+        time.sleep(0.05)
+    raise RuntimeError("serve printed no 'serving on' line")
+
+
+def _run_queries(port: int) -> None:
+    ids = [_request(port, "POST", "/submit", dict(BODY, seed=index))["id"]
+           for index in range(SUBMISSIONS)]
+    deadline = time.monotonic() + TIMEOUT_S
+    for submission in ids:
+        while True:
+            state = _request(port, "GET", f"/submissions/{submission}")["state"]
+            if state == "done":
+                break
+            if state == "failed" or time.monotonic() > deadline:
+                raise RuntimeError(f"{submission} ended {state}")
+            time.sleep(0.02)
+
+
+def main() -> int:
+    if not Path("/proc/self/stat").exists():
+        print("serve_tree_census: needs /proc (Linux)", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as scratch:
+        daemon, port = _start(Path(scratch) / "serve.log")
+        try:
+            _run_queries(port)
+            workers = {row["pid"]: row["id"]
+                       for row in _request(port, "GET", "/healthz")["workers"]}
+            tree = descendants(daemon.pid)
+            rows = [(daemon.pid, "coordinator")] + [
+                (pid, f"worker {workers[pid]}" if pid in workers else "other")
+                for pid in tree]
+            for pid, role in rows:
+                print(f"{role:<12} pid {pid:<8} VmHWM {peak_rss_mb(pid):7.1f} MB")
+            print(f"total        {sum(peak_rss_mb(pid) for pid, _ in rows):7.1f} MB")
+            problems = []
+            if sorted(tree) != sorted(workers) or len(workers) != WORKERS:
+                problems.append(f"the tree is not the coordinator and its "
+                                f"{WORKERS} workers: {rows}")
+            if maps_numpy(daemon.pid):
+                problems.append("the coordinator maps numpy")
+        finally:
+            daemon.send_signal(signal.SIGTERM)
+            try:
+                daemon.wait(timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait()
+    for problem in problems:
+        print(f"serve_tree_census: {problem}", file=sys.stderr)
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

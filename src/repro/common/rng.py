@@ -10,8 +10,10 @@ consumer never perturbs the draws seen by existing ones.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(root_seed: int, label: str) -> int:
@@ -38,6 +40,10 @@ class RandomStreams:
         object, so draws continue where they left off.
         """
         if label not in self._streams:
+            # Imported where it draws: a process that never draws (the
+            # service's coordinator) never loads numpy.
+            import numpy as np
+
             seed = derive_seed(self.root_seed, label)
             self._streams[label] = np.random.default_rng(seed)
         return self._streams[label]

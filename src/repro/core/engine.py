@@ -30,7 +30,6 @@ from repro.observability import (
     SamplePoint,
     Span,
     build_live_snapshot,
-    span_summary,
 )
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
@@ -109,9 +108,6 @@ class ExecutionResult:
     metrics: Optional[MetricsRegistry] = None
     #: causal span tree of the run (``telemetry_spans`` enabled only).
     spans: Optional[list[Span]] = None
-    #: compact span-derived summary (count, response time, critical-path
-    #: totals).
-    span_summary: Optional[dict] = None
 
     def stall_by_cause(self) -> dict[str, float]:
         """Stall breakdown sorted largest first."""
@@ -427,8 +423,6 @@ class QueryRun:
                      if world.telemetry.enabled else None),
             spans=(list(world.telemetry.spans.spans)
                    if world.telemetry.spans is not None else None),
-            span_summary=(span_summary(world.telemetry.spans.spans)
-                          if world.telemetry.spans is not None else None),
         )
 
 

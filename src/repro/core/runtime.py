@@ -24,9 +24,7 @@ every fragment probing them is done.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import SchedulingError, SimulationError
 from repro.common.rng import RandomStreams
@@ -60,6 +58,9 @@ from repro.resources.broker import MemoryBroker, MemoryLease
 from repro.exec import Kernel
 from repro.sim.cache import LRUPageCache
 from repro.sim.resources import CPU, Disk, NetworkLink
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class World:

@@ -59,6 +59,11 @@ def _fmt_count(value: float) -> str:
     return f"{value:,.0f}"
 
 
+def _fmt_mb(value: Optional[float]) -> str:
+    """A byte figure in MB; ``-`` before the process reported one."""
+    return "-" if value is None else f"{value / 1e6:.1f}MB"
+
+
 def render_top(snapshot: Optional[Dict[str, Any]], width: int = 80) -> List[str]:
     """Render one snapshot as fixed-width text lines (pure function).
 
@@ -153,6 +158,9 @@ def render_service_top(snapshot: Dict[str, Any],
     stall_text = "  ".join(f"{cause}={seconds:.2f}s"
                            for cause, seconds in stalls[:4]) or "none"
     lines.append(f"stalls {stall_text}"[:width])
+    rss = snapshot.get("peak_rss_bytes")
+    if rss is not None:
+        lines.append(f"rss    coordinator peak {_fmt_mb(rss)}"[:width])
     lines.append("")
 
     workers = snapshot.get("workers") or []
@@ -160,13 +168,15 @@ def render_service_top(snapshot: Dict[str, Any],
         up = sum(1 for row in workers if row["state"] == "up")
         lines.append(f"{'WORKER':<8} {'STATE':<6} {'ACTIVE':>7} "
                      f"{'QUEUED':>7} {'DONE':>8} {'STEALS':>7} "
-                     f"{'RESTARTS':>9}   fleet {up}/{len(workers)} up, "
+                     f"{'RESTARTS':>9} {'PEAK RSS':>9}   "
+                     f"fleet {up}/{len(workers)} up, "
                      f"{snapshot.get('steals', 0)} steals"[:width])
         for row in workers:
             lines.append(
                 f"{row['id']:<8} {row['state']:<6} {row['active']:>7} "
                 f"{row['queued']:>7} {_fmt_count(row['completed']):>8} "
-                f"{row['steals']:>7} {row['restarts']:>9}"[:width])
+                f"{row['steals']:>7} {row['restarts']:>9} "
+                f"{_fmt_mb(row.get('peak_rss_bytes')):>9}"[:width])
         lines.append("")
 
     lines.append(f"{'TENANT':<14} {'PRI':>5} {'FLIGHT':>7} {'DONE':>8} "

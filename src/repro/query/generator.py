@@ -15,14 +15,16 @@ join-order benchmarks do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Attribute, Relation
 from repro.catalog.statistics import JoinStatistics
 from repro.common.errors import ConfigurationError
 from repro.query.tree import Query
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SHAPES = ("chain", "star", "tree")
 

@@ -25,6 +25,8 @@ Either way it returns the plane's outcome dict.
 
 from __future__ import annotations
 
+import resource
+import sys
 import zlib
 from typing import (
     TYPE_CHECKING,
@@ -37,8 +39,6 @@ from typing import (
     Protocol,
     Tuple,
 )
-
-import numpy as np
 
 from repro.config import SimulationParameters
 from repro.core.engine import QueryRun
@@ -68,6 +68,28 @@ DEFAULT_AUDIT_CAPACITY = 4096
 #: request scales (any positive float a client sends) a plane keeps a
 #: built workload, and its plan's compiled forms, for.
 WORKLOAD_CACHE_SIZE = 4
+
+
+def import_execution_modules() -> None:
+    """Import what executing a submission imports: numpy for its
+    sources' draws and the request type a worker parses.
+
+    Every process that executes submissions calls this before it serves
+    (a pool worker before ``ready``, the in-process backend at start),
+    so no import lands inside a query's latency.  Not in
+    :class:`ExecutionPlane`'s constructor: the pool's coordinator builds
+    a plane for its broker and never draws.
+    """
+    import numpy.random  # noqa: F401
+
+    import repro.service.service  # noqa: F401
+
+
+def peak_rss_bytes() -> int:
+    """This process's peak resident set size, in bytes (``ru_maxrss``
+    is KiB on Linux, bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 class ExecutionPlane(GovernedMachine):
@@ -119,6 +141,8 @@ class ExecutionPlane(GovernedMachine):
         ``world.rng``: that keeps one generator per label for the life
         of the machine; none at all for a profile that cannot draw.)
         """
+        import numpy as np
+
         catalog = self.workload(request.scale).catalog
         base_wait = request.wait_us * 1e-6
 
@@ -230,7 +254,7 @@ class InProcessBackend:
     name = BACKEND_IN_PROCESS
 
     async def start(self, service: "QueryService") -> None:
-        return None
+        import_execution_modules()
 
     async def stop(self, service: "QueryService") -> None:
         return None

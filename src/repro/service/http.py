@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.common.errors import ConfigurationError
 from repro.observability.server import ObservabilityServer, Request, Response
 from repro.resources import QuotaExceeded
+from repro.service.backend import peak_rss_bytes
 from repro.service.service import QueryService, ServiceDraining, SubmissionRequest
 from repro.service.stats import service_prometheus_text
 
@@ -99,6 +100,7 @@ class ServiceServer(ObservabilityServer):
             # the snapshot: a dead worker must show up within the
             # health probe's latency, not the publish interval's).
             "workers": service.backend.describe(),
+            "peak_rss_bytes": peak_rss_bytes(),
         }
 
     def _slo(self, request: Request) -> Response:

@@ -83,6 +83,7 @@ from repro.service.backend import (
     ExecutionBackend,
     ExecutionPlane,
     InProcessBackend,
+    peak_rss_bytes,
 )
 from repro.service.slo import SLOSpec, SLOTracker
 from repro.service.stats import LatencyWindow
@@ -91,7 +92,9 @@ from repro.service.stats import LatencyWindow
 #: 2: execution-plane fields joined (``backend``, ``workers``,
 #:    ``steals``); ``admission_queued`` includes backend queues and
 #:    ``stalls`` folds remote-worker stall seconds in.
-SERVICE_SNAPSHOT_VERSION = 2
+#: 3: ``peak_rss_bytes`` joined: the coordinator's own peak resident
+#:    set at the top, each worker's own on its ``workers`` row.
+SERVICE_SNAPSHOT_VERSION = 3
 
 #: seconds between full-snapshot records written to the archive (the
 #: per-second publish tick would bloat the log ~10x for no added
@@ -714,6 +717,7 @@ class QueryService:
             "backend": self.backend.name,
             "workers": self.backend.describe(),
             "steals": self.backend.steals_total,
+            "peak_rss_bytes": peak_rss_bytes(),
             "completed": self.completed,
             "failed": self.failed,
             "rejected": self.rejected,

@@ -2,14 +2,13 @@
 
 ``repro serve --workers N`` splits query execution across N long-lived
 worker processes, each an :class:`~repro.service.backend.
-ExecutionPlane` — the single-kernel governed machine the in-process
-backend calls directly — behind a pipe (:class:`WorkerHost`), with a
-memory pool carved out of the coordinator's machine-level
-:class:`~repro.resources.broker.MemoryBroker`
+ExecutionPlane` (the governed machine the in-process backend calls
+directly) behind a socket (:class:`WorkerHost`), with a memory pool
+carved out of the coordinator's machine broker
 (:meth:`~repro.resources.broker.MemoryBroker.carve_even`).  The
 coordinator keeps the whole control plane — tenant gating, refusal
-accounting, SLOs, archive, drain — and this module supplies the
-:class:`~repro.service.backend.ExecutionBackend` that moves admitted
+accounting, SLOs, archive, drain — and this module's
+:class:`~repro.service.backend.ExecutionBackend` moves admitted
 submissions to the fleet and folds their telemetry back.
 
 Topology::
@@ -20,66 +19,59 @@ Topology::
            │                        assignment, work stealing (pure,
            │                        deterministic, unit-testable)
            ├─ reader thread         multiprocessing.connection.wait over
-           │                        every worker pipe + a self-wake pipe
-           └─ worker 0..N-1         spawn-context Process running
+           │                        every worker socket + a self-wake pipe
+           └─ worker 0..N-1         a plain child interpreter running
                                     worker_main: an ExecutionPlane (own
                                     kernel, broker with pool = carve,
-                                    admission queue) + pipe reader
+                                    admission queue) + socket reader
 
-Wire protocol (one duplex :func:`multiprocessing.Pipe` per worker,
-pickled dicts):
+A worker is ``python -c`` under :class:`subprocess.Popen`, handed one
+end of a :func:`socket.socketpair` and the directory holding the
+coordinator's ``repro``: it imports what a job executes, not the
+coordinator's ``__main__`` (the CLI), and no resource tracker starts.
+The first message is ``(worker id, config)``; the worker imports all a
+job imports (:func:`~repro.service.backend.import_execution_modules`)
+*before* it answers ``ready``, so no import runs while it serves.
+Then, pickled dicts: ``job`` (``id``, ``request``, ``sequence``,
+``priority``, the three budgets, ``stolen``) and ``stop`` one way;
+``ready`` (``worker``, ``pool``, ``peak_rss_bytes``) and
+``result`` (``id``, ``ok``, ``payload`` or ``error``, ``wait_s``,
+``stalls``, ``peak_rss_bytes``) the other.  A result is constant-size
+whatever the worker's uptime: the outcome dict of
+:meth:`~repro.service.backend.ExecutionPlane.execute` and the worker
+machine's cumulative stall seconds by cause.
 
-* coordinator → worker: ``{"op": "job", "id", "request", "sequence",
-  "priority", "initial", "min_bytes", "max_bytes", "stolen"}`` and
-  ``{"op": "stop"}``.
-* worker → coordinator: ``{"op": "ready", "worker", "pool", "pid"}``
-  and ``{"op": "result", "id", "ok", "payload"|"error", "wait_s",
-  "stalls"}`` where ``payload`` is the submission's outcome dict
-  (:meth:`~repro.service.backend.ExecutionPlane.execute`, which runs it
-  through :meth:`~repro.core.multiquery.GovernedMachine.run_query`: five
-  headline numbers, ``memory_peak_bytes``, ``span_summary``) — constant
-  size, whatever the worker's uptime; its machine-wide telemetry stays
-  worker-side except the cumulative per-cause ``stalls`` totals.
-
-Determinism despite stealing: a submission's sources are seeded per
-``(service seed, request seed, submission sequence, relation)`` — see
-:meth:`~repro.service.backend.ExecutionPlane.wrappers` — so its result
-does not depend on *which* worker executed it.
-
-Failure semantics: a worker that dies (EOF/OSError on its pipe) fails
-every submission it had in flight with :class:`WorkerDied` (the error
-string carries ``worker-died``), bumps its restart counter, and is
-respawned with a fresh pipe; submissions still queued coordinator-side
-are untouched and simply get dispatched — or stolen — elsewhere.
+A submission's sources are seeded per ``(service seed, request seed,
+sequence, relation)`` (:meth:`~repro.service.backend.ExecutionPlane.
+wrappers`), so stealing never changes a result.  A worker that dies
+(EOF/OSError on its socket) fails its in-flight submissions with
+:class:`WorkerDied` (``worker-died``), is reaped and respawned; queued
+submissions are dispatched — or stolen — elsewhere.
 """
 
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
-import multiprocessing.connection
-import os
+import socket
+import subprocess
+import sys
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Deque,
-    Dict,
-    Generator,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from multiprocessing.connection import Connection, Pipe, wait
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.core.engine import spawn_main
 from repro.exec.aio import AsyncioKernel
 from repro.exec.core import SimEvent
-from repro.service.backend import BACKEND_WORKER_POOL, ExecutionPlane
+from repro.service.backend import (
+    BACKEND_WORKER_POOL,
+    ExecutionPlane,
+    import_execution_modules,
+    peak_rss_bytes,
+)
 
 if TYPE_CHECKING:
     from repro.resources import MemoryLease
@@ -96,6 +88,13 @@ DEFAULT_START_TIMEOUT_S = 60.0
 #: respawn attempts per worker slot before it is left down for good
 #: (a crash *loop* must not melt the host; peers keep serving).
 DEFAULT_MAX_RESTARTS = 5
+
+#: the program a worker child runs (argv: the directory holding the
+#: coordinator's ``repro``, the inherited socket's descriptor).
+_WORKER_BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from repro.service.workers import worker_main; "
+                "worker_main(int(sys.argv[2]))")
+_SOURCE_ROOT = str(Path(__file__).resolve().parents[2])
 
 
 class WorkerDied(SimulationError):
@@ -121,15 +120,15 @@ class PoolScheduler:
         if not ids:
             raise ConfigurationError("scheduler needs at least one worker")
         self.window = window
-        self.queues: Dict[int, Deque[str]] = {wid: deque() for wid in ids}
-        self.active: Dict[int, int] = {wid: 0 for wid in ids}
-        self.steals: Dict[int, int] = {wid: 0 for wid in ids}
+        self.queues: dict[int, deque[str]] = {wid: deque() for wid in ids}
+        self.active: dict[int, int] = {wid: 0 for wid in ids}
+        self.steals: dict[int, int] = {wid: 0 for wid in ids}
         #: job -> worker whose queue currently holds it (queued only).
-        self.assigned: Dict[str, int] = {}
+        self.assigned: dict[str, int] = {}
         #: workers that cannot run their own queue (dead or respawning).
-        self.down: Set[int] = set()
+        self.down: set[int] = set()
         #: assignment tie order: the worker after the last one chosen first.
-        self._turns: Deque[int] = deque(ids)
+        self._turns: deque[int] = deque(ids)
 
     @property
     def steals_total(self) -> int:
@@ -150,7 +149,7 @@ class PoolScheduler:
         self.assigned[job_id] = worker_id
         return worker_id
 
-    def next_for(self, worker_id: int) -> Optional[Tuple[str, bool]]:
+    def next_for(self, worker_id: int) -> Optional[tuple[str, bool]]:
         """``(job, stolen)`` this worker should run next, or None.
 
         None when the worker's window is full or there is nothing it
@@ -199,7 +198,7 @@ class _WorkerSlot:
     """Coordinator-side state of one worker process."""
 
     id: int
-    process: Optional[Any] = None
+    process: Optional["subprocess.Popen[bytes]"] = None
     conn: Optional[Any] = None
     up: bool = False
     pid: Optional[int] = None
@@ -207,10 +206,12 @@ class _WorkerSlot:
     completed: int = 0
     failed: int = 0
     pool_bytes: Optional[int] = None
+    #: the worker's own peak resident set (its latest report).
+    peak_rss_bytes: Optional[int] = None
     #: submissions sent to this worker and not yet answered.
-    inflight: Set[str] = field(default_factory=set)
+    inflight: set[str] = field(default_factory=set)
     #: the worker machine's cumulative stall seconds by cause (latest).
-    stalls: Dict[str, float] = field(default_factory=dict)
+    stalls: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -218,9 +219,8 @@ class _Job:
     """One submission travelling through the pool."""
 
     record: "SubmissionRecord"
-    message: Dict[str, Any]
+    message: dict[str, Any]
     event: SimEvent
-    worker: Optional[int] = None
 
 
 class WorkerPoolBackend:
@@ -234,19 +234,19 @@ class WorkerPoolBackend:
                 f"worker pool needs >= 1 worker, got {workers}")
         self.workers = workers
         self.scheduler = PoolScheduler(range(workers))
-        self._slots: Dict[int, _WorkerSlot] = {
+        self._slots: dict[int, _WorkerSlot] = {
             wid: _WorkerSlot(wid) for wid in range(workers)}
-        self._jobs: Dict[str, _Job] = {}
+        self._jobs: dict[str, _Job] = {}
         self._service: Optional["QueryService"] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ctx = multiprocessing.get_context("spawn")
         self._reader: Optional[threading.Thread] = None
         self._reader_stop = False
         self._lock = threading.Lock()
         self._stopping = False
         self._carve: Optional[int] = None
-        self._leases: List["MemoryLease"] = []
-        self._ready: Dict[int, asyncio.Event] = {}
+        self._leases: list["MemoryLease"] = []
+        #: set once every worker has answered ``ready``.
+        self._fleet_ready = asyncio.Event()
         self._wake_r: Optional[Any] = None
         self._wake_w: Optional[Any] = None
 
@@ -254,7 +254,6 @@ class WorkerPoolBackend:
     async def start(self, service: "QueryService") -> None:
         self._service = service
         self._loop = asyncio.get_running_loop()
-        self._ready = {wid: asyncio.Event() for wid in range(self.workers)}
         if service.governed:
             # The machine broker's whole spare pool becomes N static
             # worker carve-outs; the coordinator holds the leases so the
@@ -263,7 +262,7 @@ class WorkerPoolBackend:
             if self._leases:
                 self._carve = min(lease.total_bytes
                                   for lease in self._leases)
-        self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
+        self._wake_r, self._wake_w = Pipe(duplex=False)
         for wid in range(self.workers):
             self._spawn(wid)
         self._reader = threading.Thread(target=self._read_loop,
@@ -271,39 +270,35 @@ class WorkerPoolBackend:
                                         daemon=True)
         self._reader.start()
         try:
-            await asyncio.wait_for(
-                asyncio.gather(*(event.wait()
-                                 for event in self._ready.values())),
-                timeout=DEFAULT_START_TIMEOUT_S)
+            await asyncio.wait_for(self._fleet_ready.wait(),
+                                   timeout=DEFAULT_START_TIMEOUT_S)
         except asyncio.TimeoutError:
-            missing = sorted(wid for wid, event in self._ready.items()
-                             if not event.is_set())
+            missing = sorted(wid for wid, slot in self._slots.items()
+                             if not slot.up)
             raise SimulationError(
                 f"worker pool failed to start: worker(s) {missing} sent "
                 f"no ready handshake in {DEFAULT_START_TIMEOUT_S:.0f}s") \
                 from None
 
-    def _worker_config(self) -> Dict[str, Any]:
-        assert self._service is not None
-        service = self._service
-        return {
-            "params": service.params,
-            "seed": service.seed,
-            "memory_bytes": self._carve,
-            "admission": service.admission,
-        }
-
     def _spawn(self, worker_id: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, child_conn, self._worker_config()),
-            name=f"repro-worker-{worker_id}", daemon=True)
-        process.start()
-        child_conn.close()
+        service = self._service
+        assert service is not None
+        ours, theirs = socket.socketpair()
+        with theirs:
+            # Same process group as the coordinator (no new session):
+            # whoever signals the daemon's group reaches its workers.
+            process = subprocess.Popen(
+                [sys.executable, "-c", _WORKER_BOOT, _SOURCE_ROOT,
+                 str(theirs.fileno())],
+                pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL)
+        parent_conn = Connection(ours.detach())
+        parent_conn.send((worker_id, {
+            "params": service.params, "seed": service.seed,
+            "memory_bytes": self._carve, "admission": service.admission}))
         with self._lock:
             slot = self._slots[worker_id]
             slot.process = process
+            slot.pid = process.pid
             slot.conn = parent_conn
             slot.up = False
         self._wake()
@@ -342,24 +337,14 @@ class WorkerPoolBackend:
         self._leases = []
 
     def _join_all(self) -> None:
-        with self._lock:
-            slots = list(self._slots.values())
-        for slot in slots:
-            process = slot.process
-            if process is None:
-                continue
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
+        for slot in list(self._slots.values()):
+            if slot.process is not None:
+                _reap(slot.process, grace_s=10.0)
             slot.up = False
         with self._lock:
-            for slot in slots:
+            for slot in self._slots.values():
                 if slot.conn is not None:
-                    try:
-                        slot.conn.close()
-                    except OSError:
-                        pass
+                    slot.conn.close()
                     slot.conn = None
 
     # -- reader thread -------------------------------------------------------
@@ -382,14 +367,13 @@ class WorkerPoolBackend:
                 conns = {slot.conn: wid
                          for wid, slot in self._slots.items()
                          if slot.conn is not None}
-            wait_on: List[Any] = list(conns)
+            wait_on: list[Any] = list(conns)
             if self._wake_r is not None:
                 wait_on.append(self._wake_r)
             if not wait_on:
                 return
             try:
-                ready = multiprocessing.connection.wait(wait_on,
-                                                        timeout=1.0)
+                ready = wait(wait_on, timeout=1.0)
             except OSError:
                 continue  # a pipe died mid-wait; re-snapshot and retry
             for conn in ready:
@@ -418,27 +402,27 @@ class WorkerPoolBackend:
                 self._post(self._on_message, worker_id, message)
 
     # -- loop-side message handling ------------------------------------------
-    def _on_message(self, worker_id: int, message: Dict[str, Any]) -> None:
+    def _on_message(self, worker_id: int, message: dict[str, Any]) -> None:
         op = message.get("op")
         slot = self._slots[worker_id]
         if op == "ready":
             slot.up = True
             self.scheduler.down.discard(worker_id)
-            slot.pid = message.get("pid")
             slot.pool_bytes = message.get("pool")
-            event = self._ready.get(worker_id)
-            if event is not None:
-                event.set()
+            slot.peak_rss_bytes = message["peak_rss_bytes"]
+            if all(peer.up for peer in self._slots.values()):
+                self._fleet_ready.set()
             self._pump()
         elif op == "result":
             self._on_result(worker_id, slot, message)
 
     def _on_result(self, worker_id: int, slot: _WorkerSlot,
-                   message: Dict[str, Any]) -> None:
+                   message: dict[str, Any]) -> None:
         job_id = message.get("id")
         stalls = message.get("stalls")
         if isinstance(stalls, dict):
             slot.stalls = stalls
+        slot.peak_rss_bytes = message["peak_rss_bytes"]
         job = self._jobs.pop(job_id, None) if isinstance(job_id, str) \
             else None
         if job is None:
@@ -475,7 +459,9 @@ class WorkerPoolBackend:
                     f"worker-died: worker {worker_id} exited with "
                     f"{job.record.id} in flight"))
         if self._stopping:
-            return
+            return  # stop() reaps every child
+        if slot.process is not None:
+            _reap(slot.process, grace_s=0.0)  # a dead worker is no zombie
         slot.restarts += 1
         if slot.restarts <= DEFAULT_MAX_RESTARTS:
             self._spawn(worker_id)
@@ -519,7 +505,6 @@ class WorkerPoolBackend:
         from repro.service.service import STATE_RUNNING
 
         assert self._service is not None
-        job.worker = worker_id
         slot.inflight.add(job.record.id)
         record = job.record
         record.state = STATE_RUNNING
@@ -537,7 +522,7 @@ class WorkerPoolBackend:
     # -- ExecutionBackend ----------------------------------------------------
     def launch(self, service: "QueryService", record: "SubmissionRecord",
                initial: int, min_bytes: int,
-               max_bytes: int) -> Generator[SimEvent, Any, Dict[str, Any]]:
+               max_bytes: int) -> Generator[SimEvent, Any, dict[str, Any]]:
         request = record.request
         event = service.kernel.event(name=f"result:{record.id}")
         message = {
@@ -561,7 +546,7 @@ class WorkerPoolBackend:
                               service: "QueryService") -> Optional[int]:
         return self._carve
 
-    def describe(self) -> List[Dict[str, Any]]:
+    def describe(self) -> list[dict[str, Any]]:
         rows = []
         for worker_id in sorted(self._slots):
             slot = self._slots[worker_id]
@@ -576,11 +561,12 @@ class WorkerPoolBackend:
                 "steals": self.scheduler.steals[worker_id],
                 "restarts": slot.restarts,
                 "pool_bytes": slot.pool_bytes,
+                "peak_rss_bytes": slot.peak_rss_bytes,
             })
         return rows
 
-    def stall_totals(self) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
+    def stall_totals(self) -> dict[str, float]:
+        totals: dict[str, float] = {}
         for slot in self._slots.values():
             for cause, seconds in slot.stalls.items():
                 totals[cause] = totals.get(cause, 0.0) + seconds
@@ -606,14 +592,14 @@ class WorkerHost(ExecutionPlane):
     """
 
     def __init__(self, worker_id: int, conn: Any,
-                 config: Dict[str, Any]) -> None:
+                 config: dict[str, Any]) -> None:
         super().__init__(config["params"], config["seed"],
                          config.get("memory_bytes"),
                          config.get("admission", "none"),
                          name=f"worker-{worker_id}", kernel=AsyncioKernel())
         self.worker_id = worker_id
         self.conn = conn
-        self._waits: Dict[str, float] = {}
+        self._waits: dict[str, float] = {}
         self._active = 0
         self._stopping = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -623,6 +609,7 @@ class WorkerHost(ExecutionPlane):
         asyncio.run(self._main())
 
     async def _main(self) -> None:
+        import_execution_modules()  # before ready: none once it serves
         self._loop = asyncio.get_running_loop()
         run_task = asyncio.ensure_future(self.kernel.run(
             until_event=self._shutdown))  # type: ignore[call-arg]
@@ -631,7 +618,7 @@ class WorkerHost(ExecutionPlane):
         reader.start()
         self.conn.send({"op": "ready", "worker": self.worker_id,
                         "pool": self.machine.broker.total_bytes,
-                        "pid": os.getpid()})
+                        "peak_rss_bytes": peak_rss_bytes()})
         await run_task
         try:
             self.conn.close()
@@ -658,7 +645,7 @@ class WorkerHost(ExecutionPlane):
                 and not self._shutdown.triggered:
             self._shutdown.succeed()
 
-    def _handle(self, message: Dict[str, Any]) -> None:
+    def _handle(self, message: dict[str, Any]) -> None:
         op = message.get("op")
         if op == "stop":
             self._begin_stop()
@@ -670,8 +657,8 @@ class WorkerHost(ExecutionPlane):
                              f"job:{message['id']}")
         process.add_callback(lambda _event: self._done(message, process))
 
-    def _execute(self, message: Dict[str, Any]
-                 ) -> Generator[SimEvent, Any, Dict[str, Any]]:
+    def _execute(self, message: dict[str, Any]
+                 ) -> Generator[SimEvent, Any, dict[str, Any]]:
         from repro.service.service import SubmissionRequest
 
         name: str = message["id"]
@@ -686,20 +673,17 @@ class WorkerHost(ExecutionPlane):
              message["max_bytes"]),
             float(message.get("priority") or 0.0), started))
 
-    def _done(self, message: Dict[str, Any], process: Any) -> None:
+    def _done(self, message: dict[str, Any], process: Any) -> None:
         self._active -= 1
         wait_s = self._waits.pop(message["id"], 0.0)
         stalls = self.machine.telemetry.stalls.by_cause()
+        out: dict[str, Any] = {"op": "result", "id": message["id"],
+                               "wait_s": wait_s, "stalls": stalls,
+                               "peak_rss_bytes": peak_rss_bytes()}
         if process.failure is not None:
-            out: Dict[str, Any] = {
-                "op": "result", "id": message["id"], "ok": False,
-                "error": repr(process.failure), "wait_s": wait_s,
-                "stalls": stalls,
-            }
+            out.update(ok=False, error=repr(process.failure))
         else:
-            out = {"op": "result", "id": message["id"], "ok": True,
-                   "payload": process.value, "wait_s": wait_s,
-                   "stalls": stalls}
+            out.update(ok=True, payload=process.value)
         try:
             self.conn.send(out)
         except (OSError, ValueError, BrokenPipeError):
@@ -707,7 +691,19 @@ class WorkerHost(ExecutionPlane):
         self._maybe_shutdown()
 
 
-def worker_main(worker_id: int, conn: Any,
-                config: Dict[str, Any]) -> None:
-    """Process entry point for one pool worker (spawn context)."""
+def _reap(process: "subprocess.Popen[bytes]", grace_s: float) -> None:
+    """Wait for a worker child, killing it after ``grace_s`` seconds: a
+    child nobody waits for stays in the tree as a zombie."""
+    try:
+        process.wait(timeout=grace_s)
+    except subprocess.TimeoutExpired:
+        process.kill()
+        process.wait()
+
+
+def worker_main(fd: int) -> None:
+    """Entry point of one pool worker child: serves on the inherited
+    socket ``fd``, whose first message is ``(worker id, config)``."""
+    conn = Connection(fd)
+    worker_id, config = conn.recv()
     WorkerHost(worker_id, conn, config).run()

@@ -22,17 +22,22 @@ draw once per message.
 
 A wrapper reads a relation's production times through
 :meth:`DelayModel.message_seconds`, one sum of tuple waits a message.
+
+numpy is imported by the methods that build arrays, not by the module: a
+process that describes delays but never draws (the service's
+coordinator) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from repro.common.errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: full messages an i.i.d. model draws in one ``waiting_times`` call
 #: (64 × 204 tuples: ~104 KB of float64 transient).
@@ -131,6 +136,8 @@ class ConstantDelay(_MeanWaitDelay, _IidDelay):
     draws = False
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         self._check_n(n)
         return np.full(n, self.w)
 
@@ -139,6 +146,8 @@ class UniformDelay(_MeanWaitDelay, _IidDelay):
     """Per-tuple delays uniform on ``[0, 2w]`` (the paper's experiments)."""
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         self._check_n(n)
         if self.w == 0:
             return np.zeros(n)
@@ -162,6 +171,8 @@ class JitteredDelay(_MeanWaitDelay):
         self.jitter = jitter
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         self._check_n(n)
         if self.w == 0:
             return np.zeros(n)
@@ -185,6 +196,8 @@ class ExponentialDelay(_MeanWaitDelay, _IidDelay):
     """
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         self._check_n(n)
         if self.w == 0:
             return np.zeros(n)
@@ -206,6 +219,8 @@ class NormalDelay(_IidDelay):
         self.std = std
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         self._check_n(n)
         return np.maximum(0.0, rng.normal(self.mean, self.std, size=n))
 
@@ -280,6 +295,8 @@ class BurstyDelay(DelayModel):
         self._position = 0  # index within the current burst
 
     def waiting_times(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        import numpy as np
+
         self._check_n(n)
         waits = np.full(n, self.within_burst_wait)
         for i in range(n):

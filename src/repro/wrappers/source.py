@@ -12,9 +12,7 @@ the mediator's per-message receive CPU cost.
 from __future__ import annotations
 
 import math
-from typing import Any, Generator, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
 from repro.catalog.schema import Relation
 from repro.common.errors import ConfigurationError, SimulationError
@@ -22,6 +20,9 @@ from repro.config import SimulationParameters
 from repro.mediator.comm import CommunicationManager
 from repro.exec import PRIORITY_URGENT, Kernel, Process, SimEvent, Timeout
 from repro.wrappers.delays import DelayModel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Wrapper:

@@ -12,10 +12,17 @@ serving with consistent counters.
 """
 
 import asyncio
+import json
 import os
+import pickle
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.observability.top import (
@@ -39,6 +46,17 @@ FAST = dict(scale=0.0005, wait_us=20.0, memory_bytes=256 << 10)
 #: what ``SubmissionRecord.outcome`` holds, whichever backend ran it.
 OUTCOME_KEYS = {"response_time", "result_tuples", "time_to_first_tuple",
                 "batches_processed", "stall_time"}
+
+#: where the process table is read from (Linux); the checks that read
+#: it are skipped elsewhere.
+PROC = Path("/proc")
+
+#: the directory holding this checkout's ``repro`` package.
+SOURCE_ROOT = str(Path(repro.__file__).resolve().parents[1])
+
+#: traced bytes ``WorkerHost._done`` may net per job once the worker
+#: is warm (32 on CPython 3.11; a result kept per job adds hundreds).
+CLOSE_OUT_NET_BYTES = 64
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +374,107 @@ def test_a_solo_submission_reports_its_virtual_time_run_on_either_backend(
 
 
 # --------------------------------------------------------------------------
+# The process tree: a coordinator and its N workers, nothing else
+# --------------------------------------------------------------------------
+
+def _parent_pid(pid):
+    # /proc/PID/stat: "pid (comm) state ppid ..."; comm may hold spaces.
+    stat = (PROC / str(pid) / "stat").read_text()
+    return int(stat.rsplit(")", 1)[1].split()[1])
+
+
+#: a fresh coordinator, started without PYTHONPATH from outside the
+#: checkout (argv: the source root): it starts a two-worker pool, reads
+#: its own process tree, runs one submission and prints what it saw.
+TREE_PROBE = """
+import asyncio, json, os, sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from repro.service import QueryService, SubmissionRequest
+
+def parent_pid(pid):
+    stat = Path(f"/proc/{pid}/stat").read_text()
+    return int(stat.rsplit(")", 1)[1].split()[1])
+
+def maps(pid):
+    return Path(f"/proc/{pid}/maps").read_text()
+
+async def main():
+    service = QueryService(seed=3, global_memory_bytes=8 << 20,
+                           publish_interval_s=0.05, workers=2)
+    await service.start()
+    seen = {"workers": [row["pid"] for row in service.backend.describe()]}
+    try:
+        if Path("/proc").is_dir():
+            me = os.getpid()
+            seen["children"] = {}
+            for entry in Path("/proc").iterdir():
+                try:
+                    if entry.name.isdigit() and parent_pid(entry.name) == me:
+                        seen["children"][entry.name] = (
+                            entry / "cmdline").read_bytes().decode()
+                except OSError:
+                    pass  # exited while listed
+            seen["coordinator_maps_numpy"] = "numpy" in maps(me)
+            seen["workers_map_numpy"] = [
+                "_multiarray_umath" in maps(pid) for pid in seen["workers"]]
+        record = service.submit(SubmissionRequest(
+            scale=0.0005, wait_us=20.0, memory_bytes=256 << 10))
+        await asyncio.wait_for(record.done.wait(), timeout=60.0)
+        seen["state"] = record.state
+        seen["numpy_in_coordinator"] = "numpy" in sys.modules
+    finally:
+        await service.stop()
+    print(json.dumps(seen))
+
+asyncio.run(main())
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_pool_tree(tmp_path_factory):
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-c", TREE_PROBE, SOURCE_ROOT],
+        cwd=tmp_path_factory.mktemp("elsewhere"), env=env,
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_the_cli_and_the_service_import_no_numpy():
+    """The coordinator never draws, so nothing it imports loads numpy."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path.insert(0, sys.argv[1]); "
+         "import repro.cli, repro.service; print('numpy' in sys.modules)",
+         SOURCE_ROOT], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+def test_a_pool_started_without_pythonpath_runs_a_job(fresh_pool_tree):
+    """A worker child is told where the coordinator's ``repro`` is."""
+    assert fresh_pool_tree["state"] == "done"
+    assert fresh_pool_tree["numpy_in_coordinator"] is False
+
+
+@pytest.mark.skipif(not PROC.is_dir(), reason="reads /proc")
+def test_the_pool_tree_is_the_coordinator_and_its_workers(fresh_pool_tree):
+    children = fresh_pool_tree["children"]
+    assert sorted(map(int, children)) == sorted(fresh_pool_tree["workers"])
+    assert not any("resource_tracker" in cmdline
+                   for cmdline in children.values())
+    assert fresh_pool_tree["coordinator_maps_numpy"] is False
+
+
+@pytest.mark.skipif(not PROC.is_dir(), reason="reads /proc")
+def test_a_worker_maps_numpy_before_it_is_ready(fresh_pool_tree):
+    """Imports happen before ``ready``, never inside a query's latency."""
+    assert fresh_pool_tree["workers_map_numpy"] == [True, True]
+
+
+# --------------------------------------------------------------------------
 # Failure semantics: death, respawn, consistent counters
 # --------------------------------------------------------------------------
 
@@ -387,7 +506,8 @@ def test_worker_crash_fails_inflight_then_respawns():
             await asyncio.sleep(0.025)
         assert victim is not None, "no submission ever reached a worker"
         doomed_ids = set(backend._slots[victim].inflight)
-        os.kill(backend._slots[victim].pid, signal.SIGKILL)
+        dead_pid = backend._slots[victim].pid
+        os.kill(dead_pid, signal.SIGKILL)
 
         # Every submission resolves: the victim's in flight fail with
         # the worker-died verdict, the peer's complete normally.  No
@@ -412,6 +532,11 @@ def test_worker_crash_fails_inflight_then_respawns():
             await asyncio.sleep(0.025)
         assert backend._slots[victim].up
         assert backend._slots[victim].restarts == 1
+        if PROC.is_dir():
+            # The respawn is the coordinator's own child, and the dead
+            # worker was reaped: a zombie would keep its /proc entry.
+            assert _parent_pid(backend._slots[victim].pid) == os.getpid()
+            assert not (PROC / str(dead_pid)).exists()
 
         # ...and the service keeps serving on the refreshed fleet.
         again = service.submit(SubmissionRequest(
@@ -769,3 +894,79 @@ def test_governed_worker_cost_and_wire_size_do_not_grow_with_uptime(
     assert abs(len(pickle.dumps(last)) - len(pickle.dumps(first))) <= 16
 
     assert fmean(done_seconds[300:]) <= 3 * fmean(done_seconds[:100])
+
+
+class CountingPipe(SerialPipe):
+    """:class:`SerialPipe` that keeps no message: it checks each result
+    as it is sent, and the next job waits for :meth:`release`, so what
+    the worker allocates while closing a job out is counted alone."""
+
+    def __init__(self, messages):
+        super().__init__(messages)
+        #: pickled lengths of the result messages (one, if all equal).
+        self.sizes = set()
+        self.answered = self.failed = 0
+
+    def release(self):
+        self._inbox.put(next(self._pending, None))
+
+    def send(self, message):
+        if message["op"] == "result":
+            self.sizes.add(len(pickle.dumps(message)))
+            self.answered += 1
+            self.failed += not message["ok"]
+
+
+def test_governed_worker_close_out_is_flat_in_uptime_by_count(monkeypatch):
+    """The count-based twin of the timing test above: from job 1 to job
+    400 every result message pickles to the same number of bytes, and
+    closing job 301-400 out nets no more traced bytes (tracemalloc,
+    across ``WorkerHost._done``) than closing job 1-100 out, and at most
+    :data:`CLOSE_OUT_NET_BYTES` — nothing per job is kept or grows."""
+    import gc
+    import tracemalloc
+    from statistics import median
+
+    from repro.config import SimulationParameters
+    from repro.service.workers import WorkerHost
+
+    jobs = 400
+    pipe = CountingPipe([_job(index, 256 << 10, wait_us=0.0)
+                         for index in range(1, jobs + 1)])
+    net = [0] * jobs
+    real_done = WorkerHost._done
+
+    def nothing(self, message, process):
+        pass
+
+    def counted_done(self, message, process):
+        # The same window around a call that does nothing: what the
+        # counting itself allocates, subtracted.
+        before = tracemalloc.get_traced_memory()[0]
+        nothing(self, message, process)
+        overhead = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        real_done(self, message, process)
+        net[pipe.answered - 1] = (tracemalloc.get_traced_memory()[0]
+                                  - before - overhead)
+        pipe.release()
+
+    monkeypatch.setattr(WorkerHost, "_done", counted_done)
+    host = WorkerHost(0, pipe, {
+        "params": SimulationParameters(telemetry_enabled=True,
+                                       cpu_mips=10_000.0),
+        "seed": 11, "memory_bytes": 16 * (256 << 10),
+        "admission": "priority"})
+    gc.disable()  # a collection inside a window frees unrelated bytes
+    tracemalloc.start()
+    try:
+        host.run()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+    assert pipe.answered == jobs and pipe.failed == 0
+    assert len(pipe.sizes) == 1, pipe.sizes
+    early, late = median(net[:100]), median(net[300:])
+    assert late <= early, (early, late)
+    assert late <= CLOSE_OUT_NET_BYTES, late

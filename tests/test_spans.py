@@ -353,8 +353,6 @@ def test_span_summary_matches_the_full_explanation():
     assert summary["spans"] == len(result.spans)
     assert summary["response_time"] == explanation.response_time
     assert summary["totals"] == explanation.totals
-    # The engine shipped the same summary on the result itself.
-    assert result.span_summary == summary
 
 
 def test_span_summary_of_an_empty_recording_is_harmless():
