@@ -4,13 +4,16 @@
 Starts the daemon on a free port, submits 20 queries over HTTP and
 waits until each is done, then walks the daemon's process tree in
 ``/proc`` and prints every process with its role (coordinator, worker
-N, or other) and its peak resident set (``VmHWM``).
+N, or other), its peak resident set (``VmHWM``) and its thread count
+(``Threads``).
 
 Exit status 1 when the tree holds any process besides the coordinator
 and its two workers (a ``multiprocessing`` resource tracker, a helper
-nobody reaps), or when the coordinator maps numpy: it executes no
-query, so it never draws.  The MB figures are printed, not gated: they
-differ from host to host.
+nobody reaps), when the coordinator maps numpy (it executes no query,
+so it never draws), or when a worker runs more threads than a bare
+``python -c "import numpy.random"`` child measured here first: numpy's
+BLAS may start a pool of its own, and a worker adds none to it.  The
+MB figures are printed, not gated: they differ from host to host.
 
     PYTHONPATH=src python scripts/serve_tree_census.py
 """
@@ -86,6 +89,17 @@ def peak_rss_mb(pid: int) -> float:
     return int(match.group(1)) / 1024.0 if match else 0.0
 
 
+def threads(pid: int) -> int:
+    status = Path(f"/proc/{pid}/status").read_text()
+    return int(re.search(r"Threads:\s+(\d+)", status).group(1))
+
+
+#: a child that imports numpy's random module and prints its own
+#: thread count: what a worker runs before any thread of the pool's.
+BARE_NUMPY = (r"import re, numpy.random; print(re.search(r'Threads:\s+(\d+)', "
+              r"open('/proc/self/status').read()).group(1))")
+
+
 def maps_numpy(pid: int) -> bool:
     return "numpy" in Path(f"/proc/{pid}/maps").read_text()
 
@@ -129,6 +143,10 @@ def main() -> int:
     if not Path("/proc/self/stat").exists():
         print("serve_tree_census: needs /proc (Linux)", file=sys.stderr)
         return 1
+    baseline = int(subprocess.run([sys.executable, "-c", BARE_NUMPY],
+                                  capture_output=True, text=True,
+                                  check=True).stdout)
+    print(f"bare numpy   threads {baseline}")
     with tempfile.TemporaryDirectory() as scratch:
         daemon, port = _start(Path(scratch) / "serve.log")
         try:
@@ -140,7 +158,8 @@ def main() -> int:
                 (pid, f"worker {workers[pid]}" if pid in workers else "other")
                 for pid in tree]
             for pid, role in rows:
-                print(f"{role:<12} pid {pid:<8} VmHWM {peak_rss_mb(pid):7.1f} MB")
+                print(f"{role:<12} pid {pid:<8} VmHWM {peak_rss_mb(pid):7.1f} "
+                      f"MB  threads {threads(pid)}")
             print(f"total        {sum(peak_rss_mb(pid) for pid, _ in rows):7.1f} MB")
             problems = []
             if sorted(tree) != sorted(workers) or len(workers) != WORKERS:
@@ -148,6 +167,10 @@ def main() -> int:
                                 f"{WORKERS} workers: {rows}")
             if maps_numpy(daemon.pid):
                 problems.append("the coordinator maps numpy")
+            problems.extend(
+                f"worker {workers[pid]} runs {threads(pid)} threads, a bare "
+                f"numpy child {baseline}" for pid in workers
+                if threads(pid) > baseline)
         finally:
             daemon.send_signal(signal.SIGTERM)
             try:

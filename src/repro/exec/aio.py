@@ -23,8 +23,8 @@ Semantics compared to the simulator:
      and their relative order is exactly the simulator's.
   2. *wall on foreign arrival and on idle wake* — an event scheduled
      from outside the kernel while it sleeps (the feeder of a real
-     source's :class:`~repro.exec.live.LiveWrapper`, a pipe reader's
-     ``call_soon_threadsafe``,
+     source's :class:`~repro.exec.live.LiveWrapper`, a pool worker's
+     job frame, which a loop callback reads off its socket,
      ``QueryService.submit``) is stamped at the wall time of its
      arrival — the clock moves to the wall first, and an event due
      before it is due then — and a kernel that idled on an empty heap

@@ -18,22 +18,29 @@ Topology::
            ├─ PoolScheduler         per-worker queues, least-loaded
            │                        assignment, work stealing (pure,
            │                        deterministic, unit-testable)
-           ├─ reader thread         multiprocessing.connection.wait over
-           │                        every worker socket + a self-wake pipe
+           ├─ one task per worker   reads the worker's socket as an
+           │                        asyncio stream: each frame to
+           │                        _on_message, its end to _on_death
            └─ worker 0..N-1         a plain child interpreter running
                                     worker_main: an ExecutionPlane (own
                                     kernel, broker with pool = carve,
-                                    admission queue) + socket reader
+                                    admission queue) serving the same
+                                    socket on its own asyncio loop
 
 A worker is ``python -c`` under :class:`subprocess.Popen`, handed one
 end of a :func:`socket.socketpair` and the directory holding the
 coordinator's ``repro``: it imports what a job executes, not the
 coordinator's ``__main__`` (the CLI), and no resource tracker starts.
+Both ends read and write the socket as asyncio streams on their own
+loop, so neither process runs a thread for it, and a worker that stops
+in the middle of a frame holds back no other worker's results.  A
+frame is a 4-byte big-endian signed length and then the pickle; only
+:func:`write_message` and :func:`read_message` know it.
 The first message is ``(worker id, config)``; the worker imports all a
 job imports (:func:`~repro.service.backend.import_execution_modules`)
 *before* it answers ``ready``, so no import runs while it serves.
 Then, pickled dicts: ``job`` (``id``, ``request``, ``sequence``,
-``priority``, the three budgets, ``stolen``) and ``stop`` one way;
+``priority``, the three budgets) and ``stop`` one way;
 ``ready`` (``worker``, ``pool``, ``peak_rss_bytes``) and
 ``result`` (``id``, ``ok``, ``payload`` or ``error``, ``wait_s``,
 ``stalls``, ``peak_rss_bytes``) the other.  A result is constant-size
@@ -44,7 +51,7 @@ machine's cumulative stall seconds by cause.
 A submission's sources are seeded per ``(service seed, request seed,
 sequence, relation)`` (:meth:`~repro.service.backend.ExecutionPlane.
 wrappers`), so stealing never changes a result.  A worker that dies
-(EOF/OSError on its socket) fails its in-flight submissions with
+(the end of its stream) fails its in-flight submissions with
 :class:`WorkerDied` (``worker-died``), is reaped and respawned; queued
 submissions are dispatched — or stolen — elsewhere.
 """
@@ -52,13 +59,13 @@ submissions are dispatched — or stolen — elsewhere.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import socket
+import struct
 import subprocess
 import sys
-import threading
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, Pipe, wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Generator, Iterable, Optional
 
@@ -95,6 +102,22 @@ _WORKER_BOOT = ("import sys; sys.path.insert(0, sys.argv[1]); "
                 "from repro.service.workers import worker_main; "
                 "worker_main(int(sys.argv[2]))")
 _SOURCE_ROOT = str(Path(__file__).resolve().parents[2])
+
+#: a frame's header: the length of the pickle that follows it.
+_HEADER = struct.Struct("!i")
+
+
+def write_message(writer: asyncio.StreamWriter, message: Any) -> None:
+    """Queue one frame on ``writer``: the header, then the pickle."""
+    body = pickle.dumps(message)
+    writer.write(_HEADER.pack(len(body)) + body)
+
+
+async def read_message(reader: asyncio.StreamReader) -> Any:
+    """The next frame's message.  Raises :class:`EOFError` at the end of
+    the stream (:class:`asyncio.IncompleteReadError` inside a frame)."""
+    (size,) = _HEADER.unpack(await reader.readexactly(_HEADER.size))
+    return pickle.loads(await reader.readexactly(size))
 
 
 class WorkerDied(SimulationError):
@@ -149,8 +172,8 @@ class PoolScheduler:
         self.assigned[job_id] = worker_id
         return worker_id
 
-    def next_for(self, worker_id: int) -> Optional[tuple[str, bool]]:
-        """``(job, stolen)`` this worker should run next, or None.
+    def next_for(self, worker_id: int) -> Optional[str]:
+        """The job this worker should run next, or None.
 
         None when the worker's window is full or there is nothing it
         may run.  The steal source is the longest *queue* (not backlog:
@@ -158,7 +181,6 @@ class PoolScheduler:
         """
         if self.active[worker_id] >= self.window:
             return None
-        stolen = False
         if self.queues[worker_id]:
             job_id = self.queues[worker_id].popleft()
         else:
@@ -172,10 +194,9 @@ class PoolScheduler:
                         key=lambda wid: (len(self.queues[wid]), -wid))
             job_id = self.queues[donor].popleft()
             self.steals[worker_id] += 1
-            stolen = True
         del self.assigned[job_id]
         self.active[worker_id] += 1
-        return job_id, stolen
+        return job_id
 
     def finished(self, worker_id: int) -> None:
         """One in-flight job on this worker ended (any way)."""
@@ -199,7 +220,10 @@ class _WorkerSlot:
 
     id: int
     process: Optional["subprocess.Popen[bytes]"] = None
-    conn: Optional[Any] = None
+    #: the coordinator's end of the worker's socket, once it is open.
+    writer: Optional[asyncio.StreamWriter] = None
+    #: :meth:`WorkerPoolBackend._talk` on this worker's socket.
+    task: Optional["asyncio.Task[None]"] = None
     up: bool = False
     pid: Optional[int] = None
     restarts: int = 0
@@ -238,22 +262,15 @@ class WorkerPoolBackend:
             wid: _WorkerSlot(wid) for wid in range(workers)}
         self._jobs: dict[str, _Job] = {}
         self._service: Optional["QueryService"] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._reader: Optional[threading.Thread] = None
-        self._reader_stop = False
-        self._lock = threading.Lock()
         self._stopping = False
         self._carve: Optional[int] = None
         self._leases: list["MemoryLease"] = []
         #: set once every worker has answered ``ready``.
         self._fleet_ready = asyncio.Event()
-        self._wake_r: Optional[Any] = None
-        self._wake_w: Optional[Any] = None
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self, service: "QueryService") -> None:
         self._service = service
-        self._loop = asyncio.get_running_loop()
         if service.governed:
             # The machine broker's whole spare pool becomes N static
             # worker carve-outs; the coordinator holds the leases so the
@@ -262,13 +279,8 @@ class WorkerPoolBackend:
             if self._leases:
                 self._carve = min(lease.total_bytes
                                   for lease in self._leases)
-        self._wake_r, self._wake_w = Pipe(duplex=False)
         for wid in range(self.workers):
             self._spawn(wid)
-        self._reader = threading.Thread(target=self._read_loop,
-                                        name="worker-pool-reader",
-                                        daemon=True)
-        self._reader.start()
         try:
             await asyncio.wait_for(self._fleet_ready.wait(),
                                    timeout=DEFAULT_START_TIMEOUT_S)
@@ -281,8 +293,6 @@ class WorkerPoolBackend:
                 from None
 
     def _spawn(self, worker_id: int) -> None:
-        service = self._service
-        assert service is not None
         ours, theirs = socket.socketpair()
         with theirs:
             # Same process group as the coordinator (no new session):
@@ -291,117 +301,51 @@ class WorkerPoolBackend:
                 [sys.executable, "-c", _WORKER_BOOT, _SOURCE_ROOT,
                  str(theirs.fileno())],
                 pass_fds=(theirs.fileno(),), stdin=subprocess.DEVNULL)
-        parent_conn = Connection(ours.detach())
-        parent_conn.send((worker_id, {
+        slot = self._slots[worker_id]
+        slot.process = process
+        slot.pid = process.pid
+        slot.up = False
+        slot.task = asyncio.ensure_future(self._talk(slot, ours))
+
+    async def _talk(self, slot: _WorkerSlot, sock: socket.socket) -> None:
+        """Send the worker its ``(id, config)``, then hand each frame it
+        sends to :meth:`_on_message` until the stream ends: its death."""
+        service = self._service
+        assert service is not None
+        reader, writer = await asyncio.open_connection(sock=sock)
+        slot.writer = writer
+        write_message(writer, (slot.id, {
             "params": service.params, "seed": service.seed,
             "memory_bytes": self._carve, "admission": service.admission}))
-        with self._lock:
-            slot = self._slots[worker_id]
-            slot.process = process
-            slot.pid = process.pid
-            slot.conn = parent_conn
-            slot.up = False
-        self._wake()
-
-    def _wake(self) -> None:
-        if self._wake_w is not None:
-            try:
-                self._wake_w.send_bytes(b"w")
-            except (OSError, ValueError):
-                pass
+        if self._stopping:  # stop() found no stream to send this on
+            write_message(writer, {"op": "stop"})
+        try:
+            while True:
+                self._on_message(slot.id, await read_message(reader))
+        except (EOFError, ConnectionError):
+            pass
+        finally:
+            slot.writer = None
+            writer.close()
+        self._on_death(slot.id)
 
     async def stop(self, service: "QueryService") -> None:
         self._stopping = True
-        with self._lock:
-            conns = [slot.conn for slot in self._slots.values()
-                     if slot.conn is not None]
-        for conn in conns:
-            try:
-                conn.send({"op": "stop"})
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(None, self._join_all)
-        with self._lock:
-            self._reader_stop = True
-        self._wake()
-        if self._reader is not None:
-            self._reader.join(timeout=5.0)
-            self._reader = None
-        for pipe_end in (self._wake_r, self._wake_w):
-            if pipe_end is not None:
-                pipe_end.close()
-        self._wake_r = self._wake_w = None
+        for slot in self._slots.values():
+            if slot.writer is not None:
+                write_message(slot.writer, {"op": "stop"})
+        for slot in self._slots.values():
+            if slot.task is not None:
+                # A worker ends its stream once its jobs are answered.
+                await asyncio.wait([slot.task], timeout=10.0)
+            if slot.process is not None:
+                _reap(slot.process, grace_s=1.0)
+            slot.up = False
         for lease in self._leases:
             service.machine.broker.release(lease)
         self._leases = []
 
-    def _join_all(self) -> None:
-        for slot in list(self._slots.values()):
-            if slot.process is not None:
-                _reap(slot.process, grace_s=10.0)
-            slot.up = False
-        with self._lock:
-            for slot in self._slots.values():
-                if slot.conn is not None:
-                    slot.conn.close()
-                    slot.conn = None
-
-    # -- reader thread -------------------------------------------------------
-    def _post(self, callback: Any, *args: Any) -> None:
-        """Marshal onto the service loop; swallow a closed loop (the
-        host crashed out without :meth:`stop` — nothing to notify)."""
-        assert self._loop is not None
-        try:
-            self._loop.call_soon_threadsafe(callback, *args)
-        except RuntimeError:
-            with self._lock:
-                self._reader_stop = True
-
-    def _read_loop(self) -> None:
-        assert self._loop is not None
-        while True:
-            with self._lock:
-                if self._reader_stop:
-                    return
-                conns = {slot.conn: wid
-                         for wid, slot in self._slots.items()
-                         if slot.conn is not None}
-            wait_on: list[Any] = list(conns)
-            if self._wake_r is not None:
-                wait_on.append(self._wake_r)
-            if not wait_on:
-                return
-            try:
-                ready = wait(wait_on, timeout=1.0)
-            except OSError:
-                continue  # a pipe died mid-wait; re-snapshot and retry
-            for conn in ready:
-                if conn is self._wake_r:
-                    try:
-                        self._wake_r.recv_bytes()
-                    except (EOFError, OSError):
-                        return
-                    continue
-                worker_id = conns.get(conn)
-                if worker_id is None:
-                    continue
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    with self._lock:
-                        slot = self._slots[worker_id]
-                        if slot.conn is conn:
-                            slot.conn = None
-                    try:
-                        conn.close()
-                    except OSError:
-                        pass
-                    self._post(self._on_death, worker_id)
-                    continue
-                self._post(self._on_message, worker_id, message)
-
-    # -- loop-side message handling ------------------------------------------
+    # -- message handling ----------------------------------------------------
     def _on_message(self, worker_id: int, message: dict[str, Any]) -> None:
         op = message.get("op")
         slot = self._slots[worker_id]
@@ -426,7 +370,7 @@ class WorkerPoolBackend:
         job = self._jobs.pop(job_id, None) if isinstance(job_id, str) \
             else None
         if job is None:
-            return  # raced a death verdict; the job already failed
+            return  # not in flight (any more): nothing to fold
         slot.inflight.discard(job.record.id)
         self.scheduler.finished(worker_id)
         record = job.record
@@ -468,8 +412,8 @@ class WorkerPoolBackend:
         # Jobs still queued for the dead worker stay queued: living
         # peers steal them right now, the respawn drains the rest.
         self._pump()
-        if not any(s.up or (s.conn is not None) for s in
-                   self._slots.values()):
+        if all(peer.restarts > DEFAULT_MAX_RESTARTS
+               for peer in self._slots.values()):
             # The whole fleet is gone and nothing will come back: fail
             # every queued job instead of hanging the control plane.
             for job_id in sorted(self._jobs):
@@ -487,21 +431,20 @@ class WorkerPoolBackend:
             progress = False
             for worker_id in sorted(self._slots):
                 slot = self._slots[worker_id]
-                if not slot.up or slot.conn is None:
+                if not slot.up:
                     continue
-                item = self.scheduler.next_for(worker_id)
-                if item is None:
+                job_id = self.scheduler.next_for(worker_id)
+                if job_id is None:
                     continue
-                job_id, stolen = item
                 job = self._jobs.get(job_id)
                 if job is None:
                     self.scheduler.finished(worker_id)
                     continue
-                self._dispatch(worker_id, slot, job, stolen)
+                self._dispatch(worker_id, slot, job)
                 progress = True
 
-    def _dispatch(self, worker_id: int, slot: _WorkerSlot, job: _Job,
-                  stolen: bool) -> None:
+    def _dispatch(self, worker_id: int, slot: _WorkerSlot,
+                  job: _Job) -> None:
         from repro.service.service import STATE_RUNNING
 
         assert self._service is not None
@@ -510,14 +453,10 @@ class WorkerPoolBackend:
         record.state = STATE_RUNNING
         record.started_at = self._service.kernel.wall_now
         record.worker_id = worker_id
-        try:
-            assert slot.conn is not None
-            slot.conn.send(dict(job.message, stolen=stolen))
-        except (OSError, ValueError, BrokenPipeError):
-            # The pipe is gone; the reader thread's EOF turns this into
-            # a death verdict which fails the job we just marked
-            # in-flight — exactly the worker-died semantics.
-            pass
+        # A dead worker's transport drops the frame; the end of its
+        # stream fails the job just marked in flight (worker-died).
+        assert slot.writer is not None
+        write_message(slot.writer, job.message)
 
     # -- ExecutionBackend ----------------------------------------------------
     def launch(self, service: "QueryService", record: "SubmissionRecord",
@@ -582,59 +521,55 @@ class WorkerPoolBackend:
 
 # -- the worker process ------------------------------------------------------
 class WorkerHost(ExecutionPlane):
-    """One worker process: an execution plane fed over a pipe.
+    """One worker process: an execution plane fed over a socket.
 
     Everything that executes a job is the plane the in-process backend
     calls directly (own kernel and machine world, governed broker with
     pool = the coordinator's carve-out, own admission queue); the host
-    adds the pipe reader thread marshalling messages onto its asyncio
-    loop, the ``ready`` handshake, the result message and drain.
+    adds :meth:`serve`: the ``ready`` handshake, a job per frame read on
+    its asyncio loop, the result frame and drain.
     """
 
-    def __init__(self, worker_id: int, conn: Any,
-                 config: dict[str, Any]) -> None:
+    def __init__(self, worker_id: int, config: dict[str, Any]) -> None:
         super().__init__(config["params"], config["seed"],
                          config.get("memory_bytes"),
                          config.get("admission", "none"),
                          name=f"worker-{worker_id}", kernel=AsyncioKernel())
         self.worker_id = worker_id
-        self.conn = conn
+        self._writer: Optional[asyncio.StreamWriter] = None
         self._waits: dict[str, float] = {}
         self._active = 0
         self._stopping = False
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown = self.kernel.event(name=f"worker-{worker_id}-shutdown")
 
-    def run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
+    async def serve(self, reader: asyncio.StreamReader,
+                    writer: asyncio.StreamWriter) -> None:
+        """Answer ``ready``, run a job per frame read from ``reader`` and
+        write its result to ``writer``.  After ``stop`` or the end of the
+        stream, finish the jobs in flight, flush, close and return."""
         import_execution_modules()  # before ready: none once it serves
-        self._loop = asyncio.get_running_loop()
-        run_task = asyncio.ensure_future(self.kernel.run(
-            until_event=self._shutdown))  # type: ignore[call-arg]
-        reader = threading.Thread(target=self._read_loop,
-                                  name="job-reader", daemon=True)
-        reader.start()
-        self.conn.send({"op": "ready", "worker": self.worker_id,
-                        "pool": self.machine.broker.total_bytes,
-                        "peak_rss_bytes": peak_rss_bytes()})
-        await run_task
+        self._writer = writer
+        reading = asyncio.ensure_future(self._read(reader))
+        write_message(writer, {"op": "ready", "worker": self.worker_id,
+                               "pool": self.machine.broker.total_bytes,
+                               "peak_rss_bytes": peak_rss_bytes()})
+        await self.kernel.run(  # type: ignore[call-arg]
+            until_event=self._shutdown)
+        await reading
         try:
-            self.conn.close()
-        except OSError:
-            pass
+            await writer.drain()  # no result written before exit is lost
+            writer.close()
+            await writer.wait_closed()
+        except ConnectionError:
+            pass  # the coordinator is gone: nobody to answer
 
-    def _read_loop(self) -> None:
-        assert self._loop is not None
-        while True:
-            try:
-                message = self.conn.recv()
-            except (EOFError, OSError):
-                # Coordinator went away: finish in-flight work, exit.
-                self._loop.call_soon_threadsafe(self._begin_stop)
-                return
-            self._loop.call_soon_threadsafe(self._handle, message)
+    async def _read(self, reader: asyncio.StreamReader) -> None:
+        try:
+            while not self._stopping:
+                self._handle(await read_message(reader))
+        except (EOFError, ConnectionError):
+            # Coordinator went away: finish in-flight work, exit.
+            self._begin_stop()
 
     def _begin_stop(self) -> None:
         self._stopping = True
@@ -684,10 +619,8 @@ class WorkerHost(ExecutionPlane):
             out.update(ok=False, error=repr(process.failure))
         else:
             out.update(ok=True, payload=process.value)
-        try:
-            self.conn.send(out)
-        except (OSError, ValueError, BrokenPipeError):
-            pass  # coordinator is gone; drain and exit
+        assert self._writer is not None
+        write_message(self._writer, out)  # dropped if the coordinator is gone
         self._maybe_shutdown()
 
 
@@ -704,6 +637,10 @@ def _reap(process: "subprocess.Popen[bytes]", grace_s: float) -> None:
 def worker_main(fd: int) -> None:
     """Entry point of one pool worker child: serves on the inherited
     socket ``fd``, whose first message is ``(worker id, config)``."""
-    conn = Connection(fd)
-    worker_id, config = conn.recv()
-    WorkerHost(worker_id, conn, config).run()
+    async def main() -> None:
+        reader, writer = await asyncio.open_connection(
+            sock=socket.socket(fileno=fd))
+        worker_id, config = await read_message(reader)
+        await WorkerHost(worker_id, config).serve(reader, writer)
+
+    asyncio.run(main())

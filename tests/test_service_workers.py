@@ -16,8 +16,10 @@ import json
 import os
 import pickle
 import signal
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,12 @@ from repro.service import (
     SubmissionRequest,
     service_prometheus_text,
 )
-from repro.service.workers import WorkerPoolBackend
+from repro.service import workers
+from repro.service.workers import (
+    WorkerPoolBackend,
+    read_message,
+    write_message,
+)
 
 #: small-and-fast submission shape used by the live pool tests; the
 #: memory budget is far under the per-worker carve so workers overlap.
@@ -85,7 +92,7 @@ def test_jobs_arriving_at_zero_backlog_split_evenly_without_steals():
         for worker_id in (0, 1):
             item = scheduler.next_for(worker_id)
             if item is not None:
-                assert item == (f"j{index}", False)
+                assert item == f"j{index}"
                 ran[worker_id] += 1
                 scheduler.finished(worker_id)
                 assert worker_id == owner
@@ -98,8 +105,9 @@ def test_a_down_owners_queue_is_stolen_at_once():
     scheduler.down.add(1)                  # dead, respawning
     scheduler.assign("a")
     assert scheduler.assign("b") == 1
-    assert scheduler.next_for(0) == ("a", False)
-    assert scheduler.next_for(0) == ("b", True)
+    assert scheduler.next_for(0) == "a"
+    assert scheduler.next_for(0) == "b"           # stolen
+    assert scheduler.steals == {0: 1, 1: 0}
     scheduler.down.discard(1)              # back up: runs its own again
     assert scheduler.assign("c") == 1
     assert scheduler.next_for(0) is None
@@ -109,12 +117,14 @@ def test_next_for_prefers_own_queue_and_respects_window():
     scheduler = PoolScheduler([0, 1], window=2)
     for job in ("a", "b", "c", "d"):
         scheduler.assign(job)
-    assert scheduler.next_for(0) == ("a", False)
-    assert scheduler.next_for(0) == ("c", False)
+    assert scheduler.next_for(0) == "a"
+    assert scheduler.next_for(0) == "c"
     assert scheduler.next_for(0) is None   # window full (2 active)
+    assert scheduler.steals_total == 0
     scheduler.finished(0)
     scheduler.active[1] = 2                # worker 1's window is full
-    assert scheduler.next_for(0) == ("b", True)  # own empty: steals
+    assert scheduler.next_for(0) == "b"    # own empty: steals
+    assert scheduler.steals == {0: 1, 1: 0}
 
 
 def test_steal_takes_from_the_longest_queue_ties_lowest_id():
@@ -125,9 +135,9 @@ def test_steal_takes_from_the_longest_queue_ties_lowest_id():
         scheduler.queues[victim].append(job)
         scheduler.assigned[job] = victim
     scheduler.active[1] = scheduler.active[2] = scheduler.window
-    assert scheduler.next_for(0) == ("a", True)   # longest queue first
-    assert scheduler.next_for(0) == ("b", True)   # 1 and 2 tied: lowest
-    assert scheduler.next_for(0) == ("c", True)
+    assert scheduler.next_for(0) == "a"   # longest queue first
+    assert scheduler.next_for(0) == "b"   # 1 and 2 tied: lowest
+    assert scheduler.next_for(0) == "c"
     assert scheduler.steals == {0: 3, 1: 0, 2: 0}
     assert scheduler.steals_total == 3
 
@@ -139,7 +149,7 @@ def test_finished_and_forget_bookkeeping():
     assert scheduler.queued_total() == 2
     assert scheduler.forget("b") is True          # still queued: dropped
     assert scheduler.queued_total() == 1
-    assert scheduler.next_for(0) == ("a", False)
+    assert scheduler.next_for(0) == "a"
     assert scheduler.forget("a") is False         # already dispatched
     scheduler.finished(0)
     with pytest.raises(SimulationError):
@@ -373,6 +383,26 @@ def test_a_solo_submission_reports_its_virtual_time_run_on_either_backend(
                 record.sequence))
 
 
+def test_the_pool_starts_no_thread():
+    """Each end of a worker's socket is a stream on its process's own
+    loop: the coordinator runs no thread for the pool, before, during or
+    after a run."""
+    async def scenario():
+        before = set(threading.enumerate())
+        service = QueryService(seed=5, global_memory_bytes=8 << 20,
+                               workers=2)
+        await service.start()
+        record = service.submit(SubmissionRequest(**FAST))
+        await asyncio.wait_for(record.done.wait(), timeout=60.0)
+        during = set(threading.enumerate())
+        await service.stop()
+        return record, before, during, set(threading.enumerate())
+
+    record, before, during, after = asyncio.run(scenario())
+    assert record.state == "done", record.error
+    assert during == before and after == before
+
+
 # --------------------------------------------------------------------------
 # The process tree: a coordinator and its N workers, nothing else
 # --------------------------------------------------------------------------
@@ -558,6 +588,95 @@ def test_worker_crash_fails_inflight_then_respawns():
     asyncio.run(scenario())
 
 
+#: a worker boot (argv: the source root, the socket's descriptor) that
+#: is worker 1's first process a stuck worker and otherwise the real
+#: one.  The stuck worker speaks the frame format with the standard
+#: library alone: it answers ``ready``, takes one job, writes half of
+#: its result frame and sleeps.  MARKER is the file that says it ran.
+TORN_FRAME_BOOT = """
+import os, pickle, socket, struct, sys, time
+sys.path.insert(0, sys.argv[1])
+sock = socket.socket(fileno=int(sys.argv[2]))
+def frame(message):
+    body = pickle.dumps(message)
+    return struct.pack("!i", len(body)) + body
+def read(size):
+    data = b""
+    while len(data) < size:
+        data += sock.recv(size - len(data))
+    return data
+while True:  # peek at the first frame: the real worker reads it again
+    first = sock.recv(1 << 20, socket.MSG_PEEK)
+    if len(first) >= 4 and len(first) >= 4 + struct.unpack("!i", first[:4])[0]:
+        break
+    time.sleep(0.01)
+worker_id, config = pickle.loads(first[4:])
+if worker_id != 1 or os.path.exists(MARKER):
+    from repro.service.workers import worker_main
+    worker_main(sock.detach())
+    sys.exit()
+open(MARKER, "w").close()
+read(len(first))
+sock.sendall(frame({"op": "ready", "worker": 1, "pool": config["memory_bytes"],
+                    "peak_rss_bytes": 0}))
+job = pickle.loads(read(struct.unpack("!i", read(4))[0]))
+torn = frame({"op": "result", "id": job["id"], "ok": True, "payload": {},
+              "wait_s": 0.0, "stalls": {}, "peak_rss_bytes": 0})
+sock.sendall(torn[:len(torn) // 2])
+time.sleep(600)
+"""
+
+
+def test_a_worker_stopped_inside_a_frame_holds_back_no_other_worker(
+        monkeypatch, tmp_path):
+    """Worker 1 stops halfway through a result frame: worker 0's results
+    still arrive and the snapshot still answers.  Killed, worker 1 fails
+    its job with ``worker-died`` and its slot respawns."""
+    monkeypatch.setattr(workers, "_WORKER_BOOT", TORN_FRAME_BOOT.replace(
+        "MARKER", repr(str(tmp_path / "torn-frame-sent"))))
+
+    async def scenario():
+        service = QueryService(seed=3, global_memory_bytes=8 << 20,
+                               workers=2)
+        await service.start()
+        backend = service.backend
+        torn_pid = backend._slots[1].pid
+        try:
+            # Least-loaded assignment: the first to worker 0, the second
+            # to worker 1, and, while worker 1 holds it, all later ones
+            # to worker 0.
+            first = service.submit(SubmissionRequest(seed=0, **FAST))
+            stuck = service.submit(SubmissionRequest(seed=1, **FAST))
+            records = [first]
+            await asyncio.wait_for(first.done.wait(), timeout=20.0)
+            for seed in range(2, 6):
+                records.append(service.submit(
+                    SubmissionRequest(seed=seed, **FAST)))
+                await asyncio.wait_for(records[-1].done.wait(), timeout=20.0)
+            assert [(r.state, r.worker_id) for r in records] \
+                == [("done", 0)] * 5
+            rows = {row["id"]: row for row in service.snapshot()["workers"]}
+            assert rows[0]["completed"] == 5 and rows[0]["active"] == 0
+            assert rows[1]["active"] == 1 and stuck.state == "running"
+        finally:
+            os.kill(torn_pid, signal.SIGKILL)
+        try:
+            await asyncio.wait_for(stuck.done.wait(), timeout=20.0)
+            assert stuck.state == "failed"
+            assert "worker-died" in stuck.error
+            for _ in range(400):
+                if backend._slots[1].up:
+                    break
+                await asyncio.sleep(0.025)
+            assert backend._slots[1].up
+            assert backend._slots[1].restarts == 1
+            assert backend._slots[1].pid != torn_pid
+        finally:
+            await service.stop()
+
+    asyncio.run(scenario())
+
+
 # --------------------------------------------------------------------------
 # worker_transitions: the `repro watch` fleet notices
 # --------------------------------------------------------------------------
@@ -633,30 +752,45 @@ def test_fail_fast_still_reconnects_once_a_frame_arrived():
 # --------------------------------------------------------------------------
 
 class MemoryPipe:
-    """The worker's end of the coordinator pipe, in memory: ``recv``
-    hands out the queued messages, then reports the coordinator gone
-    (which makes the host finish in-flight work and exit)."""
+    """The coordinator's end of a worker's socket, on the pool's own
+    framing: it writes every job at once, then ends its stream (the
+    coordinator gone, which makes the host finish in-flight work and
+    exit), and keeps each message the worker sends in ``sent``."""
 
     def __init__(self, messages):
-        import queue
-
-        self._inbox = queue.Queue()
-        for message in messages:
-            self._inbox.put(message)
-        self._inbox.put(None)
+        self.messages = list(messages)
         self.sent = []
+        self.writer = None
 
-    def recv(self):
-        message = self._inbox.get()
-        if message is None:
-            raise EOFError
-        return message
+    def open(self):
+        for message in self.messages:
+            write_message(self.writer, message)
+        self.writer.write_eof()
 
-    def send(self, message):
+    def receive(self, message):
         self.sent.append(message)
 
-    def close(self):
-        pass
+    async def talk(self, reader, writer):
+        self.writer = writer
+        self.open()
+        try:
+            while True:
+                self.receive(await read_message(reader))
+        except EOFError:
+            writer.close()
+            await writer.wait_closed()
+
+
+def _serve(host, pipe):
+    """Run ``host.serve`` against ``pipe`` over a socketpair until the
+    host has returned and ``pipe`` has read its stream to the end."""
+    async def session():
+        ours, theirs = socket.socketpair()
+        coordinator = await asyncio.open_connection(sock=ours)
+        worker = await asyncio.open_connection(sock=theirs)
+        await asyncio.gather(host.serve(*worker), pipe.talk(*coordinator))
+
+    asyncio.run(session())
 
 
 def _job(index, memory_bytes, **request):
@@ -664,23 +798,50 @@ def _job(index, memory_bytes, **request):
     return {"op": "job", "id": f"s-{index:06d}",
             "request": SubmissionRequest(**body).to_dict(),
             "sequence": index, "priority": 0.0, "initial": memory_bytes,
-            "min_bytes": memory_bytes, "max_bytes": memory_bytes,
-            "stolen": False}
+            "min_bytes": memory_bytes, "max_bytes": memory_bytes}
 
 
-def _run_host(jobs, pool_bytes):
+def _host(pool_bytes, **params):
     from repro.config import SimulationParameters
     from repro.service.workers import WorkerHost
 
-    pipe = MemoryPipe(jobs)
-    host = WorkerHost(0, pipe, {
-        "params": SimulationParameters(telemetry_enabled=True,
-                                       telemetry_spans=True),
+    return WorkerHost(0, {
+        "params": SimulationParameters(telemetry_enabled=True, **params),
         "seed": 11, "memory_bytes": pool_bytes, "admission": "priority"})
-    host.run()
+
+
+def _run_host(jobs, pool_bytes):
+    pipe = MemoryPipe(jobs)
+    host = _host(pool_bytes, telemetry_spans=True)
+    _serve(host, pipe)
     results = {message["id"]: message for message in pipe.sent
                if message["op"] == "result"}
     return host, results
+
+
+def test_a_burst_of_jobs_then_the_end_of_the_stream_gets_every_answer():
+    """Twelve job frames in one write burst, then EOF: the host answers
+    each exactly once, without a thread of its own, and only then closes
+    its stream and returns."""
+    threads = []
+
+    class WatchingPipe(MemoryPipe):
+        def receive(self, message):
+            super().receive(message)
+            threads.append(set(threading.enumerate()))
+
+    jobs = [_job(index, 256 << 10) for index in range(1, 13)]
+    pipe = WatchingPipe(jobs)
+    host = _host(4 * (256 << 10))
+    before = set(threading.enumerate())
+    _serve(host, pipe)
+    assert [message["op"] for message in pipe.sent] \
+        == ["ready"] + ["result"] * len(jobs)
+    assert sorted(message["id"] for message in pipe.sent[1:]) \
+        == [job["id"] for job in jobs]
+    assert all(message["ok"] for message in pipe.sent[1:])
+    assert all(seen == before for seen in threads)
+    assert host.machine.broker.leased_bytes == 0
 
 
 def _own_spans(recorder, name):
@@ -786,23 +947,19 @@ def test_worker_jobs_leave_nothing_to_the_cyclic_collector(
         assert_no_cyclic_garbage, break_service_source):
     """40 jobs over 4 leases on one worker, every fourth losing a source
     mid-stream: each is freed by reference count as it is answered."""
-    from repro.config import SimulationParameters
-    from repro.service.workers import WorkerHost
-
     break_service_source("mid-stream", every=4)
-    hosts = []  # the machine outlives its jobs; they are what is counted
+    # The machine and its connection outlive their jobs; the jobs are
+    # what is counted.  (On CPython 3.11 an asyncio socket transport is
+    # a reference cycle of its own, one per connection, not per job.)
+    hosts = []
 
     def run():
         pipe = MemoryPipe([_job(index, 256 << 10, scale=0.002)
                            for index in range(1, 41)])
-        host = WorkerHost(0, pipe, {
-            "params": SimulationParameters(telemetry_enabled=True,
-                                           telemetry_spans=True,
-                                           cpu_mips=10_000.0),
-            "seed": 11, "memory_bytes": 4 * (256 << 10),
-            "admission": "priority"})
-        hosts.append(host)
-        host.run()
+        host = _host(4 * (256 << 10), telemetry_spans=True,
+                     cpu_mips=10_000.0)
+        hosts.append((host, pipe))
+        _serve(host, pipe)
         answers = [message["ok"] for message in pipe.sent
                    if message["op"] == "result"]
         assert len(answers) == 40 and answers.count(False) == 10
@@ -815,20 +972,23 @@ def test_worker_jobs_leave_nothing_to_the_cyclic_collector(
 
 class SerialPipe(MemoryPipe):
     """One job in flight at a time: each result releases the next job,
-    the last one reports the coordinator gone."""
+    the last one ends the stream (the coordinator gone)."""
 
-    def __init__(self, messages):
-        import queue
+    def open(self):
+        self._pending = iter(self.messages)
+        self.release()
 
-        self._inbox = queue.Queue()
-        self._pending = iter(messages)
-        self._inbox.put(next(self._pending))
-        self.sent = []
+    def release(self):
+        message = next(self._pending, None)
+        if message is None:
+            self.writer.write_eof()
+        else:
+            write_message(self.writer, message)
 
-    def send(self, message):
+    def receive(self, message):
         self.sent.append(message)
         if message["op"] == "result":
-            self._inbox.put(next(self._pending, None))
+            self.release()
 
 
 def _keys(value):
@@ -852,7 +1012,6 @@ def test_governed_worker_cost_and_wire_size_do_not_grow_with_uptime(
     import time
     from statistics import fmean
 
-    from repro.config import SimulationParameters
     from repro.service.backend import DEFAULT_AUDIT_CAPACITY
     from repro.service.workers import WorkerHost
 
@@ -868,13 +1027,9 @@ def test_governed_worker_cost_and_wire_size_do_not_grow_with_uptime(
     jobs = 400
     pipe = SerialPipe([_job(index, 256 << 10, wait_us=0.0)
                        for index in range(1, jobs + 1)])
-    host = WorkerHost(0, pipe, {
-        # A fast modelled machine keeps the test host-bound and short.
-        "params": SimulationParameters(telemetry_enabled=True,
-                                       cpu_mips=10_000.0),
-        "seed": 11, "memory_bytes": 16 * (256 << 10),
-        "admission": "priority"})
-    host.run()
+    # A fast modelled machine keeps the test host-bound and short.
+    host = _host(16 * (256 << 10), cpu_mips=10_000.0)
+    _serve(host, pipe)
 
     results = [message for message in pipe.sent
                if message["op"] == "result"]
@@ -898,7 +1053,7 @@ def test_governed_worker_cost_and_wire_size_do_not_grow_with_uptime(
 
 class CountingPipe(SerialPipe):
     """:class:`SerialPipe` that keeps no message: it checks each result
-    as it is sent, and the next job waits for :meth:`release`, so what
+    as it arrives, and the next job waits for :meth:`release`, so what
     the worker allocates while closing a job out is counted alone."""
 
     def __init__(self, messages):
@@ -907,10 +1062,7 @@ class CountingPipe(SerialPipe):
         self.sizes = set()
         self.answered = self.failed = 0
 
-    def release(self):
-        self._inbox.put(next(self._pending, None))
-
-    def send(self, message):
+    def receive(self, message):
         if message["op"] == "result":
             self.sizes.add(len(pickle.dumps(message)))
             self.answered += 1
@@ -927,13 +1079,12 @@ def test_governed_worker_close_out_is_flat_in_uptime_by_count(monkeypatch):
     import tracemalloc
     from statistics import median
 
-    from repro.config import SimulationParameters
     from repro.service.workers import WorkerHost
 
     jobs = 400
     pipe = CountingPipe([_job(index, 256 << 10, wait_us=0.0)
                          for index in range(1, jobs + 1)])
-    net = [0] * jobs
+    net = []
     real_done = WorkerHost._done
 
     def nothing(self, message, process):
@@ -947,20 +1098,15 @@ def test_governed_worker_close_out_is_flat_in_uptime_by_count(monkeypatch):
         overhead = tracemalloc.get_traced_memory()[0] - before
         before = tracemalloc.get_traced_memory()[0]
         real_done(self, message, process)
-        net[pipe.answered - 1] = (tracemalloc.get_traced_memory()[0]
-                                  - before - overhead)
+        net.append(tracemalloc.get_traced_memory()[0] - before - overhead)
         pipe.release()
 
     monkeypatch.setattr(WorkerHost, "_done", counted_done)
-    host = WorkerHost(0, pipe, {
-        "params": SimulationParameters(telemetry_enabled=True,
-                                       cpu_mips=10_000.0),
-        "seed": 11, "memory_bytes": 16 * (256 << 10),
-        "admission": "priority"})
+    host = _host(16 * (256 << 10), cpu_mips=10_000.0)
     gc.disable()  # a collection inside a window frees unrelated bytes
     tracemalloc.start()
     try:
-        host.run()
+        _serve(host, pipe)
     finally:
         tracemalloc.stop()
         gc.enable()
