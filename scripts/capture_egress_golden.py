@@ -23,7 +23,6 @@ import io
 import json
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -232,7 +231,7 @@ def trace_fixtures() -> Dict[str, str]:
 class _ScriptedPublisher(MetricsPublisher):
     """Fans an alert and closes the moment a client subscribes, so one
     ``stream_publisher`` pass sees snapshot, alert and end without a
-    second thread or a clock."""
+    second task or a clock."""
 
     def subscribe(self, *args: Any, **kwargs: Any) -> Any:
         subscription = super().subscribe(*args, **kwargs)
@@ -242,15 +241,22 @@ class _ScriptedPublisher(MetricsPublisher):
         return subscription
 
 
+class _BufferWriter(io.BytesIO):
+    """A stream writer that keeps what it is given."""
+
+    async def drain(self) -> None:
+        pass
+
+
 def sse_fixtures() -> Dict[str, str]:
     frames = io.BytesIO()
     write_sse_event(frames, {"kind": "service", "now": 1.5, "b": [1, 2]}, 4)
     write_sse_event(frames, {"kind": "alert", "state": "resolved"}, 5,
                     event="alert")
-    stream = io.BytesIO()
+    stream = _BufferWriter()
     publisher = _ScriptedPublisher()
     publisher.publish({"kind": "service", "now": 2.0})
-    stream_publisher(stream, publisher, threading.Event(), poll_s=0.01)
+    asyncio.run(stream_publisher(stream, publisher))
     return {"sse_frames.txt": frames.getvalue().decode("utf-8"),
             "sse_stream.txt": stream.getvalue().decode("utf-8")}
 
@@ -289,14 +295,22 @@ def probe(port: int, method: str, path: str,
 def live_routes() -> Dict[str, Any]:
     publisher = MetricsPublisher()
     publisher.publish(LIVE_SNAPSHOT)
-    server = ObservabilityServer(publisher).start()
-    try:
-        seen = {f"{method} {path}": probe(server.port, method, path)
+
+    def client_side(port: int) -> Dict[str, Any]:
+        return {f"{method} {path}": probe(port, method, path)
                 for method, path in (("GET", "/metrics"), ("GET", "/healthz"),
                                      ("GET", "/stream"), ("GET", "/nope"),
                                      ("GET", "/healthz?verbose=1"))}
-    finally:
-        server.stop()
+
+    async def scenario() -> Dict[str, Any]:
+        server = await ObservabilityServer(publisher).start()
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, client_side, server.port)
+        finally:
+            await server.stop()
+
+    seen = asyncio.run(scenario())
     for entry in seen.values():
         entry.pop("body", None)
     return seen
@@ -317,7 +331,7 @@ def service_routes() -> Dict[str, Any]:
             publish_interval_s=0.05, archive_dir=archive_dir,
             slos=parse_slo_specs(["vip:p99<=60s@99%"]))
         await service.start()
-        server = ServiceServer(service).start()
+        server = await ServiceServer(service).start()
 
         def client_side() -> None:
             port = server.port
@@ -354,7 +368,7 @@ def service_routes() -> Dict[str, Any]:
             await service.wait_drained()
         finally:
             await service.stop()
-            server.stop()
+            await server.stop()
 
     with tempfile.TemporaryDirectory() as archive_dir:
         asyncio.run(scenario(archive_dir))

@@ -10,7 +10,10 @@ N, or other), its peak resident set (``VmHWM``) and its thread count
 Exit status 1 when the tree holds any process besides the coordinator
 and its two workers (a ``multiprocessing`` resource tracker, a helper
 nobody reaps), when the coordinator maps numpy (it executes no query,
-so it never draws), or when a worker runs more threads than a bare
+so it never draws), when the coordinator runs more than one thread (it
+serves HTTP, the pool and the kernel on one loop; only
+``--archive-dir`` adds a writer thread, and the census passes none),
+or when a worker runs more threads than a bare
 ``python -c "import numpy.random"`` child measured here first: numpy's
 BLAS may start a pool of its own, and a worker adds none to it.  The
 MB figures are printed, not gated: they differ from host to host.
@@ -167,6 +170,9 @@ def main() -> int:
                                 f"{WORKERS} workers: {rows}")
             if maps_numpy(daemon.pid):
                 problems.append("the coordinator maps numpy")
+            if threads(daemon.pid) > 1:
+                problems.append(f"the coordinator runs "
+                                f"{threads(daemon.pid)} threads, not 1")
             problems.extend(
                 f"worker {workers[pid]} runs {threads(pid)} threads, a bare "
                 f"numpy child {baseline}" for pid in workers

@@ -924,7 +924,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await service.start()
-        server.start()
+        await server.start()
         loop = asyncio.get_running_loop()
 
         def _on_signal(name: str) -> None:
@@ -949,7 +949,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             await service.wait_drained()
         finally:
             await service.stop()
-            server.stop()
+            await server.stop()
             for sig in (signal.SIGTERM, signal.SIGINT):
                 loop.remove_signal_handler(sig)
         print(f"drained: {service.completed} completed, "

@@ -230,7 +230,7 @@ class LiveQueryEngine:
         publisher = None
         if self.serve_port is not None:
             publisher = self.publisher = MetricsPublisher()
-            self.server = ObservabilityServer(
+            self.server = await ObservabilityServer(
                 publisher, host=self.serve_host, port=self.serve_port).start()
             if self.on_serve is not None:
                 self.on_serve(self.server)
@@ -313,7 +313,7 @@ class LiveQueryEngine:
                     publisher.publish(query.snapshot())  # final /stream state
                 publisher.close()
             if self.server is not None:
-                self.server.stop()
+                await self.server.stop()
                 self.server = None
 
         return query.result()

@@ -1,13 +1,14 @@
 """Mid-flight snapshots of a running query and their Prometheus view.
 
 The live observability plane is pull-shaped: on every sampler tick the
-*engine thread* assembles a plain-data :func:`build_live_snapshot` dict
-— per-fragment progress and throughput, queue depths, delivery rates,
+engine assembles a plain-data :func:`build_live_snapshot` dict —
+per-fragment progress and throughput, queue depths, delivery rates,
 memory occupancy, the stall-attribution breakdown (whose values sum
 exactly to the stall time by construction) — and hands it to a
-:class:`MetricsPublisher`.  HTTP threads (``/metrics``, ``/stream``,
-``repro top``) only ever read the last published snapshot under the
-publisher's lock, so a scrape is tear-free and costs the engine nothing.
+:class:`MetricsPublisher`.  The HTTP routes (``/metrics``, ``/stream``,
+which ``repro top`` reads) run on the same loop and only ever read the
+last published snapshot, so a scrape is whole and costs the engine
+nothing.
 
 :func:`live_prometheus_text` renders one snapshot in the Prometheus text
 exposition format for live scraping (unlike
@@ -17,11 +18,13 @@ finished run's virtual-time snapshot for offline ingestion).
 
 from __future__ import annotations
 
-import threading
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from repro.observability.export import PrometheusText, prom_float, prom_labels
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: live snapshot layout version (part of the SSE/JSON payload).
 LIVE_SNAPSHOT_VERSION = 1
@@ -34,8 +37,8 @@ def build_live_snapshot(world: Any, runtime: Any, processor: Any,
                         strategy: str) -> Dict[str, Any]:
     """One JSON-safe snapshot of an in-flight execution.
 
-    Called on the engine thread (sampler tick or final flush), so every
-    runtime structure it reads is quiescent while it reads it.
+    Called by the engine (sampler tick or final flush), so every runtime
+    structure it reads is quiescent while it reads it.
     """
     sim = world.sim
     now = sim.now
@@ -97,7 +100,8 @@ class SnapshotSubscription:
     Created by :meth:`MetricsPublisher.subscribe`.  The publisher appends
     every published snapshot; when the queue is full the *oldest* frame
     is discarded (and counted) so a slow or stalled SSE client can never
-    block the publishing thread or grow memory without bound.
+    hold back the publisher or grow memory without bound.  Its one
+    reader awaits :meth:`next` on the publisher's loop.
     """
 
     def __init__(self, publisher: "MetricsPublisher", capacity: int) -> None:
@@ -109,49 +113,46 @@ class SnapshotSubscription:
         self.dropped = 0
         self._frames: Deque[Tuple[Dict[str, Any], int]] = deque()
         self._closed = False
+        #: the future :meth:`next` is parked on while the queue is empty.
+        self._waiter: Optional["asyncio.Future[None]"] = None
 
-    def pop(self, timeout: float) -> Tuple[Optional[Dict[str, Any]], int]:
-        """Dequeue the next frame, waiting up to ``timeout`` seconds.
+    def _wake(self) -> None:
+        if self._waiter is not None and not self._waiter.done():
+            self._waiter.set_result(None)
 
-        Returns ``(snapshot, seq)``; the snapshot is None when the wait
-        timed out or the publisher closed with nothing queued (check
-        :attr:`finished` to tell the two apart).
-        """
-        cond = self._publisher._cond
-        with cond:
-            cond.wait_for(
-                lambda: self._frames or self._publisher._closed
-                or self._closed,
-                timeout=timeout)
-            if self._frames:
-                return self._frames.popleft()
-            return None, self._publisher._seq
+    async def next(self) -> Optional[Tuple[Dict[str, Any], int]]:
+        """The next ``(snapshot, seq)``, waiting for one to be published;
+        None once the publisher (or this subscription) closed and every
+        queued frame was taken."""
+        import asyncio
 
-    @property
-    def finished(self) -> bool:
-        """True once the publisher closed and every frame was consumed."""
-        with self._publisher._cond:
-            return ((self._publisher._closed or self._closed)
-                    and not self._frames)
+        while not self._frames:
+            if self._publisher.closed or self._closed:
+                return None
+            self._waiter = asyncio.get_running_loop().create_future()
+            try:
+                await self._waiter
+            finally:
+                self._waiter = None
+        return self._frames.popleft()
 
     def close(self) -> None:
         """Detach from the publisher (idempotent)."""
-        with self._publisher._cond:
-            self._closed = True
-            self._publisher._subscriptions.discard(self)
+        self._closed = True
+        self._publisher._subscriptions.discard(self)
+        self._wake()
 
 
 class MetricsPublisher:
-    """Single-slot, sequence-numbered snapshot exchange between threads.
+    """Single-slot, sequence-numbered snapshot exchange on one loop.
 
-    The engine thread :meth:`publish`-es; any number of reader threads
-    :meth:`latest` (scrapes), :meth:`wait_newer` (polling), or
-    :meth:`subscribe` (lossy-but-ordered SSE streams).  The published
+    The engine :meth:`publish`-es; readers take :meth:`latest` (scrapes)
+    or :meth:`subscribe` (lossy-but-ordered SSE streams).  Publisher and
+    readers share one thread, so nothing here locks.  The published
     dict is treated as immutable by all parties.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
         self._snapshot: Optional[Dict[str, Any]] = None
         self._seq = 0
         self._closed = False
@@ -162,19 +163,18 @@ class MetricsPublisher:
     def _fan_out(self, frame: Dict[str, Any], install: bool) -> int:
         """Stamp ``frame`` with the next sequence number and queue it on
         every subscription (drop-oldest when one is full)."""
-        with self._cond:
-            self._seq += 1
-            frame = dict(frame, seq=self._seq)
-            if install:
-                self._snapshot = frame
-            for subscription in self._subscriptions:
-                if len(subscription._frames) >= subscription.capacity:
-                    subscription._frames.popleft()
-                    subscription.dropped += 1
-                    self.dropped_total += 1
-                subscription._frames.append((frame, self._seq))
-            self._cond.notify_all()
-            return self._seq
+        self._seq += 1
+        frame = dict(frame, seq=self._seq)
+        if install:
+            self._snapshot = frame
+        for subscription in self._subscriptions:
+            if len(subscription._frames) >= subscription.capacity:
+                subscription._frames.popleft()
+                subscription.dropped += 1
+                self.dropped_total += 1
+            subscription._frames.append((frame, self._seq))
+            subscription._wake()
+        return self._seq
 
     def publish(self, snapshot: Dict[str, Any]) -> int:
         """Install a fresh snapshot; returns its sequence number."""
@@ -197,17 +197,16 @@ class MetricsPublisher:
         renders a frame without waiting for the next publish tick.
         """
         subscription = SnapshotSubscription(self, capacity)
-        with self._cond:
-            self._subscriptions.add(subscription)
-            if self._snapshot is not None:
-                subscription._frames.append((self._snapshot, self._seq))
+        self._subscriptions.add(subscription)
+        if self._snapshot is not None:
+            subscription._frames.append((self._snapshot, self._seq))
         return subscription
 
     def close(self) -> None:
         """Wake streamers so they can observe the end of the run."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        self._closed = True
+        for subscription in self._subscriptions:
+            subscription._wake()
 
     @property
     def closed(self) -> bool:
@@ -215,22 +214,7 @@ class MetricsPublisher:
 
     def latest(self) -> Tuple[Optional[Dict[str, Any]], int]:
         """The most recent snapshot (or None) and its sequence number."""
-        with self._cond:
-            return self._snapshot, self._seq
-
-    def wait_newer(self, seq: int,
-                   timeout: float) -> Tuple[Optional[Dict[str, Any]], int]:
-        """Block up to ``timeout`` for a snapshot newer than ``seq``.
-
-        Returns ``(snapshot, new_seq)``; the snapshot is None when the
-        wait timed out or the publisher closed without a newer one.
-        """
-        with self._cond:
-            self._cond.wait_for(lambda: self._seq > seq or self._closed,
-                                timeout=timeout)
-            if self._seq > seq:
-                return self._snapshot, self._seq
-            return None, self._seq
+        return self._snapshot, self._seq
 
 
 def live_prometheus_text(snapshot: Optional[Dict[str, Any]], *,

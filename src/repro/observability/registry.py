@@ -12,12 +12,11 @@ mean/variance via :class:`repro.sim.stats.WelfordStat` — and a
 :data:`NULL_METRIC`, whose methods do nothing, so instrumented hot paths
 cost one no-op call when telemetry is off.
 
-Thread-safety: every metric of one registry shares the registry's
-re-entrant lock, and :meth:`MetricsRegistry.as_dict` snapshots under
-that same lock — an exporting thread never sees a histogram whose
-``counts`` and ``count`` disagree while another thread mutates it.  No
-exporter reads a registry mid-run (the live ``/metrics`` endpoint serves
-published snapshots), so the lock is uncontended noise.
+A registry belongs to the thread that drives its machine's kernel: the
+components that update it and every exporter run there, so a metric is
+a plain field update and :meth:`MetricsRegistry.as_dict` always sees
+whole metrics.  (The live ``/metrics`` endpoint serves published
+snapshots, not a registry.)
 
 Serialization: :meth:`MetricsRegistry.as_dict` is a plain-data snapshot
 (the exporters' input).  A registry stays in the process that ran its
@@ -27,7 +26,6 @@ machine: sweep results cross a process boundary without it.
 from __future__ import annotations
 
 import bisect
-import threading
 from typing import Any, Callable, Dict, Optional, Sequence, Type, Union
 
 from repro.common.errors import ConfigurationError
@@ -63,22 +61,19 @@ class CounterMetric:
     """A named, monotonically growing tally."""
 
     kind = "counter"
-    __slots__ = ("name", "value", "_lock")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, lock: Optional[threading.RLock] = None):
+    def __init__(self, name: str):
         self.name = name
         self.value: float = 0
-        self._lock = lock if lock is not None else threading.RLock()
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r}: negative {amount}")
-        with self._lock:
-            self.value += amount
+        self.value += amount
 
     def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"kind": self.kind, "value": self.value}
+        return {"kind": self.kind, "value": self.value}
 
     def __repr__(self) -> str:
         return f"CounterMetric({self.name!r}, {self.value})"
@@ -92,26 +87,23 @@ class GaugeMetric:
     """
 
     kind = "gauge"
-    __slots__ = ("name", "value", "minimum", "maximum", "_weighted", "_lock")
+    __slots__ = ("name", "value", "minimum", "maximum", "_weighted")
 
-    def __init__(self, name: str, sim: Optional[Kernel] = None,
-                 lock: Optional[threading.RLock] = None):
+    def __init__(self, name: str, sim: Optional[Kernel] = None):
         self.name = name
         self.value: float = 0.0
         self.minimum: Optional[float] = None
         self.maximum: Optional[float] = None
         self._weighted = TimeWeightedStat(sim) if sim is not None else None
-        self._lock = lock if lock is not None else threading.RLock()
 
     def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
-            if self._weighted is not None:
-                self._weighted.record(value)
+        self.value = value
+        if self.minimum is None or value < self.minimum:
+            self.minimum = value
+        if self.maximum is None or value > self.maximum:
+            self.maximum = value
+        if self._weighted is not None:
+            self._weighted.record(value)
 
     def inc(self, amount: float = 1.0) -> None:
         self.set(self.value + amount)
@@ -121,10 +113,9 @@ class GaugeMetric:
         return self._weighted.mean() if self._weighted is not None else None
 
     def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"kind": self.kind, "value": self.value,
-                    "min": self.minimum, "max": self.maximum,
-                    "time_weighted_mean": self.time_weighted_mean()}
+        return {"kind": self.kind, "value": self.value,
+                "min": self.minimum, "max": self.maximum,
+                "time_weighted_mean": self.time_weighted_mean()}
 
     def __repr__(self) -> str:
         return f"GaugeMetric({self.name!r}, {self.value})"
@@ -140,10 +131,9 @@ class HistogramMetric:
     """
 
     kind = "histogram"
-    __slots__ = ("name", "buckets", "counts", "sum", "_stream", "_lock")
+    __slots__ = ("name", "buckets", "counts", "sum", "_stream")
 
-    def __init__(self, name: str, buckets: Sequence[float],
-                 lock: Optional[threading.RLock] = None):
+    def __init__(self, name: str, buckets: Sequence[float]):
         if not buckets:
             raise ConfigurationError(f"histogram {name!r} needs >= 1 bucket")
         ordered = tuple(sorted(float(b) for b in buckets))
@@ -154,13 +144,11 @@ class HistogramMetric:
         self.counts = [0] * (len(ordered) + 1)  # last one is +Inf
         self.sum = 0.0
         self._stream = WelfordStat()
-        self._lock = lock if lock is not None else threading.RLock()
 
     def observe(self, value: float) -> None:
-        with self._lock:
-            self.counts[bisect.bisect_left(self.buckets, value)] += 1
-            self.sum += value
-            self._stream.record(value)
+        self.counts[bisect.bisect_left(self.buckets, value)] += 1
+        self.sum += value
+        self._stream.record(value)
 
     @property
     def count(self) -> int:
@@ -171,11 +159,10 @@ class HistogramMetric:
         return self._stream.mean
 
     def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"kind": self.kind, "buckets": list(self.buckets),
-                    "counts": list(self.counts), "sum": self.sum,
-                    "count": self.count, "mean": self.mean,
-                    "min": self._stream.minimum, "max": self._stream.maximum}
+        return {"kind": self.kind, "buckets": list(self.buckets),
+                "counts": list(self.counts), "sum": self.sum,
+                "count": self.count, "mean": self.mean,
+                "min": self._stream.minimum, "max": self._stream.maximum}
 
     def __repr__(self) -> str:
         return f"HistogramMetric({self.name!r}, n={self.count})"
@@ -198,12 +185,9 @@ class MetricsRegistry:
         self.sim = sim
         self.enabled = enabled
         self._metrics: Dict[str, Metric] = {}
-        #: shared by every metric of this registry; :meth:`as_dict` holds
-        #: it for the whole snapshot, making exports tear-free.
-        self._lock = threading.RLock()
 
     # -- factories ---------------------------------------------------------
-    # An existing name of the right kind: one dict read, no lock.
+    # An existing name of the right kind: one dict read.
     def counter(self, name: str) -> Union[CounterMetric, NullMetric]:
         if not self.enabled:
             return NULL_METRIC
@@ -211,7 +195,7 @@ class MetricsRegistry:
         if type(metric) is CounterMetric:
             return metric
         return self._get_or_create(
-            name, CounterMetric, lambda: CounterMetric(name, lock=self._lock))
+            name, CounterMetric, lambda: CounterMetric(name))
 
     def gauge(self, name: str) -> Union[GaugeMetric, NullMetric]:
         if not self.enabled:
@@ -221,7 +205,7 @@ class MetricsRegistry:
             return metric
         return self._get_or_create(
             name, GaugeMetric,
-            lambda: GaugeMetric(name, sim=self.sim, lock=self._lock))
+            lambda: GaugeMetric(name, sim=self.sim))
 
     def histogram(self, name: str,
                   buckets: Sequence[float] = DURATION_BUCKETS_S
@@ -233,19 +217,18 @@ class MetricsRegistry:
             return metric
         return self._get_or_create(
             name, HistogramMetric,
-            lambda: HistogramMetric(name, buckets, lock=self._lock))
+            lambda: HistogramMetric(name, buckets))
 
     def _get_or_create(self, name: str, expected_type: Type[Any],
                        factory: Callable[[], Any]) -> Any:
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                metric = factory()
-                self._metrics[name] = metric
-            elif not isinstance(metric, expected_type):
-                raise ConfigurationError(
-                    f"metric {name!r} already registered as {metric.kind}")
-            return metric
+        metric = self._metrics.get(name)
+        if metric is None:
+            metric = factory()
+            self._metrics[name] = metric
+        elif not isinstance(metric, expected_type):
+            raise ConfigurationError(
+                f"metric {name!r} already registered as {metric.kind}")
+        return metric
 
     # -- inspection --------------------------------------------------------
     def get(self, name: str) -> Optional[Metric]:
@@ -256,14 +239,9 @@ class MetricsRegistry:
         return sorted(self._metrics)
 
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
-        """Snapshot of every metric, keyed by name (sorted).
-
-        Taken under the registry lock: no metric mutates mid-snapshot,
-        so cross-metric invariants hold in the exported view.
-        """
-        with self._lock:
-            return {name: self._metrics[name].as_dict()
-                    for name in sorted(self._metrics)}
+        """Snapshot of every metric, keyed by name (sorted)."""
+        return {name: self._metrics[name].as_dict()
+                for name in sorted(self._metrics)}
 
     def __len__(self) -> int:
         return len(self._metrics)

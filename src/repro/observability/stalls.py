@@ -21,7 +21,6 @@ The per-cause totals always sum to ``DynamicQueryProcessor.stall_time``.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -62,16 +61,10 @@ class StallAttribution:
     The intervals themselves are not kept — a long-lived machine records
     them without end; an observer that wants each one (the flight
     recorder) hooks :attr:`on_record`.
-
-    Reads (:meth:`by_cause`, :attr:`total`) take a lock shared with
-    :meth:`record`, so the live ``/metrics`` thread never iterates the
-    breakdown dict mid-mutation and always sees per-cause totals that
-    sum exactly to the recorded stall time.
     """
 
     def __init__(self) -> None:
         self.breakdown: Dict[str, float] = {}
-        self._lock = threading.RLock()
         #: optional observer invoked after each recorded interval (the
         #: flight recorder hooks in here); must not raise.
         self.on_record: Optional[Callable[[StallInterval], None]] = None
@@ -81,9 +74,8 @@ class StallAttribution:
         if ended < started:
             raise SimulationError(
                 f"stall interval ends before it starts: {started} > {ended}")
-        with self._lock:
-            self.breakdown[cause] = (self.breakdown.get(cause, 0.0)
-                                     + (ended - started))
+        self.breakdown[cause] = (self.breakdown.get(cause, 0.0)
+                                 + (ended - started))
         # The interval object exists only for an observer to keep.
         if self.on_record is not None:
             self.on_record(StallInterval(started, ended, cause))
@@ -91,21 +83,18 @@ class StallAttribution:
     @property
     def total(self) -> float:
         """Sum of every attributed interval (equals the DQP's stall time)."""
-        with self._lock:
-            return sum(self.breakdown.values())
+        return sum(self.breakdown.values())
 
     def by_cause(self) -> Dict[str, float]:
         """Per-cause totals, largest first."""
-        with self._lock:
-            return dict(sorted(self.breakdown.items(),
-                               key=lambda item: (-item[1], item[0])))
+        return dict(sorted(self.breakdown.items(),
+                           key=lambda item: (-item[1], item[0])))
 
     def source_waits(self) -> Dict[str, float]:
         """Idle seconds per starving source (``source-wait:*`` only)."""
-        with self._lock:
-            return {cause[len(_SOURCE_PREFIX):]: seconds
-                    for cause, seconds in self.breakdown.items()
-                    if is_source_wait(cause)}
+        return {cause[len(_SOURCE_PREFIX):]: seconds
+                for cause, seconds in self.breakdown.items()
+                if is_source_wait(cause)}
 
     def __repr__(self) -> str:
         return (f"StallAttribution({len(self.breakdown)} causes, "

@@ -16,20 +16,16 @@ validates request bodies and sends every response in one segment):
   the live run's stream (``repro top --connect`` and ``repro watch``
   attach here);
 * ``GET /submissions``   — the latest snapshot's active + recent lists;
-* ``GET /submissions/I`` — one submission's record, fetched on the
-  service loop so it is never a torn read.
+* ``GET /submissions/I`` — one submission's record.
 
-HTTP handler threads never touch kernel state directly: submissions and
-record lookups cross into the asyncio loop
-(:meth:`ServiceServer.on_loop`), reads come from the
-:class:`~repro.observability.live.MetricsPublisher`.
+The server runs on the service's own loop, so a route calls the
+:class:`QueryService` directly, between two kernel callbacks: no route
+ever sees a half-made change.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
-from typing import Any, Callable, Dict, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.observability.server import ObservabilityServer, Request, Response
@@ -37,9 +33,6 @@ from repro.resources import QuotaExceeded
 from repro.service.backend import peak_rss_bytes
 from repro.service.service import QueryService, ServiceDraining, SubmissionRequest
 from repro.service.stats import service_prometheus_text
-
-#: how long a handler thread waits for the service loop.
-_LOOP_TIMEOUT_S = 10.0
 
 
 class ServiceServer(ObservabilityServer):
@@ -58,20 +51,6 @@ class ServiceServer(ObservabilityServer):
             ("GET", "/submissions/*"): self._submission,
         })
 
-    def on_loop(self, fn: Callable[[], Any]) -> Any:
-        """Run ``fn`` on the service loop and return its result."""
-        future: "concurrent.futures.Future[Any]" = concurrent.futures.Future()
-
-        def _call() -> None:
-            try:
-                future.set_result(fn())
-            except BaseException as exc:
-                future.set_exception(exc)
-
-        assert self.service._loop is not None, "service not started"
-        self.service._loop.call_soon_threadsafe(_call)
-        return future.result(timeout=_LOOP_TIMEOUT_S)
-
     def _metrics(self, request: Request) -> Response:
         snapshot, _seq = self.publisher.latest()
         return 200, service_prometheus_text(snapshot)
@@ -79,8 +58,8 @@ class ServiceServer(ObservabilityServer):
     def _healthz(self, request: Request) -> Response:
         service = self.service
         snapshot, seq = self.publisher.latest()
-        # archive.health() stats the segment files — fine here on the
-        # HTTP thread, never on the kernel loop.
+        # archive.health() stats the segment files: a few stat calls,
+        # once a probe, never per query.
         archive = (service.archive.health()
                    if service.archive is not None else None)
         return 200, {
@@ -109,10 +88,7 @@ class ServiceServer(ObservabilityServer):
         tracker = service.slo
         if tracker is None:
             return 200, {"objectives": [], "alerts": 0}
-        # Status reads the tracker's event rings, which mutate on the
-        # service loop — cross over for a tear-free view.
-        objectives = self.on_loop(
-            lambda: tracker.status(service.kernel.wall_now))
+        objectives = tracker.status(service.kernel.wall_now)
         return 200, {"objectives": objectives,
                      "alerts": service.alerts_total}
 
@@ -125,23 +101,16 @@ class ServiceServer(ObservabilityServer):
 
     def _submission(self, request: Request) -> Response:
         service = self.service
-        submission_id = request.tail
-
-        def _lookup() -> Optional[Dict[str, Any]]:
-            record = service.record_for(submission_id)
-            return (record.to_dict(service.kernel.wall_now)
-                    if record is not None else None)
-
-        found = self.on_loop(_lookup)
-        if found is None:
-            return 404, {"error": f"no submission {submission_id!r}"
+        record = service.record_for(request.tail)
+        if record is None:
+            return 404, {"error": f"no submission {request.tail!r}"
                                   " (finished ones age out)"}
-        return 200, found
+        return 200, record.to_dict(service.kernel.wall_now)
 
     def _submit(self, request: Request) -> Response:
         try:
             submission = SubmissionRequest.from_json(request.read_json())
-            record = self.on_loop(lambda: self.service.submit(submission))
+            record = self.service.submit(submission)
         except ConfigurationError as exc:
             return 400, {"error": str(exc)}
         except QuotaExceeded as exc:
@@ -154,5 +123,5 @@ class ServiceServer(ObservabilityServer):
                      "submitted_at": record.submitted_at}
 
     def _drain(self, request: Request) -> Response:
-        self.service.drain_threadsafe()
+        self.service.drain()
         return 202, {"status": "draining"}

@@ -287,12 +287,11 @@ class SubmissionRecord:
 class QueryService:
     """The long-running multi-tenant engine behind ``repro serve``.
 
-    Single-threaded core: every mutation happens on the thread that
-    drives the kernel — the asyncio loop, for an ``AsyncioKernel`` (HTTP
-    threads enter through
-    :meth:`~repro.service.http.ServiceServer.on_loop` /
-    :meth:`drain_threadsafe`).  Construction is cheap and loop-free;
-    :meth:`start` must run inside the loop.
+    Single-threaded: every call happens on the thread that drives the
+    kernel — for an ``AsyncioKernel``, its loop, which also serves the
+    HTTP routes (:class:`~repro.service.http.ServiceServer`).
+    Construction is cheap and loop-free; :meth:`start` must run inside
+    the loop.
     """
 
     def __init__(self, params: Optional[SimulationParameters] = None,
@@ -393,7 +392,6 @@ class QueryService:
         self._stopped = False
         #: epoch time :meth:`open` ran (``/healthz`` uptime base).
         self.started_wall: Optional[float] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         #: fires once the service is drained and idle: ends ``kernel.run``.
         self._shutdown = self.kernel.event(name="service-shutdown")
         self._run_task: Optional["asyncio.Task[None]"] = None
@@ -426,7 +424,6 @@ class QueryService:
         :meth:`open`; returns once the service accepts work."""
         if self._started:
             raise SimulationError("QueryService started twice")
-        self._loop = asyncio.get_running_loop()
         # Execution plane first: workers must be up (leases carved,
         # ready handshakes in) before anything can be submitted.
         await self.backend.start(self)
@@ -489,10 +486,6 @@ class QueryService:
         # on, so a run started later still finds it triggered.
         if self.active == 0 and not self._shutdown.triggered:
             self._shutdown.succeed()
-
-    def drain_threadsafe(self) -> None:
-        assert self._loop is not None, "service not started"
-        self._loop.call_soon_threadsafe(self.drain)
 
     async def wait_drained(self) -> None:
         """Block until the kernel shut down (a drain ran to completion)."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import asyncio
 import functools
 import math
+import selectors
 import time
 from unittest import mock
 
@@ -753,6 +754,56 @@ def test_asyncio_timed_pauses_still_read_the_wall(monkeypatch):
     assert len(reads) >= 5
     # The invariant the shortcut rests on: never ahead of the wall.
     assert kernel.now <= time.perf_counter() - start + 1e-6
+
+
+class _SteppedSelector(selectors.SelectSelector):
+    """A selector whose every timed wait moves an injected clock by the
+    timeout plus a fixed lateness instead of sleeping."""
+
+    def __init__(self, late: float):
+        super().__init__()
+        self.clock = 0.0
+        self.late = late
+
+    def time(self) -> float:
+        return self.clock
+
+    def select(self, timeout=None):
+        assert timeout is not None, "the loop would sleep forever"
+        if timeout > 0:
+            self.clock += timeout + self.late
+        return super().select(0)
+
+
+def test_asyncio_timed_pauses_read_an_injected_wall_clock(monkeypatch):
+    """The count twin of the test above, on a loop whose clock is
+    injected and whose every timer wakes 0.7 ms late: each pause reads
+    the wall, `now` is never ahead of it, and the lateness is not
+    summed along the chain (rule 1)."""
+    selector = _SteppedSelector(late=0.0007)
+    loop = asyncio.SelectorEventLoop(selector)
+    loop.time = selector.time
+    kernel = AsyncioKernel()
+    reads = _spy_wall(kernel, monkeypatch)
+    seen = []
+
+    def pauses():
+        for _ in range(5):
+            yield kernel.timeout(0.002)
+            seen.append((kernel.now, loop.time() - kernel._origin))
+
+    kernel.process(pauses())
+    try:
+        loop.run_until_complete(kernel.run())
+    finally:
+        loop.close()
+    assert len(reads) >= 5
+    assert all(now <= wall for now, wall in seen)
+    assert [now for now, _wall in seen] == pytest.approx(
+        [0.002, 0.004, 0.006, 0.008, 0.010])
+    assert kernel.now == pytest.approx(0.010)
+    # One overshoot behind the wall at the end, not five.
+    assert selector.clock == pytest.approx(0.0107)
 
 
 def test_asyncio_run_until_in_a_due_chain_leaves_now_at_the_bound(

@@ -1,15 +1,16 @@
-"""Tear-free telemetry exports under concurrent mutation.
+"""Whole telemetry exports while a machine keeps updating.
 
-The wall-clock backend exports metrics from HTTP threads while the
-engine thread is still mutating them.  The registry guarantees every
-snapshot is internally consistent (one shared lock, held for the whole
-``as_dict``).  These tests hammer that from real threads and check the
-cross-metric invariants that would break under a torn read.
+A registry and everything that exports it share one thread: the
+wall-clock backend serves its HTTP routes on the loop that drives the
+kernel, so an export runs between two updates, never inside one.  These
+tests interleave mutator tasks with an exporting task on one loop, with
+a switch after every single update, and check the cross-metric
+invariants that a torn read would break.
 """
 
+import asyncio
 import csv
 import io
-import threading
 
 from repro.observability import MetricsRegistry
 from repro.observability.export import (
@@ -18,53 +19,43 @@ from repro.observability.export import (
     write_metrics_json,
 )
 
-THREADS = 4
-ITERATIONS = 2_000
+TASKS = 4
+ITERATIONS = 200
 BUCKETS = (10.0, 100.0, 1000.0)
 
 
-def _stress(registry: MetricsRegistry, reader) -> list:
-    """Run mutator threads against ``registry`` while ``reader`` samples.
+def _stress(registry: MetricsRegistry, reader) -> None:
+    """Run mutator tasks against ``registry`` while ``reader`` samples.
 
     Each mutator performs one counter inc + one gauge set + one paired
-    histogram observe per iteration, so exported snapshots have a fixed
-    arithmetic relationship between the metrics for the reader to check.
+    histogram observe per iteration, yielding to the loop after every
+    one, so exported snapshots have a fixed arithmetic relationship
+    between the metrics for the reader to check.
     """
-    start = threading.Barrier(THREADS + 1)
-    done = threading.Event()
-    failures: list[BaseException] = []
-
-    def mutate(worker: int) -> None:
+    async def mutate(worker: int) -> None:
         counter = registry.counter("stress.ops")
         gauge = registry.gauge("stress.level")
         hist_a = registry.histogram("stress.sizes", buckets=BUCKETS)
         hist_b = registry.histogram("stress.sizes_twin", buckets=BUCKETS)
-        start.wait()
         for i in range(ITERATIONS):
             counter.inc()
+            await asyncio.sleep(0)
             gauge.set(float(i))
+            await asyncio.sleep(0)
             value = float((i * 7 + worker) % 2000)
             hist_a.observe(value)
+            await asyncio.sleep(0)
             hist_b.observe(value)
+            await asyncio.sleep(0)
 
-    def observe() -> None:
-        start.wait()
-        try:
-            while not done.is_set():
-                reader()
-        except BaseException as exc:  # surfaced after join
-            failures.append(exc)
+    async def scenario() -> None:
+        mutators = asyncio.gather(*(mutate(w) for w in range(TASKS)))
+        while not mutators.done():
+            reader()
+            await asyncio.sleep(0)
+        await mutators
 
-    mutators = [threading.Thread(target=mutate, args=(w,))
-                for w in range(THREADS)]
-    observer = threading.Thread(target=observe)
-    for thread in [*mutators, observer]:
-        thread.start()
-    for thread in mutators:
-        thread.join()
-    done.set()
-    observer.join()
-    return failures
+    asyncio.run(scenario())
 
 
 def _check_snapshot(snapshot: dict) -> None:
@@ -74,10 +65,9 @@ def _check_snapshot(snapshot: dict) -> None:
     assert sizes["sum"] >= 0
     if sizes["count"]:
         assert sizes["min"] <= sizes["mean"] <= sizes["max"]
-    # The twin histogram receives the same observations inside the same
-    # lock-free region, but each snapshot is atomic per registry, so the
-    # twins can differ by at most the in-flight iterations — never run
-    # backwards relative to the paired counter.
+    # The twin histogram receives the same observations one step later,
+    # so the twins can differ by at most the in-flight iterations —
+    # never run backwards relative to the paired counter.
     assert snapshot["stress.sizes_twin"]["count"] <= \
         snapshot["stress.ops"]["value"]
     gauge = snapshot["stress.level"]
@@ -92,17 +82,16 @@ def test_as_dict_snapshots_are_never_torn():
     def reader() -> None:
         snapshot = registry.as_dict()
         if "stress.sizes" not in snapshot:
-            return  # racing thread start-up: metrics not registered yet
+            return  # mutators not started yet: metrics not registered
         _check_snapshot(snapshot)
         seen_counts.append(snapshot["stress.ops"]["value"])
 
-    failures = _stress(registry, reader)
-    assert not failures, failures[0]
+    _stress(registry, reader)
     # The counter is monotone across successive snapshots.
     assert seen_counts == sorted(seen_counts)
     final = registry.as_dict()
-    assert final["stress.ops"]["value"] == THREADS * ITERATIONS
-    assert final["stress.sizes"]["count"] == THREADS * ITERATIONS
+    assert final["stress.ops"]["value"] == TASKS * ITERATIONS
+    assert final["stress.sizes"]["count"] == TASKS * ITERATIONS
 
 
 def _export_snapshot(registry: MetricsRegistry) -> dict:
@@ -134,8 +123,7 @@ def test_prometheus_export_is_consistent_under_concurrent_updates():
             f'repro_stress_sizes_bucket{{le="{BUCKETS[-1]!r}"}}']
         assert last_finite <= bucket_inf
 
-    failures = _stress(registry, reader)
-    assert not failures, failures[0]
+    _stress(registry, reader)
 
 
 def test_json_and_csv_exports_under_concurrent_updates(tmp_path):
@@ -156,8 +144,7 @@ def test_json_and_csv_exports_under_concurrent_updates(tmp_path):
                 writer.writerow(["metric", name, key, value])
         assert buffer.getvalue() is not None
 
-    failures = _stress(registry, reader)
-    assert not failures, failures[0]
+    _stress(registry, reader)
     # The last JSON written during the stress parses and is consistent.
     import json
 

@@ -41,36 +41,43 @@ def test_publisher_latest_and_sequence():
     assert snapshot["seq"] == 2  # the published dict carries its seq
 
 
-def test_publisher_wait_newer_times_out_and_wakes():
-    publisher = MetricsPublisher()
-    snapshot, seq = publisher.wait_newer(0, timeout=0.01)
-    assert snapshot is None and seq == 0
-
-    got = {}
-
-    def waiter():
-        got["snapshot"], got["seq"] = publisher.wait_newer(0, timeout=5.0)
-
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    publisher.publish({"now": 3.0})
-    thread.join(timeout=5.0)
-    assert got["seq"] == 1 and got["snapshot"]["now"] == 3.0
+def _take(subscription, count=1):
+    """The next ``count`` frames of ``subscription``, each awaited on a
+    loop (None for each one past the end of the stream)."""
+    async def take():
+        return [await asyncio.wait_for(subscription.next(), 5.0)
+                for _ in range(count)]
+    return asyncio.run(take())
 
 
 def test_publisher_close_wakes_waiters_without_a_snapshot():
     publisher = MetricsPublisher()
-    got = {}
+    subscription = publisher.subscribe()
 
-    def waiter():
-        got["snapshot"], got["seq"] = publisher.wait_newer(0, timeout=5.0)
+    async def scenario():
+        waiting = asyncio.ensure_future(subscription.next())
+        await asyncio.sleep(0)
+        assert not waiting.done()       # parked: nothing published yet
+        publisher.close()
+        return await asyncio.wait_for(waiting, 5.0)
 
-    thread = threading.Thread(target=waiter)
-    thread.start()
-    publisher.close()
-    thread.join(timeout=5.0)
-    assert got["snapshot"] is None
+    assert asyncio.run(scenario()) is None
     assert publisher.closed
+
+
+def test_publish_wakes_a_parked_subscriber():
+    publisher = MetricsPublisher()
+    subscription = publisher.subscribe()
+
+    async def scenario():
+        waiting = asyncio.ensure_future(subscription.next())
+        await asyncio.sleep(0)
+        assert not waiting.done()
+        publisher.publish({"now": 3.0})
+        return await asyncio.wait_for(waiting, 5.0)
+
+    snapshot, seq = asyncio.run(scenario())
+    assert seq == 1 and snapshot["now"] == 3.0
 
 
 def test_subscription_is_bounded_and_drops_oldest():
@@ -81,7 +88,7 @@ def test_subscription_is_bounded_and_drops_oldest():
     # Capacity 3: frames 0 and 1 were dropped, 2..4 remain in order.
     assert subscription.dropped == 2
     assert publisher.dropped_total == 2
-    got = [subscription.pop(timeout=0.1)[0]["now"] for _ in range(3)]
+    got = [snapshot["now"] for snapshot, _seq in _take(subscription, 3)]
     assert got == [2.0, 3.0, 4.0]
 
 
@@ -89,9 +96,8 @@ def test_late_subscriber_gets_the_latest_frame_pre_queued():
     publisher = MetricsPublisher()
     publisher.publish({"now": 7.0})
     subscription = publisher.subscribe()
-    snapshot, seq = subscription.pop(timeout=0.1)
+    [(snapshot, seq)] = _take(subscription)
     assert snapshot["now"] == 7.0 and seq == 1
-    assert not subscription.finished
 
 
 def test_subscription_finished_after_close_and_drain():
@@ -99,12 +105,10 @@ def test_subscription_finished_after_close_and_drain():
     subscription = publisher.subscribe(capacity=2)
     publisher.publish({"now": 1.0})
     publisher.close()
-    assert not subscription.finished  # one frame still queued
-    snapshot, _seq = subscription.pop(timeout=0.1)
-    assert snapshot is not None
-    assert subscription.finished
-    snapshot, _seq = subscription.pop(timeout=0.01)
-    assert snapshot is None
+    # The queued frame still comes out; then the stream ends.
+    [(snapshot, _seq), end, again] = _take(subscription, 3)
+    assert snapshot["now"] == 1.0
+    assert end is None and again is None
 
 
 def test_closed_subscription_detaches_from_the_publisher():
@@ -114,7 +118,7 @@ def test_closed_subscription_detaches_from_the_publisher():
     publisher.publish({"now": 1.0})
     assert subscription.dropped == 0
     assert publisher.dropped_total == 0
-    assert subscription.finished
+    assert _take(subscription) == [None]
 
 
 def test_subscription_capacity_must_be_positive():
@@ -132,7 +136,7 @@ def test_stalled_subscriber_sheds_without_affecting_publisher_or_peers():
     seqs = []
     for index in range(10):
         seqs.append(publisher.publish({"now": float(index)}))
-        snapshot, _seq = healthy.pop(timeout=0.1)
+        [(snapshot, _seq)] = _take(healthy)
         assert snapshot["now"] == float(index)
     # publish() returned synchronously every time with increasing seq --
     # the stalled peer exerted no backpressure.
@@ -143,7 +147,7 @@ def test_stalled_subscriber_sheds_without_affecting_publisher_or_peers():
     latest, seq = publisher.latest()
     assert seq == 10 and latest["now"] == 9.0
     # The stalled queue holds exactly the newest three, in order.
-    kept = [stalled.pop(timeout=0.1)[0]["now"] for _ in range(3)]
+    kept = [snapshot["now"] for snapshot, _seq in _take(stalled, 3)]
     assert kept == [7.0, 8.0, 9.0]
 
 
@@ -154,16 +158,16 @@ def test_publish_event_fans_out_without_replacing_the_snapshot():
     publisher = MetricsPublisher()
     publisher.publish({"kind": "service", "now": 1.0})
     subscription = publisher.subscribe()
-    subscription.pop(timeout=0.1)  # drain the pre-queued snapshot
+    _take(subscription)  # drain the pre-queued snapshot
     seq = publisher.publish_event({"kind": "alert", "state": "firing"})
     assert seq == 2
-    frame, frame_seq = subscription.pop(timeout=0.1)
+    [(frame, frame_seq)] = _take(subscription)
     assert frame["kind"] == "alert" and frame_seq == 2
     latest, latest_seq = publisher.latest()
     assert latest["kind"] == "service"  # unchanged by the event
     assert latest_seq == 2              # but the sequence did advance
     late = publisher.subscribe()
-    pre_queued, _seq = late.pop(timeout=0.1)
+    [(pre_queued, _seq)] = _take(late)
     assert pre_queued["kind"] == "service"
 
 
@@ -267,54 +271,46 @@ def test_write_sse_event_names_alert_frames():
 # One segment per response (no header/body split for delayed ACK to stall)
 # --------------------------------------------------------------------------
 
-class _RecordingConnection:
-    """Stands in for the accepted socket: serves canned request bytes and
-    records every write that would reach the wire, one entry per send."""
+class _RecordingWriter:
+    """Stands in for the connection's stream writer: records every write
+    that would reach the wire, one entry per send."""
 
-    def __init__(self, request: bytes):
-        self._request = request
+    def __init__(self):
         self.sends = []
 
-    def makefile(self, mode, buffering=-1):
-        import io
-
-        if "r" in mode:
-            return io.BytesIO(self._request)
-        connection = self
-
-        class Wire(io.RawIOBase):
-            def writable(self):
-                return True
-
-            def write(self, data):
-                connection.sendall(data)
-                return len(data)
-
-        return Wire() if buffering == 0 else io.BufferedWriter(Wire())
-
-    def sendall(self, data):
+    def write(self, data):
         self.sends.append(bytes(data))
+
+    async def drain(self):
+        pass
 
 
 @pytest.mark.parametrize("path, status", [
     ("/healthz", b"200"), ("/metrics", b"200"), ("/submissions/s-1", b"200"),
     ("/nope", b"404")])
 def test_a_response_leaves_in_one_send(path, status):
-    from types import SimpleNamespace
+    from repro.observability.server import ObservabilityServer
 
-    from repro.observability.server import Request
+    server = ObservabilityServer(MetricsPublisher(), routes={
+        ("GET", "/healthz"): lambda request: (200, {"status": "ok"}),
+        ("GET", "/metrics"): lambda request: (200, "repro_up 1.0\n"),
+        ("GET", "/submissions/*"):
+            lambda request: (200, {"id": request.tail})})
+    writer = _RecordingWriter()
 
-    server = SimpleNamespace(
-        publisher=MetricsPublisher(), stopping=threading.Event(),
-        routes={("GET", "/healthz"): lambda request: (200, {"status": "ok"}),
-                ("GET", "/metrics"): lambda request: (200, "repro_up 1.0\n"),
-                ("GET", "/submissions/*"):
-                    lambda request: (200, {"id": request.tail})})
-    connection = _RecordingConnection(
-        f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode())
-    Request(connection, ("127.0.0.1", 0), server)
-    assert len(connection.sends) == 1, connection.sends
-    head, _, body = connection.sends[0].partition(b"\r\n\r\n")
+    async def answer():
+        reader = asyncio.StreamReader()
+        reader.feed_data(f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"
+                         .encode())
+        reader.feed_eof()
+        try:
+            return await server._answer(reader, writer)
+        finally:
+            await server.stop()
+
+    assert asyncio.run(answer()) is True        # keep-alive
+    assert len(writer.sends) == 1, writer.sends
+    head, _, body = writer.sends[0].partition(b"\r\n\r\n")
     assert head.split()[1] == status
     assert f"Content-Length: {len(body)}".encode() in head
     if path.startswith("/submissions/"):
@@ -412,13 +408,13 @@ def test_reconnect_stops_cleanly_on_server_end_without_sleeping():
 
 @pytest.mark.parametrize("port", [-1, 65536, 70000])
 def test_an_out_of_range_port_is_refused_before_any_bind(port, monkeypatch):
-    import socketserver
+    import socket
 
     from repro.observability.server import ObservabilityServer
 
     binds = []
-    monkeypatch.setattr(socketserver.TCPServer, "server_bind",
-                        lambda server: binds.append(server))
+    monkeypatch.setattr(socket.socket, "bind",
+                        lambda sock, address: binds.append(address))
     with pytest.raises(ConfigurationError,
                        match=f"port must be in 0..65535, got {port}"):
         ObservabilityServer(MetricsPublisher(), port=port)

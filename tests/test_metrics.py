@@ -178,58 +178,44 @@ def test_flattened_updates_keep_their_checks_and_extremes():
     assert stream.variance == pytest.approx(1.0)
 
 
-def test_looking_handles_up_while_another_thread_exports_never_tears():
+def test_looking_handles_up_between_exports_never_tears():
     """Engine-side code resolving its handles by name on every update
-    (the lock-free path) against a thread snapshotting ``as_dict()``:
-    the export stays consistent and no update is lost."""
-    import sys
-    import threading
+    against an exporting task on the same loop, switching after every
+    update: each export is whole and no update is lost."""
+    import asyncio
 
     from repro.observability import MetricsRegistry
 
     registry = MetricsRegistry()
-    workers, iterations = 4, 3000
-    start = threading.Barrier(workers + 1)
-    done = threading.Event()
+    workers, iterations = 4, 300
     torn = []
 
-    def mutate(worker):
-        start.wait(timeout=30.0)
+    async def mutate(worker):
         for index in range(iterations):
             registry.counter("ops").inc()
+            await asyncio.sleep(0)
             registry.histogram("sizes", buckets=(1.0, 2.0)).observe(
                 float(index % 3))
+            await asyncio.sleep(0)
             registry.gauge(f"level.{worker}").set(float(index))
+            await asyncio.sleep(0)
 
-    def observe():
-        start.wait(timeout=30.0)
-        while not done.is_set():
+    async def scenario():
+        mutators = asyncio.gather(*(mutate(w) for w in range(workers)))
+        while not mutators.done():
             snapshot = registry.as_dict()
             sizes = snapshot.get("sizes")
             ops = snapshot.get("ops")
-            if sizes is None or ops is None:
-                continue  # not registered yet
-            if sum(sizes["counts"]) != sizes["count"]:
-                torn.append(("histogram", sizes))
-            if ops["value"] < sizes["count"]:
-                # Each worker bumps the counter before it observes.
-                torn.append(("order", ops["value"], sizes["count"]))
+            if sizes is not None and ops is not None:
+                if sum(sizes["counts"]) != sizes["count"]:
+                    torn.append(("histogram", sizes))
+                if ops["value"] < sizes["count"]:
+                    # Each worker bumps the counter before it observes.
+                    torn.append(("order", ops["value"], sizes["count"]))
+            await asyncio.sleep(0)
+        await mutators
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=mutate, args=(w,))
-                   for w in range(workers)]
-        observer = threading.Thread(target=observe)
-        for thread in [*threads, observer]:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        done.set()
-        observer.join(timeout=60.0)
-        assert not any(thread.is_alive() for thread in [*threads, observer])
-    finally:
-        sys.setswitchinterval(interval)
+    asyncio.run(scenario())
     assert torn == []
     final = registry.as_dict()
     assert final["ops"]["value"] == workers * iterations

@@ -77,7 +77,7 @@ def http_session(tmp_path_factory):
             publish_interval_s=0.05, archive_dir=archive_dir,
             slos=parse_slo_specs(["vip:p99<=60s@99%"]))
         await service.start()
-        server = ServiceServer(service).start()
+        server = await ServiceServer(service).start()
         loop = asyncio.get_running_loop()
 
         def client_side():
@@ -97,6 +97,10 @@ def http_session(tmp_path_factory):
                 out[name] = _raw_request(
                     port, f"POST /submit HTTP/1.1\r\nHost: test\r\n"
                           f"Content-Length: {length}\r\n\r\n".encode())
+            # A head over the 64 KiB bound is refused, not buffered.
+            out["oversized_head"] = _raw_request(
+                port, f"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+                      f"X-Pad: {'a' * (70 << 10)}\r\n\r\n".encode())
             out["not_found"] = _request(port, "GET", "/submissions/s-999999")
             out["unknown"] = _request(port, "GET", "/nope")
             submission_id = out["submit"][1]["id"]
@@ -151,7 +155,7 @@ def http_session(tmp_path_factory):
             if stream_task is not None:
                 await service.stop()
                 await stream_task
-            server.stop()
+            await server.stop()
 
     asyncio.run(scenario())
     return out
@@ -180,6 +184,9 @@ def test_malformed_bodies_get_400(http_session):
         assert status == 400, (name, status, body)
         assert body.count("\n") == 1 and body.endswith("\n")
         assert "Content-Length" in json.loads(body)["error"]
+    status, body = http_session["oversized_head"]
+    assert status == 400
+    assert "request head over 65536 bytes" in json.loads(body)["error"]
 
 
 def test_quota_exhaustion_gets_429_with_the_tenant(http_session):
@@ -259,6 +266,136 @@ def test_stream_delivers_service_frames_then_ends(http_session):
     assert frame["kind"] == "service"
     assert {"version", "latency", "tenants", "pool"} <= set(frame)
     assert http_session["saw_end"], "stream never sent the end marker"
+
+
+# --------------------------------------------------------------------------
+# One loop serves everyone: a stalled client, a keep-alive connection
+# --------------------------------------------------------------------------
+
+async def _ask(reader, writer, method, path, body=None):
+    """One request on an open keep-alive connection: (status, JSON)."""
+    payload = json.dumps(body).encode() if body is not None else b""
+    writer.write(f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+                 f"Content-Length: {len(payload)}\r\n\r\n".encode() + payload)
+    head = await reader.readuntil(b"\r\n\r\n")
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    return int(head.split()[1]), json.loads(await reader.readexactly(length))
+
+
+async def _sse_frame(reader):
+    """The next SSE frame's ``data`` object."""
+    frame = await asyncio.wait_for(reader.readuntil(b"\n\n"), 10.0)
+    return json.loads(frame.split(b"data: ", 1)[1])
+
+
+def test_a_stalled_stream_client_holds_back_nothing_else():
+    """A ``/stream`` client that never reads while 200 frames of 64 KiB
+    (13 MB) fan out: ``/healthz`` and ``/submit`` on another connection
+    still answer, a second subscriber gets every frame in order, only
+    the stalled subscription drops (and keeps dropping once the socket
+    buffers are full, at most 4 MB here), and its queue and its
+    connection's write buffer stay bounded."""
+    import socket
+
+    pad = "x" * (64 << 10)
+    out = {"answers": [], "frames": [], "dropped": []}
+
+    async def scenario():
+        service = QueryService(seed=3, global_memory_bytes=4 << 20,
+                               publish_interval_s=3600.0)
+        await service.start()
+        server = await ServiceServer(service).start()
+        publisher = service.publisher
+        stalled = socket.socket()
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            stalled.connect(("127.0.0.1", server.port))
+            stalled.sendall(b"GET /stream HTTP/1.1\r\nHost: test\r\n\r\n")
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port, limit=1 << 20)
+            writer.write(b"GET /stream HTTP/1.1\r\nHost: test\r\n\r\n")
+            await reader.readuntil(b"\r\n\r\n")
+            assert (await _sse_frame(reader))["kind"] == "service"
+            while len(publisher._subscriptions) < 2:
+                await asyncio.sleep(0.01)
+            ask = await asyncio.open_connection("127.0.0.1", server.port)
+            for index in range(200):
+                publisher.publish_event({"kind": "flood", "index": index,
+                                         "pad": pad})
+                out["frames"].append((await _sse_frame(reader))["index"])
+                if index % 50 == 49:
+                    out["answers"].append(await _ask(*ask, "GET",
+                                                     "/healthz"))
+                    out["answers"].append(await _ask(
+                        *ask, "POST", "/submit", dict(FAST, tenant="t")))
+                    out["dropped"].append(publisher.dropped_total)
+            subscriptions = list(publisher._subscriptions)
+            out["queued"] = [len(s._frames) for s in subscriptions]
+            out["shed"] = sorted(s.dropped for s in subscriptions)
+            out["buffered"] = [
+                w.transport.get_write_buffer_size()
+                for w in server._connections.values()]
+            for connection in (writer, ask[1]):
+                connection.close()
+        finally:
+            stalled.close()
+            await service.stop()
+            await server.stop()
+
+    asyncio.run(scenario())
+    assert out["frames"] == list(range(200))       # in order, none lost
+    assert [status for status, _body in out["answers"]] == [200, 202] * 4
+    dropped = out["dropped"]
+    assert dropped == sorted(dropped)
+    assert 0 < dropped[-2] < dropped[-1]            # it keeps dropping
+    assert out["shed"] == [0, dropped[-1]]
+    assert max(out["queued"]) <= 8
+    # The transport's 64 KiB high-water mark plus the frame that crossed it.
+    assert max(out["buffered"]) <= 2 * len(pad) + 4096
+
+
+def test_keep_alive_requests_leave_nothing_to_the_cyclic_collector(
+        assert_no_cyclic_garbage):
+    """200 requests on one keep-alive connection (``/submit`` plus
+    ``/submissions/ID`` polls until each is done) are freed by reference
+    count.  (On CPython 3.11 an asyncio socket transport is a reference
+    cycle of its own: one per connection, opened before the count.)"""
+    loop = asyncio.new_event_loop()
+    service = QueryService(seed=3, global_memory_bytes=4 << 20,
+                           publish_interval_s=3600.0)
+    server = ServiceServer(service)
+
+    async def open_():
+        await service.start()
+        await server.start()
+        return await asyncio.open_connection("127.0.0.1", server.port)
+
+    async def requests(count):
+        sent = 0
+        while sent < count:
+            status, body = await _ask(*connection, "POST", "/submit",
+                                      dict(FAST, tenant="t"))
+            sent += 1
+            assert status == 202, body
+            while sent < count:
+                status, record = await _ask(*connection, "GET",
+                                            f"/submissions/{body['id']}")
+                sent += 1
+                assert status == 200, record
+                if record["state"] == "done":
+                    break
+                await asyncio.sleep(0.001)
+
+    try:
+        connection = loop.run_until_complete(open_())
+        loop.run_until_complete(requests(20))       # warm-up
+        assert_no_cyclic_garbage(
+            lambda: loop.run_until_complete(requests(200)))
+        connection[1].close()
+        loop.run_until_complete(service.stop())
+        loop.run_until_complete(server.stop())
+    finally:
+        loop.close()
 
 
 # --------------------------------------------------------------------------
