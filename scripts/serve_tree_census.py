@@ -42,6 +42,28 @@ SUBMISSIONS = 20
 BODY = {"tenant": "census", "strategy": "DSE", "scale": 0.0005,
         "wait_us": 20.0, "memory_bytes": 256 << 10}
 TIMEOUT_S = 60.0
+#: modules (and, for a package, its submodules) a pool worker never
+#: executes and so must never import.
+WORKER_DENIED = ("repro.cli", "repro.optimizer", "repro.parallel",
+                 "repro.experiments.runner", "repro.query.generator",
+                 "repro.service.service", "repro.observability.archive")
+#: the hook every process of the daemon's tree imports at startup: on
+#: SIGUSR1 / SIGUSR2 it writes its ``repro`` modules to
+#: ``<pid>.ready`` / ``<pid>.served`` in OUT.
+MODULE_HOOK = """
+import os, signal, sys
+
+def _write_modules(signum, _frame):
+    stage = "ready" if signum == signal.SIGUSR1 else "served"
+    path = os.path.join(OUT, f"{os.getpid()}.{stage}")
+    with open(path + ".tmp", "w") as out:
+        out.write(" ".join(sorted(
+            m for m in sys.modules if m.split(".")[0] == "repro")))
+    os.replace(path + ".tmp", path)
+
+signal.signal(signal.SIGUSR1, _write_modules)
+signal.signal(signal.SIGUSR2, _write_modules)
+"""
 
 
 def _request(port: int, method: str, path: str,
@@ -107,10 +129,12 @@ def maps_numpy(pid: int) -> bool:
     return "numpy" in Path(f"/proc/{pid}/maps").read_text()
 
 
-def _start(log: Path) -> "tuple[subprocess.Popen[bytes], int]":
+def _start(log: Path, hook: Path
+           ) -> "tuple[subprocess.Popen[bytes], int]":
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        [str(hook), str(SRC)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     with open(log, "w") as out:
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
@@ -142,6 +166,26 @@ def _run_queries(port: int) -> None:
             time.sleep(0.02)
 
 
+def modules(pids: List[int], stage: str, sig: int,
+            out: Path) -> Dict[int, List[str]]:
+    """Each process's ``repro`` modules, written by its hook on ``sig``."""
+    for pid in pids:
+        os.kill(pid, sig)
+    deadline = time.monotonic() + TIMEOUT_S
+    paths = {pid: out / f"{pid}.{stage}" for pid in pids}
+    while not all(path.exists() for path in paths.values()):
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"no module list from {sorted(paths)}")
+        time.sleep(0.02)
+    return {pid: path.read_text().split() for pid, path in paths.items()}
+
+
+def denied(loaded: List[str]) -> List[str]:
+    return [module for module in loaded
+            if any(module == name or module.startswith(name + ".")
+                   for name in WORKER_DENIED)]
+
+
 def main() -> int:
     if not Path("/proc/self/stat").exists():
         print("serve_tree_census: needs /proc (Linux)", file=sys.stderr)
@@ -151,19 +195,34 @@ def main() -> int:
                                   check=True).stdout)
     print(f"bare numpy   threads {baseline}")
     with tempfile.TemporaryDirectory() as scratch:
-        daemon, port = _start(Path(scratch) / "serve.log")
+        out = Path(scratch)
+        hook = out / "hook"
+        hook.mkdir()
+        (hook / "sitecustomize.py").write_text(
+            MODULE_HOOK.replace("OUT", repr(str(out))))
+        daemon, port = _start(out / "serve.log", hook)
         try:
-            _run_queries(port)
             workers = {row["pid"]: row["id"]
                        for row in _request(port, "GET", "/healthz")["workers"]}
+            pids = [daemon.pid] + sorted(workers)
+            ready_rss = {pid: peak_rss_mb(pid) for pid in pids}
+            ready = modules(pids, "ready", signal.SIGUSR1, out)
+            _run_queries(port)
+            served = modules(pids, "served", signal.SIGUSR2, out)
             tree = descendants(daemon.pid)
             rows = [(daemon.pid, "coordinator")] + [
                 (pid, f"worker {workers[pid]}" if pid in workers else "other")
                 for pid in tree]
+            print(f"{'':<21} {'repro':>7}  {'VmHWM':>8}  "
+                  f"{'VmHWM after':>11}")
+            print(f"{'role':<12} {'pid':<8} {'modules':>7}  "
+                  f"{'at ready':>8}  {'the queries':>11}  threads")
             for pid, role in rows:
-                print(f"{role:<12} pid {pid:<8} VmHWM {peak_rss_mb(pid):7.1f} "
-                      f"MB  threads {threads(pid)}")
-            print(f"total        {sum(peak_rss_mb(pid) for pid, _ in rows):7.1f} MB")
+                print(f"{role:<12} {pid:<8} {len(ready.get(pid, [])):>7}  "
+                      f"{ready_rss.get(pid, 0.0):5.1f} MB  "
+                      f"{peak_rss_mb(pid):8.1f} MB  {threads(pid):>7}")
+            print(f"{'total':<30} {sum(ready_rss.values()):5.1f} MB  "
+                  f"{sum(peak_rss_mb(pid) for pid, _ in rows):8.1f} MB")
             problems = []
             if sorted(tree) != sorted(workers) or len(workers) != WORKERS:
                 problems.append(f"the tree is not the coordinator and its "
@@ -177,6 +236,14 @@ def main() -> int:
                 f"worker {workers[pid]} runs {threads(pid)} threads, a bare "
                 f"numpy child {baseline}" for pid in workers
                 if threads(pid) > baseline)
+            problems.extend(
+                f"worker {workers[pid]} loads {denied(served[pid])}, which "
+                f"it never executes" for pid in workers
+                if denied(served[pid]))
+            problems.extend(
+                f"worker {workers[pid]} imported "
+                f"{sorted(set(served[pid]) - set(ready[pid]))} after ready"
+                for pid in workers if served[pid] != ready[pid])
         finally:
             daemon.send_signal(signal.SIGTERM)
             try:

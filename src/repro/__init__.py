@@ -28,120 +28,110 @@ Quickstart
 True
 """
 
-from repro.catalog import Attribute, Catalog, JoinStatistics, Relation
-from repro.config import SimulationParameters, W_MIN_DEFAULT
-from repro.common import (
-    CatalogError,
-    ConfigurationError,
-    MemoryOverflowError,
-    OptimizerError,
-    PlanError,
-    QueryTimeoutError,
-    ReproError,
-    SchedulingError,
-    SimulationError,
-)
-from repro.core import (
-    ExecutionResult,
-    MultiQueryEngine,
-    MultiQueryResult,
-    QueryEngine,
-    QueryOutcome,
-    QuerySubmission,
-    RuntimeStatistics,
-    SymmetricHashJoinEngine,
-    SymmetricResult,
-)
-from repro.core.strategies import (
-    ConcurrentOnlyPolicy,
-    DsePolicy,
-    MaterializeAllPolicy,
-    SequentialPolicy,
-    lower_bound,
-    make_policy,
-)
-from repro.observability import (
-    DecisionAuditLog,
-    DecisionRecord,
-    MetricsRegistry,
-    SamplePoint,
-    StallAttribution,
-    Telemetry,
-    telemetry_snapshot,
-)
-from repro.optimizer import CostModel, DynamicProgrammingOptimizer
-from repro.resources import AdmissionController, MemoryBroker, MemoryLease
-from repro.plan import QEP, PipelineChain, build_qep, validate_qep
-from repro.query import JoinTree, Query, QueryGenerator
-from repro.wrappers import (
-    BurstyDelay,
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    InitialDelay,
-    NormalDelay,
-    UniformDelay,
-    slow_delivery,
-)
+from typing import TYPE_CHECKING
+
+from repro.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Attribute",
-    "BurstyDelay",
-    "Catalog",
-    "CatalogError",
-    "AdmissionController",
-    "ConcurrentOnlyPolicy",
-    "ConfigurationError",
-    "ConstantDelay",
-    "CostModel",
-    "DecisionAuditLog",
-    "DecisionRecord",
-    "DelayModel",
-    "DsePolicy",
-    "DynamicProgrammingOptimizer",
-    "ExecutionResult",
-    "ExponentialDelay",
-    "InitialDelay",
-    "NormalDelay",
-    "JoinStatistics",
-    "JoinTree",
-    "MaterializeAllPolicy",
-    "MemoryBroker",
-    "MemoryLease",
-    "MemoryOverflowError",
-    "MetricsRegistry",
-    "MultiQueryEngine",
-    "MultiQueryResult",
-    "OptimizerError",
-    "PipelineChain",
-    "PlanError",
-    "QEP",
-    "Query",
-    "QueryEngine",
-    "QueryGenerator",
-    "QueryOutcome",
-    "QueryTimeoutError",
-    "QuerySubmission",
-    "Relation",
-    "RuntimeStatistics",
-    "ReproError",
-    "SamplePoint",
-    "SchedulingError",
-    "SequentialPolicy",
-    "SimulationError",
-    "SimulationParameters",
-    "StallAttribution",
-    "SymmetricHashJoinEngine",
-    "SymmetricResult",
-    "Telemetry",
-    "UniformDelay",
-    "W_MIN_DEFAULT",
-    "build_qep",
-    "lower_bound",
-    "make_policy",
-    "slow_delivery",
-    "telemetry_snapshot",
-    "validate_qep",
-]
+_EXPORTS = {
+    "catalog.schema": ("Attribute", "Relation"),
+    "catalog.catalog": ("Catalog",),
+    "catalog.statistics": ("JoinStatistics",),
+    "config": ("SimulationParameters", "W_MIN_DEFAULT"),
+    "common.errors": (
+        "CatalogError", "ConfigurationError", "MemoryOverflowError",
+        "OptimizerError", "PlanError", "QueryTimeoutError", "ReproError",
+        "SchedulingError", "SimulationError",
+    ),
+    "core.engine": ("ExecutionResult", "QueryEngine"),
+    "core.multiquery": (
+        "MultiQueryEngine", "MultiQueryResult", "QueryOutcome",
+        "QuerySubmission",
+    ),
+    "core.statistics": ("RuntimeStatistics",),
+    "core.symmetric": ("SymmetricHashJoinEngine", "SymmetricResult"),
+    "core.strategies.concurrent": ("ConcurrentOnlyPolicy",),
+    "core.strategies.dse": ("DsePolicy",),
+    "core.strategies.ma": ("MaterializeAllPolicy",),
+    "core.strategies.seq": ("SequentialPolicy",),
+    "core.strategies.lwb": ("lower_bound",),
+    "core.strategies": ("make_policy",),
+    "observability.audit": ("DecisionAuditLog", "DecisionRecord"),
+    "observability.registry": ("MetricsRegistry",),
+    "observability.sampling": ("SamplePoint",),
+    "observability.stalls": ("StallAttribution",),
+    "observability.telemetry": ("Telemetry",),
+    "observability.export": ("telemetry_snapshot",),
+    "optimizer.cost": ("CostModel",),
+    "optimizer.dp": ("DynamicProgrammingOptimizer",),
+    "resources.admission": ("AdmissionController",),
+    "resources.broker": ("MemoryBroker", "MemoryLease"),
+    "plan.qep": ("QEP", "PipelineChain"),
+    "plan.builder": ("build_qep",),
+    "plan.validation": ("validate_qep",),
+    "query.tree": ("JoinTree", "Query"),
+    "query.generator": ("QueryGenerator",),
+    "wrappers.delays": (
+        "BurstyDelay", "ConstantDelay", "DelayModel", "ExponentialDelay",
+        "InitialDelay", "NormalDelay", "UniformDelay", "slow_delivery",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.catalog import Attribute, Catalog, JoinStatistics, Relation
+    from repro.config import SimulationParameters, W_MIN_DEFAULT
+    from repro.common import (
+        CatalogError,
+        ConfigurationError,
+        MemoryOverflowError,
+        OptimizerError,
+        PlanError,
+        QueryTimeoutError,
+        ReproError,
+        SchedulingError,
+        SimulationError,
+    )
+    from repro.core import (
+        ExecutionResult,
+        MultiQueryEngine,
+        MultiQueryResult,
+        QueryEngine,
+        QueryOutcome,
+        QuerySubmission,
+        RuntimeStatistics,
+        SymmetricHashJoinEngine,
+        SymmetricResult,
+    )
+    from repro.core.strategies import (
+        ConcurrentOnlyPolicy,
+        DsePolicy,
+        MaterializeAllPolicy,
+        SequentialPolicy,
+        lower_bound,
+        make_policy,
+    )
+    from repro.observability import (
+        DecisionAuditLog,
+        DecisionRecord,
+        MetricsRegistry,
+        SamplePoint,
+        StallAttribution,
+        Telemetry,
+        telemetry_snapshot,
+    )
+    from repro.optimizer import CostModel, DynamicProgrammingOptimizer
+    from repro.resources import AdmissionController, MemoryBroker, MemoryLease
+    from repro.plan import QEP, PipelineChain, build_qep, validate_qep
+    from repro.query import JoinTree, Query, QueryGenerator
+    from repro.wrappers import (
+        BurstyDelay,
+        ConstantDelay,
+        DelayModel,
+        ExponentialDelay,
+        InitialDelay,
+        NormalDelay,
+        UniformDelay,
+        slow_delivery,
+    )

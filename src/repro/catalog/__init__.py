@@ -7,14 +7,18 @@ stores exactly those parameters, plus enough structure (attributes, join
 edges) for the optimizer and plan builder to work with.
 """
 
-from repro.catalog.schema import Attribute, Relation
-from repro.catalog.statistics import JoinStatistics, estimate_join_cardinality
-from repro.catalog.catalog import Catalog
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Attribute",
-    "Catalog",
-    "JoinStatistics",
-    "Relation",
-    "estimate_join_cardinality",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "schema": ("Attribute", "Relation"),
+    "statistics": ("JoinStatistics", "estimate_join_cardinality"),
+    "catalog": ("Catalog",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.catalog.schema import Attribute, Relation
+    from repro.catalog.statistics import JoinStatistics, estimate_join_cardinality
+    from repro.catalog.catalog import Catalog

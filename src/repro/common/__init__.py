@@ -23,6 +23,7 @@ from repro.common.units import (
     bytes_to_pages,
     format_bytes,
     format_seconds,
+    parse_size,
 )
 
 __all__ = [
@@ -47,4 +48,5 @@ __all__ = [
     "derive_seed",
     "format_bytes",
     "format_seconds",
+    "parse_size",
 ]

@@ -14,6 +14,10 @@ signatures without introducing a runtime cost.
 
 from __future__ import annotations
 
+from typing import Optional
+
+from repro.common.errors import ConfigurationError
+
 Seconds = float
 Instructions = float
 
@@ -55,3 +59,28 @@ def format_seconds(seconds: float) -> str:
     if seconds < 1.0:
         return f"{seconds / MILLI:.1f} ms"
     return f"{seconds:.3f} s"
+
+
+def parse_size(text: str, flag: str) -> Optional[int]:
+    """Parse a memory size like ``512``, ``128K``, ``2M``, ``1G``.
+
+    ``inf``/``none`` mean "no pool" (ungoverned) and return ``None``;
+    ``flag`` names the value in the error a bad size raises.
+    """
+    lowered = text.strip().lower()
+    if lowered in ("inf", "none", "unbounded"):
+        return None
+    multiplier = 1
+    for suffix, factor in (("k", 1024), ("m", 1024 ** 2), ("g", 1024 ** 3)):
+        if lowered.endswith(suffix):
+            lowered, multiplier = lowered[:-1], factor
+            break
+    try:
+        value = int(float(lowered) * multiplier)
+    except ValueError:
+        raise ConfigurationError(
+            f"bad {flag} size {text!r}; expected bytes with an optional "
+            f"K/M/G suffix, or 'inf'") from None
+    if value <= 0:
+        raise ConfigurationError(f"{flag} must be positive, got {text!r}")
+    return value

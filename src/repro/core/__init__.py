@@ -17,68 +17,66 @@ communication manager run as concurrent simulation processes.
 :mod:`repro.core.strategies` provides SEQ / MA / DSE / LWB.
 """
 
-from repro.core.events import (
-    EndOfQEP,
-    EndOfQF,
-    InterruptionEvent,
-    MemoryOverflow,
-    PhaseComplete,
-    RateChange,
-    TimeOut,
-)
-from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
-from repro.core.metrics import (
-    benefit_materialization_indicator,
-    chain_cpu_seconds_per_source_tuple,
-    critical_degree,
-)
-from repro.core.runtime import QueryRuntime, World
-from repro.core.engine import ExecutionResult, QueryEngine
-from repro.core.multiquery import (
-    MultiQueryEngine,
-    MultiQueryResult,
-    QueryOutcome,
-    QuerySubmission,
-)
-from repro.core.statistics import JoinObservation, RuntimeStatistics
-from repro.core.symmetric import (
-    SymmetricHashJoinEngine,
-    SymmetricPlan,
-    SymmetricResult,
-)
-from repro.core.dqs import DynamicQueryScheduler, SchedulingPlan
-from repro.core.dqp import DynamicQueryProcessor
-from repro.core.dqo import DynamicQEPOptimizer
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "DynamicQEPOptimizer",
-    "DynamicQueryProcessor",
-    "DynamicQueryScheduler",
-    "EndOfQEP",
-    "EndOfQF",
-    "ExecutionResult",
-    "Fragment",
-    "FragmentKind",
-    "FragmentStatus",
-    "InterruptionEvent",
-    "JoinObservation",
-    "MemoryOverflow",
-    "MultiQueryEngine",
-    "MultiQueryResult",
-    "PhaseComplete",
-    "QueryEngine",
-    "QueryOutcome",
-    "QueryRuntime",
-    "QuerySubmission",
-    "RuntimeStatistics",
-    "RateChange",
-    "SchedulingPlan",
-    "SymmetricHashJoinEngine",
-    "SymmetricPlan",
-    "SymmetricResult",
-    "TimeOut",
-    "World",
-    "benefit_materialization_indicator",
-    "chain_cpu_seconds_per_source_tuple",
-    "critical_degree",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "events": (
+        "EndOfQEP", "EndOfQF", "InterruptionEvent", "MemoryOverflow",
+        "PhaseComplete", "RateChange", "TimeOut",
+    ),
+    "fragments": ("Fragment", "FragmentKind", "FragmentStatus"),
+    "metrics": (
+        "benefit_materialization_indicator",
+        "chain_cpu_seconds_per_source_tuple", "critical_degree",
+    ),
+    "runtime": ("QueryRuntime", "World"),
+    "engine": ("ExecutionResult", "QueryEngine"),
+    "multiquery": (
+        "MultiQueryEngine", "MultiQueryResult", "QueryOutcome",
+        "QuerySubmission",
+    ),
+    "statistics": ("JoinObservation", "RuntimeStatistics"),
+    "symmetric": (
+        "SymmetricHashJoinEngine", "SymmetricPlan", "SymmetricResult",
+    ),
+    "dqs": ("DynamicQueryScheduler",),
+    "dqp": ("SchedulingPlan", "DynamicQueryProcessor"),
+    "dqo": ("DynamicQEPOptimizer",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.core.events import (
+        EndOfQEP,
+        EndOfQF,
+        InterruptionEvent,
+        MemoryOverflow,
+        PhaseComplete,
+        RateChange,
+        TimeOut,
+    )
+    from repro.core.fragments import Fragment, FragmentKind, FragmentStatus
+    from repro.core.metrics import (
+        benefit_materialization_indicator,
+        chain_cpu_seconds_per_source_tuple,
+        critical_degree,
+    )
+    from repro.core.runtime import QueryRuntime, World
+    from repro.core.engine import ExecutionResult, QueryEngine
+    from repro.core.multiquery import (
+        MultiQueryEngine,
+        MultiQueryResult,
+        QueryOutcome,
+        QuerySubmission,
+    )
+    from repro.core.statistics import JoinObservation, RuntimeStatistics
+    from repro.core.symmetric import (
+        SymmetricHashJoinEngine,
+        SymmetricPlan,
+        SymmetricResult,
+    )
+    from repro.core.dqs import DynamicQueryScheduler
+    from repro.core.dqp import DynamicQueryProcessor, SchedulingPlan
+    from repro.core.dqo import DynamicQEPOptimizer

@@ -10,7 +10,15 @@ checks completion and collects an :class:`ExecutionResult`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generator,
+    Iterable,
+    Mapping,
+    Optional,
+)
 
 from repro.catalog.catalog import Catalog
 from repro.common.errors import ConfigurationError, SimulationError
@@ -27,14 +35,15 @@ from repro.observability import (
     CounterMetric,
     DecisionRecord,
     MetricsRegistry,
-    SamplePoint,
     Span,
-    build_live_snapshot,
 )
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
 from repro.wrappers.delays import DelayModel
 from repro.wrappers.source import Wrapper
+
+if TYPE_CHECKING:
+    from repro.observability.sampling import SamplePoint
 
 
 @dataclass(frozen=True)
@@ -297,6 +306,8 @@ class QueryRun:
 
     def snapshot(self) -> Any:
         """A live snapshot of this run (see :func:`build_live_snapshot`)."""
+        from repro.observability.live import build_live_snapshot
+
         return build_live_snapshot(self.world, self.runtime, self.processor,
                                    self.policy.name)
 

@@ -10,20 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.config import SimulationParameters
 from repro.core.strategies.lwb import lower_bound
-from repro.experiments.runner import (
-    measure_points,
-    point_specs,
-    resolve_repetitions,
-    run_point_specs,
-)
 from repro.experiments.workloads import Figure5Workload
-from repro.parallel.engine import SweepRunner
 from repro.parallel.spec import uniform_delay_specs
+
+if TYPE_CHECKING:
+    from repro.parallel.engine import SweepRunner
 
 STRATEGIES = ["SEQ", "MA", "DSE"]
 
@@ -79,6 +75,13 @@ def run_slowdown_experiment(workload: Figure5Workload, slowed_relation: str,
     repeated points are served from disk.  Results are folded back in
     deterministic point order.
     """
+    from repro.experiments.runner import (
+        measure_points,
+        point_specs,
+        resolve_repetitions,
+        run_point_specs,
+    )
+
     if slowed_relation not in workload.relation_names:
         raise ConfigurationError(
             f"unknown relation {slowed_relation!r}; choose from "

@@ -9,25 +9,29 @@ I/O cache) and the memory manager accounts hash-table memory for
 M-schedulability checks.
 """
 
-from repro.mediator.queues import Message, SourceQueue
-from repro.mediator.rates import DeliveryRateEstimator
-from repro.mediator.comm import CommunicationManager
-from repro.mediator.buffer import (
-    BufferManager,
-    HashTable,
-    TempReader,
-    TempRelation,
-    TempWriter,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BufferManager",
-    "CommunicationManager",
-    "DeliveryRateEstimator",
-    "HashTable",
-    "Message",
-    "SourceQueue",
-    "TempReader",
-    "TempRelation",
-    "TempWriter",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "queues": ("Message", "SourceQueue"),
+    "rates": ("DeliveryRateEstimator",),
+    "comm": ("CommunicationManager",),
+    "buffer": (
+        "BufferManager", "HashTable", "TempReader", "TempRelation",
+        "TempWriter",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.mediator.queues import Message, SourceQueue
+    from repro.mediator.rates import DeliveryRateEstimator
+    from repro.mediator.comm import CommunicationManager
+    from repro.mediator.buffer import (
+        BufferManager,
+        HashTable,
+        TempReader,
+        TempRelation,
+        TempWriter,
+    )

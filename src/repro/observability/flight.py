@@ -31,14 +31,6 @@ from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Union
 
 from repro.common.errors import ConfigurationError
-from repro.observability.export import (
-    load_json_document,
-    trace_instant_event,
-    trace_span_event,
-    trace_thread_name,
-    write_json_document,
-    write_trace_document,
-)
 
 #: bumped on incompatible dump layout changes.
 DUMP_VERSION = 1
@@ -139,6 +131,11 @@ class FlightRecorder:
         Returns the JSON path; the timeline lands next to it with a
         ``.trace.json`` suffix.  Loadable via :func:`load_flight_dump`.
         """
+        from repro.observability.export import (
+            write_json_document,
+            write_trace_document,
+        )
+
         entries = self.entries()
         path = write_json_document({
             "version": DUMP_VERSION,
@@ -166,6 +163,12 @@ def flight_trace_events(entries: List[FlightEntry]) -> List[Dict[str, Any]]:
     instants; each kind gets its own lane so the timeline reads like a
     strip chart of the run's last moments.
     """
+    from repro.observability.export import (
+        trace_instant_event,
+        trace_span_event,
+        trace_thread_name,
+    )
+
     lanes = {ENTRY_BATCH: 1, ENTRY_STALL: 2, ENTRY_DECISION: 3,
              ENTRY_SAMPLE: 4, ENTRY_PHASE: 5}
     events = [trace_thread_name(tid, kind) for kind, tid in lanes.items()]
@@ -190,6 +193,8 @@ def load_flight_dump(path: Union[str, Path]) -> Dict[str, Any]:
     :class:`FlightEntry` objects.  Raises :class:`ConfigurationError`
     on a missing, truncated or alien file.
     """
+    from repro.observability.export import load_json_document
+
     data: Dict[str, Any] = load_json_document(
         path, "flight-recorder dump", keys=("entries",), version=DUMP_VERSION)
     data["entries"] = [FlightEntry.from_dict(entry)

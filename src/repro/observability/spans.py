@@ -32,16 +32,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from repro.observability.export import (
-    load_json_document,
-    trace_flow_events,
-    trace_instant_event,
-    trace_span_event,
-    trace_thread_name,
-    write_json_document,
-    write_trace_document,
-)
-
 #: bumped on incompatible span-export layout changes.
 SPANS_VERSION = 1
 
@@ -199,6 +189,11 @@ def write_spans_json(spans: List[Span],
     Works on a live recorder's spans or a list rebuilt from a payload
     (``repro run --spans-out`` exports the result's shipped span list).
     """
+    from repro.observability.export import (
+        write_json_document,
+        write_trace_document,
+    )
+
     path = write_json_document(spans_payload(spans), path)
     write_trace_document(path.with_suffix(".trace.json"),
                          span_trace_events(spans))
@@ -207,6 +202,8 @@ def write_spans_json(spans: List[Span],
 
 def load_spans(path: Union[str, Path]) -> List[Span]:
     """Load a span export written by :meth:`SpanRecorder.write_json`."""
+    from repro.observability.export import load_json_document
+
     data = load_json_document(path, "span export", keys=("spans",),
                               version=SPANS_VERSION)
     return [Span.from_dict(span) for span in data["spans"]]
@@ -233,6 +230,13 @@ def span_trace_events(spans: List[Span]) -> List[Dict[str, Any]]:
     spans as instants.  The caused-by edges become flow events ("s"/"f")
     so ``chrome://tracing`` draws an arrow from cause to effect.
     """
+    from repro.observability.export import (
+        trace_flow_events,
+        trace_instant_event,
+        trace_span_event,
+        trace_thread_name,
+    )
+
     last_time = max((span.end for span in spans if span.end is not None),
                     default=0.0)
     lanes = dict(_TRACE_LANES)

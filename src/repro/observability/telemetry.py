@@ -18,15 +18,17 @@ disabled instance, so direct construction in tests keeps working.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.observability.audit import DecisionAuditLog
-from repro.observability.flight import FlightRecorder
 from repro.observability.registry import MetricsRegistry
-from repro.observability.sampling import SamplePoint, TelemetrySampler
-from repro.observability.spans import SpanRecorder
 from repro.observability.stalls import StallAttribution
 from repro.exec import Kernel
+
+if TYPE_CHECKING:
+    from repro.observability.flight import FlightRecorder
+    from repro.observability.sampling import SamplePoint, TelemetrySampler
+    from repro.observability.spans import SpanRecorder
 
 
 class Telemetry:
@@ -68,6 +70,8 @@ class Telemetry:
         """
         if not self.sampling or self._sampler is not None:
             return None
+        from repro.observability.sampling import TelemetrySampler
+
         self._sampler = TelemetrySampler(self.sim, self.sample_interval,
                                          memory, cm, self.samples,
                                          on_sample=on_sample)

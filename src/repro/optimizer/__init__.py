@@ -8,7 +8,16 @@ enumerator over connected sub-queries producing bushy hash-join trees
 (:mod:`repro.optimizer.dp`).
 """
 
-from repro.optimizer.cost import CostModel, OperatorCosts
-from repro.optimizer.dp import DynamicProgrammingOptimizer
+from typing import TYPE_CHECKING
 
-__all__ = ["CostModel", "DynamicProgrammingOptimizer", "OperatorCosts"]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "cost": ("CostModel", "OperatorCosts"),
+    "dp": ("DynamicProgrammingOptimizer",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.optimizer.cost import CostModel, OperatorCosts
+    from repro.optimizer.dp import DynamicProgrammingOptimizer

@@ -18,35 +18,39 @@ The sweep drivers under :mod:`repro.experiments` all accept a
 ``--no-cache`` on the sweep subcommands.
 """
 
-from repro.parallel.cache import RunCache
-from repro.parallel.engine import SweepRunner, SweepStats
-from repro.parallel.fingerprint import code_fingerprint
-from repro.parallel.results import (
-    RESULT_SCHEMA_VERSION,
-    multiquery_result_from_payload,
-    multiquery_result_to_payload,
-    result_from_payload,
-    result_to_payload,
-)
-from repro.parallel.spec import (
-    MultiQuerySpec,
-    RunSpec,
-    delay_from_spec,
-    uniform_delay_specs,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "MultiQuerySpec",
-    "RESULT_SCHEMA_VERSION",
-    "RunCache",
-    "RunSpec",
-    "SweepRunner",
-    "SweepStats",
-    "code_fingerprint",
-    "delay_from_spec",
-    "multiquery_result_from_payload",
-    "multiquery_result_to_payload",
-    "result_from_payload",
-    "result_to_payload",
-    "uniform_delay_specs",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "cache": ("RunCache",),
+    "engine": ("SweepRunner", "SweepStats"),
+    "fingerprint": ("code_fingerprint",),
+    "results": (
+        "RESULT_SCHEMA_VERSION", "multiquery_result_from_payload",
+        "multiquery_result_to_payload", "result_from_payload",
+        "result_to_payload",
+    ),
+    "spec": (
+        "MultiQuerySpec", "RunSpec", "delay_from_spec", "uniform_delay_specs",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.parallel.cache import RunCache
+    from repro.parallel.engine import SweepRunner, SweepStats
+    from repro.parallel.fingerprint import code_fingerprint
+    from repro.parallel.results import (
+        RESULT_SCHEMA_VERSION,
+        multiquery_result_from_payload,
+        multiquery_result_to_payload,
+        result_from_payload,
+        result_to_payload,
+    )
+    from repro.parallel.spec import (
+        MultiQuerySpec,
+        RunSpec,
+        delay_from_spec,
+        uniform_delay_specs,
+    )

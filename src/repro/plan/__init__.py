@@ -8,35 +8,35 @@ operators before every blocking edge.  The QEP decomposes into maximal
 constraints the dynamic scheduler works with.
 """
 
-from repro.plan.operators import (
-    MatOp,
-    Operator,
-    OutputOp,
-    ProbeOp,
-    ScanOp,
-    JoinSpec,
-)
-from repro.plan.qep import QEP, PipelineChain
-from repro.plan.builder import build_qep
-from repro.plan.chains import (
-    ancestor_closure,
-    direct_ancestors,
-    iterator_order,
-)
-from repro.plan.validation import validate_qep
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "JoinSpec",
-    "MatOp",
-    "Operator",
-    "OutputOp",
-    "PipelineChain",
-    "ProbeOp",
-    "QEP",
-    "ScanOp",
-    "ancestor_closure",
-    "build_qep",
-    "direct_ancestors",
-    "iterator_order",
-    "validate_qep",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "operators": (
+        "MatOp", "Operator", "OutputOp", "ProbeOp", "ScanOp", "JoinSpec",
+    ),
+    "qep": ("QEP", "PipelineChain"),
+    "builder": ("build_qep",),
+    "chains": ("ancestor_closure", "direct_ancestors", "iterator_order"),
+    "validation": ("validate_qep",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.plan.operators import (
+        MatOp,
+        Operator,
+        OutputOp,
+        ProbeOp,
+        ScanOp,
+        JoinSpec,
+    )
+    from repro.plan.qep import QEP, PipelineChain
+    from repro.plan.builder import build_qep
+    from repro.plan.chains import (
+        ancestor_closure,
+        direct_ancestors,
+        iterator_order,
+    )
+    from repro.plan.validation import validate_qep

@@ -18,29 +18,33 @@ the dynamic budget re-planning hook the DQS uses to convert degraded
 pipeline chains back to directly-scheduled ones mid-flight.
 """
 
-from repro.resources.admission import (
-    ADMISSION_POLICIES,
-    AdmissionController,
-    AdmissionTicket,
-    check_governance,
-)
-from repro.resources.broker import MemoryBroker, MemoryLease
-from repro.resources.tenants import (
-    QuotaExceeded,
-    TenantAccount,
-    TenantRegistry,
-    TenantSpec,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ADMISSION_POLICIES",
-    "AdmissionController",
-    "AdmissionTicket",
-    "MemoryBroker",
-    "MemoryLease",
-    "QuotaExceeded",
-    "TenantAccount",
-    "TenantRegistry",
-    "TenantSpec",
-    "check_governance",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "admission": (
+        "ADMISSION_POLICIES", "AdmissionController", "AdmissionTicket",
+        "check_governance",
+    ),
+    "broker": ("MemoryBroker", "MemoryLease"),
+    "tenants": (
+        "QuotaExceeded", "TenantAccount", "TenantRegistry", "TenantSpec",
+    ),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.resources.admission import (
+        ADMISSION_POLICIES,
+        AdmissionController,
+        AdmissionTicket,
+        check_governance,
+    )
+    from repro.resources.broker import MemoryBroker, MemoryLease
+    from repro.resources.tenants import (
+        QuotaExceeded,
+        TenantAccount,
+        TenantRegistry,
+        TenantSpec,
+    )

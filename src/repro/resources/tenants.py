@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
+from repro.common.units import parse_size
 
 
 class QuotaExceeded(Exception):
@@ -78,8 +79,6 @@ class TenantSpec:
         Empty segments keep their defaults, so ``acme:::64M`` is a tenant
         with default priority, unlimited concurrency, and a 64 MiB cap.
         """
-        from repro.cli import _parse_size
-
         parts = text.split(":")
         try:
             if not parts[0] or len(parts) > 4:
@@ -92,7 +91,7 @@ class TenantSpec:
             raise ConfigurationError(
                 f"bad tenant spec {text!r}; expected "
                 "NAME[:PRIORITY[:MAX_ACTIVE[:MEMORY]]]") from None
-        memory = (_parse_size(parts[3], "tenant memory")
+        memory = (parse_size(parts[3], "tenant memory")
                   if len(parts) > 3 and parts[3] else None)
         return cls(name=parts[0], priority=priority, max_active=max_active,
                    memory_limit_bytes=memory)

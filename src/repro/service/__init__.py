@@ -27,40 +27,26 @@ telemetry), serving an unbounded stream of query submissions over HTTP:
   (:mod:`repro.service.history`).
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-import importlib
-from typing import TYPE_CHECKING, Any
+from repro.lazy import lazy_exports
 
-#: public name -> the submodule defining it.  Loaded on first access
-#: (PEP 562), so a pool worker that imports :mod:`repro.service.workers`
-#: does not also import the HTTP server, the SLO tracker and the
-#: archive queries it never runs.
+#: a pool worker that imports :mod:`repro.service.workers` does not also
+#: import the HTTP server, the SLO tracker and the archive queries it
+#: never runs.
 _EXPORTS = {
-    "SERVICE_SNAPSHOT_VERSION": "service",
-    "QueryService": "service",
-    "ServiceDraining": "service",
-    "SubmissionRecord": "service",
-    "SubmissionRequest": "service",
-    "ExecutionBackend": "backend",
-    "InProcessBackend": "backend",
-    "PoolScheduler": "workers",
-    "WorkerDied": "workers",
-    "WorkerPoolBackend": "workers",
-    "ServiceServer": "http",
-    "LatencyWindow": "stats",
-    "service_prometheus_text": "stats",
-    "SLOSpec": "slo",
-    "SLOTracker": "slo",
-    "parse_slo_specs": "slo",
-    "diff_windows": "history",
-    "load_alerts": "history",
-    "load_outcomes": "history",
-    "slo_report": "history",
-    "summarize_outcomes": "history",
+    "service": ("SERVICE_SNAPSHOT_VERSION", "QueryService", "ServiceDraining",
+                "SubmissionRecord"),
+    "request": ("SubmissionRequest",),
+    "backend": ("ExecutionBackend", "InProcessBackend"),
+    "workers": ("PoolScheduler", "WorkerDied", "WorkerPoolBackend"),
+    "http": ("ServiceServer",),
+    "stats": ("LatencyWindow", "service_prometheus_text"),
+    "slo": ("SLOSpec", "SLOTracker", "parse_slo_specs"),
+    "history": ("diff_windows", "load_alerts", "load_outcomes", "slo_report",
+                "summarize_outcomes"),
 }
-
-__all__ = sorted(_EXPORTS)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 if TYPE_CHECKING:
     from repro.service.backend import ExecutionBackend, InProcessBackend
@@ -72,12 +58,12 @@ if TYPE_CHECKING:
         summarize_outcomes,
     )
     from repro.service.http import ServiceServer
+    from repro.service.request import SubmissionRequest
     from repro.service.service import (
         SERVICE_SNAPSHOT_VERSION,
         QueryService,
         ServiceDraining,
         SubmissionRecord,
-        SubmissionRequest,
     )
     from repro.service.slo import SLOSpec, SLOTracker, parse_slo_specs
     from repro.service.stats import LatencyWindow, service_prometheus_text
@@ -86,13 +72,3 @@ if TYPE_CHECKING:
         WorkerDied,
         WorkerPoolBackend,
     )
-
-
-def __getattr__(name: str) -> Any:
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value

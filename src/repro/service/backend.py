@@ -52,11 +52,8 @@ from repro.observability import DecisionAuditLog, span_summary
 from repro.wrappers import JitteredDelay, Wrapper
 
 if TYPE_CHECKING:
-    from repro.service.service import (
-        QueryService,
-        SubmissionRecord,
-        SubmissionRequest,
-    )
+    from repro.service.request import SubmissionRequest
+    from repro.service.service import QueryService, SubmissionRecord
 
 #: backend names, as reported in service snapshots / ``/healthz``.
 BACKEND_IN_PROCESS = "in-process"
@@ -71,8 +68,9 @@ WORKLOAD_CACHE_SIZE = 4
 
 
 def import_execution_modules() -> None:
-    """Import what executing a submission imports: numpy for its
-    sources' draws and the request type a worker parses.
+    """Import what executing a submission imports beyond the modules
+    that import the plane: numpy's random module, for its sources'
+    draws.
 
     Every process that executes submissions calls this before it serves
     (a pool worker before ``ready``, the in-process backend at start),
@@ -81,8 +79,6 @@ def import_execution_modules() -> None:
     a plane for its broker and never draws.
     """
     import numpy.random  # noqa: F401
-
-    import repro.service.service  # noqa: F401
 
 
 def peak_rss_bytes() -> int:

@@ -31,7 +31,8 @@ from repro.common.errors import ConfigurationError
 from repro.observability.server import ObservabilityServer, Request, Response
 from repro.resources import QuotaExceeded
 from repro.service.backend import peak_rss_bytes
-from repro.service.service import QueryService, ServiceDraining, SubmissionRequest
+from repro.service.request import SubmissionRequest
+from repro.service.service import QueryService, ServiceDraining
 from repro.service.stats import service_prometheus_text
 
 

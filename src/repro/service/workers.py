@@ -79,6 +79,7 @@ from repro.service.backend import (
     import_execution_modules,
     peak_rss_bytes,
 )
+from repro.service.request import SubmissionRequest
 
 if TYPE_CHECKING:
     from repro.resources import MemoryLease
@@ -594,8 +595,6 @@ class WorkerHost(ExecutionPlane):
 
     def _execute(self, message: dict[str, Any]
                  ) -> Generator[SimEvent, Any, dict[str, Any]]:
-        from repro.service.service import SubmissionRequest
-
         name: str = message["id"]
 
         def started(_run: Any, waited: float) -> None:

@@ -7,28 +7,30 @@ categories — initial delay, bursty arrival, slow delivery — all have a
 model here, plus the uniform model used in the experiments.
 """
 
-from repro.wrappers.delays import (
-    BurstyDelay,
-    ConstantDelay,
-    DelayModel,
-    ExponentialDelay,
-    InitialDelay,
-    JitteredDelay,
-    NormalDelay,
-    UniformDelay,
-    slow_delivery,
-)
-from repro.wrappers.source import Wrapper
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "BurstyDelay",
-    "ConstantDelay",
-    "DelayModel",
-    "ExponentialDelay",
-    "InitialDelay",
-    "JitteredDelay",
-    "NormalDelay",
-    "UniformDelay",
-    "Wrapper",
-    "slow_delivery",
-]
+from repro.lazy import lazy_exports
+
+_EXPORTS = {
+    "delays": (
+        "BurstyDelay", "ConstantDelay", "DelayModel", "ExponentialDelay",
+        "InitialDelay", "JitteredDelay", "NormalDelay", "UniformDelay",
+        "slow_delivery",
+    ),
+    "source": ("Wrapper",),
+}
+__all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:
+    from repro.wrappers.delays import (
+        BurstyDelay,
+        ConstantDelay,
+        DelayModel,
+        ExponentialDelay,
+        InitialDelay,
+        JitteredDelay,
+        NormalDelay,
+        UniformDelay,
+        slow_delivery,
+    )
+    from repro.wrappers.source import Wrapper

@@ -1,5 +1,10 @@
 """API-surface tests: public helpers, renderings and exports."""
 
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -10,25 +15,45 @@ from repro.plan.operators import JoinSpec, Operator
 # Package exports
 # --------------------------------------------------------------------------
 
-def test_all_exports_resolve():
-    for name in repro.__all__:
-        assert hasattr(repro, name), name
-
-
 def test_version_string():
     assert repro.__version__.count(".") == 2
 
 
-def test_experiments_exports_resolve():
-    import repro.experiments as experiments
-    for name in experiments.__all__:
-        assert hasattr(experiments, name), name
+#: every package whose ``__init__`` resolves its exports on first access.
+LAZY_PACKAGES = ("repro", "repro.catalog", "repro.core", "repro.experiments",
+                 "repro.mediator", "repro.observability", "repro.optimizer",
+                 "repro.parallel", "repro.plan", "repro.query",
+                 "repro.resources", "repro.service", "repro.wrappers")
 
 
-def test_core_exports_resolve():
-    import repro.core as core
-    for name in core.__all__:
-        assert hasattr(core, name), name
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_lazy_exports_are_the_objects_their_modules_define(name):
+    package = importlib.import_module(name)
+    listed = dir(package)
+    exported = []
+    for module, names in package._EXPORTS.items():
+        owner = importlib.import_module(f"{name}.{module}")
+        for export in names:
+            value = getattr(package, export)
+            assert value is getattr(owner, export), export
+            if inspect.isclass(value) or inspect.isfunction(value):
+                assert value.__module__ == owner.__name__, export
+            assert export in listed, export
+            exported.append(export)
+    assert package.__all__ == exported
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_the_type_checker_sees_every_lazy_export(name):
+    """The ``if TYPE_CHECKING:`` imports of a lazy ``__init__`` bind
+    exactly its exports: the type checker resolves them statically."""
+    package = importlib.import_module(name)
+    tree = ast.parse(Path(package.__file__).read_text())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "TYPE_CHECKING"]
+    imported = [alias.asname or alias.name for node in block.body
+                for alias in node.names]
+    assert sorted(imported) == sorted(package.__all__)
 
 
 # --------------------------------------------------------------------------

@@ -500,6 +500,22 @@ def test_sigterm_drains_in_flight_work_and_flushes_recorders(
 
 
 @pytest.mark.skipif(os.name == "nt", reason="POSIX signals")
+def test_sigterm_drains_when_nobody_reads_the_output_any_more():
+    """Whatever read the daemon's output has gone: its drain notice
+    cannot be written (BrokenPipeError), and SIGTERM still drains and
+    exits 0."""
+    daemon, _, _ = _spawn_daemon()
+    try:
+        daemon.stdout.close()
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=10.0) == 0
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
+@pytest.mark.skipif(os.name == "nt", reason="POSIX signals")
 def test_serve_host_strict_tenants_and_submit_priority_take_effect(
         tmp_path, capsys):
     """``serve --host`` is the bound address; ``serve --strict-tenants``
