@@ -214,7 +214,7 @@ def plane_session(profile: dict, setup: PlaneSetup = DEFAULT_SETUP) -> dict:
     outcomes = []
     for main in mains:
         outcome = main_value(main)
-        outcome.pop("span_summary")
+        outcome.pop("query_spans")
         outcomes.append(_reprs(outcome))
     return {"profile": profile, "admissions": admissions,
             "outcomes": outcomes,

@@ -46,7 +46,8 @@ TIMEOUT_S = 60.0
 #: executes and so must never import.
 WORKER_DENIED = ("repro.cli", "repro.optimizer", "repro.parallel",
                  "repro.experiments.runner", "repro.query.generator",
-                 "repro.service.service", "repro.observability.archive")
+                 "repro.service.service", "repro.observability.archive",
+                 "repro.observability.explain", "repro.sim.engine")
 #: the hook every process of the daemon's tree imports at startup: on
 #: SIGUSR1 / SIGUSR2 it writes its ``repro`` modules to
 #: ``<pid>.ready`` / ``<pid>.served`` in OUT.

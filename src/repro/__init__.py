@@ -74,7 +74,7 @@ _EXPORTS = {
     "query.generator": ("QueryGenerator",),
     "wrappers.delays": (
         "BurstyDelay", "ConstantDelay", "DelayModel", "ExponentialDelay",
-        "InitialDelay", "NormalDelay", "UniformDelay", "slow_delivery",
+        "InitialDelay", "NormalDelay", "UniformDelay",
     ),
 }
 __all__, __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -133,5 +133,4 @@ if TYPE_CHECKING:
         InitialDelay,
         NormalDelay,
         UniformDelay,
-        slow_delivery,
     )

@@ -38,13 +38,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown relation {name!r}") from None
 
-    def has_relation(self, name: str) -> bool:
-        return name in self._relations
-
-    def relation_names(self) -> list[str]:
-        """Names in registration order."""
-        return list(self._relations)
-
     def __iter__(self) -> Iterator[Relation]:
         return iter(self._relations.values())
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Any
 
@@ -20,7 +21,14 @@ from repro.service.history import (
 from repro.service.slo import parse_slo_specs
 
 
+#: what argparse may read as a value although it starts with "-": a
+#: negative number, as by default, or a window ``START..END`` whose
+#: START is relative (``--diff -7200..-3600 -3600..0``).
+_NEGATIVE_VALUE = re.compile(r"^-\d*\.?\d*(\.\.-?\d*\.?\d*)?$")
+
+
 def add_arguments(parser: argparse.ArgumentParser) -> None:
+    parser._negative_number_matcher = _NEGATIVE_VALUE
     parser.add_argument("archive_dir", metavar="DIR",
                         help="the archive directory to read")
     parser.add_argument("--since", type=float, default=None,

@@ -60,13 +60,6 @@ class FragmentStat:
     batches: int
     cpu_seconds: float
 
-    @property
-    def duration(self) -> Optional[float]:
-        if self.started_at is None or self.finished_at is None:
-            return None
-        return self.finished_at - self.started_at
-
-
 @dataclass
 class ExecutionResult:
     """Everything measured during one simulated execution."""

@@ -293,10 +293,6 @@ class Fragment:
         return self._sink_kind == "temp"
 
     @property
-    def is_output(self) -> bool:
-        return self._sink_kind == "output"
-
-    @property
     def terminal(self) -> Operator:
         return self._operators[-1]
 
@@ -419,15 +415,6 @@ class Fragment:
             raise SimulationError(
                 f"fragment {self.name!r} runs without its temp writer")
         return self.temp_writer
-
-    def describe(self) -> str:
-        ops = " -> ".join(
-            op.name if not isinstance(op, MatOp) else
-            (f"mat[{op.join.name}]" if op.join else "mat[temp]")
-            for op in self.operators)
-        source = (self.source.source if isinstance(self.source, SourceQueue)
-                  else self.source.temp.name)
-        return f"{self.name}({self.kind.value}) {source}: {ops}"
 
     def __repr__(self) -> str:
         return (f"Fragment({self.name!r}, {self.kind.value}, "

@@ -221,13 +221,6 @@ class MultiQueryResult:
         return (sum(o.admission_wait for o in self.outcomes)
                 / len(self.outcomes))
 
-    def outcome(self, name: str) -> QueryOutcome:
-        for outcome in self.outcomes:
-            if outcome.name == name:
-                return outcome
-        raise KeyError(f"no query named {name!r}")
-
-
 class GovernedMachine:
     """N queries on one machine :class:`World` (on ``kernel``, a fresh
     ``Simulator`` when None), and the one way a query runs on it.

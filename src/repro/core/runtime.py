@@ -140,11 +140,6 @@ class World:
         self.memory.attach_metrics(self.telemetry.registry, prefix=(
             "memory" if query_name is None else f"memory.{query_name}"))
 
-    @property
-    def disk(self) -> "Disk":
-        """The first local disk (most configurations have exactly one)."""
-        return self.disks[0]
-
     def rng(self, label: str) -> np.random.Generator:
         """A named deterministic random stream."""
         return self.streams.stream(label)

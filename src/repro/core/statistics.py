@@ -106,12 +106,6 @@ class RuntimeStatistics:
         observation.observed_build = None
         observation.observed_at = None
 
-    def observation(self, join_name: str) -> JoinObservation:
-        try:
-            return self._joins[join_name]
-        except KeyError:
-            raise SchedulingError(f"unknown join {join_name!r}") from None
-
     def observations(self) -> list[JoinObservation]:
         """All observations, in registration order."""
         return list(self._joins.values())
@@ -131,11 +125,6 @@ class RuntimeStatistics:
         whenever an estimate moves and is never mutated.
         """
         self.rate_history.append(RateSnapshot(time, waits))
-
-    def wait_series(self, source: str) -> list[tuple[float, float]]:
-        """(time, wait) history for one source across planning phases."""
-        return [(snap.time, snap.waits[source])
-                for snap in self.rate_history if source in snap.waits]
 
     def __repr__(self) -> str:
         observed = sum(1 for o in self._joins.values()

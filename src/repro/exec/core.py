@@ -309,11 +309,6 @@ class Process(SimEvent):
         start.succeed(priority=PRIORITY_URGENT)
         start.add_callback(self._step)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
     def _resume(self, event: SimEvent) -> None:
         while True:
             try:

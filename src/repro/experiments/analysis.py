@@ -26,12 +26,6 @@ class TimeBreakdown:
     stall_time: float       #: DQP waiting with nothing to do
     other_time: float       #: residual (CPU idle without a tracked stall)
 
-    @property
-    def useful_fraction(self) -> float:
-        if self.response_time <= 0:
-            return 0.0
-        return self.fragment_cpu / self.response_time
-
     def rows(self) -> list[list[str]]:
         def row(label: str, value: float) -> list[str]:
             share = value / self.response_time if self.response_time else 0.0

@@ -13,7 +13,6 @@ _EXPORTS = {
         "ARCHIVE_SCHEMA_VERSION", "RECORD_ALERT", "RECORD_DECISION",
         "RECORD_KINDS", "RECORD_OUTCOME", "RECORD_SNAPSHOT", "RECORD_SPAN",
         "ArchiveReader", "SegmentedLog", "TelemetryArchive", "list_segments",
-        "read_archive",
     ),
     "audit": (
         "DECISION_ADMISSION_QUEUE", "DECISION_ADMIT", "DECISION_CF_CREATE",
@@ -49,8 +48,7 @@ _EXPORTS = {
         "SPAN_ADMISSION_WAIT", "SPAN_BATCH", "SPAN_BUDGET_REPLAN",
         "SPAN_EXEC_PHASE", "SPAN_FRAGMENT", "SPAN_LEASE_GROW", "SPAN_PLANNING",
         "SPAN_QUERY", "SPAN_RATE_REPLAN", "SPAN_STALL", "Span", "SpanRecorder",
-        "load_spans", "span_trace_events", "spans_from_payload",
-        "write_spans_json",
+        "load_spans", "span_trace_events", "write_spans_json",
     ),
     "stalls": (
         "STALL_ADMISSION_WAIT", "STALL_MEMORY_WAIT", "STALL_NO_SCHEDULABLE",
@@ -74,7 +72,6 @@ if TYPE_CHECKING:
         SegmentedLog,
         TelemetryArchive,
         list_segments,
-        read_archive,
     )
     from repro.observability.audit import (
         DECISION_ADMISSION_QUEUE,
@@ -152,7 +149,6 @@ if TYPE_CHECKING:
         SpanRecorder,
         load_spans,
         span_trace_events,
-        spans_from_payload,
         write_spans_json,
     )
     from repro.observability.stalls import (

@@ -342,11 +342,6 @@ class TelemetryArchive:
             except OSError:
                 self.write_errors += 1
 
-    def flush(self, timeout: float = 10.0) -> bool:
-        """Wait until every queued record reached the file (best effort)."""
-        flushed = self._idle.wait(timeout)
-        return flushed
-
     def close(self, timeout: float = 10.0) -> None:
         """Drain, stop the writer thread and close the log (idempotent)."""
         with self._cond:
@@ -462,20 +457,3 @@ class ArchiveReader:
                 if self._wanted(record):
                     self.records_read += 1
                     yield record
-
-
-def read_archive(directory: Union[str, Path], *,
-                 kinds: Optional[Iterable[str]] = None,
-                 since: Optional[float] = None,
-                 until: Optional[float] = None,
-                 tenant: Optional[str] = None
-                 ) -> Tuple[List[Dict[str, Any]], ArchiveReader]:
-    """Eagerly read matching records; returns ``(records, reader)``.
-
-    The reader carries the skip/coverage counters populated during the
-    read — callers surface ``reader.skipped_lines`` as the corruption
-    warning the acceptance criteria require.
-    """
-    reader = ArchiveReader(directory, kinds=kinds, since=since,
-                           until=until, tenant=tenant)
-    return list(reader), reader

@@ -121,18 +121,6 @@ class DecisionAuditLog:
             self.on_record(record)
         return record
 
-    def filter(self, kind: Optional[str] = None,
-               subject: Optional[str] = None) -> Iterator[DecisionRecord]:
-        for record in self.records:
-            if kind is not None and record.kind != kind:
-                continue
-            if subject is not None and record.subject != subject:
-                continue
-            yield record
-
-    def count(self, kind: str) -> int:
-        return sum(1 for _ in self.filter(kind))
-
     def __iter__(self) -> Iterator[DecisionRecord]:
         return iter(self.records)
 

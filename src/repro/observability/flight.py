@@ -110,11 +110,6 @@ class FlightRecorder:
         """Mark forward progress without recording an entry."""
         self.last_progress_wall = _time.monotonic()
 
-    @property
-    def recorded(self) -> int:
-        """Total entries ever recorded (>= ``len(self)`` once wrapped)."""
-        return self._recorded
-
     def entries(self) -> List[FlightEntry]:
         """A stable copy of the buffered entries, oldest first."""
         with self._lock:

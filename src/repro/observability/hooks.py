@@ -59,10 +59,6 @@ class DQPHooks:
         self.stall = stall
         self.plan = plan
 
-    @property
-    def enabled(self) -> bool:
-        return bool(self.batch or self.stall or self.plan)
-
     def __repr__(self) -> str:
         return (f"DQPHooks(batch={len(self.batch)}, "
                 f"stall={len(self.stall)}, plan={len(self.plan)})")

@@ -235,9 +235,6 @@ class MetricsRegistry:
         """The registered metric, or None."""
         return self._metrics.get(name)
 
-    def names(self) -> list[str]:
-        return sorted(self._metrics)
-
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
         """Snapshot of every metric, keyed by name (sorted)."""
         return {name: self._metrics[name].as_dict()

@@ -19,7 +19,7 @@ through the compiled hook table in :mod:`repro.observability.hooks`, so
 a disabled recorder costs the DQP batch loop nothing but one truthiness
 check.
 
-Exports: :meth:`SpanRecorder.to_payload` (JSON, versioned) and
+Exports: :func:`spans_payload` (JSON, versioned) and
 :func:`span_trace_events` (``chrome://tracing``); :meth:`write_json`
 writes both, mirroring the flight recorder's dump convention.  The
 critical-path analyzer over these spans lives in
@@ -67,10 +67,6 @@ class Span:
     parent_id: Optional[int] = None
     caused_by: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return (self.end - self.start) if self.end is not None else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -138,10 +134,6 @@ class SpanRecorder:
         now = self.sim.now
         return self._append(kind, name, now, now, parent_id, caused_by, attrs)
 
-    def set_cause(self, span_id: int, caused_by: Optional[int]) -> None:
-        """Attach a caused-by edge after the fact (admission → query)."""
-        self.spans[span_id].caused_by = caused_by
-
     def last(self, kind: str) -> Optional[int]:
         """Id of the most recently recorded span of ``kind``, if any."""
         return self._last_of_kind.get(kind)
@@ -150,21 +142,7 @@ class SpanRecorder:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def by_kind(self, kind: str) -> List[Span]:
-        return [span for span in self.spans if span.kind == kind]
-
-    def children(self, span_id: int) -> List[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]
-
-    def roots(self) -> List[Span]:
-        """Top-level spans (normally the query spans)."""
-        return [span for span in self.spans if span.parent_id is None]
-
     # -- export ------------------------------------------------------------
-    def to_payload(self) -> Dict[str, Any]:
-        """The JSON-ready export (loadable via :func:`load_spans`)."""
-        return spans_payload(self.spans)
-
     def write_json(self, path: Union[str, Path]) -> Path:
         """Write the JSON export plus a ``.trace.json`` chrome sibling."""
         return write_spans_json(self.spans, path)
@@ -174,7 +152,7 @@ class SpanRecorder:
 
 
 def spans_payload(spans: List[Span]) -> Dict[str, Any]:
-    """The versioned export document (inverse: :func:`spans_from_payload`)."""
+    """The versioned export document (read back by :func:`load_spans`)."""
     return {
         "version": SPANS_VERSION,
         "clock": "kernel-seconds",
@@ -207,11 +185,6 @@ def load_spans(path: Union[str, Path]) -> List[Span]:
     data = load_json_document(path, "span export", keys=("spans",),
                               version=SPANS_VERSION)
     return [Span.from_dict(span) for span in data["spans"]]
-
-
-def spans_from_payload(payload: Dict[str, Any]) -> List[Span]:
-    """Rebuild the span list from :meth:`SpanRecorder.to_payload`."""
-    return [Span.from_dict(span) for span in payload.get("spans", [])]
 
 
 #: chrome-trace lane per span kind, one thread id each so the timeline

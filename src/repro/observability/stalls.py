@@ -80,22 +80,11 @@ class StallAttribution:
         if self.on_record is not None:
             self.on_record(StallInterval(started, ended, cause))
 
-    @property
-    def total(self) -> float:
-        """Sum of every attributed interval (equals the DQP's stall time)."""
-        return sum(self.breakdown.values())
-
     def by_cause(self) -> Dict[str, float]:
         """Per-cause totals, largest first."""
         return dict(sorted(self.breakdown.items(),
                            key=lambda item: (-item[1], item[0])))
 
-    def source_waits(self) -> Dict[str, float]:
-        """Idle seconds per starving source (``source-wait:*`` only)."""
-        return {cause[len(_SOURCE_PREFIX):]: seconds
-                for cause, seconds in self.breakdown.items()
-                if is_source_wait(cause)}
-
     def __repr__(self) -> str:
         return (f"StallAttribution({len(self.breakdown)} causes, "
-                f"total={self.total:.6g}s)")
+                f"total={sum(self.breakdown.values()):.6g}s)")

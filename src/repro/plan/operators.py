@@ -87,12 +87,6 @@ class Operator:
     estimated_output_cardinality: float = 0.0
     memory_bytes: int = 0
 
-    def selectivity(self) -> float:
-        """Output/input ratio (the operator's per-tuple fanout)."""
-        if self.estimated_input_cardinality <= 0:
-            return 0.0
-        return self.estimated_output_cardinality / self.estimated_input_cardinality
-
     def __str__(self) -> str:
         return self.name
 

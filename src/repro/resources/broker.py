@@ -170,10 +170,6 @@ class MemoryLease:
             broker.reclaim(self)
         return num_bytes
 
-    def held_by(self, owner: str) -> int:
-        """Bytes currently reserved by ``owner`` (0 if none)."""
-        return self._allocations.get(owner, 0)
-
     # -- broker protocol ----------------------------------------------------
     def subscribe_grow(self, callback: GrowCallback) -> None:
         """Register for broker-initiated grow offers (DQP wake-up hook)."""

@@ -116,10 +116,6 @@ class TenantAccount:
     total_latency_s: float = 0.0
 
     @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
     def mean_wait_s(self) -> float:
         return (self.total_wait_s / self.wait_samples
                 if self.wait_samples else 0.0)
@@ -171,9 +167,6 @@ class TenantRegistry:
         account = TenantAccount(spec=spec)
         self._accounts[spec.name] = account
         return account
-
-    def get(self, name: str) -> Optional[TenantAccount]:
-        return self._accounts.get(name)
 
     def account(self, name: str) -> TenantAccount:
         """The tenant's account, auto-registering unless strict."""

@@ -48,10 +48,11 @@ from repro.core.strategies import make_policy
 from repro.exec.api import Kernel
 from repro.exec.core import SimEvent
 from repro.experiments.workloads import Figure5Workload, figure5_workload
-from repro.observability import DecisionAuditLog, span_summary
+from repro.observability import DecisionAuditLog
 from repro.wrappers import JitteredDelay, Wrapper
 
 if TYPE_CHECKING:
+    from repro.observability.spans import Span
     from repro.service.request import SubmissionRequest
     from repro.service.service import QueryService, SubmissionRecord
 
@@ -161,19 +162,21 @@ class ExecutionPlane(GovernedMachine):
 
         ``started(run, waited)`` fires once the lease is granted, before
         the run attaches.  Returns :meth:`QueryRun.outcome` plus
-        ``span_summary`` (None with spans off).
+        ``query_spans``, the submission's own spans (None with spans
+        off): the coordinator summarizes them, so a worker never loads
+        the summarizer.
         """
         run, end = yield from self.run_query(
             name, self.workload(request.scale).qep,
             make_policy(request.strategy),
             lambda world: self.wrappers(world, request, sequence), budgets,
             started, priority=priority, tenant=request.tenant)
-        return dict(run.outcome(end), span_summary=_subtree_summary(run))
+        return dict(run.outcome(end), query_spans=_own_spans(run))
 
 
-def _subtree_summary(query: QueryRun) -> Optional[Dict[str, Any]]:
-    """Span summary of one submission on a shared recorder: its query
-    span's subtree plus the admission wait that delayed it."""
+def _own_spans(query: QueryRun) -> Optional[List[Span]]:
+    """One submission's spans on a shared recorder: its query span's
+    subtree plus the admission wait that delayed it."""
     recorder = query.world.telemetry.spans
     root = query.runtime.query_span
     if recorder is None or root is None:
@@ -189,7 +192,7 @@ def _subtree_summary(query: QueryRun) -> Optional[Dict[str, Any]]:
         if span.span_id in ids or span.parent_id in ids:
             ids.add(span.span_id)
             selected.append(span)
-    return span_summary(selected)
+    return selected
 
 
 class ExecutionBackend(Protocol):

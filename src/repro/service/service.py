@@ -74,6 +74,7 @@ from repro.observability.archive import (
     TelemetryArchive,
 )
 from repro.observability.audit import DecisionRecord
+from repro.observability.explain import span_summary
 from repro.observability.flight import FlightRecorder
 from repro.resources import TenantAccount, TenantRegistry, TenantSpec
 from repro.service.backend import (
@@ -492,7 +493,9 @@ class QueryService:
             # The plane's outcome dict, whichever transport carried it.
             outcome = dict(process.value)
             record.memory_peak_bytes = outcome.pop("memory_peak_bytes")
-            record.span_summary = outcome.pop("span_summary")
+            spans = outcome.pop("query_spans")
+            if spans is not None:
+                record.span_summary = span_summary(spans)
             self._batches_done += outcome["batches_processed"]
             self.completed += 1
             record.outcome = outcome

@@ -289,11 +289,3 @@ class SLOTracker:
         """JSON-safe status of every objective (for ``/slo`` + snapshots)."""
         return [state.status(now) for state in self._states]
 
-    def alerting_tenants(self) -> Dict[str, bool]:
-        """``{tenant: any window firing}`` for the top-screen SLO column."""
-        firing: Dict[str, bool] = {}
-        for state in self._states:
-            active = state.fast.firing or state.slow.firing
-            key = state.spec.tenant
-            firing[key] = firing.get(key, False) or active
-        return firing

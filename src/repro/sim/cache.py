@@ -9,7 +9,7 @@ clustering and read-ahead reuse within a chunk.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.common.errors import SimulationError
 from repro.sim.stats import Counter
@@ -62,10 +62,6 @@ class LRUPageCache:
         for key in doomed:
             del self._pages[key]
         return len(doomed)
-
-    def resident_pages(self) -> Iterator[PageKey]:
-        """Iterate resident pages from least to most recently used."""
-        return iter(self._pages)
 
     def hit_ratio(self) -> float:
         """Fraction of lookups that hit; 0 when no lookups happened."""

@@ -39,16 +39,6 @@ class Resource:
         self._in_use = 0
         self._waiters: deque[SimEvent] = deque()
 
-    @property
-    def in_use(self) -> int:
-        """Number of slots currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of pending requests."""
-        return len(self._waiters)
-
     def try_acquire(self) -> bool:
         """Take a free slot here and now; False if the caller must queue.
 
@@ -212,12 +202,6 @@ class CPU:
             self._resource.release()
         return duration
 
-    def utilization(self) -> float:
-        """Fraction of elapsed virtual time the CPU was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.busy_time / self.sim.now
-
     def __repr__(self) -> str:
         return f"CPU({self.mips:g} MIPS, busy={self.busy_time:.3f}s)"
 
@@ -282,12 +266,6 @@ class Disk:
         finally:
             self._resource.release()
 
-    def utilization(self) -> float:
-        """Fraction of elapsed virtual time the disk was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.busy_time / self.sim.now
-
     def __repr__(self) -> str:
         return (f"Disk(ios={self.ios.value}, pages={self.pages_transferred.value}, "
                 f"seeks={self.seeks.value}, busy={self.busy_time:.3f}s)")
@@ -331,12 +309,6 @@ class NetworkLink:
             self.bytes_carried.add(num_bytes)
         finally:
             self._resource.release()
-
-    def utilization(self) -> float:
-        """Fraction of elapsed virtual time the link was busy."""
-        if self.sim.now <= 0:
-            return 0.0
-        return self.busy_time / self.sim.now
 
     def __repr__(self) -> str:
         return (f"NetworkLink(messages={self.messages.value}, "

@@ -78,10 +78,6 @@ class TimeWeightedStat:
         self._last_time = now
         self._last_value = value
 
-    @property
-    def current(self) -> Optional[float]:
-        return self._last_value
-
     def mean(self) -> float:
         """Time-weighted mean up to the last recorded change."""
         weighted_sum = self._weighted_sum
@@ -93,4 +89,4 @@ class TimeWeightedStat:
         return weighted_sum / total_time if total_time > 0 else 0.0
 
     def __repr__(self) -> str:
-        return f"TimeWeightedStat(mean={self.mean():.6g}, current={self.current})"
+        return f"TimeWeightedStat(mean={self.mean():.6g}, current={self._last_value})"

@@ -15,7 +15,6 @@ _EXPORTS = {
     "delays": (
         "BurstyDelay", "ConstantDelay", "DelayModel", "ExponentialDelay",
         "InitialDelay", "JitteredDelay", "NormalDelay", "UniformDelay",
-        "slow_delivery",
     ),
     "source": ("Wrapper",),
 }
@@ -31,6 +30,5 @@ if TYPE_CHECKING:
         JitteredDelay,
         NormalDelay,
         UniformDelay,
-        slow_delivery,
     )
     from repro.wrappers.source import Wrapper

@@ -12,8 +12,7 @@ The taxonomy of Section 1.2:
 * **bursty arrival** — :class:`BurstyDelay`: groups of tuples back to
   back, separated by long silences;
 * **slow delivery** — a regular but slow rate: :class:`UniformDelay` (or
-  :class:`ConstantDelay`) with a large ``w``; :func:`slow_delivery` is the
-  explicit spelling.
+  :class:`ConstantDelay`) with a large ``w``.
 
 The experiments' default (Section 5.1.3) is :class:`UniformDelay`:
 per-tuple delays uniform on ``[0, 2w]``, hence an average of ``w``;
@@ -181,11 +180,6 @@ class JitteredDelay(_MeanWaitDelay):
 
     def __repr__(self) -> str:
         return f"JitteredDelay(w={self.w:g}, jitter={self.jitter:g})"
-
-
-def slow_delivery(w: float) -> UniformDelay:
-    """Slow-delivery model: regular arrival, just slower than normal."""
-    return UniformDelay(w)
 
 
 class ExponentialDelay(_MeanWaitDelay, _IidDelay):

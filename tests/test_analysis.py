@@ -56,7 +56,7 @@ def test_useful_fraction_in_unit_range(mini_fig5):
     params = SimulationParameters()
     waits = {n: params.w_min for n in mini_fig5.relation_names}
     breakdown = time_breakdown(run(mini_fig5, "DSE", waits))
-    assert 0.0 < breakdown.useful_fraction <= 1.0
+    assert 0.0 < breakdown.fragment_cpu / breakdown.response_time <= 1.0
 
 
 def test_comparison_report_renders(mini_fig5):

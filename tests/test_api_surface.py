@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.plan.operators import JoinSpec, Operator
+from repro.plan.operators import JoinSpec
 
 
 # --------------------------------------------------------------------------
@@ -23,7 +23,8 @@ def test_version_string():
 LAZY_PACKAGES = ("repro", "repro.catalog", "repro.core", "repro.experiments",
                  "repro.mediator", "repro.observability", "repro.optimizer",
                  "repro.parallel", "repro.plan", "repro.query",
-                 "repro.resources", "repro.service", "repro.wrappers")
+                 "repro.resources", "repro.service", "repro.sim",
+                 "repro.wrappers")
 
 
 @pytest.mark.parametrize("name", LAZY_PACKAGES)
@@ -78,13 +79,6 @@ def test_joinspec_str():
     join = JoinSpec("J1", ("R",), ("S", "T"), crossing_selectivity=0.01)
     text = str(join)
     assert "J1" in text and "build={R}" in text and "probe={S,T}" in text
-
-
-def test_operator_selectivity():
-    op = Operator("x", estimated_input_cardinality=100,
-                  estimated_output_cardinality=25)
-    assert op.selectivity() == 0.25
-    assert Operator("y").selectivity() == 0.0
 
 
 def test_chain_iteration_and_len(small_qep):

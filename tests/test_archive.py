@@ -22,7 +22,6 @@ from repro.observability.archive import (
     SegmentedLog,
     TelemetryArchive,
     list_segments,
-    read_archive,
 )
 from repro.service.history import (
     diff_windows,
@@ -69,7 +68,8 @@ def test_segments_rotate_by_size_and_seal_to_gzip(tmp_path):
     # All but the last (active) segment are sealed .gz files.
     assert all(p.name.endswith(".jsonl.gz") for p in segments[:-1])
     assert segments[-1].name.endswith(".jsonl")
-    records, reader = read_archive(tmp_path)
+    reader = ArchiveReader(tmp_path)
+    records = list(reader)
     assert [r["t"] for r in records] == [float(i) for i in range(10)]
     assert reader.skipped_lines == 0
 
@@ -96,7 +96,7 @@ def test_retention_deletes_oldest_sealed_segments_by_bytes(tmp_path):
     # Retention keeps the total near the budget (the active segment and
     # the newest sealed segment always survive).
     assert total <= 400 + 150
-    records, _ = read_archive(tmp_path)
+    records = list(ArchiveReader(tmp_path))
     # Oldest records are gone, newest survive, order is preserved.
     times = [r["t"] for r in records]
     assert times == sorted(times)
@@ -118,7 +118,7 @@ def test_retention_deletes_by_age(tmp_path):
     os.utime(sealed[0], (stale, stale))
     log.write(outcome(3.0))  # rotates again -> retention runs
     log.close()
-    records, _ = read_archive(tmp_path)
+    records = list(ArchiveReader(tmp_path))
     assert 1.0 not in [r["t"] for r in records]
     assert 3.0 in [r["t"] for r in records]
     assert log.segments_deleted == 1
@@ -148,7 +148,9 @@ def test_restart_appends_a_new_segment_and_replays_everything(tmp_path):
     reincarnation.write(outcome(3.0))
     reincarnation.close()
 
-    records, reader = read_archive(tmp_path)
+    reader = ArchiveReader(tmp_path)
+
+    records = list(reader)
     assert [r["t"] for r in records] == [1.0, 2.0, 3.0]
     assert reader.skipped_lines == 0
     assert len(list_segments(tmp_path)) == 2  # one per incarnation
@@ -163,7 +165,8 @@ def test_torn_final_line_is_skipped_with_a_count(tmp_path):
     # Simulate a crash mid-write: the final line is half a record.
     with open(segment, "ab") as handle:
         handle.write(b'{"kind": "outcome", "t": 3.0, "tena')
-    records, reader = read_archive(tmp_path)
+    reader = ArchiveReader(tmp_path)
+    records = list(reader)
     assert [r["t"] for r in records] == [1.0, 2.0]
     assert reader.skipped_lines == 1
 
@@ -175,7 +178,8 @@ def test_alien_lines_and_foreign_versions_are_skipped(tmp_path):
         + json.dumps({"kind": "outcome", "t": 2.0, "v": 999}) + "\n"
         + json.dumps(["a", "list", "not", "a", "record"]) + "\n"
         + json.dumps(outcome(3.0, v=ARCHIVE_SCHEMA_VERSION)) + "\n")
-    records, reader = read_archive(tmp_path)
+    reader = ArchiveReader(tmp_path)
+    records = list(reader)
     assert [r["t"] for r in records] == [1.0, 3.0]
     assert reader.skipped_lines == 3
 
@@ -191,7 +195,8 @@ def test_torn_gzip_segment_loses_the_segment_not_the_archive(tmp_path):
     # Truncate one sealed segment mid-stream: gzip can't finish it.
     data = sealed[0].read_bytes()
     sealed[0].write_bytes(data[: len(data) // 2])
-    records, reader = read_archive(tmp_path)
+    reader = ArchiveReader(tmp_path)
+    records = list(reader)
     assert reader.skipped_segments == 1
     assert records  # the other segments still replay
 
@@ -208,10 +213,10 @@ def test_reader_filters_by_kind_time_and_tenant(tmp_path):
     log.write({"kind": "snapshot", "t": 2.5})
     log.write(outcome(3.0, tenant="gold"))
     log.close()
-    records, _ = read_archive(tmp_path, kinds=("outcome",),
-                              since=1.5, until=2.9, tenant="silver")
+    records = list(ArchiveReader(tmp_path, kinds=("outcome",),
+                                 since=1.5, until=2.9, tenant="silver"))
     assert [r["t"] for r in records] == [2.0]
-    snapshots, _ = read_archive(tmp_path, kinds=("snapshot",))
+    snapshots = list(ArchiveReader(tmp_path, kinds=("snapshot",)))
     assert [r["t"] for r in snapshots] == [2.5]
 
 
@@ -223,9 +228,9 @@ def test_archive_writer_drains_the_queue_to_disk(tmp_path):
     archive = TelemetryArchive(tmp_path)
     for i in range(100):
         assert archive.append(outcome(float(i)))
-    assert archive.flush(timeout=10.0)
+    assert archive._idle.wait(10.0)
     archive.close()
-    records, _ = read_archive(tmp_path)
+    records = list(ArchiveReader(tmp_path))
     assert len(records) == 100
     assert archive.dropped_total == 0
     stats = archive.stats()
@@ -255,9 +260,9 @@ def test_full_queue_sheds_oldest_and_counts_instead_of_blocking(
     assert results == [True] * 4 + [False] * 6
     assert archive.dropped_total == 6
     gate.set()
-    assert archive.flush(timeout=30.0)
+    assert archive._idle.wait(30.0)
     archive.close()
-    records, _ = read_archive(tmp_path)
+    records = list(ArchiveReader(tmp_path))
     # The wedged record plus the four newest queued ones survived.
     assert [r["t"] for r in records] == [0.0, 7.0, 8.0, 9.0, 10.0]
 
@@ -277,7 +282,7 @@ def test_disk_errors_are_counted_not_raised(tmp_path, monkeypatch):
 
     monkeypatch.setattr(archive.log, "write", explode)
     archive.append(outcome(1.0))
-    archive.flush(timeout=10.0)
+    archive._idle.wait(10.0)
     archive.close()
     assert archive.write_errors >= 1
 
@@ -286,7 +291,7 @@ def test_archive_health_reports_segments_and_write_age(tmp_path):
     clock = FakeClock()
     archive = TelemetryArchive(tmp_path, clock=clock)
     archive.append(outcome(1.0))
-    archive.flush(timeout=10.0)
+    archive._idle.wait(10.0)
     clock.advance(5.0)
     health = archive.health()
     assert health["segments"] == 1

@@ -135,10 +135,10 @@ def test_estimate_size_bytes(small_catalog):
 
 def test_catalog_registration_and_lookup(small_catalog):
     assert small_catalog.relation("R").cardinality == 1000
-    assert small_catalog.has_relation("S")
-    assert not small_catalog.has_relation("Z")
+    with pytest.raises(CatalogError):
+        small_catalog.relation("Z")
     assert len(small_catalog) == 3
-    assert small_catalog.relation_names() == ["R", "S", "T"]
+    assert [relation.name for relation in small_catalog] == ["R", "S", "T"]
 
 
 def test_catalog_duplicate_relation(small_catalog):

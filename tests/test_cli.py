@@ -2,6 +2,7 @@
 
 import csv
 import json
+import time
 
 import pytest
 
@@ -712,3 +713,19 @@ def test_cmd_history_diff_windows(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "window_a" in out and "window_b" in out
     assert "p99_s" in out and "throughput_qps" in out
+
+
+def test_cmd_history_diff_runs_its_help_example(capsys, tmp_path):
+    """Relative windows start with "-" and are still ``--diff``'s values:
+    the example its help prints runs as printed."""
+    example = "--diff -7200..-3600 -3600..0"
+    with pytest.raises(SystemExit):
+        main(["history", "--help"])
+    assert example in " ".join(capsys.readouterr().out.split())
+    now = time.time()
+    _write_history_archive(tmp_path / "arch", [now - 5000.0, now - 60.0])
+    assert main(["history", str(tmp_path / "arch"), *example.split(),
+                 "--json"]) == 0
+    diff = json.loads(capsys.readouterr().out)
+    assert diff["window_a"]["summary"]["outcomes"] == 1
+    assert diff["window_b"]["summary"]["outcomes"] == 1

@@ -12,7 +12,6 @@ from repro.wrappers import (
     JitteredDelay,
     NormalDelay,
     UniformDelay,
-    slow_delivery,
 )
 
 
@@ -74,12 +73,6 @@ def test_jittered_delay_edges(rng):
                 dict(w=1.0, jitter=-0.1)):
         with pytest.raises(ConfigurationError):
             JitteredDelay(**bad)
-
-
-def test_slow_delivery_is_uniform():
-    model = slow_delivery(5e-3)
-    assert isinstance(model, UniformDelay)
-    assert model.mean_wait() == 5e-3
 
 
 def test_initial_delay_applies_once(rng):

@@ -36,7 +36,7 @@ def test_recorder_keeps_the_most_recent_entries():
     for i in range(10):
         recorder.record(ENTRY_BATCH, float(i), fragment=f"f{i}", tuples=1)
     assert len(recorder) == 4
-    assert recorder.recorded == 10
+    assert recorder._recorded == 10
     entries = recorder.entries()
     assert [entry.time for entry in entries] == [6.0, 7.0, 8.0, 9.0]
     assert entries[0].payload == {"fragment": "f6", "tuples": 1}
@@ -257,7 +257,7 @@ def test_clean_live_run_leaves_no_dump(tmp_path):
     result = asyncio.run(engine.run())
     assert result.result_tuples > 0
     assert not dump_path.exists()
-    assert engine.recorder is not None and engine.recorder.recorded > 0
+    assert engine.recorder is not None and engine.recorder._recorded > 0
 
 
 def test_engine_validates_watchdog_needs_a_dump_path():

@@ -146,7 +146,7 @@ class _World:
         return {
             "log": self.log,
             "snapshots": self.snapshots,
-            "results": [(p.value, p.is_alive) for p in self.processes],
+            "results": [(p.value, not p.triggered) for p in self.processes],
             "busy": (self.cpu.busy_time, self.disk.busy_time,
                      self.link.busy_time, self.disk.seeks.value),
             "store": list(self.store.items),

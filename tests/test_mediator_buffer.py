@@ -22,7 +22,7 @@ def test_reserve_release_cycle():
     memory = MemoryLease(1000)
     memory.reserve("a", 600)
     assert memory.available_bytes == 400
-    assert memory.held_by("a") == 600
+    assert memory._allocations.get("a", 0) == 600
     assert memory.release("a") == 600
     assert memory.available_bytes == 1000
 
@@ -52,7 +52,7 @@ def test_grow_success_and_failure():
     memory.reserve("a", 50)
     assert memory.try_grow("a", 50)
     assert not memory.try_grow("a", 1)
-    assert memory.held_by("a") == 100
+    assert memory._allocations.get("a", 0) == 100
 
 
 def test_release_unknown_owner():
@@ -76,7 +76,7 @@ def test_hash_table_reserves_estimate():
     memory = MemoryLease(10_000)
     table = HashTable("J1", memory, tuple_size=40, page_size=100,
                       estimated_tuples=100)
-    assert memory.held_by("hash:J1") == 4000
+    assert memory._allocations.get("hash:J1", 0) == 4000
     assert table.insert(100)
     table.seal()
     table.drop()
@@ -88,7 +88,7 @@ def test_hash_table_grows_beyond_estimate():
     table = HashTable("J1", memory, tuple_size=40, page_size=100,
                       estimated_tuples=10)
     assert table.insert(50)  # 2000 bytes > 400 reserved; grows in pages
-    assert memory.held_by("hash:J1") >= 2000
+    assert memory._allocations.get("hash:J1", 0) >= 2000
 
 
 def test_hash_table_overflow_returns_false():
@@ -127,7 +127,7 @@ def test_temp_write_and_finish():
     assert temp.tuples == 1000
     expected_pages = -(-1000 // world.params.tuples_per_page)
     assert temp.pages == expected_pages
-    assert world.disk.pages_transferred.value == expected_pages
+    assert world.disks[0].pages_transferred.value == expected_pages
 
 
 def test_temp_write_behind_is_asynchronous():
@@ -144,7 +144,7 @@ def test_temp_write_behind_is_asynchronous():
 
     world.sim.process(producer())
     world.sim.run()
-    assert world.disk.ios.value == 3
+    assert world.disks[0].ios.value == 3
 
 
 def test_temp_write_after_finish_rejected():
@@ -231,7 +231,7 @@ def test_reader_unsealed_temp_rejected():
 def test_reader_charges_disk_reads():
     world = make_world()
     temp = _write_temp(world, 5000)
-    write_pages = world.disk.pages_transferred.value
+    write_pages = world.disks[0].pages_transferred.value
     reader = world.buffer.reader(temp)
 
     def consumer():
@@ -241,7 +241,7 @@ def test_reader_charges_disk_reads():
 
     world.sim.process(consumer())
     world.sim.run()
-    assert world.disk.pages_transferred.value > write_pages
+    assert world.disks[0].pages_transferred.value > write_pages
 
 
 def test_reader_empty_temp():
@@ -254,7 +254,7 @@ def test_reader_empty_temp():
 def test_chunk_io_uses_cache():
     world = make_world()
     temp = _write_temp(world, 100)  # 1 chunk, stays in cache after write
-    reads_before = world.disk.ios.value
+    reads_before = world.disks[0].ios.value
     reader = world.buffer.reader(temp)
 
     def consumer():
@@ -265,4 +265,4 @@ def test_chunk_io_uses_cache():
     world.sim.process(consumer())
     world.sim.run()
     # The single page was cached by the write; no disk read needed.
-    assert world.disk.ios.value == reads_before
+    assert world.disks[0].ios.value == reads_before

@@ -35,7 +35,7 @@ def test_memory_temp_charges_no_disk():
 
     world.sim.process(producer())
     world.sim.run()
-    assert world.disk.ios.value == 0
+    assert world.disks[0].ios.value == 0
     assert world.sim.now == 0.0  # nothing ever waited
 
 
@@ -45,7 +45,7 @@ def test_memory_temp_reserves_pages():
     writer.write(5000)
     params = world.params
     expected_pages = -(-5000 // params.tuples_per_page)
-    assert world.memory.held_by(writer.temp.memory_owner) == \
+    assert world.memory._allocations.get(writer.temp.memory_owner, 0) == \
         expected_pages * params.page_size
 
 
@@ -63,7 +63,7 @@ def test_memory_temp_reader_is_instant():
     assert reader.has_data()
     assert reader.read_now(10_000) == 3000
     assert reader.exhausted
-    assert world.disk.ios.value == 0
+    assert world.disks[0].ios.value == 0
 
 
 def test_destroy_releases_memory():
@@ -122,7 +122,7 @@ def test_fallback_to_disk_when_budget_runs_out():
     world.sim.run()
     assert not writer.temp.in_memory
     assert world.memory.used_bytes == 0            # reservation released
-    assert world.disk.pages_transferred.value >= 40  # deferred I/O paid
+    assert world.disks[0].pages_transferred.value >= 40  # deferred I/O paid
     assert writer.temp.tuples == 40 * per_page
 
     # The converted temp reads back from disk like any other.

@@ -94,12 +94,6 @@ def test_scheduling_plan_live(rt):
     assert SchedulingPlan([]).live() == []
 
 
-def test_fragment_describe(rt):
-    text = rt.fragments["pS"].describe()
-    assert text.startswith("pS(pc) S:")
-    assert "probe[J1]" in text and "mat[J2]" in text
-
-
 def test_runtime_reprs(rt):
     assert "pending" in repr(rt.fragments["pR"])
     assert "QueryRuntime" not in repr(rt.fragments["pR"])  # fragment repr

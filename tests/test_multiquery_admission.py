@@ -55,8 +55,8 @@ def test_query_queued_until_lease_released(tiny_fig5, params):
                       start=0.001))
     result = engine.run()
 
-    waiter = result.outcome("waiter")
-    running = result.outcome("running")
+    waiter = {o.name: o for o in result.outcomes}["waiter"]
+    running = {o.name: o for o in result.outcomes}["running"]
     assert running.admission_wait == 0.0
     assert waiter.admission_wait > 0.0
     # Admitted right when the running query completed.
@@ -91,7 +91,7 @@ def test_budget_grow_reverses_memory_degradation(tiny_fig5, params):
                       mem=60 * KB, mn=60 * KB, mx=240 * KB))
     result = engine.run()
 
-    slow = result.outcome("slow")
+    slow = {o.name: o for o in result.outcomes}["slow"]
     assert slow.result_tuples == 1000
     assert slow.budget_grows >= 1
     assert slow.memory_granted_bytes == 60 * KB
@@ -162,7 +162,7 @@ def test_admission_none_keeps_private_budgets(tiny_fig5, params):
                               admission="none")
     engine.submit(sub(tiny_fig5, "q", "SEQ", params.w_min))
     result = engine.run()
-    assert result.outcome("q").admission_wait == 0.0
+    assert {o.name: o for o in result.outcomes}["q"].admission_wait == 0.0
     assert not any(r.kind in ("admit", "admission-queue")
                    for r in result.decisions)
 
@@ -201,10 +201,10 @@ def test_governed_payload_round_trip(tiny_fig5, params):
     result = engine.run()
     rebuilt = multiquery_result_from_payload(
         multiquery_result_to_payload(result))
-    assert rebuilt.outcome("slow").budget_grows \
-        == result.outcome("slow").budget_grows
-    assert rebuilt.outcome("slow").memory_peak_bytes \
-        == result.outcome("slow").memory_peak_bytes
+    assert {o.name: o for o in rebuilt.outcomes}["slow"].budget_grows \
+        == {o.name: o for o in result.outcomes}["slow"].budget_grows
+    assert {o.name: o for o in rebuilt.outcomes}["slow"].memory_peak_bytes \
+        == {o.name: o for o in result.outcomes}["slow"].memory_peak_bytes
     assert [r.kind for r in rebuilt.decisions] \
         == [r.kind for r in result.decisions]
     assert rebuilt.queued_queries == result.queued_queries

@@ -105,7 +105,7 @@ def assert_compiled_facts(fragment, params):
     assert fragment.builds_join == builds
     assert fragment.writes_temp == (isinstance(terminal, MatOp)
                                     and terminal.join is None)
-    assert fragment.is_output == isinstance(terminal, OutputOp)
+    assert (fragment._sink_kind == "output") == isinstance(terminal, OutputOp)
     assert list(fragment.probed_joins) == [
         op.join.name for op in operators if isinstance(op, ProbeOp)]
     assert fragment.cpu_per_tuple == chain_cpu_seconds_per_source_tuple(

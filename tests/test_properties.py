@@ -89,7 +89,7 @@ def test_cache_eviction_is_lru_order(capacity, pages):
     cache = LRUPageCache(capacity)
     for page in pages:
         cache.insert(0, page)
-    resident = list(cache.resident_pages())
+    resident = list(cache._pages)
     # The most recently inserted page is at the MRU end.
     assert resident[-1] == (0, pages[-1])
 

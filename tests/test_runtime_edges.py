@@ -121,8 +121,8 @@ def test_multiquery_mixed_workloads(tiny_fig5, small_catalog, small_tree):
         policy=make_policy("SEQ"),
         delay_models={n: UniformDelay(params.w_min) for n in "RST"}))
     result = engine.run()
-    assert result.outcome("fig5").result_tuples == 1000
-    assert result.outcome("rst").result_tuples == 1500
+    assert {o.name: o for o in result.outcomes}["fig5"].result_tuples == 1000
+    assert {o.name: o for o in result.outcomes}["rst"].result_tuples == 1500
 
 
 def test_multiquery_shares_disk_extents(tiny_fig5):

@@ -849,13 +849,14 @@ def _own_spans(recorder, name):
     span's subtree plus the admission wait that query names as cause."""
     from repro.observability import SPAN_QUERY
 
-    (root,) = [span for span in recorder.by_kind(SPAN_QUERY)
+    (root,) = [span for span in [span for span in recorder.spans if span.kind == SPAN_QUERY]
                if span.name == name]
     own, frontier = [], [root]
     while frontier:
         span = frontier.pop()
         own.append(span)
-        frontier.extend(recorder.children(span.span_id))
+        frontier.extend(child for child in recorder.spans
+                        if child.parent_id == span.span_id)
     if root.caused_by is not None:
         own.append(recorder.spans[root.caused_by])
     return own
@@ -864,7 +865,7 @@ def _own_spans(recorder, name):
 def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
     """A job queued behind a worker's carve is attributed exactly like
     one queued in the coordinator: stall, span, cause link — and the
-    span summary shipped over the pipe counts the wait span."""
+    spans shipped over the pipe hold the wait span."""
     from repro.observability import SPAN_ADMISSION_WAIT, SPAN_QUERY
 
     # 1.5 MiB each into a 2 MiB carve: the second job must queue.
@@ -875,17 +876,17 @@ def test_worker_queued_job_gets_the_admission_wait_span_and_cause():
     assert first["wait_s"] == 0.0 and second["wait_s"] > 0.0
 
     spans = host.machine.telemetry.spans
-    waits = spans.by_kind(SPAN_ADMISSION_WAIT)
+    waits = [span for span in spans.spans if span.kind == SPAN_ADMISSION_WAIT]
     assert [span.name for span in waits] == ["s-000002"]
-    assert waits[0].duration == pytest.approx(second["wait_s"])
+    assert waits[0].end - waits[0].start == pytest.approx(second["wait_s"])
     causes = {span.name: span.caused_by
-              for span in spans.by_kind(SPAN_QUERY)}
+              for span in [span for span in spans.spans if span.kind == SPAN_QUERY]}
     assert causes == {"s-000001": None, "s-000002": waits[0].span_id}
     assert second["stalls"]["admission-wait"] \
         == pytest.approx(second["wait_s"])
     own = _own_spans(spans, "s-000002")
     assert waits[0] in own
-    assert second["payload"]["span_summary"]["spans"] == len(own) < len(spans)
+    assert len(second["payload"]["query_spans"]) == len(own) < len(spans)
     assert host.machine.broker.leased_bytes == 0
 
 
@@ -912,10 +913,10 @@ def test_worker_span_summary_covers_the_job_not_the_workers_history():
         payload = results["s-000003"]["payload"]
         own = _own_spans(host.machine.telemetry.spans, "s-000003")
         own.sort(key=lambda span: span.span_id)
-        assert payload["span_summary"] == span_summary(own)
-        assert payload["span_summary"]["response_time"] \
-            == payload["response_time"]
-        summaries.append(payload["span_summary"])
+        assert payload["query_spans"] == own
+        summary = span_summary(payload["query_spans"])
+        assert summary["response_time"] == payload["response_time"]
+        summaries.append(summary)
     with_history, alone = summaries
     assert with_history["spans"] < len(busy.machine.telemetry.spans)
     assert alone["spans"] == len(idle.machine.telemetry.spans)

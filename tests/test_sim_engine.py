@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.errors import SimulationError
-from repro.sim import PRIORITY_URGENT, Simulator
+from repro.exec import PRIORITY_URGENT
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero(sim):
@@ -355,7 +356,7 @@ def test_finished_process_releases_its_generator_and_its_step(sim, ending):
     process.defused = True
     assert process.generator is not None and process._step is not None
     sim.run()
-    assert not process.is_alive
+    assert process.triggered
     assert process.ok == (ending == "returns")
     assert process.generator is None and process._step is None
 

@@ -23,7 +23,7 @@ def test_resource_grants_up_to_capacity(sim):
     sim.run()
     assert first.triggered and second.triggered
     assert not third.triggered
-    assert resource.queue_length == 1
+    assert len(resource._waiters) == 1
 
 
 def test_resource_release_wakes_waiter(sim):
@@ -65,25 +65,25 @@ def test_try_acquire_and_request_share_one_account(sim):
     assert resource.try_acquire()
     assert resource.request().processed       # second free slot, in place
     assert not resource.try_acquire()         # full: the caller must queue
-    assert resource.in_use == 2
+    assert resource._in_use == 2
     first, second = resource.request(), resource.request()
-    assert resource.queue_length == 2
+    assert len(resource._waiters) == 2
 
     resource.release()                        # slot goes to the oldest waiter
     assert not resource.try_acquire()         # ... not to a late arrival
     sim.run()
     assert first.processed and not second.triggered
-    assert resource.in_use == 2
+    assert resource._in_use == 2
 
     resource.release()
     sim.run()
-    assert second.processed and resource.queue_length == 0
+    assert second.processed and len(resource._waiters) == 0
     resource.release()
     resource.release()
-    assert resource.in_use == 0
+    assert resource._in_use == 0
     with pytest.raises(SimulationError):
         resource.release()
-    assert resource.try_acquire() and resource.in_use == 1
+    assert resource.try_acquire() and resource._in_use == 1
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +297,7 @@ def test_cpu_utilization(sim):
 
     sim.process(worker())
     sim.run()
-    assert cpu.utilization() == pytest.approx(0.5)
+    assert cpu.busy_time / sim.now == pytest.approx(0.5)
 
 
 def test_cpu_invalid_mips(sim):

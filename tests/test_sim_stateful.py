@@ -69,7 +69,7 @@ class ResourceMachine(RuleBasedStateMachine):
     def capacity_respected(self):
         if not hasattr(self, "resource"):
             return
-        assert 0 <= self.resource.in_use <= self.resource.capacity
+        assert 0 <= self.resource._in_use <= self.resource.capacity
 
     @invariant()
     def no_waiter_granted_out_of_order(self):

@@ -128,7 +128,8 @@ def test_fast_window_fires_before_slow_window():
     assert status["windows"]["slow"]["firing"] is True
     assert status["windows"]["fast"]["burn_rate"] > FAST_BURN_THRESHOLD
     assert status["windows"]["slow"]["burn_rate"] > SLOW_BURN_THRESHOLD
-    assert tracker.alerting_tenants() == {"gold": True}
+    assert {state["tenant"]: state["alerting"]
+            for state in tracker.status(3190.0)} == {"gold": True}
 
 
 def test_alerts_resolve_once_the_burn_subsides():
@@ -181,7 +182,8 @@ def test_wildcard_objective_sees_all_tenants():
     status = tracker.status(3.0)[0]
     assert status["events"] == 2
     assert status["bad"] == 1
-    assert tracker.alerting_tenants() == {"*": False}
+    assert {state["tenant"]: state["alerting"]
+            for state in tracker.status(3.0)} == {"*": False}
 
 
 def test_objectives_are_isolated_per_tenant():
@@ -192,6 +194,7 @@ def test_objectives_are_isolated_per_tenant():
         tracker.observe("silver", 0.01, at=float(i))   # silver is fine
     transitions = tracker.evaluate(10.0)
     assert {t["tenant"] for t in transitions} == {"gold"}
-    firing = tracker.alerting_tenants()
+    firing = {state["tenant"]: state["alerting"]
+              for state in tracker.status(10.0)}
     assert firing["gold"] is True
     assert firing["silver"] is False

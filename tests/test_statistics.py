@@ -50,7 +50,7 @@ def test_register_and_observe():
     stats = RuntimeStatistics()
     stats.register_join("J1", 100.0)
     stats.observe_build("J1", 250.0, time=1.5)
-    obs = stats.observation("J1")
+    obs = stats._joins["J1"]
     assert obs.observed_build == 250.0
     assert obs.observed_at == 1.5
 
@@ -87,7 +87,8 @@ def test_rate_history():
     stats = RuntimeStatistics()
     stats.snapshot_rates(0.0, {"A": 1e-5, "B": 2e-5})
     stats.snapshot_rates(1.0, {"A": 3e-5, "B": 2e-5})
-    assert stats.wait_series("A") == [(0.0, 1e-5), (1.0, 3e-5)]
+    assert [(snap.time, snap.waits["A"]) for snap in stats.rate_history] \
+        == [(0.0, 1e-5), (1.0, 3e-5)]
     assert len(stats.rate_history) == 2
 
 

@@ -21,7 +21,6 @@ def test_world_builds_all_components():
     world = World(params, seed=3)
     assert world.cpu.mips == params.cpu_mips
     assert len(world.disks) == params.num_local_disks
-    assert world.disk is world.disks[0]
     assert world.cache.capacity_pages == params.io_cache_pages
     assert world.memory.total_bytes == params.query_memory_bytes
 
