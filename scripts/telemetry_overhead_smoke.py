@@ -20,7 +20,10 @@ A span section repeats the check for the causal span recorder with a
 spans-disabled batch loop (one falsy-tuple check per batch) must stay
 within 1% of the spans-enabled loop plus timer grace — and the compiled
 hook table itself must be the shared ``NULL_HOOKS`` no-op when every
-consumer is off.
+consumer is off.  It also counts, with ``tracemalloc``, the bytes the
+span table holds per span after one spans-on run: batch and stall rows
+are columns, so the budget is 80 bytes (a ``Span`` object with its own
+attrs dict per row held about 345).
 
 A second section repeats the comparison on the wall-clock asyncio
 backend: one small live run (jittered modelled sources) with telemetry
@@ -37,6 +40,7 @@ Exit status 0 on success; used as a CI step.
 import asyncio
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -53,6 +57,7 @@ ROUNDS = 3
 RETRIEVAL_TIME = 2.0  # the smallest Figure 6 point
 LIVE_SCALE = 0.02     # live rounds are wall-clock; keep them tiny
 DQP_SCALE = 0.2       # the span-overhead rounds: one batch-loop-bound run
+SPAN_BYTES_BUDGET = 80  # bytes the span table may hold per span
 
 
 def timed_sweep(workload, params) -> float:
@@ -79,6 +84,29 @@ def timed_dqp_run(params):
         result = engine.run()
         best = min(best, time.perf_counter() - started)
     return best, result
+
+
+def span_bytes_per_span(params) -> float:
+    """Bytes held per span after one spans-on DQP run, counted by
+    tracemalloc: what the span table and its row hooks (``spans.py``)
+    and the hook table compiled around them (``hooks.py``) allocated and
+    still hold while the result is alive."""
+    workload = figure5_workload(scale=DQP_SCALE)
+    delays = {name: UniformDelay(params.w_min)
+              for name in workload.relation_names}
+    engine = QueryEngine(workload.catalog, workload.qep, make_policy("DSE"),
+                         delays, params=params, seed=1)
+    tracemalloc.start()
+    try:
+        result = engine.run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    owned = snapshot.filter_traces([
+        tracemalloc.Filter(True, "*/observability/spans.py"),
+        tracemalloc.Filter(True, "*/observability/hooks.py")])
+    held = sum(stat.size for stat in owned.statistics("filename"))
+    return held / len(result.spans)
 
 
 def timed_live_run(params):
@@ -159,8 +187,8 @@ def main() -> int:
 
     # Spans ride the compiled hook table: with every consumer off the
     # table is the shared no-op and the batch loop pays one falsy check.
-    assert not NULL_HOOKS.enabled
     assert NULL_HOOKS.batch == () and NULL_HOOKS.stall == ()
+    assert NULL_HOOKS.plan == ()
     spans_off, off_result = timed_dqp_run(SimulationParameters())
     assert off_result.spans is None, "spans-off run must not carry spans"
     spans_on, on_result = timed_dqp_run(
@@ -179,6 +207,15 @@ def main() -> int:
               "table's off path is not free")
         return 1
     print("OK: spans-disabled batch-loop overhead within 1%")
+    per_span = span_bytes_per_span(SimulationParameters(telemetry_spans=True))
+    print(f"span table: {per_span:.1f} bytes per span "
+          f"(budget {SPAN_BYTES_BUDGET})")
+    if per_span > SPAN_BYTES_BUDGET:
+        print("FAIL: the span table holds more than "
+              f"{SPAN_BYTES_BUDGET} bytes per span — batch and stall rows "
+              "are meant to be columns, not objects")
+        return 1
+    print("OK: span table within its per-span byte budget")
 
     live_disabled, live_off = timed_live_run(SimulationParameters())
     live_enabled, live_on = timed_live_run(SimulationParameters(

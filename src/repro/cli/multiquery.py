@@ -5,8 +5,10 @@ admission policy."""
 from __future__ import annotations
 
 import argparse
+import sys
 
 from repro.cli import options
+from repro.common.errors import MemoryOverflowError
 from repro.common.units import parse_size
 from repro.config import SimulationParameters
 from repro.core.strategies import make_policy
@@ -63,18 +65,25 @@ def run(args: argparse.Namespace) -> int:
         dynamic_budget_replanning=governed)
     for strategy in args.strategies:
         make_policy(strategy)  # validates the name before any run
-    points = run_multiquery_experiment(
-        workload, list(args.strategies),
-        [w * 1e-6 for w in args.waits_us], params,
-        num_queries=args.queries, inter_arrival=args.inter_arrival,
-        seed=args.seed, runner=options.runner_from(args),
-        global_memories=pools, admission=args.admission,
-        memory_bytes=parse_size(args.query_memory, "--query-memory")
-        if args.query_memory else None,
-        min_memory_bytes=parse_size(args.min_memory, "--min-memory")
-        if args.min_memory else None,
-        max_memory_bytes=parse_size(args.max_memory, "--max-memory")
-        if args.max_memory else None)
+    try:
+        points = run_multiquery_experiment(
+            workload, list(args.strategies),
+            [w * 1e-6 for w in args.waits_us], params,
+            num_queries=args.queries, inter_arrival=args.inter_arrival,
+            seed=args.seed, runner=options.runner_from(args),
+            global_memories=pools, admission=args.admission,
+            memory_bytes=parse_size(args.query_memory, "--query-memory")
+            if args.query_memory else None,
+            min_memory_bytes=parse_size(args.min_memory, "--min-memory")
+            if args.min_memory else None,
+            max_memory_bytes=parse_size(args.max_memory, "--max-memory")
+            if args.max_memory else None)
+    except MemoryOverflowError as exc:
+        # The configuration passed every check and the run started: a
+        # chain that cannot fit the memory its lease reached fails the
+        # run (exit 1), it is not a usage error.
+        print(f"FAIL: {exc}", file=sys.stderr)
+        return 1
     rows = [p.row() for p in points]
     print(format_table(ThroughputPoint.HEADERS, rows,
                        title=f"{args.queries} concurrent queries"))

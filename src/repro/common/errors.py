@@ -68,3 +68,7 @@ class MemoryOverflowError(ReproError):
             f"pipeline chain {chain_name!r} needs {required} bytes "
             f"but only {available} are available"
         )
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its fields, so it crosses a process pool intact.
+        return (type(self), (self.chain_name, self.required, self.available))

@@ -75,8 +75,7 @@ class DynamicQEPOptimizer:
         spans = world.telemetry.spans
         query_span = self.runtime.query_span
         if spans is not None and query_span is not None:
-            spans.spans[query_span].attrs["strategy"] = \
-                self.scheduler.policy.name
+            spans.annotate(query_span, strategy=self.scheduler.policy.name)
         #: span id of the event that *caused* the next planning phase
         #: (a lease grow or rate change); None for ordinary progress.
         replan_cause = None

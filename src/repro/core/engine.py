@@ -18,6 +18,7 @@ from typing import (
     Iterable,
     Mapping,
     Optional,
+    Sequence,
 )
 
 from repro.catalog.catalog import Catalog
@@ -108,8 +109,9 @@ class ExecutionResult:
     samples: list[SamplePoint] = field(default_factory=list)
     #: the run's metrics registry (None when telemetry was disabled).
     metrics: Optional[MetricsRegistry] = None
-    #: causal span tree of the run (``telemetry_spans`` enabled only).
-    spans: Optional[list[Span]] = None
+    #: causal span tree of the run (``telemetry_spans`` enabled only):
+    #: the recorder's read-only table, a fresh Span per row read.
+    spans: Optional[Sequence[Span]] = None
 
     def stall_by_cause(self) -> dict[str, float]:
         """Stall breakdown sorted largest first."""
@@ -425,7 +427,7 @@ class QueryRun:
             samples=list(world.telemetry.samples),
             metrics=(self._fold_counters(world.telemetry.registry)
                      if world.telemetry.enabled else None),
-            spans=(list(world.telemetry.spans.spans)
+            spans=(world.telemetry.spans.spans
                    if world.telemetry.spans is not None else None),
         )
 

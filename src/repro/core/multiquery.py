@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Mapping, Optional
+from typing import Any, Callable, Generator, Mapping, Optional, Sequence
 
 from repro.catalog.catalog import Catalog
 from repro.common.errors import ConfigurationError
@@ -47,6 +47,7 @@ from repro.observability import (
     SPAN_ADMISSION_WAIT,
     STALL_ADMISSION_WAIT,
     DecisionRecord,
+    Span,
 )
 from repro.plan.qep import QEP
 from repro.plan.validation import validate_qep
@@ -182,8 +183,9 @@ class MultiQueryResult:
     #: degradations of every query interleaved in decision-time order).
     decisions: list[DecisionRecord] = field(default_factory=list)
     #: the machine-wide causal span tree (every query's spans, plus the
-    #: admission waits that link them); ``None`` when spans were off.
-    spans: Optional[list] = None
+    #: admission waits that link them) as the recorder's read-only
+    #: table; ``None`` when spans were off.
+    spans: Optional[Sequence[Span]] = None
 
     @property
     def mean_response_time(self) -> float:
@@ -363,7 +365,7 @@ class MultiQueryEngine:
             cpu_busy_time=machine.cpu.busy_time,
             disk_busy_time=sum(d.busy_time for d in machine.disks),
             decisions=list(machine.telemetry.audit),
-            spans=(list(machine.telemetry.spans.spans)
+            spans=(machine.telemetry.spans.spans
                    if machine.telemetry.spans is not None else None),
         )
 

@@ -150,6 +150,7 @@ def critical_path(spans: Sequence[Span],
     ``scheduling-overhead`` segment.  Segments tile ``[t0, T]`` with no
     overlap, so their durations account for the whole response time.
     """
+    spans = list(spans)  # read a span table's rows once, not per pass
     root = _query_root(spans, query)
     t0 = root.start
     horizon = root.end if root.end is not None else max(
@@ -198,6 +199,7 @@ def explain_spans(spans: Sequence[Span], query: Optional[str] = None,
     into the ``scheduling-overhead`` bucket, which by construction is
     the engine's own bookkeeping time.
     """
+    spans = list(spans)  # read a span table's rows once, not per pass
     root = _query_root(spans, query)
     horizon = root.end if root.end is not None else max(
         (s.end for s in spans if s.end is not None), default=root.start)

@@ -36,7 +36,6 @@ from typing import Any, Callable, Optional, Tuple
 
 from repro.observability.flight import ENTRY_BATCH
 from repro.observability.registry import BATCH_BUCKETS
-from repro.observability.spans import SPAN_BATCH, SPAN_STALL
 
 BatchHook = Callable[[float, float, Any, int], None]
 StallHook = Callable[[float, float, str], None]
@@ -122,22 +121,8 @@ def compile_dqp_hooks(
         # live engine installs; only the per-batch path rides the table.
 
     if spans is not None:
-        current_phase = phase_span_of if phase_span_of is not None \
-            else (lambda: None)
-        # One positional row per batch / stall: the recorder's append,
-        # pre-bound, with the attrs dict built literally (no ``**``).
-        append = spans._append
-
-        def span_batch(started: float, now: float, fragment: Any,
-                       tuples: int) -> None:
-            append(SPAN_BATCH, fragment.name, started, now, current_phase(),
-                   None, {"fragment_kind": fragment.kind.value,
-                          "tuples": tuples})
-
-        def span_stall(started: float, ended: float, cause: str) -> None:
-            append(SPAN_STALL, cause, started, ended, current_phase(), None,
-                   {"cause": cause})
-
+        span_batch, span_stall = spans.spans.row_hooks(
+            phase_span_of if phase_span_of is not None else (lambda: None))
         batch.append(span_batch)
         stall.append(span_stall)
 

@@ -181,17 +181,10 @@ def _own_spans(query: QueryRun) -> Optional[List[Span]]:
     root = query.runtime.query_span
     if recorder is None or root is None:
         return None
-    spans = recorder.spans
     wait = query.world.admission_span
-    selected = [spans[wait]] if wait is not None else []
-    # A span's id is its list position and parents are recorded before
-    # children: one forward pass from the root collects the subtree
-    # without walking the recorder's history.
-    ids = {root}
-    for span in spans[root:]:
-        if span.span_id in ids or span.parent_id in ids:
-            ids.add(span.span_id)
-            selected.append(span)
+    selected = [recorder.spans[wait]] if wait is not None else []
+    # The subtree walk starts at the root, not at the recorder's history.
+    selected.extend(recorder.spans.subtree(root))
     return selected
 
 

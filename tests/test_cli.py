@@ -435,6 +435,36 @@ def test_cmd_multiquery_inter_arrival_staggers_the_batch(tmp_path):
     assert float(row["makespan_s"]) > (3 - 1) * 0.5
 
 
+def test_cmd_multiquery_chain_that_outgrows_its_lease_fails_in_one_line(
+        capsys):
+    """Every option is valid, so the run starts; a chain that cannot fit
+    the memory its lease reached then fails the run: one ``FAIL:`` line
+    on stderr and exit 1, no traceback."""
+    assert main(["multiquery", "--scale", "0.05", "--queries", "3",
+                 "--strategies", "DSE", "--waits-us", "20",
+                 "--global-memory", "896K", "--admission", "fifo",
+                 "--query-memory", "128K", "--min-memory", "128K",
+                 "--max-memory", "2M"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("FAIL: pipeline chain 'pF' needs 240000 bytes "
+                            "but only 11072 are available\n")
+    assert "Traceback" not in captured.out
+
+
+def test_memory_overflow_error_crosses_a_process_pool():
+    """``--jobs N`` re-raises a worker's error in the parent: it must
+    unpickle with its fields (it broke the pool instead)."""
+    import pickle
+
+    from repro.common.errors import MemoryOverflowError
+
+    error = pickle.loads(pickle.dumps(MemoryOverflowError("pF", 240000, 7)))
+    assert (error.chain_name, error.required, error.available) \
+        == ("pF", 240000, 7)
+    assert str(error) == \
+        "pipeline chain 'pF' needs 240000 bytes but only 7 are available"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--inter-arrival", "inf"], "inter_arrival must be finite"),
     (["--inter-arrival", "nan"], "inter_arrival must be finite"),
